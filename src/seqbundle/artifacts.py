@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
 
@@ -24,7 +25,7 @@ from .baselines import (
     zero_order_to_json,
 )
 from .dataio import Dataset, FeaturePipeline, Split
-from .domain import Playlist
+from .domain import DEFAULT_CAP, Playlist
 from .errors import SchemaError
 from .neuralkit import load_checkpoint, save_checkpoint
 from .reports import write_json
@@ -85,9 +86,7 @@ def load_split(path: Path | str, dataset: Dataset) -> Dataset:
         raise SchemaError(
             f"{path}: split file covers unknown sessions, e.g. {sorted(extra)[0]!r}"
         )
-    return Dataset(
-        playlists=dataset.playlists, sessions=dataset.sessions, split_tags=tuple(tags)
-    )
+    return replace(dataset, split_tags=tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +109,7 @@ def save_predictor(bundle_dir: Path | str, predictor) -> Path:
             "model": config_to_json(predictor.model.kind, predictor.model.config),
             "pipeline": predictor.pipeline.to_jsonable(),
             "feasibility_mask": predictor.feasibility_mask,
+            "cap": predictor.cap,
         }
     else:
         raise SchemaError(f"cannot serialize predictor type {type(predictor).__name__}")
@@ -137,6 +137,7 @@ def load_predictor(bundle_dir: Path | str, playlist: Playlist):
             model=model,
             pipeline=pipeline,
             feasibility_mask=bool(obj.get("feasibility_mask", False)),
+            cap=int(obj.get("cap", DEFAULT_CAP)),
         )
     raise SchemaError(f"{bundle_dir / BUNDLE_FILE}: unknown bundle family {family!r}")
 

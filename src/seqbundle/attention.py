@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import Session
+from .domain import ROW_SUM_TOL, Session
 from .errors import ConstraintViolation, MetricUndefinedError
 
 EULER_GAMMA = 0.5772156649015329
@@ -26,8 +26,6 @@ EULER_GAMMA = 0.5772156649015329
 BASELINE_DIAGONAL = 1
 BASELINE_FIRST_KEY = 2
 BASELINE_UNIFORM = 3
-
-ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)

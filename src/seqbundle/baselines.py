@@ -14,19 +14,20 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CAP,
+    N_OUTCOMES,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
+    ROW_SUM_TOL,
     Event,
     Outcome,
     Playlist,
     Session,
+    session_counts,
+    walk,
 )
 from .errors import ConstraintViolation, SchemaError
 
 log = logging.getLogger(__name__)
-
-N_OUTCOMES = 3
-ROW_SUM_TOL = 1e-9
 
 
 def feasible_cells(cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -301,11 +302,9 @@ def fit_zero_order(
     tallies = np.zeros((n, cap + 1), dtype=np.float64)
     seen = np.zeros(n, dtype=np.float64)
     for session in sessions:
-        counts: dict[int, int] = {}
-        for event in session.events:
-            unit = 0 if event.outcome is Outcome.SKIP else 1
-            counts[event.track_position] = counts.get(event.track_position, 0) + unit
-        for pos, c in counts.items():
+        counts = session_counts(session, n)
+        for pos in range(1, session.last_position + 1):
+            c = counts[pos - 1]
             if c > cap:
                 raise ConstraintViolation(
                     f"session {session.session_id!r}: track {pos} consumed "
@@ -367,45 +366,27 @@ class ZeroOrderPredictor:
     def playlist_id(self) -> str:
         return self.table.playlist_id
 
-    def _row_after(self, track: int, count: int) -> np.ndarray:
+    def _row_after(
+        self, track: int, count: int, feasible: tuple[bool, bool, bool]
+    ) -> np.ndarray:
         """Row for the decision taken after the given track holds the given count."""
-        if track == 0:
-            p1_skip = self.table.p(1, 0)
-            return np.array((p1_skip, 1.0 - p1_skip, 0.0))
         r = 0.0
-        if 1 <= count < self.table.cap:
+        if feasible[OUTCOME_INDEX[Outcome.REPLAY]]:
             played = self.table.p_played(track)
             if played > 0:
                 r = self.table.p_replayed(track) / played
-        if track + 1 <= self.table.n_tracks:
+        if feasible[OUTCOME_INDEX[Outcome.PLAY]]:
             skip = self.table.p(track + 1, 0)
             return np.array(((1 - r) * skip, (1 - r) * (1 - skip), r))
         return np.array((1 - r, 0.0, r))
 
     def predict_session(self, session: Session) -> np.ndarray:
-        out = np.zeros((len(session.events), N_OUTCOMES), dtype=np.float64)
-        track = 0
-        count = 0
-        for j, event in enumerate(session.events):
-            out[j] = self._row_after(track, count)
-            if event.outcome is Outcome.REPLAY:
-                count += 1
-            else:
-                track = event.track_position
-                count = 0 if event.outcome is Outcome.SKIP else 1
-        return out
+        steps = walk(session.events, self.table.n_tracks, self.table.cap)
+        return np.array([self._row_after(*step) for step in steps[:-1]])
 
     def next_probs(self, events: Sequence[Event]) -> np.ndarray:
         """Probability row for the event that would follow the given prefix."""
-        track = 0
-        count = 0
-        for event in events:
-            if event.outcome is Outcome.REPLAY:
-                count += 1
-            else:
-                track = event.track_position
-                count = 0 if event.outcome is Outcome.SKIP else 1
-        return self._row_after(track, count)
+        return self._row_after(*walk(events, self.table.n_tracks, self.table.cap)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .dataio import (
     write_prompts_jsonl,
     write_sessions_jsonl,
 )
+from .domain import DEFAULT_CAP
 from .errors import ConstraintViolation, NumericError, SchemaError, SeqBundleError
 from .evalkit import evaluate_dataset, summarize_dataset, summary_to_jsonable
 from .seqmodels import (
@@ -237,10 +238,27 @@ def _data_paths(args) -> tuple[Path, Path]:
     return playlists, sessions
 
 
+def _data_cap(data_dir: Path) -> int:
+    """Play-count cap of a data directory: the "cap" its generator.json
+    records, or DEFAULT_CAP for data that has no generator.json."""
+    path = data_dir / "generator.json"
+    if not path.is_file():
+        return DEFAULT_CAP
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return int(json.load(fh).get("cap", DEFAULT_CAP))
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"{path}: cannot read the cap ({exc})") from None
+
+
 def _load_data(args, session_end: str | None = None) -> Dataset:
     playlists_path, sessions_path = _data_paths(args)
     dataset = load_dataset(
-        sessions_path, playlists_path, fmt=args.format, strict=not args.lenient
+        sessions_path,
+        playlists_path,
+        fmt=args.format,
+        strict=not args.lenient,
+        cap=_data_cap(args.data),
     )
     mode = session_end if session_end is not None else args.session_end
     if mode is not None:
@@ -386,7 +404,7 @@ def cmd_train(args) -> int:
         if args.model in BASELINE_KINDS:
             if args.model == "zero":
                 predictor = ZeroOrderPredictor(
-                    table=fit_zero_order(train_sessions, playlist)
+                    table=fit_zero_order(train_sessions, playlist, cap=dataset.cap)
                 )
                 info = {"n_parameters": int(predictor.table.probs.size)}
             else:
@@ -396,6 +414,7 @@ def cmd_train(args) -> int:
                         playlist,
                         position_dependent=args.model == "pmc",
                         smoothing=opts["smoothing"],
+                        cap=dataset.cap,
                     )
                 )
                 info = {"n_parameters": predictor.model.n_parameters}
@@ -430,6 +449,7 @@ def cmd_train(args) -> int:
                 model=model,
                 pipeline=pipeline,
                 feasibility_mask=bool(opts["feasibility_mask"]),
+                cap=dataset.cap,
             )
             info = {
                 "n_parameters": result.n_parameters,
@@ -448,6 +468,7 @@ def cmd_train(args) -> int:
     playlists_path, sessions_path = _data_paths(args)
     run_obj = {
         "model": args.model,
+        "cap": dataset.cap,
         "options": {k: opts[k] for k in sorted(opts)},
         "playlists": per_playlist,
         "data_digests": {
@@ -513,6 +534,7 @@ def cmd_evaluate(args) -> int:
         predictors,
         dataset,
         split=Split(args.split),
+        cap=dataset.cap,
         demand_mode=args.demand_mode,
         n_rollouts=args.n_rollouts,
         seed=args.seed,
@@ -535,7 +557,7 @@ def cmd_evaluate(args) -> int:
             ),
         ),
         "demand_chart": reports.write_svg(
-            out_dir / "demand.svg", reports.svg_demand_chart(report)
+            out_dir / "demand.svg", reports.svg_demand_chart(report, dataset.cap)
         ),
     }
     artifacts.write_manifest(

@@ -1,5 +1,11 @@
 """Loading, splitting, transforming, and exporting session data.
 
+Loaded sessions are validated against the play-count walk under a cap that
+the Dataset keeps (``Dataset.cap``). FeaturePipeline.matrix is the one path
+from a session to model input, for training and prediction alike. Remaining
+listening time is a suffix sum over the session's events, so it is never
+negative and is exactly 0 after the last listened event.
+
 Wire formats
 ------------
 sessions.jsonl   one session per line:
@@ -30,6 +36,7 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CAP,
+    N_OUTCOMES,
     OUTCOME_INDEX,
     Event,
     Outcome,
@@ -62,11 +69,15 @@ class SessionEndMode(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class Dataset:
-    """Immutable bundle of playlists, sessions, and per-session split tags."""
+    """Immutable bundle of playlists, sessions, and per-session split tags.
+
+    ``cap`` is the per-track play-count cap the sessions were validated under.
+    """
 
     playlists: Mapping[str, Playlist]
     sessions: tuple[Session, ...]
     split_tags: tuple[Split, ...]
+    cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
         if len(self.sessions) != len(self.split_tags):
@@ -97,13 +108,16 @@ class Dataset:
 
 
 def dataset_from_sessions(
-    playlists: Mapping[str, Playlist], sessions: Sequence[Session]
+    playlists: Mapping[str, Playlist],
+    sessions: Sequence[Session],
+    cap: int = DEFAULT_CAP,
 ) -> Dataset:
     """Dataset with every session tagged TRAIN (tags assigned later by split)."""
     return Dataset(
         playlists=dict(playlists),
         sessions=tuple(sessions),
         split_tags=tuple(Split.TRAIN for _ in sessions),
+        cap=cap,
     )
 
 
@@ -191,7 +205,7 @@ def load_sessions(
         raise SchemaError(f"unknown session format {fmt!r} (expected jsonl or csv)")
     if not sessions:
         raise SchemaError(f"{path}: no valid sessions loaded")
-    return dataset_from_sessions(playlists, sessions)
+    return dataset_from_sessions(playlists, sessions, cap=cap)
 
 
 def _load_sessions_jsonl(
@@ -381,10 +395,8 @@ def split(dataset: Dataset, train_fraction: float = 0.9, seed: int = 0) -> Datas
         n_train = min(n - 1, max(1, round(train_fraction * n)))
         for j, idx in enumerate(shuffled):
             tags[idx] = Split.TRAIN if j < n_train else Split.TEST
-    return Dataset(
-        playlists=dataset.playlists,
-        sessions=dataset.sessions,
-        split_tags=tuple(t if t is not None else Split.TRAIN for t in tags),
+    return replace(
+        dataset, split_tags=tuple(t if t is not None else Split.TRAIN for t in tags)
     )
 
 
@@ -394,11 +406,7 @@ def apply_session_end(dataset: Dataset, mode: SessionEndMode) -> Dataset:
         _apply_mode(s, len(dataset.playlists[s.playlist_id]), mode)
         for s in dataset.sessions
     )
-    return Dataset(
-        playlists=dataset.playlists,
-        sessions=new_sessions,
-        split_tags=dataset.split_tags,
-    )
+    return replace(dataset, sessions=new_sessions)
 
 
 def _apply_mode(session: Session, n_tracks: int, mode: SessionEndMode) -> Session:
@@ -435,14 +443,17 @@ def event_listening_time(event: Event, playlist: Playlist) -> float:
 
 
 def observed_remaining_time(session: Session, playlist: Playlist) -> tuple[float, ...]:
-    """Per event position: total listening time minus time consumed before it."""
-    times = [event_listening_time(e, playlist) for e in session.events]
+    """Per event position: listening time of this event and every later one.
+
+    Accumulated as a suffix sum from the last event, so every value is >= 0
+    and exactly 0 after the last listened event.
+    """
     out = []
-    tail = float(sum(times))
-    for t in times:
+    tail = 0.0
+    for event in reversed(session.events):
+        tail += event_listening_time(event, playlist)
         out.append(tail)
-        tail -= t
-    return tuple(out)
+    return tuple(reversed(out))
 
 
 def predicted_remaining_time(
@@ -467,76 +478,7 @@ def predicted_remaining_time(
 
 
 # ---------------------------------------------------------------------------
-# model-facing feature rows
-
-# One-hot layout of the previous action channel.
-PREV_ACTION_ORDER = ("skip", "play", "replay", "none")
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureRow:
-    """Model input for one event position (raw units; scaling happens later)."""
-
-    previous_action: tuple[int, int, int, int]  # one-hot over PREV_ACTION_ORDER
-    predicted_remaining_time: float
-    track_duration: float
-    observed_remaining_time: float | None = None
-    extra: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if sum(self.previous_action) != 1 or any(
-            v not in (0, 1) for v in self.previous_action
-        ):
-            raise ConstraintViolation(
-                f"previous_action must be one-hot, got {self.previous_action}"
-            )
-        if self.predicted_remaining_time < 0:
-            raise ConstraintViolation(
-                f"predicted_remaining_time must be >= 0, got "
-                f"{self.predicted_remaining_time}"
-            )
-
-
-def _onehot_prev(outcome: Outcome | None) -> tuple[int, int, int, int]:
-    if outcome is None:
-        return (0, 0, 0, 1)
-    idx = OUTCOME_INDEX[outcome]
-    hot = [0, 0, 0, 0]
-    hot[idx] = 1
-    return tuple(hot)  # type: ignore[return-value]
-
-
-def build_features(
-    session: Session,
-    playlist: Playlist,
-    remaining_time_table: Sequence[float],
-    leak: bool = False,
-) -> tuple[FeatureRow, ...]:
-    """One FeatureRow per event.
-
-    Row j carries the outcome at j-1 (NONE at j=1), the mean remaining time
-    for position j from the training table, and the duration of the track the
-    event resolves. With leak=True the observed remaining time of this very
-    session is attached as well.
-    """
-    observed = observed_remaining_time(session, playlist) if leak else None
-    rows = []
-    prev: Outcome | None = None
-    for j, event in enumerate(session.events):
-        table_value = (
-            float(remaining_time_table[j]) if j < len(remaining_time_table) else 0.0
-        )
-        rows.append(
-            FeatureRow(
-                previous_action=_onehot_prev(prev),
-                predicted_remaining_time=table_value,
-                track_duration=playlist.track_at(event.track_position).duration,
-                observed_remaining_time=observed[j] if observed else None,
-            )
-        )
-        prev = event.outcome
-    return tuple(rows)
-
+# model-facing feature matrices
 
 @dataclass(frozen=True, slots=True)
 class FeatureConfig:
@@ -558,8 +500,12 @@ class FeatureConfig:
 class FeaturePipeline:
     """Fits per-playlist scaling state on TRAIN sessions, vectorizes any session.
 
-    Time and duration channels are z-scored with training statistics; the
-    previous-action one-hot passes through unscaled.
+    Row j of a session's matrix holds, in columns 0-3, the one-hot outcome of
+    event j-1 in OUTCOME_ORDER, or "none" (column 3) for the first event;
+    column 4 the remaining time for position j; and, with include_duration,
+    column 5 the duration of the track event j resolves. Time and
+    duration channels are z-scored with training statistics; the one-hot
+    passes through unscaled.
     """
 
     playlist: Playlist
@@ -575,14 +521,8 @@ class FeaturePipeline:
         self.remaining_time_table = predicted_remaining_time(
             train_sessions, self.playlist
         )
-        times: list[float] = []
-        durations: list[float] = []
-        for session in train_sessions:
-            for row in build_features(
-                session, self.playlist, self.remaining_time_table, leak=self.config.leak
-            ):
-                times.append(self._time_channel(row))
-                durations.append(row.track_duration)
+        times = np.concatenate([self._times(s) for s in train_sessions])
+        durations = np.concatenate([self._durations(s) for s in train_sessions])
         self.time_mean = float(np.mean(times))
         self.time_std = _std_floor(np.std(times))
         self.duration_mean = float(np.mean(durations))
@@ -590,31 +530,34 @@ class FeaturePipeline:
         self.fitted = True
         return self
 
-    def _time_channel(self, row: FeatureRow) -> float:
+    def _times(self, session: Session) -> np.ndarray:
+        """Raw time channel: observed remaining time under leak, else the table."""
         if self.config.leak:
-            if row.observed_remaining_time is None:
-                raise ConstraintViolation(
-                    "leak=True but the feature row has no observed remaining time"
-                )
-            return row.observed_remaining_time
-        return row.predicted_remaining_time
+            return np.asarray(observed_remaining_time(session, self.playlist))
+        times = np.zeros(len(session.events), dtype=np.float64)
+        known = min(len(times), len(self.remaining_time_table))
+        times[:known] = self.remaining_time_table[:known]
+        return times
 
-    def feature_rows(self, session: Session) -> tuple[FeatureRow, ...]:
-        return build_features(
-            session, self.playlist, self.remaining_time_table, leak=self.config.leak
+    def _durations(self, session: Session) -> np.ndarray:
+        return np.asarray(
+            [self.playlist.track_at(e.track_position).duration for e in session.events],
+            dtype=np.float64,
         )
 
     def matrix(self, session: Session) -> np.ndarray:
         """(n_events, input_dim) float64 model input."""
         if not self.fitted:
             raise ConstraintViolation("feature pipeline used before fit()")
-        rows = self.feature_rows(session)
-        out = np.zeros((len(rows), self.config.input_dim), dtype=np.float64)
-        for j, row in enumerate(rows):
-            out[j, 0:4] = row.previous_action
-            out[j, 4] = (self._time_channel(row) - self.time_mean) / self.time_std
-            if self.config.include_duration:
-                out[j, 5] = (row.track_duration - self.duration_mean) / self.duration_std
+        n = len(session.events)
+        out = np.zeros((n, self.config.input_dim), dtype=np.float64)
+        prev = [N_OUTCOMES] + [OUTCOME_INDEX[e.outcome] for e in session.events[:-1]]
+        out[np.arange(n), prev] = 1.0
+        out[:, 4] = (self._times(session) - self.time_mean) / self.time_std
+        if self.config.include_duration:
+            out[:, 5] = (
+                self._durations(session) - self.duration_mean
+            ) / self.duration_std
         return out
 
     def labels(self, session: Session) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstraintViolation
 
@@ -36,6 +36,25 @@ OUTCOME_ORDER: tuple[Outcome, Outcome, Outcome] = (
     Outcome.REPLAY,
 )
 OUTCOME_INDEX: Mapping[Outcome, int] = {o: i for i, o in enumerate(OUTCOME_ORDER)}
+N_OUTCOMES = len(OUTCOME_ORDER)
+
+# Tolerance for a probability row (spec row, transition row, attention row)
+# summing to 1.
+ROW_SUM_TOL = 1e-9
+
+
+def draw_outcome(row: Sequence[float], u: float) -> Outcome:
+    """Outcome whose cumulative-probability interval of ``row`` contains ``u``.
+
+    ``u`` is a uniform draw on [0, 1); mass left over by rounding goes to the
+    last outcome.
+    """
+    edge = 0.0
+    for idx in range(N_OUTCOMES - 1):
+        edge += row[idx]
+        if u < edge:
+            return OUTCOME_ORDER[idx]
+    return OUTCOME_ORDER[N_OUTCOMES - 1]
 
 
 def parse_outcome(raw: str) -> Outcome:
@@ -162,6 +181,71 @@ def initial_state(cap: int = DEFAULT_CAP) -> ConsumptionState:
     return ConsumptionState(counts=(), cap=cap)
 
 
+def feasible_outcomes(
+    track: int, count: int, n_tracks: int, cap: int
+) -> tuple[bool, bool, bool]:
+    """Which outcomes (in OUTCOME_ORDER) may follow once ``track`` holds ``count``.
+
+    ``track`` is the last resolved position (0 before any decision). SKIP and
+    PLAY need an unresolved track ahead; REPLAY needs a played track with
+    budget left under ``cap``. This is the only statement of the rule.
+    """
+    ahead = track < n_tracks
+    return ahead, ahead, track >= 1 and 1 <= count < cap
+
+
+def _infeasible_reason(
+    outcome: Outcome, track: int, count: int, n_tracks: int, cap: int
+) -> str:
+    if outcome is not Outcome.REPLAY:
+        return (
+            f"{outcome.value.upper()} past the end: all {n_tracks} items are "
+            f"already resolved"
+        )
+    if track == 0:
+        return "REPLAY with no preceding item: the first decision must resolve item 1"
+    if count == 0:
+        return "REPLAY after SKIP: a skipped item cannot be replayed"
+    return f"REPLAY beyond cap: item already consumed {count} of {cap} units"
+
+
+WalkStep = tuple[int, int, tuple[bool, bool, bool]]
+
+
+def walk(
+    events: Sequence[Event], n_tracks: int, cap: int = DEFAULT_CAP
+) -> list[WalkStep]:
+    """The (track, count) play-count walk of an event sequence.
+
+    Entry j is (track, count, feasible) before event j, where ``feasible``
+    comes from feasible_outcomes; the final entry describes the state after
+    the last event. Raises ConstraintViolation naming the 1-based event index
+    and the rule it breaks.
+    """
+    track = count = 0
+    steps: list[WalkStep] = []
+    for idx, event in enumerate(events, start=1):
+        feasible = feasible_outcomes(track, count, n_tracks, cap)
+        steps.append((track, count, feasible))
+        outcome = event.outcome
+        replay = outcome is Outcome.REPLAY
+        want = track if replay else track + 1
+        if event.track_position != want:
+            raise ConstraintViolation(
+                f"event {idx}: track_position {event.track_position} does not "
+                f"follow from position {track} under outcome {outcome}"
+            )
+        if not feasible[OUTCOME_INDEX[outcome]]:
+            raise ConstraintViolation(
+                f"event {idx}: "
+                + _infeasible_reason(outcome, track, count, n_tracks, cap)
+            )
+        track = want
+        count = count + 1 if replay else (0 if outcome is Outcome.SKIP else 1)
+    steps.append((track, count, feasible_outcomes(track, count, n_tracks, cap)))
+    return steps
+
+
 def advance_state(
     state: ConsumptionState, outcome: Outcome, n_tracks: int
 ) -> ConsumptionState:
@@ -177,26 +261,14 @@ def advance_state(
         raise ConstraintViolation(
             f"state covers {state.covered} items but the playlist has {n_tracks}"
         )
-    if outcome is Outcome.REPLAY:
-        if state.covered == 0:
-            raise ConstraintViolation(
-                "REPLAY with no preceding item: the first decision must resolve item 1"
-            )
-        last = state.last_count
-        if last == 0:
-            raise ConstraintViolation(
-                "REPLAY after SKIP: a skipped item cannot be replayed"
-            )
-        if last >= state.cap:
-            raise ConstraintViolation(
-                f"REPLAY beyond cap: item already consumed {last} of {state.cap} units"
-            )
-        return ConsumptionState(state.counts[:-1] + (last + 1,), cap=state.cap)
-    # SKIP or PLAY resolve the next item.
-    if state.covered >= n_tracks:
+    track = state.covered
+    count = state.counts[-1] if state.counts else 0
+    if not feasible_outcomes(track, count, n_tracks, state.cap)[OUTCOME_INDEX[outcome]]:
         raise ConstraintViolation(
-            f"{outcome.value.upper()} past the end: all {n_tracks} items are already resolved"
+            _infeasible_reason(outcome, track, count, n_tracks, state.cap)
         )
+    if outcome is Outcome.REPLAY:
+        return ConsumptionState(state.counts[:-1] + (count + 1,), cap=state.cap)
     unit = 0 if outcome is Outcome.SKIP else 1
     return ConsumptionState(state.counts + (unit,), cap=state.cap)
 
@@ -208,9 +280,8 @@ def is_terminal(state: ConsumptionState, n_tracks: int) -> bool:
     count == cap (no replay budget left). With a partial last count the
     listener may still replay, or simply stop; stopping is the caller's call.
     """
-    if state.covered < n_tracks:
-        return False
-    return state.last_count == 0 or state.last_count >= state.cap
+    count = state.counts[-1] if state.counts else 0
+    return not any(feasible_outcomes(state.covered, count, n_tracks, state.cap))
 
 
 def count_states(n_tracks: int, cap: int = DEFAULT_CAP) -> int:
@@ -236,26 +307,10 @@ def validate_session(
     Raises ConstraintViolation naming the offending event index (1-based)
     and the rule it breaks.
     """
-    state = initial_state(cap)
-    expected = 0
-    for idx, event in enumerate(session.events, start=1):
-        if event.outcome is Outcome.REPLAY:
-            want = expected
-        else:
-            want = expected + 1
-        if event.track_position != want:
-            raise ConstraintViolation(
-                f"session {session.session_id!r} event {idx}: "
-                f"track_position {event.track_position} does not follow from "
-                f"position {expected} under outcome {event.outcome}"
-            )
-        try:
-            state = advance_state(state, event.outcome, n_tracks)
-        except ConstraintViolation as exc:
-            raise ConstraintViolation(
-                f"session {session.session_id!r} event {idx}: {exc}"
-            ) from None
-        expected = want
+    try:
+        walk(session.events, n_tracks, cap)
+    except ConstraintViolation as exc:
+        raise ConstraintViolation(f"session {session.session_id!r} {exc}") from None
 
 
 def session_to_states(

@@ -17,22 +17,23 @@ import numpy as np
 from .dataio import Dataset, Split, event_listening_time
 from .domain import (
     DEFAULT_CAP,
+    N_OUTCOMES,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
     Event,
     Outcome,
     Playlist,
     Session,
-    advance_state,
-    initial_state,
-    is_terminal,
+    draw_outcome,
     session_counts,
+    walk,
 )
 from .errors import ConstraintViolation, MetricUndefinedError
 
 log = logging.getLogger(__name__)
 
-N_OUTCOMES = 3
+# How far a predictor's output row may stray from summing to 1; a separate,
+# looser check than domain.ROW_SUM_TOL.
 PROB_ROW_TOL = 1e-6
 
 
@@ -174,6 +175,8 @@ def _demand_realized(
     count. Denominators count the sessions that reached the track.
     """
     n = len(playlist)
+    replay = OUTCOME_INDEX[Outcome.REPLAY]
+    play = OUTCOME_INDEX[Outcome.PLAY]
     actual_sum = np.zeros(n, dtype=np.float64)
     predicted_sum = np.zeros(n, dtype=np.float64)
     coverage = np.zeros(n, dtype=np.int64)
@@ -182,22 +185,15 @@ def _demand_realized(
         reached = session.last_position
         coverage[:reached] += 1
         actual_sum[:reached] += np.asarray(counts[:reached], dtype=np.float64)
-        track = 0
-        count = 0
-        for j, event in enumerate(session.events):
-            if j > 0:
-                if track >= 1 and 1 <= count < cap:
-                    predicted_sum[track - 1] += probs[j, OUTCOME_INDEX[Outcome.REPLAY]]
-                if event.outcome is not Outcome.REPLAY:
-                    # the arrival event of event.track_position, exactly once
-                    predicted_sum[event.track_position - 1] += probs[
-                        j, OUTCOME_INDEX[Outcome.PLAY]
-                    ]
-            if event.outcome is Outcome.REPLAY:
-                count += 1
-            else:
-                track = event.track_position
-                count = 0 if event.outcome is Outcome.SKIP else 1
+        steps = walk(session.events, n, cap)
+        for j in range(1, len(session.events)):
+            track, _, feasible = steps[j]
+            if feasible[replay]:
+                predicted_sum[track - 1] += probs[j, replay]
+            event = session.events[j]
+            if event.outcome is not Outcome.REPLAY:
+                # the arrival event of event.track_position, exactly once
+                predicted_sum[event.track_position - 1] += probs[j, play]
     positions = tuple(range(2, n + 1))
     actual = []
     predicted = []
@@ -219,15 +215,6 @@ def _demand_realized(
     )
 
 
-def _sample_outcome(row: np.ndarray, u: float) -> Outcome:
-    edge = 0.0
-    for idx in range(N_OUTCOMES - 1):
-        edge += row[idx]
-        if u < edge:
-            return OUTCOME_ORDER[idx]
-    return OUTCOME_ORDER[N_OUTCOMES - 1]
-
-
 def rollout_session(
     predictor,
     playlist: Playlist,
@@ -241,27 +228,21 @@ def rollout_session(
     outcome has mass left the session ends at the current state.
     """
     n = len(playlist)
-    events: list[Event] = []
-    state = initial_state(cap)
-    first = _sample_outcome(np.asarray(first_row, dtype=np.float64), rng.random())
-    events.append(Event(track_position=1, outcome=first))
-    state = advance_state(state, first, n)
+    first = draw_outcome(np.asarray(first_row, dtype=np.float64), rng.random())
+    events = [Event(track_position=1, outcome=first)]
     max_events = n * cap + 1
-    while not is_terminal(state, n) and len(events) < max_events:
-        row = np.asarray(predictor.next_probs(tuple(events)), dtype=np.float64).copy()
-        if state.covered >= n:
-            row[OUTCOME_INDEX[Outcome.SKIP]] = 0.0
-            row[OUTCOME_INDEX[Outcome.PLAY]] = 0.0
-        if not (state.covered >= 1 and 1 <= state.last_count < cap):
-            row[OUTCOME_INDEX[Outcome.REPLAY]] = 0.0
+    while len(events) < max_events:
+        track, _, feasible = walk(events, n, cap)[-1]
+        if not any(feasible):
+            break
+        row = np.asarray(predictor.next_probs(tuple(events)), dtype=np.float64)
+        row = np.where(feasible, row, 0.0)
         total = row.sum()
         if total <= 0.0:
             break
-        outcome = _sample_outcome(row / total, rng.random())
-        state = advance_state(state, outcome, n)
-        events.append(
-            Event(track_position=state.covered, outcome=outcome)
-        )
+        outcome = draw_outcome(row / total, rng.random())
+        position = track if outcome is Outcome.REPLAY else track + 1
+        events.append(Event(track_position=position, outcome=outcome))
     return Session(
         session_id="rollout", playlist_id=playlist.playlist_id, events=tuple(events)
     )

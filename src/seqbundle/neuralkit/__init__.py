@@ -29,12 +29,7 @@ from .autodiff import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import grad_check
-from .kernels import (
-    cross_entropy,
-    positional_encoding,
-    positional_encoding_matrix,
-    softmax,
-)
+from .kernels import positional_encoding, positional_encoding_matrix
 from .optim import AdamConfig, AdamState, adam_step
 
 __all__ = [
@@ -47,7 +42,6 @@ __all__ = [
     "concat_cols",
     "concat_rows",
     "constant",
-    "cross_entropy",
     "cross_entropy_mean",
     "grad_check",
     "layer_norm",
@@ -62,7 +56,6 @@ __all__ = [
     "scale",
     "sigmoid",
     "slice_cols",
-    "softmax",
     "softmax_rows",
     "take_rows",
     "tanh",

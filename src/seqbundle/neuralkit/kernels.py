@@ -6,32 +6,6 @@ import numpy as np
 
 from ..errors import NumericError
 
-PROB_FLOOR = 1e-12
-
-
-def _check_finite(x: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"{op}: input contains NaN or Inf")
-    return x
-
-
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, max-subtracted so large inputs cannot overflow."""
-    arr = _check_finite(np.asarray(x, dtype=np.float64), "softmax")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log probability of ``label``, clamped at 1e-12."""
-    arr = _check_finite(np.asarray(probs, dtype=np.float64), "cross_entropy")
-    if arr.ndim != 1:
-        raise NumericError(f"cross_entropy expects a vector, got shape {arr.shape}")
-    if not 0 <= label < arr.shape[0]:
-        raise NumericError(f"label {label} outside 0..{arr.shape[0] - 1}")
-    return float(-np.log(max(float(arr[label]), PROB_FLOOR)))
-
 
 def positional_encoding(position: int, dim: int) -> np.ndarray:
     """Fixed sinusoidal encoding of one position.

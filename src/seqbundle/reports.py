@@ -219,8 +219,11 @@ def svg_cdf_chart(series: Mapping[str, Sequence[float]]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def svg_demand_chart(report: EvaluationReport, cap: int = 2) -> str:
-    """Actual vs predicted plays per listener, one point per (playlist, track)."""
+def svg_demand_chart(report: EvaluationReport, cap: int) -> str:
+    """Actual vs predicted plays per listener, one point per (playlist, track).
+
+    Both axes run from 0 to ``cap``, the most plays a track can get.
+    """
     scale = float(cap)
     parts = _svg_open("demand rates")
     parts += _axis_labels("actual plays per listener", "predicted", scale, scale)

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+from ..domain import N_OUTCOMES
 from ..errors import ConstraintViolation, SchemaError
-
-N_CLASSES = 3
 
 
 class ModelKind(str, Enum):
@@ -27,7 +26,7 @@ class TransformerConfig:
     ff_dim: int = 2048
     causal: bool = True
     positional: str = "fixed"  # "fixed" sinusoidal or "learned" table
-    n_classes: int = N_CLASSES
+    n_classes: int = N_OUTCOMES
     max_positions: int = 512
 
     def __post_init__(self) -> None:
@@ -55,7 +54,7 @@ class LSTMConfig:
     input_dim: int
     hidden_dim: int = 128
     n_layers: int = 2
-    n_classes: int = N_CLASSES
+    n_classes: int = N_OUTCOMES
 
     def __post_init__(self) -> None:
         if min(self.input_dim, self.hidden_dim, self.n_layers) < 1:
@@ -67,7 +66,7 @@ class MLPConfig:
     input_dim: int
     hidden_dim: int = 256
     n_layers: int = 3
-    n_classes: int = N_CLASSES
+    n_classes: int = N_OUTCOMES
 
     def __post_init__(self) -> None:
         if min(self.input_dim, self.hidden_dim, self.n_layers) < 1:

@@ -7,11 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domain import (
+    DEFAULT_CAP,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
     Event,
     Outcome,
     Session,
+    walk,
 )
 from ..errors import ConstraintViolation
 from ..dataio import FeaturePipeline
@@ -39,6 +41,7 @@ class NeuralPredictor:
     model: SequenceModel
     pipeline: FeaturePipeline
     feasibility_mask: bool = False
+    cap: int = DEFAULT_CAP
 
     @property
     def playlist_id(self) -> str:
@@ -70,19 +73,15 @@ class NeuralPredictor:
 
     def _apply_feasibility(self, session: Session, probs: np.ndarray) -> np.ndarray:
         """Zero the REPLAY column wherever a replay is impossible, renormalize."""
-        cap = 2
+        replay = OUTCOME_INDEX[Outcome.REPLAY]
         out = probs.copy()
-        count = 0
-        for j, event in enumerate(session.events):
-            if j > 0:
-                if not 1 <= count < cap:
-                    out[j, OUTCOME_INDEX[Outcome.REPLAY]] = 0.0
-                    total = out[j].sum()
-                    if total > 0:
-                        out[j] /= total
-            count = count + 1 if event.outcome is Outcome.REPLAY else (
-                0 if event.outcome is Outcome.SKIP else 1
-            )
+        steps = walk(session.events, len(self.pipeline.playlist), self.cap)
+        for j in range(1, len(session.events)):
+            if not steps[j][2][replay]:
+                out[j, replay] = 0.0
+                total = out[j].sum()
+                if total > 0:
+                    out[j] /= total
         return out
 
     def attention_for_session(self, session: Session) -> np.ndarray:
@@ -102,8 +101,11 @@ class NeuralPredictor:
     def predict_next(self, events: tuple[Event, ...]) -> tuple[Outcome, np.ndarray]:
         """Distribution over the outcome following ``events``.
 
-        The query row describes the head of the queue: the next track in
-        order, or the current track again when the playlist is exhausted.
+        The model reads the feature matrix of ``events`` plus a placeholder
+        event for the head of the queue: the next track in order, or the
+        current track again when the playlist is exhausted. The placeholder's
+        row depends only on its position, its track and the outcome before
+        it, never on its own outcome.
         """
         if self.pipeline.config.leak:
             raise ConstraintViolation(
@@ -113,23 +115,16 @@ class NeuralPredictor:
         if not events:
             raise ConstraintViolation("predict_next needs at least one event")
         playlist = self.pipeline.playlist
-        prefix = Session(session_id="query", playlist_id=playlist.playlist_id, events=events)
-        rows = self.pipeline.matrix(prefix)
-        j_next = len(events)  # 0-based index of the query row
         next_pos = min(events[-1].track_position + 1, len(playlist))
-        table = self.pipeline.remaining_time_table
-        remaining = table[j_next] if j_next < len(table) else 0.0
-        query = np.zeros((1, self.pipeline.config.input_dim))
-        query[0, OUTCOME_INDEX[events[-1].outcome]] = 1.0
-        query[0, 4] = (remaining - self.pipeline.time_mean) / self.pipeline.time_std
-        if self.pipeline.config.include_duration:
-            query[0, 5] = (
-                playlist.track_at(next_pos).duration - self.pipeline.duration_mean
-            ) / self.pipeline.duration_std
+        placeholder = Event(track_position=next_pos, outcome=Outcome.PLAY)
+        query = Session(
+            session_id="query",
+            playlist_id=playlist.playlist_id,
+            events=tuple(events) + (placeholder,),
+        )
         # The input ends at the query row, so one forward works for both the
         # causal models and the encoder's truncated prediction mode.
-        full = np.concatenate([rows, query], axis=0)
-        probs, _ = self.model.forward(full)
+        probs, _ = self.model.forward(self.pipeline.matrix(query))
         row = probs.data[-1].copy()
         return OUTCOME_ORDER[int(np.argmax(row))], row
 

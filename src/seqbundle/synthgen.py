@@ -13,7 +13,7 @@ the stream and inserting sessions never disturbs earlier ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,18 +22,19 @@ from .domain import (
     DEFAULT_CAP,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
+    ROW_SUM_TOL,
     Event,
     Outcome,
     Playlist,
     Session,
     Track,
-    advance_state,
-    initial_state,
-    is_terminal,
+    draw_outcome,
+    walk,
 )
 from .errors import ConstraintViolation, SchemaError
 
-ROW_SUM_TOL = 1e-9
+_SKIP = OUTCOME_INDEX[Outcome.SKIP]
+_REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
 _BASE_DURATIONS = (214.0, 187.5, 243.2, 198.7, 256.4, 171.9, 222.4, 204.3)
 
@@ -203,13 +204,21 @@ class GeneratorSpec:
             ) from None
 
 
-def _sample_index(row: Row, u: float) -> int:
-    edge = 0.0
-    for idx in range(2):
-        edge += row[idx]
-        if u < edge:
-            return idx
-    return 2
+def _decision_row(
+    spec: GeneratorSpec, events: Sequence[Event], feasible: tuple[bool, bool, bool]
+) -> Row:
+    """The spec's row for the decision after ``events``, minus infeasible replay mass.
+
+    When the current track is at cap its replay mass is dropped and the rest
+    renormalized (all zero if nothing is left). Rows without such mass pass
+    through unchanged, which keeps cap-2 output bit-identical.
+    """
+    prev2 = events[-2].outcome if len(events) >= 2 else None
+    row = spec.row_for(prev2, events[-1].outcome, len(events) + 1)
+    if feasible[_REPLAY] or row[_REPLAY] == 0.0:
+        return row
+    kept = row[0] + row[1]
+    return (row[0] / kept, row[1] / kept, 0.0) if kept > 0 else (0.0, 0.0, 0.0)
 
 
 def _generate_session(
@@ -217,20 +226,21 @@ def _generate_session(
 ) -> Session:
     rng = np.random.default_rng([spec.seed, idx])
     n = len(playlist)
-    events: list[Event] = []
     first = Outcome.PLAY if rng.random() < spec.initial_play_prob else Outcome.SKIP
-    state = advance_state(initial_state(spec.cap), first, n)
-    events.append(Event(track_position=1, outcome=first))
-    while not is_terminal(state, n):
-        prev1 = events[-1].outcome
-        prev2 = events[-2].outcome if len(events) >= 2 else None
-        row = spec.row_for(prev2, prev1, len(events) + 1)
-        outcome = OUTCOME_ORDER[_sample_index(row, rng.random())]
-        if outcome is not Outcome.REPLAY and state.covered >= n:
+    events = [Event(track_position=1, outcome=first)]
+    while True:
+        track, _, feasible = walk(events, n, spec.cap)[-1]
+        if not any(feasible):
+            break
+        row = _decision_row(spec, events, feasible)
+        if not any(row):
+            break
+        outcome = draw_outcome(row, rng.random())
+        if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
             # the walk would move past the last track: the session ends here
             break
-        state = advance_state(state, outcome, n)
-        events.append(Event(track_position=state.covered, outcome=outcome))
+        position = track if outcome is Outcome.REPLAY else track + 1
+        events.append(Event(track_position=position, outcome=outcome))
     return Session(
         session_id=f"s{idx:05d}",
         playlist_id=spec.playlist_id,
@@ -244,30 +254,14 @@ def generate(spec: GeneratorSpec) -> Dataset:
     sessions = [
         _generate_session(spec, playlist, idx) for idx in range(spec.n_sessions)
     ]
-    return dataset_from_sessions({playlist.playlist_id: playlist}, sessions)
+    return dataset_from_sessions(
+        {playlist.playlist_id: playlist}, sessions, cap=spec.cap
+    )
 
 
 # ---------------------------------------------------------------------------
 # reference rates (Monte Carlo, fresh draws so estimates are independent of
 # any generated dataset)
-
-
-def _event_conditional(
-    spec: GeneratorSpec,
-    prev2: Outcome | None,
-    prev1: Outcome,
-    target_position: int,
-    covered: int,
-    last_count: int,
-) -> Row:
-    """Distribution of the NEXT EVENT given that one occurs.
-
-    Past the last track only a replay keeps the session alive, so the event
-    distribution collapses onto REPLAY there.
-    """
-    if covered >= spec.n_tracks:
-        return (0.0, 0.0, 1.0)
-    return spec.row_for(prev2, prev1, target_position)
 
 
 def bayes_rate(spec: GeneratorSpec, n_sessions: int = 2000, seed: int = 90210) -> float:
@@ -357,25 +351,20 @@ def _session_modal_mass(
     Bayes rule (modal outcome of the true conditional itself).
     """
     events = session.events
+    steps = walk(events, spec.n_tracks, spec.cap)
     total = 0.0
-    covered = 0
-    last_count = 0
-    for j, event in enumerate(events):
-        if j > 0:
-            prev1 = events[j - 1].outcome
-            prev2 = events[j - 2].outcome if j >= 2 else None
-            row = _event_conditional(
-                spec, prev2, prev1, j + 1, covered, last_count
-            )
-            if predicted is None:
-                total += max(row)
-            else:
-                total += row[predicted[OUTCOME_INDEX[prev1]]]
-        if event.outcome is Outcome.REPLAY:
-            last_count += 1
+    for j in range(1, len(events)):
+        feasible = steps[j][2]
+        if feasible[_SKIP]:
+            row = _decision_row(spec, events[:j], feasible)
         else:
-            covered = event.track_position
-            last_count = 0 if event.outcome is Outcome.SKIP else 1
+            # past the last track only a replay keeps the session alive, so
+            # given that an event occurs it is a replay
+            row = (0.0, 0.0, 1.0)
+        if predicted is None:
+            total += max(row)
+        else:
+            total += row[predicted[OUTCOME_INDEX[events[j - 1].outcome]]]
     return total, len(events) - 1
 
 

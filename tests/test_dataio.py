@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_playlist, make_session, valid_outcome_walks
 from seqbundle.dataio import (
@@ -16,7 +17,6 @@ from seqbundle.dataio import (
     SessionEndMode,
     Split,
     apply_session_end,
-    build_features,
     dataset_from_sessions,
     event_listening_time,
     export_prompts,
@@ -232,18 +232,43 @@ class TestRemainingTime:
         with pytest.raises(ConstraintViolation):
             predicted_remaining_time([], playlist3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        walk=valid_outcome_walks(max_tracks=6),
+        durations=st.lists(
+            st.floats(min_value=0.01, max_value=1000.0), min_size=6, max_size=6
+        ),
+    )
+    def test_remaining_time_never_negative(self, walk, durations):
+        n, outcomes = walk
+        playlist = make_playlist(n, durations=tuple(durations[:n]))
+        session = make_session([o.value for o in outcomes])
+        observed = observed_remaining_time(session, playlist)
+        assert all(t >= 0.0 for t in observed)
+        listened = [k for k, o in enumerate(outcomes) if o is not Outcome.SKIP]
+        after_last = listened[-1] + 1 if listened else 0
+        assert all(t == 0.0 for t in observed[after_last:])
+        short = make_session([o.value for o in outcomes[:1]], sid="short")
+        table = predicted_remaining_time([session, short, session], playlist)
+        assert all(t >= 0.0 for t in table)
+
 
 class TestFeatures:
     def test_first_event_has_no_previous_action(self, playlist3):
         session = make_session(["play", "skip"])
-        rows = build_features(session, playlist3, (10.0, 5.0))
-        assert rows[0].previous_action == (0.0, 0.0, 0.0, 1.0)  # "none" slot
-        assert rows[1].previous_action == (0.0, 1.0, 0.0, 0.0)  # "play" slot
+        pipeline = FeaturePipeline(playlist=playlist3, config=FeatureConfig())
+        matrix = pipeline.fit([session]).matrix(session)
+        assert matrix[0, :4].tolist() == [0.0, 0.0, 0.0, 1.0]  # "none" slot
+        assert matrix[1, :4].tolist() == [0.0, 1.0, 0.0, 0.0]  # "play" slot
 
     def test_leak_requires_observed_time(self, playlist3):
+        fit_on = [make_session(["play", "play"], sid="a")]
         session = make_session(["play", "skip"])
-        rows = build_features(session, playlist3, (10.0, 5.0), leak=True)
-        assert rows[0].observed_remaining_time == 100.0
+        leaky = FeaturePipeline(playlist=playlist3, config=FeatureConfig(leak=True))
+        leaky.fit(fit_on)
+        times = leaky.matrix(session)[:, 4] * leaky.time_std + leaky.time_mean
+        # the session's own remaining time (100, 0), not the training table
+        assert times.tolist() == pytest.approx([100.0, 0.0], abs=1e-9)
 
     def test_matrix_is_z_scored(self, playlist3):
         sessions = [

@@ -18,6 +18,7 @@ from seqbundle.domain import (
     session_counts,
     session_to_states,
     validate_session,
+    walk,
 )
 from seqbundle.errors import ConstraintViolation
 
@@ -163,6 +164,34 @@ class TestValidateSession:
     def test_error_names_event_index(self):
         with pytest.raises(ConstraintViolation, match="event 2"):
             validate_session(make_session(["skip", "replay"]), 3)
+
+
+class TestWalk:
+    def test_frozen_walk(self):
+        events = make_session(["play", "replay", "skip"]).events
+        assert walk(events, n_tracks=2, cap=2) == [
+            (0, 0, (True, True, False)),
+            (1, 1, (True, True, True)),
+            (1, 2, (True, True, False)),
+            (2, 0, (False, False, False)),
+        ]
+
+    def test_cap_bounds_replays(self):
+        events = make_session(["play", "replay", "replay"]).events
+        assert walk(events, n_tracks=1, cap=3)[-1] == (1, 3, (False, False, False))
+        with pytest.raises(ConstraintViolation, match="event 3: REPLAY beyond cap"):
+            walk(events, n_tracks=1, cap=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_=valid_outcome_walks(cap=3))
+    def test_end_state_matches_state_machine(self, walk_):
+        n, outcomes = walk_
+        state = initial_state(3)
+        for outcome in outcomes:
+            state = advance_state(state, outcome, n)
+        track, count, feasible = walk(events_from_outcomes(outcomes), n, cap=3)[-1]
+        assert (track, count) == (state.covered, state.last_count)
+        assert (not any(feasible)) == is_terminal(state, n)
 
 
 class TestSessionHelpers:

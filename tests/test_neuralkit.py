@@ -17,7 +17,6 @@ from seqbundle.neuralkit import (
     concat_cols,
     concat_rows,
     constant,
-    cross_entropy,
     cross_entropy_mean,
     grad_check,
     layer_norm,
@@ -32,7 +31,6 @@ from seqbundle.neuralkit import (
     scale,
     sigmoid,
     slice_cols,
-    softmax,
     softmax_rows,
     take_rows,
     tanh,
@@ -41,31 +39,6 @@ from seqbundle.neuralkit import (
 
 
 class TestKernels:
-    def test_softmax_frozen_value(self):
-        out = softmax(np.array([math.log(2.0), 0.0, 0.0]))
-        assert np.allclose(out, (0.5, 0.25, 0.25), atol=1e-15)
-
-    def test_softmax_shift_invariant_and_overflow_safe(self):
-        x = np.array([1000.0, 1001.0, 999.0])
-        out = softmax(x)
-        assert np.allclose(out, softmax(x - 1000.0), atol=1e-15)
-        assert np.all(np.isfinite(out))
-
-    def test_softmax_rejects_nan(self):
-        with pytest.raises(NumericError):
-            softmax(np.array([0.0, np.nan]))
-
-    def test_cross_entropy_uniform_is_log3(self):
-        assert cross_entropy(np.full(3, 1 / 3), 1) == pytest.approx(math.log(3.0))
-
-    def test_cross_entropy_clamps_zero_probability(self):
-        val = cross_entropy(np.array([0.0, 1.0]), 0)
-        assert val == pytest.approx(-math.log(1e-12))
-
-    def test_cross_entropy_label_bounds(self):
-        with pytest.raises(NumericError):
-            cross_entropy(np.full(3, 1 / 3), 3)
-
     def test_positional_encoding_zero_position(self):
         enc = positional_encoding(0, 8)
         assert np.array_equal(enc[0::2], np.zeros(4))

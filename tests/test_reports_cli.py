@@ -111,9 +111,9 @@ class TestWriters:
             model=fit_markov(list(tiny_dataset.train_sessions(pid)), playlist)
         )
         report = evaluate_dataset({pid: predictor}, tiny_dataset, split=Split.TEST)
-        svg = svg_demand_chart(report)
+        svg = svg_demand_chart(report, tiny_dataset.cap)
         assert svg.count("<circle") >= 1
-        assert svg == svg_demand_chart(report)
+        assert svg == svg_demand_chart(report, tiny_dataset.cap)
 
 
 class TestSplitStore:
@@ -489,6 +489,59 @@ class TestPromptsAndSummary:
         assert (out / "summary.csv").exists()
         payload = json.loads((out / "summary.json").read_text())
         assert len(payload["playlists"]) == 1
+
+
+TINY_MLP = ["--model", "mlp", "--epochs", "1", "--hidden-dim", "8", "--n-layers", "1"]
+
+
+class TestRoundTripRegressions:
+    def test_mlp_trains_where_remaining_time_rounding_went_negative(self, tmp_path):
+        # Remaining time built by repeated subtraction averaged to -3.2e-16 on
+        # this dataset, and train exited 2.
+        data = tmp_path / "data"
+        rc = cli_main(
+            ["generate", "--name", "frequent_pattern", "--n-sessions", "400",
+             "--seed", "7", "--out", str(data)]
+        )
+        assert rc == 0
+        rc = cli_main(["train", "--data", str(data), "--out", str(tmp_path / "run")]
+                      + TINY_MLP)
+        assert rc == 0
+
+    def test_cap3_spec_round_trip(self, tmp_path):
+        spec = spec_to_json(frequent_pattern_spec(n_sessions=200, seed=3))
+        spec.update(
+            cap=3,
+            n_tracks=6,
+            transitions={
+                "skip": [0.7, 0.3, 0.0],
+                "play": [0.2, 0.6, 0.2],
+                "replay": [0.4, 0.4, 0.2],
+            },
+        )
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--spec", str(spec_path), "--out", str(data)]) == 0
+        lines = (data / "sessions.jsonl").read_text().splitlines()
+        actions = [[e["action"] for e in json.loads(line)["events"]] for line in lines]
+        assert any(
+            a[k:k + 2] == ["replay", "replay"] for a in actions for k in range(len(a))
+        ), "the data should use a track's third unit"
+        assert cli_main(
+            ["summarize", "--data", str(data), "--out", str(tmp_path / "summary")]
+        ) == 0
+        for model_args in (["--model", "zero"], TINY_MLP + ["--feasibility-mask"]):
+            run = tmp_path / f"run_{model_args[1]}"
+            rc = cli_main(["train", "--data", str(data), "--out", str(run)] + model_args)
+            assert rc == 0
+            assert json.loads((run / "run.json").read_text())["cap"] == 3
+            for mode in ("realized", "expected"):
+                rc = cli_main(
+                    ["evaluate", "--data", str(data), "--run", str(run),
+                     "--demand-mode", mode, "--n-rollouts", "20",
+                     "--out", str(run / mode)]
+                )
+                assert rc == 0
 
 
 class TestUsageErrors:

@@ -348,6 +348,37 @@ class TestNeuralPredictor:
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert outcome.value == ("skip", "play", "replay")[int(np.argmax(row))]
 
+    @pytest.mark.parametrize("outcomes", [["play", "skip"], ["skip", "play", "play"]])
+    def test_predict_next_matches_hand_built_query_row(self, outcomes):
+        # The query row predict_next feeds the model: previous outcome one-hot,
+        # the table's remaining time for the next position (0 past the table),
+        # and the duration of the next track (the last one when exhausted).
+        playlist = make_playlist(3)
+        pipeline = fitted_pipeline(
+            playlist,
+            [make_session(["play", "play"], sid="a"), make_session(["skip"], sid="b")],
+            include_duration=True,
+        )
+        config = MLPConfig(pipeline.config.input_dim, hidden_dim=8, n_layers=1)
+        predictor = NeuralPredictor(
+            model=make_model(ModelKind.MLP, config, seed=1), pipeline=pipeline
+        )
+        events = make_session(outcomes).events
+        table = pipeline.remaining_time_table
+        remaining = table[len(events)] if len(events) < len(table) else 0.0
+        next_pos = min(events[-1].track_position + 1, len(playlist))
+        query = np.zeros((1, pipeline.config.input_dim))
+        query[0, ("skip", "play", "replay").index(outcomes[-1])] = 1.0
+        query[0, 4] = (remaining - pipeline.time_mean) / pipeline.time_std
+        query[0, 5] = (
+            playlist.track_at(next_pos).duration - pipeline.duration_mean
+        ) / pipeline.duration_std
+        prefix = make_session(outcomes)
+        full = np.concatenate([pipeline.matrix(prefix), query], axis=0)
+        expected = predictor.model.forward(full)[0].data[-1]
+        _, row = predictor.predict_next(events)
+        assert np.array_equal(row, expected)
+
     def test_next_probs_matches_predict_next(self):
         predictor = self.build()
         events = make_session(["play", "skip"]).events

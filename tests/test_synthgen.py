@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqbundle.baselines import fit_markov
-from seqbundle.domain import Outcome, validate_session
+from seqbundle.domain import Outcome, session_counts, validate_session
 from seqbundle.errors import ConstraintViolation
 from seqbundle.synthgen import (
     CANONICAL_SPEC_NAMES,
@@ -146,6 +146,30 @@ class TestGeneration:
             assert len(dataset.sessions) == spec.n_sessions
             for session in dataset.sessions:
                 validate_session(session, spec.n_tracks, cap=spec.cap)
+
+    @pytest.mark.parametrize("replay_row", [(0.4, 0.4, 0.2), (0.0, 0.0, 1.0)])
+    def test_cap3_replay_mass_at_cap_is_redrawn(self, replay_row):
+        # Replays may follow replays under cap 3, so a track at its third unit
+        # must not draw another; that mass is spread over skip/play, and a
+        # row with nothing else left ends the session.
+        spec = simple_markov_spec(
+            n_sessions=200,
+            seed=3,
+            cap=3,
+            transitions={
+                Outcome.SKIP: (0.7, 0.3, 0.0),
+                Outcome.PLAY: (0.2, 0.6, 0.2),
+                Outcome.REPLAY: replay_row,
+            },
+        )
+        dataset = generate(spec)
+        assert dataset.cap == 3
+        for session in dataset.sessions:
+            validate_session(session, spec.n_tracks, cap=3)
+        counts = [
+            c for s in dataset.sessions for c in session_counts(s, spec.n_tracks)
+        ]
+        assert max(counts) == 3
 
     def test_deterministic_across_calls(self):
         a = generate(simple_markov_spec())
