@@ -30,6 +30,9 @@ from .domain import (
 )
 from .errors import ConstraintViolation, MetricUndefinedError
 
+_SKIP = OUTCOME_INDEX[Outcome.SKIP]
+_REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
+
 log = logging.getLogger(__name__)
 
 # How far a predictor's output row may stray from summing to 1; a separate,
@@ -224,8 +227,9 @@ def rollout_session(
 ) -> Session:
     """Sample one session from a predictor's own conditionals.
 
-    Infeasible outcomes are zeroed and the row renormalized; when no feasible
-    outcome has mass left the session ends at the current state.
+    Follows the generator's rule: infeasible REPLAY mass is zeroed and the
+    row renormalized (the session ends when nothing is left), and once no
+    track is ahead a drawn SKIP or PLAY ends the session.
     """
     n = len(playlist)
     first = draw_outcome(np.asarray(first_row, dtype=np.float64), rng.random())
@@ -235,12 +239,15 @@ def rollout_session(
         track, _, feasible = walk(events, n, cap)[-1]
         if not any(feasible):
             break
-        row = np.asarray(predictor.next_probs(tuple(events)), dtype=np.float64)
-        row = np.where(feasible, row, 0.0)
+        row = np.array(predictor.next_probs(tuple(events)), dtype=np.float64)
+        if not feasible[_REPLAY]:
+            row[_REPLAY] = 0.0
         total = row.sum()
         if total <= 0.0:
             break
         outcome = draw_outcome(row / total, rng.random())
+        if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
+            break  # the walk would move past the last track
         position = track if outcome is Outcome.REPLAY else track + 1
         events.append(Event(track_position=position, outcome=outcome))
     return Session(

@@ -14,8 +14,10 @@ from .autodiff import (
     concat_rows,
     constant,
     cross_entropy_mean,
+    einsum,
     layer_norm,
     matmul,
+    merge_heads,
     mul,
     parameter,
     relu,
@@ -23,6 +25,7 @@ from .autodiff import (
     sigmoid,
     slice_cols,
     softmax_rows,
+    split_heads,
     take_rows,
     tanh,
     transpose,
@@ -43,10 +46,12 @@ __all__ = [
     "concat_rows",
     "constant",
     "cross_entropy_mean",
+    "einsum",
     "grad_check",
     "layer_norm",
     "load_checkpoint",
     "matmul",
+    "merge_heads",
     "mul",
     "parameter",
     "positional_encoding",
@@ -57,6 +62,7 @@ __all__ = [
     "sigmoid",
     "slice_cols",
     "softmax_rows",
+    "split_heads",
     "take_rows",
     "tanh",
     "transpose",

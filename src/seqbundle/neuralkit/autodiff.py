@@ -1,10 +1,20 @@
 """Reverse-mode autodiff over a fixed set of float64 numpy kernels.
 
 Every value is a Tensor wrapping a float64 ndarray; ops build a graph of
-parent links plus a backward closure. Matmuls go through non-optimized
+parent links plus a backward closure. Contractions go through non-optimized
 np.einsum and the causal softmax uses cumulative sums/maxima, so each output
-row is computed independently of how many later rows sit in the batch. That
-is what makes causal forward passes bit-identical under input truncation.
+row is computed independently of how many later rows sit in the input and
+of how many other sessions are stacked beside it. That is what makes causal
+forward passes bit-identical under input truncation, and a session's rows
+in a batched forward bit-identical to its own forward.
+
+A batch of B equal-length sessions travels as (B·L, d) rows through the
+row-wise ops; attention splits it into (B·H, L, hd) per-head stacks, and the
+softmaxes work on the last axis of 2-D or 3-D input.
+
+backward() frees the graph as it goes: once a node's backward has run, its
+grad, closure and parent links are dropped, so only leaf parameters keep
+gradients and a batch's activations are released during the backward pass.
 
 Tensor construction rejects NaN/Inf, which turns training divergence into an
 immediate NumericError instead of silent garbage.
@@ -82,9 +92,17 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.full_like(self.data, float(seed))
-        for node in reversed(topo):
+        while topo:
+            # popping lets a finished node's activations go as soon as
+            # nothing else holds it
+            node = topo.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            if node._parents:
+                # every consumer of this node ran before it: tear it down
+                node.grad = None
+                node._backward_fn = None
+                node._parents = ()
 
     def __repr__(self) -> str:
         return f"Tensor(name={self.name!r}, shape={self.shape})"
@@ -139,20 +157,29 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return Tensor(a.data * factor, parents=(a,), backward_fn=backward)
 
 
+def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand non-optimized np.einsum (row-stable, BLAS-free).
+
+    ``spec`` is explicit ("ij,jk->ik"); every input index must appear in the
+    other operand or the output, so each gradient is again one einsum.
+    """
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+
+    def backward(g: np.ndarray) -> None:
+        _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
+
+    return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b), backward_fn=backward)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product via non-optimized einsum (row-stable, BLAS-free)."""
+    """2-D matrix product."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ConstraintViolation(
             f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}"
         )
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, np.einsum("ik,jk->ij", g, b.data))
-        _accum(b, np.einsum("ij,ik->jk", a.data, g))
-
-    return Tensor(
-        np.einsum("ij,jk->ik", a.data, b.data), parents=(a, b), backward_fn=backward
-    )
+    return einsum("ij,jk->ik", a, b)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -184,11 +211,8 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g: np.ndarray) -> None:
         _accum(x, g * y * (1.0 - y))
@@ -220,39 +244,41 @@ def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
 def causal_softmax(scores: Tensor) -> Tensor:
     """Row-wise softmax over columns j <= i; exact zeros above the diagonal.
 
-    Running maxima and cumulative sums make row i's result independent of any
-    column beyond i, bit for bit.
+    Takes one square (L, L) matrix or a (N, L, L) stack of them. Running
+    maxima and cumulative sums make row i's result independent of any column
+    beyond i, bit for bit.
     """
     x = scores.data
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.ndim not in (2, 3) or x.shape[-2] != x.shape[-1]:
         raise ConstraintViolation(
-            f"causal_softmax expects a square matrix, got {x.shape}"
+            f"causal_softmax expects square matrices, got {x.shape}"
         )
-    n = x.shape[0]
-    diag = np.arange(n)
-    run_max = np.maximum.accumulate(x, axis=1)
-    m = run_max[diag, diag]
-    e = np.tril(np.exp(np.tril(x - m[:, None])))
-    denom = np.cumsum(e, axis=1)[diag, diag]
-    alpha = e / denom[:, None]
+    run_max = np.maximum.accumulate(x, axis=-1)
+    m = np.diagonal(run_max, axis1=-2, axis2=-1)
+    e = np.tril(np.exp(np.tril(x - m[..., None])))
+    denom = np.diagonal(np.cumsum(e, axis=-1), axis1=-2, axis2=-1)
+    alpha = e / denom[..., None]
 
     def backward(g: np.ndarray) -> None:
-        dot = (alpha * g).sum(axis=1, keepdims=True)
+        dot = (alpha * g).sum(axis=-1, keepdims=True)
         _accum(scores, alpha * (g - dot))
 
     return Tensor(alpha, parents=(scores,), backward_fn=backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Plain row-wise softmax (used by the bidirectional variant and output heads)."""
-    if x.data.ndim != 2:
-        raise ConstraintViolation(f"softmax_rows expects 2-D input, got {x.data.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Plain softmax over the last axis of 2-D or 3-D input (used by the
+    bidirectional variant and output heads)."""
+    if x.data.ndim not in (2, 3):
+        raise ConstraintViolation(
+            f"softmax_rows expects 2-D or 3-D input, got {x.data.shape}"
+        )
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        dot = (y * g).sum(axis=1, keepdims=True)
+        dot = (y * g).sum(axis=-1, keepdims=True)
         _accum(x, y * (g - dot))
 
     return Tensor(y, parents=(x,), backward_fn=backward)
@@ -297,6 +323,45 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         _accum(x, full)
 
     return Tensor(x.data[:, start:stop], parents=(x,), backward_fn=backward)
+
+
+def split_heads(x: Tensor, n_batch: int, n_heads: int) -> Tensor:
+    """(B·L, H·hd) session-major rows -> (B·H, L, hd) per-head stacks.
+
+    Outputs of split_heads and merge_heads are made C-contiguous: einsum's
+    summation order follows its operands' strides, and B=1 would otherwise
+    leave strided views that round differently from a stack's copies.
+    """
+    rows, width = x.data.shape
+    shape = (n_batch, rows // n_batch, n_heads, width // n_heads)
+
+    def backward(g: np.ndarray) -> None:
+        _accum(x, g.reshape(n_batch, n_heads, shape[1], shape[3])
+               .transpose(0, 2, 1, 3).reshape(rows, width))
+
+    heads = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(-1, shape[1], shape[3])
+    return Tensor(
+        np.ascontiguousarray(heads),
+        parents=(x,),
+        backward_fn=backward,
+    )
+
+
+def merge_heads(x: Tensor, n_batch: int) -> Tensor:
+    """(B·H, L, hd) per-head stacks -> (B·L, H·hd) rows; inverse of split_heads."""
+    stacks, length, hd = x.data.shape
+    shape = (n_batch, stacks // n_batch, length, hd)
+
+    def backward(g: np.ndarray) -> None:
+        _accum(x, g.reshape(n_batch, length, shape[1], hd)
+               .transpose(0, 2, 1, 3).reshape(stacks, length, hd))
+
+    rows = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(n_batch * length, -1)
+    return Tensor(
+        np.ascontiguousarray(rows),
+        parents=(x,),
+        backward_fn=backward,
+    )
 
 
 def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:

@@ -1,5 +1,10 @@
 """Model definitions: MLP, LSTM, and a Transformer built on the autodiff kit.
 
+Every forward takes one session's (L, input_dim) rows or a (B, L, input_dim)
+stack of equal-length sessions and returns (B·L, 3) probabilities,
+session-major; a single session is the B=1 case. A session's rows do not
+depend on the other sessions in the stack, bit for bit.
+
 All parameters are float64 and initialized uniformly in
 (-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
 norm gains at one, so construction is fully deterministic.
@@ -64,12 +69,16 @@ class SequenceModel:
         return sum(p.data.size for p in self.params.values())
 
     def _check_rows(self, rows: np.ndarray, input_dim: int) -> np.ndarray:
+        """The (B, L, input_dim) stack of ``rows``; one session is B=1."""
         arr = np.asarray(rows, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != input_dim:
+        if arr.ndim == 2:
+            arr = arr[None]
+        if arr.ndim != 3 or arr.shape[2] != input_dim:
             raise ConstraintViolation(
-                f"expected (n_events, {input_dim}) feature rows, got {arr.shape}"
+                f"expected (n_events, {input_dim}) feature rows or a "
+                f"(n_sessions, n_events, {input_dim}) stack, got {np.shape(rows)}"
             )
-        if arr.shape[0] < 1:
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ConstraintViolation("forward() needs at least one feature row")
         return arr
 
@@ -99,7 +108,8 @@ class MLPModel(SequenceModel):
     def forward(
         self, rows: np.ndarray, capture_attention: bool = False
     ) -> tuple[nk.Tensor, np.ndarray | None]:
-        x = nk.Tensor(self._check_rows(rows, self.config.input_dim))
+        arr = self._check_rows(rows, self.config.input_dim)
+        x = nk.Tensor(arr.reshape(-1, arr.shape[2]))
         for i in range(self.config.n_layers):
             x = nk.relu(_linear(x, self.params[f"layer{i}/w"], self.params[f"layer{i}/b"]))
         probs = nk.softmax_rows(_linear(x, self.params["head/w"], self.params["head/b"]))
@@ -131,13 +141,13 @@ class LSTMModel(SequenceModel):
     ) -> tuple[nk.Tensor, np.ndarray | None]:
         arr = self._check_rows(rows, self.config.input_dim)
         h_dim = self.config.hidden_dim
-        n_steps = arr.shape[0]
-        zeros = nk.Tensor(np.zeros((1, h_dim)))
+        n_batch, n_steps, _ = arr.shape
+        zeros = nk.Tensor(np.zeros((n_batch, h_dim)))
         h_state = [zeros] * self.config.n_layers
         c_state = [zeros] * self.config.n_layers
         outputs: list[nk.Tensor] = []
         for t in range(n_steps):
-            x: nk.Tensor = nk.Tensor(arr[t : t + 1])
+            x: nk.Tensor = nk.Tensor(arr[:, t])
             for layer in range(self.config.n_layers):
                 gates = nk.add(
                     nk.add(
@@ -156,10 +166,11 @@ class LSTMModel(SequenceModel):
                 h_state[layer] = h_new
                 x = h_new
             outputs.append(x)
-        stacked = nk.concat_rows(outputs)
+        stacked = nk.concat_rows(outputs)  # step-major: row t·B + b
         hidden = nk.relu(_linear(stacked, self.params["head/w1"], self.params["head/b1"]))
         probs = nk.softmax_rows(_linear(hidden, self.params["head/w2"], self.params["head/b2"]))
-        return probs, None
+        session_major = np.arange(n_steps * n_batch).reshape(n_steps, n_batch).T.reshape(-1)
+        return nk.take_rows(probs, session_major), None
 
 
 class TransformerModel(SequenceModel):
@@ -209,44 +220,57 @@ class TransformerModel(SequenceModel):
             self.params[f"{prefix}/bias"],
         )
 
-    def _positions(self, n: int) -> nk.Tensor:
+    def _positions(self, n: int, n_batch: int) -> nk.Tensor:
+        """Position rows for ``n_batch`` stacked sessions of ``n`` events."""
         if self.config.positional == "fixed":
-            return nk.Tensor(nk.positional_encoding_matrix(n, self.config.embed_dim))
+            table = nk.positional_encoding_matrix(n, self.config.embed_dim)
+            return nk.Tensor(np.tile(table, (n_batch, 1)))
         if n > self.config.max_positions:
             raise ConstraintViolation(
                 f"session has {n} events but the learned position table holds "
                 f"{self.config.max_positions}"
             )
-        return nk.take_rows(self.params["pos_table"], np.arange(n))
+        return nk.take_rows(self.params["pos_table"], np.tile(np.arange(n), n_batch))
 
     def forward(
         self, rows: np.ndarray, capture_attention: bool = False
     ) -> tuple[nk.Tensor, np.ndarray | None]:
         arr = self._check_rows(rows, self.config.input_dim)
-        n = arr.shape[0]
+        n_batch, n, _ = arr.shape
         cfg = self.config
+        if capture_attention and n_batch != 1:
+            raise ConstraintViolation("attention capture takes one session at a time")
         x = nk.add(
-            _linear(nk.Tensor(arr), self.params["embed/w"], self.params["embed/b"]),
-            self._positions(n),
+            _linear(
+                nk.Tensor(arr.reshape(n_batch * n, -1)),
+                self.params["embed/w"],
+                self.params["embed/b"],
+            ),
+            self._positions(n, n_batch),
         )
         captured = (
             np.zeros((cfg.n_blocks, cfg.n_heads, n, n)) if capture_attention else None
         )
         inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
+        width = cfg.n_heads * cfg.head_dim
         for i in range(cfg.n_blocks):
             normed = self._norm(x, f"block{i}/ln1")
-            head_outputs = []
-            for head in range(cfg.n_heads):
-                q = nk.matmul(normed, self.params[f"block{i}/head{head}/wq"])
-                k = nk.matmul(normed, self.params[f"block{i}/head{head}/wk"])
-                v = nk.matmul(normed, self.params[f"block{i}/head{head}/wv"])
-                scores = nk.scale(nk.matmul(q, nk.transpose(k)), inv_sqrt_dk)
-                alpha = nk.causal_softmax(scores) if cfg.causal else nk.softmax_rows(scores)
-                if captured is not None:
-                    captured[i, head] = alpha.data
-                head_outputs.append(nk.matmul(alpha, v))
+            w_qkv = nk.concat_cols([
+                self.params[f"block{i}/head{head}/{proj}"]
+                for proj in ("wq", "wk", "wv")
+                for head in range(cfg.n_heads)
+            ])
+            qkv = nk.matmul(normed, w_qkv)
+            q, k, v = (
+                nk.split_heads(nk.slice_cols(qkv, j * width, (j + 1) * width), n_batch, cfg.n_heads)
+                for j in range(3)
+            )
+            scores = nk.scale(nk.einsum("bid,bjd->bij", q, k), inv_sqrt_dk)
+            alpha = nk.causal_softmax(scores) if cfg.causal else nk.softmax_rows(scores)
+            if captured is not None:
+                captured[i] = alpha.data
             attn = _linear(
-                nk.concat_cols(head_outputs),
+                nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), n_batch),
                 self.params[f"block{i}/attn_out/w"],
                 self.params[f"block{i}/attn_out/b"],
             )

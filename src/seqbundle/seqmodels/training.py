@@ -1,15 +1,20 @@
 """Teacher-forced training loop with early stopping.
 
 The loss is the mean cross-entropy over every scored position (event index
->= 2) in the batch. Sessions stay ragged; each session's graph contributes a
-gradient scaled by its share of scored positions, which equals the padded-
-and-masked formulation exactly.
+>= 2) in the minibatch. The minibatch's sessions are grouped by length, and
+each group runs as one (B, L, input_dim) stack: one graph and one backward,
+seeded with the group's share of scored positions. Equal lengths need no
+padding or masks, and the sum over groups equals the mean over the whole
+minibatch. Validation uses the same grouping, so no forward graph is larger
+than a training graph.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -52,24 +57,48 @@ def build_training_arrays(
     return matrices, labels
 
 
-def _mask(n_events: int) -> np.ndarray:
-    mask = np.ones(n_events, dtype=bool)
-    mask[0] = False  # the first event is given, never predicted
-    return mask
+def _length_groups(
+    matrices: Sequence[np.ndarray], batch: Sequence[int]
+) -> list[list[int]]:
+    """``batch``'s sessions grouped by ascending length, batch order kept within
+    a group. Single-event sessions score nothing and are left out."""
+
+    def length(i: int) -> int:
+        return matrices[i].shape[0]
+
+    by_length = sorted((i for i in batch if length(i) >= 2), key=length)
+    return [list(group) for _, group in groupby(by_length, key=length)]
+
+
+def _group_loss(
+    model: SequenceModel,
+    matrices: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
+    group: Sequence[int],
+) -> tuple[nk.Tensor, int]:
+    """Mean cross-entropy of one equal-length group's stack, and its scored count."""
+    n_events = matrices[group[0]].shape[0]
+    probs, _ = model.forward(np.stack([matrices[i] for i in group]))
+    scored = np.arange(len(group) * n_events) % n_events != 0  # first events are given
+    labs = np.concatenate([labels[i] for i in group])
+    return nk.cross_entropy_mean(probs, labs, scored), len(group) * (n_events - 1)
 
 
 def _dataset_loss(
-    model: SequenceModel, matrices: Sequence[np.ndarray], labels: Sequence[np.ndarray]
+    model: SequenceModel,
+    matrices: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
+    batch_size: int,
 ) -> float:
     """Mean cross-entropy over all scored positions (forward only)."""
     total = 0.0
     count = 0
-    for rows, labs in zip(matrices, labels):
-        probs, _ = model.forward(rows)
-        n_scored = rows.shape[0] - 1
-        loss = nk.cross_entropy_mean(probs, labs, _mask(rows.shape[0]))
-        total += loss.item() * n_scored
-        count += n_scored
+    for start in range(0, len(matrices), batch_size):
+        batch = range(start, min(start + batch_size, len(matrices)))
+        for group in _length_groups(matrices, batch):
+            loss, n_scored = _group_loss(model, matrices, labels, group)
+            total += loss.item() * n_scored
+            count += n_scored
     if count == 0:
         raise ConstraintViolation("loss over zero scored positions")
     return total / count
@@ -112,6 +141,8 @@ def train_model(
     stopped_early = False
 
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
+        n_graphs = 0
         epoch_order = train_idx[rng.permutation(len(train_idx))]
         epoch_loss = 0.0
         epoch_count = 0
@@ -122,12 +153,10 @@ def train_model(
                 continue
             model.zero_grads()
             try:
-                for i in batch:
-                    rows = matrices[i]
-                    n_scored = rows.shape[0] - 1
-                    probs, _ = model.forward(rows)
-                    loss = nk.cross_entropy_mean(probs, labels[i], _mask(rows.shape[0]))
+                for group in _length_groups(matrices, batch):
+                    loss, n_scored = _group_loss(model, matrices, labels, group)
                     loss.backward(seed=n_scored / total_scored)
+                    n_graphs += 1
                     epoch_loss += loss.item() * n_scored
                     epoch_count += n_scored
                 grads = {
@@ -148,9 +177,24 @@ def train_model(
 
         if n_val:
             val_loss = _dataset_loss(
-                model, [matrices[i] for i in val_idx], [labels[i] for i in val_idx]
+                model,
+                [matrices[i] for i in val_idx],
+                [labels[i] for i in val_idx],
+                config.batch_size,
             )
             val_losses.append(val_loss)
+        seconds = time.perf_counter() - started
+        log.info(
+            "epoch %d/%d: train loss %.6f, val loss %s, %.2f s, %.1f sessions/s, %d graphs",
+            epoch,
+            config.epochs,
+            train_losses[-1],
+            f"{val_losses[-1]:.6f}" if n_val else "n/a",
+            seconds,
+            (len(train_idx) + n_val) / seconds,
+            n_graphs,
+        )
+        if n_val:
             if val_loss < best_val - config.min_delta:
                 best_val = val_loss
                 best_epoch = epoch

@@ -29,6 +29,7 @@ from seqbundle.evalkit import (
     summarize_dataset,
     summary_to_jsonable,
 )
+from seqbundle.synthgen import generate, second_order_spec
 
 
 class FixedRowPredictor:
@@ -243,6 +244,42 @@ class TestRollouts:
         rng = np.random.default_rng(0)
         rolled = rollout_session(all_replay, playlist, np.array([1.0, 0.0, 0.0]), rng)
         assert [e.outcome for e in rolled.events] == [Outcome.SKIP]
+
+    def test_last_track_is_not_forced_into_a_replay(self):
+        # past the last track PLAY means "the session ends", as in the generator
+        playlist = make_playlist(2)
+        mostly_play = FixedRowPredictor((0.0, 0.9, 0.1))
+        rng = np.random.default_rng(3)
+        replayed = 0
+        for _ in range(100):
+            rolled = rollout_session(mostly_play, playlist, np.array([0.0, 1.0, 0.0]), rng)
+            validate_session(rolled, len(playlist), cap=2)
+            last = rolled.events[-1]
+            replayed += last.outcome is Outcome.REPLAY and last.track_position == 2
+        assert replayed < 30
+
+    @pytest.mark.parametrize(
+        "position_dependent,tolerance",
+        # pmc's rows after the last track carry replay mass the data does not
+        # (sessions that end there leave no event), hence its wider margin
+        [(False, 0.15), (True, 0.25)],
+        ids=["mc", "pmc"],
+    )
+    def test_expected_mode_last_track_agrees_with_realized(self, position_dependent, tolerance):
+        dataset = generate(second_order_spec(n_sessions=3000))
+        playlist = dataset.playlists[dataset.playlist_ids()[0]]
+        train, test = dataset.sessions[:2400], dataset.sessions[2400:]
+        predictor = MarkovPredictor(
+            fit_markov(train, playlist, position_dependent=position_dependent, cap=dataset.cap)
+        )
+        realized, expected = (
+            evaluate_playlist(
+                predictor, test, playlist, cap=dataset.cap,
+                demand_mode=mode, n_rollouts=300, seed=0,
+            ).demand.predicted[-1]
+            for mode in ("realized", "expected")
+        )
+        assert abs(expected - realized) < tolerance
 
     def test_expected_mode_is_seed_deterministic(self):
         playlist = make_playlist(3)

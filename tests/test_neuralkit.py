@@ -18,10 +18,12 @@ from seqbundle.neuralkit import (
     concat_rows,
     constant,
     cross_entropy_mean,
+    einsum,
     grad_check,
     layer_norm,
     load_checkpoint,
     matmul,
+    merge_heads,
     mul,
     parameter,
     positional_encoding,
@@ -32,6 +34,7 @@ from seqbundle.neuralkit import (
     sigmoid,
     slice_cols,
     softmax_rows,
+    split_heads,
     take_rows,
     tanh,
     transpose,
@@ -94,6 +97,20 @@ class TestTensor:
         loss = add(shared, shared)  # 2 x^2, d/dx = 4x = 8
         loss.backward()
         assert x.grad.item() == pytest.approx(8.0)
+
+    def test_backward_tears_down_the_graph(self):
+        w = parameter(rng(30).normal(size=(3, 2)))
+        x = constant(rng(31).normal(size=(4, 3)))
+        hidden = tanh(matmul(x, w))
+        probs = softmax_rows(concat_cols([hidden, hidden]))
+        loss = cross_entropy_mean(probs, np.array([0, 1, 2, 3]), np.ones(4, bool))
+        loss.backward()
+        for node in (hidden, probs, loss):
+            assert node.grad is None
+            assert node._parents == ()
+            assert node._backward_fn is None
+        assert w.grad is not None and w.grad.shape == (3, 2)
+        assert np.any(w.grad != 0.0)
 
 
 def _assert_grads_ok(build, params, tol=1e-6):
@@ -198,6 +215,37 @@ class TestOperatorGradients:
             {"c": c, "d": d},
         )
 
+    def test_einsum_batched_contractions(self):
+        q = parameter(rng(32).normal(size=(2, 3, 4)))
+        k = parameter(rng(33).normal(size=(2, 3, 4)))
+        labels = np.array([0, 1, 2, 0, 1, 2])
+
+        def loss():
+            alpha = causal_softmax(einsum("bid,bjd->bij", q, k))
+            out = merge_heads(einsum("bij,bjd->bid", alpha, k), 2)  # (6, 4)
+            return cross_entropy_mean(
+                softmax_rows(slice_cols(out, 0, 3)), labels, np.ones(6, bool)
+            )
+
+        _assert_grads_ok(loss, {"q": q, "k": k})
+
+    def test_split_and_merge_heads(self):
+        x = parameter(rng(34).normal(size=(6, 4)))  # B=2 sessions of 3 rows, 2 heads of 2
+        heads = split_heads(x, 2, 2)
+        assert heads.shape == (4, 3, 2)
+        # head h of session b holds columns 2h..2h+1 of that session's rows
+        assert np.array_equal(heads.data[1], x.data[0:3, 2:4])
+        assert np.array_equal(heads.data[2], x.data[3:6, 0:2])
+        assert np.array_equal(merge_heads(heads, 2).data, x.data)
+        _assert_grads_ok(
+            lambda: cross_entropy_mean(
+                softmax_rows(slice_cols(merge_heads(softmax_rows(split_heads(x, 2, 2)), 2), 0, 3)),
+                np.array([0, 1, 2, 0, 1, 2]),
+                np.ones(6, bool),
+            ),
+            {"x": x},
+        )
+
     def test_take_rows_scatter_add(self):
         table = parameter(rng(16).normal(size=(5, 3)))
         idx = np.array([0, 2, 2, 4])  # repeated index exercises accumulation
@@ -253,6 +301,27 @@ class TestCausalSoftmax:
     def test_first_row_is_deterministic_one(self):
         alpha = causal_softmax(constant(rng(23).normal(size=(3, 3)))).data
         assert alpha[0, 0] == 1.0
+
+    def test_stack_matches_each_matrix(self):
+        stack = rng(25).normal(size=(5, 6, 6)) * 3.0
+        for op in (causal_softmax, softmax_rows):
+            batched = op(constant(stack)).data
+            for i in range(5):
+                assert batched[i].tobytes() == op(constant(stack[i])).data.tobytes()
+
+
+class TestSigmoidValues:
+    def test_matches_the_three_exp_expression_bit_for_bit(self):
+        x = np.concatenate(
+            [[-700.0, -50.0, -1.0, -1e-300, 0.0, -0.0, 1e-300, 1.0, 50.0, 700.0],
+             rng(26).normal(size=64) * 20.0]
+        )
+        old = np.where(
+            x >= 0,
+            1.0 / (1.0 + np.exp(-np.abs(x))),
+            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+        )
+        assert sigmoid(constant(x)).data.tobytes() == old.tobytes()
 
 
 class TestCrossEntropyMean:

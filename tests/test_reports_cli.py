@@ -1,6 +1,7 @@
 """Report writers, artifact bundles, and the end-to-end command line flows."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -323,6 +324,23 @@ class TestTrainCommand:
         weights = next((cli_root / "run_tf" / "models").iterdir())
         assert (weights / "weights.bin").exists()
         assert (weights / "weights.json").exists()
+
+    def test_verbose_epoch_lines_stay_out_of_artifacts(self, cli_root, tmp_path, caplog):
+        argv = ["train", "--data", str(cli_root / "data"), "--model", "mlp",
+                "--hidden-dim", "4", "--n-layers", "1", "--epochs", "2", "--seed", "3"]
+        assert cli_main(argv + ["--out", str(tmp_path / "quiet")]) == 0
+        with caplog.at_level(logging.INFO, logger="seqbundle.seqmodels.training"):
+            assert cli_main(["--verbose"] + argv + ["--out", str(tmp_path / "loud")]) == 0
+        epochs = [r.getMessage().split(":")[0] for r in caplog.records
+                  if r.getMessage().startswith("epoch ")]
+        assert epochs == ["epoch 1/2", "epoch 2/2"]
+        files = sorted(p.relative_to(tmp_path / "quiet")
+                       for p in (tmp_path / "quiet").rglob("*") if p.is_file())
+        assert files
+        for rel in files:
+            loud = (tmp_path / "loud" / rel).read_bytes()
+            assert loud == (tmp_path / "quiet" / rel).read_bytes()
+            assert b"sessions/s" not in loud
 
     def test_unknown_config_key_rejected(self, cli_root, tmp_path):
         config = tmp_path / "config.json"

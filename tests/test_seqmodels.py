@@ -1,14 +1,19 @@
 """Model construction, gradients, causality, training, and queue decisions."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
 from seqbundle.domain import Event, Outcome
+from seqbundle import neuralkit as nk
 from seqbundle.errors import ConstraintViolation
 from seqbundle.neuralkit import grad_check, load_checkpoint, save_checkpoint
 from seqbundle.neuralkit.autodiff import cross_entropy_mean
+from seqbundle.seqmodels import training
 from seqbundle.seqmodels import (
     LSTMConfig,
     MLPConfig,
@@ -192,6 +197,123 @@ class TestGradients:
         assert err < 1e-4, f"{kind.value}: max relative error {err:.3e}"
 
 
+FAMILIES = [
+    (ModelKind.MLP, MLPConfig(INPUT_DIM, hidden_dim=6, n_layers=2)),
+    (ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=2)),
+    (ModelKind.TRANSFORMER, tiny_transformer_config(n_blocks=2)),
+    (
+        ModelKind.ENCODER,
+        tiny_transformer_config(causal=False, positional="learned", max_positions=16),
+    ),
+]
+FAMILY_IDS = ["mlp", "lstm", "transformer", "encoder"]
+
+
+def _reference_forward(model, rows):
+    """The per-session MLP/LSTM forward as a single-session graph: one row at
+    a time through the LSTM, heads on the (L, d) result."""
+    p = model.params
+    if model.kind is ModelKind.MLP:
+        x = nk.Tensor(rows)
+        for i in range(model.config.n_layers):
+            x = nk.relu(nk.add(nk.matmul(x, p[f"layer{i}/w"]), p[f"layer{i}/b"]))
+        return nk.softmax_rows(nk.add(nk.matmul(x, p["head/w"]), p["head/b"])).data
+    h = model.config.hidden_dim
+    zeros = nk.Tensor(np.zeros((1, h)))
+    h_state = [zeros] * model.config.n_layers
+    c_state = [zeros] * model.config.n_layers
+    outputs = []
+    for t in range(rows.shape[0]):
+        x = nk.Tensor(rows[t : t + 1])
+        for layer in range(model.config.n_layers):
+            gates = nk.add(
+                nk.add(
+                    nk.matmul(x, p[f"l{layer}/wx"]), nk.matmul(h_state[layer], p[f"l{layer}/wh"])
+                ),
+                p[f"l{layer}/b"],
+            )
+            gi = nk.sigmoid(nk.slice_cols(gates, 0, h))
+            gf = nk.sigmoid(nk.slice_cols(gates, h, 2 * h))
+            gc = nk.tanh(nk.slice_cols(gates, 2 * h, 3 * h))
+            go = nk.sigmoid(nk.slice_cols(gates, 3 * h, 4 * h))
+            c_state[layer] = nk.add(nk.mul(gf, c_state[layer]), nk.mul(gi, gc))
+            h_state[layer] = nk.mul(go, nk.tanh(c_state[layer]))
+            x = h_state[layer]
+        outputs.append(x)
+    hidden = nk.relu(nk.add(nk.matmul(nk.concat_rows(outputs), p["head/w1"]), p["head/b1"]))
+    return nk.softmax_rows(nk.add(nk.matmul(hidden, p["head/w2"]), p["head/b2"])).data
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_stacked_rows_match_single_session_forward(self, kind, config):
+        model = make_model(kind, config, seed=3)
+        gen = rng(40)
+        for n_batch in (1, 3, 7):
+            for length in range(1, 17):
+                stack = gen.normal(size=(n_batch, length, INPUT_DIM))
+                probs, _ = model.forward(stack)
+                assert probs.shape == (n_batch * length, 3)
+                for b in range(n_batch):
+                    single = model.forward(stack[b])[0].data
+                    rows = probs.data[b * length : (b + 1) * length]
+                    assert rows.tobytes() == single.tobytes(), (n_batch, length, b)
+
+    @pytest.mark.parametrize("kind,config", FAMILIES[:2], ids=FAMILY_IDS[:2])
+    def test_mlp_and_lstm_match_the_single_session_graph(self, kind, config):
+        model = make_model(kind, config, seed=8)
+        gen = rng(41)
+        for length in (1, 2, 7, 13):
+            rows = gen.normal(size=(length, INPUT_DIM))
+            expected = _reference_forward(model, rows)
+            assert model.forward(rows)[0].data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_backward_through_a_stack_matches_finite_differences(self, kind, config):
+        model = make_model(kind, config, seed=3)
+        stack = rng(42).normal(size=(3, 4, INPUT_DIM))
+        labels = rng(43).integers(0, 3, size=12)
+        mask = np.arange(12) % 4 != 0
+
+        def loss():
+            probs, _ = model.forward(stack)
+            return cross_entropy_mean(probs, labels, mask)
+
+        err = grad_check(loss, model.params, max_entries_per_param=4, seed=11)
+        assert err < 1e-4, f"{kind.value}: max relative error {err:.3e}"
+
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_minibatch_gradient_is_the_share_weighted_session_sum(self, kind, config):
+        model = make_model(kind, config, seed=5)
+        gen = rng(44)
+        lengths = (4, 6, 4, 2, 6, 4)
+        matrices = [gen.normal(size=(n, INPUT_DIM)) for n in lengths]
+        labels = [gen.integers(0, 3, size=n) for n in lengths]
+        total = sum(n - 1 for n in lengths)
+
+        groups = training._length_groups(matrices, range(len(lengths)))
+        assert [len(group) for group in groups] == [1, 3, 2]  # lengths 2, 4, 6
+        model.zero_grads()
+        for group in groups:
+            loss, n_scored = training._group_loss(model, matrices, labels, group)
+            loss.backward(seed=n_scored / total)
+        batched = {name: p.grad.copy() for name, p in model.params.items()}
+
+        model.zero_grads()
+        for rows, labs in zip(matrices, labels):
+            probs, _ = model.forward(rows)
+            mask = np.arange(len(labs)) != 0
+            cross_entropy_mean(probs, labs, mask).backward(seed=(len(labs) - 1) / total)
+        for name, p in model.params.items():
+            scale = max(np.abs(p.grad).max(), 1e-300)
+            assert np.abs(batched[name] - p.grad).max() / scale < 1e-12, name
+
+    def test_attention_capture_takes_one_session(self):
+        model = make_model(ModelKind.TRANSFORMER, tiny_transformer_config())
+        with pytest.raises(ConstraintViolation, match="one session"):
+            model.forward(np.zeros((2, 3, INPUT_DIM)), capture_attention=True)
+
+
 class TestCausality:
     def test_causal_prefix_rows_bit_identical(self):
         model = make_model(ModelKind.TRANSFORMER, tiny_transformer_config(), seed=2)
@@ -293,6 +415,21 @@ class TestTraining:
         train_model(model_b, matrices_b, labels_b, config_b)
         for name, arr in model_a.param_arrays().items():
             assert arr.tobytes() == model_b.param_arrays()[name].tobytes()
+
+    def test_each_epoch_logs_one_progress_line(self, caplog):
+        model, matrices, labels = self.make_setup()  # 12 sessions, all 3 events long
+        config = TrainConfig(epochs=2, batch_size=4, validation_fraction=0.25)
+        with caplog.at_level(logging.INFO, logger="seqbundle.seqmodels.training"):
+            train_model(model, matrices, labels, config)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        for epoch, line in enumerate(lines, start=1):
+            # 9 training sessions in batches of 4: one length group per batch
+            assert re.fullmatch(
+                rf"epoch {epoch}/2: train loss \d+\.\d{{6}}, val loss \d+\.\d{{6}}, "
+                r"\d+\.\d\d s, \d+\.\d sessions/s, 3 graphs",
+                line,
+            ), line
 
     def test_single_event_sessions_are_dropped(self):
         playlist = make_playlist(3)
