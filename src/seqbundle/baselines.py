@@ -324,8 +324,19 @@ def fit_zero_order(
 # session-level predictors (shared interface with the neural models)
 
 
+class _LoopedBatches:
+    """The batched predictor methods as loops over the per-session ones, whose
+    rows are table lookups."""
+
+    def predict_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
+        return [self.predict_session(session) for session in sessions]
+
+    def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
+        return np.array([self.next_probs(events) for events in prefixes])
+
+
 @dataclass
-class MarkovPredictor:
+class MarkovPredictor(_LoopedBatches):
     """Teacher-forced per-event probability rows from a fitted Markov model."""
 
     model: MarkovModel
@@ -352,7 +363,7 @@ class MarkovPredictor:
 
 
 @dataclass
-class ZeroOrderPredictor:
+class ZeroOrderPredictor(_LoopedBatches):
     """Event-level distribution derived from per-track play-count marginals.
 
     At the decision after track i (count x_i), the replay probability is the

@@ -212,6 +212,17 @@ def _infeasible_reason(
 WalkStep = tuple[int, int, tuple[bool, bool, bool]]
 
 
+def advance_walk(track: int, count: int, outcome: Outcome) -> tuple[int, int]:
+    """The (track, count) after ``outcome`` is taken from (track, count).
+
+    REPLAY adds a unit to the current track; SKIP and PLAY resolve the next
+    track with 0 or 1 units. Feasibility is the caller's check.
+    """
+    if outcome is Outcome.REPLAY:
+        return track, count + 1
+    return track + 1, 0 if outcome is Outcome.SKIP else 1
+
+
 def walk(
     events: Sequence[Event], n_tracks: int, cap: int = DEFAULT_CAP
 ) -> list[WalkStep]:
@@ -228,8 +239,7 @@ def walk(
         feasible = feasible_outcomes(track, count, n_tracks, cap)
         steps.append((track, count, feasible))
         outcome = event.outcome
-        replay = outcome is Outcome.REPLAY
-        want = track if replay else track + 1
+        want, next_count = advance_walk(track, count, outcome)
         if event.track_position != want:
             raise ConstraintViolation(
                 f"event {idx}: track_position {event.track_position} does not "
@@ -240,8 +250,7 @@ def walk(
                 f"event {idx}: "
                 + _infeasible_reason(outcome, track, count, n_tracks, cap)
             )
-        track = want
-        count = count + 1 if replay else (0 if outcome is Outcome.SKIP else 1)
+        track, count = want, next_count
     steps.append((track, count, feasible_outcomes(track, count, n_tracks, cap)))
     return steps
 

@@ -1,9 +1,10 @@
 """Holdout evaluation: hit rates, confusion, demand rates, and dataset summaries.
 
-All predictors expose predict_session(session) -> (n_events, 3) probability
-rows ordered (SKIP, PLAY, REPLAY); the row at index j is the prediction for
-event j given everything before it. The first event has no history and is
-never scored.
+All predictors expose predict_sessions(sessions) -> one (n_events, 3) array
+of probability rows per session, ordered (SKIP, PLAY, REPLAY); the row at
+index j is the prediction for event j given everything before it. The first
+event has no history and is never scored. Expected-mode demand also needs
+next_probs_batch(prefixes) -> (B, 3) rows for equal-length event prefixes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ from .domain import (
     Outcome,
     Playlist,
     Session,
+    WalkStep,
+    advance_walk,
     draw_outcome,
+    feasible_outcomes,
     session_counts,
     walk,
 )
@@ -164,6 +168,39 @@ class EvaluationResult:
         return tuple((pos, h / t) for pos, h, t in self.position_hits if t > 0)
 
 
+def _play_tally(sessions: Sequence[Session], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Final play counts summed per track, and how many sessions reached it."""
+    total = np.zeros(n, dtype=np.float64)
+    cover = np.zeros(n, dtype=np.int64)
+    for session in sessions:
+        counts = session_counts(session, n)
+        reached = session.last_position
+        cover[:reached] += 1
+        total[:reached] += np.asarray(counts[:reached], dtype=np.float64)
+    return total, cover
+
+
+def _demand_rates(
+    actual: tuple[np.ndarray, np.ndarray], predicted: tuple[np.ndarray, np.ndarray]
+) -> DemandRates:
+    """Per-track means of two (sum, cover) tallies, tracks 2..n; coverage is
+    the actual side's."""
+    positions = tuple(range(2, len(actual[0]) + 1))
+
+    def means(total: np.ndarray, cover: np.ndarray) -> tuple[float, ...]:
+        return tuple(
+            float(total[pos - 1] / c) if (c := int(cover[pos - 1])) > 0 else 0.0
+            for pos in positions
+        )
+
+    return DemandRates(
+        track_positions=positions,
+        actual=means(*actual),
+        predicted=means(*predicted),
+        coverage=tuple(int(actual[1][pos - 1]) for pos in positions),
+    )
+
+
 def _demand_realized(
     sessions: Sequence[Session],
     prob_rows: Sequence[np.ndarray],
@@ -180,14 +217,8 @@ def _demand_realized(
     n = len(playlist)
     replay = OUTCOME_INDEX[Outcome.REPLAY]
     play = OUTCOME_INDEX[Outcome.PLAY]
-    actual_sum = np.zeros(n, dtype=np.float64)
     predicted_sum = np.zeros(n, dtype=np.float64)
-    coverage = np.zeros(n, dtype=np.int64)
     for session, probs in zip(sessions, prob_rows):
-        counts = session_counts(session, n)
-        reached = session.last_position
-        coverage[:reached] += 1
-        actual_sum[:reached] += np.asarray(counts[:reached], dtype=np.float64)
         steps = walk(session.events, n, cap)
         for j in range(1, len(session.events)):
             track, _, feasible = steps[j]
@@ -197,25 +228,69 @@ def _demand_realized(
             if event.outcome is not Outcome.REPLAY:
                 # the arrival event of event.track_position, exactly once
                 predicted_sum[event.track_position - 1] += probs[j, play]
-    positions = tuple(range(2, n + 1))
-    actual = []
-    predicted = []
-    cover = []
-    for pos in positions:
-        c = int(coverage[pos - 1])
-        cover.append(c)
-        if c > 0:
-            actual.append(float(actual_sum[pos - 1] / c))
-            predicted.append(float(predicted_sum[pos - 1] / c))
-        else:
-            actual.append(0.0)
-            predicted.append(0.0)
-    return DemandRates(
-        track_positions=positions,
-        actual=tuple(actual),
-        predicted=tuple(predicted),
-        coverage=tuple(cover),
-    )
+    actual = _play_tally(sessions, n)
+    return _demand_rates(actual, (predicted_sum, actual[1]))
+
+
+def rollout_sessions(
+    predictor,
+    playlist: Playlist,
+    first_row: np.ndarray,
+    uniforms: np.ndarray,
+    cap: int = DEFAULT_CAP,
+) -> list[Session]:
+    """Sample sessions from a predictor's own conditionals, all in lockstep.
+
+    Rollout r draws its k-th outcome with ``uniforms[r, k]``, so it depends
+    on its own row alone, never on the other rollouts; ``uniforms`` needs
+    n_tracks * cap + 1 columns, the longest possible session. Every step
+    asks the predictor once for the rows of all rollouts still running,
+    whose prefixes share one length. Follows the generator's rule:
+    infeasible REPLAY mass is zeroed and the row renormalized (the session
+    ends when nothing is left), and once no track is ahead a drawn SKIP or
+    PLAY ends the session.
+    """
+    n = len(playlist)
+    max_events = n * cap + 1
+    if uniforms.ndim != 2 or uniforms.shape[1] < max_events:
+        raise ConstraintViolation(
+            f"rollouts need a (n_rollouts, {max_events}) block of uniforms, "
+            f"got {uniforms.shape}"
+        )
+    first_row = np.asarray(first_row, dtype=np.float64)
+    events: list[list[Event]] = []
+    walks: list[WalkStep] = []
+    for u in uniforms[:, 0]:
+        first = draw_outcome(first_row, u)
+        track, count = advance_walk(0, 0, first)
+        events.append([Event(track_position=track, outcome=first)])
+        walks.append((track, count, feasible_outcomes(track, count, n, cap)))
+    live = [r for r in range(len(events)) if any(walks[r][2])]
+    step = 1
+    while live and step < max_events:
+        rows = predictor.next_probs_batch([tuple(events[r]) for r in live])
+        still = []
+        for r, row in zip(live, np.array(rows, dtype=np.float64)):
+            track, count, feasible = walks[r]
+            if not feasible[_REPLAY]:
+                row[_REPLAY] = 0.0
+            total = row.sum()
+            if total <= 0.0:
+                continue
+            outcome = draw_outcome(row / total, uniforms[r, step])
+            if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
+                continue  # the walk would move past the last track
+            track, count = advance_walk(track, count, outcome)
+            events[r].append(Event(track_position=track, outcome=outcome))
+            walks[r] = (track, count, feasible_outcomes(track, count, n, cap))
+            if any(walks[r][2]):
+                still.append(r)
+        live = still
+        step += 1
+    return [
+        Session(session_id="rollout", playlist_id=playlist.playlist_id, events=tuple(e))
+        for e in events
+    ]
 
 
 def rollout_session(
@@ -225,34 +300,9 @@ def rollout_session(
     rng: np.random.Generator,
     cap: int = DEFAULT_CAP,
 ) -> Session:
-    """Sample one session from a predictor's own conditionals.
-
-    Follows the generator's rule: infeasible REPLAY mass is zeroed and the
-    row renormalized (the session ends when nothing is left), and once no
-    track is ahead a drawn SKIP or PLAY ends the session.
-    """
-    n = len(playlist)
-    first = draw_outcome(np.asarray(first_row, dtype=np.float64), rng.random())
-    events = [Event(track_position=1, outcome=first)]
-    max_events = n * cap + 1
-    while len(events) < max_events:
-        track, _, feasible = walk(events, n, cap)[-1]
-        if not any(feasible):
-            break
-        row = np.array(predictor.next_probs(tuple(events)), dtype=np.float64)
-        if not feasible[_REPLAY]:
-            row[_REPLAY] = 0.0
-        total = row.sum()
-        if total <= 0.0:
-            break
-        outcome = draw_outcome(row / total, rng.random())
-        if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
-            break  # the walk would move past the last track
-        position = track if outcome is Outcome.REPLAY else track + 1
-        events.append(Event(track_position=position, outcome=outcome))
-    return Session(
-        session_id="rollout", playlist_id=playlist.playlist_id, events=tuple(events)
-    )
+    """Sample one session from a predictor's own conditionals (see rollout_sessions)."""
+    uniforms = rng.random((1, len(playlist) * cap + 1))
+    return rollout_sessions(predictor, playlist, first_row, uniforms, cap)[0]
 
 
 def _demand_expected(
@@ -275,41 +325,10 @@ def _demand_expected(
     for session in sessions:
         first_counts[OUTCOME_INDEX[session.events[0].outcome]] += 1
     first_row = first_counts / first_counts.sum()
-
-    actual_sum = np.zeros(n, dtype=np.float64)
-    actual_cover = np.zeros(n, dtype=np.int64)
-    for session in sessions:
-        counts = session_counts(session, n)
-        reached = session.last_position
-        actual_cover[:reached] += 1
-        actual_sum[:reached] += np.asarray(counts[:reached], dtype=np.float64)
-
-    predicted_sum = np.zeros(n, dtype=np.float64)
-    predicted_cover = np.zeros(n, dtype=np.int64)
     rng = np.random.default_rng([seed, 0x5EED])
-    for _ in range(n_rollouts):
-        rolled = rollout_session(predictor, playlist, first_row, rng, cap=cap)
-        counts = session_counts(rolled, n)
-        reached = rolled.last_position
-        predicted_cover[:reached] += 1
-        predicted_sum[:reached] += np.asarray(counts[:reached], dtype=np.float64)
-
-    positions = tuple(range(2, n + 1))
-    actual = []
-    predicted = []
-    cover = []
-    for pos in positions:
-        ca = int(actual_cover[pos - 1])
-        cp = int(predicted_cover[pos - 1])
-        cover.append(ca)
-        actual.append(float(actual_sum[pos - 1] / ca) if ca > 0 else 0.0)
-        predicted.append(float(predicted_sum[pos - 1] / cp) if cp > 0 else 0.0)
-    return DemandRates(
-        track_positions=positions,
-        actual=tuple(actual),
-        predicted=tuple(predicted),
-        coverage=tuple(cover),
-    )
+    uniforms = rng.random((n_rollouts, n * cap + 1))
+    rolled = rollout_sessions(predictor, playlist, first_row, uniforms, cap)
+    return _demand_rates(_play_tally(sessions, n), _play_tally(rolled, n))
 
 
 def evaluate_playlist(
@@ -335,14 +354,11 @@ def evaluate_playlist(
     position_hits: dict[int, list[int]] = {}
     hits = 0
     scored = 0
-    prob_rows: list[np.ndarray] = []
-    for session in sessions:
-        probs = _check_prob_rows(
-            predictor.predict_session(session),
-            len(session.events),
-            f"session {session.session_id!r}",
-        )
-        prob_rows.append(probs)
+    prob_rows = [
+        _check_prob_rows(probs, len(session.events), f"session {session.session_id!r}")
+        for session, probs in zip(sessions, predictor.predict_sessions(sessions))
+    ]
+    for session, probs in zip(sessions, prob_rows):
         outcomes = session.outcomes()
         for j in range(1, len(outcomes)):
             actual_idx = OUTCOME_INDEX[outcomes[j]]

@@ -19,6 +19,7 @@ from .autodiff import (
     matmul,
     merge_heads,
     mul,
+    no_grad,
     parameter,
     relu,
     scale,
@@ -53,6 +54,7 @@ __all__ = [
     "matmul",
     "merge_heads",
     "mul",
+    "no_grad",
     "parameter",
     "positional_encoding",
     "positional_encoding_matrix",

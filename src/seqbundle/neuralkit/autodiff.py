@@ -15,6 +15,8 @@ softmaxes work on the last axis of 2-D or 3-D input.
 backward() frees the graph as it goes: once a node's backward has run, its
 grad, closure and parent links are dropped, so only leaf parameters keep
 gradients and a batch's activations are released during the backward pass.
+Inference runs under no_grad(), which links no graph at all: each activation
+is freed once the next op has read it, and values are the same bit for bit.
 
 Tensor construction rejects NaN/Inf, which turns training divergence into an
 immediate NumericError instead of silent garbage.
@@ -22,7 +24,8 @@ immediate NumericError instead of silent garbage.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +33,20 @@ from ..errors import ConstraintViolation, NumericError
 
 PROB_FLOOR = 1e-12
 LAYER_NORM_EPS = 1e-12
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Within the block, ops record no parents or backward closures."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -52,6 +69,8 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        if not _grad_enabled:
+            parents, backward_fn = (), None
         self._parents = parents
         self._backward_fn = backward_fn
         self.name = name

@@ -12,11 +12,24 @@ norm gains at one, so construction is fully deterministic.
 
 from __future__ import annotations
 
+from itertools import groupby
+from typing import Callable, Iterable, TypeVar
+
 import numpy as np
 
 from .. import neuralkit as nk
 from ..errors import ConstraintViolation
 from .config import LSTMConfig, MLPConfig, ModelKind, TransformerConfig
+
+
+T = TypeVar("T")
+
+
+def group_by_length(items: Iterable[T], length: Callable[[T], int]) -> list[list[T]]:
+    """``items`` grouped by equal ``length``, ascending; input order is kept
+    within a group. Each group stacks into one forward without padding."""
+    ordered = sorted(items, key=length)
+    return [list(group) for _, group in groupby(ordered, key=length)]
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:

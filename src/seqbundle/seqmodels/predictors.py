@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .. import neuralkit as nk
 from ..domain import (
     DEFAULT_CAP,
+    N_OUTCOMES,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
     Event,
@@ -18,7 +21,7 @@ from ..domain import (
 from ..errors import ConstraintViolation
 from ..dataio import FeaturePipeline
 from .config import ModelKind
-from .models import SequenceModel
+from .models import SequenceModel, group_by_length
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,24 +55,44 @@ class NeuralPredictor:
         return self.model.kind is not ModelKind.ENCODER
 
     def predict_session(self, session: Session) -> np.ndarray:
-        """(n_events, 3) outcome probabilities, teacher-forced.
+        """(n_events, 3) outcome probabilities, teacher-forced."""
+        return self.predict_sessions([session])[0]
 
-        Causal models run one pass over the whole session. The bidirectional
-        encoder is evaluated in prediction mode: one pass per position, input
-        truncated to rows 1..j, reading the output at row j.
+    def predict_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
+        """Each session's (n_events, 3) outcome probabilities, teacher-forced.
+
+        Causal models run one pass per group of equal-length sessions. The
+        bidirectional encoder is evaluated in prediction mode: the row for
+        event j comes from a pass over rows 1..j alone, so one pass per prefix
+        length j stacks the first j rows of every session that long and
+        reads the last row of each. Stacking changes no session's values.
         """
-        rows = self.pipeline.matrix(session)
+        if not sessions:
+            return []
+        matrices = [self.pipeline.matrix(session) for session in sessions]
+        out = [np.empty((m.shape[0], N_OUTCOMES)) for m in matrices]
         if self.is_causal:
-            probs, _ = self.model.forward(rows)
-            out = probs.data.copy()
+            for idx in group_by_length(range(len(matrices)), lambda i: matrices[i].shape[0]):
+                probs = self._forward_stack(np.stack([matrices[i] for i in idx]))
+                for i, rows in zip(idx, probs):
+                    out[i] = rows
         else:
-            out = np.zeros((rows.shape[0], 3), dtype=np.float64)
-            for j in range(rows.shape[0]):
-                probs, _ = self.model.forward(rows[: j + 1])
-                out[j] = probs.data[-1]
+            for j in range(1, max(m.shape[0] for m in matrices) + 1):
+                idx = [i for i, m in enumerate(matrices) if m.shape[0] >= j]
+                probs = self._forward_stack(np.stack([matrices[i][:j] for i in idx]))
+                for i, rows in zip(idx, probs):
+                    out[i][j - 1] = rows[-1]
         if self.feasibility_mask:
-            out = self._apply_feasibility(session, out)
+            out = [self._apply_feasibility(s, p) for s, p in zip(sessions, out)]
         return out
+
+    def _forward_stack(self, stack: np.ndarray) -> np.ndarray:
+        """(B, L, 3) probabilities of a (B, L, input_dim) stack, built without
+        a graph."""
+        n_batch, n_events, _ = stack.shape
+        with nk.no_grad():
+            probs = self.model.forward(stack)[0].data
+        return probs.reshape(n_batch, n_events, N_OUTCOMES)
 
     def _apply_feasibility(self, session: Session, probs: np.ndarray) -> np.ndarray:
         """Zero the REPLAY column wherever a replay is impossible, renormalize."""
@@ -92,46 +115,53 @@ class NeuralPredictor:
                 f"{self.model.kind.value!r}"
             )
         rows = self.pipeline.matrix(session)
-        _, captured = self.model.forward(rows, capture_attention=True)
+        with nk.no_grad():
+            _, captured = self.model.forward(rows, capture_attention=True)
         assert captured is not None
         return captured
 
     # -- forward-looking prediction ------------------------------------------
 
     def predict_next(self, events: tuple[Event, ...]) -> tuple[Outcome, np.ndarray]:
-        """Distribution over the outcome following ``events``.
+        """Most probable outcome following ``events``, and its probability row."""
+        row = self.next_probs_batch([events])[0]
+        return OUTCOME_ORDER[int(np.argmax(row))], row
 
-        The model reads the feature matrix of ``events`` plus a placeholder
+    def next_probs(self, events: tuple[Event, ...]) -> np.ndarray:
+        """Probability row for the event that would follow the given prefix."""
+        return self.next_probs_batch([events])[0]
+
+    def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
+        """(B, 3) rows for the events that would follow equal-length prefixes.
+
+        The model reads the feature matrix of each prefix plus a placeholder
         event for the head of the queue: the next track in order, or the
         current track again when the playlist is exhausted. The placeholder's
         row depends only on its position, its track and the outcome before
-        it, never on its own outcome.
+        it, never on its own outcome. The input ends at the query row, so one
+        pass serves the causal models and the encoder's prediction mode.
         """
         if self.pipeline.config.leak:
             raise ConstraintViolation(
                 "forward-looking prediction is undefined for leak features "
                 "(observed remaining time requires the finished session)"
             )
-        if not events:
-            raise ConstraintViolation("predict_next needs at least one event")
+        if not prefixes or not all(prefixes):
+            raise ConstraintViolation("next-event prediction needs at least one event")
+        if len({len(events) for events in prefixes}) != 1:
+            raise ConstraintViolation("next_probs_batch needs equal-length prefixes")
         playlist = self.pipeline.playlist
-        next_pos = min(events[-1].track_position + 1, len(playlist))
-        placeholder = Event(track_position=next_pos, outcome=Outcome.PLAY)
-        query = Session(
-            session_id="query",
-            playlist_id=playlist.playlist_id,
-            events=tuple(events) + (placeholder,),
-        )
-        # The input ends at the query row, so one forward works for both the
-        # causal models and the encoder's truncated prediction mode.
-        probs, _ = self.model.forward(self.pipeline.matrix(query))
-        row = probs.data[-1].copy()
-        return OUTCOME_ORDER[int(np.argmax(row))], row
-
-    def next_probs(self, events: tuple[Event, ...]) -> np.ndarray:
-        """Probability row for the event that would follow the given prefix."""
-        _, row = self.predict_next(tuple(events))
-        return row
+        queries = []
+        for events in prefixes:
+            next_pos = min(events[-1].track_position + 1, len(playlist))
+            placeholder = Event(track_position=next_pos, outcome=Outcome.PLAY)
+            query = Session(
+                session_id="query",
+                playlist_id=playlist.playlist_id,
+                events=tuple(events) + (placeholder,),
+            )
+            queries.append(self.pipeline.matrix(query))
+        return self._forward_stack(np.stack(queries))[:, -1].copy()
 
     def queue_next(self, events: tuple[Event, ...]) -> QueueDecision:
         """Iterate predictions to pick the next track to queue.

@@ -5,8 +5,7 @@ The loss is the mean cross-entropy over every scored position (event index
 each group runs as one (B, L, input_dim) stack: one graph and one backward,
 seeded with the group's share of scored positions. Equal lengths need no
 padding or masks, and the sum over groups equals the mean over the whole
-minibatch. Validation uses the same grouping, so no forward graph is larger
-than a training graph.
+minibatch. Validation uses the same grouping and builds no graph.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +22,7 @@ from ..dataio import FeaturePipeline
 from ..domain import Session
 from ..errors import ConstraintViolation, NumericError
 from .config import TrainConfig
-from .models import SequenceModel
+from .models import SequenceModel, group_by_length
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +64,7 @@ def _length_groups(
     def length(i: int) -> int:
         return matrices[i].shape[0]
 
-    by_length = sorted((i for i in batch if length(i) >= 2), key=length)
-    return [list(group) for _, group in groupby(by_length, key=length)]
+    return group_by_length((i for i in batch if length(i) >= 2), length)
 
 
 def _group_loss(
@@ -90,15 +87,16 @@ def _dataset_loss(
     labels: Sequence[np.ndarray],
     batch_size: int,
 ) -> float:
-    """Mean cross-entropy over all scored positions (forward only)."""
+    """Mean cross-entropy over all scored positions (forward only, no graph)."""
     total = 0.0
     count = 0
-    for start in range(0, len(matrices), batch_size):
-        batch = range(start, min(start + batch_size, len(matrices)))
-        for group in _length_groups(matrices, batch):
-            loss, n_scored = _group_loss(model, matrices, labels, group)
-            total += loss.item() * n_scored
-            count += n_scored
+    with nk.no_grad():
+        for start in range(0, len(matrices), batch_size):
+            batch = range(start, min(start + batch_size, len(matrices)))
+            for group in _length_groups(matrices, batch):
+                loss, n_scored = _group_loss(model, matrices, labels, group)
+                total += loss.item() * n_scored
+                count += n_scored
     if count == 0:
         raise ConstraintViolation("loss over zero scored positions")
     return total / count

@@ -26,9 +26,12 @@ from seqbundle.evalkit import (
     hit_rate_from_counts,
     pseudo_r2,
     rollout_session,
+    rollout_sessions,
     summarize_dataset,
     summary_to_jsonable,
 )
+from seqbundle.dataio import FeatureConfig, FeaturePipeline
+from seqbundle.seqmodels import ModelKind, NeuralPredictor, TransformerConfig, make_model
 from seqbundle.synthgen import generate, second_order_spec
 
 
@@ -41,8 +44,54 @@ class FixedRowPredictor:
     def predict_session(self, session):
         return np.tile(self.row, (len(session.events), 1))
 
+    def predict_sessions(self, sessions):
+        return [self.predict_session(session) for session in sessions]
+
     def next_probs(self, events):
         return self.row.copy()
+
+    def next_probs_batch(self, prefixes):
+        return np.tile(self.row, (len(prefixes), 1))
+
+
+class RecordingPredictor(FixedRowPredictor):
+    """Records the prefix lengths of every batched call."""
+
+    def __init__(self, row=(0.2, 0.7, 0.1)):
+        super().__init__(row)
+        self.session_calls = 0
+        self.batch_lengths = []
+
+    def predict_sessions(self, sessions):
+        self.session_calls += 1
+        return super().predict_sessions(sessions)
+
+    def next_probs_batch(self, prefixes):
+        self.batch_lengths.append([len(events) for events in prefixes])
+        return super().next_probs_batch(prefixes)
+
+
+ROLLOUT_FIT_SESSIONS = [
+    make_session(["play", "play", "skip", "play"], sid="a"),
+    make_session(["skip", "play", "replay", "play"], sid="b"),
+    make_session(["play", "replay", "skip", "play", "replay"], sid="c"),
+    make_session(["skip", "skip", "play"], sid="d"),
+]
+
+
+def rollout_predictor(family, playlist):
+    if family == "mc":
+        return MarkovPredictor(fit_markov(ROLLOUT_FIT_SESSIONS, playlist, smoothing=1.0))
+    pipeline = FeaturePipeline(playlist=playlist, config=FeatureConfig()).fit(
+        ROLLOUT_FIT_SESSIONS
+    )
+    config = TransformerConfig(
+        input_dim=pipeline.config.input_dim, embed_dim=8, n_blocks=1, n_heads=2,
+        head_dim=4, ff_dim=8,
+    )
+    return NeuralPredictor(
+        model=make_model(ModelKind.TRANSFORMER, config, seed=2), pipeline=pipeline
+    )
 
 
 class TestScalarMetrics:
@@ -280,6 +329,48 @@ class TestRollouts:
             for mode in ("realized", "expected")
         )
         assert abs(expected - realized) < tolerance
+
+    @pytest.mark.parametrize("family", ["mc", "transformer"])
+    def test_rollout_alone_equals_the_same_rollout_in_a_stack(self, family):
+        playlist = make_playlist(4)
+        predictor = rollout_predictor(family, playlist)
+        first_row = np.array([0.4, 0.6, 0.0])
+        uniforms = np.random.default_rng(9).random((50, 4 * 2 + 1))
+        stacked = rollout_sessions(predictor, playlist, first_row, uniforms)
+        assert len(stacked) == 50
+        assert len({len(s.events) for s in stacked}) > 2  # rollouts end at different steps
+        for r, rolled in enumerate(stacked):
+            validate_session(rolled, len(playlist), cap=2)
+            alone = rollout_sessions(predictor, playlist, first_row, uniforms[r : r + 1])
+            assert alone == [rolled], r
+
+    def test_rollout_session_is_the_one_rollout_case(self):
+        playlist = make_playlist(4)
+        predictor = rollout_predictor("mc", playlist)
+        first_row = np.array([0.4, 0.6, 0.0])
+        for seed in range(5):
+            uniforms = np.random.default_rng(seed).random((1, 4 * 2 + 1))
+            assert rollout_session(
+                predictor, playlist, first_row, np.random.default_rng(seed)
+            ) == rollout_sessions(predictor, playlist, first_row, uniforms)[0]
+
+    def test_expected_mode_asks_once_per_step_over_live_rollouts(self):
+        playlist = make_playlist(3)
+        sessions = [
+            make_session(["play", "play", "skip"], sid="a"),
+            make_session(["skip", "play", "play"], sid="b"),
+        ]
+        predictor = RecordingPredictor((0.3, 0.5, 0.2))
+        evaluate_playlist(
+            predictor, sessions, playlist, demand_mode="expected", n_rollouts=30, seed=4
+        )
+        assert predictor.session_calls == 1
+        calls = predictor.batch_lengths
+        assert 1 < len(calls) <= 3 * 2
+        assert calls[0] == [1] * 30
+        for step, lengths in enumerate(calls, start=1):
+            assert lengths == [step] * len(lengths)
+        assert all(len(b) <= len(a) for a, b in zip(calls, calls[1:]))
 
     def test_expected_mode_is_seed_deterministic(self):
         playlist = make_playlist(3)

@@ -524,16 +524,17 @@ class TestNeuralPredictor:
 
 
 class ScriptedPredictor(NeuralPredictor):
-    """predict_next plays back a fixed outcome script (for queue tests)."""
+    """next_probs_batch plays back a fixed outcome script (for queue tests)."""
 
     def set_script(self, outcomes):
         self._script = list(outcomes)
 
-    def predict_next(self, events):
-        outcome = self._script.pop(0)
-        row = np.full(3, 0.05)
-        row[("skip", "play", "replay").index(outcome.value)] = 0.9
-        return outcome, row
+    def next_probs_batch(self, prefixes):
+        rows = np.full((len(prefixes), 3), 0.05)
+        for row in rows:
+            outcome = self._script.pop(0)
+            row[("skip", "play", "replay").index(outcome.value)] = 0.9
+        return rows
 
 
 class TestQueueNext:
@@ -593,3 +594,117 @@ class TestEncoderPredictionMode:
         predictor = self.build_predictor()
         with pytest.raises(ConstraintViolation, match="causal"):
             predictor.attention_for_session(make_session(["play", "play"]))
+
+
+# Valid sessions on a 5-track playlist with repeated and single-event lengths.
+MIXED_OUTCOMES = [
+    ["play"],
+    ["skip", "play", "replay", "play"],
+    ["play", "replay", "play", "skip"],
+    ["skip"],
+    ["play", "play"],
+    ["skip", "skip", "play", "replay", "skip", "play"],
+    ["play", "skip"],
+    ["play", "replay", "skip", "play", "replay", "play", "skip"],
+    ["skip", "play", "play", "skip"],
+]
+
+
+class TestBatchedInference:
+    def build(self, kind, config, feasibility_mask=False):
+        playlist = make_playlist(5)
+        sessions = [make_session(o, sid=f"m{i}") for i, o in enumerate(MIXED_OUTCOMES)]
+        predictor = NeuralPredictor(
+            model=make_model(kind, config, seed=4),
+            pipeline=fitted_pipeline(playlist, sessions),
+            feasibility_mask=feasibility_mask,
+        )
+        return predictor, sessions
+
+    @pytest.mark.parametrize("feasibility_mask", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_predict_sessions_matches_each_session(self, kind, config, feasibility_mask):
+        predictor, sessions = self.build(kind, config, feasibility_mask)
+        batched = predictor.predict_sessions(sessions)
+        assert len(batched) == len(sessions)
+        for session, rows in zip(sessions, batched):
+            assert rows.shape == (len(session.events), 3)
+            assert rows.tobytes() == predictor.predict_session(session).tobytes()
+
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_rows_match_a_graph_forward_per_session(self, kind, config):
+        # causal models read one forward of the session; the encoder reads row
+        # j of a forward over rows 1..j alone
+        predictor, sessions = self.build(kind, config)
+        for session, rows in zip(sessions, predictor.predict_sessions(sessions)):
+            matrix = predictor.pipeline.matrix(session)
+            if predictor.is_causal:
+                expected = predictor.model.forward(matrix)[0].data
+            else:
+                expected = np.array([
+                    predictor.model.forward(matrix[: j + 1])[0].data[-1]
+                    for j in range(len(matrix))
+                ])
+            assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_one_forward_per_length_group_or_prefix_length(self, kind, config, monkeypatch):
+        predictor, sessions = self.build(kind, config)
+        batches = []
+        forward = predictor.model.forward
+
+        def counting_forward(rows, capture_attention=False):
+            batches.append(np.shape(rows)[:2])
+            return forward(rows, capture_attention)
+
+        monkeypatch.setattr(predictor.model, "forward", counting_forward)
+        predictor.predict_sessions(sessions)
+        lengths = [len(s.events) for s in sessions]
+        if predictor.is_causal:
+            assert batches == [(lengths.count(n), n) for n in sorted(set(lengths))]
+        else:
+            assert batches == [
+                (sum(n >= j for n in lengths), j) for j in range(1, max(lengths) + 1)
+            ]
+
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_next_probs_batch_rows_equal_next_probs(self, kind, config):
+        predictor, sessions = self.build(kind, config)
+        for n_events in (1, 2, 4):
+            prefixes = [s.events[:n_events] for s in sessions if len(s) >= n_events]
+            rows = predictor.next_probs_batch(prefixes)
+            assert rows.shape == (len(prefixes), 3)
+            for events, row in zip(prefixes, rows):
+                assert row.tobytes() == predictor.next_probs(events).tobytes()
+
+    def test_next_probs_batch_needs_equal_nonempty_prefixes(self):
+        predictor, sessions = self.build(*FAMILIES[0])
+        with pytest.raises(ConstraintViolation, match="equal-length"):
+            predictor.next_probs_batch([sessions[0].events, sessions[1].events])
+        with pytest.raises(ConstraintViolation, match="at least one event"):
+            predictor.next_probs_batch([()])
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_links_no_graph_and_gives_the_same_bytes(self, kind, config):
+        model = make_model(kind, config, seed=3)
+        stack = rng(45).normal(size=(3, 5, INPUT_DIM))
+        with_graph = model.forward(stack)[0]
+        with nk.no_grad():
+            bare = model.forward(stack)[0]
+        assert with_graph.needs_grad
+        assert not bare._parents and bare._backward_fn is None and not bare.needs_grad
+        assert bare.data.tobytes() == with_graph.data.tobytes()
+
+    def test_restores_the_grad_mode_after_an_exception(self):
+        a = nk.parameter(np.ones((2, 2)))
+        with pytest.raises(RuntimeError, match="inside"):
+            with nk.no_grad():
+                raise RuntimeError("inside")
+        assert nk.add(a, a)._parents == (a, a)
+        with nk.no_grad():
+            with nk.no_grad():
+                pass
+            assert nk.add(a, a)._parents == ()
+        assert nk.add(a, a)._parents == (a, a)
