@@ -21,6 +21,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -276,13 +277,10 @@ def cmd_generate(args) -> int:
     else:
         with open(args.spec, encoding="utf-8") as fh:
             spec = synthgen.spec_from_json(json.load(fh))
-        if args.n_sessions is not None or args.seed is not None:
-            obj = synthgen.spec_to_json(spec)
-            if args.n_sessions is not None:
-                obj["n_sessions"] = args.n_sessions
-            if args.seed is not None:
-                obj["seed"] = args.seed
-            spec = synthgen.spec_from_json(obj)
+        if args.n_sessions is not None:
+            spec = replace(spec, n_sessions=args.n_sessions)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
     dataset = synthgen.generate(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     playlists_path = args.out / "playlists.jsonl"

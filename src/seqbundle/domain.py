@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConstraintViolation
 
@@ -37,6 +39,8 @@ OUTCOME_ORDER: tuple[Outcome, Outcome, Outcome] = (
 )
 OUTCOME_INDEX: Mapping[Outcome, int] = {o: i for i, o in enumerate(OUTCOME_ORDER)}
 N_OUTCOMES = len(OUTCOME_ORDER)
+_SKIP = OUTCOME_INDEX[Outcome.SKIP]
+_REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
 # Tolerance for a probability row (spec row, transition row, attention row)
 # summing to 1.
@@ -253,6 +257,67 @@ def walk(
         track, count = want, next_count
     steps.append((track, count, feasible_outcomes(track, count, n_tracks, cap)))
     return steps
+
+
+def feasible_rows(rows: Sequence[Sequence[float]], replay_ok: Sequence[bool]) -> np.ndarray:
+    """Conditional rows as outcomes are drawn from them: the one row rule.
+
+    Row i loses its REPLAY mass unless ``replay_ok[i]`` and is divided by its
+    sum; a row with no mass left comes back all zeros, which ends its walk.
+    """
+    out = np.array(rows, dtype=np.float64).reshape(-1, N_OUTCOMES)
+    out[~np.asarray(replay_ok, dtype=bool), _REPLAY] = 0.0
+    totals = out.sum(axis=1, keepdims=True)
+    np.divide(out, totals, out=out, where=totals > 0.0)
+    return out
+
+
+def sample_walks(
+    next_rows: Callable[[list[tuple[Event, ...]]], Sequence[Sequence[float]]],
+    first: Sequence[Outcome],
+    uniforms: np.ndarray,
+    n_tracks: int,
+    cap: int,
+) -> list[tuple[Event, ...]]:
+    """Sample walks in lockstep from conditional rows, the one outcome sampler.
+
+    Walk r opens with ``first[r]`` and draws its k-th outcome from
+    ``uniforms[r, k]``, so it depends on its own row alone, never on which
+    walks run beside it; the longest walk reads column n_tracks * cap - 1.
+    Every step makes one ``next_rows(prefixes)`` call for the prefixes of all
+    live walks, which share one length, and draws from feasible_rows. A walk
+    ends when no outcome is feasible, when its row has no mass left, or when
+    it draws SKIP or PLAY with no track ahead.
+    """
+    events: list[list[Event]] = []
+    states: list[WalkStep] = []
+    for outcome in first:
+        track, count = advance_walk(0, 0, outcome)
+        events.append([Event(track_position=track, outcome=outcome)])
+        states.append((track, count, feasible_outcomes(track, count, n_tracks, cap)))
+    live = [r for r, state in enumerate(states) if any(state[2])]
+    step = 1
+    while live:
+        rows = feasible_rows(
+            next_rows([tuple(events[r]) for r in live]),
+            [states[r][2][_REPLAY] for r in live],
+        )
+        still = []
+        for r, row in zip(live, rows.tolist()):
+            if not any(row):
+                continue
+            track, count, feasible = states[r]
+            outcome = draw_outcome(row, uniforms[r, step])
+            if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
+                continue
+            track, count = advance_walk(track, count, outcome)
+            events[r].append(Event(track_position=track, outcome=outcome))
+            states[r] = (track, count, feasible_outcomes(track, count, n_tracks, cap))
+            if any(states[r][2]):
+                still.append(r)
+        live = still
+        step += 1
+    return [tuple(e) for e in events]
 
 
 def advance_state(

@@ -10,7 +10,7 @@ next_probs_batch(prefixes) -> (B, 3) rows for equal-length event prefixes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,21 +21,15 @@ from .domain import (
     N_OUTCOMES,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
-    Event,
     Outcome,
     Playlist,
     Session,
-    WalkStep,
-    advance_walk,
     draw_outcome,
-    feasible_outcomes,
+    sample_walks,
     session_counts,
     walk,
 )
 from .errors import ConstraintViolation, MetricUndefinedError
-
-_SKIP = OUTCOME_INDEX[Outcome.SKIP]
-_REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
 log = logging.getLogger(__name__)
 
@@ -241,14 +235,10 @@ def rollout_sessions(
 ) -> list[Session]:
     """Sample sessions from a predictor's own conditionals, all in lockstep.
 
-    Rollout r draws its k-th outcome with ``uniforms[r, k]``, so it depends
-    on its own row alone, never on the other rollouts; ``uniforms`` needs
-    n_tracks * cap + 1 columns, the longest possible session. Every step
-    asks the predictor once for the rows of all rollouts still running,
-    whose prefixes share one length. Follows the generator's rule:
-    infeasible REPLAY mass is zeroed and the row renormalized (the session
-    ends when nothing is left), and once no track is ahead a drawn SKIP or
-    PLAY ends the session.
+    Rollout r draws its first outcome from ``first_row`` with
+    ``uniforms[r, 0]`` and the rest through domain.sample_walks, one
+    ``next_probs_batch`` call per step; ``uniforms`` needs n_tracks * cap + 1
+    columns.
     """
     n = len(playlist)
     max_events = n * cap + 1
@@ -257,39 +247,11 @@ def rollout_sessions(
             f"rollouts need a (n_rollouts, {max_events}) block of uniforms, "
             f"got {uniforms.shape}"
         )
-    first_row = np.asarray(first_row, dtype=np.float64)
-    events: list[list[Event]] = []
-    walks: list[WalkStep] = []
-    for u in uniforms[:, 0]:
-        first = draw_outcome(first_row, u)
-        track, count = advance_walk(0, 0, first)
-        events.append([Event(track_position=track, outcome=first)])
-        walks.append((track, count, feasible_outcomes(track, count, n, cap)))
-    live = [r for r in range(len(events)) if any(walks[r][2])]
-    step = 1
-    while live and step < max_events:
-        rows = predictor.next_probs_batch([tuple(events[r]) for r in live])
-        still = []
-        for r, row in zip(live, np.array(rows, dtype=np.float64)):
-            track, count, feasible = walks[r]
-            if not feasible[_REPLAY]:
-                row[_REPLAY] = 0.0
-            total = row.sum()
-            if total <= 0.0:
-                continue
-            outcome = draw_outcome(row / total, uniforms[r, step])
-            if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
-                continue  # the walk would move past the last track
-            track, count = advance_walk(track, count, outcome)
-            events[r].append(Event(track_position=track, outcome=outcome))
-            walks[r] = (track, count, feasible_outcomes(track, count, n, cap))
-            if any(walks[r][2]):
-                still.append(r)
-        live = still
-        step += 1
+    first = [draw_outcome(first_row, u) for u in uniforms[:, 0]]
+    walks = sample_walks(predictor.next_probs_batch, first, uniforms, n, cap)
     return [
-        Session(session_id="rollout", playlist_id=playlist.playlist_id, events=tuple(e))
-        for e in events
+        Session(session_id="rollout", playlist_id=playlist.playlist_id, events=events)
+        for events in walks
     ]
 
 

@@ -5,14 +5,16 @@ Three generator kinds:
   markov_pos  like markov1, but with a separate row per event position
   order2      next outcome depends on the previous two outcomes
 
-Each session draws from its own bit stream, np.random.default_rng([seed, k])
-for session index k, so any one session can be regenerated without replaying
-the stream and inserting sessions never disturbs earlier ones.
+All sessions are drawn in one domain.sample_walks call, the sampler that
+expected-mode rollouts use too. Session k reads its uniforms from its own bit
+stream, np.random.default_rng([seed, k]), so any one session can be
+regenerated without replaying the stream and inserting sessions never
+disturbs earlier ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +30,8 @@ from .domain import (
     Playlist,
     Session,
     Track,
-    draw_outcome,
+    feasible_rows,
+    sample_walks,
     walk,
 )
 from .errors import ConstraintViolation, SchemaError
@@ -204,47 +207,29 @@ class GeneratorSpec:
             ) from None
 
 
-def _decision_row(
-    spec: GeneratorSpec, events: Sequence[Event], feasible: tuple[bool, bool, bool]
-) -> Row:
-    """The spec's row for the decision after ``events``, minus infeasible replay mass.
+def _spec_rows(spec: GeneratorSpec, prefixes: Sequence[Sequence[Event]]) -> list[Row]:
+    """The spec's conditional row for the event after each prefix."""
+    return [
+        spec.row_for(p[-2].outcome if len(p) >= 2 else None, p[-1].outcome, len(p) + 1)
+        for p in prefixes
+    ]
 
-    When the current track is at cap its replay mass is dropped and the rest
-    renormalized (all zero if nothing is left). Rows without such mass pass
-    through unchanged, which keeps cap-2 output bit-identical.
+
+def _sample_sessions(spec: GeneratorSpec) -> list[tuple[Event, ...]]:
+    """Events of every session of ``spec``, drawn in one sample_walks call.
+
+    Session k reads its uniforms from np.random.default_rng([seed, k]).
     """
-    prev2 = events[-2].outcome if len(events) >= 2 else None
-    row = spec.row_for(prev2, events[-1].outcome, len(events) + 1)
-    if feasible[_REPLAY] or row[_REPLAY] == 0.0:
-        return row
-    kept = row[0] + row[1]
-    return (row[0] / kept, row[1] / kept, 0.0) if kept > 0 else (0.0, 0.0, 0.0)
-
-
-def _generate_session(
-    spec: GeneratorSpec, playlist: Playlist, idx: int
-) -> Session:
-    rng = np.random.default_rng([spec.seed, idx])
-    n = len(playlist)
-    first = Outcome.PLAY if rng.random() < spec.initial_play_prob else Outcome.SKIP
-    events = [Event(track_position=1, outcome=first)]
-    while True:
-        track, _, feasible = walk(events, n, spec.cap)[-1]
-        if not any(feasible):
-            break
-        row = _decision_row(spec, events, feasible)
-        if not any(row):
-            break
-        outcome = draw_outcome(row, rng.random())
-        if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
-            # the walk would move past the last track: the session ends here
-            break
-        position = track if outcome is Outcome.REPLAY else track + 1
-        events.append(Event(track_position=position, outcome=outcome))
-    return Session(
-        session_id=f"s{idx:05d}",
-        playlist_id=spec.playlist_id,
-        events=tuple(events),
+    width = spec.n_tracks * spec.cap + 1
+    uniforms = np.empty((spec.n_sessions, width), dtype=np.float64)
+    for k in range(spec.n_sessions):
+        uniforms[k] = np.random.default_rng([spec.seed, k]).random(width)
+    first = [
+        Outcome.PLAY if u < spec.initial_play_prob else Outcome.SKIP
+        for u in uniforms[:, 0]
+    ]
+    return sample_walks(
+        lambda prefixes: _spec_rows(spec, prefixes), first, uniforms, spec.n_tracks, spec.cap
     )
 
 
@@ -252,7 +237,8 @@ def generate(spec: GeneratorSpec) -> Dataset:
     """Sample the spec's sessions; all sessions start tagged TRAIN."""
     playlist = spec.build_playlist()
     sessions = [
-        _generate_session(spec, playlist, idx) for idx in range(spec.n_sessions)
+        Session(session_id=f"s{k:05d}", playlist_id=spec.playlist_id, events=events)
+        for k, events in enumerate(_sample_sessions(spec))
     ]
     return dataset_from_sessions(
         {playlist.playlist_id: playlist}, sessions, cap=spec.cap
@@ -271,23 +257,11 @@ def bayes_rate(spec: GeneratorSpec, n_sessions: int = 2000, seed: int = 90210) -
     probability of its context's modal outcome, which has smaller variance
     than scoring 0/1 hits.
     """
-    playlist = build_playlist("probe", spec.n_tracks, spec.durations)
-    probe = GeneratorSpec(
-        kind=spec.kind,
-        n_sessions=n_sessions,
-        seed=seed,
-        transitions=spec.transitions,
-        playlist_id="probe",
-        n_tracks=spec.n_tracks,
-        durations=spec.durations,
-        cap=spec.cap,
-        initial_play_prob=spec.initial_play_prob,
-    )
+    probe = replace(spec, n_sessions=n_sessions, seed=seed, playlist_id="probe")
     total = 0.0
     scored = 0
-    for idx in range(n_sessions):
-        session = _generate_session(probe, playlist, idx)
-        total_j, count_j = _session_modal_mass(probe, session, predicted=None)
+    for events in _sample_sessions(probe):
+        total_j, count_j = _session_modal_mass(probe, events, predicted=None)
         total += total_j
         scored += count_j
     if scored == 0:
@@ -303,21 +277,11 @@ def first_order_rate(
     Pass one fits prev -> argmax(next) on simulated sessions; pass two scores
     that rule on fresh sessions using true event probabilities.
     """
-    playlist = build_playlist("probe", spec.n_tracks, spec.durations)
-    base = dict(
-        kind=spec.kind,
-        transitions=spec.transitions,
-        playlist_id="probe",
-        n_tracks=spec.n_tracks,
-        durations=spec.durations,
-        cap=spec.cap,
-        initial_play_prob=spec.initial_play_prob,
-    )
-    fit_spec = GeneratorSpec(n_sessions=n_sessions, seed=seed + 1, **base)
+    fit_spec = replace(spec, n_sessions=n_sessions, seed=seed + 1, playlist_id="probe")
     counts = np.zeros((3, 3), dtype=np.float64)
     marginal = np.zeros(3, dtype=np.float64)
-    for idx in range(n_sessions):
-        outcomes = _generate_session(fit_spec, playlist, idx).outcomes()
+    for events in _sample_sessions(fit_spec):
+        outcomes = [e.outcome for e in events]
         for o in outcomes:
             marginal[OUTCOME_INDEX[o]] += 1
         for j in range(1, len(outcomes)):
@@ -327,12 +291,11 @@ def first_order_rate(
         int(np.argmax(counts[i])) if counts[i].sum() > 0 else fallback
         for i in range(3)
     )
-    score_spec = GeneratorSpec(n_sessions=n_sessions, seed=seed + 2, **base)
+    score_spec = replace(fit_spec, seed=seed + 2)
     total = 0.0
     scored = 0
-    for idx in range(n_sessions):
-        session = _generate_session(score_spec, playlist, idx)
-        total_j, count_j = _session_modal_mass(score_spec, session, predicted=predicted)
+    for events in _sample_sessions(score_spec):
+        total_j, count_j = _session_modal_mass(score_spec, events, predicted=predicted)
         total += total_j
         scored += count_j
     if scored == 0:
@@ -342,7 +305,7 @@ def first_order_rate(
 
 def _session_modal_mass(
     spec: GeneratorSpec,
-    session: Session,
+    events: Sequence[Event],
     predicted: tuple[int, int, int] | None,
 ) -> tuple[float, int]:
     """Sum of true probabilities of the predicted outcome at scored events.
@@ -350,14 +313,14 @@ def _session_modal_mass(
     ``predicted`` maps prev-outcome index to predicted index; None means the
     Bayes rule (modal outcome of the true conditional itself).
     """
-    events = session.events
-    steps = walk(events, spec.n_tracks, spec.cap)
+    steps = walk(events, spec.n_tracks, spec.cap)[1 : len(events)]
+    rows = feasible_rows(
+        _spec_rows(spec, [events[:j] for j in range(1, len(events))]),
+        [feasible[_REPLAY] for _, _, feasible in steps],
+    ).tolist()
     total = 0.0
-    for j in range(1, len(events)):
-        feasible = steps[j][2]
-        if feasible[_SKIP]:
-            row = _decision_row(spec, events[:j], feasible)
-        else:
+    for j, ((_, _, feasible), row) in enumerate(zip(steps, rows), start=1):
+        if not feasible[_SKIP]:
             # past the last track only a replay keeps the session alive, so
             # given that an event occurs it is a replay
             row = (0.0, 0.0, 1.0)
@@ -483,23 +446,10 @@ def named_spec(name: str, n_sessions: int | None = None, seed: int | None = None
             f"unknown spec name {name!r}; choices: {sorted(_CANONICAL_SPECS)}"
         )
     spec = _CANONICAL_SPECS[name]()
-    kwargs = {}
     if n_sessions is not None:
-        kwargs["n_sessions"] = n_sessions
+        spec = replace(spec, n_sessions=n_sessions)
     if seed is not None:
-        kwargs["seed"] = seed
-    if kwargs:
-        spec = GeneratorSpec(
-            kind=spec.kind,
-            n_sessions=kwargs.get("n_sessions", spec.n_sessions),
-            seed=kwargs.get("seed", spec.seed),
-            transitions=spec.transitions,
-            playlist_id=spec.playlist_id,
-            n_tracks=spec.n_tracks,
-            durations=spec.durations,
-            cap=spec.cap,
-            initial_play_prob=spec.initial_play_prob,
-        )
+        spec = replace(spec, seed=seed)
     return spec
 
 

@@ -1,4 +1,4 @@
-"""State machine rules, state counting, and session validation."""
+"""State machine rules, state counting, session validation and the sampling row rule."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from seqbundle.domain import (
     advance_state,
     count_states,
     events_from_outcomes,
+    feasible_rows,
     initial_state,
     is_terminal,
     parse_outcome,
@@ -192,6 +193,16 @@ class TestWalk:
         track, count, feasible = walk(events_from_outcomes(outcomes), n, cap=3)[-1]
         assert (track, count) == (state.covered, state.last_count)
         assert (not any(feasible)) == is_terminal(state, n)
+
+
+class TestFeasibleRows:
+    def test_row_rule_zeroes_infeasible_replay_and_renormalizes(self):
+        rows = feasible_rows(
+            [(0.2, 0.6, 0.2), (0.2, 0.6, 0.2), (0.0, 0.0, 1.0)], [True, False, False]
+        )
+        assert rows[0].tolist() == [0.2, 0.6, 0.2]  # sums to exactly 1: unchanged
+        assert rows[1].tolist() == pytest.approx([0.25, 0.75, 0.0], abs=1e-15)
+        assert rows[2].tolist() == [0.0, 0.0, 0.0]  # nothing left: the walk ends
 
 
 class TestSessionHelpers:

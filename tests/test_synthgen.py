@@ -1,9 +1,13 @@
 """Synthetic session generators: validity, determinism, and recoverability."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from seqbundle import domain, synthgen
 from seqbundle.baselines import fit_markov
+from seqbundle.dataio import write_sessions_jsonl
 from seqbundle.domain import Outcome, session_counts, validate_session
 from seqbundle.errors import ConstraintViolation
 from seqbundle.synthgen import (
@@ -37,6 +41,19 @@ def simple_markov_spec(n_sessions=200, seed=42, **overrides):
     )
     base.update(overrides)
     return GeneratorSpec(**base)
+
+
+def cap3_spec(replay_row):
+    return simple_markov_spec(
+        n_sessions=200,
+        seed=3,
+        cap=3,
+        transitions={
+            Outcome.SKIP: (0.7, 0.3, 0.0),
+            Outcome.PLAY: (0.2, 0.6, 0.2),
+            Outcome.REPLAY: replay_row,
+        },
+    )
 
 
 class TestBuildPlaylist:
@@ -152,16 +169,7 @@ class TestGeneration:
         # Replays may follow replays under cap 3, so a track at its third unit
         # must not draw another; that mass is spread over skip/play, and a
         # row with nothing else left ends the session.
-        spec = simple_markov_spec(
-            n_sessions=200,
-            seed=3,
-            cap=3,
-            transitions={
-                Outcome.SKIP: (0.7, 0.3, 0.0),
-                Outcome.PLAY: (0.2, 0.6, 0.2),
-                Outcome.REPLAY: replay_row,
-            },
-        )
+        spec = cap3_spec(replay_row)
         dataset = generate(spec)
         assert dataset.cap == 3
         for session in dataset.sessions:
@@ -243,6 +251,58 @@ class TestGeneration:
             if Outcome.SKIP in outcomes:
                 first_skip = outcomes.index(Outcome.SKIP)
                 assert all(o is Outcome.SKIP for o in outcomes[first_skip:])
+
+
+class TestPinnedOutput:
+    """The generator's output, pinned: any change to how sessions are drawn
+    must be bit-identical or re-baseline these values on purpose."""
+
+    @staticmethod
+    def sessions_digest(spec, tmp_path):
+        path = tmp_path / "sessions.jsonl"
+        write_sessions_jsonl(path, generate(spec).sessions)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("frequent_pattern", "87e3f91fecbbc8cb4730a20b90f74da9f9af6072409171f3807b55cb15c84687"),
+            ("position_shift", "efd5419f1179d3f70d7f127d32128d5691ab60257a8e6d8f7617b22ce72834b3"),
+            ("second_order", "c77067c18cd5ec25e6cc88d1b0bc48a488c6c880ac308e5ff4b29272df9e9d7e"),
+            ("stopping", "21ef23fde27751b873331bc4c34000ab4725a5d3fc7665ab2d059cbeb71a5f68"),
+        ],
+    )
+    def test_canonical_sessions(self, name, digest, tmp_path):
+        assert self.sessions_digest(named_spec(name, n_sessions=300), tmp_path) == digest
+
+    @pytest.mark.parametrize(
+        "replay_row,digest",
+        [
+            ((0.4, 0.4, 0.2), "6e0e65711d9c7b01adcc1ff3e3042be84b04b48d5dd7459bbc62c8d5a12c20f6"),
+            ((0.0, 0.0, 1.0), "6c5f0da8cfe00695f694eff7156b0f0a29eb350ecbaea452405663d8ddb8fbef"),
+        ],
+    )
+    def test_cap3_sessions(self, replay_row, digest, tmp_path):
+        assert self.sessions_digest(cap3_spec(replay_row), tmp_path) == digest
+
+    def test_reference_rates(self):
+        spec = second_order_spec()
+        assert bayes_rate(spec, n_sessions=300, seed=8) == 0.8174906890130333
+        assert first_order_rate(spec, n_sessions=300, seed=8) == 0.5069836829836842
+
+    def test_generate_does_not_rewalk_prefixes(self, monkeypatch):
+        calls = []
+        real_walk = domain.walk
+
+        def counting_walk(*args, **kwargs):
+            calls.append(1)
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(domain, "walk", counting_walk)
+        monkeypatch.setattr(synthgen, "walk", counting_walk)
+        dataset = generate(second_order_spec(n_sessions=200))
+        assert sum(len(s.events) for s in dataset.sessions) > 1000
+        assert len(calls) <= 200
 
 
 class TestReferenceRates:
