@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import ROW_SUM_TOL, Session
+from .domain import Session, check_prob_rows
 from .errors import ConstraintViolation, MetricUndefinedError
 
 EULER_GAMMA = 0.5772156649015329
@@ -35,23 +35,7 @@ class AttentionTensor:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 4 or w.shape[2] != w.shape[3]:
-            raise ConstraintViolation(
-                f"attention tensor must be (layers, heads, n, n), got {w.shape}"
-            )
-        n = w.shape[2]
-        upper = ~np.tril(np.ones((n, n), dtype=bool))
-        if np.any(w[:, :, upper] != 0.0):
-            raise ConstraintViolation(
-                "attention tensor has non-zero weight above the diagonal"
-            )
-        sums = w.sum(axis=3)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            worst = float(np.abs(sums - 1.0).max())
-            raise ConstraintViolation(
-                f"attention rows must sum to 1 (worst deviation {worst:.3e})"
-            )
+        w = _check_causal(self.weights, 4, "attention tensor (layers, heads, n, n)")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -64,20 +48,15 @@ class AttentionTensor:
         return self.weights.mean(axis=(0, 1))
 
 
-def _check_causal_matrix(alpha: np.ndarray) -> np.ndarray:
-    a = np.asarray(alpha, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConstraintViolation(f"attention matrix must be square, got {a.shape}")
-    n = a.shape[0]
-    if np.any(a[~np.tril(np.ones((n, n), dtype=bool))] != 0.0):
-        raise ConstraintViolation("attention matrix has weight above the diagonal")
-    sums = a.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        worst = float(np.abs(sums - 1.0).max())
-        raise ConstraintViolation(
-            f"attention rows must sum to 1 (worst deviation {worst:.3e})"
-        )
-    return a
+def _check_causal(weights, ndim: int, where: str) -> np.ndarray:
+    """``weights`` as float64, once it has ``ndim`` axes and its last two hold
+    square causal matrices: no weight above the diagonal, and probability rows."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != ndim or w.shape[-1] != w.shape[-2]:
+        raise ConstraintViolation(f"{where}: wrong shape {w.shape}")
+    if np.any(np.triu(w, k=1) != 0.0):
+        raise ConstraintViolation(f"{where} has weight above the diagonal")
+    return check_prob_rows(w, where)
 
 
 def average_query_weights(alpha: np.ndarray) -> np.ndarray:
@@ -87,7 +66,7 @@ def average_query_weights(alpha: np.ndarray) -> np.ndarray:
     computed from the matrix, validation makes deviation an error rather than
     a silent result.
     """
-    a = _check_causal_matrix(alpha)
+    a = _check_causal(alpha, 2, "attention matrix (n, n)")
     n = a.shape[0]
     i = np.arange(1, n + 1, dtype=np.float64)
     return a.sum(axis=1) / i
@@ -96,7 +75,7 @@ def average_query_weights(alpha: np.ndarray) -> np.ndarray:
 def average_key_weights(alpha: np.ndarray) -> np.ndarray:
     """Mean weight per key column over the queries that may attend to it:
     (1/(n+1-j)) * sum_{i>=j} alpha_ij."""
-    a = _check_causal_matrix(alpha)
+    a = _check_causal(alpha, 2, "attention matrix (n, n)")
     n = a.shape[0]
     denom = np.arange(n, 0, -1, dtype=np.float64)  # n+1-j for j = 1..n
     return a.sum(axis=0) / denom

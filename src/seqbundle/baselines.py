@@ -1,14 +1,14 @@
 """Count-based baselines: first-order Markov chains and a zero-order model.
 
-All probability rows are ordered (SKIP, PLAY, REPLAY). Ties in an argmax
-break toward the earliest outcome in that order.
+All probability rows are ordered (SKIP, PLAY, REPLAY); the rules about them
+(feasible transitions, row validity, the modal outcome) live in ``domain``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -16,12 +16,13 @@ from .domain import (
     DEFAULT_CAP,
     N_OUTCOMES,
     OUTCOME_INDEX,
-    OUTCOME_ORDER,
-    ROW_SUM_TOL,
     Event,
     Outcome,
     Playlist,
     Session,
+    check_prob_rows,
+    feasible_cells,
+    feasible_rows,
     session_counts,
     walk,
 )
@@ -30,34 +31,12 @@ from .errors import ConstraintViolation, SchemaError
 log = logging.getLogger(__name__)
 
 
-def feasible_cells(cap: int = DEFAULT_CAP) -> np.ndarray:
-    """(3, 3) bool mask of structurally possible prev -> next transitions.
-
-    A skipped track cannot be replayed, so SKIP -> REPLAY is always closed.
-    At cap 2 a replay exhausts the track's budget, closing REPLAY -> REPLAY
-    too; with a larger cap the chain cannot tell, so the cell stays open.
-    """
-    mask = np.ones((N_OUTCOMES, N_OUTCOMES), dtype=bool)
-    mask[OUTCOME_INDEX[Outcome.SKIP], OUTCOME_INDEX[Outcome.REPLAY]] = False
-    if cap == 2:
-        mask[OUTCOME_INDEX[Outcome.REPLAY], OUTCOME_INDEX[Outcome.REPLAY]] = False
-    return mask
-
-
-def max_probability(probs: Sequence[float]) -> Outcome:
-    """Argmax outcome; exact ties resolve to the earliest declared outcome."""
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.shape != (N_OUTCOMES,):
-        raise ConstraintViolation(f"expected 3 probabilities, got shape {arr.shape}")
-    return OUTCOME_ORDER[int(np.argmax(arr))]
-
-
 @dataclass
 class TransitionMatrix:
     """Row-stochastic 3x3 transition probabilities with raw counts kept.
 
     A row that never occurred (and got no smoothing) is all zero and reported
-    as structurally empty; every other row must sum to 1 within 1e-9.
+    as structurally empty; every other row is a probability row.
     """
 
     probs: np.ndarray
@@ -77,12 +56,7 @@ class TransitionMatrix:
             raise ConstraintViolation(
                 "transition matrix puts mass on an infeasible cell"
             )
-        sums = self.probs.sum(axis=1)
-        for i, s in enumerate(sums):
-            if s != 0.0 and abs(s - 1.0) > ROW_SUM_TOL:
-                raise ConstraintViolation(
-                    f"row {OUTCOME_ORDER[i].value!r} sums to {s!r}, expected 1"
-                )
+        check_prob_rows(self.probs, "transition matrix", allow_empty=True)
 
     def row(self, prev: Outcome) -> np.ndarray:
         return self.probs[OUTCOME_INDEX[prev]]
@@ -111,9 +85,7 @@ class MarkovModel:
     def __post_init__(self) -> None:
         if self.kind not in ("mc", "pmc"):
             raise ConstraintViolation(f"unknown Markov kind {self.kind!r}")
-        self.marginal = np.asarray(self.marginal, dtype=np.float64)
-        if abs(float(self.marginal.sum()) - 1.0) > ROW_SUM_TOL:
-            raise ConstraintViolation("marginal distribution must sum to 1")
+        self.marginal = check_prob_rows(self.marginal, "marginal distribution")
 
     @property
     def n_parameters(self) -> int:
@@ -136,16 +108,8 @@ def _transition_counts(
 
 def _normalize(counts: np.ndarray, smoothing: float, cap: int) -> np.ndarray:
     mask = feasible_cells(cap)
-    work = counts.copy()
-    if smoothing > 0:
-        work = work + smoothing * mask
-    work[~mask] = 0.0
-    probs = np.zeros_like(work)
-    for i in range(N_OUTCOMES):
-        total = work[i].sum()
-        if total > 0:
-            probs[i] = work[i] / total
-    return probs
+    replay_ok = mask[:, OUTCOME_INDEX[Outcome.REPLAY]]
+    return feasible_rows(counts + smoothing * mask, replay_ok)
 
 
 def _marginal(sessions: Sequence[Session]) -> np.ndarray:
@@ -249,8 +213,9 @@ def predict_markov(
 class ZeroOrderTable:
     """Per-track play-count marginals: probs[i, c] = P(track i+1 consumed c times).
 
-    Each row sums to 1 over counts 0..cap; counts[i] is the number of
-    sessions in which track i+1 was observed at all.
+    Each row sums to 1 over counts 0..cap, or is all zero for a track no
+    session reached; counts[i] is the number of sessions in which track i+1
+    was observed at all.
     """
 
     playlist_id: str
@@ -265,9 +230,7 @@ class ZeroOrderTable:
             raise ConstraintViolation(
                 f"zero-order table must be (n_tracks, cap+1), got {self.probs.shape}"
             )
-        for i, s in enumerate(self.probs.sum(axis=1)):
-            if self.counts[i] > 0 and abs(float(s) - 1.0) > ROW_SUM_TOL:
-                raise ConstraintViolation(f"track {i + 1} row sums to {s!r}")
+        check_prob_rows(self.probs, "zero-order table", allow_empty=True)
 
     @property
     def n_tracks(self) -> int:

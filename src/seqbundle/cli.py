@@ -659,11 +659,7 @@ def cmd_export_prompts(args) -> int:
             raise ConstraintViolation(
                 "--split train/test needs --run to reuse that run's stored split"
             )
-        run_path = args.run / "run.json"
-        with open(run_path, encoding="utf-8") as fh:
-            run_obj = json.load(fh)
-        dataset = _load_data(args, session_end=run_obj["options"]["session_end"])
-        dataset = artifacts.load_split(args.run / "split.json", dataset)
+        _, dataset = _load_run(args)
         split_tag = Split(args.split)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     count = write_prompts_jsonl(

@@ -42,9 +42,47 @@ N_OUTCOMES = len(OUTCOME_ORDER)
 _SKIP = OUTCOME_INDEX[Outcome.SKIP]
 _REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
-# Tolerance for a probability row (spec row, transition row, attention row)
-# summing to 1.
+# Tolerance for a probability row (spec row, transition row, predictor row,
+# attention row) summing to 1; check_prob_rows is its one user.
 ROW_SUM_TOL = 1e-9
+
+
+def check_prob_rows(rows, where: str, allow_empty: bool = False) -> np.ndarray:
+    """``rows`` as float64, once every row along its last axis is a probability row.
+
+    A probability row is finite, >= 0 and sums to 1 within ROW_SUM_TOL; with
+    ``allow_empty`` an all-zero row passes too (a count-table row that no
+    data reached). This is the only statement of the rule.
+    """
+    arr = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ConstraintViolation(f"{where}: probabilities must be finite and >= 0")
+    sums = arr.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+    if allow_empty:
+        bad &= sums != 0.0
+    if np.any(bad):
+        first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        label = " row " + ",".join(str(int(i)) for i in first) if first else ""
+        raise ConstraintViolation(
+            f"{where}:{label} sums to {float(sums[first])!r}; probability rows must "
+            f"sum to 1 within {ROW_SUM_TOL:g}"
+        )
+    return arr
+
+
+def first_max_index(rows):
+    """Index of the largest entry of each row along the last axis: the one
+    argmax rule. Exact ties go to the earliest outcome in OUTCOME_ORDER."""
+    return np.argmax(rows, axis=-1)
+
+
+def max_probability(probs: Sequence[float]) -> Outcome:
+    """Modal outcome of one probability row, by first_max_index."""
+    arr = np.asarray(probs, dtype=np.float64)
+    if arr.shape != (N_OUTCOMES,):
+        raise ConstraintViolation(f"expected 3 probabilities, got shape {arr.shape}")
+    return OUTCOME_ORDER[first_max_index(arr)]
 
 
 def draw_outcome(row: Sequence[float], u: float) -> Outcome:
@@ -213,6 +251,22 @@ def _infeasible_reason(
     return f"REPLAY beyond cap: item already consumed {count} of {cap} units"
 
 
+# The least count each outcome can leave on its track: a replay follows a play.
+_LEAST_COUNT = (0, 1, 2)
+
+
+def feasible_cells(cap: int = DEFAULT_CAP) -> np.ndarray:
+    """(3, 3) bool mask of prev -> next transitions open to a first-order chain.
+
+    Row ``prev`` is feasible_outcomes with a track ahead and the least count
+    ``prev`` can leave: REPLAY may follow ``prev`` when that count is below
+    ``cap``. So SKIP -> REPLAY is always closed, PLAY -> REPLAY is closed at
+    cap 1 and REPLAY -> REPLAY at cap <= 2; a first-order chain sees no more
+    of the count than its previous outcome.
+    """
+    return np.array([feasible_outcomes(1, least, 2, cap) for least in _LEAST_COUNT])
+
+
 WalkStep = tuple[int, int, tuple[bool, bool, bool]]
 
 
@@ -341,10 +395,8 @@ def advance_state(
         raise ConstraintViolation(
             _infeasible_reason(outcome, track, count, n_tracks, state.cap)
         )
-    if outcome is Outcome.REPLAY:
-        return ConsumptionState(state.counts[:-1] + (count + 1,), cap=state.cap)
-    unit = 0 if outcome is Outcome.SKIP else 1
-    return ConsumptionState(state.counts + (unit,), cap=state.cap)
+    track, count = advance_walk(track, count, outcome)
+    return ConsumptionState(state.counts[: track - 1] + (count,), cap=state.cap)
 
 
 def is_terminal(state: ConsumptionState, n_tracks: int) -> bool:
@@ -375,14 +427,14 @@ def count_states(n_tracks: int, cap: int = DEFAULT_CAP) -> int:
 
 def validate_session(
     session: Session, n_tracks: int, cap: int = DEFAULT_CAP
-) -> None:
-    """Check every event of ``session`` against the process rules.
+) -> list[WalkStep]:
+    """Check every event of ``session`` against the process rules; its walk.
 
-    Raises ConstraintViolation naming the offending event index (1-based)
-    and the rule it breaks.
+    Raises ConstraintViolation naming the session, the offending event index
+    (1-based) and the rule it breaks.
     """
     try:
-        walk(session.events, n_tracks, cap)
+        return walk(session.events, n_tracks, cap)
     except ConstraintViolation as exc:
         raise ConstraintViolation(f"session {session.session_id!r} {exc}") from None
 
@@ -394,12 +446,11 @@ def session_to_states(
 
     Validates as it goes; the returned tuple has one state per event.
     """
-    validate_session(session, n_tracks, cap)
     states: list[ConsumptionState] = []
-    state = initial_state(cap)
-    for event in session.events:
-        state = advance_state(state, event.outcome, n_tracks)
-        states.append(state)
+    counts: tuple[int, ...] = ()
+    for track, count, _ in validate_session(session, n_tracks, cap)[1:]:
+        counts = counts[: track - 1] + (count,)
+        states.append(ConsumptionState(counts, cap=cap))
     return tuple(states)
 
 

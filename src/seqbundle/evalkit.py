@@ -5,6 +5,10 @@ of probability rows per session, ordered (SKIP, PLAY, REPLAY); the row at
 index j is the prediction for event j given everything before it. The first
 event has no history and is never scored. Expected-mode demand also needs
 next_probs_batch(prefixes) -> (B, 3) rows for equal-length event prefixes.
+
+Every row a predictor returns must pass domain.check_prob_rows, at
+domain.ROW_SUM_TOL; a scored event's prediction is its row's modal outcome,
+domain.first_max_index, so exact ties go to the earliest outcome.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .domain import (
     Outcome,
     Playlist,
     Session,
+    check_prob_rows,
     draw_outcome,
+    first_max_index,
     sample_walks,
     session_counts,
     walk,
@@ -33,10 +39,6 @@ from .errors import ConstraintViolation, MetricUndefinedError
 
 log = logging.getLogger(__name__)
 
-# How far a predictor's output row may stray from summing to 1; a separate,
-# looser check than domain.ROW_SUM_TOL.
-PROB_ROW_TOL = 1e-6
-
 
 def _check_prob_rows(probs: np.ndarray, n_events: int, where: str) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
@@ -44,20 +46,7 @@ def _check_prob_rows(probs: np.ndarray, n_events: int, where: str) -> np.ndarray
         raise ConstraintViolation(
             f"{where}: expected ({n_events}, 3) probabilities, got {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ConstraintViolation(f"{where}: probabilities must be finite and >= 0")
-    sums = arr.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > PROB_ROW_TOL):
-        worst = float(np.abs(sums - 1.0).max())
-        raise ConstraintViolation(
-            f"{where}: probability rows must sum to 1 (worst deviation {worst:.3e})"
-        )
-    return arr
-
-
-def first_max_index(row: np.ndarray) -> int:
-    """Index of the largest entry; exact ties go to the earliest outcome."""
-    return int(np.argmax(row))
+    return check_prob_rows(arr, where)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +310,15 @@ def evaluate_playlist(
         for session, probs in zip(sessions, predictor.predict_sessions(sessions))
     ]
     for session, probs in zip(sessions, prob_rows):
-        outcomes = session.outcomes()
-        for j in range(1, len(outcomes)):
-            actual_idx = OUTCOME_INDEX[outcomes[j]]
-            pred_idx = first_max_index(probs[j])
+        predicted = first_max_index(probs[1:]).tolist()
+        actual = session.outcomes()[1:]
+        for position, (outcome, pred_idx) in enumerate(zip(actual, predicted), start=2):
+            actual_idx = OUTCOME_INDEX[outcome]
             confusion[actual_idx, pred_idx] += 1
             scored += 1
             hit = int(pred_idx == actual_idx)
             hits += hit
-            bucket = position_hits.setdefault(j + 1, [0, 0])
+            bucket = position_hits.setdefault(position, [0, 0])
             bucket[0] += hit
             bucket[1] += 1
     if demand_mode == "realized":

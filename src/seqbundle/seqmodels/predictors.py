@@ -12,16 +12,19 @@ from ..domain import (
     DEFAULT_CAP,
     N_OUTCOMES,
     OUTCOME_INDEX,
-    OUTCOME_ORDER,
     Event,
     Outcome,
     Session,
+    feasible_rows,
+    max_probability,
     walk,
 )
 from ..errors import ConstraintViolation
 from ..dataio import FeaturePipeline
 from .config import ModelKind
 from .models import SequenceModel, group_by_length
+
+_REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +86,8 @@ class NeuralPredictor:
                 for i, rows in zip(idx, probs):
                     out[i][j - 1] = rows[-1]
         if self.feasibility_mask:
-            out = [self._apply_feasibility(s, p) for s, p in zip(sessions, out)]
+            for session, probs in zip(sessions, out):
+                self._apply_feasibility(session, probs)
         return out
 
     def _forward_stack(self, stack: np.ndarray) -> np.ndarray:
@@ -94,18 +98,13 @@ class NeuralPredictor:
             probs = self.model.forward(stack)[0].data
         return probs.reshape(n_batch, n_events, N_OUTCOMES)
 
-    def _apply_feasibility(self, session: Session, probs: np.ndarray) -> np.ndarray:
-        """Zero the REPLAY column wherever a replay is impossible, renormalize."""
-        replay = OUTCOME_INDEX[Outcome.REPLAY]
-        out = probs.copy()
+    def _apply_feasibility(self, session: Session, probs: np.ndarray) -> None:
+        """Put the scored rows where a replay is impossible through
+        domain.feasible_rows, in place. Rows that keep REPLAY are left as they
+        are, so their bits do not change; row 0 is never scored."""
         steps = walk(session.events, len(self.pipeline.playlist), self.cap)
-        for j in range(1, len(session.events)):
-            if not steps[j][2][replay]:
-                out[j, replay] = 0.0
-                total = out[j].sum()
-                if total > 0:
-                    out[j] /= total
-        return out
+        closed = [j for j in range(1, len(session.events)) if not steps[j][2][_REPLAY]]
+        probs[closed] = feasible_rows(probs[closed], [False] * len(closed))
 
     def attention_for_session(self, session: Session) -> np.ndarray:
         """(n_blocks, n_heads, L, L) attention weights from one causal pass."""
@@ -125,7 +124,7 @@ class NeuralPredictor:
     def predict_next(self, events: tuple[Event, ...]) -> tuple[Outcome, np.ndarray]:
         """Most probable outcome following ``events``, and its probability row."""
         row = self.next_probs_batch([events])[0]
-        return OUTCOME_ORDER[int(np.argmax(row))], row
+        return max_probability(row), row
 
     def next_probs(self, events: tuple[Event, ...]) -> np.ndarray:
         """Probability row for the event that would follow the given prefix."""

@@ -19,18 +19,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .baselines import fit_markov
 from .dataio import Dataset, dataset_from_sessions
 from .domain import (
     DEFAULT_CAP,
+    N_OUTCOMES,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
-    ROW_SUM_TOL,
     Event,
     Outcome,
     Playlist,
     Session,
     Track,
+    check_prob_rows,
+    feasible_cells,
     feasible_rows,
+    first_max_index,
     sample_walks,
     walk,
 )
@@ -71,18 +75,13 @@ def build_playlist(
 
 def _validate_row(row: Row, prev: Outcome, cap: int, where: str) -> Row:
     vals = tuple(float(v) for v in row)
-    if len(vals) != 3 or any(v < 0 for v in vals):
-        raise ConstraintViolation(f"{where}: rows are 3 probabilities >= 0")
-    if abs(sum(vals) - 1.0) > ROW_SUM_TOL:
-        raise ConstraintViolation(f"{where}: row sums to {sum(vals)!r}, expected 1")
-    replay_mass = vals[OUTCOME_INDEX[Outcome.REPLAY]]
-    if prev is Outcome.SKIP and replay_mass != 0.0:
+    if len(vals) != N_OUTCOMES:
+        raise ConstraintViolation(f"{where}: rows are 3 probabilities")
+    check_prob_rows(vals, where)
+    if vals[_REPLAY] != 0.0 and not feasible_cells(cap)[OUTCOME_INDEX[prev], _REPLAY]:
         raise ConstraintViolation(
-            f"{where}: a skipped track cannot be replayed, replay mass must be 0"
-        )
-    if prev is Outcome.REPLAY and cap == 2 and replay_mass != 0.0:
-        raise ConstraintViolation(
-            f"{where}: at cap 2 a replay cannot follow a replay, mass must be 0"
+            f"{where}: a replay cannot follow {prev.value} at cap {cap}, "
+            f"replay mass must be 0"
         )
     return vals
 
@@ -168,16 +167,16 @@ class GeneratorSpec:
                 self.cap,
                 f"row ({prev2.value if prev2 else 'none'}, {prev1.value})",
             )
+        cells = feasible_cells(self.cap)
         required: list[tuple[Outcome | None, Outcome]] = [
             (None, Outcome.SKIP),
             (None, Outcome.PLAY),
+        ] + [
+            (a, b)
+            for a in OUTCOME_ORDER
+            for b in OUTCOME_ORDER
+            if cells[OUTCOME_INDEX[a], OUTCOME_INDEX[b]]
         ]
-        for a in OUTCOME_ORDER:
-            for b in (Outcome.SKIP, Outcome.PLAY):
-                required.append((a, b))
-        required.append((Outcome.PLAY, Outcome.REPLAY))
-        if self.cap > 2:
-            required.append((Outcome.REPLAY, Outcome.REPLAY))
         for key in required:
             if key not in rows2:
                 a, b = key
@@ -274,22 +273,17 @@ def first_order_rate(
 ) -> float:
     """Hit rate of the best first-order rule against the true conditionals.
 
-    Pass one fits prev -> argmax(next) on simulated sessions; pass two scores
-    that rule on fresh sessions using true event probabilities.
+    Pass one fits an unsmoothed first-order chain (baselines.fit_markov) on
+    simulated sessions and predicts each row's modal outcome, the marginal's
+    for a row no transition reached; pass two scores that rule on fresh
+    sessions using true event probabilities.
     """
     fit_spec = replace(spec, n_sessions=n_sessions, seed=seed + 1, playlist_id="probe")
-    counts = np.zeros((3, 3), dtype=np.float64)
-    marginal = np.zeros(3, dtype=np.float64)
-    for events in _sample_sessions(fit_spec):
-        outcomes = [e.outcome for e in events]
-        for o in outcomes:
-            marginal[OUTCOME_INDEX[o]] += 1
-        for j in range(1, len(outcomes)):
-            counts[OUTCOME_INDEX[outcomes[j - 1]], OUTCOME_INDEX[outcomes[j]]] += 1
-    fallback = int(np.argmax(marginal))
+    fitted = generate(fit_spec)
+    model = fit_markov(fitted.sessions, fitted.playlists["probe"], cap=spec.cap)
     predicted = tuple(
-        int(np.argmax(counts[i])) if counts[i].sum() > 0 else fallback
-        for i in range(3)
+        int(first_max_index(row if row.any() else model.marginal))
+        for row in model.matrix.probs
     )
     score_spec = replace(fit_spec, seed=seed + 2)
     total = 0.0

@@ -12,15 +12,13 @@ from seqbundle.baselines import (
     TransitionMatrix,
     ZeroOrderPredictor,
     baseline_from_json,
-    feasible_cells,
     fit_markov,
     fit_zero_order,
     markov_to_json,
-    max_probability,
     predict_markov,
     zero_order_to_json,
 )
-from seqbundle.domain import Outcome
+from seqbundle.domain import Outcome, feasible_cells, max_probability
 from seqbundle.errors import ConstraintViolation
 
 
@@ -60,6 +58,21 @@ class TestFeasibleCells:
         mask = feasible_cells(3)
         assert mask[2, 2]
         assert not mask[0, 2]  # replay directly after a skip stays impossible
+
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_mask_from_cap_two_up_is_the_hand_written_one(self, cap):
+        expected = np.ones((3, 3), dtype=bool)
+        expected[0, 2] = False
+        if cap == 2:
+            expected[2, 2] = False
+        assert np.array_equal(feasible_cells(cap), expected)
+
+    def test_cap_one_closes_every_replay(self, playlist3, three_sessions):
+        assert feasible_cells(1)[:, 2].tolist() == [False, False, False]
+        no_replays = [s for s in three_sessions if Outcome.REPLAY not in s.outcomes()]
+        model = fit_markov(no_replays, playlist3, smoothing=1.0, cap=1)
+        assert model.matrix.probs[:, 2].tolist() == [0.0, 0.0, 0.0]
+        assert model.matrix.probs[1].tolist() == [0.5, 0.5, 0.0]
 
 
 class TestFitMarkov:

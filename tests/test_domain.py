@@ -1,5 +1,6 @@
-"""State machine rules, state counting, session validation and the sampling row rule."""
+"""State machine rules, state counting, session validation and the probability-row rules."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -9,10 +10,13 @@ from seqbundle.domain import (
     Outcome,
     Session,
     Track,
+    ROW_SUM_TOL,
     advance_state,
+    check_prob_rows,
     count_states,
     events_from_outcomes,
     feasible_rows,
+    first_max_index,
     initial_state,
     is_terminal,
     parse_outcome,
@@ -205,6 +209,43 @@ class TestFeasibleRows:
         assert rows[2].tolist() == [0.0, 0.0, 0.0]  # nothing left: the walk ends
 
 
+class TestCheckProbRows:
+    def test_accepts_rows_within_tolerance(self):
+        rows = [[0.2, 0.3, 0.5], [1.0 - ROW_SUM_TOL / 2, 0.0, 0.0]]
+        assert check_prob_rows(rows, "rows").dtype == np.float64
+
+    def test_rejects_a_row_off_by_more_than_the_tolerance(self):
+        rows = np.array([[0.2, 0.3, 0.5], [0.5, 0.5, 3 * ROW_SUM_TOL]])
+        with pytest.raises(ConstraintViolation, match="rows: row 1 sums to .*sum to 1"):
+            check_prob_rows(rows, "rows")
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite(self, bad):
+        with pytest.raises(ConstraintViolation, match="finite and >= 0"):
+            check_prob_rows([[0.5, 0.6, bad]], "rows")
+
+    def test_empty_rows_only_when_allowed(self):
+        rows = np.zeros((2, 3))
+        rows[0] = (0.0, 1.0, 0.0)
+        check_prob_rows(rows, "table", allow_empty=True)
+        with pytest.raises(ConstraintViolation, match="table: row 1 sums to 0.0"):
+            check_prob_rows(rows, "table")
+
+    def test_checks_the_last_axis_of_any_rank(self):
+        weights = np.full((2, 2, 4), 0.25)
+        check_prob_rows(weights, "w")
+        weights[1, 0, 3] = 0.5
+        with pytest.raises(ConstraintViolation, match="w: row 1,0 sums to 1.25"):
+            check_prob_rows(weights, "w")
+
+
+class TestFirstMaxIndex:
+    def test_one_call_over_rows_equals_a_call_per_row(self):
+        rows = np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.1, 0.2, 0.7], [1 / 3] * 3])
+        assert first_max_index(rows).tolist() == [0, 1, 2, 0]
+        assert [int(first_max_index(row)) for row in rows] == [0, 1, 2, 0]
+
+
 class TestSessionHelpers:
     def test_session_counts_padded(self):
         session = make_session(["play", "replay", "skip"])
@@ -243,7 +284,12 @@ def test_every_feasible_walk_validates(walk):
     validate_session(session, n)
     counts = session_counts(session, n)
     assert all(0 <= c <= 2 for c in counts)
-    assert len(session_to_states(session, n)) == len(outcomes)
+    folded = []
+    state = initial_state()
+    for outcome in outcomes:
+        state = advance_state(state, outcome, n)
+        folded.append(state)
+    assert session_to_states(session, n) == tuple(folded)
 
 
 @given(valid_outcome_walks(max_tracks=4))

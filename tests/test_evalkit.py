@@ -13,7 +13,7 @@ from seqbundle.baselines import (
     fit_zero_order,
 )
 from seqbundle.dataio import Dataset, Split, dataset_from_sessions
-from seqbundle.domain import Outcome, validate_session
+from seqbundle.domain import Outcome, check_prob_rows, first_max_index, validate_session
 from seqbundle.errors import ConstraintViolation, MetricUndefinedError
 from seqbundle.evalkit import (
     EvaluationReport,
@@ -21,7 +21,6 @@ from seqbundle.evalkit import (
     confusion_normalized,
     evaluate_dataset,
     evaluate_playlist,
-    first_max_index,
     hit_rate_cdf,
     hit_rate_from_counts,
     pseudo_r2,
@@ -31,7 +30,14 @@ from seqbundle.evalkit import (
     summary_to_jsonable,
 )
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
-from seqbundle.seqmodels import ModelKind, NeuralPredictor, TransformerConfig, make_model
+from seqbundle.seqmodels import (
+    LSTMConfig,
+    MLPConfig,
+    ModelKind,
+    NeuralPredictor,
+    TransformerConfig,
+    make_model,
+)
 from seqbundle.synthgen import generate, second_order_spec
 
 
@@ -490,3 +496,46 @@ class TestSummaries:
         dataset = dataset_from_sessions({"pl": playlist}, [])
         with pytest.raises(ConstraintViolation):
             summarize_dataset(dataset)
+
+
+# Every predictor family, the neural ones with and without the feasibility mask.
+ROW_FAMILIES = [
+    ("mc", False), ("pmc", False), ("zero", False),
+    ("mlp", False), ("mlp", True), ("lstm", False), ("lstm", True),
+    ("transformer", False), ("transformer", True), ("encoder", False), ("encoder", True),
+]
+
+
+def _family_predictor(family, mask, sessions, playlist):
+    if family in ("mc", "pmc"):
+        return MarkovPredictor(
+            fit_markov(sessions, playlist, position_dependent=family == "pmc", smoothing=0.5)
+        )
+    if family == "zero":
+        return ZeroOrderPredictor(fit_zero_order(sessions, playlist))
+    pipeline = FeaturePipeline(playlist=playlist, config=FeatureConfig()).fit(sessions)
+    dim = pipeline.config.input_dim
+    transformer = dict(input_dim=dim, embed_dim=8, n_blocks=1, n_heads=2, head_dim=4, ff_dim=8)
+    config = {
+        "mlp": MLPConfig(dim, hidden_dim=8, n_layers=1),
+        "lstm": LSTMConfig(dim, hidden_dim=8, n_layers=1),
+        "transformer": TransformerConfig(**transformer),
+        "encoder": TransformerConfig(**transformer, causal=False, positional="learned",
+                                     max_positions=32),
+    }[family]
+    return NeuralPredictor(
+        model=make_model(ModelKind(family), config, seed=2),
+        pipeline=pipeline,
+        feasibility_mask=mask,
+    )
+
+
+@pytest.mark.parametrize(
+    "family,mask", ROW_FAMILIES, ids=[f + ("-masked" if m else "") for f, m in ROW_FAMILIES]
+)
+def test_predictor_rows_pass_the_row_check(family, mask):
+    dataset = generate(second_order_spec(n_sessions=40, seed=5))
+    playlist = dataset.playlists[dataset.playlist_ids()[0]]
+    predictor = _family_predictor(family, mask, dataset.sessions, playlist)
+    for session, rows in zip(dataset.sessions, predictor.predict_sessions(dataset.sessions)):
+        check_prob_rows(rows, session.session_id)

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -487,6 +488,26 @@ class TestPromptsAndSummary:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_split_export_rejects_edited_data(self, cli_root, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(cli_root / "data", data)
+        path = data / "sessions.jsonl"
+        lines = path.read_text().splitlines()
+        session = json.loads(lines[0])
+        last = session["events"][-1]
+        assert last["action"] in ("skip", "play")
+        last["action"] = "play" if last["action"] == "skip" else "skip"
+        lines[0] = json.dumps(session)
+        path.write_text("\n".join(lines) + "\n")
+        run = ["--run", str(cli_root / "run_mc")]
+        assert cli_main(["evaluate", "--data", str(data), *run,
+                         "--out", str(tmp_path / "eval")]) == 2
+        out = tmp_path / "p.jsonl"
+        rc = cli_main(["export-prompts", "--data", str(data), "--out", str(out),
+                       "--split", "test", *run])
+        assert rc == 2
+        assert not out.exists()
 
     def test_dedupe_reduces_or_keeps_count(self, cli_root, tmp_path):
         deduped = tmp_path / "d.jsonl"

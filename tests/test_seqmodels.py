@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
-from seqbundle.domain import Event, Outcome
+from seqbundle.domain import DEFAULT_CAP, Event, Outcome, walk
 from seqbundle import neuralkit as nk
 from seqbundle.errors import ConstraintViolation
 from seqbundle.neuralkit import grad_check, load_checkpoint, save_checkpoint
@@ -630,6 +630,24 @@ class TestBatchedInference:
         for session, rows in zip(sessions, batched):
             assert rows.shape == (len(session.events), 3)
             assert rows.tobytes() == predictor.predict_session(session).tobytes()
+
+    @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
+    def test_mask_gives_the_zero_and_divide_bytes(self, kind, config):
+        # reference: per scored row where REPLAY is closed, zero it and divide
+        # the row by its sum when that is positive; other rows keep their bits
+        masked, sessions = self.build(kind, config, feasibility_mask=True)
+        plain, _ = self.build(kind, config)
+        for session, rows, expected in zip(
+            sessions, masked.predict_sessions(sessions), plain.predict_sessions(sessions)
+        ):
+            steps = walk(session.events, 5, DEFAULT_CAP)
+            for j in range(1, len(session.events)):
+                if not steps[j][2][2]:
+                    expected[j, 2] = 0.0
+                    total = expected[j].sum()
+                    if total > 0:
+                        expected[j] /= total
+            assert rows.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
     def test_rows_match_a_graph_forward_per_session(self, kind, config):
