@@ -1,12 +1,15 @@
 """Reverse-mode autodiff over a fixed set of float64 numpy kernels.
 
 Every value is a Tensor wrapping a float64 ndarray; ops build a graph of
-parent links plus a backward closure. Contractions go through non-optimized
-np.einsum and the causal softmax uses cumulative sums/maxima, so each output
-row is computed independently of how many later rows sit in the input and
-of how many other sessions are stacked beside it. That is what makes causal
-forward passes bit-identical under input truncation, and a session's rows
-in a batched forward bit-identical to its own forward.
+parent links plus a backward closure. 2-D products run through BLAS in
+fixed MATMUL_TILE-row, zero-padded tiles, so every call has one shape; the
+3-D attention contractions go through non-optimized np.einsum; the causal
+softmax uses cumulative sums/maxima. So each output row is computed
+independently of how many later rows sit in the input and of how many other
+sessions are stacked beside it. That is what makes causal forward passes
+bit-identical under input truncation, and a session's rows in a batched
+forward bit-identical to its own forward. Gradients need only be
+deterministic for a given shape, so matmul's backward is plain BLAS.
 
 A batch of B equal-length sessions travels as (B·L, d) rows through the
 row-wise ops; attention splits it into (B·H, L, hd) per-head stacks, and the
@@ -33,6 +36,8 @@ from ..errors import ConstraintViolation, NumericError
 
 PROB_FLOOR = 1e-12
 LAYER_NORM_EPS = 1e-12
+# Rows per BLAS call in matmul's forward.
+MATMUL_TILE = 64
 
 _grad_enabled = True
 
@@ -177,10 +182,13 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 
 def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand non-optimized np.einsum (row-stable, BLAS-free).
+    """Two-operand non-optimized np.einsum, for the 3-D attention contractions.
 
-    ``spec`` is explicit ("ij,jk->ik"); every input index must appear in the
-    other operand or the output, so each gradient is again one einsum.
+    Each output element is its own loop over the summed index, so a session's
+    stack gives the same bits alone or beside others. ``spec`` is explicit
+    ("bid,bjd->bij"); every input index must appear in the other operand or
+    the output, so each gradient is again one einsum. 2-D products go through
+    matmul instead.
     """
     inputs, out = spec.split("->")
     sa, sb = inputs.split(",")
@@ -192,13 +200,45 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b), backward_fn=backward)
 
 
+def _tiled_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, one BLAS call per MATMUL_TILE-row tile of x.
+
+    Every call has the shape (MATMUL_TILE, k) @ (k, n), so BLAS takes the
+    same kernel path for each; a row's bits then depend neither on how many
+    rows are beside it nor on where it sits in the stack. A last partial
+    tile is zero-padded to full height.
+    """
+    # full tiles are read in place, so they must share the padded tile's layout
+    x = np.ascontiguousarray(x)
+    rows = x.shape[0]
+    full = rows - rows % MATMUL_TILE
+    out = np.empty((rows, w.shape[1]))
+    for start in range(0, full, MATMUL_TILE):
+        tile = slice(start, start + MATMUL_TILE)
+        np.matmul(x[tile], w, out=out[tile])
+    if full < rows:
+        last = np.zeros((MATMUL_TILE, x.shape[1]))
+        last[: rows - full] = x[full:]
+        out[full:] = (last @ w)[: rows - full]
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product."""
+    """2-D matrix product: row-stable tiles forward, plain BLAS backward.
+
+    The gradients need only be deterministic for a given shape, never
+    row-stable, so they take one BLAS call each.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ConstraintViolation(
             f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}"
         )
-    return einsum("ij,jk->ik", a, b)
+
+    def backward(g: np.ndarray) -> None:
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
+
+    return Tensor(_tiled_product(a.data, b.data), parents=(a, b), backward_fn=backward)
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -117,8 +117,8 @@ class GeneratorSpec:
             raise ConstraintViolation(f"n_sessions must be >= 1, got {self.n_sessions}")
         if not 0.0 <= self.initial_play_prob <= 1.0:
             raise ConstraintViolation("initial_play_prob must be in [0, 1]")
-        if self.cap < 2:
-            raise ConstraintViolation(f"cap must be >= 2, got {self.cap}")
+        if self.cap < 1:
+            raise ConstraintViolation(f"cap must be >= 1, got {self.cap}")
         object.__setattr__(self, "transitions", self._canonical_transitions())
 
     def _canonical_transitions(self) -> Mapping:

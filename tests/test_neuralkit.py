@@ -39,6 +39,7 @@ from seqbundle.neuralkit import (
     tanh,
     transpose,
 )
+from seqbundle.neuralkit.autodiff import MATMUL_TILE
 
 
 class TestKernels:
@@ -308,6 +309,60 @@ class TestCausalSoftmax:
             batched = op(constant(stack)).data
             for i in range(5):
                 assert batched[i].tobytes() == op(constant(stack[i])).data.tobytes()
+
+
+class TestMatmulTiles:
+    """matmul's forward runs BLAS on fixed MATMUL_TILE-row tiles: a row's bits
+    must not depend on the rows beside it or on its place in the stack."""
+
+    @pytest.mark.parametrize("width", [3, 256])
+    def test_prefix_rows_are_bit_identical(self, width):
+        x = rng(40).normal(size=(200, 32))
+        w = rng(41).normal(size=(32, width))
+        full = matmul(constant(x), constant(w)).data
+        for k in range(1, 201):
+            assert matmul(constant(x[:k]), constant(w)).data.tobytes() == full[:k].tobytes()
+
+    @pytest.mark.parametrize("width", [3, 256])
+    def test_stacked_sessions_match_each_alone(self, width):
+        # 16 sessions of 13 rows: sessions 4, 9 and 14 straddle tile boundaries
+        length = 13
+        assert MATMUL_TILE % length != 0
+        x = rng(42).normal(size=(16 * length, 32))
+        w = rng(43).normal(size=(32, width))
+        stacked = matmul(constant(x), constant(w)).data
+        for b in range(16):
+            rows = slice(b * length, (b + 1) * length)
+            assert matmul(constant(x[rows]), constant(w)).data.tobytes() == stacked[rows].tobytes()
+
+    def test_single_row(self):
+        x = rng(44).normal(size=(70, 16))
+        w = rng(45).normal(size=(16, 5))
+        one = matmul(constant(x[5:6]), constant(w)).data
+        assert one.shape == (1, 5)
+        assert one.tobytes() == matmul(constant(x), constant(w)).data[5:6].tobytes()
+
+    def test_backward_products_match_finite_differences(self):
+        # more rows than one tile, so the forward spans two BLAS calls
+        a = parameter(rng(46).normal(size=(MATMUL_TILE + 6, 5)))
+        b = parameter(rng(47).normal(size=(5, 3)))
+        labels = np.arange(MATMUL_TILE + 6) % 3
+        _assert_grads_ok(
+            lambda: cross_entropy_mean(
+                softmax_rows(matmul(a, b)), labels, np.ones(labels.size, bool)
+            ),
+            {"a": a, "b": b},
+        )
+
+    @pytest.mark.parametrize("width", [3, 2048])
+    def test_agrees_with_einsum(self, width):
+        # the tiles re-baseline every neural output by rounding only: each
+        # entry stays within 1e-12 of the einsum route, relative to |x| @ |w|
+        x = rng(48).normal(size=(208, 256))
+        w = rng(49).normal(size=(256, width))
+        tiled = matmul(constant(x), constant(w)).data
+        reference = np.einsum("ij,jk->ik", x, w)
+        assert np.all(np.abs(tiled - reference) <= 1e-12 * (np.abs(x) @ np.abs(w)))
 
 
 class TestSigmoidValues:

@@ -33,7 +33,7 @@ from seqbundle.reports import (
     write_summary_csv,
 )
 from seqbundle.seqmodels import MLPConfig, ModelKind, NeuralPredictor, make_model
-from seqbundle.synthgen import frequent_pattern_spec, generate, spec_to_json
+from seqbundle.synthgen import frequent_pattern_spec, generate, spec_to_json, stopping_spec
 from seqbundle.errors import ConstraintViolation
 
 
@@ -581,6 +581,33 @@ class TestRoundTripRegressions:
                      "--out", str(run / mode)]
                 )
                 assert rc == 0
+
+    def test_cap1_spec_round_trip(self, tmp_path):
+        spec = spec_to_json(stopping_spec(n_sessions=100, seed=3))
+        spec["cap"] = 1
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--spec", str(spec_path), "--out", str(data)]) == 0
+        assert json.loads((data / "generator.json").read_text())["cap"] == 1
+        again = tmp_path / "again"
+        rc = cli_main(["generate", "--spec", str(data / "generator.json"), "--out", str(again)])
+        assert rc == 0
+        assert (again / "sessions.jsonl").read_bytes() == (data / "sessions.jsonl").read_bytes()
+        run = tmp_path / "run"
+        rc = cli_main(["train", "--data", str(data), "--out", str(run), "--model", "mc"])
+        assert rc == 0
+        assert json.loads((run / "run.json").read_text())["cap"] == 1
+        rc = cli_main(["evaluate", "--data", str(data), "--run", str(run),
+                       "--out", str(run / "eval")])
+        assert rc == 0
+
+    def test_cap1_spec_with_replay_mass_is_refused(self, tmp_path, capsys):
+        spec = spec_to_json(frequent_pattern_spec(n_sessions=50, seed=3))
+        spec["cap"] = 1  # its play row keeps 0.03 / 0.99 on replay
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        rc = cli_main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert "replay mass must be 0" in capsys.readouterr().err
 
 
 class TestUsageErrors:

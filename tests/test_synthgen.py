@@ -1,6 +1,7 @@
 """Synthetic session generators: validity, determinism, and recoverability."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ class TestSpecValidation:
             },
         )
         assert spec.cap == 3
+
+    def test_cap_one_spec_generates_valid_sessions(self):
+        spec = replace(stopping_spec(n_sessions=100, seed=5), cap=1)
+        dataset = generate(spec)
+        assert dataset.cap == 1
+        for session in dataset.sessions:
+            validate_session(session, spec.n_tracks, cap=1)
+
+    def test_cap_one_refuses_replay_mass(self):
+        # simple_markov_spec puts 0.1 on a replay after a play; cap 1 forbids it
+        with pytest.raises(ConstraintViolation, match="replay mass must be 0"):
+            simple_markov_spec(cap=1)
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ConstraintViolation, match="sums to"):
