@@ -1,14 +1,16 @@
 """Loading, splitting, transforming, and exporting session data.
 
 Loaded sessions are validated against the play-count walk under a cap that
-the Dataset keeps (``Dataset.cap``). FeaturePipeline.matrix is the one path
+the Dataset keeps (``Dataset.cap``). One load builds each distinct event once
+and validates each distinct (playlist, event sequence) once; sessions with
+the same sequence share its immutable events tuple. FeaturePipeline.matrix is the one path
 from a session to model input, for training and prediction alike. Remaining
 listening time is a suffix sum over the session's events, so it is never
 negative and is exactly 0 after the last listened event.
 
 Wire formats
 ------------
-sessions.jsonl   one session per line:
+sessions.jsonl   one session per line, session ids unique within the file:
                  {"session_id": str, "playlist_id": str,
                   "events": [{"pos": int, "action": "skip|play|replay"}, ...]}
 sessions.csv     one event per row, header:
@@ -164,25 +166,61 @@ def load_playlists(path: str | Path) -> dict[str, Playlist]:
     return playlists
 
 
-def _session_from_parts(
-    session_id: str,
-    playlist_id: str,
-    events: Sequence[tuple[int, str]],
-    playlists: Mapping[str, Playlist],
-    cap: int,
-    where: str,
-) -> Session:
-    if playlist_id not in playlists:
-        raise SchemaError(
-            f"{where}: session {session_id!r} references unknown playlist {playlist_id!r}"
+class _SessionBuilder:
+    """Builds the sessions of one load, sharing what repeats across them.
+
+    Each distinct (pos, action) pair becomes one Event, and each distinct
+    (playlist, event sequence) is validated once; later sessions with the same
+    sequence share its immutable events tuple. Only sequences that validate
+    are kept, so every invalid session is checked and reported on its own.
+    """
+
+    def __init__(self, playlists: Mapping[str, Playlist], cap: int) -> None:
+        self.playlists = playlists
+        self.cap = cap
+        # (pos, action) -> (pos * N_OUTCOMES + outcome index, Event)
+        self._events: dict[tuple[int, str], tuple[int, Event]] = {}
+        # (playlist_id, event codes) -> validated events
+        self._sequences: dict[tuple[str, tuple[int, ...]], tuple[Event, ...]] = {}
+
+    def _intern(self, pair: tuple[int, str]) -> tuple[int, Event]:
+        pos, action = pair
+        event = Event(track_position=pos, outcome=parse_outcome(action))
+        self._events[pair] = (pos * N_OUTCOMES + OUTCOME_INDEX[event.outcome], event)
+        return self._events[pair]
+
+    def session(
+        self,
+        session_id: str,
+        playlist_id: str,
+        events: Sequence[tuple[int, str]],
+        where: str,
+    ) -> Session:
+        if playlist_id not in self.playlists:
+            raise SchemaError(
+                f"{where}: session {session_id!r} references unknown playlist {playlist_id!r}"
+            )
+        known = self._events
+        entries = [known.get(pair) or self._intern(pair) for pair in events]
+        key = (playlist_id, tuple([code for code, _ in entries]))
+        shared = self._sequences.get(key)
+        if shared is not None:
+            return Session(session_id=session_id, playlist_id=playlist_id, events=shared)
+        session = Session(
+            session_id=session_id,
+            playlist_id=playlist_id,
+            events=tuple([event for _, event in entries]),
         )
-    built = tuple(
-        Event(track_position=pos, outcome=parse_outcome(action))
-        for pos, action in events
-    )
-    session = Session(session_id=session_id, playlist_id=playlist_id, events=built)
-    validate_session(session, n_tracks=len(playlists[playlist_id]), cap=cap)
-    return session
+        validate_session(session, n_tracks=len(self.playlists[playlist_id]), cap=self.cap)
+        self._sequences[key] = session.events
+        return session
+
+
+def _skip_or_raise(err: SchemaError, strict: bool, skipped: str = "session skipped") -> None:
+    """Raise ``err`` in strict mode; otherwise log it, and the caller skips on."""
+    if strict:
+        raise err from None
+    log.warning("%s (%s)", err, skipped)
 
 
 def load_sessions(
@@ -196,11 +234,15 @@ def load_sessions(
 
     strict=True raises on the first invalid row/session with its line number;
     strict=False logs a warning, drops the offending session, and continues.
+    A session_id seen earlier in a JSONL file is invalid too (strict) or its
+    later copy is dropped (lenient). Each distinct event sequence is validated
+    once per call.
     """
+    builder = _SessionBuilder(playlists, cap)
     if fmt == "jsonl":
-        sessions = _load_sessions_jsonl(Path(path), playlists, strict, cap)
+        sessions = _load_sessions_jsonl(Path(path), builder, strict)
     elif fmt == "csv":
-        sessions = _load_sessions_csv(Path(path), playlists, strict, cap)
+        sessions = _load_sessions_csv(Path(path), builder, strict)
     else:
         raise SchemaError(f"unknown session format {fmt!r} (expected jsonl or csv)")
     if not sessions:
@@ -209,9 +251,10 @@ def load_sessions(
 
 
 def _load_sessions_jsonl(
-    path: Path, playlists: Mapping[str, Playlist], strict: bool, cap: int
+    path: Path, builder: _SessionBuilder, strict: bool
 ) -> list[Session]:
     sessions: list[Session] = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -223,30 +266,30 @@ def _load_sessions_jsonl(
                 raw_events = [
                     (int(e["pos"]), str(e["action"])) for e in obj["events"]
                 ]
-                session = _session_from_parts(
-                    str(obj["session_id"]),
-                    str(obj["playlist_id"]),
-                    raw_events,
-                    playlists,
-                    cap,
-                    where,
+                session = builder.session(
+                    str(obj["session_id"]), str(obj["playlist_id"]), raw_events, where
                 )
             except json.JSONDecodeError as exc:
-                err: Exception = SchemaError(f"{where}: invalid JSON ({exc.msg})")
-                if strict:
-                    raise err from None
-                log.warning("%s (session skipped)", err)
+                _skip_or_raise(SchemaError(f"{where}: invalid JSON ({exc.msg})"), strict)
                 continue
             except KeyError as exc:
-                err = SchemaError(f"{where}: session missing field {exc}")
-                if strict:
-                    raise err from None
-                log.warning("%s (session skipped)", err)
+                _skip_or_raise(SchemaError(f"{where}: session missing field {exc}"), strict)
+                continue
+            except (TypeError, ValueError) as exc:
+                _skip_or_raise(SchemaError(f"{where}: malformed session ({exc})"), strict)
                 continue
             except (SchemaError, ConstraintViolation) as exc:
-                if strict:
-                    raise SchemaError(f"{where}: {exc}") from None
-                log.warning("%s: %s (session skipped)", where, exc)
+                _skip_or_raise(SchemaError(f"{where}: {exc}"), strict)
+                continue
+            first = first_line.setdefault(session.session_id, lineno)
+            if first != lineno:
+                _skip_or_raise(
+                    SchemaError(
+                        f"{where}: duplicate session_id {session.session_id!r} "
+                        f"(first on line {first})"
+                    ),
+                    strict,
+                )
                 continue
             sessions.append(session)
     return sessions
@@ -256,7 +299,7 @@ _CSV_COLUMNS = ("session_id", "playlist_id", "pos", "action")
 
 
 def _load_sessions_csv(
-    path: Path, playlists: Mapping[str, Playlist], strict: bool, cap: int
+    path: Path, builder: _SessionBuilder, strict: bool
 ) -> list[Session]:
     # Events of one session may be interleaved with others; file order defines
     # event order within each session.
@@ -276,19 +319,17 @@ def _load_sessions_csv(
                 pos = int(row["pos"])
             except (TypeError, ValueError):
                 err = SchemaError(f"{where}: pos {row['pos']!r} is not an integer")
-                if strict:
-                    raise err from None
-                log.warning("%s (session %r skipped)", err, sid)
+                _skip_or_raise(err, strict, f"session {sid!r} skipped")
                 bad.add(sid)
                 continue
             if sid in pids and pids[sid] != row["playlist_id"]:
-                err = SchemaError(
-                    f"{where}: session {sid!r} references two playlists "
-                    f"({pids[sid]!r} and {row['playlist_id']!r})"
+                _skip_or_raise(
+                    SchemaError(
+                        f"{where}: session {sid!r} references two playlists "
+                        f"({pids[sid]!r} and {row['playlist_id']!r})"
+                    ),
+                    strict,
                 )
-                if strict:
-                    raise err
-                log.warning("%s (session skipped)", err)
                 bad.add(sid)
                 continue
             pids.setdefault(sid, row["playlist_id"])
@@ -300,13 +341,9 @@ def _load_sessions_csv(
             continue
         where = f"{path} line {first_line[sid]}"
         try:
-            sessions.append(
-                _session_from_parts(sid, pids[sid], events, playlists, cap, where)
-            )
+            sessions.append(builder.session(sid, pids[sid], events, where))
         except (SchemaError, ConstraintViolation) as exc:
-            if strict:
-                raise SchemaError(f"{where}: {exc}") from None
-            log.warning("%s: %s (session skipped)", where, exc)
+            _skip_or_raise(SchemaError(f"{where}: {exc}"), strict)
     return sessions
 
 
@@ -613,6 +650,14 @@ def _std_floor(value: float) -> float:
 # prompt export (text completion format)
 
 
+def _prompt_heads(events: Sequence[Event], playlist: Playlist) -> list[str]:
+    """Line k of a prompt up to its action: "k. (duration=D) action="."""
+    return [
+        f"{k}. (duration={playlist.track_at(event.track_position).duration:.2f}) action="
+        for k, event in enumerate(events, start=1)
+    ]
+
+
 def format_prompt(
     session: Session, playlist: Playlist, position: int
 ) -> tuple[str, str]:
@@ -626,11 +671,10 @@ def format_prompt(
         raise ConstraintViolation(
             f"prompt position must be in 2..{len(session.events)}, got {position}"
         )
-    lines = []
-    for k, event in enumerate(session.events[:position], start=1):
-        duration = playlist.track_at(event.track_position).duration
-        action = event.outcome.value if k < position else ""
-        lines.append(f"{k}. (duration={duration:.2f}) action={action}")
+    events = session.events[:position]
+    heads = _prompt_heads(events, playlist)
+    lines = [head + event.outcome.value for head, event in zip(heads, events)]
+    lines[-1] = heads[-1]
     completion = session.events[position - 1].outcome.value
     return "\n".join(lines), completion
 
@@ -663,13 +707,18 @@ def export_prompts(
 ) -> Iterator[dict[str, str]]:
     """Yield prompt/completion dicts for every scored position (j >= 2).
 
+    Each session's lines are formatted once; the prompt at position j is the
+    first j-1 lines plus line j with its action blank, as in format_prompt.
     dedupe=True keeps the first occurrence of each distinct prompt string.
     """
     seen: set[str] = set()
     for session in dataset.sessions_for(split=split_tag):
-        playlist = dataset.playlists[session.playlist_id]
-        for position in range(2, len(session.events) + 1):
-            prompt, completion = format_prompt(session, playlist, position)
+        heads = _prompt_heads(session.events, dataset.playlists[session.playlist_id])
+        done = heads[0] + session.events[0].outcome.value
+        for head, event in zip(heads[1:], session.events[1:]):
+            completion = event.outcome.value
+            prompt = f"{done}\n{head}"
+            done = prompt + completion
             if dedupe:
                 if prompt in seen:
                     continue

@@ -99,11 +99,14 @@ def draw_outcome(row: Sequence[float], u: float) -> Outcome:
     return OUTCOME_ORDER[N_OUTCOMES - 1]
 
 
+_OUTCOME_BY_VALUE: Mapping[str, Outcome] = {o.value: o for o in Outcome}
+
+
 def parse_outcome(raw: str) -> Outcome:
     """Parse a serialized outcome string ("skip" | "play" | "replay")."""
     try:
-        return Outcome(raw)
-    except ValueError:
+        return _OUTCOME_BY_VALUE[raw]
+    except (KeyError, TypeError):
         raise ConstraintViolation(f"unknown outcome string {raw!r}") from None
 
 

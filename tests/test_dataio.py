@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,13 +28,16 @@ from seqbundle.dataio import (
     observed_remaining_time,
     parse_prompt,
     predicted_remaining_time,
+    session_to_json,
     split,
     write_playlists_jsonl,
     write_prompts_jsonl,
     write_sessions_jsonl,
 )
-from seqbundle.domain import Outcome
+from seqbundle import domain
+from seqbundle.domain import Event, Outcome, Session, parse_outcome, validate_session
 from seqbundle.errors import ConstraintViolation, SchemaError
+from seqbundle.synthgen import CANONICAL_SPEC_NAMES, generate, named_spec
 
 
 @pytest.fixture
@@ -44,6 +48,57 @@ def tiny_dataset(playlist3):
         make_session(["skip", "skip", "play"], sid="c"),
     ]
     return dataset_from_sessions({"pl": playlist3}, sessions)
+
+
+def write_sessions_csv(path, sessions):
+    lines = ["session_id,playlist_id,pos,action"]
+    for s in sessions:
+        for e in s.events:
+            lines.append(f"{s.session_id},{s.playlist_id},{e.track_position},{e.outcome.value}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_load(path, playlists, cap):
+    """The loader's result the slow way: one Event(...) per event and one
+    validate_session per session, with nothing shared between sessions."""
+    sessions = []
+    for line in path.read_text().splitlines():
+        obj = json.loads(line)
+        events = tuple(
+            Event(track_position=int(e["pos"]), outcome=parse_outcome(e["action"]))
+            for e in obj["events"]
+        )
+        session = Session(obj["session_id"], obj["playlist_id"], events)
+        validate_session(session, len(playlists[obj["playlist_id"]]), cap=cap)
+        sessions.append(session)
+    return tuple(sessions)
+
+
+def spec_for(name, n_sessions):
+    """A canonical spec, or "cap3": one whose sessions use a track's third unit."""
+    if name != "cap3":
+        return named_spec(name, n_sessions=n_sessions)
+    return replace(
+        named_spec("frequent_pattern", n_sessions=n_sessions),
+        cap=3,
+        transitions={
+            Outcome.SKIP: (0.7, 0.3, 0.0),
+            Outcome.PLAY: (0.2, 0.6, 0.2),
+            Outcome.REPLAY: (0.4, 0.4, 0.2),
+        },
+    )
+
+
+def generated_files(tmp_path, name, n_sessions=300):
+    dataset = generate(spec_for(name, n_sessions))
+    write_playlists_jsonl(tmp_path / "playlists.jsonl", dataset.playlists)
+    write_sessions_jsonl(tmp_path / "sessions.jsonl", dataset.sessions)
+    write_sessions_csv(tmp_path / "sessions.csv", dataset.sessions)
+    return dataset
+
+
+def session_line(sid, pid, outcomes):
+    return json.dumps(session_to_json(make_session(outcomes, sid=sid, pid=pid)))
 
 
 class TestRoundTrips:
@@ -57,11 +112,7 @@ class TestRoundTrips:
     def test_csv_matches_jsonl(self, tmp_path, tiny_dataset):
         write_playlists_jsonl(tmp_path / "playlists.jsonl", tiny_dataset.playlists)
         write_sessions_jsonl(tmp_path / "sessions.jsonl", tiny_dataset.sessions)
-        lines = ["session_id,playlist_id,pos,action"]
-        for s in tiny_dataset.sessions:
-            for e in s.events:
-                lines.append(f"{s.session_id},{s.playlist_id},{e.track_position},{e.outcome.value}")
-        (tmp_path / "sessions.csv").write_text("\n".join(lines) + "\n")
+        write_sessions_csv(tmp_path / "sessions.csv", tiny_dataset.sessions)
         playlists = load_playlists(tmp_path / "playlists.jsonl")
         from_csv = load_sessions(tmp_path / "sessions.csv", playlists, fmt="csv")
         from_jsonl = load_sessions(tmp_path / "sessions.jsonl", playlists)
@@ -110,6 +161,25 @@ class TestRoundTrips:
         assert [s.session_id for s in dataset.sessions] == ["ok"]
         assert any("bad" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": [1], "action": "play"}]}',
+            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": "one", "action": "play"}]}',
+            '{"session_id": "x", "playlist_id": "pl", "events": 3}',
+            '[1, 2]',
+        ],
+    )
+    def test_malformed_session_names_its_line(self, tmp_path, playlist3, line, caplog):
+        good = session_line("ok", "pl", ["play"])
+        (tmp_path / "s.jsonl").write_text(good + "\n" + line + "\n")
+        with pytest.raises(SchemaError, match="line 2: malformed session"):
+            load_sessions(tmp_path / "s.jsonl", {"pl": playlist3})
+        with caplog.at_level(logging.WARNING):
+            loaded = load_sessions(tmp_path / "s.jsonl", {"pl": playlist3}, strict=False)
+        assert [s.session_id for s in loaded.sessions] == ["ok"]
+        assert len(caplog.records) == 1
+
     def test_orphan_playlist_rejected(self, tmp_path, playlist3):
         write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
         orphan = {
@@ -121,6 +191,131 @@ class TestRoundTrips:
         playlists = load_playlists(tmp_path / "p.jsonl")
         with pytest.raises(SchemaError, match="nope"):
             load_sessions(tmp_path / "s.jsonl", playlists)
+
+
+class TestSessionLoader:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_walk_runs_once_per_distinct_sequence(self, tmp_path, monkeypatch, fmt):
+        dataset = generated_files(tmp_path, "second_order", n_sessions=400)
+        distinct = {(s.playlist_id, s.events) for s in dataset.sessions}
+        assert len(distinct) < len(dataset.sessions)
+        calls = []
+        real_walk = domain.walk
+
+        def counting_walk(*args, **kwargs):
+            calls.append(1)
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(domain, "walk", counting_walk)
+        loaded = load_sessions(
+            tmp_path / f"sessions.{fmt}", dataset.playlists, fmt=fmt
+        )
+        assert len(loaded.sessions) == 400
+        assert len(calls) == len(distinct)
+
+    @pytest.mark.parametrize("name", CANONICAL_SPEC_NAMES + ("cap3",))
+    def test_load_equals_per_event_reference(self, tmp_path, name):
+        dataset = generated_files(tmp_path, name)
+        cap = dataset.cap
+        playlists = load_playlists(tmp_path / "playlists.jsonl")
+        reference = reference_load(tmp_path / "sessions.jsonl", playlists, cap)
+        assert reference == dataset.sessions
+        for fmt in ("jsonl", "csv"):
+            loaded = load_sessions(
+                tmp_path / f"sessions.{fmt}", playlists, fmt=fmt, cap=cap
+            )
+            assert loaded == dataset_from_sessions(playlists, reference, cap=cap)
+            # equal sequences share one events tuple, and equal events one Event
+            shared = {s.events: s.events for s in loaded.sessions}
+            assert all(s.events is shared[s.events] for s in loaded.sessions)
+            events = {e: e for s in loaded.sessions for e in s.events}
+            assert all(e is events[e] for s in loaded.sessions for e in s.events)
+        if cap > 2:
+            with pytest.raises(SchemaError, match="cap"):
+                load_sessions(tmp_path / "sessions.jsonl", playlists, cap=2)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_sequence_is_checked_against_each_playlist(self, tmp_path, fmt):
+        playlists = {"long": make_playlist(4, pid="long"), "short": make_playlist(2, pid="short")}
+        walk = ["play", "play", "play"]  # reaches track 3
+        sessions = [
+            make_session(walk, sid="a", pid="long"),
+            make_session(walk, sid="b", pid="short"),
+            make_session(walk, sid="c", pid="long"),
+        ]
+        path = tmp_path / f"s.{fmt}"
+        if fmt == "jsonl":
+            write_sessions_jsonl(path, sessions)
+        else:
+            write_sessions_csv(path, sessions)
+        with pytest.raises(SchemaError, match=r"line (2|5): session 'b' event 3"):
+            load_sessions(path, playlists, fmt=fmt)
+        loaded = load_sessions(path, playlists, fmt=fmt, strict=False)
+        assert [s.session_id for s in loaded.sessions] == ["a", "c"]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_repeated_invalid_sequence_is_reported_each_time(
+        self, tmp_path, playlist3, fmt, caplog
+    ):
+        good = make_session(["play", "skip"], sid="ok")
+        bad = Session("x", "pl", (Event(1, Outcome.SKIP), Event(1, Outcome.REPLAY)))
+        sessions = [good] + [replace(bad, session_id=f"bad{k}") for k in range(3)]
+        path = tmp_path / f"s.{fmt}"
+        if fmt == "jsonl":
+            write_sessions_jsonl(path, sessions)
+            lines = [2, 3, 4]
+        else:
+            write_sessions_csv(path, sessions)
+            lines = [4, 6, 8]
+        with pytest.raises(SchemaError, match=f"line {lines[0]}: session 'bad0'"):
+            load_sessions(path, {"pl": playlist3}, fmt=fmt)
+        with caplog.at_level(logging.WARNING):
+            loaded = load_sessions(path, {"pl": playlist3}, fmt=fmt, strict=False)
+        assert [s.session_id for s in loaded.sessions] == ["ok"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 3
+        for k, (lineno, message) in enumerate(zip(lines, warnings)):
+            assert f"line {lineno}: session 'bad{k}' event 2" in message
+
+    def test_duplicate_session_id_rejected(self, tmp_path, playlist3):
+        path = tmp_path / "s.jsonl"
+        path.write_text(
+            "\n".join(
+                [
+                    session_line("a", "pl", ["play", "skip"]),
+                    session_line("b", "pl", ["skip", "play"]),
+                    session_line("a", "pl", ["skip", "skip"]),
+                ]
+            )
+            + "\n"
+        )
+        with pytest.raises(SchemaError) as info:
+            load_sessions(path, {"pl": playlist3})
+        assert str(info.value) == (
+            f"{path} line 3: duplicate session_id 'a' (first on line 1)"
+        )
+
+    def test_lenient_mode_keeps_first_copy_of_an_id(self, tmp_path, playlist3, caplog):
+        path = tmp_path / "s.jsonl"
+        path.write_text(
+            "\n".join(
+                [
+                    session_line("a", "pl", ["play", "skip"]),
+                    session_line("a", "pl", ["skip", "skip"]),
+                    session_line("b", "pl", ["skip", "play"]),
+                    session_line("a", "pl", ["play", "play"]),
+                ]
+            )
+            + "\n"
+        )
+        with caplog.at_level(logging.WARNING):
+            loaded = load_sessions(path, {"pl": playlist3}, strict=False)
+        assert [s.session_id for s in loaded.sessions] == ["a", "b"]
+        assert loaded.sessions[0].outcomes() == (Outcome.PLAY, Outcome.SKIP)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 2
+        assert "line 2: duplicate session_id 'a' (first on line 1)" in warnings[0]
+        assert "line 4: duplicate session_id 'a' (first on line 1)" in warnings[1]
 
 
 class TestSplit:
@@ -365,6 +560,21 @@ class TestPrompts:
             assert [a.value for _, a in parsed[:-1]] == [
                 o.value for o in outcomes[: position - 1]
             ]
+
+    @pytest.mark.parametrize("name", CANONICAL_SPEC_NAMES)
+    def test_export_matches_format_prompt_at_every_position(self, tmp_path, name):
+        dataset = generate(named_spec(name, n_sessions=200))
+        expected = []
+        for session in dataset.sessions:
+            playlist = dataset.playlists[session.playlist_id]
+            for position in range(2, len(session.events) + 1):
+                prompt, completion = format_prompt(session, playlist, position)
+                expected.append({"prompt": prompt, "completion": completion})
+        assert list(export_prompts(dataset)) == expected
+        write_prompts_jsonl(tmp_path / "p.jsonl", dataset)
+        assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps(pair, sort_keys=True) + "\n" for pair in expected
+        )
 
     def test_export_dedupes_identical_prompts(self, tmp_path, playlist3):
         sessions = [

@@ -547,6 +547,33 @@ class TestRoundTripRegressions:
                       + TINY_MLP)
         assert rc == 0
 
+    def test_repeated_session_id_is_refused(self, tmp_path, capsys):
+        # Loaded silently, such a file made train hold out 30 sessions while
+        # evaluate re-tagged every copy alike from split.json and scored 28.
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--name", "second_order", "--n-sessions", "300",
+                         "--out", str(data)]) == 0
+        path = data / "sessions.jsonl"
+        sessions = [json.loads(line) for line in path.read_text().splitlines()]
+        for session in sessions[1:40]:
+            session["session_id"] = sessions[0]["session_id"]
+        path.write_text("".join(json.dumps(s) + "\n" for s in sessions))
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert cli_main(["train", "--data", str(data), "--model", "mc",
+                         "--out", str(run)]) == 2
+        assert f"{path} line 2: duplicate session_id " in capsys.readouterr().err
+        assert cli_main(["train", "--data", str(data), "--model", "mc", "--lenient",
+                         "--out", str(run)]) == 0
+        tags = json.loads((run / "split.json").read_text())["session_splits"]
+        assert len(tags) == 261
+        assert cli_main(["evaluate", "--data", str(data), "--run", str(run),
+                         "--lenient", "--out", str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        kept = [sessions[0]] + sessions[40:]
+        held_out = [s for s in kept if tags[s["session_id"]] == "test"]
+        assert report["n_scored"] == sum(len(s["events"]) - 1 for s in held_out)
+
     def test_cap3_spec_round_trip(self, tmp_path):
         spec = spec_to_json(frequent_pattern_spec(n_sessions=200, seed=3))
         spec.update(
