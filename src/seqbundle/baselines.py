@@ -23,7 +23,7 @@ from .domain import (
     check_prob_rows,
     feasible_cells,
     feasible_rows,
-    session_counts,
+    tally_sessions,
     walk,
 )
 from .errors import ConstraintViolation, SchemaError
@@ -42,7 +42,6 @@ class TransitionMatrix:
     probs: np.ndarray
     counts: np.ndarray
     cap: int = DEFAULT_CAP
-    position: int | None = None  # target event position for pMC, None for MC
 
     def __post_init__(self) -> None:
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -93,34 +92,11 @@ class MarkovModel:
         return sum(int(feasible_cells(m.cap).sum()) for m in mats if m is not None)
 
 
-def _transition_counts(
-    sessions: Sequence[Session], position: int | None, cap: int
-) -> np.ndarray:
-    counts = np.zeros((N_OUTCOMES, N_OUTCOMES), dtype=np.float64)
-    for session in sessions:
-        outcomes = session.outcomes()
-        for j in range(1, len(outcomes)):
-            if position is not None and j + 1 != position:
-                continue
-            counts[OUTCOME_INDEX[outcomes[j - 1]], OUTCOME_INDEX[outcomes[j]]] += 1
-    return counts
-
-
-def _normalize(counts: np.ndarray, smoothing: float, cap: int) -> np.ndarray:
+def _fit_matrix(counts: np.ndarray, smoothing: float, cap: int) -> TransitionMatrix:
     mask = feasible_cells(cap)
     replay_ok = mask[:, OUTCOME_INDEX[Outcome.REPLAY]]
-    return feasible_rows(counts + smoothing * mask, replay_ok)
-
-
-def _marginal(sessions: Sequence[Session]) -> np.ndarray:
-    counts = np.zeros(N_OUTCOMES, dtype=np.float64)
-    for session in sessions:
-        for outcome in session.outcomes():
-            counts[OUTCOME_INDEX[outcome]] += 1
-    total = counts.sum()
-    if total == 0:
-        raise ConstraintViolation("cannot fit on sessions with no events")
-    return counts / total
+    probs = feasible_rows(counts + smoothing * mask, replay_ok)
+    return TransitionMatrix(probs=probs, counts=counts, cap=cap)
 
 
 def fit_markov(
@@ -139,34 +115,19 @@ def fit_markov(
         raise ConstraintViolation("cannot fit a Markov model on zero sessions")
     if smoothing < 0:
         raise ConstraintViolation(f"smoothing must be >= 0, got {smoothing}")
-    marginal = _marginal(sessions)
-    if not position_dependent:
-        counts = _transition_counts(sessions, position=None, cap=cap)
-        matrix = TransitionMatrix(
-            probs=_normalize(counts, smoothing, cap), counts=counts, cap=cap
-        )
-        return MarkovModel(
-            kind="mc",
-            playlist_id=playlist.playlist_id,
-            marginal=marginal,
-            matrix=matrix,
-            cap=cap,
-            smoothing=smoothing,
-        )
-    max_len = max(len(s) for s in sessions)
-    matrices: dict[int, TransitionMatrix] = {}
-    for position in range(2, max_len + 1):
-        counts = _transition_counts(sessions, position=position, cap=cap)
-        matrices[position] = TransitionMatrix(
-            probs=_normalize(counts, smoothing, cap),
-            counts=counts,
-            cap=cap,
-            position=position,
-        )
+    tally = tally_sessions(sessions, len(playlist), cap)
+    transitions = tally.transitions.astype(np.float64)
+    matrix, matrices = None, {}
+    if position_dependent:
+        for position, counts in enumerate(transitions[2:], start=2):
+            matrices[position] = _fit_matrix(counts, smoothing, cap)
+    else:
+        matrix = _fit_matrix(transitions.sum(axis=0), smoothing, cap)
     return MarkovModel(
-        kind="pmc",
+        kind="pmc" if position_dependent else "mc",
         playlist_id=playlist.playlist_id,
-        marginal=marginal,
+        marginal=tally.outcomes / tally.outcomes.sum(),
+        matrix=matrix,
         matrices=matrices,
         cap=cap,
         smoothing=smoothing,
@@ -261,20 +222,8 @@ def fit_zero_order(
     """
     if not sessions:
         raise ConstraintViolation("cannot fit a zero-order table on zero sessions")
-    n = len(playlist)
-    tallies = np.zeros((n, cap + 1), dtype=np.float64)
-    seen = np.zeros(n, dtype=np.float64)
-    for session in sessions:
-        counts = session_counts(session, n)
-        for pos in range(1, session.last_position + 1):
-            c = counts[pos - 1]
-            if c > cap:
-                raise ConstraintViolation(
-                    f"session {session.session_id!r}: track {pos} consumed "
-                    f"{c} units, cap is {cap}"
-                )
-            tallies[pos - 1, c] += 1
-            seen[pos - 1] += 1
+    tallies = tally_sessions(sessions, len(playlist), cap).plays.astype(np.float64)
+    seen = tallies.sum(axis=1)
     probs = np.zeros_like(tallies)
     nonzero = seen > 0
     probs[nonzero] = tallies[nonzero] / seen[nonzero, None]
@@ -428,7 +377,6 @@ def baseline_from_json(obj: dict) -> MarkovModel | ZeroOrderTable:
                 probs=np.asarray(probs, dtype=np.float64),
                 counts=np.asarray(obj["counts"][pos], dtype=np.float64),
                 cap=cap,
-                position=int(pos),
             )
             for pos, probs in obj["matrices"].items()
         }

@@ -247,9 +247,12 @@ def _data_cap(data_dir: Path) -> int:
         return DEFAULT_CAP
     try:
         with open(path, encoding="utf-8") as fh:
-            return int(json.load(fh).get("cap", DEFAULT_CAP))
-    except (ValueError, TypeError, AttributeError) as exc:
+            cap = json.load(fh).get("cap", DEFAULT_CAP)
+    except (ValueError, AttributeError) as exc:
         raise SchemaError(f"{path}: cannot read the cap ({exc})") from None
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise SchemaError(f"{path}: cap must be an integer >= 1, got {cap!r}")
+    return cap
 
 
 def _load_data(args, session_end: str | None = None) -> Dataset:

@@ -9,9 +9,10 @@ last track is resolved.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -457,13 +458,65 @@ def session_to_states(
     return tuple(states)
 
 
-def session_counts(session: Session, n_tracks: int) -> tuple[int, ...]:
-    """Final per-track play counts, padded with zeros for unreached tracks."""
+class SessionTally(NamedTuple):
+    """Integer counts over a list of sessions, from tally_sessions."""
+
+    outcomes: np.ndarray  # (3,): events per outcome
+    transitions: np.ndarray  # (max_len + 1, 3, 3): [j, prev, next] into event j >= 2
+    plays: np.ndarray  # (n_tracks, cap + 1): [i, c] sessions ending track i + 1 at c
+
+
+def _sequence_counts(
+    events: Sequence[Event], n_tracks: int
+) -> tuple[list[int], list[int]]:
+    """Outcome indices of an event sequence and its final per-track play
+    counts, zero for unreached tracks."""
     counts = [0] * n_tracks
-    for event in session.events:
-        if event.outcome in (Outcome.PLAY, Outcome.REPLAY):
+    for event in events:
+        if event.outcome is not Outcome.SKIP:
             counts[event.track_position - 1] += 1
-    return tuple(counts)
+    return [OUTCOME_INDEX[event.outcome] for event in events], counts
+
+
+def tally_sessions(
+    sessions: Sequence[Session], n_tracks: int, cap: int = DEFAULT_CAP
+) -> SessionTally:
+    """Outcome, transition and final play-count tallies of ``sessions``.
+
+    Sessions are grouped by their events tuple; each distinct sequence is
+    counted once, weighted by the sessions that share it. A track enters
+    ``plays`` only for sessions that reached it. Raises ConstraintViolation
+    for the first session, in input order, that consumes more than ``cap``
+    units of a track. This is the one count loop of the count models, the
+    demand tallies and the dataset summaries.
+    """
+    if cap < 1:
+        raise ConstraintViolation(f"cap must be >= 1, got {cap}")
+    weights = Counter(session.events for session in sessions)
+    # Python lists: an indexed numpy add costs more than a sequence's walk.
+    max_len = max(map(len, weights), default=0)
+    outcomes = [0] * N_OUTCOMES
+    transitions = [
+        [[0] * N_OUTCOMES for _ in range(N_OUTCOMES)] for _ in range(max_len + 1)
+    ]
+    plays = [[0] * (cap + 1) for _ in range(n_tracks)]
+    for events, weight in weights.items():
+        idx, counts = _sequence_counts(events, n_tracks)
+        for track, count in enumerate(counts[: events[-1].track_position]):
+            if count > cap:
+                first = next(s for s in sessions if s.events == events)
+                raise ConstraintViolation(
+                    f"session {first.session_id!r}: track {track + 1} consumed "
+                    f"{count} units, cap is {cap}"
+                )
+            plays[track][count] += weight
+        for k in idx:
+            outcomes[k] += weight
+        for j in range(1, len(idx)):
+            transitions[j + 1][idx[j - 1]][idx[j]] += weight
+    return SessionTally(
+        *(np.array(a, dtype=np.int64) for a in (outcomes, transitions, plays))
+    )
 
 
 def events_from_outcomes(outcomes: Iterable[Outcome]) -> tuple[Event, ...]:

@@ -32,7 +32,7 @@ from .domain import (
     draw_outcome,
     first_max_index,
     sample_walks,
-    session_counts,
+    tally_sessions,
     walk,
 )
 from .errors import ConstraintViolation, MetricUndefinedError
@@ -151,16 +151,10 @@ class EvaluationResult:
         return tuple((pos, h / t) for pos, h, t in self.position_hits if t > 0)
 
 
-def _play_tally(sessions: Sequence[Session], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Final play counts summed per track, and how many sessions reached it."""
-    total = np.zeros(n, dtype=np.float64)
-    cover = np.zeros(n, dtype=np.int64)
-    for session in sessions:
-        counts = session_counts(session, n)
-        reached = session.last_position
-        cover[:reached] += 1
-        total[:reached] += np.asarray(counts[:reached], dtype=np.float64)
-    return total, cover
+def _play_tally(plays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Final play counts summed per track, and how many sessions reached it,
+    from the ``plays`` array of domain.tally_sessions."""
+    return plays @ np.arange(plays.shape[1], dtype=np.float64), plays.sum(axis=1)
 
 
 def _demand_rates(
@@ -211,7 +205,7 @@ def _demand_realized(
             if event.outcome is not Outcome.REPLAY:
                 # the arrival event of event.track_position, exactly once
                 predicted_sum[event.track_position - 1] += probs[j, play]
-    actual = _play_tally(sessions, n)
+    actual = _play_tally(tally_sessions(sessions, n, cap).plays)
     return _demand_rates(actual, (predicted_sum, actual[1]))
 
 
@@ -272,14 +266,16 @@ def _demand_expected(
     if n_rollouts < 1:
         raise ConstraintViolation(f"n_rollouts must be >= 1, got {n_rollouts}")
     n = len(playlist)
-    first_counts = np.zeros(N_OUTCOMES, dtype=np.float64)
-    for session in sessions:
-        first_counts[OUTCOME_INDEX[session.events[0].outcome]] += 1
+    plays = tally_sessions(sessions, n, cap).plays
+    # the first event resolves track 1: a SKIP leaves it at 0 units, a PLAY above 0
+    first_counts = np.array((plays[0, 0], plays[0, 1:].sum(), 0), dtype=np.float64)
     first_row = first_counts / first_counts.sum()
     rng = np.random.default_rng([seed, 0x5EED])
     uniforms = rng.random((n_rollouts, n * cap + 1))
     rolled = rollout_sessions(predictor, playlist, first_row, uniforms, cap)
-    return _demand_rates(_play_tally(sessions, n), _play_tally(rolled, n))
+    return _demand_rates(
+        _play_tally(plays), _play_tally(tally_sessions(rolled, n, cap).plays)
+    )
 
 
 def evaluate_playlist(
@@ -497,37 +493,30 @@ def summarize_dataset(dataset: Dataset) -> tuple[PlaylistSummary, ...]:
     out: list[PlaylistSummary] = []
     for pid in sorted(dataset.playlists):
         playlist = dataset.playlists[pid]
-        sessions = [s for s in dataset.sessions if s.playlist_id == pid]
+        sessions = dataset.sessions_for(pid)
         if not sessions:
             log.warning("playlist %r has no sessions; skipping summary", pid)
             continue
-        n = len(playlist)
-        total_events = 0
+        tally = tally_sessions(sessions, len(playlist), dataset.cap)
         total_seconds = 0.0
-        total_played = 0
-        action_counts = np.zeros(N_OUTCOMES, dtype=np.int64)
         for session in sessions:
-            total_events += len(session.events)
             total_seconds += sum(
                 event_listening_time(e, playlist) for e in session.events
             )
-            counts = session_counts(session, n)
-            total_played += sum(1 for c in counts if c >= 1)
-            for outcome in session.outcomes():
-                action_counts[OUTCOME_INDEX[outcome]] += 1
         n_sessions = len(sessions)
-        n_actions = int(action_counts.sum())
+        n_actions = int(tally.outcomes.sum())
+        shares = tally.outcomes / n_actions
         out.append(
             PlaylistSummary(
                 playlist_id=pid,
-                n_tracks=n,
+                n_tracks=len(playlist),
                 n_sessions=n_sessions,
-                mean_events=total_events / n_sessions,
+                mean_events=n_actions / n_sessions,
                 mean_listening_seconds=total_seconds / n_sessions,
-                mean_tracks_played=total_played / n_sessions,
-                share_skip=action_counts[OUTCOME_INDEX[Outcome.SKIP]] / n_actions,
-                share_play=action_counts[OUTCOME_INDEX[Outcome.PLAY]] / n_actions,
-                share_replay=action_counts[OUTCOME_INDEX[Outcome.REPLAY]] / n_actions,
+                mean_tracks_played=int(tally.plays[:, 1:].sum()) / n_sessions,
+                share_skip=shares[OUTCOME_INDEX[Outcome.SKIP]],
+                share_play=shares[OUTCOME_INDEX[Outcome.PLAY]],
+                share_replay=shares[OUTCOME_INDEX[Outcome.REPLAY]],
             )
         )
     if not out:

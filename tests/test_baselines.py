@@ -1,6 +1,8 @@
 """Markov chains and play-count marginals against hand-computed tables."""
 
+import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +20,12 @@ from seqbundle.baselines import (
     predict_markov,
     zero_order_to_json,
 )
-from seqbundle.domain import Outcome, feasible_cells, max_probability
+from seqbundle import domain
+from seqbundle.dataio import dataset_from_sessions
+from seqbundle.domain import Outcome, feasible_cells, max_probability, tally_sessions
 from seqbundle.errors import ConstraintViolation
+from seqbundle.evalkit import _play_tally, summarize_dataset, summary_to_jsonable
+from seqbundle.synthgen import generate, second_order_spec
 
 
 @pytest.fixture
@@ -272,3 +278,65 @@ class TestSerialization:
         assert np.array_equal(restored.probs, table.probs)
         assert np.array_equal(restored.counts, table.counts)
         assert restored.cap == table.cap
+
+
+class TestOneTally:
+    """The count models, demand tallies and summaries read one session tally."""
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        # Listening seconds are a float sum in session order; whole-second
+        # durations keep that sum exact in any order.
+        spec = second_order_spec(n_sessions=400, seed=5)
+        durations = tuple(float(150 + 10 * i) for i in range(spec.n_tracks))
+        return generate(replace(spec, durations=durations))
+
+    def _outputs(self, dataset, sessions):
+        (playlist,) = dataset.playlists.values()
+        plays = tally_sessions(sessions, len(playlist), dataset.cap).plays
+        summaries = summarize_dataset(dataset_from_sessions(dataset.playlists, sessions))
+        return {
+            "mc": markov_to_json(fit_markov(sessions, playlist, smoothing=0.5)),
+            "pmc": markov_to_json(fit_markov(sessions, playlist, position_dependent=True)),
+            "zero": zero_order_to_json(fit_zero_order(sessions, playlist)),
+            "summary": summary_to_jsonable(summaries),
+            "play_tally": _play_tally(plays),
+        }
+
+    def test_session_order_does_not_change_any_output(self, generated):
+        sessions = list(generated.sessions)
+        order = np.random.default_rng(0).permutation(len(sessions))
+        a = self._outputs(generated, sessions)
+        b = self._outputs(generated, [sessions[i] for i in order])
+        for key in ("mc", "pmc", "zero", "summary"):
+            assert json.dumps(a[key]) == json.dumps(b[key]), key
+        for x, y in zip(a["play_tally"], b["play_tally"]):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_each_distinct_sequence_is_walked_once_per_call(self, generated, monkeypatch):
+        sessions = generated.sessions
+        distinct = {s.events for s in sessions}
+        assert len(distinct) < len(sessions) / 2
+        walked = []
+        step = domain._sequence_counts
+
+        def spy(events, n_tracks):
+            walked.append(events)
+            return step(events, n_tracks)
+
+        monkeypatch.setattr(domain, "_sequence_counts", spy)
+        (playlist,) = generated.playlists.values()
+        calls = {
+            "mc": lambda: fit_markov(sessions, playlist),
+            "pmc": lambda: fit_markov(sessions, playlist, position_dependent=True),
+            "zero": lambda: fit_zero_order(sessions, playlist),
+            "summary": lambda: summarize_dataset(generated),
+            "play_tally": lambda: _play_tally(
+                tally_sessions(sessions, len(playlist)).plays
+            ),
+        }
+        for name, call in calls.items():
+            walked.clear()
+            call()
+            assert len(walked) == len(distinct), name
+            assert set(walked) == distinct, name

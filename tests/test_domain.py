@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import make_playlist, make_session, valid_outcome_walks
 from seqbundle.domain import (
+    OUTCOME_ORDER,
     Event,
     Outcome,
     Session,
@@ -20,12 +21,13 @@ from seqbundle.domain import (
     initial_state,
     is_terminal,
     parse_outcome,
-    session_counts,
     session_to_states,
+    tally_sessions,
     validate_session,
     walk,
 )
 from seqbundle.errors import ConstraintViolation
+from seqbundle.synthgen import GeneratorSpec, generate, second_order_spec
 
 
 class TestAdvanceRules:
@@ -246,10 +248,87 @@ class TestFirstMaxIndex:
         assert [int(first_max_index(row)) for row in rows] == [0, 1, 2, 0]
 
 
+class TestSessionTally:
+    def _reference(self, sessions, n, cap):
+        """Per-session counts, one event at a time."""
+        outcomes = np.zeros(3, dtype=np.int64)
+        transitions = np.zeros((max(map(len, sessions)) + 1, 3, 3), dtype=np.int64)
+        plays = np.zeros((n, cap + 1), dtype=np.int64)
+        for session in sessions:
+            counts = [0] * n
+            for j, event in enumerate(session.events, start=1):
+                k = OUTCOME_ORDER.index(event.outcome)
+                outcomes[k] += 1
+                if j >= 2:
+                    prev = OUTCOME_ORDER.index(session.events[j - 2].outcome)
+                    transitions[j, prev, k] += 1
+                if event.outcome is not Outcome.SKIP:
+                    counts[event.track_position - 1] += 1
+            for track in range(session.last_position):
+                plays[track, counts[track]] += 1
+        return outcomes, transitions, plays
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            second_order_spec(n_sessions=300, seed=11),
+            GeneratorSpec(  # replays may follow replays: third units
+                kind="markov1",
+                n_sessions=300,
+                seed=11,
+                n_tracks=4,
+                cap=3,
+                transitions={
+                    Outcome.SKIP: (0.7, 0.3, 0.0),
+                    Outcome.PLAY: (0.2, 0.6, 0.2),
+                    Outcome.REPLAY: (0.4, 0.4, 0.2),
+                },
+            ),
+        ],
+        ids=["second_order", "cap3"],
+    )
+    def test_matches_per_session_reference(self, spec):
+        sessions = generate(spec).sessions
+        assert len({s.events for s in sessions}) < len(sessions) / 2
+        tally = tally_sessions(sessions, spec.n_tracks, spec.cap)
+        assert tally.plays[:, spec.cap].any()
+        reference = self._reference(sessions, spec.n_tracks, spec.cap)
+        for got, want in zip(tally, reference):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_transitions_are_indexed_by_target_position(self):
+        tally = tally_sessions([make_session(["play", "replay", "skip"])], 3)
+        assert tally.transitions.shape == (4, 3, 3)
+        assert tally.transitions[2].tolist() == [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+        assert tally.transitions[3].tolist() == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+        assert not tally.transitions[:2].any()
+        assert tally.outcomes.tolist() == [1, 1, 1]
+
+    def test_over_cap_names_the_first_offending_session(self):
+        ok = make_session(["skip", "play"], sid="ok")
+        first = make_session(["play", "skip", "play", "replay"], sid="first")
+        second = make_session(["play", "replay"], sid="second")
+        again = make_session(["play", "replay"], sid="again")
+        with pytest.raises(
+            ConstraintViolation,
+            match="session 'first': track 3 consumed 2 units, cap is 1",
+        ):
+            tally_sessions([ok, first, second, again], 3, cap=1)
+        with pytest.raises(ConstraintViolation, match="session 'second': track 1"):
+            tally_sessions([ok, second, first, again], 3, cap=1)
+
+    def test_rejects_cap_below_one(self):
+        with pytest.raises(ConstraintViolation, match="cap must be >= 1"):
+            tally_sessions([make_session(["skip"])], 1, cap=0)
+
+
 class TestSessionHelpers:
     def test_session_counts_padded(self):
+        # track 1 ends at 2 units; tracks 3 and 4 were never reached
         session = make_session(["play", "replay", "skip"])
-        assert session_counts(session, 4) == (2, 0, 0, 0)
+        plays = tally_sessions([session], 4).plays
+        assert plays.tolist() == [[0, 0, 1], [1, 0, 0], [0, 0, 0], [0, 0, 0]]
 
     def test_states_track_each_event(self):
         session = make_session(["play", "replay", "skip", "play"])
@@ -282,8 +361,8 @@ def test_every_feasible_walk_validates(walk):
     n, outcomes = walk
     session = make_session([o.value for o in outcomes])
     validate_session(session, n)
-    counts = session_counts(session, n)
-    assert all(0 <= c <= 2 for c in counts)
+    plays = tally_sessions([session], n).plays  # raises on a count above 2
+    assert plays.sum() == session.last_position
     folded = []
     state = initial_state()
     for outcome in outcomes:

@@ -636,6 +636,24 @@ class TestRoundTripRegressions:
         assert rc == 2
         assert "replay mass must be 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True])
+    def test_bad_cap_in_generator_json_is_refused(self, cli_root, tmp_path, capsys, cap):
+        data = tmp_path / "data"
+        shutil.copytree(cli_root / "data", data)
+        spec = json.loads((data / "generator.json").read_text())
+        spec["cap"] = cap
+        write_json(data / "generator.json", spec)
+        commands = [
+            ["train", "--model", "mc", "--out", str(tmp_path / "mc")],
+            ["train", "--model", "zero", "--out", str(tmp_path / "zero")],
+            ["summarize", "--out", str(tmp_path / "summary")],
+        ]
+        for argv in commands:
+            capsys.readouterr()
+            assert cli_main([argv[0], "--data", str(data), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert "generator.json: cap must be an integer >= 1" in err
+
 
 class TestUsageErrors:
     def test_no_subcommand(self):

@@ -9,7 +9,7 @@ import pytest
 from seqbundle import domain, synthgen
 from seqbundle.baselines import fit_markov
 from seqbundle.dataio import write_sessions_jsonl
-from seqbundle.domain import Outcome, session_counts, validate_session
+from seqbundle.domain import Outcome, tally_sessions, validate_session
 from seqbundle.errors import ConstraintViolation
 from seqbundle.synthgen import (
     CANONICAL_SPEC_NAMES,
@@ -187,10 +187,8 @@ class TestGeneration:
         assert dataset.cap == 3
         for session in dataset.sessions:
             validate_session(session, spec.n_tracks, cap=3)
-        counts = [
-            c for s in dataset.sessions for c in session_counts(s, spec.n_tracks)
-        ]
-        assert max(counts) == 3
+        plays = tally_sessions(dataset.sessions, spec.n_tracks, cap=3).plays
+        assert plays[:, 3].sum() > 0
 
     def test_deterministic_across_calls(self):
         a = generate(simple_markov_spec())
