@@ -1,0 +1,120 @@
+"""Compare every file the benchmark's CLI stages write, between two checkouts.
+
+    python3 scripts/compare_outputs.py BASE_CHECKOUT [HEAD_CHECKOUT] [--seed 1]
+
+With each checkout's own code, runs the stage sequences of the small-nets,
+wide-transformer and count-baselines workloads (perfbench/workloads.py, full
+size, at one workload seed), then generate -> train -> evaluate in realized
+and expected demand mode for mc, pmc and zero on a cap-3 spec. Every file
+written is digested with sha256. Prints the files whose digests differ or
+that exist on one side only, and exits 1 if there are any. HEAD_CHECKOUT
+defaults to the checkout holding this script. Both checkouts need
+perfbench/workloads.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("small-nets", "wide-transformer", "count-baselines")
+
+
+def _cap3_argvs(work: Path, seed: int) -> list[list[str]]:
+    from seqbundle.domain import Outcome
+    from seqbundle.reports import write_json
+    from seqbundle.synthgen import GeneratorSpec, spec_to_json
+
+    spec = GeneratorSpec(
+        kind="markov1",
+        n_sessions=600,
+        seed=3,
+        n_tracks=6,
+        cap=3,
+        transitions={
+            Outcome.SKIP: (0.6, 0.4, 0.0),
+            Outcome.PLAY: (0.2, 0.5, 0.3),
+            Outcome.REPLAY: (0.3, 0.3, 0.4),
+        },
+    )
+    spec_path = write_json(work / "spec.json", spec_to_json(spec))
+    data = ["--data", str(work / "data")]
+    argvs = [["generate", "--spec", str(spec_path), "--out", str(work / "data")]]
+    for model in ("mc", "pmc", "zero"):
+        run = work / model
+        argvs.append(["train", *data, "--model", model, "--seed", "0", "--out", str(run)])
+        for mode in ("realized", "expected"):
+            argvs.append(["evaluate", *data, "--run", str(run), "--demand-mode", mode,
+                          "--n-rollouts", "200", "--seed", str(seed),
+                          "--out", str(run / f"eval-{mode}")])
+    return argvs
+
+
+def worker(tree: Path, out: Path, seed: int) -> dict[str, str]:
+    """Run every stage with the code of ``tree`` under ``out``; digest the files."""
+    sys.path[:0] = [str(tree / "src"), str(tree)]
+    from perfbench.workloads import stages
+    from seqbundle import cli
+
+    runs = [(w, [s.argv for s in stages(w, out / w, seed, "full")]) for w in WORKLOADS]
+    (out / "cap3").mkdir(parents=True)
+    runs.append(("cap3", _cap3_argvs(out / "cap3", seed)))
+    for name, argvs in runs:
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
+            if rc != 0:
+                raise SystemExit(f"{tree}: {name}: {' '.join(argv[:1])} exited {rc}")
+    return {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def digests(tree: Path, out: Path, seed: int) -> dict[str, str]:
+    result = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree), str(out), "--seed", str(seed)],
+        capture_output=True, text=True,
+    )
+    if result.returncode != 0:
+        raise SystemExit(f"{tree}: stages failed\n{result.stderr[-4000:]}")
+    return json.loads(result.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, nargs="?")
+    parser.add_argument("head", type=Path, nargs="?", default=HERE)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--worker", type=Path, nargs=2, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(*args.worker, args.seed)))
+        return 0
+    if args.base is None:
+        parser.error("BASE_CHECKOUT is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        # Both sides write under the same path, so paths recorded in files match.
+        work = Path(tmp) / "work"
+        base = digests(args.base.resolve(), work, args.seed)
+        work.rename(Path(tmp) / "base")
+        head = digests(args.head.resolve(), work, args.seed)
+    differ = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+    for name in differ:
+        side = "head only" if name not in base else "base only" if name not in head else "differs"
+        print(f"{side:9}  {name}")
+    print(f"{len(base.keys() | head.keys()) - len(differ)} identical, {len(differ)} different")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

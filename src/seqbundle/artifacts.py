@@ -48,6 +48,18 @@ def sha256_file(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+def read_json(path: Path | str) -> dict:
+    """The JSON object a file holds; anything else is a SchemaError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # split persistence
 
@@ -67,8 +79,7 @@ def load_split(path: Path | str, dataset: Dataset) -> Dataset:
     Every session must be covered; a dataset that drifted since the split was
     stored is an error, not a silent re-split.
     """
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     try:
         assignment = obj["session_splits"]
     except KeyError:
@@ -120,8 +131,7 @@ def save_predictor(bundle_dir: Path | str, predictor) -> Path:
 def load_predictor(bundle_dir: Path | str, playlist: Playlist):
     """Load a predictor bundle written by save_predictor."""
     bundle_dir = Path(bundle_dir)
-    with open(bundle_dir / BUNDLE_FILE, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(bundle_dir / BUNDLE_FILE)
     family = obj.get("family")
     if family == "baseline":
         model = baseline_from_json(obj["payload"])

@@ -16,12 +16,14 @@ from .domain import (
     DEFAULT_CAP,
     N_OUTCOMES,
     OUTCOME_INDEX,
+    OUTCOME_ORDER,
     Event,
     Outcome,
     Playlist,
     Session,
     check_prob_rows,
     feasible_cells,
+    feasible_outcomes,
     feasible_rows,
     tally_sessions,
     walk,
@@ -84,6 +86,11 @@ class MarkovModel:
     def __post_init__(self) -> None:
         if self.kind not in ("mc", "pmc"):
             raise ConstraintViolation(f"unknown Markov kind {self.kind!r}")
+        positions = sorted(self.matrices)
+        if positions != list(range(2, len(positions) + 2)):
+            raise ConstraintViolation(
+                f"pMC positions must run from 2 without gaps, got {positions}"
+            )
         self.marginal = check_prob_rows(self.marginal, "marginal distribution")
 
     @property
@@ -134,42 +141,6 @@ def fit_markov(
     )
 
 
-def predict_markov(
-    model: MarkovModel, prev: Outcome, position: int | None = None
-) -> np.ndarray:
-    """Probability row for the next outcome given the previous one.
-
-    Structurally empty rows (and pMC positions that were never fitted) fall
-    back to the playlist marginal, with a warning so silent degradation is
-    visible in logs.
-    """
-    if model.kind == "mc":
-        matrix = model.matrix
-        assert matrix is not None
-    else:
-        if position is None:
-            raise ConstraintViolation("pMC prediction requires a position")
-        matrix = model.matrices.get(position)
-        if matrix is None:
-            log.warning(
-                "pMC for playlist %r has no matrix for position %d; "
-                "falling back to the playlist marginal",
-                model.playlist_id,
-                position,
-            )
-            return model.marginal.copy()
-    if matrix.is_row_empty(prev):
-        log.warning(
-            "%s row %r for playlist %r is structurally empty; "
-            "falling back to the playlist marginal",
-            model.kind,
-            prev.value,
-            model.playlist_id,
-        )
-        return model.marginal.copy()
-    return matrix.row(prev).copy()
-
-
 @dataclass
 class ZeroOrderTable:
     """Per-track play-count marginals: probs[i, c] = P(track i+1 consumed c times).
@@ -196,15 +167,6 @@ class ZeroOrderTable:
     @property
     def n_tracks(self) -> int:
         return self.probs.shape[0]
-
-    def p(self, track_position: int, count: int) -> float:
-        return float(self.probs[track_position - 1, count])
-
-    def p_played(self, track_position: int) -> float:
-        return float(self.probs[track_position - 1, 1:].sum())
-
-    def p_replayed(self, track_position: int) -> float:
-        return float(self.probs[track_position - 1, 2:].sum())
 
     def expected_plays(self, track_position: int) -> float:
         """Mean units consumed for a track, implied by the table."""
@@ -235,81 +197,119 @@ def fit_zero_order(
 # ---------------------------------------------------------------------------
 # session-level predictors (shared interface with the neural models)
 
+_NO_PREV = N_OUTCOMES  # the previous-outcome slot of the empty prefix
 
-class _LoopedBatches:
-    """The batched predictor methods as loops over the per-session ones, whose
-    rows are table lookups."""
+
+class _RowTable:
+    """A count model's rows, one per prefix state, built with the predictor.
+
+    A subclass sets ``rows``, the ``fallback`` mask of the states whose row
+    stands in for a fit the model lacks, and ``_prefix_states(events)``, the
+    states after events[:k] for k = 0..len(events). Every prediction is one
+    gather, with at most one warning per call.
+    """
+
+    def _gather(self, states: Sequence[int]) -> np.ndarray:
+        states = np.asarray(states, dtype=np.intp)
+        if n_fallback := int(np.count_nonzero(self.fallback[states])):
+            log.warning("%s for playlist %r read %d fallback row(s): the playlist marginal",
+                        type(self).__name__, self.playlist_id, n_fallback)
+        return self.rows[states]
 
     def predict_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
-        return [self.predict_session(session) for session in sessions]
+        """Each session's (n_events, 3) rows, teacher-forced, from one gather."""
+        states = [self._prefix_states(session.events)[:-1] for session in sessions]
+        rows = self._gather([k for ks in states for k in ks])
+        return np.split(rows, np.cumsum([len(ks) for ks in states]))[:-1]
 
     def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
-        return np.array([self.next_probs(events) for events in prefixes])
+        """(B, 3) rows for the events that would follow the given prefixes."""
+        return self._gather([self._prefix_states(events)[-1] for events in prefixes])
 
 
 @dataclass
-class MarkovPredictor(_LoopedBatches):
-    """Teacher-forced per-event probability rows from a fitted Markov model."""
+class MarkovPredictor(_RowTable):
+    """Teacher-forced per-event probability rows from a fitted Markov model.
+
+    State (p, o) is the event at target position p after outcome o, or after
+    the empty prefix for o == _NO_PREV, whose row is the marginal. MC has the
+    one position slot 0; pMC has slots up to K+1 for fitted positions 2..K,
+    and later positions read slot K+1. Rows no matrix fills, and structurally
+    empty ones, fall back to the marginal.
+    """
 
     model: MarkovModel
+
+    def __post_init__(self) -> None:
+        model = self.model
+        matrices = {0: model.matrix} if model.kind == "mc" else model.matrices
+        self._last = 0 if model.kind == "mc" else max(matrices, default=0) + 1
+        rows = np.tile(model.marginal, (self._last + 1, N_OUTCOMES + 1, 1))
+        fallback = np.ones((self._last + 1, N_OUTCOMES + 1), dtype=bool)
+        fallback[:, _NO_PREV] = False
+        for position, matrix in matrices.items():
+            for o, outcome in enumerate(OUTCOME_ORDER):
+                if not matrix.is_row_empty(outcome):
+                    rows[position, o] = matrix.probs[o]
+                    fallback[position, o] = False
+        self.rows, self.fallback = rows.reshape(-1, N_OUTCOMES), fallback.reshape(-1)
 
     @property
     def playlist_id(self) -> str:
         return self.model.playlist_id
 
+    def _prefix_states(self, events: Sequence[Event]) -> list[int]:
+        prev = [_NO_PREV] + [OUTCOME_INDEX[e.outcome] for e in events]
+        return [min(p, self._last) * (N_OUTCOMES + 1) + o for p, o in enumerate(prev, 1)]
+
     def predict_session(self, session: Session) -> np.ndarray:
-        outcomes = session.outcomes()
-        probs = np.zeros((len(outcomes), N_OUTCOMES), dtype=np.float64)
-        probs[0] = self.model.marginal  # position 1 is never scored
-        for j in range(1, len(outcomes)):
-            probs[j] = predict_markov(self.model, outcomes[j - 1], position=j + 1)
-        return probs
+        return self.predict_sessions([session])[0]
 
     def next_probs(self, events: Sequence[Event]) -> np.ndarray:
-        """Probability row for the event that would follow the given prefix."""
-        if not events:
-            return self.model.marginal.copy()
-        return predict_markov(
-            self.model, events[-1].outcome, position=len(events) + 1
-        )
+        return self.next_probs_batch([events])[0]
 
 
 @dataclass
-class ZeroOrderPredictor(_LoopedBatches):
+class ZeroOrderPredictor(_RowTable):
     """Event-level distribution derived from per-track play-count marginals.
 
-    At the decision after track i (count x_i), the replay probability is the
-    table's P(x_i >= 2 | x_i >= 1) when a replay is feasible; the remaining
-    mass follows the next track's skip/play marginals.
+    State (track, count) of domain.walk is the decision taken once ``track``
+    holds ``count`` units. Its replay probability is the table's
+    P(x >= 2 | x >= 1) for the track when a replay is feasible; the remaining
+    mass follows the next track's skip/play marginals, all skip past the last.
     """
 
     table: ZeroOrderTable
+
+    def __post_init__(self) -> None:
+        n, cap, probs = self.table.n_tracks, self.table.cap, self.table.probs
+        played = probs[:, 1:].sum(axis=1)
+        ratio = np.zeros(n + 1)
+        np.divide(probs[:, 2:].sum(axis=1), played, out=ratio[1:], where=played > 0)
+        replay = OUTCOME_INDEX[Outcome.REPLAY]
+        replay_ok = [
+            [feasible_outcomes(track, count, n, cap)[replay] for count in range(cap + 1)]
+            for track in range(n + 1)
+        ]
+        r = np.where(replay_ok, ratio[:, None], 0.0)
+        skip = np.append(probs[:, 0], 1.0)[:, None]
+        rows = np.stack(((1 - r) * skip, (1 - r) * (1 - skip), r), axis=-1)
+        self.rows = rows.reshape(-1, N_OUTCOMES)
+        self.fallback = np.zeros(len(self.rows), dtype=bool)
 
     @property
     def playlist_id(self) -> str:
         return self.table.playlist_id
 
-    def _row_after(
-        self, track: int, count: int, feasible: tuple[bool, bool, bool]
-    ) -> np.ndarray:
-        """Row for the decision taken after the given track holds the given count."""
-        r = 0.0
-        if feasible[OUTCOME_INDEX[Outcome.REPLAY]]:
-            played = self.table.p_played(track)
-            if played > 0:
-                r = self.table.p_replayed(track) / played
-        if feasible[OUTCOME_INDEX[Outcome.PLAY]]:
-            skip = self.table.p(track + 1, 0)
-            return np.array(((1 - r) * skip, (1 - r) * (1 - skip), r))
-        return np.array((1 - r, 0.0, r))
+    def _prefix_states(self, events: Sequence[Event]) -> list[int]:
+        steps = walk(events, self.table.n_tracks, self.table.cap)
+        return [track * (self.table.cap + 1) + count for track, count, _ in steps]
 
     def predict_session(self, session: Session) -> np.ndarray:
-        steps = walk(session.events, self.table.n_tracks, self.table.cap)
-        return np.array([self._row_after(*step) for step in steps[:-1]])
+        return self.predict_sessions([session])[0]
 
     def next_probs(self, events: Sequence[Event]) -> np.ndarray:
-        """Probability row for the event that would follow the given prefix."""
-        return self._row_after(*walk(events, self.table.n_tracks, self.table.cap)[-1])
+        return self.next_probs_batch([events])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ nothing embeds timestamps, and all randomness flows from --seed flags.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
@@ -245,11 +244,7 @@ def _data_cap(data_dir: Path) -> int:
     path = data_dir / "generator.json"
     if not path.is_file():
         return DEFAULT_CAP
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cap = json.load(fh).get("cap", DEFAULT_CAP)
-    except (ValueError, AttributeError) as exc:
-        raise SchemaError(f"{path}: cannot read the cap ({exc})") from None
+    cap = artifacts.read_json(path).get("cap", DEFAULT_CAP)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise SchemaError(f"{path}: cap must be an integer >= 1, got {cap!r}")
     return cap
@@ -278,8 +273,7 @@ def cmd_generate(args) -> int:
     if args.name:
         spec = synthgen.named_spec(args.name, args.n_sessions, args.seed)
     else:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = synthgen.spec_from_json(json.load(fh))
+        spec = synthgen.spec_from_json(artifacts.read_json(args.spec))
         if args.n_sessions is not None:
             spec = replace(spec, n_sessions=args.n_sessions)
         if args.seed is not None:
@@ -343,8 +337,7 @@ def _resolve_options(args) -> dict:
     """Option precedence: explicit flag > --config file > built-in default."""
     resolved = dict(_TRAIN_DEFAULTS)
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            file_options = json.load(fh)
+        file_options = artifacts.read_json(args.config)
         unknown = set(file_options) - set(resolved)
         if unknown:
             raise SchemaError(
@@ -501,8 +494,7 @@ def cmd_train(args) -> int:
 
 def _load_run(args) -> tuple[dict, Dataset]:
     run_path = args.run / "run.json"
-    with open(run_path, encoding="utf-8") as fh:
-        run_obj = json.load(fh)
+    run_obj = artifacts.read_json(run_path)
     dataset = _load_data(args, session_end=run_obj["options"]["session_end"])
     playlists_path, sessions_path = _data_paths(args)
     digests = run_obj.get("data_digests", {})

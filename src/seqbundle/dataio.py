@@ -3,10 +3,11 @@
 Loaded sessions are validated against the play-count walk under a cap that
 the Dataset keeps (``Dataset.cap``). One load builds each distinct event once
 and validates each distinct (playlist, event sequence) once; sessions with
-the same sequence share its immutable events tuple. FeaturePipeline.matrix is the one path
-from a session to model input, for training and prediction alike. Remaining
-listening time is a suffix sum over the session's events, so it is never
-negative and is exactly 0 after the last listened event.
+the same sequence share its immutable events tuple. FeaturePipeline._rows
+builds every model input row from the events before it alone, for training,
+scoring and next-event queries alike. Remaining listening time is a suffix
+sum over the session's events, so it is never negative and is exactly 0
+after the last listened event.
 
 Wire formats
 ------------
@@ -537,12 +538,13 @@ class FeatureConfig:
 class FeaturePipeline:
     """Fits per-playlist scaling state on TRAIN sessions, vectorizes any session.
 
-    Row j of a session's matrix holds, in columns 0-3, the one-hot outcome of
-    event j-1 in OUTCOME_ORDER, or "none" (column 3) for the first event;
-    column 4 the remaining time for position j; and, with include_duration,
-    column 5 the duration of the track event j resolves. Time and
-    duration channels are z-scored with training statistics; the one-hot
-    passes through unscaled.
+    Row j holds, in columns 0-3, the one-hot outcome of event j-1 in
+    OUTCOME_ORDER, or "none" (column 3) for the first event; column 4 the
+    remaining time for position j (observed, reading the whole session, under
+    leak); and, with include_duration, column 5 the duration of the track row
+    j offers: track 1 first, then the one after the last resolved track, or
+    the last track once none is left. Time and duration channels are z-scored
+    with training statistics; the one-hot passes through unscaled.
     """
 
     playlist: Playlist
@@ -558,44 +560,54 @@ class FeaturePipeline:
         self.remaining_time_table = predicted_remaining_time(
             train_sessions, self.playlist
         )
-        times = np.concatenate([self._times(s) for s in train_sessions])
-        durations = np.concatenate([self._durations(s) for s in train_sessions])
+        raw = [self._session_rows(s) for s in train_sessions]
+        times = np.concatenate([rows[:, 4] for rows in raw])
         self.time_mean = float(np.mean(times))
         self.time_std = _std_floor(np.std(times))
-        self.duration_mean = float(np.mean(durations))
-        self.duration_std = _std_floor(np.std(durations))
+        if self.config.include_duration:
+            durations = np.concatenate([rows[:, 5] for rows in raw])
+            self.duration_mean = float(np.mean(durations))
+            self.duration_std = _std_floor(np.std(durations))
         self.fitted = True
         return self
 
-    def _times(self, session: Session) -> np.ndarray:
-        """Raw time channel: observed remaining time under leak, else the table."""
-        if self.config.leak:
-            return np.asarray(observed_remaining_time(session, self.playlist))
-        times = np.zeros(len(session.events), dtype=np.float64)
-        known = min(len(times), len(self.remaining_time_table))
-        times[:known] = self.remaining_time_table[:known]
-        return times
+    def _rows(self, events: Sequence[Event], n_rows: int) -> np.ndarray:
+        """Unscaled rows 1..n_rows (at most len(events) + 1), row j built from
+        events[:j-1] alone: the one row rule."""
+        head = events[: n_rows - 1]
+        out = np.zeros((n_rows, self.config.input_dim), dtype=np.float64)
+        prev = [N_OUTCOMES] + [OUTCOME_INDEX[e.outcome] for e in head]
+        out[np.arange(n_rows), prev] = 1.0
+        known = min(n_rows, len(self.remaining_time_table))
+        out[:known, 4] = self.remaining_time_table[:known]
+        if self.config.include_duration:
+            last = len(self.playlist)
+            offered = [1] + [min(e.track_position + 1, last) for e in head]
+            out[:, 5] = [self.playlist.track_at(k).duration for k in offered]
+        return out
 
-    def _durations(self, session: Session) -> np.ndarray:
-        return np.asarray(
-            [self.playlist.track_at(e.track_position).duration for e in session.events],
-            dtype=np.float64,
-        )
+    def _session_rows(self, session: Session) -> np.ndarray:
+        rows = self._rows(session.events, len(session.events))
+        if self.config.leak:
+            rows[:, 4] = observed_remaining_time(session, self.playlist)
+        return rows
+
+    def _scaled(self, rows: np.ndarray) -> np.ndarray:
+        if not self.fitted:
+            raise ConstraintViolation("feature pipeline used before fit()")
+        rows[:, 4] = (rows[:, 4] - self.time_mean) / self.time_std
+        if self.config.include_duration:
+            rows[:, 5] = (rows[:, 5] - self.duration_mean) / self.duration_std
+        return rows
 
     def matrix(self, session: Session) -> np.ndarray:
         """(n_events, input_dim) float64 model input."""
-        if not self.fitted:
-            raise ConstraintViolation("feature pipeline used before fit()")
-        n = len(session.events)
-        out = np.zeros((n, self.config.input_dim), dtype=np.float64)
-        prev = [N_OUTCOMES] + [OUTCOME_INDEX[e.outcome] for e in session.events[:-1]]
-        out[np.arange(n), prev] = 1.0
-        out[:, 4] = (self._times(session) - self.time_mean) / self.time_std
-        if self.config.include_duration:
-            out[:, 5] = (
-                self._durations(session) - self.duration_mean
-            ) / self.duration_std
-        return out
+        return self._scaled(self._session_rows(session))
+
+    def prefix_matrix(self, events: Sequence[Event]) -> np.ndarray:
+        """(len(events) + 1, input_dim) model input of a prefix, ending with
+        the row of the event that would follow it."""
+        return self._scaled(self._rows(events, len(events) + 1))
 
     def labels(self, session: Session) -> np.ndarray:
         """(n_events,) int64 outcome indices."""

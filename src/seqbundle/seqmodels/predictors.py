@@ -133,11 +133,9 @@ class NeuralPredictor:
     def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
         """(B, 3) rows for the events that would follow equal-length prefixes.
 
-        The model reads the feature matrix of each prefix plus a placeholder
-        event for the head of the queue: the next track in order, or the
-        current track again when the playlist is exhausted. The placeholder's
-        row depends only on its position, its track and the outcome before
-        it, never on its own outcome. The input ends at the query row, so one
+        The model reads each prefix's FeaturePipeline.prefix_matrix, whose
+        last row is the query row: built from the prefix alone, by the same
+        rule as every scored row. The input ends at the query row, so one
         pass serves the causal models and the encoder's prediction mode.
         """
         if self.pipeline.config.leak:
@@ -149,18 +147,8 @@ class NeuralPredictor:
             raise ConstraintViolation("next-event prediction needs at least one event")
         if len({len(events) for events in prefixes}) != 1:
             raise ConstraintViolation("next_probs_batch needs equal-length prefixes")
-        playlist = self.pipeline.playlist
-        queries = []
-        for events in prefixes:
-            next_pos = min(events[-1].track_position + 1, len(playlist))
-            placeholder = Event(track_position=next_pos, outcome=Outcome.PLAY)
-            query = Session(
-                session_id="query",
-                playlist_id=playlist.playlist_id,
-                events=tuple(events) + (placeholder,),
-            )
-            queries.append(self.pipeline.matrix(query))
-        return self._forward_stack(np.stack(queries))[:, -1].copy()
+        queries = np.stack([self.pipeline.prefix_matrix(events) for events in prefixes])
+        return self._forward_stack(queries)[:, -1].copy()
 
     def queue_next(self, events: tuple[Event, ...]) -> QueueDecision:
         """Iterate predictions to pick the next track to queue.
@@ -168,35 +156,23 @@ class NeuralPredictor:
         A predicted SKIP advances the candidate position and repeats; PLAY
         stops with the candidate queued; REPLAY stops with the queue unchanged.
         """
-        playlist = self.pipeline.playlist
-        n = len(playlist)
+        n = len(self.pipeline.playlist)
         work = tuple(events)
         offset = 0
         taken: list[Outcome] = []
         while True:
             outcome, probs = self.predict_next(work)
             taken.append(outcome)
-            if outcome is Outcome.PLAY:
-                return QueueDecision(
-                    outcome=outcome,
-                    track_offset=offset + 1,
-                    predicted=tuple(taken),
-                    probs=tuple(float(p) for p in probs),
-                )
-            if outcome is Outcome.REPLAY:
-                return QueueDecision(
-                    outcome=outcome,
-                    track_offset=offset,
-                    predicted=tuple(taken),
-                    probs=tuple(float(p) for p in probs),
-                )
             candidate = work[-1].track_position + 1
-            if candidate > n:
-                return QueueDecision(
-                    outcome=outcome,
-                    track_offset=None,
-                    predicted=tuple(taken),
-                    probs=tuple(float(p) for p in probs),
-                )
-            work = work + (Event(track_position=candidate, outcome=Outcome.SKIP),)
-            offset += 1
+            if outcome is Outcome.SKIP and candidate <= n:
+                work = work + (Event(track_position=candidate, outcome=Outcome.SKIP),)
+                offset += 1
+                continue
+            # a SKIP here ran past the last track: nothing is left to queue
+            track_offset = {Outcome.PLAY: offset + 1, Outcome.REPLAY: offset}.get(outcome)
+            return QueueDecision(
+                outcome=outcome,
+                track_offset=track_offset,
+                predicted=tuple(taken),
+                probs=tuple(float(p) for p in probs),
+            )

@@ -479,6 +479,13 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     }
 
 
+def _int_field(obj: dict, key: str, default: int | None = None) -> int:
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise SchemaError(f"bad generator spec: {key} must be an integer, got {value!r}")
+
+
 def spec_from_json(obj: dict) -> GeneratorSpec:
     try:
         kind = obj["kind"]
@@ -503,13 +510,13 @@ def spec_from_json(obj: dict) -> GeneratorSpec:
         durations = obj.get("durations")
         return GeneratorSpec(
             kind=kind,
-            n_sessions=int(obj["n_sessions"]),
-            seed=int(obj["seed"]),
+            n_sessions=_int_field(obj, "n_sessions"),
+            seed=_int_field(obj, "seed"),
             transitions=transitions,
             playlist_id=str(obj.get("playlist_id", "synthetic")),
-            n_tracks=int(obj.get("n_tracks", 13)),
+            n_tracks=_int_field(obj, "n_tracks", 13),
             durations=tuple(float(d) for d in durations) if durations else None,
-            cap=int(obj.get("cap", DEFAULT_CAP)),
+            cap=_int_field(obj, "cap", DEFAULT_CAP),
             initial_play_prob=float(obj.get("initial_play_prob", 0.65)),
         )
     except (KeyError, ValueError) as exc:

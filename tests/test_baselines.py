@@ -17,7 +17,6 @@ from seqbundle.baselines import (
     fit_markov,
     fit_zero_order,
     markov_to_json,
-    predict_markov,
     zero_order_to_json,
 )
 from seqbundle import domain
@@ -123,28 +122,59 @@ class TestFitMarkov:
 class TestPredictMarkov:
     def test_empty_row_falls_back_to_marginal(self, playlist3, caplog):
         sessions = [make_session(["play", "play", "skip"], sid="a")]
-        model = fit_markov(sessions, playlist3)
+        predictor = MarkovPredictor(fit_markov(sessions, playlist3))
         with caplog.at_level(logging.WARNING):
-            row = predict_markov(model, Outcome.REPLAY)
-        assert np.allclose(row, model.marginal)
-        assert any("structurally empty" in r.getMessage() for r in caplog.records)
+            row = predictor.next_probs(make_session(["play", "replay"]).events)
+        assert np.array_equal(row, predictor.model.marginal)
+        assert [r.getMessage() for r in caplog.records] == [
+            "MarkovPredictor for playlist 'pl' read 1 fallback row(s): the playlist marginal"
+        ]
 
     def test_unfitted_position_falls_back(self, playlist3, three_sessions, caplog):
-        model = fit_markov(three_sessions, playlist3, position_dependent=True)
+        predictor = MarkovPredictor(
+            fit_markov(three_sessions, playlist3, position_dependent=True)
+        )
+        session = make_session(["play", "replay", "play", "replay", "play"])
         with caplog.at_level(logging.WARNING):
-            row = predict_markov(model, Outcome.PLAY, position=9)
-        assert np.allclose(row, model.marginal)
+            rows = predictor.predict_session(session)
+        # positions 2..4 were fitted; position 5 was not
+        assert np.array_equal(rows[3], predictor.model.matrices[4].row(Outcome.PLAY))
+        assert np.array_equal(rows[4], predictor.model.marginal)
+        assert len(caplog.records) == 1
+        assert "read 1 fallback row(s)" in caplog.records[0].getMessage()
 
-    def test_pmc_requires_position(self, playlist3, three_sessions):
+    def test_pmc_position_is_the_prefix_length(self, playlist3, three_sessions):
         model = fit_markov(three_sessions, playlist3, position_dependent=True)
-        with pytest.raises(ConstraintViolation):
-            predict_markov(model, Outcome.PLAY)
+        predictor = MarkovPredictor(model)
+        events = make_session(["play", "play", "play"]).events
+        for j in (1, 2, 3):
+            expected = model.matrices[j + 1].row(Outcome.PLAY)
+            assert np.array_equal(predictor.next_probs(events[:j]), expected)
+
+    def test_pmc_positions_must_run_without_gaps(self, playlist3, three_sessions):
+        model = fit_markov(three_sessions, playlist3, position_dependent=True)
+        with pytest.raises(ConstraintViolation, match="without gaps"):
+            replace(model, matrices={2: model.matrices[2], 4: model.matrices[4]})
 
     def test_returned_row_is_a_copy(self, playlist3, three_sessions):
-        model = fit_markov(three_sessions, playlist3)
-        row = predict_markov(model, Outcome.PLAY)
+        predictor = MarkovPredictor(fit_markov(three_sessions, playlist3))
+        row = predictor.next_probs(make_session(["play"]).events)
         row[0] = 99.0
-        assert model.matrix.probs[1, 0] == 0.5
+        assert predictor.model.matrix.probs[1, 0] == 0.5
+        assert predictor.next_probs(make_session(["play"]).events)[0] == 0.5
+
+    def test_one_warning_per_call(self, playlist3, caplog):
+        sessions = [make_session(["play", "play", "skip"], sid="a")]
+        predictor = MarkovPredictor(fit_markov(sessions, playlist3))
+        replayed = make_session(["play", "replay", "play", "replay"])
+        with caplog.at_level(logging.WARNING):
+            predictor.predict_sessions([replayed, replayed, replayed])
+            predictor.next_probs_batch([replayed.events[:2], replayed.events[:2]])
+        # each session reads the empty REPLAY row once, at event 3
+        assert [r.getMessage().split(" read ")[1] for r in caplog.records] == [
+            "3 fallback row(s): the playlist marginal",
+            "2 fallback row(s): the playlist marginal",
+        ]
 
 
 class TestTransitionMatrixValidation:
@@ -191,7 +221,32 @@ class TestZeroOrder:
             fit_zero_order([bad], playlist3, cap=2)
 
 
+def _zero_order_reference_row(table, track, count, feasible):
+    """The zero-order rule one decision at a time, in scalar arithmetic."""
+    r = 0.0
+    if feasible[2]:
+        played = float(table.probs[track - 1, 1:].sum())
+        if played > 0:
+            r = float(table.probs[track - 1, 2:].sum()) / played
+    if feasible[1]:
+        skip = float(table.probs[track, 0])
+        return np.array(((1 - r) * skip, (1 - r) * (1 - skip), r))
+    return np.array((1 - r, 0.0, r))
+
+
 class TestPredictorRows:
+    @given(walk=valid_outcome_walks(max_tracks=4, cap=4))
+    @settings(max_examples=60)
+    def test_zero_order_rows_equal_the_scalar_rule(self, walk):
+        n, outcomes = walk
+        session = make_session([o.value for o in outcomes])
+        fit_on = [session, make_session(["play", "replay"], sid="f")]
+        table = fit_zero_order(fit_on, make_playlist(n), cap=4)
+        steps = domain.walk(session.events, n, 4)
+        expected = np.array([_zero_order_reference_row(table, *step) for step in steps[:-1]])
+        rows = ZeroOrderPredictor(table).predict_session(session)
+        assert rows.tobytes() == expected.tobytes()
+
     def test_zero_order_rows_frozen_example(self, playlist3, three_sessions):
         predictor = ZeroOrderPredictor(fit_zero_order(three_sessions, playlist3))
         rows = predictor.predict_session(make_session(["play", "play", "skip"]))

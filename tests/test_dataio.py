@@ -487,6 +487,23 @@ class TestFeatures:
         assert matrix.shape == (2, 6)
         assert np.all(matrix[:, 5] == 0.0)
 
+    def test_duration_is_the_offered_track(self, playlist3):
+        # row j offers the track after event j-1's (track 1 first, the last
+        # track once none is left), whatever event j then resolves
+        sessions = [
+            make_session(["play", "replay", "play", "play", "replay"], sid="a"),
+            make_session(["skip", "play"], sid="b"),
+        ]
+        config = FeatureConfig(include_duration=True)
+        pipeline = FeaturePipeline(playlist=playlist3, config=config).fit(sessions)
+        offered = [100.0, 200.0, 200.0, 300.0, 300.0, 100.0, 200.0]
+        assert pipeline.duration_mean == np.mean(offered)
+        assert pipeline.duration_std == np.std(offered)
+        raw = pipeline.matrix(sessions[0])[:, 5] * pipeline.duration_std + pipeline.duration_mean
+        assert raw.tolist() == pytest.approx(offered[:5], abs=1e-9)
+        query = pipeline.prefix_matrix(sessions[0].events[:1])
+        assert query.tobytes() == pipeline.matrix(sessions[0])[:2].tobytes()
+
     def test_leak_pipeline_differs_from_honest_one(self, playlist3):
         sessions = [
             make_session(["play", "play", "skip"], sid="a"),

@@ -539,3 +539,55 @@ def test_predictor_rows_pass_the_row_check(family, mask):
     predictor = _family_predictor(family, mask, dataset.sessions, playlist)
     for session, rows in zip(dataset.sessions, predictor.predict_sessions(dataset.sessions)):
         check_prob_rows(rows, session.session_id)
+
+
+# Sessions on a 5-track playlist; the replays are the rows where the track a
+# row offers differs from the track its event resolves.
+PREFIX_OUTCOMES = [
+    ["play", "play"],
+    ["play", "replay"],
+    ["skip", "play", "replay", "play", "skip"],
+    ["play", "replay", "skip", "play", "replay", "play", "play"],
+    ["play", "play", "play", "play", "play", "replay"],
+]
+
+
+def _prefix_rule_predictor(family, include_duration):
+    playlist = make_playlist(5)
+    sessions = [make_session(o, sid=f"q{i}") for i, o in enumerate(PREFIX_OUTCOMES)]
+    if family in ("mc", "pmc"):
+        model = fit_markov(sessions, playlist, position_dependent=family == "pmc")
+        return MarkovPredictor(model), sessions
+    if family == "zero":
+        return ZeroOrderPredictor(fit_zero_order(sessions, playlist)), sessions
+    config = FeatureConfig(include_duration=include_duration)
+    d = config.input_dim
+    transformer = dict(input_dim=d, embed_dim=8, n_blocks=2, n_heads=2, head_dim=4, ff_dim=8)
+    kind, model_config = {
+        "mlp": (ModelKind.MLP, MLPConfig(d, hidden_dim=6, n_layers=2)),
+        "lstm": (ModelKind.LSTM, LSTMConfig(d, hidden_dim=4, n_layers=2)),
+        "transformer": (ModelKind.TRANSFORMER, TransformerConfig(**transformer)),
+        "encoder": (ModelKind.ENCODER, TransformerConfig(
+            **transformer, causal=False, positional="learned", max_positions=16)),
+    }[family]
+    pipeline = FeaturePipeline(playlist=playlist, config=config).fit(sessions)
+    predictor = NeuralPredictor(model=make_model(kind, model_config, seed=2), pipeline=pipeline)
+    return predictor, sessions
+
+
+class TestPrefixRule:
+    """Row j of every family is a function of events[:j] alone: the scored row
+    and the next-event query for the same prefix are the same bytes."""
+
+    @pytest.mark.parametrize(
+        "family,include_duration",
+        [(f, False) for f in ("mc", "pmc", "zero")]
+        + [(f, d) for f in ("mlp", "lstm", "transformer", "encoder") for d in (False, True)],
+        ids=lambda v: {False: "plain", True: "duration"}.get(v, v),
+    )
+    def test_scored_row_is_the_query_row_of_its_prefix(self, family, include_duration):
+        predictor, sessions = _prefix_rule_predictor(family, include_duration)
+        for session, rows in zip(sessions, predictor.predict_sessions(sessions)):
+            for j in range(1, len(session.events)):
+                query = predictor.next_probs_batch([session.events[:j]])[0]
+                assert rows[j].tobytes() == query.tobytes(), (session.session_id, j)

@@ -1,5 +1,6 @@
 """Report writers, artifact bundles, and the end-to-end command line flows."""
 
+import hashlib
 import json
 import logging
 import shutil
@@ -24,6 +25,7 @@ from seqbundle.baselines import (
 )
 from seqbundle.cli import main as cli_main
 from seqbundle.dataio import FeatureConfig, FeaturePipeline, Split, split
+from seqbundle.domain import Outcome
 from seqbundle.errors import SchemaError
 from seqbundle.reports import (
     svg_cdf_chart,
@@ -33,7 +35,14 @@ from seqbundle.reports import (
     write_summary_csv,
 )
 from seqbundle.seqmodels import MLPConfig, ModelKind, NeuralPredictor, make_model
-from seqbundle.synthgen import frequent_pattern_spec, generate, spec_to_json, stopping_spec
+from seqbundle.synthgen import (
+    GeneratorSpec,
+    frequent_pattern_spec,
+    generate,
+    second_order_spec,
+    spec_to_json,
+    stopping_spec,
+)
 from seqbundle.errors import ConstraintViolation
 
 
@@ -655,6 +664,65 @@ class TestRoundTripRegressions:
             assert "generator.json: cap must be an integer >= 1" in err
 
 
+class TestMalformedJson:
+    """Every JSON file the CLI reads back is refused with exit 2 and its path
+    when it does not parse, never with a traceback."""
+
+    @staticmethod
+    def _copies(cli_root, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run_mc"
+        shutil.copytree(cli_root / "data", data)
+        shutil.copytree(cli_root / "run_mc", run)
+        return data, run
+
+    def _assert_refused(self, argv, path, capsys):
+        path.write_text('{"truncated": ', encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert f"{path}: not valid JSON" in capsys.readouterr().err
+
+    def _evaluate(self, data, run, tmp_path):
+        return ["evaluate", "--data", str(data), "--run", str(run),
+                "--out", str(tmp_path / "eval")]
+
+    def test_run_json(self, cli_root, tmp_path, capsys):
+        data, run = self._copies(cli_root, tmp_path)
+        self._assert_refused(self._evaluate(data, run, tmp_path), run / "run.json", capsys)
+
+    def test_split_json(self, cli_root, tmp_path, capsys):
+        data, run = self._copies(cli_root, tmp_path)
+        self._assert_refused(self._evaluate(data, run, tmp_path), run / "split.json", capsys)
+
+    def test_bundle_model_json(self, cli_root, tmp_path, capsys):
+        data, run = self._copies(cli_root, tmp_path)
+        (bundle,) = (run / "models").iterdir()
+        self._assert_refused(
+            self._evaluate(data, run, tmp_path), bundle / "model.json", capsys
+        )
+
+    def test_train_config(self, cli_root, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        argv = ["train", "--data", str(cli_root / "data"), "--model", "mc",
+                "--config", str(config), "--out", str(tmp_path / "run")]
+        self._assert_refused(argv, config, capsys)
+
+    def test_generate_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        argv = ["generate", "--spec", str(spec), "--out", str(tmp_path / "data")]
+        self._assert_refused(argv, spec, capsys)
+
+    def test_generator_json_of_the_data(self, cli_root, tmp_path, capsys):
+        data, _ = self._copies(cli_root, tmp_path)
+        argv = ["summarize", "--data", str(data), "--out", str(tmp_path / "summary")]
+        self._assert_refused(argv, data / "generator.json", capsys)
+
+    def test_a_list_is_not_a_run(self, cli_root, tmp_path, capsys):
+        data, run = self._copies(cli_root, tmp_path)
+        (run / "run.json").write_text("[]", encoding="utf-8")
+        assert cli_main(self._evaluate(data, run, tmp_path)) == 2
+        assert "expected a JSON object, got list" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert cli_main([]) == 1
@@ -671,3 +739,85 @@ class TestUsageErrors:
 
     def test_help_exits_clean(self):
         assert cli_main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned count-model outputs
+
+
+def _cap3_spec_json():
+    spec = GeneratorSpec(
+        kind="markov1",
+        n_sessions=200,
+        seed=3,
+        n_tracks=5,
+        cap=3,
+        transitions={
+            Outcome.SKIP: (0.7, 0.3, 0.0),
+            Outcome.PLAY: (0.2, 0.6, 0.2),
+            Outcome.REPLAY: (0.4, 0.4, 0.2),
+        },
+    )
+    return spec_to_json(spec)
+
+
+PINNED_SPECS = {
+    "cap2": lambda: spec_to_json(second_order_spec(n_sessions=300, seed=11)),
+    "cap3": _cap3_spec_json,
+}
+PINNED_FILES = (
+    "models/synthetic/model.json",
+    "eval-realized/report.json",
+    "eval-realized/demand.csv",
+    "eval-expected/report.json",
+    "eval-expected/demand.csv",
+)
+
+
+@pytest.fixture(scope="module")
+def count_runs(tmp_path_factory):
+    """generate -> train -> evaluate in both demand modes, per spec and model."""
+    root = tmp_path_factory.mktemp("pinned")
+    runs = {}
+    for name, spec_json in PINNED_SPECS.items():
+        data = root / name / "data"
+        spec_path = write_json(root / name / "spec.json", spec_json())
+        assert cli_main(["generate", "--spec", str(spec_path), "--out", str(data)]) == 0
+        for model in ("mc", "pmc", "zero"):
+            run = root / name / model
+            assert cli_main(["train", "--data", str(data), "--model", model,
+                             "--seed", "0", "--out", str(run)]) == 0
+            for mode in ("realized", "expected"):
+                assert cli_main(["evaluate", "--data", str(data), "--run", str(run),
+                                 "--demand-mode", mode, "--n-rollouts", "60", "--seed", "5",
+                                 "--out", str(run / f"eval-{mode}")]) == 0
+            runs[name, model] = run
+    return runs
+
+
+def _run_digest(run) -> str:
+    digest = hashlib.sha256()
+    for name in PINNED_FILES:
+        digest.update(name.encode() + b"\0" + (run / name).read_bytes())
+    return digest.hexdigest()
+
+
+class TestPinnedCountOutputs:
+    """The count models' outputs, pinned: model.json and the realized- and
+    expected-mode report.json and demand.csv of MC, pMC and zero-order on a
+    cap-2 and a cap-3 spec. A change to how their rows are computed must be
+    bit-identical or re-baseline these values on purpose."""
+
+    @pytest.mark.parametrize(
+        "spec,model,digest",
+        [
+            ("cap2", "mc", "345b421944a36fe4f98204e08d685dfbd701abb52b91d368749bb61876ac77b5"),
+            ("cap2", "pmc", "955bbd2485f064837d9f7ca3cab368aad0da69ae964515fd190e63721c62cc98"),
+            ("cap2", "zero", "9a1eb3436da166037ab6a7467ca2f9e58a7ef2c8b7a5730e30454c56cc287c56"),
+            ("cap3", "mc", "e1aa04debdc8f9df5c968e6e941c54011447c7f723f51c1cbc7b457117e40b5b"),
+            ("cap3", "pmc", "73e67e7bb4de218e4e8a381ef3087cb57a9cb73fea8264982f1a3c4ad4092e2d"),
+            ("cap3", "zero", "646f2e95074e6cdf61ce47d783c5058e12e8415166977f19085c8120bb8f5518"),
+        ],
+    )
+    def test_outputs(self, count_runs, spec, model, digest):
+        assert _run_digest(count_runs[spec, model]) == digest

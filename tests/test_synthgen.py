@@ -10,7 +10,7 @@ from seqbundle import domain, synthgen
 from seqbundle.baselines import fit_markov
 from seqbundle.dataio import write_sessions_jsonl
 from seqbundle.domain import Outcome, tally_sessions, validate_session
-from seqbundle.errors import ConstraintViolation
+from seqbundle.errors import ConstraintViolation, SchemaError
 from seqbundle.synthgen import (
     CANONICAL_SPEC_NAMES,
     GeneratorSpec,
@@ -369,3 +369,16 @@ class TestNamedSpecs:
         restored = spec_from_json(spec_to_json(spec))
         assert restored == spec
         assert generate(restored).sessions == generate(spec).sessions
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+    @pytest.mark.parametrize("field", ["cap", "n_sessions", "seed", "n_tracks"])
+    def test_integer_fields_are_refused_not_truncated(self, field, value):
+        obj = spec_to_json(named_spec("second_order", n_sessions=25))
+        obj[field] = value
+        with pytest.raises(SchemaError, match=f"{field} must be an integer, got {value!r}"):
+            spec_from_json(obj)
+
+    def test_integral_floats_are_read_as_integers(self):
+        obj = spec_to_json(named_spec("second_order", n_sessions=25, seed=7))
+        obj.update(n_sessions=25.0, seed=7.0, cap=2.0)
+        assert spec_from_json(obj) == named_spec("second_order", n_sessions=25, seed=7)
