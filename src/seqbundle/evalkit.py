@@ -4,7 +4,7 @@ All predictors expose predict_sessions(sessions) -> one (n_events, 3) array
 of probability rows per session, ordered (SKIP, PLAY, REPLAY); the row at
 index j is the prediction for event j given everything before it. The first
 event has no history and is never scored. Expected-mode demand also needs
-next_probs_batch(prefixes) -> (B, 3) rows for equal-length event prefixes.
+next_probs_batch(prefixes) -> (B, 3) rows for event prefixes of any lengths.
 
 Every row a predictor returns must pass domain.check_prob_rows, at
 domain.ROW_SUM_TOL; a scored event's prediction is its row's modal outcome,

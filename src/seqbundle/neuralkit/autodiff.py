@@ -11,9 +11,9 @@ bit-identical under input truncation, and a session's rows in a batched
 forward bit-identical to its own forward. Gradients need only be
 deterministic for a given shape, so matmul's backward is plain BLAS.
 
-A batch of B equal-length sessions travels as (B·L, d) rows through the
-row-wise ops; attention splits it into (B·H, L, hd) per-head stacks, and the
-softmaxes work on the last axis of 2-D or 3-D input.
+Packed sessions of any lengths travel as (R, d) rows through the row-wise
+ops; attention splits each block of B equal-length sessions into (B·H, L, hd)
+per-head stacks, and the softmaxes work on the last axis of 2-D or 3-D input.
 
 backward() frees the graph as it goes: once a node's backward has run, its
 grad, closure and parent links are dropped, so only leaf parameters keep

@@ -11,6 +11,7 @@ import numpy as np
 from ..errors import SchemaError
 
 FORMAT_TAG = "flat-float64-v1"
+ENTRY_KEYS = frozenset({"name", "shape", "offset", "size"})
 
 
 def _paths(stem: str | Path) -> tuple[Path, Path]:
@@ -46,15 +47,23 @@ def save_checkpoint(stem: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(stem: str | Path) -> dict[str, np.ndarray]:
     bin_path, manifest_path = _paths(stem)
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != FORMAT_TAG:
-        raise SchemaError(
-            f"{manifest_path}: unknown checkpoint format {manifest.get('format')!r}"
-        )
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"{manifest_path}: not valid JSON ({exc})") from None
+    tag = manifest.get("format") if isinstance(manifest, dict) else None
+    if tag != FORMAT_TAG:
+        raise SchemaError(f"{manifest_path}: unknown checkpoint format {tag!r}")
+    entries = manifest.get("arrays")
+    well_formed = isinstance(entries, list) and all(
+        isinstance(entry, dict) and ENTRY_KEYS <= entry.keys() for entry in entries
+    )
+    if not well_formed:
+        raise SchemaError(f"{manifest_path}: 'arrays' entries need name, shape, offset and size")
     raw = Path(bin_path).read_bytes()
     out: dict[str, np.ndarray] = {}
-    for entry in manifest["arrays"]:
+    for entry in entries:
         name = entry["name"]
         size = int(entry["size"])
         offset = int(entry["offset"])

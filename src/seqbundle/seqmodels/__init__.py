@@ -3,10 +3,10 @@
 A model maps an (n_events, input_dim) feature matrix to an (n_events, 3)
 matrix of outcome probabilities; the output at row j is the prediction for
 the event at position j+1 (1-based j+1), conditioned on rows up to j for the
-causal models. A (n_sessions, n_events, input_dim) stack of equal-length
-sessions gives their rows one after another, each bit-identical to the
-session's own forward. Training is teacher-forced and scored at positions
->= 2.
+causal models. Sessions of any lengths pack into one forward, row after
+row with their lengths alongside; each session's rows are bit-identical to
+its own forward. Training is teacher-forced, one packed forward per
+minibatch, and scored at positions >= 2.
 """
 
 from .config import (

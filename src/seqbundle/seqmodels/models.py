@@ -1,9 +1,11 @@
 """Model definitions: MLP, LSTM, and a Transformer built on the autodiff kit.
 
-Every forward takes one session's (L, input_dim) rows or a (B, L, input_dim)
-stack of equal-length sessions and returns (B·L, 3) probabilities,
-session-major; a single session is the B=1 case. A session's rows do not
-depend on the other sessions in the stack, bit for bit.
+Every forward takes packed rows: an (R, input_dim) matrix holding its
+sessions one after another, with ``lengths`` giving each session's row count
+(default: one session of R rows). It returns (R, 3) probabilities in the same
+order. A session's rows do not depend on the other sessions in the call, bit
+for bit: row-wise layers run once over all R rows, and only attention and the
+LSTM's recurrence see the segments.
 
 All parameters are float64 and initialized uniformly in
 (-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
@@ -12,8 +14,7 @@ norm gains at one, so construction is fully deterministic.
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Callable, Iterable, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -21,15 +22,25 @@ from .. import neuralkit as nk
 from ..errors import ConstraintViolation
 from .config import LSTMConfig, MLPConfig, ModelKind, TransformerConfig
 
+Lengths = Sequence[int] | np.ndarray | None
 
-T = TypeVar("T")
 
+def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, int]]]:
+    """Layout of packed sessions sorted longest first, ties in input order.
 
-def group_by_length(items: Iterable[T], length: Callable[[T], int]) -> list[list[T]]:
-    """``items`` grouped by equal ``length``, ascending; input order is kept
-    within a group. Each group stacks into one forward without padding."""
-    ordered = sorted(items, key=length)
-    return [list(group) for _, group in groupby(ordered, key=length)]
+    Returns ``order`` (sorted row i is input row order[i]), each sorted row's
+    0-based position in its session, and the blocks of equal-length sessions
+    as (their sorted rows, number of sessions). Sorting permutes the constant
+    input, so it adds no graph node.
+    """
+    by_length = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[by_length]
+    sorted_starts = np.cumsum(sorted_lengths) - sorted_lengths
+    positions = np.arange(lengths.sum()) - np.repeat(sorted_starts, sorted_lengths)
+    order = np.repeat((np.cumsum(lengths) - lengths)[by_length], sorted_lengths) + positions
+    negated, counts = np.unique(-sorted_lengths, return_counts=True)  # longest first
+    block_rows = np.split(np.arange(order.size), np.cumsum(-negated * counts)[:-1])
+    return order, positions, list(zip(block_rows, counts.tolist()))
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -51,7 +62,7 @@ class SequenceModel:
         return tensor
 
     def forward(
-        self, rows: np.ndarray, capture_attention: bool = False
+        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
     ) -> tuple[nk.Tensor, np.ndarray | None]:
         raise NotImplementedError
 
@@ -77,27 +88,30 @@ class SequenceModel:
                 )
             tensor.data = arr.copy()
 
+    def _dense(self, x: nk.Tensor, prefix: str, suffix: str = "") -> nk.Tensor:
+        """x @ <prefix>/w<suffix> + <prefix>/b<suffix>."""
+        w, b = self.params[f"{prefix}/w{suffix}"], self.params[f"{prefix}/b{suffix}"]
+        return nk.add(nk.matmul(x, w), b)
+
     @property
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
-    def _check_rows(self, rows: np.ndarray, input_dim: int) -> np.ndarray:
-        """The (B, L, input_dim) stack of ``rows``; one session is B=1."""
+    def _check_rows(self, rows, input_dim: int, lengths: Lengths) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` as an (R, input_dim) array and the session lengths, which
+        must be positive and sum to R; the default is one session."""
         arr = np.asarray(rows, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.ndim != 3 or arr.shape[2] != input_dim:
+        if arr.ndim != 2 or arr.shape[1] != input_dim:
             raise ConstraintViolation(
-                f"expected (n_events, {input_dim}) feature rows or a "
-                f"(n_sessions, n_events, {input_dim}) stack, got {np.shape(rows)}"
+                f"expected (n_rows, {input_dim}) feature rows, got {np.shape(rows)}"
             )
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ConstraintViolation("forward() needs at least one feature row")
-        return arr
-
-
-def _linear(x: nk.Tensor, w: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
-    return nk.add(nk.matmul(x, w), b)
+        lens = np.asarray([len(arr)] if lengths is None else lengths, dtype=np.int64)
+        if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != len(arr):
+            raise ConstraintViolation(
+                f"session lengths {lens.tolist()} must be positive and sum to the "
+                f"{len(arr)} feature rows"
+            )
+        return arr, lens
 
 
 class MLPModel(SequenceModel):
@@ -119,13 +133,12 @@ class MLPModel(SequenceModel):
         self._add_param("head/b", np.zeros(config.n_classes))
 
     def forward(
-        self, rows: np.ndarray, capture_attention: bool = False
+        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
     ) -> tuple[nk.Tensor, np.ndarray | None]:
-        arr = self._check_rows(rows, self.config.input_dim)
-        x = nk.Tensor(arr.reshape(-1, arr.shape[2]))
+        x = nk.Tensor(self._check_rows(rows, self.config.input_dim, lengths)[0])
         for i in range(self.config.n_layers):
-            x = nk.relu(_linear(x, self.params[f"layer{i}/w"], self.params[f"layer{i}/b"]))
-        probs = nk.softmax_rows(_linear(x, self.params["head/w"], self.params["head/b"]))
+            x = nk.relu(self._dense(x, f"layer{i}"))
+        probs = nk.softmax_rows(self._dense(x, "head"))
         return probs, None
 
 
@@ -150,40 +163,41 @@ class LSTMModel(SequenceModel):
         self._add_param("head/b2", np.zeros(config.n_classes))
 
     def forward(
-        self, rows: np.ndarray, capture_attention: bool = False
+        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
     ) -> tuple[nk.Tensor, np.ndarray | None]:
-        arr = self._check_rows(rows, self.config.input_dim)
+        """Steps over the sessions sorted longest first; step t runs the
+        sessions still live, which are the first ones (as PyTorch's
+        pack_padded_sequence does)."""
+        arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
+        order, positions, _ = _segments(lens)
+        sorted_rows = arr[order]
         h_dim = self.config.hidden_dim
-        n_batch, n_steps, _ = arr.shape
-        zeros = nk.Tensor(np.zeros((n_batch, h_dim)))
+        zeros = nk.Tensor(np.zeros((lens.size, h_dim)))
         h_state = [zeros] * self.config.n_layers
         c_state = [zeros] * self.config.n_layers
         outputs: list[nk.Tensor] = []
-        for t in range(n_steps):
-            x: nk.Tensor = nk.Tensor(arr[:, t])
+        for t in range(lens.max()):
+            x: nk.Tensor = nk.Tensor(sorted_rows[positions == t])
+            if x.shape[0] < h_state[0].shape[0]:  # the shortest live sessions ended
+                keep = np.arange(x.shape[0])
+                h_state = [nk.take_rows(h, keep) for h in h_state]
+                c_state = [nk.take_rows(c, keep) for c in c_state]
             for layer in range(self.config.n_layers):
-                gates = nk.add(
-                    nk.add(
-                        nk.matmul(x, self.params[f"l{layer}/wx"]),
-                        nk.matmul(h_state[layer], self.params[f"l{layer}/wh"]),
-                    ),
-                    self.params[f"l{layer}/b"],
+                wx, wh, b = (self.params[f"l{layer}/{name}"] for name in ("wx", "wh", "b"))
+                gates = nk.add(nk.add(nk.matmul(x, wx), nk.matmul(h_state[layer], wh)), b)
+                gi, gf, gc, go = (
+                    nk.slice_cols(gates, j * h_dim, (j + 1) * h_dim) for j in range(4)
                 )
-                gi = nk.sigmoid(nk.slice_cols(gates, 0, h_dim))
-                gf = nk.sigmoid(nk.slice_cols(gates, h_dim, 2 * h_dim))
-                gc = nk.tanh(nk.slice_cols(gates, 2 * h_dim, 3 * h_dim))
-                go = nk.sigmoid(nk.slice_cols(gates, 3 * h_dim, 4 * h_dim))
-                c_new = nk.add(nk.mul(gf, c_state[layer]), nk.mul(gi, gc))
-                h_new = nk.mul(go, nk.tanh(c_new))
-                c_state[layer] = c_new
-                h_state[layer] = h_new
-                x = h_new
+                c_state[layer] = nk.add(
+                    nk.mul(nk.sigmoid(gf), c_state[layer]), nk.mul(nk.sigmoid(gi), nk.tanh(gc))
+                )
+                x = h_state[layer] = nk.mul(nk.sigmoid(go), nk.tanh(c_state[layer]))
             outputs.append(x)
-        stacked = nk.concat_rows(outputs)  # step-major: row t·B + b
-        hidden = nk.relu(_linear(stacked, self.params["head/w1"], self.params["head/b1"]))
-        probs = nk.softmax_rows(_linear(hidden, self.params["head/w2"], self.params["head/b2"]))
-        session_major = np.arange(n_steps * n_batch).reshape(n_steps, n_batch).T.reshape(-1)
-        return nk.take_rows(probs, session_major), None
+        stacked = nk.concat_rows(outputs)  # step-major: each step's live sessions
+        hidden = nk.relu(self._dense(stacked, "head", "1"))
+        probs = nk.softmax_rows(self._dense(hidden, "head", "2"))
+        step_major = order[np.argsort(positions, kind="stable")]
+        return nk.take_rows(probs, np.argsort(step_major)), None
 
 
 class TransformerModel(SequenceModel):
@@ -227,77 +241,63 @@ class TransformerModel(SequenceModel):
         self._add_param("head/b", np.zeros(config.n_classes))
 
     def _norm(self, x: nk.Tensor, prefix: str) -> nk.Tensor:
-        normalized = nk.layer_norm(x)
-        return nk.add(
-            nk.mul(normalized, self.params[f"{prefix}/gain"]),
-            self.params[f"{prefix}/bias"],
-        )
+        gain, bias = self.params[f"{prefix}/gain"], self.params[f"{prefix}/bias"]
+        return nk.add(nk.mul(nk.layer_norm(x), gain), bias)
 
-    def _positions(self, n: int, n_batch: int) -> nk.Tensor:
-        """Position rows for ``n_batch`` stacked sessions of ``n`` events."""
+    def _positions(self, positions: np.ndarray) -> nk.Tensor:
+        """Position rows for the given 0-based positions within their sessions."""
+        n = int(positions.max()) + 1
         if self.config.positional == "fixed":
-            table = nk.positional_encoding_matrix(n, self.config.embed_dim)
-            return nk.Tensor(np.tile(table, (n_batch, 1)))
+            return nk.Tensor(nk.positional_encoding_matrix(n, self.config.embed_dim)[positions])
         if n > self.config.max_positions:
             raise ConstraintViolation(
                 f"session has {n} events but the learned position table holds "
                 f"{self.config.max_positions}"
             )
-        return nk.take_rows(self.params["pos_table"], np.tile(np.arange(n), n_batch))
+        return nk.take_rows(self.params["pos_table"], positions)
 
     def forward(
-        self, rows: np.ndarray, capture_attention: bool = False
+        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
     ) -> tuple[nk.Tensor, np.ndarray | None]:
-        arr = self._check_rows(rows, self.config.input_dim)
-        n_batch, n, _ = arr.shape
+        """Row-wise layers run once over the rows sorted by session length;
+        attention runs once per block of equal-length sessions."""
+        arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
         cfg = self.config
-        if capture_attention and n_batch != 1:
+        if capture_attention and lens.size != 1:
             raise ConstraintViolation("attention capture takes one session at a time")
-        x = nk.add(
-            _linear(
-                nk.Tensor(arr.reshape(n_batch * n, -1)),
-                self.params["embed/w"],
-                self.params["embed/b"],
-            ),
-            self._positions(n, n_batch),
-        )
-        captured = (
-            np.zeros((cfg.n_blocks, cfg.n_heads, n, n)) if capture_attention else None
-        )
+        order, positions, blocks = _segments(lens)
+        x = nk.add(self._dense(nk.Tensor(arr[order]), "embed"), self._positions(positions))
+        n = len(arr)
+        captured = np.zeros((cfg.n_blocks, cfg.n_heads, n, n)) if capture_attention else None
         inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
         width = cfg.n_heads * cfg.head_dim
         for i in range(cfg.n_blocks):
-            normed = self._norm(x, f"block{i}/ln1")
             w_qkv = nk.concat_cols([
                 self.params[f"block{i}/head{head}/{proj}"]
                 for proj in ("wq", "wk", "wv")
                 for head in range(cfg.n_heads)
             ])
-            qkv = nk.matmul(normed, w_qkv)
-            q, k, v = (
-                nk.split_heads(nk.slice_cols(qkv, j * width, (j + 1) * width), n_batch, cfg.n_heads)
-                for j in range(3)
-            )
-            scores = nk.scale(nk.einsum("bid,bjd->bij", q, k), inv_sqrt_dk)
-            alpha = nk.causal_softmax(scores) if cfg.causal else nk.softmax_rows(scores)
-            if captured is not None:
-                captured[i] = alpha.data
-            attn = _linear(
-                nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), n_batch),
-                self.params[f"block{i}/attn_out/w"],
-                self.params[f"block{i}/attn_out/b"],
-            )
-            x = nk.add(x, attn)
-            ff_in = self._norm(x, f"block{i}/ln2")
-            ff = _linear(
-                nk.relu(_linear(ff_in, self.params[f"block{i}/ff/w1"], self.params[f"block{i}/ff/b1"])),
-                self.params[f"block{i}/ff/w2"],
-                self.params[f"block{i}/ff/b2"],
-            )
-            x = nk.add(x, ff)
-        final = self._norm(x, "final_ln")
-        probs = nk.softmax_rows(_linear(final, self.params["head/w"], self.params["head/b"]))
-        return probs, captured
+            qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), w_qkv)
+            merged = []
+            for block_rows, n_batch in blocks:
+                block = qkv if len(blocks) == 1 else nk.take_rows(qkv, block_rows)
+                q, k, v = (
+                    nk.split_heads(
+                        nk.slice_cols(block, j * width, (j + 1) * width), n_batch, cfg.n_heads
+                    )
+                    for j in range(3)
+                )
+                scores = nk.scale(nk.einsum("bid,bjd->bij", q, k), inv_sqrt_dk)
+                alpha = nk.causal_softmax(scores) if cfg.causal else nk.softmax_rows(scores)
+                if captured is not None:
+                    captured[i] = alpha.data
+                merged.append(nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), n_batch))
+            heads = merged[0] if len(merged) == 1 else nk.concat_rows(merged)
+            x = nk.add(x, self._dense(heads, f"block{i}/attn_out"))
+            hidden = nk.relu(self._dense(self._norm(x, f"block{i}/ln2"), f"block{i}/ff", "1"))
+            x = nk.add(x, self._dense(hidden, f"block{i}/ff", "2"))
+        probs = nk.softmax_rows(self._dense(self._norm(x, "final_ln"), "head"))
+        return nk.take_rows(probs, np.argsort(order)), captured
 
 
 def make_model(kind: ModelKind, config, seed: int = 0) -> SequenceModel:

@@ -10,7 +10,6 @@ import numpy as np
 from .. import neuralkit as nk
 from ..domain import (
     DEFAULT_CAP,
-    N_OUTCOMES,
     OUTCOME_INDEX,
     Event,
     Outcome,
@@ -22,9 +21,12 @@ from ..domain import (
 from ..errors import ConstraintViolation
 from ..dataio import FeaturePipeline
 from .config import ModelKind
-from .models import SequenceModel, group_by_length
+from .models import SequenceModel
 
 _REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
+# Rows per inference forward, which holds activations for all of its rows; the
+# encoder's prediction mode packs every prefix, about L/2 times a session's rows.
+PACKED_ROWS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,39 +66,42 @@ class NeuralPredictor:
     def predict_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
         """Each session's (n_events, 3) outcome probabilities, teacher-forced.
 
-        Causal models run one pass per group of equal-length sessions. The
-        bidirectional encoder is evaluated in prediction mode: the row for
-        event j comes from a pass over rows 1..j alone, so one pass per prefix
-        length j stacks the first j rows of every session that long and
-        reads the last row of each. Stacking changes no session's values.
+        Causal models pack all sessions into one forward (up to PACKED_ROWS
+        rows). The bidirectional encoder is evaluated in prediction mode: the
+        row for event j comes from a pass over rows 1..j alone, so the
+        forward packs every prefix of every session and reads each prefix's
+        last row. Packing changes no session's values.
         """
         if not sessions:
             return []
         matrices = [self.pipeline.matrix(session) for session in sessions]
-        out = [np.empty((m.shape[0], N_OUTCOMES)) for m in matrices]
         if self.is_causal:
-            for idx in group_by_length(range(len(matrices)), lambda i: matrices[i].shape[0]):
-                probs = self._forward_stack(np.stack([matrices[i] for i in idx]))
-                for i, rows in zip(idx, probs):
-                    out[i] = rows
+            probs = self._forward(matrices)
         else:
-            for j in range(1, max(m.shape[0] for m in matrices) + 1):
-                idx = [i for i, m in enumerate(matrices) if m.shape[0] >= j]
-                probs = self._forward_stack(np.stack([matrices[i][:j] for i in idx]))
-                for i, rows in zip(idx, probs):
-                    out[i][j - 1] = rows[-1]
+            probs = self._last_rows([m[:j] for m in matrices for j in range(1, len(m) + 1)])
+        out = np.split(probs, np.cumsum([len(m) for m in matrices])[:-1])
         if self.feasibility_mask:
-            for session, probs in zip(sessions, out):
-                self._apply_feasibility(session, probs)
+            for session, rows in zip(sessions, out):
+                self._apply_feasibility(session, rows)
         return out
 
-    def _forward_stack(self, stack: np.ndarray) -> np.ndarray:
-        """(B, L, 3) probabilities of a (B, L, input_dim) stack, built without
-        a graph."""
-        n_batch, n_events, _ = stack.shape
+    def _forward(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
+        """(R, 3) probabilities of the matrices packed row after row, built
+        without a graph. Matrices whose first rows fall in the same span of
+        PACKED_ROWS packed rows share a forward."""
+        lengths = [len(m) for m in matrices]
+        span = (np.cumsum(lengths) - lengths) // PACKED_ROWS
+        ends = [0, *(np.flatnonzero(np.diff(span)) + 1), len(lengths)]
         with nk.no_grad():
-            probs = self.model.forward(stack)[0].data
-        return probs.reshape(n_batch, n_events, N_OUTCOMES)
+            probs = [
+                self.model.forward(np.concatenate(matrices[a:b]), lengths[a:b])[0].data
+                for a, b in zip(ends, ends[1:])
+            ]
+        return np.concatenate(probs)
+
+    def _last_rows(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
+        """(B, 3): the last probability row of each packed matrix."""
+        return self._forward(matrices)[np.cumsum([len(m) for m in matrices]) - 1]
 
     def _apply_feasibility(self, session: Session, probs: np.ndarray) -> None:
         """Put the scored rows where a replay is impossible through
@@ -131,12 +136,13 @@ class NeuralPredictor:
         return self.next_probs_batch([events])[0]
 
     def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
-        """(B, 3) rows for the events that would follow equal-length prefixes.
+        """(B, 3) rows for the events that would follow the given prefixes.
 
         The model reads each prefix's FeaturePipeline.prefix_matrix, whose
         last row is the query row: built from the prefix alone, by the same
         rule as every scored row. The input ends at the query row, so one
-        pass serves the causal models and the encoder's prediction mode.
+        packed pass serves the causal models and the encoder's prediction
+        mode, whatever the prefixes' lengths.
         """
         if self.pipeline.config.leak:
             raise ConstraintViolation(
@@ -145,10 +151,7 @@ class NeuralPredictor:
             )
         if not prefixes or not all(prefixes):
             raise ConstraintViolation("next-event prediction needs at least one event")
-        if len({len(events) for events in prefixes}) != 1:
-            raise ConstraintViolation("next_probs_batch needs equal-length prefixes")
-        queries = np.stack([self.pipeline.prefix_matrix(events) for events in prefixes])
-        return self._forward_stack(queries)[:, -1].copy()
+        return self._last_rows([self.pipeline.prefix_matrix(events) for events in prefixes])
 
     def queue_next(self, events: tuple[Event, ...]) -> QueueDecision:
         """Iterate predictions to pick the next track to queue.

@@ -1,11 +1,9 @@
 """Teacher-forced training loop with early stopping.
 
 The loss is the mean cross-entropy over every scored position (event index
->= 2) in the minibatch. The minibatch's sessions are grouped by length, and
-each group runs as one (B, L, input_dim) stack: one graph and one backward,
-seeded with the group's share of scored positions. Equal lengths need no
-padding or masks, and the sum over groups equals the mean over the whole
-minibatch. Validation uses the same grouping and builds no graph.
+>= 2) in the minibatch. The minibatch's sessions, whatever their lengths, are
+packed into one forward: one graph and one backward per minibatch.
+Validation packs its minibatches the same way and builds no graph.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from ..dataio import FeaturePipeline
 from ..domain import Session
 from ..errors import ConstraintViolation, NumericError
 from .config import TrainConfig
-from .models import SequenceModel, group_by_length
+from .models import SequenceModel
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +38,8 @@ def build_training_arrays(
     pipeline: FeaturePipeline, sessions: Sequence[Session]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Vectorize sessions; sessions with a single event carry no scored
-    positions and are dropped (with a log line)."""
+    positions and are dropped (with a log line). No session left is an error
+    naming the playlist."""
     matrices: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     dropped = 0
@@ -52,33 +51,28 @@ def build_training_arrays(
         labels.append(pipeline.labels(session))
     if dropped:
         log.info("dropped %d session(s) with fewer than 2 events", dropped)
+    if not matrices:
+        raise ConstraintViolation(
+            f"playlist {pipeline.playlist.playlist_id!r}: no training session has a scored "
+            f"event (a neural model trains on sessions of at least 2 events)"
+        )
     return matrices, labels
 
 
-def _length_groups(
-    matrices: Sequence[np.ndarray], batch: Sequence[int]
-) -> list[list[int]]:
-    """``batch``'s sessions grouped by ascending length, batch order kept within
-    a group. Single-event sessions score nothing and are left out."""
-
-    def length(i: int) -> int:
-        return matrices[i].shape[0]
-
-    return group_by_length((i for i in batch if length(i) >= 2), length)
-
-
-def _group_loss(
+def _batch_loss(
     model: SequenceModel,
     matrices: Sequence[np.ndarray],
     labels: Sequence[np.ndarray],
-    group: Sequence[int],
+    batch: Sequence[int],
 ) -> tuple[nk.Tensor, int]:
-    """Mean cross-entropy of one equal-length group's stack, and its scored count."""
-    n_events = matrices[group[0]].shape[0]
-    probs, _ = model.forward(np.stack([matrices[i] for i in group]))
-    scored = np.arange(len(group) * n_events) % n_events != 0  # first events are given
-    labs = np.concatenate([labels[i] for i in group])
-    return nk.cross_entropy_mean(probs, labs, scored), len(group) * (n_events - 1)
+    """Mean cross-entropy over the scored rows of ``batch``'s sessions, from
+    one packed forward, and their count."""
+    lengths = np.array([matrices[i].shape[0] for i in batch])
+    probs, _ = model.forward(np.concatenate([matrices[i] for i in batch]), lengths)
+    scored = np.ones(probs.shape[0], dtype=bool)
+    scored[np.cumsum(lengths) - lengths] = False  # first events are given
+    labs = np.concatenate([labels[i] for i in batch])
+    return nk.cross_entropy_mean(probs, labs, scored), int(scored.sum())
 
 
 def _dataset_loss(
@@ -93,12 +87,9 @@ def _dataset_loss(
     with nk.no_grad():
         for start in range(0, len(matrices), batch_size):
             batch = range(start, min(start + batch_size, len(matrices)))
-            for group in _length_groups(matrices, batch):
-                loss, n_scored = _group_loss(model, matrices, labels, group)
-                total += loss.item() * n_scored
-                count += n_scored
-    if count == 0:
-        raise ConstraintViolation("loss over zero scored positions")
+            loss, n_scored = _batch_loss(model, matrices, labels, batch)
+            total += loss.item() * n_scored
+            count += n_scored
     return total / count
 
 
@@ -113,8 +104,10 @@ def train_model(
     Deterministic for fixed seeds: the same model init, data, and TrainConfig
     reproduce identical loss curves and final parameters.
     """
-    if len(matrices) != len(labels) or not matrices:
-        raise ConstraintViolation("training needs matching, non-empty features/labels")
+    if len(matrices) != len(labels) or not matrices or min(map(len, matrices)) < 2:
+        raise ConstraintViolation(
+            "training needs matching features/labels of sessions with at least 2 events"
+        )
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(matrices))
     n_val = 0
@@ -140,23 +133,17 @@ def train_model(
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        n_graphs = 0
         epoch_order = train_idx[rng.permutation(len(train_idx))]
         epoch_loss = 0.0
         epoch_count = 0
         for start in range(0, len(epoch_order), config.batch_size):
             batch = epoch_order[start : start + config.batch_size]
-            total_scored = int(sum(matrices[i].shape[0] - 1 for i in batch))
-            if total_scored == 0:
-                continue
             model.zero_grads()
             try:
-                for group in _length_groups(matrices, batch):
-                    loss, n_scored = _group_loss(model, matrices, labels, group)
-                    loss.backward(seed=n_scored / total_scored)
-                    n_graphs += 1
-                    epoch_loss += loss.item() * n_scored
-                    epoch_count += n_scored
+                loss, n_scored = _batch_loss(model, matrices, labels, batch)
+                loss.backward()
+                epoch_loss += loss.item() * n_scored
+                epoch_count += n_scored
                 grads = {
                     name: (p.grad if p.grad is not None else np.zeros_like(p.data))
                     for name, p in model.params.items()
@@ -171,7 +158,7 @@ def train_model(
                 ) from exc
             for name, tensor in model.params.items():
                 tensor.data = updated[name]
-        train_losses.append(epoch_loss / max(epoch_count, 1))
+        train_losses.append(epoch_loss / epoch_count)
 
         if n_val:
             val_loss = _dataset_loss(
@@ -183,14 +170,13 @@ def train_model(
             val_losses.append(val_loss)
         seconds = time.perf_counter() - started
         log.info(
-            "epoch %d/%d: train loss %.6f, val loss %s, %.2f s, %.1f sessions/s, %d graphs",
+            "epoch %d/%d: train loss %.6f, val loss %s, %.2f s, %.1f sessions/s",
             epoch,
             config.epochs,
             train_losses[-1],
             f"{val_losses[-1]:.6f}" if n_val else "n/a",
             seconds,
             (len(train_idx) + n_val) / seconds,
-            n_graphs,
         )
         if n_val:
             if val_loss < best_val - config.min_delta:

@@ -1,12 +1,15 @@
 """Numeric kernels, reverse-mode gradients, Adam, and checkpoints."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import rng
 from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
+from seqbundle.neuralkit.checkpoint import ENTRY_KEYS
 from seqbundle.neuralkit import (
     AdamConfig,
     AdamState,
@@ -510,6 +513,22 @@ class TestCheckpoint:
             manifest.replace("flat-float64-v1", "mystery-v9")
         )
         with pytest.raises(SchemaError, match="format"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("manifest", ['{"x": ', "[]", '{"format": "flat-float64-v1"}'])
+    def test_malformed_manifest_rejected(self, tmp_path, manifest):
+        save_checkpoint(tmp_path / "ck", {"w": np.zeros(2)})
+        (tmp_path / "ck.json").write_text(manifest)
+        with pytest.raises(SchemaError, match=re.escape(str(tmp_path / "ck.json"))):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("key", sorted(ENTRY_KEYS))
+    def test_array_entry_missing_a_key_rejected(self, tmp_path, key):
+        save_checkpoint(tmp_path / "ck", {"w": np.zeros(2)})
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        del manifest["arrays"][0][key]
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="name, shape, offset and size"):
             load_checkpoint(tmp_path / "ck")
 
     def test_truncated_payload_rejected(self, tmp_path):

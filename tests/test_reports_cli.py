@@ -645,6 +645,31 @@ class TestRoundTripRegressions:
         assert rc == 2
         assert "replay mass must be 0" in capsys.readouterr().err
 
+    def test_neural_train_needs_a_scored_event(self, tmp_path, capsys):
+        # one track at cap 1: every session is a single, unscored event
+        spec = GeneratorSpec(
+            kind="markov1",
+            n_sessions=20,
+            seed=3,
+            n_tracks=1,
+            cap=1,
+            transitions={
+                Outcome.SKIP: (0.5, 0.5, 0.0),
+                Outcome.PLAY: (0.5, 0.5, 0.0),
+                Outcome.REPLAY: (0.5, 0.5, 0.0),
+            },
+        )
+        spec_path = write_json(tmp_path / "spec.json", spec_to_json(spec))
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--spec", str(spec_path), "--out", str(data)]) == 0
+        train = ["train", "--data", str(data)]
+        assert cli_main(train + ["--model", "mc", "--out", str(tmp_path / "mc")]) == 0
+        capsys.readouterr()
+        assert cli_main(train + TINY_MLP + ["--out", str(tmp_path / "mlp")]) == 2
+        err = capsys.readouterr().err
+        assert "playlist 'synthetic': no training session has a scored event" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("cap", [0, -1, 2.5, True])
     def test_bad_cap_in_generator_json_is_refused(self, cli_root, tmp_path, capsys, cap):
         data = tmp_path / "data"
@@ -715,6 +740,19 @@ class TestMalformedJson:
         data, _ = self._copies(cli_root, tmp_path)
         argv = ["summarize", "--data", str(data), "--out", str(tmp_path / "summary")]
         self._assert_refused(argv, data / "generator.json", capsys)
+
+    def test_bundle_weights_json(self, cli_root, tmp_path, capsys):
+        data = cli_root / "data"
+        run = tmp_path / "run_mlp"
+        assert cli_main(["train", "--data", str(data), *TINY_MLP, "--out", str(run)]) == 0
+        (bundle,) = (run / "models").iterdir()
+        weights = bundle / "weights.json"
+        weights.write_text('{"x": ', encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(self._evaluate(data, run, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{weights}: not valid JSON" in err
+        assert "Traceback" not in err
 
     def test_a_list_is_not_a_run(self, cli_root, tmp_path, capsys):
         data, run = self._copies(cli_root, tmp_path)
