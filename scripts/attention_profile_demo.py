@@ -88,8 +88,9 @@ def main() -> int:
     correlations = []
     skipped = 0
     example = None
-    for session in dataset.sessions_for(pid, Split.TEST):
-        profile = session_attention_profile(predictor, session)
+    sessions = dataset.sessions_for(pid, Split.TEST)
+    for session, weights in zip(sessions, predictor.attention_for_sessions(sessions)):
+        profile = session_attention_profile(session, weights)
         if profile is None or profile.correlation is None:
             skipped += 1
             continue

@@ -160,8 +160,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def session_attention_profile(predictor, session: Session) -> AttentionProfile | None:
-    """Empirical vs baseline key-weight profile for one session.
+def session_attention_profile(session: Session, weights) -> AttentionProfile | None:
+    """Empirical vs baseline key-weight profile for one session, from its
+    (layers, heads, n, n) attention weights.
 
     Heads and layers are averaged elementwise first, then key weights are
     taken. Sessions shorter than 3 events cannot support a correlation and
@@ -169,7 +170,7 @@ def session_attention_profile(predictor, session: Session) -> AttentionProfile |
     """
     if len(session) < 3:
         return None
-    tensor = AttentionTensor(predictor.attention_for_session(session))
+    tensor = AttentionTensor(weights)
     averaged = tensor.averaged()
     empirical = average_key_weights(averaged)
     baseline = baseline_key_weights(BASELINE_UNIFORM, tensor.n_positions)

@@ -527,7 +527,6 @@ def cmd_evaluate(args) -> int:
         predictors,
         dataset,
         split=Split(args.split),
-        cap=dataset.cap,
         demand_mode=args.demand_mode,
         n_rollouts=args.n_rollouts,
         seed=args.seed,
@@ -589,8 +588,9 @@ def cmd_analyze_attention(args) -> int:
     profiles = []
     skipped = 0
     for pid in sorted(predictors):
-        for session in dataset.sessions_for(pid, Split(args.split)):
-            profile = session_attention_profile(predictors[pid], session)
+        sessions = dataset.sessions_for(pid, Split(args.split))
+        for session, weights in zip(sessions, predictors[pid].attention_for_sessions(sessions)):
+            profile = session_attention_profile(session, weights)
             if profile is None:
                 skipped += 1
             else:
@@ -613,19 +613,15 @@ def cmd_analyze_attention(args) -> int:
         rows,
     )
 
-    lengths = sorted({len(p.empirical) for p in profiles})
+    checks = [harmonic_approx_check(n) for n in sorted({len(p.empirical) for p in profiles})]
     payload = {
         "split": args.split,
         "n_sessions_profiled": len(profiles),
         "n_sessions_skipped_short": skipped,
         "mean_correlation_by_playlist": playlist_correlations(profiles),
         "uniform_baseline_first_key": {
-            str(n): {
-                "exact": harmonic_approx_check(n).exact,
-                "approximation": harmonic_approx_check(n).approximation,
-                "deviation_bound": harmonic_approx_check(n).bound,
-            }
-            for n in lengths
+            str(c.n): dict(exact=c.exact, approximation=c.approximation, deviation_bound=c.bound)
+            for c in checks
         },
     }
     json_path = reports.write_json(out_dir / "attention.json", payload)

@@ -436,16 +436,15 @@ def evaluate_dataset(
     predictors: Mapping[str, object],
     dataset: Dataset,
     split: Split = Split.TEST,
-    cap: int = DEFAULT_CAP,
     demand_mode: str = "realized",
     n_rollouts: int = 200,
     seed: int = 0,
 ) -> EvaluationReport:
-    """Evaluate per-playlist predictors on one split of a dataset.
+    """Evaluate per-playlist predictors on one split of a dataset, at its cap.
 
     ``predictors`` maps playlist id to a fitted predictor. Playlists without
     holdout sessions are skipped with a warning; a playlist with sessions but
-    no predictor is an error.
+    no predictor or no scored event is an error.
     """
     results: list[EvaluationResult] = []
     for pid in sorted(dataset.playlists):
@@ -455,12 +454,17 @@ def evaluate_dataset(
             continue
         if pid not in predictors:
             raise ConstraintViolation(f"no predictor for playlist {pid!r}")
+        if all(len(session) < 2 for session in sessions):
+            raise ConstraintViolation(
+                f"playlist {pid!r}: no {split.value} session has a scored event "
+                f"(scoring needs a session of at least 2 events)"
+            )
         results.append(
             evaluate_playlist(
                 predictors[pid],
                 sessions,
                 dataset.playlists[pid],
-                cap=cap,
+                cap=dataset.cap,
                 demand_mode=demand_mode,
                 n_rollouts=n_rollouts,
                 seed=seed,

@@ -3,9 +3,10 @@
 Every forward takes packed rows: an (R, input_dim) matrix holding its
 sessions one after another, with ``lengths`` giving each session's row count
 (default: one session of R rows). It returns (R, 3) probabilities in the same
-order. A session's rows do not depend on the other sessions in the call, bit
-for bit: row-wise layers run once over all R rows, and only attention and the
-LSTM's recurrence see the segments.
+order, and the transformer can also return each session's attention weights.
+A session's rows and weights do not depend on the other sessions in the call,
+bit for bit: row-wise layers run once over all R rows, and only attention and
+the LSTM's recurrence see the segments.
 
 All parameters are float64 and initialized uniformly in
 (-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
@@ -23,15 +24,16 @@ from ..errors import ConstraintViolation
 from .config import LSTMConfig, MLPConfig, ModelKind, TransformerConfig
 
 Lengths = Sequence[int] | np.ndarray | None
+Captured = list[np.ndarray] | None  # per session (n_blocks, n_heads, L, L) attention
 
 
-def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, int]]]:
+def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """Layout of packed sessions sorted longest first, ties in input order.
 
     Returns ``order`` (sorted row i is input row order[i]), each sorted row's
     0-based position in its session, and the blocks of equal-length sessions
-    as (their sorted rows, number of sessions). Sorting permutes the constant
-    input, so it adds no graph node.
+    as (their sorted rows, their sessions' input indices). Sorting permutes
+    the constant input, so it adds no graph node.
     """
     by_length = np.argsort(-lengths, kind="stable")
     sorted_lengths = lengths[by_length]
@@ -40,7 +42,7 @@ def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[n
     order = np.repeat((np.cumsum(lengths) - lengths)[by_length], sorted_lengths) + positions
     negated, counts = np.unique(-sorted_lengths, return_counts=True)  # longest first
     block_rows = np.split(np.arange(order.size), np.cumsum(-negated * counts)[:-1])
-    return order, positions, list(zip(block_rows, counts.tolist()))
+    return order, positions, list(zip(block_rows, np.split(by_length, np.cumsum(counts)[:-1])))
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -61,9 +63,7 @@ class SequenceModel:
         self.params[name] = tensor
         return tensor
 
-    def forward(
-        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
-    ) -> tuple[nk.Tensor, np.ndarray | None]:
+    def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, Captured]:
         raise NotImplementedError
 
     def zero_grads(self) -> None:
@@ -132,9 +132,7 @@ class MLPModel(SequenceModel):
         )
         self._add_param("head/b", np.zeros(config.n_classes))
 
-    def forward(
-        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
-    ) -> tuple[nk.Tensor, np.ndarray | None]:
+    def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
         x = nk.Tensor(self._check_rows(rows, self.config.input_dim, lengths)[0])
         for i in range(self.config.n_layers):
             x = nk.relu(self._dense(x, f"layer{i}"))
@@ -162,9 +160,7 @@ class LSTMModel(SequenceModel):
         self._add_param("head/w2", _uniform(rng, h, (h, config.n_classes)))
         self._add_param("head/b2", np.zeros(config.n_classes))
 
-    def forward(
-        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
-    ) -> tuple[nk.Tensor, np.ndarray | None]:
+    def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
         """Steps over the sessions sorted longest first; step t runs the
         sessions still live, which are the first ones (as PyTorch's
         pack_padded_sequence does)."""
@@ -258,17 +254,16 @@ class TransformerModel(SequenceModel):
 
     def forward(
         self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
-    ) -> tuple[nk.Tensor, np.ndarray | None]:
+    ) -> tuple[nk.Tensor, Captured]:
         """Row-wise layers run once over the rows sorted by session length;
-        attention runs once per block of equal-length sessions."""
+        attention runs once per block of equal-length sessions, whose weights
+        ``capture_attention`` returns per session, in input order."""
         arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
         cfg = self.config
-        if capture_attention and lens.size != 1:
-            raise ConstraintViolation("attention capture takes one session at a time")
         order, positions, blocks = _segments(lens)
         x = nk.add(self._dense(nk.Tensor(arr[order]), "embed"), self._positions(positions))
-        n = len(arr)
-        captured = np.zeros((cfg.n_blocks, cfg.n_heads, n, n)) if capture_attention else None
+        stack = (cfg.n_blocks, cfg.n_heads)
+        captured = [np.empty((*stack, n, n)) for n in lens.tolist()] if capture_attention else None
         inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
         width = cfg.n_heads * cfg.head_dim
         for i in range(cfg.n_blocks):
@@ -279,19 +274,21 @@ class TransformerModel(SequenceModel):
             ])
             qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), w_qkv)
             merged = []
-            for block_rows, n_batch in blocks:
+            for block_rows, batch in blocks:
                 block = qkv if len(blocks) == 1 else nk.take_rows(qkv, block_rows)
                 q, k, v = (
                     nk.split_heads(
-                        nk.slice_cols(block, j * width, (j + 1) * width), n_batch, cfg.n_heads
+                        nk.slice_cols(block, j * width, (j + 1) * width), batch.size, cfg.n_heads
                     )
                     for j in range(3)
                 )
                 scores = nk.scale(nk.einsum("bid,bjd->bij", q, k), inv_sqrt_dk)
                 alpha = nk.causal_softmax(scores) if cfg.causal else nk.softmax_rows(scores)
                 if captured is not None:
-                    captured[i] = alpha.data
-                merged.append(nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), n_batch))
+                    per_session = alpha.data.reshape(batch.size, cfg.n_heads, *alpha.shape[1:])
+                    for index, weights in zip(batch.tolist(), per_session):
+                        captured[index][i] = weights
+                merged.append(nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), batch.size))
             heads = merged[0] if len(merged) == 1 else nk.concat_rows(merged)
             x = nk.add(x, self._dense(heads, f"block{i}/attn_out"))
             hidden = nk.relu(self._dense(self._norm(x, f"block{i}/ln2"), f"block{i}/ff", "1"))

@@ -1,4 +1,4 @@
-"""Session-level prediction on top of a trained model and feature pipeline."""
+"""Session-level prediction and attention capture on a trained model and feature pipeline."""
 
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ class NeuralPredictor:
             return []
         matrices = [self.pipeline.matrix(session) for session in sessions]
         if self.is_causal:
-            probs = self._forward(matrices)
+            probs, _ = self._forward(matrices)
         else:
             probs = self._last_rows([m[:j] for m in matrices for j in range(1, len(m) + 1)])
         out = np.split(probs, np.cumsum([len(m) for m in matrices])[:-1])
@@ -85,23 +85,25 @@ class NeuralPredictor:
                 self._apply_feasibility(session, rows)
         return out
 
-    def _forward(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
-        """(R, 3) probabilities of the matrices packed row after row, built
-        without a graph. Matrices whose first rows fall in the same span of
-        PACKED_ROWS packed rows share a forward."""
+    def _forward(self, matrices: Sequence[np.ndarray], **options) -> tuple[np.ndarray, list]:
+        """(R, 3) probabilities of the matrices packed row after row and, when
+        ``options`` ask the model to capture attention, each matrix's weights
+        (else []); built without a graph. Matrices whose first rows fall in
+        the same span of PACKED_ROWS packed rows share a forward."""
         lengths = [len(m) for m in matrices]
         span = (np.cumsum(lengths) - lengths) // PACKED_ROWS
         ends = [0, *(np.flatnonzero(np.diff(span)) + 1), len(lengths)]
         with nk.no_grad():
-            probs = [
-                self.model.forward(np.concatenate(matrices[a:b]), lengths[a:b])[0].data
+            results = [
+                self.model.forward(np.concatenate(matrices[a:b]), lengths[a:b], **options)
                 for a, b in zip(ends, ends[1:])
             ]
-        return np.concatenate(probs)
+        probs = np.concatenate([p.data for p, _ in results])
+        return probs, [weights for _, captured in results if captured for weights in captured]
 
     def _last_rows(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
         """(B, 3): the last probability row of each packed matrix."""
-        return self._forward(matrices)[np.cumsum([len(m) for m in matrices]) - 1]
+        return self._forward(matrices)[0][np.cumsum([len(m) for m in matrices]) - 1]
 
     def _apply_feasibility(self, session: Session, probs: np.ndarray) -> None:
         """Put the scored rows where a replay is impossible through
@@ -111,18 +113,17 @@ class NeuralPredictor:
         closed = [j for j in range(1, len(session.events)) if not steps[j][2][_REPLAY]]
         probs[closed] = feasible_rows(probs[closed], [False] * len(closed))
 
-    def attention_for_session(self, session: Session) -> np.ndarray:
-        """(n_blocks, n_heads, L, L) attention weights from one causal pass."""
+    def attention_for_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
+        """Each session's (n_blocks, n_heads, L, L) attention weights from packed causal passes."""
         if self.model.kind is not ModelKind.TRANSFORMER:
             raise ConstraintViolation(
                 f"attention capture needs the causal transformer, got "
                 f"{self.model.kind.value!r}"
             )
-        rows = self.pipeline.matrix(session)
-        with nk.no_grad():
-            _, captured = self.model.forward(rows, capture_attention=True)
-        assert captured is not None
-        return captured
+        if not sessions:
+            return []
+        matrices = [self.pipeline.matrix(session) for session in sessions]
+        return self._forward(matrices, capture_attention=True)[1]
 
     # -- forward-looking prediction ------------------------------------------
 

@@ -168,36 +168,24 @@ class TestPearson:
             pearson((1.0, 2.0), (1.0, 2.0, 3.0))
 
 
-class FixedAttentionPredictor:
-    """attention_for_session returns a preset tensor (profile tests)."""
-
-    def __init__(self, weights):
-        self.weights = weights
-
-    def attention_for_session(self, session):
-        return self.weights
-
-
 class TestProfiles:
     def test_uniform_attention_correlates_perfectly(self):
         n = 4
         uniform = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
-        predictor = FixedAttentionPredictor(uniform[None, None])
         session = make_session(["play", "play", "skip", "play"])
-        profile = session_attention_profile(predictor, session)
+        profile = session_attention_profile(session, uniform[None, None])
         assert profile.correlation == pytest.approx(1.0, abs=1e-12)
         assert profile.empirical == pytest.approx(profile.baseline)
 
     def test_short_sessions_are_excluded(self):
-        predictor = FixedAttentionPredictor(np.ones((1, 1, 2, 2)))
-        assert session_attention_profile(predictor, make_session(["play", "skip"])) is None
+        weights = np.ones((1, 1, 2, 2))
+        assert session_attention_profile(make_session(["play", "skip"]), weights) is None
 
     def test_constant_profile_yields_none_correlation(self):
         tensor = self.constant_key_weight_tensor()
         assert np.allclose(average_key_weights(tensor), 0.5, atol=1e-15)
-        predictor = FixedAttentionPredictor(tensor[None, None])
         session = make_session(["play", "play", "skip"])
-        profile = session_attention_profile(predictor, session)
+        profile = session_attention_profile(session, tensor[None, None])
         assert profile.correlation is None
 
     @staticmethod
@@ -212,13 +200,12 @@ class TestProfiles:
         profiles = []
         n = 4
         uniform = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
-        predictor = FixedAttentionPredictor(uniform[None, None])
         for sid in ("a", "b"):
             session = make_session(["play", "play", "skip", "play"], sid=sid)
-            profiles.append(session_attention_profile(predictor, session))
-        flat = FixedAttentionPredictor(self.constant_key_weight_tensor()[None, None])
+            profiles.append(session_attention_profile(session, uniform[None, None]))
+        flat = self.constant_key_weight_tensor()[None, None]
         profiles.append(
-            session_attention_profile(flat, make_session(["play", "play", "skip"], sid="c"))
+            session_attention_profile(make_session(["play", "play", "skip"], sid="c"), flat)
         )
         means = playlist_correlations(profiles)
         assert list(means) == ["pl"]
@@ -243,7 +230,8 @@ class TestEndToEndCapture:
         predictor = NeuralPredictor(
             model=make_model(ModelKind.TRANSFORMER, config, seed=4), pipeline=pipeline
         )
-        profile = session_attention_profile(predictor, sessions[0])
+        [weights] = predictor.attention_for_sessions(sessions[:1])
+        profile = session_attention_profile(sessions[0], weights)
         assert profile is not None
         assert len(profile.empirical) == 3
         assert profile.baseline == pytest.approx((11 / 18, 5 / 12, 1 / 3))

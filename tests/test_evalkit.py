@@ -425,6 +425,21 @@ class TestEvaluateDataset:
         assert report.hit_rate == pytest.approx(4 / 6)
         assert int(np.trace(report.confusion_counts())) == 4
 
+    def test_scores_at_the_dataset_cap(self):
+        # track 1 is played three times, which only a cap of 3 allows
+        sessions = (
+            make_session(["play", "replay", "replay", "play"], sid="s1"),
+            make_session(["play", "play", "skip"], sid="s2"),
+        )
+        dataset = Dataset(
+            playlists={"pl": make_playlist(3)},
+            sessions=sessions,
+            split_tags=(Split.TEST, Split.TEST),
+            cap=3,
+        )
+        report = evaluate_dataset({"pl": FixedRowPredictor()}, dataset)
+        assert (report.n_scored, report.hits) == (5, 2)
+
     def test_missing_predictor_is_an_error(self):
         dataset = self.build_dataset()
         with pytest.raises(ConstraintViolation, match="no predictor"):

@@ -35,6 +35,7 @@ from seqbundle.reports import (
     write_summary_csv,
 )
 from seqbundle.seqmodels import MLPConfig, ModelKind, NeuralPredictor, make_model
+from seqbundle.seqmodels.models import TransformerModel
 from seqbundle.synthgen import (
     GeneratorSpec,
     frequent_pattern_spec,
@@ -461,6 +462,23 @@ class TestAttentionCommand:
             assert entry["exact"] <= entry["approximation"]
             assert entry["approximation"] - entry["exact"] <= entry["deviation_bound"]
 
+    def test_one_forward_per_playlist(self, cli_root, tmp_path, monkeypatch):
+        calls = []
+        forward = TransformerModel.forward
+
+        def counting_forward(self, rows, lengths=None, **options):
+            calls.append(options)
+            return forward(self, rows, lengths, **options)
+
+        monkeypatch.setattr(TransformerModel, "forward", counting_forward)
+        rc = cli_main(
+            ["analyze-attention", "--data", str(cli_root / "data"),
+             "--run", str(cli_root / "run_tf"), "--out", str(tmp_path / "attention")]
+        )
+        assert rc == 0
+        run = json.loads((cli_root / "run_tf" / "run.json").read_text())
+        assert calls == [{"capture_attention": True}] * len(run["playlists"])
+
     def test_non_transformer_run_rejected(self, cli_root):
         rc = cli_main(
             ["analyze-attention", "--data", str(cli_root / "data"),
@@ -646,7 +664,8 @@ class TestRoundTripRegressions:
         assert "replay mass must be 0" in capsys.readouterr().err
 
     def test_neural_train_needs_a_scored_event(self, tmp_path, capsys):
-        # one track at cap 1: every session is a single, unscored event
+        # one track at cap 1: every session is a single, unscored event; count
+        # models still fit from first events, and evaluate refuses the holdout
         spec = GeneratorSpec(
             kind="markov1",
             n_sessions=20,
@@ -668,6 +687,14 @@ class TestRoundTripRegressions:
         assert cli_main(train + TINY_MLP + ["--out", str(tmp_path / "mlp")]) == 2
         err = capsys.readouterr().err
         assert "playlist 'synthetic': no training session has a scored event" in err
+        assert "Traceback" not in err
+        evaluate = ["evaluate", "--data", str(data), "--run", str(tmp_path / "mc")]
+        assert cli_main(evaluate + ["--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "playlist 'synthetic': no test session has a scored event "
+            "(scoring needs a session of at least 2 events)"
+        ) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cap", [0, -1, 2.5, True])

@@ -135,9 +135,9 @@ class TestForward:
 
     def test_attention_capture_shape(self):
         model = make_model(ModelKind.TRANSFORMER, tiny_transformer_config(n_blocks=2))
-        _, captured = model.forward(rng(3).normal(size=(4, INPUT_DIM)), capture_attention=True)
-        assert captured.shape == (2, 2, 4, 4)
-        assert np.allclose(captured.sum(axis=3), 1.0, atol=1e-9)
+        _, [weights] = model.forward(rng(3).normal(size=(4, INPUT_DIM)), capture_attention=True)
+        assert weights.shape == (2, 2, 4, 4)
+        assert np.allclose(weights.sum(axis=3), 1.0, atol=1e-9)
 
     def test_same_seed_same_init(self):
         a = make_model(ModelKind.TRANSFORMER, tiny_transformer_config(), seed=9)
@@ -325,10 +325,18 @@ class TestBatchedForward:
         with pytest.raises(ConstraintViolation, match="session lengths"):
             model.forward(np.zeros((6, INPUT_DIM)), lengths)
 
-    def test_attention_capture_takes_one_session(self):
-        model = make_model(ModelKind.TRANSFORMER, tiny_transformer_config())
-        with pytest.raises(ConstraintViolation, match="one session"):
-            model.forward(np.zeros((6, INPUT_DIM)), [3, 3], capture_attention=True)
+    def test_packed_capture_matches_single_session_capture(self):
+        model = make_model(*FAMILIES[2], seed=3)
+        gen = rng(46)
+        sessions = [gen.normal(size=(n, INPUT_DIM)) for n in PACKED_LENGTHS]
+        rows = np.concatenate(sessions)
+        probs, captured = model.forward(rows, PACKED_LENGTHS, capture_attention=True)
+        assert probs.data.tobytes() == model.forward(rows, PACKED_LENGTHS)[0].data.tobytes()
+        assert len(captured) == len(sessions)
+        for session, weights in zip(sessions, captured):
+            _, [single] = model.forward(session, capture_attention=True)
+            assert weights.shape == (2, 2, len(session), len(session))
+            assert weights.tobytes() == single.tobytes()
 
 
 class TestCausality:
@@ -454,9 +462,9 @@ class TestTraining:
         calls = []
         forward = model.forward
 
-        def counting_forward(rows, lengths=None, capture_attention=False):
+        def counting_forward(rows, lengths=None, **options):
             calls.append(list(lengths))
-            return forward(rows, lengths, capture_attention)
+            return forward(rows, lengths, **options)
 
         monkeypatch.setattr(model, "forward", counting_forward)
         config = TrainConfig(epochs=2, batch_size=4, validation_fraction=0.25)
@@ -629,7 +637,7 @@ class TestEncoderPredictionMode:
     def test_attention_capture_requires_causal_kind(self):
         predictor = self.build_predictor()
         with pytest.raises(ConstraintViolation, match="causal"):
-            predictor.attention_for_session(make_session(["play", "play"]))
+            predictor.attention_for_sessions([make_session(["play", "play"])])
 
 
 # Valid sessions on a 5-track playlist with repeated and single-event lengths.
@@ -707,9 +715,9 @@ class TestBatchedInference:
         calls = []
         forward = predictor.model.forward
 
-        def counting_forward(rows, lengths=None, capture_attention=False):
+        def counting_forward(rows, lengths=None, **options):
             calls.append(list(lengths))
-            return forward(rows, lengths, capture_attention)
+            return forward(rows, lengths, **options)
 
         monkeypatch.setattr(predictor.model, "forward", counting_forward)
         predictor.predict_sessions(sessions)
@@ -726,9 +734,9 @@ class TestBatchedInference:
         calls = []
         forward = predictor.model.forward
 
-        def counting_forward(rows, lengths=None, capture_attention=False):
+        def counting_forward(rows, lengths=None, **options):
             calls.append(list(lengths))
-            return forward(rows, lengths, capture_attention)
+            return forward(rows, lengths, **options)
 
         monkeypatch.setattr(predictor.model, "forward", counting_forward)
         monkeypatch.setattr(predictors, "PACKED_ROWS", 6)
@@ -736,6 +744,26 @@ class TestBatchedInference:
         assert len(calls) > 1
         assert all(sum(lengths[:-1]) < 6 for lengths in calls)  # first rows in one span
         for a, b in zip(whole, chunked):
+            assert a.tobytes() == b.tobytes()
+
+    def test_attention_for_sessions_is_the_same_across_spans(self, monkeypatch):
+        predictor, sessions = self.build(*FAMILIES[2])
+        assert predictor.attention_for_sessions([]) == []
+        whole = predictor.attention_for_sessions(sessions)
+        calls = []
+        forward = predictor.model.forward
+
+        def counting_forward(rows, lengths=None, **options):
+            calls.append(list(lengths))
+            return forward(rows, lengths, **options)
+
+        monkeypatch.setattr(predictor.model, "forward", counting_forward)
+        monkeypatch.setattr(predictors, "PACKED_ROWS", 6)
+        chunked = predictor.attention_for_sessions(sessions)
+        assert len(calls) > 1
+        assert len(whole) == len(chunked) == len(sessions)
+        for session, a, b in zip(sessions, whole, chunked):
+            assert a.shape == (2, 2, len(session), len(session))
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
