@@ -75,9 +75,12 @@ def average_query_weights(alpha: np.ndarray) -> np.ndarray:
 def average_key_weights(alpha: np.ndarray) -> np.ndarray:
     """Mean weight per key column over the queries that may attend to it:
     (1/(n+1-j)) * sum_{i>=j} alpha_ij."""
-    a = _check_causal(alpha, 2, "attention matrix (n, n)")
-    n = a.shape[0]
-    denom = np.arange(n, 0, -1, dtype=np.float64)  # n+1-j for j = 1..n
+    return _key_weights(_check_causal(alpha, 2, "attention matrix (n, n)"))
+
+
+def _key_weights(a: np.ndarray) -> np.ndarray:
+    """average_key_weights of an (n, n) matrix already checked causal."""
+    denom = np.arange(a.shape[0], 0, -1, dtype=np.float64)  # n+1-j for j = 1..n
     return a.sum(axis=0) / denom
 
 
@@ -171,8 +174,8 @@ def session_attention_profile(session: Session, weights) -> AttentionProfile | N
     if len(session) < 3:
         return None
     tensor = AttentionTensor(weights)
-    averaged = tensor.averaged()
-    empirical = average_key_weights(averaged)
+    # the mean of a checked stack is causal and row-stochastic again
+    empirical = _key_weights(tensor.averaged())
     baseline = baseline_key_weights(BASELINE_UNIFORM, tensor.n_positions)
     try:
         corr: float | None = pearson(empirical, baseline)

@@ -25,6 +25,7 @@ from .domain import (
     N_OUTCOMES,
     OUTCOME_INDEX,
     OUTCOME_ORDER,
+    Event,
     Outcome,
     Playlist,
     Session,
@@ -220,8 +221,8 @@ def rollout_sessions(
 
     Rollout r draws its first outcome from ``first_row`` with
     ``uniforms[r, 0]`` and the rest through domain.sample_walks, one
-    ``next_probs_batch`` call per step; ``uniforms`` needs n_tracks * cap + 1
-    columns.
+    ``next_probs_batch`` call per step, whose rows pass check_prob_rows before
+    any is drawn from; ``uniforms`` needs n_tracks * cap + 1 columns.
     """
     n = len(playlist)
     max_events = n * cap + 1
@@ -230,8 +231,13 @@ def rollout_sessions(
             f"rollouts need a (n_rollouts, {max_events}) block of uniforms, "
             f"got {uniforms.shape}"
         )
+    where = f"playlist {playlist.playlist_id!r}: rollout rows"
+
+    def next_rows(prefixes: list[tuple[Event, ...]]) -> np.ndarray:
+        return check_prob_rows(predictor.next_probs_batch(prefixes), where)
+
     first = [draw_outcome(first_row, u) for u in uniforms[:, 0]]
-    walks = sample_walks(predictor.next_probs_batch, first, uniforms, n, cap)
+    walks = sample_walks(next_rows, first, uniforms, n, cap)
     return [
         Session(session_id="rollout", playlist_id=playlist.playlist_id, events=events)
         for events in walks

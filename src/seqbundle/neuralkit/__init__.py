@@ -16,6 +16,7 @@ from .autodiff import (
     cross_entropy_mean,
     einsum,
     layer_norm,
+    lstm_cell,
     matmul,
     merge_heads,
     mul,
@@ -25,6 +26,7 @@ from .autodiff import (
     scale,
     sigmoid,
     slice_cols,
+    slice_rows,
     softmax_rows,
     split_heads,
     take_rows,
@@ -51,6 +53,7 @@ __all__ = [
     "grad_check",
     "layer_norm",
     "load_checkpoint",
+    "lstm_cell",
     "matmul",
     "merge_heads",
     "mul",
@@ -63,6 +66,7 @@ __all__ = [
     "scale",
     "sigmoid",
     "slice_cols",
+    "slice_rows",
     "softmax_rows",
     "split_heads",
     "take_rows",

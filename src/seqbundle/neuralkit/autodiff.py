@@ -21,8 +21,15 @@ gradients and a batch's activations are released during the backward pass.
 Inference runs under no_grad(), which links no graph at all: each activation
 is freed once the next op has read it, and values are the same bit for bit.
 
-Tensor construction rejects NaN/Inf, which turns training divergence into an
-immediate NumericError instead of silent garbage.
+Non-finite values are caught at the boundaries, not on every op result.
+Tensors that callers build (Tensor(data), parameter()) and the loss reject
+NaN/Inf with a NumericError, so training divergence stops at the batch that
+caused it; adam_step rejects non-finite gradients; each predictor row passes
+domain.check_prob_rows, rollout rows included; and load_checkpoint and
+SequenceModel.set_param_arrays refuse non-finite weights. Op results are
+built from checked inputs by _result(), which skips the check; every op
+passes NaN on (relu too), so a NaN in a weight reaches the loss or the row
+check.
 """
 
 from __future__ import annotations
@@ -132,6 +139,25 @@ class Tensor:
         return f"Tensor(name={self.name!r}, shape={self.shape})"
 
 
+def _result(
+    data: np.ndarray,
+    parents: tuple[Tensor, ...],
+    backward_fn: Callable[[np.ndarray], None],
+) -> Tensor:
+    """An op's output, built without Tensor's finiteness check: the boundaries
+    named in the module doc catch non-finite values instead."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    if _grad_enabled:
+        out._parents, out._backward_fn = parents, backward_fn
+    else:
+        out._parents, out._backward_fn = (), None
+    out.name = ""
+    return out
+
+
 def parameter(data: np.ndarray, name: str = "") -> Tensor:
     return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True, name=name)
 
@@ -146,6 +172,15 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def _accum_at(t: Tensor, where, g: np.ndarray) -> None:
+    """Add ``g`` into the ``where`` part of t's gradient, in place."""
+    if not t.needs_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[where] += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -163,7 +198,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    return Tensor(a.data + b.data, parents=(a, b), backward_fn=backward)
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -171,14 +206,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return Tensor(a.data * b.data, parents=(a, b), backward_fn=backward)
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accum(a, g * factor)
 
-    return Tensor(a.data * factor, parents=(a,), backward_fn=backward)
+    return _result(a.data * factor, (a,), backward)
 
 
 def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
@@ -197,7 +232,7 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
         _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
         _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
 
-    return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b), backward_fn=backward)
+    return _result(np.einsum(spec, a.data, b.data), (a, b), backward)
 
 
 def _tiled_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -238,7 +273,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    return Tensor(_tiled_product(a.data, b.data), parents=(a, b), backward_fn=backward)
+    return _result(_tiled_product(a.data, b.data), (a, b), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -248,16 +283,17 @@ def transpose(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accum(x, g.T)
 
-    return Tensor(x.data.T.copy(), parents=(x,), backward_fn=backward)
+    return _result(x.data.T.copy(), (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); NaN stays NaN, so a non-finite input still reaches the loss."""
     mask = x.data > 0
 
     def backward(g: np.ndarray) -> None:
         _accum(x, g * mask)
 
-    return Tensor(np.where(mask, x.data, 0.0), parents=(x,), backward_fn=backward)
+    return _result(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -266,17 +302,59 @@ def tanh(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accum(x, g * (1.0 - y * y))
 
-    return Tensor(y, parents=(x,), backward_fn=backward)
+    return _result(y, (x,), backward)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function through exp(-|x|), which never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    e = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(x.data)
 
     def backward(g: np.ndarray) -> None:
         _accum(x, g * y * (1.0 - y))
 
-    return Tensor(y, parents=(x,), backward_fn=backward)
+    return _result(y, (x,), backward)
+
+
+def lstm_cell(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step: (h, c) from (B, 4H) gate pre-activations in (input,
+    forget, cell, output) order and the (B, H) previous cell state.
+
+    c = sigmoid(f)·c_prev + sigmoid(i)·tanh(g) and h = sigmoid(o)·tanh(c),
+    as two nodes with hand-written backwards. The values are those of
+    sigmoid, tanh, mul and add applied to the same column slices, bit for
+    bit.
+    """
+    z = gates.data
+    width = c_prev.data.shape[1]
+    if z.ndim != 2 or z.shape != (c_prev.data.shape[0], 4 * width):
+        raise ConstraintViolation(
+            f"lstm_cell expects (B, 4H) gates for a (B, H) state, got {z.shape} "
+            f"and {c_prev.data.shape}"
+        )
+    cols = [(slice(None), slice(j * width, (j + 1) * width)) for j in range(4)]
+    i, f = _sigmoid(z[cols[0]]), _sigmoid(z[cols[1]])
+    g = np.tanh(z[cols[2]])
+    o = _sigmoid(z[cols[3]])
+
+    def cell_backward(dc: np.ndarray) -> None:
+        _accum_at(gates, cols[0], dc * g * i * (1.0 - i))
+        _accum_at(gates, cols[1], dc * c_prev.data * f * (1.0 - f))
+        _accum_at(gates, cols[2], dc * i * (1.0 - g * g))
+        _accum(c_prev, dc * f)
+
+    c = _result(f * c_prev.data + i * g, (gates, c_prev), cell_backward)
+    tanh_c = np.tanh(c.data)
+
+    def output_backward(dh: np.ndarray) -> None:
+        _accum_at(gates, cols[3], dh * tanh_c * o * (1.0 - o))
+        _accum(c, dh * o * (1.0 - tanh_c * tanh_c))
+
+    return _result(o * tanh_c, (gates, c), output_backward), c
 
 
 def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -297,7 +375,7 @@ def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
         gy_mean = (g * y).mean(axis=1, keepdims=True)
         _accum(x, inv * (g - g_mean - y * gy_mean))
 
-    return Tensor(y, parents=(x,), backward_fn=backward)
+    return _result(y, (x,), backward)
 
 
 def causal_softmax(scores: Tensor) -> Tensor:
@@ -322,7 +400,7 @@ def causal_softmax(scores: Tensor) -> Tensor:
         dot = (alpha * g).sum(axis=-1, keepdims=True)
         _accum(scores, alpha * (g - dot))
 
-    return Tensor(alpha, parents=(scores,), backward_fn=backward)
+    return _result(alpha, (scores,), backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -340,7 +418,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         dot = (y * g).sum(axis=-1, keepdims=True)
         _accum(x, y * (g - dot))
 
-    return Tensor(y, parents=(x,), backward_fn=backward)
+    return _result(y, (x,), backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -352,11 +430,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             _accum(part, g[:, offset : offset + width])
             offset += width
 
-    return Tensor(
-        np.concatenate([p.data for p in parts], axis=1),
-        parents=tuple(parts),
-        backward_fn=backward,
-    )
+    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -368,20 +442,25 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             _accum(part, g[offset : offset + height, :])
             offset += height
 
-    return Tensor(
-        np.concatenate([p.data for p in parts], axis=0),
-        parents=tuple(parts),
-        backward_fn=backward,
-    )
+    return _result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accum(x, full)
+    """Columns start..stop-1; the gradient goes back into x's columns in place."""
 
-    return Tensor(x.data[:, start:stop], parents=(x,), backward_fn=backward)
+    def backward(g: np.ndarray) -> None:
+        _accum_at(x, (slice(None), slice(start, stop)), g)
+
+    return _result(x.data[:, start:stop], (x,), backward)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1; the gradient goes back into x's rows in place."""
+
+    def backward(g: np.ndarray) -> None:
+        _accum_at(x, slice(start, stop), g)
+
+    return _result(x.data[start:stop], (x,), backward)
 
 
 def split_heads(x: Tensor, n_batch: int, n_heads: int) -> Tensor:
@@ -399,11 +478,7 @@ def split_heads(x: Tensor, n_batch: int, n_heads: int) -> Tensor:
                .transpose(0, 2, 1, 3).reshape(rows, width))
 
     heads = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(-1, shape[1], shape[3])
-    return Tensor(
-        np.ascontiguousarray(heads),
-        parents=(x,),
-        backward_fn=backward,
-    )
+    return _result(np.ascontiguousarray(heads), (x,), backward)
 
 
 def merge_heads(x: Tensor, n_batch: int) -> Tensor:
@@ -416,11 +491,7 @@ def merge_heads(x: Tensor, n_batch: int) -> Tensor:
                .transpose(0, 2, 1, 3).reshape(stacks, length, hd))
 
     rows = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(n_batch * length, -1)
-    return Tensor(
-        np.ascontiguousarray(rows),
-        parents=(x,),
-        backward_fn=backward,
-    )
+    return _result(np.ascontiguousarray(rows), (x,), backward)
 
 
 def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -440,7 +511,7 @@ def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, idx, g)
 
-    return Tensor(table.data[idx], parents=(table,), backward_fn=backward)
+    return _result(table.data[idx], (table,), backward)
 
 
 def cross_entropy_mean(

@@ -74,5 +74,7 @@ def load_checkpoint(stem: str | Path) -> dict[str, np.ndarray]:
                 f"({end} > {len(raw)} bytes)"
             )
         arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(entry["shape"])
+        if not np.all(np.isfinite(arr)):
+            raise SchemaError(f"{bin_path}: array {name!r} holds non-finite values")
         out[name] = arr.astype(np.float64, copy=True)
     return out

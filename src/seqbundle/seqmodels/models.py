@@ -80,13 +80,18 @@ class SequenceModel:
             raise ConstraintViolation(
                 f"parameter name mismatch: missing {missing}, unexpected {extra}"
             )
+        checked = {}
         for name, tensor in self.params.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != tensor.data.shape:
                 raise ConstraintViolation(
                     f"parameter {name!r}: shape {arr.shape} != {tensor.data.shape}"
                 )
-            tensor.data = arr.copy()
+            if not np.all(np.isfinite(arr)):
+                raise ConstraintViolation(f"parameter {name!r} holds non-finite values")
+            checked[name] = arr.copy()
+        for name, arr in checked.items():  # all or nothing
+            self.params[name].data = arr
 
     def _dense(self, x: nk.Tensor, prefix: str, suffix: str = "") -> nk.Tensor:
         """x @ <prefix>/w<suffix> + <prefix>/b<suffix>."""
@@ -161,38 +166,32 @@ class LSTMModel(SequenceModel):
         self._add_param("head/b2", np.zeros(config.n_classes))
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
-        """Steps over the sessions sorted longest first; step t runs the
-        sessions still live, which are the first ones (as PyTorch's
-        pack_padded_sequence does)."""
+        """Runs layer by layer over the sessions sorted longest first; step t
+        runs the sessions still live, which are the first ones (as PyTorch's
+        pack_padded_sequence does). Rows travel step-major, so each layer's
+        input projection is one matmul over all of them, whose tiles give
+        every row the bits of a per-step product."""
         arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
         order, positions, _ = _segments(lens)
-        sorted_rows = arr[order]
-        h_dim = self.config.hidden_dim
-        zeros = nk.Tensor(np.zeros((lens.size, h_dim)))
-        h_state = [zeros] * self.config.n_layers
-        c_state = [zeros] * self.config.n_layers
-        outputs: list[nk.Tensor] = []
-        for t in range(lens.max()):
-            x: nk.Tensor = nk.Tensor(sorted_rows[positions == t])
-            if x.shape[0] < h_state[0].shape[0]:  # the shortest live sessions ended
-                keep = np.arange(x.shape[0])
-                h_state = [nk.take_rows(h, keep) for h in h_state]
-                c_state = [nk.take_rows(c, keep) for c in c_state]
-            for layer in range(self.config.n_layers):
-                wx, wh, b = (self.params[f"l{layer}/{name}"] for name in ("wx", "wh", "b"))
-                gates = nk.add(nk.add(nk.matmul(x, wx), nk.matmul(h_state[layer], wh)), b)
-                gi, gf, gc, go = (
-                    nk.slice_cols(gates, j * h_dim, (j + 1) * h_dim) for j in range(4)
-                )
-                c_state[layer] = nk.add(
-                    nk.mul(nk.sigmoid(gf), c_state[layer]), nk.mul(nk.sigmoid(gi), nk.tanh(gc))
-                )
-                x = h_state[layer] = nk.mul(nk.sigmoid(go), nk.tanh(c_state[layer]))
-            outputs.append(x)
-        stacked = nk.concat_rows(outputs)  # step-major: each step's live sessions
-        hidden = nk.relu(self._dense(stacked, "head", "1"))
-        probs = nk.softmax_rows(self._dense(hidden, "head", "2"))
         step_major = order[np.argsort(positions, kind="stable")]
+        live = np.bincount(positions).tolist()  # sessions live at each step
+        starts = (np.cumsum(live) - live).tolist()
+        zeros = nk.Tensor(np.zeros((lens.size, self.config.hidden_dim)))
+        x = nk.Tensor(arr[step_major])
+        for layer in range(self.config.n_layers):
+            wx, wh, b = (self.params[f"l{layer}/{name}"] for name in ("wx", "wh", "b"))
+            projected = nk.matmul(x, wx)
+            h = c = zeros
+            outputs: list[nk.Tensor] = []
+            for start, n in zip(starts, live):
+                if n < h.shape[0]:  # the shortest live sessions ended
+                    h, c = nk.slice_rows(h, 0, n), nk.slice_rows(c, 0, n)
+                xw = nk.slice_rows(projected, start, start + n)
+                h, c = nk.lstm_cell(nk.add(nk.add(xw, nk.matmul(h, wh)), b), c)
+                outputs.append(h)
+            x = nk.concat_rows(outputs)
+        hidden = nk.relu(self._dense(x, "head", "1"))
+        probs = nk.softmax_rows(self._dense(hidden, "head", "2"))
         return nk.take_rows(probs, np.argsort(step_major)), None
 
 

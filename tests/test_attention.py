@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_playlist, make_session
+from seqbundle import attention
 from seqbundle.attention import (
     BASELINE_DIAGONAL,
     BASELINE_FIRST_KEY,
@@ -187,6 +188,35 @@ class TestProfiles:
         session = make_session(["play", "play", "skip"])
         profile = session_attention_profile(session, tensor[None, None])
         assert profile.correlation is None
+
+    def test_each_profiled_session_is_checked_once(self, monkeypatch):
+        sessions = [
+            make_session(["play", "skip", "play"], sid="a"),
+            make_session(["play", "play"], sid="short"),
+            make_session(["skip", "play", "replay", "play"], sid="b"),
+        ]
+        stacks = [  # (3 layers, 2 heads, n, n)
+            np.array([[random_causal_matrix(len(s), 10 * layer + head) for head in range(2)]
+                      for layer in range(3)])
+            for s in sessions
+        ]
+        expected = [
+            None if len(s) < 3 else average_key_weights(AttentionTensor(w).averaged())
+            for s, w in zip(sessions, stacks)
+        ]
+        calls = []
+        check = attention._check_causal
+
+        def counting_check(*args):
+            calls.append(args[2])
+            return check(*args)
+
+        monkeypatch.setattr(attention, "_check_causal", counting_check)
+        profiles = [session_attention_profile(s, w) for s, w in zip(sessions, stacks)]
+        assert calls == ["attention tensor (layers, heads, n, n)"] * 2
+        assert profiles[1] is None
+        for profile, weights in zip(profiles[::2], expected[::2]):
+            assert np.array(profile.empirical).tobytes() == weights.tobytes()
 
     @staticmethod
     def constant_key_weight_tensor():

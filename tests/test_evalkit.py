@@ -1,6 +1,7 @@
 """Scoring rules, demand rates, CDF comparisons, and dataset summaries."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,19 @@ class TestRollouts:
         rolled = rollout_session(all_replay, playlist, np.array([0.0, 1.0, 0.0]), rng)
         outcomes = [e.outcome for e in rolled.events]
         assert outcomes == [Outcome.PLAY, Outcome.REPLAY]
+
+    def test_rollout_rows_are_checked_before_drawing(self):
+        class NanRows(FixedRowPredictor):
+            def next_probs_batch(self, prefixes):
+                rows = super().next_probs_batch(prefixes)
+                rows[-1] = (np.nan, 1.0, 0.0)
+                return rows
+
+        playlist = make_playlist(3)
+        uniforms = np.random.default_rng(0).random((4, 3 * 2 + 1))
+        message = f"playlist {playlist.playlist_id!r}: rollout rows: probabilities must be finite"
+        with pytest.raises(ConstraintViolation, match=re.escape(message)):
+            rollout_sessions(NanRows(), playlist, np.array([0.4, 0.6, 0.0]), uniforms)
 
     def test_rollout_forced_skip_with_no_alternative(self):
         playlist = make_playlist(2)

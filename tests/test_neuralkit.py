@@ -25,6 +25,7 @@ from seqbundle.neuralkit import (
     grad_check,
     layer_norm,
     load_checkpoint,
+    lstm_cell,
     matmul,
     merge_heads,
     mul,
@@ -36,6 +37,7 @@ from seqbundle.neuralkit import (
     scale,
     sigmoid,
     slice_cols,
+    slice_rows,
     softmax_rows,
     split_heads,
     take_rows,
@@ -76,6 +78,15 @@ class TestTensor:
             Tensor(np.array([1.0, np.inf]))
         with pytest.raises(NumericError):
             Tensor(np.array([np.nan]))
+
+    def test_op_results_skip_the_check_and_the_loss_keeps_it(self):
+        big = constant(np.array([[1e308, 1.0]]))
+        with np.errstate(over="ignore"):
+            assert np.isinf(scale(big, 10.0).data[0, 0])  # an op result is not checked
+        poisoned = parameter(np.full((1, 3), 1 / 3))
+        poisoned.data[0, 1] = np.nan  # as a diverged update would leave it
+        with pytest.raises(NumericError, match="non-finite"):
+            cross_entropy_mean(relu(poisoned), np.array([1]), np.ones(1, bool))
 
     def test_backward_requires_scalar(self):
         t = parameter(np.zeros(3))
@@ -218,6 +229,34 @@ class TestOperatorGradients:
             ),
             {"c": c, "d": d},
         )
+
+    def test_slice_rows(self):
+        x = parameter(rng(35).normal(size=(5, 3)))
+        _assert_grads_ok(
+            lambda: cross_entropy_mean(
+                softmax_rows(concat_rows([slice_rows(x, 1, 4), slice_rows(x, 0, 2)])),
+                np.array([0, 1, 2, 0, 1]),
+                np.ones(5, bool),
+            ),
+            {"x": x},
+        )
+
+    def test_lstm_cell(self):
+        # loss through both outputs, so c's gradient has two consumers; every
+        # entry stays well above the 1e-8 floor of grad_check's relative error
+        gates = parameter(rng(36).normal(size=(3, 8)))
+        c_prev = parameter(rng(37).normal(size=(3, 2)))
+        params = {"gates": gates, "c_prev": c_prev}
+
+        def loss():
+            h, c = lstm_cell(gates, c_prev)
+            return cross_entropy_mean(
+                softmax_rows(concat_cols([h, c])), np.array([0, 3, 2]), np.ones(3, bool)
+            )
+
+        loss().backward()
+        assert min(np.abs(p.grad).min() for p in params.values()) > 1e-4
+        assert grad_check(loss, params, tolerance=1e-6) < 1e-6
 
     def test_einsum_batched_contractions(self):
         q = parameter(rng(32).normal(size=(2, 3, 4)))
@@ -382,6 +421,30 @@ class TestSigmoidValues:
         assert sigmoid(constant(x)).data.tobytes() == old.tobytes()
 
 
+class TestReluValues:
+    def test_keeps_nan(self):
+        x = parameter(np.array([[-1.0, 0.0, 2.0, 0.5]]))
+        x.data[0, 3] = np.nan
+        assert relu(x).data.tobytes() == np.array([[0.0, 0.0, 2.0, np.nan]]).tobytes()
+
+
+class TestLSTMCellValues:
+    def test_matches_the_composed_ops_bit_for_bit(self):
+        width = 5
+        gates = constant(rng(38).normal(size=(7, 4 * width)) * 4.0)
+        c_prev = constant(rng(39).normal(size=(7, width)))
+        gi, gf, gc, go = (slice_cols(gates, j * width, (j + 1) * width) for j in range(4))
+        c_ref = add(mul(sigmoid(gf), c_prev), mul(sigmoid(gi), tanh(gc)))
+        h_ref = mul(sigmoid(go), tanh(c_ref))
+        h, c = lstm_cell(gates, c_prev)
+        assert c.data.tobytes() == c_ref.data.tobytes()
+        assert h.data.tobytes() == h_ref.data.tobytes()
+
+    def test_rejects_mismatched_state(self):
+        with pytest.raises(ConstraintViolation, match="lstm_cell"):
+            lstm_cell(constant(np.zeros((2, 8))), constant(np.zeros((2, 3))))
+
+
 class TestCrossEntropyMean:
     def test_frozen_value(self):
         probs = constant(np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
@@ -536,6 +599,13 @@ class TestCheckpoint:
         raw = (tmp_path / "ck.bin").read_bytes()
         (tmp_path / "ck.bin").write_bytes(raw[:-8])
         with pytest.raises(SchemaError, match="past end"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, tmp_path, bad):
+        save_checkpoint(tmp_path / "ck", {"a": np.zeros(2), "w": np.array([1.0, bad])})
+        message = f"{tmp_path / 'ck.bin'}: array 'w' holds non-finite values"
+        with pytest.raises(SchemaError, match=re.escape(message)):
             load_checkpoint(tmp_path / "ck")
 
     def test_byte_identical_files_across_runs(self, tmp_path):

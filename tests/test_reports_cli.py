@@ -717,8 +717,9 @@ class TestRoundTripRegressions:
 
 
 class TestMalformedJson:
-    """Every JSON file the CLI reads back is refused with exit 2 and its path
-    when it does not parse, never with a traceback."""
+    """Every JSON file the CLI reads back, and the weights.bin beside its
+    manifest, is refused with exit 2 and its path when it does not parse or
+    holds non-finite values, never with a traceback."""
 
     @staticmethod
     def _copies(cli_root, tmp_path):
@@ -779,6 +780,25 @@ class TestMalformedJson:
         assert cli_main(self._evaluate(data, run, tmp_path)) == 2
         err = capsys.readouterr().err
         assert f"{weights}: not valid JSON" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_weights_bin(self, cli_root, tmp_path, capsys):
+        # the load refuses the NaN before any forward reads it
+        data = cli_root / "data"
+        run = tmp_path / "run_lstm"
+        lstm = ["--model", "lstm", "--epochs", "1", "--hidden-dim", "4", "--n-layers", "1"]
+        assert cli_main(["train", "--data", str(data), *lstm, "--out", str(run)]) == 0
+        (bundle,) = (run / "models").iterdir()
+        entries = json.loads((bundle / "weights.json").read_text(encoding="utf-8"))["arrays"]
+        (offset,) = (entry["offset"] for entry in entries if entry["name"] == "head/b1")
+        weights = bundle / "weights.bin"
+        raw = bytearray(weights.read_bytes())
+        raw[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        weights.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert cli_main(self._evaluate(data, run, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{weights}: array 'head/b1' holds non-finite values" in err
         assert "Traceback" not in err
 
     def test_a_list_is_not_a_run(self, cli_root, tmp_path, capsys):

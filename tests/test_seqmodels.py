@@ -10,10 +10,10 @@ from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
 from seqbundle.domain import DEFAULT_CAP, Event, Outcome, walk
 from seqbundle import neuralkit as nk
-from seqbundle.errors import ConstraintViolation
+from seqbundle.errors import ConstraintViolation, NumericError
 from seqbundle.neuralkit import grad_check, load_checkpoint, save_checkpoint
 from seqbundle.neuralkit.autodiff import cross_entropy_mean
-from seqbundle.seqmodels import predictors, training
+from seqbundle.seqmodels import models, predictors, training
 from seqbundle.seqmodels import (
     LSTMConfig,
     MLPConfig,
@@ -156,6 +156,17 @@ class TestForward:
         with pytest.raises(ConstraintViolation, match="mismatch"):
             model.set_param_arrays({k: v for k, v in list(arrays.items())[1:]})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_set_param_arrays_refuses_non_finite(self, bad):
+        model = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=1))
+        arrays = model.param_arrays()
+        arrays["head/b1"][2] = bad
+        before = model.param_arrays()
+        with pytest.raises(ConstraintViolation, match="parameter 'head/b1' holds non-finite"):
+            model.set_param_arrays({name: arr + 1.0 for name, arr in arrays.items()})
+        for name, arr in model.param_arrays().items():  # nothing was assigned
+            assert arr.tobytes() == before[name].tobytes()
+
     def test_checkpoint_reload_preserves_outputs(self, tmp_path):
         model = make_model(ModelKind.TRANSFORMER, tiny_transformer_config(), seed=5)
         rows = rng(6).normal(size=(4, INPUT_DIM))
@@ -213,35 +224,46 @@ def _reference_forward(model, rows):
     """The per-session MLP/LSTM forward as a single-session graph: one row at
     a time through the LSTM, heads on the (L, d) result."""
     p = model.params
-    if model.kind is ModelKind.MLP:
-        x = nk.Tensor(rows)
-        for i in range(model.config.n_layers):
-            x = nk.relu(nk.add(nk.matmul(x, p[f"layer{i}/w"]), p[f"layer{i}/b"]))
-        return nk.softmax_rows(nk.add(nk.matmul(x, p["head/w"]), p["head/b"])).data
-    h = model.config.hidden_dim
-    zeros = nk.Tensor(np.zeros((1, h)))
+    if model.kind is ModelKind.LSTM:
+        return _unfused_lstm_forward(model, rows, [len(rows)]).data
+    x = nk.Tensor(rows)
+    for i in range(model.config.n_layers):
+        x = nk.relu(nk.add(nk.matmul(x, p[f"layer{i}/w"]), p[f"layer{i}/b"]))
+    return nk.softmax_rows(nk.add(nk.matmul(x, p["head/w"]), p["head/b"])).data
+
+
+def _unfused_lstm_forward(model, rows, lengths):
+    """The packed LSTM forward as one graph node per elementwise op: per step,
+    the live rows' input product, gate slices through sigmoid and tanh, and
+    state rows kept by take_rows."""
+    p = model.params
+    h_dim = model.config.hidden_dim
+    lens = np.asarray(lengths)
+    order, positions, _ = models._segments(lens)
+    sorted_rows = rows[order]
+    zeros = nk.Tensor(np.zeros((lens.size, h_dim)))
     h_state = [zeros] * model.config.n_layers
     c_state = [zeros] * model.config.n_layers
     outputs = []
-    for t in range(rows.shape[0]):
-        x = nk.Tensor(rows[t : t + 1])
+    for t in range(lens.max()):
+        x = nk.Tensor(sorted_rows[positions == t])
+        if x.shape[0] < h_state[0].shape[0]:
+            keep = np.arange(x.shape[0])
+            h_state = [nk.take_rows(h, keep) for h in h_state]
+            c_state = [nk.take_rows(c, keep) for c in c_state]
         for layer in range(model.config.n_layers):
-            gates = nk.add(
-                nk.add(
-                    nk.matmul(x, p[f"l{layer}/wx"]), nk.matmul(h_state[layer], p[f"l{layer}/wh"])
-                ),
-                p[f"l{layer}/b"],
+            wx, wh, b = (p[f"l{layer}/{name}"] for name in ("wx", "wh", "b"))
+            gates = nk.add(nk.add(nk.matmul(x, wx), nk.matmul(h_state[layer], wh)), b)
+            gi, gf, gc, go = (nk.slice_cols(gates, j * h_dim, (j + 1) * h_dim) for j in range(4))
+            c_state[layer] = nk.add(
+                nk.mul(nk.sigmoid(gf), c_state[layer]), nk.mul(nk.sigmoid(gi), nk.tanh(gc))
             )
-            gi = nk.sigmoid(nk.slice_cols(gates, 0, h))
-            gf = nk.sigmoid(nk.slice_cols(gates, h, 2 * h))
-            gc = nk.tanh(nk.slice_cols(gates, 2 * h, 3 * h))
-            go = nk.sigmoid(nk.slice_cols(gates, 3 * h, 4 * h))
-            c_state[layer] = nk.add(nk.mul(gf, c_state[layer]), nk.mul(gi, gc))
-            h_state[layer] = nk.mul(go, nk.tanh(c_state[layer]))
-            x = h_state[layer]
+            x = h_state[layer] = nk.mul(nk.sigmoid(go), nk.tanh(c_state[layer]))
         outputs.append(x)
     hidden = nk.relu(nk.add(nk.matmul(nk.concat_rows(outputs), p["head/w1"]), p["head/b1"]))
-    return nk.softmax_rows(nk.add(nk.matmul(hidden, p["head/w2"]), p["head/b2"])).data
+    probs = nk.softmax_rows(nk.add(nk.matmul(hidden, p["head/w2"]), p["head/b2"]))
+    step_major = order[np.argsort(positions, kind="stable")]
+    return nk.take_rows(probs, np.argsort(step_major))
 
 
 # Unsorted session lengths for packed forwards, with single-row sessions and
@@ -337,6 +359,57 @@ class TestBatchedForward:
             _, [single] = model.forward(session, capture_attention=True)
             assert weights.shape == (2, 2, len(session), len(session))
             assert weights.tobytes() == single.tobytes()
+
+
+class TestFusedLSTM:
+    """The fused cell and the hoisted input product against the unfused graph."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_forward_matches_the_unfused_graph(self, n_layers):
+        model = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, 6, n_layers), seed=9)
+        gen = rng(47)
+        # 70 packed rows: the input product spans two matmul tiles
+        for lengths in (PACKED_LENGTHS, (1,), (5, 5), (20, 1, 20, 3, 1, 9, 16)):
+            rows = gen.normal(size=(sum(lengths), INPUT_DIM))
+            expected = _unfused_lstm_forward(model, rows, lengths).data
+            assert model.forward(rows, lengths)[0].data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_gradients_match_the_unfused_graph(self, n_layers):
+        model = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, 6, n_layers), seed=10)
+        gen = rng(48)
+        rows = gen.normal(size=(sum(PACKED_LENGTHS), INPUT_DIM))
+        labels = gen.integers(0, 3, size=len(rows))
+        mask = np.ones(len(rows), dtype=bool)
+        mask[np.cumsum(PACKED_LENGTHS) - PACKED_LENGTHS] = False
+        grads = []
+        for forward in (
+            lambda: model.forward(rows, PACKED_LENGTHS)[0],
+            lambda: _unfused_lstm_forward(model, rows, PACKED_LENGTHS),
+        ):
+            model.zero_grads()
+            cross_entropy_mean(forward(), labels, mask).backward()
+            grads.append({name: p.grad.copy() for name, p in model.params.items()})
+        fused, unfused = grads
+        for name in unfused:
+            scale = np.abs(unfused[name]).max()
+            assert scale > 0.0, name
+            assert np.abs(fused[name] - unfused[name]).max() / scale < 1e-12, name
+
+    def test_a_step_builds_six_nodes(self, monkeypatch):
+        model = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, 4, 1), seed=3)
+        built = []
+        result = nk.autodiff._result
+
+        def counting_result(*args):
+            built.append(1)
+            return result(*args)
+
+        monkeypatch.setattr(nk.autodiff, "_result", counting_result)
+        model.forward(rng(49).normal(size=(8, INPUT_DIM)), (4, 4))
+        # input product, 4 steps of (slice, state product, 2 adds, c, h),
+        # concat, the head (2 dense layers, relu, softmax) and the reorder
+        assert len(built) == 1 + 4 * 6 + 1 + 6 + 1
 
 
 class TestCausality:
@@ -471,6 +544,13 @@ class TestTraining:
         train_model(model, matrices, labels, config)
         # per epoch: 9 training sessions in batches of 4, 3 validation sessions in one
         assert [len(c) for c in calls] == [4, 4, 1, 3] * 2
+
+    def test_a_nan_weight_stops_training_in_the_first_epoch(self):
+        # relu passes the NaN on, so the loss of the first batch catches it
+        model, matrices, labels = self.make_setup()
+        model.params["layer0/b"].data[0] = np.nan
+        with pytest.raises(NumericError, match="training diverged at epoch 1"):
+            train_model(model, matrices, labels, TrainConfig(epochs=2, batch_size=4))
 
     def test_single_event_sessions_are_dropped(self):
         playlist = make_playlist(3)
