@@ -5,6 +5,13 @@ of probability rows per session, ordered (SKIP, PLAY, REPLAY); the row at
 index j is the prediction for event j given everything before it. The first
 event has no history and is never scored. Expected-mode demand also needs
 next_probs_batch(prefixes) -> (B, 3) rows for event prefixes of any lengths.
+A predictor that keeps per-prefix state offers decoder() -> a callable with
+next_probs_batch's contract whose calls extend the prefixes of the call
+before; one rollout call owns one and drops it when it returns.
+
+Rows depend on their prefix alone, so evaluation scores, checks and walks
+each distinct event sequence once; every float sum still runs over the
+sessions in order.
 
 Every row a predictor returns must pass domain.check_prob_rows, at
 domain.ROW_SUM_TOL; a scored event's prediction is its row's modal outcome,
@@ -196,8 +203,11 @@ def _demand_realized(
     replay = OUTCOME_INDEX[Outcome.REPLAY]
     play = OUTCOME_INDEX[Outcome.PLAY]
     predicted_sum = np.zeros(n, dtype=np.float64)
+    walks: dict[tuple[Event, ...], list] = {}
     for session, probs in zip(sessions, prob_rows):
-        steps = walk(session.events, n, cap)
+        steps = walks.get(session.events)
+        if steps is None:
+            steps = walks[session.events] = walk(session.events, n, cap)
         for j in range(1, len(session.events)):
             track, _, feasible = steps[j]
             if feasible[replay]:
@@ -220,9 +230,10 @@ def rollout_sessions(
     """Sample sessions from a predictor's own conditionals, all in lockstep.
 
     Rollout r draws its first outcome from ``first_row`` with
-    ``uniforms[r, 0]`` and the rest through domain.sample_walks, one
-    ``next_probs_batch`` call per step, whose rows pass check_prob_rows before
-    any is drawn from; ``uniforms`` needs n_tracks * cap + 1 columns.
+    ``uniforms[r, 0]`` and the rest through domain.sample_walks, one call per
+    step to the predictor's decoder() (else ``next_probs_batch``), whose rows
+    pass check_prob_rows before any is drawn from; ``uniforms`` needs
+    n_tracks * cap + 1 columns.
     """
     n = len(playlist)
     max_events = n * cap + 1
@@ -232,9 +243,11 @@ def rollout_sessions(
             f"got {uniforms.shape}"
         )
     where = f"playlist {playlist.playlist_id!r}: rollout rows"
+    decoder = getattr(predictor, "decoder", None)
+    next_probs = predictor.next_probs_batch if decoder is None else decoder()
 
     def next_rows(prefixes: list[tuple[Event, ...]]) -> np.ndarray:
-        return check_prob_rows(predictor.next_probs_batch(prefixes), where)
+        return check_prob_rows(next_probs(prefixes), where)
 
     first = [draw_outcome(first_row, u) for u in uniforms[:, 0]]
     walks = sample_walks(next_rows, first, uniforms, n, cap)
@@ -307,12 +320,19 @@ def evaluate_playlist(
     position_hits: dict[int, list[int]] = {}
     hits = 0
     scored = 0
-    prob_rows = [
-        _check_prob_rows(probs, len(session.events), f"session {session.session_id!r}")
-        for session, probs in zip(sessions, predictor.predict_sessions(sessions))
-    ]
-    for session, probs in zip(sessions, prob_rows):
-        predicted = first_max_index(probs[1:]).tolist()
+    distinct: dict[tuple[Event, ...], Session] = {}
+    for session in sessions:
+        distinct.setdefault(session.events, session)
+    checked = {
+        events: _check_prob_rows(probs, len(events), f"session {session.session_id!r}")
+        for (events, session), probs in zip(
+            distinct.items(), predictor.predict_sessions(list(distinct.values()))
+        )
+    }
+    modal = {events: first_max_index(probs[1:]).tolist() for events, probs in checked.items()}
+    prob_rows = [checked[session.events] for session in sessions]
+    for session in sessions:
+        predicted = modal[session.events]
         actual = session.outcomes()[1:]
         for position, (outcome, pred_idx) in enumerate(zip(actual, predicted), start=2):
             actual_idx = OUTCOME_INDEX[outcome]

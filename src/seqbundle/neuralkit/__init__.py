@@ -10,6 +10,7 @@ from .autodiff import (
     Tensor,
     add,
     causal_softmax,
+    causal_softmax_last,
     concat_cols,
     concat_rows,
     constant,
@@ -45,6 +46,7 @@ __all__ = [
     "adam_step",
     "add",
     "causal_softmax",
+    "causal_softmax_last",
     "concat_cols",
     "concat_rows",
     "constant",

@@ -394,13 +394,34 @@ def causal_softmax(scores: Tensor) -> Tensor:
     m = np.diagonal(run_max, axis1=-2, axis2=-1)
     e = np.tril(np.exp(np.tril(x - m[..., None])))
     denom = np.diagonal(np.cumsum(e, axis=-1), axis1=-2, axis2=-1)
-    alpha = e / denom[..., None]
+    return _softmax_result(e / denom[..., None], scores)
+
+
+def causal_softmax_last(scores: Tensor) -> Tensor:
+    """Row L-1 of causal_softmax for (N, 1, L) scores: one new query over the
+    L keys of its prefix, as a decode step asks.
+
+    The maximum and the denominator are the last elements of causal_softmax's
+    running maximum and cumulative sum, so the row has the bits of the last
+    row of the square softmax over the same scores.
+    """
+    x = scores.data
+    if x.ndim != 3 or x.shape[1] != 1:
+        raise ConstraintViolation(
+            f"causal_softmax_last expects (N, 1, L) scores, got {x.shape}"
+        )
+    e = np.exp(x - np.maximum.accumulate(x, axis=-1)[..., -1:])
+    return _softmax_result(e / np.cumsum(e, axis=-1)[..., -1:], scores)
+
+
+def _softmax_result(y: np.ndarray, x: Tensor) -> Tensor:
+    """Softmax output ``y`` over the last axis of ``x``, with its backward."""
 
     def backward(g: np.ndarray) -> None:
-        dot = (alpha * g).sum(axis=-1, keepdims=True)
-        _accum(scores, alpha * (g - dot))
+        dot = (y * g).sum(axis=-1, keepdims=True)
+        _accum(x, y * (g - dot))
 
-    return _result(alpha, (scores,), backward)
+    return _result(y, (x,), backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -412,13 +433,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         )
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (y * g).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - dot))
-
-    return _result(y, (x,), backward)
+    return _softmax_result(e / e.sum(axis=-1, keepdims=True), x)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

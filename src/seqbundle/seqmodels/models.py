@@ -8,6 +8,13 @@ A session's rows and weights do not depend on the other sessions in the call,
 bit for bit: row-wise layers run once over all R rows, and only attention and
 the LSTM's recurrence see the segments.
 
+The causal models also decode: ``decode(rows, states)`` extends B prefixes by
+one row each from their cached states (the transformer's key/value rows per
+block, the LSTM's (h, c) per layer; ``initial_state()`` is the empty prefix)
+and returns the new rows' probabilities and the extended states. Forward and
+decode share one block function (transformer) or one cell step (LSTM), so a
+decoded row has the bits of the same row in a teacher-forced forward.
+
 All parameters are float64 and initialized uniformly in
 (-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
 norm gains at one, so construction is fully deterministic.
@@ -25,6 +32,7 @@ from .config import LSTMConfig, MLPConfig, ModelKind, TransformerConfig
 
 Lengths = Sequence[int] | np.ndarray | None
 Captured = list[np.ndarray] | None  # per session (n_blocks, n_heads, L, L) attention
+State = tuple  # one prefix's decode state; its layout is the model's own
 
 
 def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
@@ -64,6 +72,15 @@ class SequenceModel:
         return tensor
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, Captured]:
+        raise NotImplementedError
+
+    def initial_state(self) -> State:
+        """Decode state of the empty prefix, before any row."""
+        raise NotImplementedError
+
+    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
+        """(B, 3) probabilities of B new rows, row b extending the prefix whose
+        state is ``states[b]`` (all of one length), and the extended states."""
         raise NotImplementedError
 
     def zero_grads(self) -> None:
@@ -118,6 +135,13 @@ class SequenceModel:
             )
         return arr, lens
 
+    def _check_step(self, rows, input_dim: int, states: Sequence[State]) -> np.ndarray:
+        """``rows`` as a (B, input_dim) array with one row per decode state."""
+        arr = self._check_rows(rows, input_dim, None)[0]
+        if len(arr) != len(states):
+            raise ConstraintViolation(f"{len(arr)} decode rows for {len(states)} prefix states")
+        return arr
+
 
 class MLPModel(SequenceModel):
     """Stateless per-row classifier; its context is only the feature row itself."""
@@ -143,6 +167,13 @@ class MLPModel(SequenceModel):
             x = nk.relu(self._dense(x, f"layer{i}"))
         probs = nk.softmax_rows(self._dense(x, "head"))
         return probs, None
+
+    def initial_state(self) -> State:
+        return ()
+
+    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
+        """Rows carry all of the MLP's context, so the states stay empty."""
+        return self.forward(self._check_step(rows, self.config.input_dim, states))[0], list(states)
 
 
 class LSTMModel(SequenceModel):
@@ -179,20 +210,45 @@ class LSTMModel(SequenceModel):
         zeros = nk.Tensor(np.zeros((lens.size, self.config.hidden_dim)))
         x = nk.Tensor(arr[step_major])
         for layer in range(self.config.n_layers):
-            wx, wh, b = (self.params[f"l{layer}/{name}"] for name in ("wx", "wh", "b"))
-            projected = nk.matmul(x, wx)
+            projected = nk.matmul(x, self.params[f"l{layer}/wx"])
             h = c = zeros
             outputs: list[nk.Tensor] = []
             for start, n in zip(starts, live):
                 if n < h.shape[0]:  # the shortest live sessions ended
                     h, c = nk.slice_rows(h, 0, n), nk.slice_rows(c, 0, n)
-                xw = nk.slice_rows(projected, start, start + n)
-                h, c = nk.lstm_cell(nk.add(nk.add(xw, nk.matmul(h, wh)), b), c)
+                h, c = self._step(layer, nk.slice_rows(projected, start, start + n), h, c)
                 outputs.append(h)
             x = nk.concat_rows(outputs)
+        return nk.take_rows(self._head(x), np.argsort(step_major)), None
+
+    def _step(
+        self, layer: int, xw: nk.Tensor, h: nk.Tensor, c: nk.Tensor
+    ) -> tuple[nk.Tensor, nk.Tensor]:
+        """(h, c) after one step of ``layer`` from its input product xw = x @ wx:
+        the one cell step of forward and decode."""
+        wh, b = self.params[f"l{layer}/wh"], self.params[f"l{layer}/b"]
+        return nk.lstm_cell(nk.add(nk.add(xw, nk.matmul(h, wh)), b), c)
+
+    def _head(self, x: nk.Tensor) -> nk.Tensor:
         hidden = nk.relu(self._dense(x, "head", "1"))
-        probs = nk.softmax_rows(self._dense(hidden, "head", "2"))
-        return nk.take_rows(probs, np.argsort(step_major)), None
+        return nk.softmax_rows(self._dense(hidden, "head", "2"))
+
+    def initial_state(self) -> State:
+        """Per layer, the zero (h, c) that every session starts from."""
+        zeros = np.zeros(self.config.hidden_dim)
+        return tuple((zeros, zeros) for _ in range(self.config.n_layers))
+
+    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
+        """One step of every layer for each prefix; a state is (h, c) per layer."""
+        x = nk.Tensor(self._check_step(rows, self.config.input_dim, states))
+        carried = []
+        for layer in range(self.config.n_layers):
+            h, c = (nk.Tensor(np.stack([state[layer][k] for state in states])) for k in (0, 1))
+            x, c = self._step(layer, nk.matmul(x, self.params[f"l{layer}/wx"]), h, c)
+            carried.append((x.data, c.data))
+        return self._head(x), [
+            tuple((h[b], c[b]) for h, c in carried) for b in range(len(states))
+        ]
 
 
 class TransformerModel(SequenceModel):
@@ -251,6 +307,49 @@ class TransformerModel(SequenceModel):
             )
         return nk.take_rows(self.params["pos_table"], positions)
 
+    def _embed(self, rows: np.ndarray, positions: np.ndarray) -> nk.Tensor:
+        return nk.add(self._dense(nk.Tensor(rows), "embed"), self._positions(positions))
+
+    def _block(self, i: int, x: nk.Tensor, attend) -> nk.Tensor:
+        """Block i over the rows x, the one block function of forward and
+        decode: pre-norm attention, whose mixing across rows is
+        ``attend(i, qkv)`` on the (R, 3·H·hd) query/key/value rows, then the
+        pre-norm feed-forward."""
+        w_qkv = nk.concat_cols([
+            self.params[f"block{i}/head{head}/{proj}"]
+            for proj in ("wq", "wk", "wv")
+            for head in range(self.config.n_heads)
+        ])
+        qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), w_qkv)
+        x = nk.add(x, self._dense(attend(i, qkv), f"block{i}/attn_out"))
+        hidden = nk.relu(self._dense(self._norm(x, f"block{i}/ln2"), f"block{i}/ff", "1"))
+        return nk.add(x, self._dense(hidden, f"block{i}/ff", "2"))
+
+    def _heads(self, rows: nk.Tensor, part: int, n_batch: int) -> nk.Tensor:
+        """Column part ``part`` (each H·hd wide) of session-major rows as
+        (B·H, L, hd) per-head stacks."""
+        width = self.config.n_heads * self.config.head_dim
+        part_rows = nk.slice_cols(rows, part * width, (part + 1) * width)
+        return nk.split_heads(part_rows, n_batch, self.config.n_heads)
+
+    def _attend(
+        self, q: nk.Tensor, k: nk.Tensor, v: nk.Tensor, n_batch: int
+    ) -> tuple[nk.Tensor, nk.Tensor]:
+        """Merged (B·Q, H·hd) head outputs of Q queries per session over its
+        keys, and the attention weights. Q equal to the key count is a
+        teacher-forced block; Q = 1 with a causal model is a decode step."""
+        scores = nk.scale(nk.einsum("bid,bjd->bij", q, k), 1.0 / np.sqrt(self.config.head_dim))
+        if not self.config.causal:
+            alpha = nk.softmax_rows(scores)
+        elif q.shape[1] == k.shape[1]:
+            alpha = nk.causal_softmax(scores)
+        else:
+            alpha = nk.causal_softmax_last(scores)
+        return nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), n_batch), alpha
+
+    def _head(self, x: nk.Tensor) -> nk.Tensor:
+        return nk.softmax_rows(self._dense(self._norm(x, "final_ln"), "head"))
+
     def forward(
         self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
     ) -> tuple[nk.Tensor, Captured]:
@@ -258,42 +357,57 @@ class TransformerModel(SequenceModel):
         attention runs once per block of equal-length sessions, whose weights
         ``capture_attention`` returns per session, in input order."""
         arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
-        cfg = self.config
         order, positions, blocks = _segments(lens)
-        x = nk.add(self._dense(nk.Tensor(arr[order]), "embed"), self._positions(positions))
-        stack = (cfg.n_blocks, cfg.n_heads)
+        stack = (self.config.n_blocks, self.config.n_heads)
         captured = [np.empty((*stack, n, n)) for n in lens.tolist()] if capture_attention else None
-        inv_sqrt_dk = 1.0 / np.sqrt(cfg.head_dim)
-        width = cfg.n_heads * cfg.head_dim
-        for i in range(cfg.n_blocks):
-            w_qkv = nk.concat_cols([
-                self.params[f"block{i}/head{head}/{proj}"]
-                for proj in ("wq", "wk", "wv")
-                for head in range(cfg.n_heads)
-            ])
-            qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), w_qkv)
+
+        def attend(i: int, qkv: nk.Tensor) -> nk.Tensor:
             merged = []
             for block_rows, batch in blocks:
                 block = qkv if len(blocks) == 1 else nk.take_rows(qkv, block_rows)
-                q, k, v = (
-                    nk.split_heads(
-                        nk.slice_cols(block, j * width, (j + 1) * width), batch.size, cfg.n_heads
-                    )
-                    for j in range(3)
-                )
-                scores = nk.scale(nk.einsum("bid,bjd->bij", q, k), inv_sqrt_dk)
-                alpha = nk.causal_softmax(scores) if cfg.causal else nk.softmax_rows(scores)
+                q, k, v = (self._heads(block, part, batch.size) for part in range(3))
+                heads, alpha = self._attend(q, k, v, batch.size)
                 if captured is not None:
-                    per_session = alpha.data.reshape(batch.size, cfg.n_heads, *alpha.shape[1:])
+                    per_session = alpha.data.reshape(batch.size, stack[1], *alpha.shape[1:])
                     for index, weights in zip(batch.tolist(), per_session):
                         captured[index][i] = weights
-                merged.append(nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), batch.size))
-            heads = merged[0] if len(merged) == 1 else nk.concat_rows(merged)
-            x = nk.add(x, self._dense(heads, f"block{i}/attn_out"))
-            hidden = nk.relu(self._dense(self._norm(x, f"block{i}/ln2"), f"block{i}/ff", "1"))
-            x = nk.add(x, self._dense(hidden, f"block{i}/ff", "2"))
-        probs = nk.softmax_rows(self._dense(self._norm(x, "final_ln"), "head"))
-        return nk.take_rows(probs, np.argsort(order)), captured
+                merged.append(heads)
+            return merged[0] if len(merged) == 1 else nk.concat_rows(merged)
+
+        x = self._embed(arr[order], positions)
+        for i in range(self.config.n_blocks):
+            x = self._block(i, x, attend)
+        return nk.take_rows(self._head(x), np.argsort(order)), captured
+
+    def initial_state(self) -> State:
+        """Per block, the empty (0, 2·H·hd) key/value rows."""
+        width = 2 * self.config.n_heads * self.config.head_dim
+        return tuple(np.empty((0, width)) for _ in range(self.config.n_blocks))
+
+    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
+        """The new row of each prefix attends to its cached key/value rows and
+        its own; a state holds, per block, the (n, 2·H·hd) key/value rows of
+        the prefix's n rows, so the new row sits at position n."""
+        if not self.config.causal:
+            raise ConstraintViolation("the bidirectional encoder cannot decode: it has no prefix state")
+        arr = self._check_step(rows, self.config.input_dim, states)
+        if len({len(state[0]) for state in states}) > 1:
+            raise ConstraintViolation("decode steps prefixes of one length at a time")
+        n_batch, width = len(arr), self.config.n_heads * self.config.head_dim
+        extended: list[np.ndarray] = []
+
+        def attend(i: int, qkv: nk.Tensor) -> nk.Tensor:
+            cached = np.stack([state[i] for state in states])
+            kv = np.concatenate([cached, qkv.data[:, None, width:]], axis=1)
+            extended.append(kv)
+            kv_rows = nk.Tensor(kv.reshape(-1, 2 * width))
+            k, v = (self._heads(kv_rows, part, n_batch) for part in range(2))
+            return self._attend(self._heads(qkv, 0, n_batch), k, v, n_batch)[0]
+
+        x = self._embed(arr, np.full(n_batch, len(states[0][0])))
+        for i in range(self.config.n_blocks):
+            x = self._block(i, x, attend)
+        return self._head(x), [tuple(kv[b] for kv in extended) for b in range(n_batch)]
 
 
 def make_model(kind: ModelKind, config, seed: int = 0) -> SequenceModel:

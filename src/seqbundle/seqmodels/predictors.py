@@ -1,4 +1,5 @@
-"""Session-level prediction and attention capture on a trained model and feature pipeline."""
+"""Session-level prediction, prefix decoding and attention capture on a
+trained model and feature pipeline."""
 
 from __future__ import annotations
 
@@ -21,11 +22,12 @@ from ..domain import (
 from ..errors import ConstraintViolation
 from ..dataio import FeaturePipeline
 from .config import ModelKind
-from .models import SequenceModel
+from .models import SequenceModel, State
 
 _REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 # Rows per inference forward, which holds activations for all of its rows; the
-# encoder's prediction mode packs every prefix, about L/2 times a session's rows.
+# encoder's prediction mode packs every distinct prefix, up to about L/2 times
+# a session's rows.
 PACKED_ROWS = 1024
 
 
@@ -69,8 +71,8 @@ class NeuralPredictor:
         Causal models pack all sessions into one forward (up to PACKED_ROWS
         rows). The bidirectional encoder is evaluated in prediction mode: the
         row for event j comes from a pass over rows 1..j alone, so the
-        forward packs every prefix of every session and reads each prefix's
-        last row. Packing changes no session's values.
+        forward packs every distinct prefix of the sessions once and reads
+        each prefix's last row. Packing changes no session's values.
         """
         if not sessions:
             return []
@@ -102,8 +104,14 @@ class NeuralPredictor:
         return probs, [weights for _, captured in results if captured for weights in captured]
 
     def _last_rows(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
-        """(B, 3): the last probability row of each packed matrix."""
-        return self._forward(matrices)[0][np.cumsum([len(m) for m in matrices]) - 1]
+        """(B, 3): the last probability row of each matrix, from one packed
+        pass over the distinct matrices, whose rows equal inputs share."""
+        keys = [m.tobytes() for m in matrices]
+        distinct = dict(zip(keys, matrices))  # equal bytes: equal shapes, one width
+        slot = {key: i for i, key in enumerate(distinct)}
+        inputs = list(distinct.values())
+        last = self._forward(inputs)[0][np.cumsum([len(m) for m in inputs]) - 1]
+        return last[[slot[key] for key in keys]]
 
     def _apply_feasibility(self, session: Session, probs: np.ndarray) -> None:
         """Put the scored rows where a replay is impossible through
@@ -137,22 +145,19 @@ class NeuralPredictor:
         return self.next_probs_batch([events])[0]
 
     def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
-        """(B, 3) rows for the events that would follow the given prefixes.
+        """(B, 3) rows for the events that would follow the given prefixes:
+        the cache-less case of decoder(), a fresh one per call."""
+        return self.decoder()(prefixes)
 
-        The model reads each prefix's FeaturePipeline.prefix_matrix, whose
-        last row is the query row: built from the prefix alone, by the same
-        rule as every scored row. The input ends at the query row, so one
-        packed pass serves the causal models and the encoder's prediction
-        mode, whatever the prefixes' lengths.
-        """
+    def decoder(self) -> "PrefixDecoder":
+        """A fresh PrefixDecoder: next-event rows of prefixes, whose later
+        calls extend the prefixes of the call before by one row each."""
         if self.pipeline.config.leak:
             raise ConstraintViolation(
                 "forward-looking prediction is undefined for leak features "
                 "(observed remaining time requires the finished session)"
             )
-        if not prefixes or not all(prefixes):
-            raise ConstraintViolation("next-event prediction needs at least one event")
-        return self._last_rows([self.pipeline.prefix_matrix(events) for events in prefixes])
+        return PrefixDecoder(self)
 
     def queue_next(self, events: tuple[Event, ...]) -> QueueDecision:
         """Iterate predictions to pick the next track to queue.
@@ -164,8 +169,10 @@ class NeuralPredictor:
         work = tuple(events)
         offset = 0
         taken: list[Outcome] = []
+        decode = self.decoder()  # each appended SKIP costs one decoded row
         while True:
-            outcome, probs = self.predict_next(work)
+            probs = decode([work])[0]
+            outcome = max_probability(probs)
             taken.append(outcome)
             candidate = work[-1].track_position + 1
             if outcome is Outcome.SKIP and candidate <= n:
@@ -180,3 +187,54 @@ class NeuralPredictor:
                 predicted=tuple(taken),
                 probs=tuple(float(p) for p in probs),
             )
+
+
+class PrefixDecoder:
+    """Next-event rows of event prefixes, each decoded as one row that extends
+    its parent prefix's model state.
+
+    The states sit on a trie keyed by prefix: node P holds the state after the
+    rows of FeaturePipeline.prefix_matrix(P) and P's query row, the last of
+    them. A call decodes each distinct prefix asked for from its parent's
+    node, first decoding the parents it lacks the same way, and then keeps
+    only the nodes it was asked for: the live frontier of lockstep rollouts or
+    of an iterated query, whose next call extends them by one event. So
+    rollout step k costs one row per live distinct prefix, and a fresh decoder
+    (next_probs_batch) decodes every prefix from the root. The bidirectional
+    encoder has no prefix state: it runs prediction mode over the distinct
+    prefixes on every call.
+    """
+
+    def __init__(self, predictor: NeuralPredictor) -> None:
+        self._predictor = predictor
+        self._nodes: dict[tuple[Event, ...], tuple[State, np.ndarray]] = {}
+
+    def __call__(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
+        if not prefixes or not all(prefixes):
+            raise ConstraintViolation("next-event prediction needs at least one event")
+        slots: dict[tuple[Event, ...], int] = {}
+        index = [slots.setdefault(tuple(events), len(slots)) for events in prefixes]
+        predictor = self._predictor
+        if not predictor.is_causal:
+            return predictor._last_rows([predictor.pipeline.prefix_matrix(k) for k in slots])[index]
+        with nk.no_grad():
+            nodes = self._decode(list(slots))
+        self._nodes = dict(zip(slots, nodes))
+        return np.stack([row for _, row in nodes])[index]
+
+    def _decode(self, keys: list[tuple[Event, ...]]) -> list[tuple[State, np.ndarray]]:
+        """The nodes of distinct prefixes, one decoded row each."""
+        model = self._predictor.model
+        parents = [self._nodes.get(k[:-1]) if k else (model.initial_state(),) for k in keys]
+        lacking = list(dict.fromkeys(k[:-1] for k, node in zip(keys, parents) if node is None))
+        if lacking:
+            found = dict(zip(lacking, self._decode(lacking)))
+            parents = [node or found[k[:-1]] for k, node in zip(keys, parents)]
+        rows = np.stack([self._predictor.pipeline.prefix_matrix(k)[-1] for k in keys])
+        nodes: list = [None] * len(keys)
+        for length in sorted(set(map(len, keys))):  # decode steps one length at a time
+            group = [i for i, k in enumerate(keys) if len(k) == length]
+            probs, states = model.decode(rows[group], [parents[i][0] for i in group])
+            for i, state, row in zip(group, states, probs.data):
+                nodes[i] = (state, row)
+        return nodes

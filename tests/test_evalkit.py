@@ -2,6 +2,7 @@
 
 import logging
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from seqbundle.evalkit import (
     summarize_dataset,
     summary_to_jsonable,
 )
+from seqbundle import neuralkit as nk
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
 from seqbundle.seqmodels import (
     LSTMConfig,
@@ -92,13 +94,33 @@ def rollout_predictor(family, playlist):
     pipeline = FeaturePipeline(playlist=playlist, config=FeatureConfig()).fit(
         ROLLOUT_FIT_SESSIONS
     )
-    config = TransformerConfig(
-        input_dim=pipeline.config.input_dim, embed_dim=8, n_blocks=1, n_heads=2,
-        head_dim=4, ff_dim=8,
-    )
+    if family == "lstm":
+        config = LSTMConfig(pipeline.config.input_dim, hidden_dim=8, n_layers=2)
+    else:
+        config = TransformerConfig(
+            input_dim=pipeline.config.input_dim, embed_dim=8, n_blocks=1, n_heads=2,
+            head_dim=4, ff_dim=8,
+        )
     return NeuralPredictor(
-        model=make_model(ModelKind.TRANSFORMER, config, seed=2), pipeline=pipeline
+        model=make_model(ModelKind(family), config, seed=2), pipeline=pipeline
     )
+
+
+class FullForwardQueries:
+    """A neural predictor's next-event rows from one teacher-forced forward
+    per prefix, with no decode state: the reference for decoded rollouts."""
+
+    def __init__(self, predictor):
+        self.predictor = predictor
+        self.queries = []
+
+    def next_probs_batch(self, prefixes):
+        self.queries.append(list(prefixes))
+        model, pipeline = self.predictor.model, self.predictor.pipeline
+        with nk.no_grad():
+            return np.stack(
+                [model.forward(pipeline.prefix_matrix(events))[0].data[-1] for events in prefixes]
+            )
 
 
 class TestScalarMetrics:
@@ -364,6 +386,39 @@ class TestRollouts:
             alone = rollout_sessions(predictor, playlist, first_row, uniforms[r : r + 1])
             assert alone == [rolled], r
 
+    @pytest.mark.parametrize("family", ["lstm", "transformer"])
+    def test_decoded_rollouts_equal_the_full_forward_reference(self, family, monkeypatch):
+        playlist = make_playlist(4)
+        predictor = rollout_predictor(family, playlist)
+        first_row = np.array([0.4, 0.6, 0.0])
+        uniforms = np.random.default_rng(10).random((40, 4 * 2 + 1))
+        full_forward = FullForwardQueries(predictor)
+        reference = rollout_sessions(full_forward, playlist, first_row, uniforms)
+        decoded = []
+        decode = predictor.model.decode
+
+        def counting_decode(rows, states):
+            decoded.append(len(rows))
+            return decode(rows, states)
+
+        monkeypatch.setattr(predictor.model, "decode", counting_decode)
+        decoders = []
+        make_decoder = predictor.decoder
+
+        def tracked_decoder():
+            decoder = make_decoder()
+            decoders.append(weakref.ref(decoder))
+            return decoder
+
+        monkeypatch.setattr(predictor, "decoder", tracked_decoder)
+        rolled = rollout_sessions(predictor, playlist, first_row, uniforms)
+        assert rolled == reference
+        assert len(decoders) == 1 and decoders[0]() is None  # the trie went with the call
+        # one row per live distinct prefix and step, after the root's row
+        distinct = [len(set(prefixes)) for prefixes in full_forward.queries]
+        assert decoded == [1, *distinct]
+        assert sum(distinct) < sum(map(len, full_forward.queries))
+
     def test_rollout_session_is_the_one_rollout_case(self):
         playlist = make_playlist(4)
         predictor = rollout_predictor("mc", playlist)
@@ -412,6 +467,41 @@ class TestRollouts:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestDistinctSequences:
+    def test_each_distinct_sequence_is_scored_and_walked_once(self, monkeypatch):
+        from seqbundle import evalkit
+        from seqbundle.seqmodels import predictors
+
+        playlist = make_playlist(4)
+        outcomes = [["play", "replay", "skip"], ["skip", "play"], ["play", "play", "replay"]]
+        sessions = [make_session(outcomes[i % 3], sid=f"s{i}") for i in range(12)]
+        predictor = _family_predictor("transformer", True, sessions, playlist)
+        # the realized demand summed over per-session rows, in session order
+        expected = evalkit._demand_realized(
+            sessions, [predictor.predict_session(s) for s in sessions], playlist, 2
+        )
+        walks = []
+        asked = []
+        for module in (evalkit, predictors):
+            def counting_walk(*args, _walk=module.walk, _module=module.__name__):
+                walks.append(_module)
+                return _walk(*args)
+
+            monkeypatch.setattr(module, "walk", counting_walk)
+        predict_sessions = predictor.predict_sessions
+
+        def recording_predict_sessions(batch):
+            asked.append([s.session_id for s in batch])
+            return predict_sessions(batch)
+
+        monkeypatch.setattr(predictor, "predict_sessions", recording_predict_sessions)
+        result = evaluate_playlist(predictor, sessions, playlist)
+        assert asked == [["s0", "s1", "s2"]]
+        assert sorted(walks) == ["seqbundle.evalkit"] * 3 + ["seqbundle.seqmodels.predictors"] * 3
+        assert result.n_scored == sum(len(s) - 1 for s in sessions)
+        assert result.demand == expected
 
 
 class TestEvaluateDataset:

@@ -412,6 +412,68 @@ class TestFusedLSTM:
         assert len(built) == 1 + 4 * 6 + 1 + 6 + 1
 
 
+# Decoding configurations: positions, blocks and heads of the transformer,
+# layers of the LSTM.
+DECODE_FAMILIES = [
+    (ModelKind.TRANSFORMER, tiny_transformer_config(
+        n_blocks=blocks, n_heads=heads, head_dim=8 // heads, positional=positional,
+        max_positions=16,
+    ))
+    for positional in ("learned", "fixed")
+    for blocks in (1, 2, 3)
+    for heads in (1, 2)
+] + [
+    (ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=6, n_layers=layers))
+    for layers in (1, 2)
+]
+DECODE_IDS = [
+    f"transformer-{c.positional}-b{c.n_blocks}-h{c.n_heads}" for _, c in DECODE_FAMILIES[:-2]
+] + ["lstm-l1", "lstm-l2"]
+
+
+class TestDecode:
+    """A decoded row extends its prefix's state by one row and has the bits of
+    the same row of the teacher-forced forward."""
+
+    @pytest.mark.parametrize("kind,config", DECODE_FAMILIES, ids=DECODE_IDS)
+    def test_decode_matches_the_teacher_forced_forward(self, kind, config):
+        model = make_model(kind, config, seed=11)
+        gen = rng(47)
+        lengths = list(range(1, 17))
+        sessions = [gen.normal(size=(n, INPUT_DIM)) for n in lengths]
+        with nk.no_grad():
+            forwards = [model.forward(rows)[0].data for rows in sessions]
+            states = [model.initial_state()] * len(sessions)
+            for t in range(max(lengths)):
+                live = [b for b, n in enumerate(lengths) if n > t]  # lockstep, longest last
+                probs, extended = model.decode(
+                    np.stack([sessions[b][t] for b in live]), [states[b] for b in live]
+                )
+                for b, row, state in zip(live, probs.data, extended):
+                    assert row.tobytes() == forwards[b][t].tobytes(), (lengths[b], t)
+                    states[b] = state
+
+    def test_mlp_decodes_each_row_alone(self):
+        model = make_model(*FAMILIES[0], seed=11)
+        rows = rng(48).normal(size=(4, INPUT_DIM))
+        probs, states = model.decode(rows, [model.initial_state()] * 4)
+        assert probs.data.tobytes() == model.forward(rows)[0].data.tobytes()
+        assert states == [()] * 4
+
+    def test_encoder_cannot_decode(self):
+        model = make_model(*FAMILIES[3], seed=11)
+        with pytest.raises(ConstraintViolation, match="cannot decode"):
+            model.decode(np.zeros((1, INPUT_DIM)), [model.initial_state()])
+
+    def test_one_row_per_state_of_one_length(self):
+        model = make_model(*FAMILIES[2], seed=11)
+        with pytest.raises(ConstraintViolation, match="2 decode rows for 1 prefix states"):
+            model.decode(np.zeros((2, INPUT_DIM)), [model.initial_state()])
+        _, (longer,) = model.decode(np.zeros((1, INPUT_DIM)), [model.initial_state()])
+        with pytest.raises(ConstraintViolation, match="one length"):
+            model.decode(np.zeros((2, INPUT_DIM)), [model.initial_state(), longer])
+
+
 class TestCausality:
     def test_causal_prefix_rows_bit_identical(self):
         model = make_model(ModelKind.TRANSFORMER, tiny_transformer_config(), seed=2)
@@ -648,10 +710,14 @@ class TestNeuralPredictor:
 
 
 class ScriptedPredictor(NeuralPredictor):
-    """next_probs_batch plays back a fixed outcome script (for queue tests)."""
+    """next_probs_batch, and the decoder queue_next asks, play back a fixed
+    outcome script (for queue tests)."""
 
     def set_script(self, outcomes):
         self._script = list(outcomes)
+
+    def decoder(self):
+        return self.next_probs_batch
 
     def next_probs_batch(self, prefixes):
         rows = np.full((len(prefixes), 3), 0.05)
@@ -804,8 +870,9 @@ class TestBatchedInference:
         lengths = [len(s.events) for s in sessions]
         if predictor.is_causal:
             assert calls == [lengths]
-        else:  # every prefix of every session
-            assert calls == [[j for n in lengths for j in range(1, n + 1)]]
+        else:  # every distinct prefix once: rows 1..j hold events[:j-1] alone
+            seen = dict.fromkeys(s.events[:j] for s in sessions for j in range(len(s)))
+            assert calls == [[len(events) + 1 for events in seen]]
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
     def test_forwards_hold_at_most_packed_rows(self, kind, config, monkeypatch):
@@ -859,6 +926,87 @@ class TestBatchedInference:
         predictor, sessions = self.build(*FAMILIES[0])
         with pytest.raises(ConstraintViolation, match="at least one event"):
             predictor.next_probs_batch([sessions[0].events, ()])
+
+
+class TestPrefixSharing:
+    """Each distinct prefix is computed once: the encoder's prediction mode
+    packs the distinct prefixes, and causal next-event queries decode one row
+    per distinct prefix from its parent's state."""
+
+    def build(self, kind, config):
+        playlist = make_playlist(5)
+        outcomes = MIXED_OUTCOMES + MIXED_OUTCOMES[1:4] + [["play", "replay", "skip"]]
+        sessions = [make_session(o, sid=f"r{i}") for i, o in enumerate(outcomes)]
+        predictor = NeuralPredictor(
+            model=make_model(kind, config, seed=4), pipeline=fitted_pipeline(playlist, sessions)
+        )
+        return predictor, sessions
+
+    def test_encoder_packs_each_distinct_prefix_once(self, monkeypatch):
+        predictor, sessions = self.build(*FAMILIES[3])
+        model = predictor.model
+        expected = [
+            np.array([model.forward(m[: j + 1])[0].data[-1] for j in range(len(m))])
+            for m in map(predictor.pipeline.matrix, sessions)
+        ]
+        packed = []
+        forward = model.forward
+
+        def recording_forward(rows, lengths=None, **options):
+            packed.extend(np.split(rows, np.cumsum(lengths)[:-1]))
+            return forward(rows, lengths, **options)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        rows = predictor.predict_sessions(sessions)
+        for got, want in zip(rows, expected, strict=True):
+            assert got.tobytes() == want.tobytes()
+        distinct = {s.events[:j] for s in sessions for j in range(len(s))}
+        assert len({m.tobytes() for m in packed}) == len(packed) == len(distinct)
+        assert sum(map(len, packed)) < sum(len(s) * (len(s) + 1) // 2 for s in sessions)
+
+    @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
+    def test_a_decoder_extends_its_frontier_by_one_row(self, kind, config, monkeypatch):
+        predictor, sessions = self.build(kind, config)
+        decoded = []
+        decode = predictor.model.decode
+
+        def counting_decode(rows, states):
+            decoded.append(len(rows))
+            return decode(rows, states)
+
+        monkeypatch.setattr(predictor.model, "decode", counting_decode)
+        decoder = predictor.decoder()
+        events = sessions[7].events  # seven events
+        first = decoder([events[:2], events[:2], sessions[4].events[:2]])
+        assert decoded == [1, 1, 2]  # the root, one first event, two distinct prefixes
+        for n in range(3, len(events) + 1):
+            decoded.clear()
+            row = decoder([events[:n]])[0]
+            assert decoded == [1]
+            assert row.tobytes() == predictor.next_probs(events[:n]).tobytes()
+        assert first[0].tobytes() == first[1].tobytes()
+        decoded.clear()
+        decoder([sessions[4].events[:2]])  # a dropped branch decodes from the root
+        assert decoded == [1, 1, 1]
+
+    @pytest.mark.parametrize("kind,config", FAMILIES[:3], ids=FAMILY_IDS[:3])
+    def test_queue_next_decodes_one_row_per_skip(self, kind, config, monkeypatch):
+        predictor, _ = self.build(kind, config)
+        events = make_session(["play", "replay"]).events
+        decoded = []
+        decode = predictor.model.decode
+
+        def skipping_decode(rows, states):
+            probs, extended = decode(rows, states)
+            probs.data[:] = (0.8, 0.1, 0.1)  # every query predicts SKIP
+            decoded.append(len(rows))
+            return probs, extended
+
+        monkeypatch.setattr(predictor.model, "decode", skipping_decode)
+        decision = predictor.queue_next(events)
+        assert decision.track_offset is None  # skipped tracks 2..5, then ran out
+        assert decision.predicted == (Outcome.SKIP,) * 5
+        assert decoded == [1] * (len(events) + 1 + 4)  # the prefix's rows, then one per SKIP
 
 
 class TestNoGrad:
