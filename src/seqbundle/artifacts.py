@@ -140,7 +140,7 @@ def load_predictor(bundle_dir: Path | str, playlist: Playlist):
         return MarkovPredictor(model=model)
     if family == "neural":
         kind, config = config_from_json(obj["model"])
-        model = make_model(kind, config, seed=0)
+        model = make_model(kind, config, seed=None)  # no draws: weights load next
         model.set_param_arrays(load_checkpoint(bundle_dir / WEIGHTS_STEM))
         pipeline = FeaturePipeline.from_jsonable(obj["pipeline"], playlist)
         return NeuralPredictor(

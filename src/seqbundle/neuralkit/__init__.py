@@ -1,9 +1,10 @@
 """Minimal numeric stack for the sequence models.
 
 Reverse-mode differentiation over a fixed set of float64 numpy kernels, an
-Adam optimizer, a finite-difference gradient checker, and a flat binary
-checkpoint format. The finite-difference path never touches the autodiff
-backward machinery, so the two gradient routes stay independent.
+in-place Adam optimizer over flat vectors, a finite-difference gradient
+checker, and a flat binary checkpoint format. The finite-difference path
+never touches the autodiff backward machinery, so the two gradient routes
+stay independent.
 """
 
 from .autodiff import (
@@ -37,11 +38,12 @@ from .autodiff import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradcheck import grad_check
 from .kernels import positional_encoding, positional_encoding_matrix
-from .optim import AdamConfig, AdamState, adam_step
+from .optim import AdamConfig, AdamState, NonFiniteGradient, adam_step
 
 __all__ = [
     "AdamConfig",
     "AdamState",
+    "NonFiniteGradient",
     "Tensor",
     "adam_step",
     "add",

@@ -18,6 +18,10 @@ per-head stacks, and the softmaxes work on the last axis of 2-D or 3-D input.
 backward() frees the graph as it goes: once a node's backward has run, its
 grad, closure and parent links are dropped, so only leaf parameters keep
 gradients and a batch's activations are released during the backward pass.
+A node's first gradient is a fresh 0 + g, with the bits of zeros plus g and
+no zero-fill; later ones add in place. Leaf gradients are views of the
+trainer's gradient vector: training binds each parameter's grad to its view
+before a minibatch, so backward accumulates there in place.
 Inference runs under no_grad(), which links no graph at all: each activation
 is freed once the next op has read it, and values are the same bit for bit.
 
@@ -170,8 +174,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.needs_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _accum_at(t: Tensor, where, g: np.ndarray) -> None:
@@ -308,7 +313,7 @@ def tanh(x: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function through exp(-|x|), which never overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -510,7 +515,12 @@ def merge_heads(x: Tensor, n_batch: int) -> Tensor:
 
 
 def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Embedding-style row lookup with scatter-add backward."""
+    """Embedding-style row lookup with scatter-add backward.
+
+    Unique indices (permutations, block-row gathers) scatter with one indexed
+    add, repeated ones (a position table) with np.add.at; either way each
+    gradient row gets its additions in index order, so the bits agree.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ConstraintViolation(f"take_rows expects 1-D indices, got {idx.shape}")
@@ -518,13 +528,19 @@ def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:
         raise ConstraintViolation(
             f"take_rows index out of range 0..{table.data.shape[0] - 1}"
         )
+    unique = (
+        _grad_enabled and table.needs_grad and idx.size > 0 and np.bincount(idx).max() == 1
+    )
 
     def backward(g: np.ndarray) -> None:
         if not table.needs_grad:
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if unique:
+            table.grad[idx] += g
+        else:
+            np.add.at(table.grad, idx, g)
 
     return _result(table.data[idx], (table,), backward)
 

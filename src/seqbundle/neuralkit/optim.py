@@ -1,9 +1,16 @@
-"""Adam with bias correction.
+"""Adam with bias correction, in place on flat vectors.
 
 Update rule per parameter entry, at step t (1-based):
     m <- b1*m + (1-b1)*g          mhat = m / (1 - b1^t)
     v <- b2*v + (1-b2)*g^2        vhat = v / (1 - b2^t)
     p <- p - lr * mhat / (sqrt(vhat) + eps)
+
+Parameters, gradients and both moments are each one contiguous float64
+vector (a model keeps every parameter in one, see SequenceModel.flat). The
+update runs over ADAM_CHUNK-element chunks through two reused work buffers,
+so a step allocates no float temporary of the parameters' size. Each entry
+sees the operations of the rule above in the same order, so the bits are
+those of the whole-array expressions.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConstraintViolation, NumericError
+
+# Entries per chunk of the in-place update; its work buffers stay in cache.
+ADAM_CHUNK = 32_768
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,49 +40,61 @@ class AdamConfig:
 
 
 class AdamState:
-    """First/second moment accumulators keyed by parameter name."""
+    """Flat first/second moment vectors, made at the first step."""
 
     def __init__(self, config: AdamConfig | None = None) -> None:
         self.config = config or AdamConfig()
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> dict[str, np.ndarray]:
-    """One Adam update. Returns new parameter arrays; mutates ``state``."""
-    missing = sorted(set(params) - set(grads))
-    if missing:
-        raise ConstraintViolation(f"adam_step: no gradient for {missing}")
+class NonFiniteGradient(NumericError):
+    """A gradient entry is NaN or Inf; ``offset`` is the first such entry."""
+
+    def __init__(self, offset: int) -> None:
+        super().__init__(f"adam_step: non-finite gradient at offset {offset}")
+        self.offset = offset
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One Adam update of the flat vector ``params``, in place; mutates ``state``.
+
+    A gradient of another length, or a non-finite one, is refused before
+    anything changes.
+    """
+    if params.ndim != 1 or grads.shape != params.shape:
+        raise ConstraintViolation(
+            f"adam_step: gradient shape {grads.shape} != parameter shape {params.shape}"
+        )
+    finite = np.isfinite(grads)
+    if not finite.all():
+        raise NonFiniteGradient(int(np.argmin(finite)))
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
     cfg = state.config
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - cfg.beta1**t
     bias2 = 1.0 - cfg.beta2**t
-    out: dict[str, np.ndarray] = {}
-    for name in sorted(params):
-        p = params[name]
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ConstraintViolation(
-                f"adam_step: gradient shape {g.shape} != parameter shape "
-                f"{p.shape} for {name!r}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"adam_step: non-finite gradient for {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        update = cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-        out[name] = p - update
-    return out
+    work = np.empty(min(ADAM_CHUNK, params.size))
+    update = np.empty_like(work)
+    for start in range(0, params.size, ADAM_CHUNK):
+        part = slice(start, start + ADAM_CHUNK)
+        p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
+        x, y = work[: p.size], update[: p.size]
+        np.multiply(g, 1.0 - cfg.beta1, out=x)
+        m *= cfg.beta1
+        m += x
+        np.multiply(g, 1.0 - cfg.beta2, out=x)
+        x *= g
+        v *= cfg.beta2
+        v += x
+        np.divide(v, bias2, out=x)
+        np.sqrt(x, out=x)
+        x += cfg.eps
+        np.divide(m, bias1, out=y)
+        y *= cfg.learning_rate
+        y /= x
+        p -= y

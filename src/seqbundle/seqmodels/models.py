@@ -17,11 +17,16 @@ decoded row has the bits of the same row in a teacher-forced forward.
 
 All parameters are float64 and initialized uniformly in
 (-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
-norm gains at one, so construction is fully deterministic.
+norm gains at one, so construction is fully deterministic; a model built to
+be loaded (``seed=None``) draws nothing and starts its weights at zero. A
+model keeps its parameters in one contiguous vector, ``flat``, in
+sorted-name order; each ``params[name].data`` is a reshaped view into it,
+which training updates in place.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +58,11 @@ def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]
     return order, positions, list(zip(block_rows, np.split(by_length, np.cumsum(counts)[:-1])))
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
+def _uniform(rng: np.random.Generator | None, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Initial weights; without a generator (a model whose weights are loaded
+    next) a read-only zero view, which draws and allocates nothing."""
+    if rng is None:
+        return np.broadcast_to(0.0, shape)
     limit = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
@@ -65,11 +74,40 @@ class SequenceModel:
 
     def __init__(self) -> None:
         self.params: dict[str, nk.Tensor] = {}
+        self.flat = np.empty(0)
+        self._layout: list[tuple[str, int, tuple[int, ...]]] = []
+        self._initial: dict[str, np.ndarray] = {}
 
-    def _add_param(self, name: str, data: np.ndarray) -> nk.Tensor:
-        tensor = nk.parameter(data, name=name)
-        self.params[name] = tensor
-        return tensor
+    def _add_param(self, name: str, data: np.ndarray) -> None:
+        self._initial[name] = data
+
+    def _pack_params(self) -> None:
+        """Copy the added parameters' initial values into ``flat``, one
+        contiguous vector in sorted-name order (the order of the checkpoint),
+        and make each ``params[name]`` a parameter tensor on its reshaped view.
+        Constructors call this once all parameters are added."""
+        initial, self._initial = self._initial, {}
+        offset = 0
+        for name in sorted(initial):
+            self._layout.append((name, offset, initial[name].shape))
+            offset += initial[name].size
+        self.flat = np.empty(offset)
+        views = self.views(self.flat)
+        for name, data in initial.items():
+            views[name][...] = data
+            self.params[name] = nk.Tensor(views[name], requires_grad=True, name=name)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """``vector``, laid out as ``flat``, as per-parameter views shaped as
+        the parameters."""
+        return {
+            name: vector[start : start + math.prod(shape)].reshape(shape)
+            for name, start, shape in self._layout
+        }
+
+    def name_at(self, offset: int) -> str:
+        """The parameter that holds entry ``offset`` of ``flat``."""
+        return [name for name, start, _ in self._layout if start <= offset][-1]
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, Captured]:
         raise NotImplementedError
@@ -106,9 +144,9 @@ class SequenceModel:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ConstraintViolation(f"parameter {name!r} holds non-finite values")
-            checked[name] = arr.copy()
+            checked[name] = arr
         for name, arr in checked.items():  # all or nothing
-            self.params[name].data = arr
+            self.params[name].data[...] = arr
 
     def _dense(self, x: nk.Tensor, prefix: str, suffix: str = "") -> nk.Tensor:
         """x @ <prefix>/w<suffix> + <prefix>/b<suffix>."""
@@ -117,7 +155,7 @@ class SequenceModel:
 
     @property
     def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
+        return self.flat.size
 
     def _check_rows(self, rows, input_dim: int, lengths: Lengths) -> tuple[np.ndarray, np.ndarray]:
         """``rows`` as an (R, input_dim) array and the session lengths, which
@@ -148,10 +186,10 @@ class MLPModel(SequenceModel):
 
     kind = ModelKind.MLP
 
-    def __init__(self, config: MLPConfig, seed: int = 0) -> None:
+    def __init__(self, config: MLPConfig, seed: int | None = 0) -> None:
         super().__init__()
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         dims = [config.input_dim] + [config.hidden_dim] * config.n_layers
         for i in range(config.n_layers):
             self._add_param(f"layer{i}/w", _uniform(rng, dims[i], (dims[i], dims[i + 1])))
@@ -160,6 +198,7 @@ class MLPModel(SequenceModel):
             "head/w", _uniform(rng, config.hidden_dim, (config.hidden_dim, config.n_classes))
         )
         self._add_param("head/b", np.zeros(config.n_classes))
+        self._pack_params()
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
         x = nk.Tensor(self._check_rows(rows, self.config.input_dim, lengths)[0])
@@ -181,10 +220,10 @@ class LSTMModel(SequenceModel):
 
     kind = ModelKind.LSTM
 
-    def __init__(self, config: LSTMConfig, seed: int = 0) -> None:
+    def __init__(self, config: LSTMConfig, seed: int | None = 0) -> None:
         super().__init__()
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         h = config.hidden_dim
         for layer in range(config.n_layers):
             in_dim = config.input_dim if layer == 0 else h
@@ -195,6 +234,7 @@ class LSTMModel(SequenceModel):
         self._add_param("head/b1", np.zeros(h))
         self._add_param("head/w2", _uniform(rng, h, (h, config.n_classes)))
         self._add_param("head/b2", np.zeros(config.n_classes))
+        self._pack_params()
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
         """Runs layer by layer over the sessions sorted longest first; step t
@@ -259,11 +299,11 @@ class TransformerModel(SequenceModel):
     inputs already truncated at the prediction position.
     """
 
-    def __init__(self, config: TransformerConfig, seed: int = 0) -> None:
+    def __init__(self, config: TransformerConfig, seed: int | None = 0) -> None:
         super().__init__()
         self.config = config
         self.kind = ModelKind.TRANSFORMER if config.causal else ModelKind.ENCODER
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         d = config.embed_dim
         self._add_param("embed/w", _uniform(rng, config.input_dim, (config.input_dim, d)))
         self._add_param("embed/b", np.zeros(d))
@@ -290,6 +330,8 @@ class TransformerModel(SequenceModel):
         self._add_param("final_ln/bias", np.zeros(d))
         self._add_param("head/w", _uniform(rng, d, (d, config.n_classes)))
         self._add_param("head/b", np.zeros(config.n_classes))
+        self._pack_params()
+        self._fixed_table = np.empty((0, d))  # fixed encodings, grown on demand
 
     def _norm(self, x: nk.Tensor, prefix: str) -> nk.Tensor:
         gain, bias = self.params[f"{prefix}/gain"], self.params[f"{prefix}/bias"]
@@ -299,7 +341,9 @@ class TransformerModel(SequenceModel):
         """Position rows for the given 0-based positions within their sessions."""
         n = int(positions.max()) + 1
         if self.config.positional == "fixed":
-            return nk.Tensor(nk.positional_encoding_matrix(n, self.config.embed_dim)[positions])
+            if n > len(self._fixed_table):  # each row is computed on its own
+                self._fixed_table = nk.positional_encoding_matrix(n, self.config.embed_dim)
+            return nk.Tensor(self._fixed_table[positions])
         if n > self.config.max_positions:
             raise ConstraintViolation(
                 f"session has {n} events but the learned position table holds "
@@ -410,7 +454,9 @@ class TransformerModel(SequenceModel):
         return self._head(x), [tuple(kv[b] for kv in extended) for b in range(n_batch)]
 
 
-def make_model(kind: ModelKind, config, seed: int = 0) -> SequenceModel:
+def make_model(kind: ModelKind, config, seed: int | None = 0) -> SequenceModel:
+    """A model of ``kind`` initialized from ``seed``; with ``seed=None`` every
+    weight matrix starts at zero, for a model whose weights are loaded next."""
     if kind is ModelKind.MLP:
         return MLPModel(config, seed=seed)
     if kind is ModelKind.LSTM:

@@ -1,5 +1,10 @@
 """Teacher-forced training loop with early stopping.
 
+Training owns one gradient vector laid out as the model's parameter vector
+``flat``. Before each minibatch it is zeroed with one fill and each
+parameter's grad is bound to its view, so backward accumulates in place and
+Adam updates ``flat`` in place from it.
+
 The loss is the mean cross-entropy over every scored position (event index
 >= 2) in the minibatch. The minibatch's sessions, whatever their lengths, are
 packed into one forward: one graph and one backward per minibatch.
@@ -123,11 +128,13 @@ def train_model(
             eps=config.eps,
         )
     )
+    grads = np.empty_like(model.flat)
+    grad_views = model.views(grads)
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_val = np.inf
     best_epoch = 0
-    best_arrays: dict[str, np.ndarray] | None = None
+    best_flat: np.ndarray | None = None
     since_best = 0
     stopped_early = False
 
@@ -138,26 +145,25 @@ def train_model(
         epoch_count = 0
         for start in range(0, len(epoch_order), config.batch_size):
             batch = epoch_order[start : start + config.batch_size]
-            model.zero_grads()
+            grads.fill(0.0)
+            for name, tensor in model.params.items():
+                tensor.grad = grad_views[name]
             try:
                 loss, n_scored = _batch_loss(model, matrices, labels, batch)
                 loss.backward()
                 epoch_loss += loss.item() * n_scored
                 epoch_count += n_scored
-                grads = {
-                    name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                    for name, p in model.params.items()
-                }
-                updated = nk.adam_step(
-                    {name: p.data for name, p in model.params.items()}, grads, adam
-                )
+                nk.adam_step(model.flat, grads, adam)
             except NumericError as exc:
+                cause = (
+                    f"non-finite gradient for {model.name_at(exc.offset)!r}"
+                    if isinstance(exc, nk.NonFiniteGradient)
+                    else exc
+                )
                 raise NumericError(
                     f"training diverged at epoch {epoch}, "
-                    f"batch starting at session {start}: {exc}"
+                    f"batch starting at session {start}: {cause}"
                 ) from exc
-            for name, tensor in model.params.items():
-                tensor.data = updated[name]
         train_losses.append(epoch_loss / epoch_count)
 
         if n_val:
@@ -182,7 +188,7 @@ def train_model(
             if val_loss < best_val - config.min_delta:
                 best_val = val_loss
                 best_epoch = epoch
-                best_arrays = model.param_arrays()
+                best_flat = model.flat.copy()
                 since_best = 0
             else:
                 since_best += 1
@@ -190,8 +196,9 @@ def train_model(
                     stopped_early = True
                     break
 
-    if best_arrays is not None:
-        model.set_param_arrays(best_arrays)
+    model.zero_grads()  # unbind the views, so the gradient vector goes with this call
+    if best_flat is not None:
+        model.flat[...] = best_flat
     else:
         best_epoch = len(train_losses)
     return TrainResult(

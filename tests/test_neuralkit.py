@@ -9,10 +9,12 @@ import pytest
 
 from conftest import rng
 from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
+from seqbundle.neuralkit import optim
 from seqbundle.neuralkit.checkpoint import ENTRY_KEYS
 from seqbundle.neuralkit import (
     AdamConfig,
     AdamState,
+    NonFiniteGradient,
     Tensor,
     adam_step,
     add,
@@ -407,6 +409,26 @@ class TestMatmulTiles:
         assert np.all(np.abs(tiled - reference) <= 1e-12 * (np.abs(x) @ np.abs(w)))
 
 
+class TestTakeRowsScatter:
+    """Unique indices scatter with one indexed add and repeated ones with
+    np.add.at; both give np.add.at's bits, into a fresh or a running grad."""
+
+    @pytest.mark.parametrize("unique", [True, False], ids=["unique", "repeated"])
+    @pytest.mark.parametrize("running", [False, True], ids=["fresh", "running"])
+    def test_scatter_matches_add_at(self, unique, running):
+        gen = rng(50)
+        table = parameter(gen.normal(size=(1200, 32)))
+        idx = gen.permutation(1200) if unique else gen.integers(0, 40, size=1200)
+        g = gen.normal(size=(1200, 32))
+        g[::5, ::3] = -0.0
+        expected = gen.normal(size=table.shape) if running else np.zeros(table.shape)
+        if running:
+            table.grad = expected.copy()
+        take_rows(table, idx)._backward_fn(g)
+        np.add.at(expected, idx, g)
+        assert table.grad.tobytes() == expected.tobytes()
+
+
 class TestSigmoidValues:
     def test_matches_the_three_exp_expression_bit_for_bit(self):
         x = np.concatenate(
@@ -514,39 +536,66 @@ class TestAdam:
     def test_first_step_matches_closed_form(self):
         cfg = AdamConfig()
         state = AdamState(cfg)
-        params = {"w": np.zeros(2)}
-        grads = {"w": np.array([1.0, -0.5])}
-        out = adam_step(params, grads, state)
+        params = np.zeros(2)
+        grads = np.array([1.0, -0.5])
+        adam_step(params, grads, state)
         # bias correction makes mhat = g and vhat = g^2 on step one, so the
         # update is lr * sign(g) up to eps
-        expected = -cfg.learning_rate * np.sign(grads["w"]) / (1.0 + cfg.eps)
-        assert np.allclose(out["w"], expected, atol=1e-18)
+        expected = -cfg.learning_rate * np.sign(grads) / (1.0 + cfg.eps)
+        assert np.allclose(params, expected, atol=1e-18)
 
     def test_two_constant_steps_move_twice(self):
         cfg = AdamConfig()
         state = AdamState(cfg)
-        params = {"w": np.array([0.0])}
-        g = {"w": np.array([2.0])}
-        params = adam_step(params, g, state)
-        params = adam_step(params, g, state)
+        params = np.array([0.0])
+        g = np.array([2.0])
+        adam_step(params, g, state)
+        adam_step(params, g, state)
         step = cfg.learning_rate * 2.0 / (2.0 + cfg.eps)
-        assert params["w"][0] == pytest.approx(-2.0 * step, rel=1e-12)
+        assert params[0] == pytest.approx(-2.0 * step, rel=1e-12)
         assert state.step_count == 2
+
+    def test_chunks_match_the_whole_array_rule(self):
+        # three chunks, the last one partial, against the rule on whole arrays
+        cfg = AdamConfig(learning_rate=0.01)
+        gen = rng(31)
+        n = 2 * optim.ADAM_CHUNK + 5
+        params = gen.normal(size=n)
+        expected = params.copy()
+        m = v = np.zeros(n)
+        state = AdamState(cfg)
+        for t in (1, 2, 3):
+            g = gen.normal(size=n)
+            g[::7] = -0.0
+            adam_step(params, g, state)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            mhat, vhat = m / (1.0 - cfg.beta1**t), v / (1.0 - cfg.beta2**t)
+            expected = expected - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+            assert params.tobytes() == expected.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
     def test_rejects_shape_mismatch(self):
         state = AdamState()
         with pytest.raises(ConstraintViolation):
-            adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state)
+            adam_step(np.zeros(2), np.zeros((2, 1)), state)
 
-    def test_rejects_missing_gradient(self):
+    def test_rejects_length_mismatch(self):
         state = AdamState()
-        with pytest.raises(ConstraintViolation, match="no gradient"):
-            adam_step({"w": np.zeros(2)}, {}, state)
+        params = np.zeros(2)
+        with pytest.raises(ConstraintViolation, match="gradient shape"):
+            adam_step(params, np.ones(3), state)
+        assert state.step_count == 0 and params.tobytes() == np.zeros(2).tobytes()
 
-    def test_rejects_non_finite_gradient(self):
+    def test_rejects_non_finite_gradient_before_any_change(self):
         state = AdamState()
-        with pytest.raises(NumericError):
-            adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])}, state)
+        params = np.zeros(3)
+        with pytest.raises(NumericError) as caught:
+            adam_step(params, np.array([1.0, np.nan, np.inf]), state)
+        assert isinstance(caught.value, NonFiniteGradient)
+        assert caught.value.offset == 1
+        assert state.step_count == 0 and state.m is None
+        assert params.tobytes() == np.zeros(3).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ConstraintViolation):

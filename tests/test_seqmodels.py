@@ -2,6 +2,7 @@
 
 import logging
 import re
+import types
 
 import numpy as np
 import pytest
@@ -628,6 +629,181 @@ class TestTraining:
         with pytest.raises(ConstraintViolation, match="at least 2 events"):
             train_model(model, [matrices[0][:1]] + matrices, [labels[0][:1]] + labels,
                         TrainConfig())
+
+
+# Families trained against the per-name Adam loop: the transformer with both
+# position kinds and the encoder.
+TRAIN_FAMILIES = [
+    (ModelKind.MLP, MLPConfig(INPUT_DIM, hidden_dim=6, n_layers=2)),
+    (ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=2)),
+    (ModelKind.TRANSFORMER, tiny_transformer_config(n_blocks=2)),
+    (ModelKind.TRANSFORMER, tiny_transformer_config(positional="learned", max_positions=8)),
+    (
+        ModelKind.ENCODER,
+        tiny_transformer_config(causal=False, positional="learned", max_positions=8),
+    ),
+]
+TRAIN_IDS = ["mlp", "lstm", "transformer-fixed", "transformer-learned", "encoder"]
+
+
+def _per_name_adam_step(params, grads, state):
+    """One Adam update per named array into new arrays, as the optimizer ran
+    before parameters moved into one flat vector."""
+    cfg = state.config
+    state.step_count += 1
+    t = state.step_count
+    bias1 = 1.0 - cfg.beta1**t
+    bias2 = 1.0 - cfg.beta2**t
+    out = {}
+    for name in sorted(params):
+        p, g = params[name], grads[name]
+        m = cfg.beta1 * state.m.get(name, np.zeros_like(p)) + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * state.v.get(name, np.zeros_like(p)) + (1.0 - cfg.beta2) * g * g
+        state.m[name], state.v[name] = m, v
+        out[name] = p - cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+    return out
+
+
+def _per_name_train(model, matrices, labels, config):
+    """train_model's loop with a gradient dict (zeros for parameters without a
+    gradient), the per-name Adam, new arrays assigned to each parameter, and a
+    param_arrays snapshot of the best epoch. Needs validation and no early stop."""
+    gen = np.random.default_rng(config.seed)
+    order = gen.permutation(len(matrices))
+    n_val = min(len(matrices) - 1, max(1, round(config.validation_fraction * len(matrices))))
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    adam = nk.AdamConfig(config.learning_rate, config.beta1, config.beta2, config.eps)
+    state = types.SimpleNamespace(config=adam, step_count=0, m={}, v={})
+    train_losses, val_losses = [], []
+    best_val, best_arrays = np.inf, None
+    for _ in range(config.epochs):
+        epoch_order = train_idx[gen.permutation(len(train_idx))]
+        total = count = 0
+        for start in range(0, len(epoch_order), config.batch_size):
+            model.zero_grads()
+            batch = epoch_order[start : start + config.batch_size]
+            loss, n_scored = training._batch_loss(model, matrices, labels, batch)
+            loss.backward()
+            total += loss.item() * n_scored
+            count += n_scored
+            grads = {
+                name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                for name, p in model.params.items()
+            }
+            updated = _per_name_adam_step(
+                {name: p.data for name, p in model.params.items()}, grads, state
+            )
+            for name, tensor in model.params.items():
+                tensor.data = updated[name]
+        train_losses.append(total / count)
+        val_losses.append(training._dataset_loss(
+            model, [matrices[i] for i in val_idx], [labels[i] for i in val_idx],
+            config.batch_size,
+        ))
+        if val_losses[-1] < best_val - config.min_delta:
+            best_val, best_arrays = val_losses[-1], model.param_arrays()
+    model.set_param_arrays(best_arrays)
+    return tuple(train_losses), tuple(val_losses)
+
+
+def _assert_views_of_flat(model):
+    """Every parameter is its reshaped slice of ``model.flat``, in sorted-name order."""
+    offset = 0
+    for name in sorted(model.params):
+        data = model.params[name].data
+        assert np.shares_memory(data, model.flat), name
+        assert data.ctypes.data == model.flat[offset:].ctypes.data, name
+        offset += data.size
+    assert offset == model.flat.size == model.n_parameters
+
+
+class TestFlatParameters:
+    """One contiguous parameter vector per model, updated in place by training."""
+
+    def training_data(self, seed=51):
+        gen = rng(seed)
+        lengths = (3, 5, 2, 7, 4, 4, 6, 2, 3, 5, 7, 4, 2, 6)
+        matrices = [gen.normal(size=(n, INPUT_DIM)) for n in lengths]
+        labels = [gen.integers(0, 3, size=n) for n in lengths]
+        return matrices, labels
+
+    @pytest.mark.parametrize("kind,config", TRAIN_FAMILIES, ids=TRAIN_IDS)
+    def test_training_matches_the_per_name_adam_loop(self, kind, config):
+        matrices, labels = self.training_data()
+        train_config = TrainConfig(
+            epochs=2, batch_size=4, learning_rate=0.05, seed=17,
+            validation_fraction=0.25, patience=5,
+        )
+        flat_model = make_model(kind, config, seed=4)
+        reference = make_model(kind, config, seed=4)
+        result = train_model(flat_model, matrices, labels, train_config)
+        train_losses, val_losses = _per_name_train(reference, matrices, labels, train_config)
+        assert result.train_losses == train_losses
+        assert result.val_losses == val_losses
+        for name, arr in reference.param_arrays().items():
+            assert flat_model.params[name].data.tobytes() == arr.tobytes(), name
+        _assert_views_of_flat(flat_model)
+
+    @pytest.mark.parametrize("kind,config", TRAIN_FAMILIES, ids=TRAIN_IDS)
+    def test_parameters_stay_views_after_set_param_arrays(self, kind, config):
+        model = make_model(kind, config, seed=4)
+        flat = model.flat
+        _assert_views_of_flat(model)
+        arrays = make_model(kind, config, seed=5).param_arrays()
+        model.set_param_arrays(arrays)
+        assert model.flat is flat
+        _assert_views_of_flat(model)
+        expected = np.concatenate([arrays[name].ravel() for name in sorted(arrays)])
+        assert model.flat.tobytes() == expected.tobytes()
+        copies = model.param_arrays()
+        copies[sorted(copies)[0]][...] = 7.0  # copies, not views
+        assert model.flat.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind,config", TRAIN_FAMILIES, ids=TRAIN_IDS)
+    def test_a_model_built_for_loading_draws_nothing(self, kind, config, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail
+        model = make_model(kind, config, seed=None)
+        assert set(np.unique(model.flat).tolist()) <= {0.0, 1.0}  # weights, biases, gains
+        _assert_views_of_flat(model)
+
+    def test_a_loaded_predictor_keeps_views_and_trains(self, tmp_path):
+        from seqbundle.artifacts import load_predictor, save_predictor
+
+        playlist = make_playlist(3)
+        sessions = pattern_sessions(4)
+        pipeline = fitted_pipeline(playlist, sessions)
+        config = tiny_transformer_config(input_dim=pipeline.config.input_dim)
+        model = make_model(ModelKind.TRANSFORMER, config, seed=6)
+        save_predictor(tmp_path / "bundle", NeuralPredictor(model=model, pipeline=pipeline))
+        loaded = load_predictor(tmp_path / "bundle", playlist).model
+        _assert_views_of_flat(loaded)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+
+        matrices, labels = build_training_arrays(pipeline, sessions)
+        flat, before = loaded.flat, loaded.flat.copy()
+        train_config = TrainConfig(epochs=1, batch_size=4, validation_fraction=0.0)
+        train_model(loaded, matrices, labels, train_config)
+        train_model(model, matrices, labels, train_config)
+        assert loaded.flat is flat and loaded.flat.tobytes() != before.tobytes()
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        _assert_views_of_flat(loaded)
+
+    def test_a_nan_gradient_names_its_parameter(self, monkeypatch):
+        model = make_model(*TRAIN_FAMILIES[1], seed=4)
+        matrices, labels = self.training_data()
+        backward = nk.Tensor.backward
+
+        def poisoned_backward(tensor, seed=1.0):
+            backward(tensor, seed)
+            model.params["l1/wh"].grad[2, 3] = np.nan  # a view of the trainer's vector
+
+        monkeypatch.setattr(nk.Tensor, "backward", poisoned_backward)
+        with pytest.raises(
+            NumericError,
+            match=r"training diverged at epoch 1, batch starting at session 0: "
+            r"non-finite gradient for 'l1/wh'$",
+        ):
+            train_model(model, matrices, labels, TrainConfig(epochs=1, batch_size=4))
 
 
 class TestNeuralPredictor:
