@@ -73,17 +73,24 @@ def save_split(path: Path | str, dataset: Dataset) -> Path:
     return write_json(Path(path), {"session_splits": assignment})
 
 
+_SPLIT_TAGS = {split.value: split for split in Split}
+
+
 def load_split(path: Path | str, dataset: Dataset) -> Dataset:
     """Re-tag a dataset from a stored split file.
 
-    Every session must be covered; a dataset that drifted since the split was
-    stored is an error, not a silent re-split.
+    Every session must be covered with a known tag; a dataset that drifted
+    since the split was stored is an error, not a silent re-split.
     """
     obj = read_json(path)
     try:
         assignment = obj["session_splits"]
     except KeyError:
         raise SchemaError(f"{path}: not a split file (no session_splits)") from None
+    if not isinstance(assignment, dict):
+        raise SchemaError(
+            f"{path}: session_splits must be an object, got {type(assignment).__name__}"
+        )
     tags = []
     for session in dataset.sessions:
         tag = assignment.get(session.session_id)
@@ -91,7 +98,13 @@ def load_split(path: Path | str, dataset: Dataset) -> Dataset:
             raise SchemaError(
                 f"{path}: session {session.session_id!r} has no stored split tag"
             )
-        tags.append(Split(tag))
+        split = _SPLIT_TAGS.get(tag) if isinstance(tag, str) else None
+        if split is None:
+            raise SchemaError(
+                f"{path}: session {session.session_id!r} has split tag {tag!r}, "
+                f"expected one of {sorted(_SPLIT_TAGS)}"
+            )
+        tags.append(split)
     extra = set(assignment) - {s.session_id for s in dataset.sessions}
     if extra:
         raise SchemaError(

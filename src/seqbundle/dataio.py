@@ -3,9 +3,10 @@
 Loaded sessions are validated against the play-count walk under a cap that
 the Dataset keeps (``Dataset.cap``). One load builds each distinct event once
 and validates each distinct (playlist, event sequence) once; sessions with
-the same sequence share its immutable events tuple. FeaturePipeline._rows
-builds every model input row from the events before it alone, for training,
-scoring and next-event queries alike. Remaining listening time is a suffix
+the same sequence share its immutable events tuple, and a JSONL line that
+repeats an accepted line's events and playlist text is not parsed again.
+FeaturePipeline._rows builds every model input row from the events before it
+alone, for training, scoring and next-event queries alike. Remaining listening time is a suffix
 sum over the session's events, so it is never negative and is exactly 0
 after the last listened event.
 
@@ -174,6 +175,9 @@ class _SessionBuilder:
     (playlist, event sequence) is validated once; later sessions with the same
     sequence share its immutable events tuple. Only sequences that validate
     are kept, so every invalid session is checked and reported on its own.
+    Errors name the session and rule; the caller prefixes file and line. The
+    JSONL loader calls it only for a line whose events and playlist text it
+    has not accepted before.
     """
 
     def __init__(self, playlists: Mapping[str, Playlist], cap: int) -> None:
@@ -191,15 +195,11 @@ class _SessionBuilder:
         return self._events[pair]
 
     def session(
-        self,
-        session_id: str,
-        playlist_id: str,
-        events: Sequence[tuple[int, str]],
-        where: str,
+        self, session_id: str, playlist_id: str, events: Sequence[tuple[int, str]]
     ) -> Session:
         if playlist_id not in self.playlists:
             raise SchemaError(
-                f"{where}: session {session_id!r} references unknown playlist {playlist_id!r}"
+                f"session {session_id!r} references unknown playlist {playlist_id!r}"
             )
         known = self._events
         entries = [known.get(pair) or self._intern(pair) for pair in events]
@@ -237,7 +237,10 @@ def load_sessions(
     strict=False logs a warning, drops the offending session, and continues.
     A session_id seen earlier in a JSONL file is invalid too (strict) or its
     later copy is dropped (lenient). Each distinct event sequence is validated
-    once per call.
+    once per call. A JSONL line that repeats an accepted line's text up to its
+    last "session_id" pair, as the writer's sorted keys make every line with
+    the same events and playlist_id do, has only its id parsed and shares
+    that line's events; any valid line loads the same either way.
     """
     builder = _SessionBuilder(playlists, cap)
     if fmt == "jsonl":
@@ -251,43 +254,84 @@ def load_sessions(
     return dataset_from_sessions(playlists, sessions, cap=cap)
 
 
+# The writer sorts keys, so a written line ends with this pair.
+_ID_PAIR = ', "session_id": '
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _tail_session_id(line: str, k: int) -> str | None:
+    """str(V) when ``line[k:]`` is ``, "session_id": V}``, the last pair closing
+    the top-level object (up to whitespace and repeats of the key); else None.
+
+    When it is not None, the text before ``k`` alone decides every other
+    field json.loads would read from the line.
+    """
+    tail = "{" + line[k + 2 :]
+    try:
+        obj, end = _scan_json(tail, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if end != len(tail) or len(obj) != 1:
+        return None
+    return str(obj["session_id"])
+
+
 def _load_sessions_jsonl(
     path: Path, builder: _SessionBuilder, strict: bool
 ) -> list[Session]:
+    """Parse, convert and validate each line, except a line whose text before
+    its last session_id pair an earlier line was accepted with: only its id is
+    parsed, and it shares that line's events. Any other line takes the full
+    path, so every valid line loads as json.loads would read it."""
     sessions: list[Session] = []
     first_line: dict[str, int] = {}
+    # line text before _ID_PAIR -> (playlist_id, events) accepted with it
+    accepted: dict[str, tuple[str, tuple[Event, ...]]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(line)
-                raw_events = [
-                    (int(e["pos"]), str(e["action"])) for e in obj["events"]
-                ]
-                session = builder.session(
-                    str(obj["session_id"]), str(obj["playlist_id"]), raw_events, where
-                )
-            except json.JSONDecodeError as exc:
-                _skip_or_raise(SchemaError(f"{where}: invalid JSON ({exc.msg})"), strict)
-                continue
-            except KeyError as exc:
-                _skip_or_raise(SchemaError(f"{where}: session missing field {exc}"), strict)
-                continue
-            except (TypeError, ValueError) as exc:
-                _skip_or_raise(SchemaError(f"{where}: malformed session ({exc})"), strict)
-                continue
-            except (SchemaError, ConstraintViolation) as exc:
-                _skip_or_raise(SchemaError(f"{where}: {exc}"), strict)
-                continue
+            k = line.rfind(_ID_PAIR)
+            head = line[:k] if k > 0 else None
+            known = accepted.get(head)
+            session_id = _tail_session_id(line, k) if known is not None else None
+            if session_id is not None:
+                session = Session(session_id, *known)
+            else:
+                try:
+                    obj = json.loads(line)
+                    raw_events = [
+                        (int(e["pos"]), str(e["action"])) for e in obj["events"]
+                    ]
+                    session = builder.session(
+                        str(obj["session_id"]), str(obj["playlist_id"]), raw_events
+                    )
+                except json.JSONDecodeError as exc:
+                    problem = f"invalid JSON ({exc.msg})"
+                except KeyError as exc:
+                    problem = f"session missing field {exc}"
+                except (TypeError, ValueError) as exc:
+                    problem = f"malformed session ({exc})"
+                except (SchemaError, ConstraintViolation) as exc:
+                    problem = str(exc)
+                else:
+                    problem = None
+                if problem is not None:
+                    _skip_or_raise(SchemaError(f"{path} line {lineno}: {problem}"), strict)
+                    continue
+                if (
+                    head is not None
+                    and known is None
+                    and _tail_session_id(line, k) is not None
+                ):
+                    accepted[head] = (session.playlist_id, session.events)
             first = first_line.setdefault(session.session_id, lineno)
             if first != lineno:
                 _skip_or_raise(
                     SchemaError(
-                        f"{where}: duplicate session_id {session.session_id!r} "
-                        f"(first on line {first})"
+                        f"{path} line {lineno}: duplicate session_id "
+                        f"{session.session_id!r} (first on line {first})"
                     ),
                     strict,
                 )
@@ -342,7 +386,7 @@ def _load_sessions_csv(
             continue
         where = f"{path} line {first_line[sid]}"
         try:
-            sessions.append(builder.session(sid, pids[sid], events, where))
+            sessions.append(builder.session(sid, pids[sid], events))
         except (SchemaError, ConstraintViolation) as exc:
             _skip_or_raise(SchemaError(f"{where}: {exc}"), strict)
     return sessions
@@ -721,10 +765,18 @@ def export_prompts(
 
     Each session's lines are formatted once; the prompt at position j is the
     first j-1 lines plus line j with its action blank, as in format_prompt.
-    dedupe=True keeps the first occurrence of each distinct prompt string.
+    dedupe=True keeps the first occurrence of each distinct prompt string, and
+    skips a session whose playlist and events tuple (by identity, as a load
+    shares it) were exported already, since all its prompts were seen.
     """
     seen: set[str] = set()
+    exported: set[tuple[str, int]] = set()
     for session in dataset.sessions_for(split=split_tag):
+        if dedupe:
+            key = (session.playlist_id, id(session.events))
+            if key in exported:
+                continue
+            exported.add(key)
         heads = _prompt_heads(session.events, dataset.playlists[session.playlist_id])
         done = heads[0] + session.events[0].outcome.value
         for head, event in zip(heads[1:], session.events[1:]):

@@ -492,7 +492,12 @@ def tally_sessions(
     """
     if cap < 1:
         raise ConstraintViolation(f"cap must be >= 1, got {cap}")
-    weights = Counter(session.events for session in sessions)
+    # Group by tuple identity first, since a load shares one tuple per
+    # sequence, then merge equal tuples: an Event hash runs in Python.
+    shared = {id(session.events): session.events for session in sessions}
+    weights: Counter[tuple[Event, ...]] = Counter()
+    for key, n in Counter([id(session.events) for session in sessions]).items():
+        weights[shared[key]] += n
     # Python lists: an indexed numpy add costs more than a sequence's walk.
     max_len = max(map(len, weights), default=0)
     outcomes = [0] * N_OUTCOMES

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from seqbundle.domain import (
@@ -17,6 +18,10 @@ from seqbundle.domain import (
     initial_state,
     is_terminal,
 )
+
+# A longer derandomized run of the property tests that pin no example count:
+# pytest --hypothesis-profile=deep
+settings.register_profile("deep", max_examples=2000, derandomize=True)
 
 
 def make_playlist(

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_playlist, make_session, valid_outcome_walks
@@ -34,7 +34,7 @@ from seqbundle.dataio import (
     write_prompts_jsonl,
     write_sessions_jsonl,
 )
-from seqbundle import domain
+from seqbundle import dataio, domain
 from seqbundle.domain import Event, Outcome, Session, parse_outcome, validate_session
 from seqbundle.errors import ConstraintViolation, SchemaError
 from seqbundle.synthgen import CANONICAL_SPEC_NAMES, generate, named_spec
@@ -189,8 +189,11 @@ class TestRoundTrips:
         }
         (tmp_path / "s.jsonl").write_text(json.dumps(orphan) + "\n")
         playlists = load_playlists(tmp_path / "p.jsonl")
-        with pytest.raises(SchemaError, match="nope"):
+        with pytest.raises(SchemaError) as info:
             load_sessions(tmp_path / "s.jsonl", playlists)
+        assert str(info.value) == (
+            f"{tmp_path / 's.jsonl'} line 1: session 'x' references unknown playlist 'nope'"
+        )
 
 
 class TestSessionLoader:
@@ -316,6 +319,224 @@ class TestSessionLoader:
         assert len(warnings) == 2
         assert "line 2: duplicate session_id 'a' (first on line 1)" in warnings[0]
         assert "line 4: duplicate session_id 'a' (first on line 1)" in warnings[1]
+
+
+class _Warnings(logging.Handler):
+    """Collects the loader's warning messages (caplog is per test, not per
+    hypothesis example)."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def per_line_load(path, playlists, strict, cap=domain.DEFAULT_CAP):
+    """load_sessions for JSONL without reusing lines: json.loads, field
+    conversion and the builder on every line."""
+    builder = dataio._SessionBuilder(playlists, cap)
+    sessions, first_line = [], {}
+
+    def reject(message):
+        if strict:
+            raise SchemaError(message)
+        dataio.log.warning("%s (%s)", message, "session skipped")
+
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(line)
+                raw = [(int(e["pos"]), str(e["action"])) for e in obj["events"]]
+                session = builder.session(
+                    str(obj["session_id"]), str(obj["playlist_id"]), raw
+                )
+            except json.JSONDecodeError as exc:
+                reject(f"{where}: invalid JSON ({exc.msg})")
+                continue
+            except KeyError as exc:
+                reject(f"{where}: session missing field {exc}")
+                continue
+            except (TypeError, ValueError) as exc:
+                reject(f"{where}: malformed session ({exc})")
+                continue
+            except (SchemaError, ConstraintViolation) as exc:
+                reject(f"{where}: {exc}")
+                continue
+            first = first_line.setdefault(session.session_id, lineno)
+            if first != lineno:
+                reject(
+                    f"{where}: duplicate session_id {session.session_id!r} "
+                    f"(first on line {first})"
+                )
+                continue
+            sessions.append(session)
+    if not sessions:
+        raise SchemaError(f"{path}: no valid sessions loaded")
+    return tuple(sessions)
+
+
+def jsonl_load(path, playlists, strict):
+    return load_sessions(path, playlists, strict=strict).sessions
+
+
+def load_outcome(load, path, playlists, strict):
+    """(sessions or None, error text or None, warnings) of one load."""
+    handler = _Warnings()
+    dataio.log.addHandler(handler)
+    try:
+        return load(path, playlists, strict), None, handler.messages
+    except SchemaError as exc:
+        return None, str(exc), handler.messages
+    finally:
+        dataio.log.removeHandler(handler)
+
+
+LINE_PLAYLISTS = {"pl": make_playlist(3, pid="pl"), "p2": make_playlist(2, pid="p2")}
+# Valid on both playlists, on "pl" only, or on neither (replays a skip; and
+# a third unit at cap 2).
+EVENT_POOL = [
+    session_to_json(make_session(outcomes))["events"]
+    for outcomes in (
+        ["play", "skip"],
+        ["play", "replay", "skip"],
+        ["skip", "play", "play"],
+        ["skip", "replay"],
+        ["play", "replay", "replay"],
+    )
+]
+ID_POOL = ["a", "b", "", 's, "x"', 7, -0.0, 2.5, None, True, ["a"], {"k": "a"}]
+TRICKY_VALUES = [
+    '], "session_id": ',
+    '"}, "session_id": "a"}',
+    [["a"], {"session_id": "a"}],
+    [[1, {"k": '], "session_id": 1}'}]],
+    {"events": [], "session_id": "z"},
+]
+SEPARATORS = [(", ", ": "), (",", ":"), (" ,  ", " : ")]
+
+
+@st.composite
+def session_lines(draw):
+    """A session line: the writer's layout, or its pairs reordered, spaced,
+    repeated or extended, then perhaps cut short or run on."""
+    pairs = [
+        ("events", draw(st.sampled_from(EVENT_POOL))),
+        ("playlist_id", draw(st.sampled_from(["pl", "p2", "zz"]))),
+        ("session_id", draw(st.sampled_from(ID_POOL))),
+    ]
+    if draw(st.booleans()):
+        line = json.dumps(dict(pairs), sort_keys=True)
+    else:
+        pairs = draw(st.permutations(pairs))
+        for _ in range(draw(st.integers(0, 2))):
+            key = draw(st.sampled_from(["events", "playlist_id", "session_id", "zz", "aa"]))
+            value = draw(
+                st.sampled_from(
+                    {
+                        "events": EVENT_POOL,
+                        "playlist_id": ["pl", "p2", '], "session_id": "q"'],
+                        "session_id": ID_POOL,
+                    }.get(key, TRICKY_VALUES)
+                )
+            )
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, value))
+        comma, colon = draw(st.sampled_from(SEPARATORS))
+        line = "{" + comma.join(
+            json.dumps(k) + colon + json.dumps(v) for k, v in pairs
+        ) + "}"
+    cut = draw(st.sampled_from([0, 0, 0, 1, 2, 5]))
+    extra = draw(st.sampled_from(["", "", "", "}", ', "zz": 1}', " ]", "{}"]))
+    return line[: len(line) - cut] + extra
+
+
+class TestRepeatedLines:
+    """A line repeating an accepted line's text up to its last session_id
+    pair reuses that line's events; every load equals the per-line load."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        lines=st.lists(session_lines(), min_size=1, max_size=12),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_load_equals_the_per_line_load(self, tmp_path_factory, lines, order):
+        # repeat lines, so that heads recur in the writer's and other layouts
+        lines = lines + [order.choice(lines) for _ in range(len(lines))]
+        order.shuffle(lines)
+        path = tmp_path_factory.getbasetemp() / "repeated.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for strict in (True, False):
+            got = load_outcome(jsonl_load, path, LINE_PLAYLISTS, strict)
+            want = load_outcome(per_line_load, path, LINE_PLAYLISTS, strict)
+            assert got == want
+            if got[0] is not None:
+                for session in got[0]:
+                    assert type(session.session_id) is str
+
+    def test_repeated_lines_share_one_events_tuple_and_one_parse(
+        self, tmp_path, monkeypatch
+    ):
+        dataset = generated_files(tmp_path, "second_order", n_sessions=400)
+        heads = {(s.playlist_id, s.events) for s in dataset.sessions}
+        calls = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            calls.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(dataio.json, "loads", counting_loads)
+        loaded = load_sessions(tmp_path / "sessions.jsonl", dataset.playlists)
+        monkeypatch.undo()
+        assert loaded.sessions == dataset.sessions
+        assert len(calls) == len(heads) < len(dataset.sessions)
+        tuples = {}
+        for session in loaded.sessions:
+            key = (session.playlist_id, session.events)
+            assert tuples.setdefault(key, session.events) is session.events
+
+    def test_a_tail_that_sets_other_fields_is_never_reused(self, tmp_path, playlist3):
+        # Line 1's own tail replaces its events, so its head must not stand
+        # for them: line 2, with the same head, keeps the head's events.
+        head = '{"events": [{"action": "play", "pos": 1}], "playlist_id": "pl"'
+        path = tmp_path / "s.jsonl"
+        path.write_text(
+            head + ', "session_id": "a", "events": [{"action": "skip", "pos": 1}]}\n'
+            + head + ', "session_id": "b"}\n'
+        )
+        loaded = load_sessions(path, {"pl": playlist3})
+        assert [s.outcomes() for s in loaded.sessions] == [
+            (Outcome.SKIP,),
+            (Outcome.PLAY,),
+        ]
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_bad_tails_after_an_accepted_head_are_reported_per_line(
+        self, tmp_path, playlist3, strict
+    ):
+        good = json.dumps(session_to_json(make_session(["play", "skip"], sid="a")), sort_keys=True)
+        head = good[: good.rindex(', "session_id": ')]
+        lines = [
+            good,
+            head + ', "session_id": "b"',  # cut short
+            head + ', "session_id": "c", "extra": 1}',
+            head + ', "session_id": "a"}',  # repeated id
+            head + ', "session_id": 5}',
+        ]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        got = load_outcome(jsonl_load, path, {"pl": playlist3}, strict)
+        assert got == load_outcome(per_line_load, path, {"pl": playlist3}, strict)
+        if strict:
+            assert got[1].startswith(f"{path} line 2: invalid JSON")
+        else:
+            assert [s.session_id for s in got[0]] == ["a", "c", "5"]
+            assert len(got[2]) == 2
 
 
 class TestSplit:
@@ -603,6 +824,35 @@ class TestPrompts:
         assert len(pairs) == 2  # positions 2 and 3, each appearing once
         n = write_prompts_jsonl(tmp_path / "p.jsonl", dataset, dedupe=False)
         assert n == 4
+
+    @pytest.mark.parametrize("name", CANONICAL_SPEC_NAMES)
+    def test_dedupe_formats_each_loaded_sequence_once_with_the_same_output(
+        self, tmp_path, monkeypatch, name
+    ):
+        generated_files(tmp_path, name)
+        loaded = load_dataset(tmp_path / "sessions.jsonl", tmp_path / "playlists.jsonl")
+        copied = replace(
+            loaded,
+            sessions=tuple(
+                Session(s.session_id, s.playlist_id, tuple(list(s.events)))
+                for s in loaded.sessions
+            ),
+        )
+        formatted = []
+        real_heads = dataio._prompt_heads
+
+        def counting_heads(events, playlist):
+            formatted.append(events)
+            return real_heads(events, playlist)
+
+        monkeypatch.setattr(dataio, "_prompt_heads", counting_heads)
+        for dataset, out in ((loaded, "shared.jsonl"), (copied, "copied.jsonl")):
+            write_prompts_jsonl(tmp_path / out, dataset, dedupe=True)
+        distinct = {(s.playlist_id, s.events) for s in loaded.sessions}
+        assert len(formatted) == len(distinct) + len(loaded.sessions)
+        shared = (tmp_path / "shared.jsonl").read_bytes()
+        assert shared == (tmp_path / "copied.jsonl").read_bytes()
+        assert shared.count(b"\n") == len(list(export_prompts(loaded, dedupe=True)))
 
     def test_export_respects_split_tag(self, playlist3):
         sessions = [

@@ -318,6 +318,33 @@ class TestSessionTally:
         with pytest.raises(ConstraintViolation, match="session 'second': track 1"):
             tally_sessions([ok, second, first, again], 3, cap=1)
 
+    def test_shared_and_copied_tuples_tally_alike(self):
+        spec = second_order_spec(n_sessions=300, seed=11)
+        sessions = generate(spec).sessions
+        canonical = {}
+        shared = [
+            Session(s.session_id, s.playlist_id, canonical.setdefault(s.events, s.events))
+            for s in sessions
+        ]
+        copied = [
+            Session(s.session_id, s.playlist_id, tuple(list(s.events))) for s in sessions
+        ]
+        assert len({id(s.events) for s in shared}) == len(canonical) < len(sessions)
+        assert len({id(s.events) for s in copied}) == len(sessions)
+        tallies = [tally_sessions(group, spec.n_tracks, spec.cap) for group in (shared, copied)]
+        for got, want in zip(*tallies):
+            assert np.array_equal(got, want)
+
+    def test_over_cap_names_the_first_session_whether_tuples_are_shared(self):
+        ok = make_session(["skip", "play"], sid="ok")
+        second = make_session(["play", "replay"], sid="second")
+        copy = Session("copy", "pl", tuple(list(second.events)))
+        again = Session("again", "pl", second.events)
+        with pytest.raises(ConstraintViolation, match="session 'copy': track 1"):
+            tally_sessions([ok, copy, second, again], 3, cap=1)
+        with pytest.raises(ConstraintViolation, match="session 'second': track 1"):
+            tally_sessions([ok, second, copy, again], 3, cap=1)
+
     def test_rejects_cap_below_one(self):
         with pytest.raises(ConstraintViolation, match="cap must be >= 1"):
             tally_sessions([make_session(["skip"])], 1, cap=0)

@@ -158,6 +158,45 @@ class TestSplitStore:
             load_split(path, tiny_dataset)
 
 
+    @staticmethod
+    def _evaluate_with_split(cli_root, tmp_path, capsys, session_splits):
+        """Exit code and stderr of evaluate once split.json holds
+        ``session_splits(stored)``; the split file's path."""
+        data, run = tmp_path / "data", tmp_path / "run_mc"
+        shutil.copytree(cli_root / "data", data)
+        shutil.copytree(cli_root / "run_mc", run)
+        path = run / "split.json"
+        obj = json.loads(path.read_text())
+        obj["session_splits"] = session_splits(obj["session_splits"])
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc = cli_main(["evaluate", "--data", str(data), "--run", str(run),
+                       "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err, path
+
+    @pytest.mark.parametrize("tag", ["holdout", ["train"]])
+    def test_unknown_tag_through_the_cli_exits_2(self, cli_root, tmp_path, capsys, tag):
+        def retag(stored):
+            return {sid: (tag if k == 0 else t) for k, (sid, t) in enumerate(stored.items())}
+
+        rc, err, path = self._evaluate_with_split(cli_root, tmp_path, capsys, retag)
+        first = next(iter(json.loads(path.read_text())["session_splits"]))
+        assert rc == 2
+        assert (
+            f"{path}: session {first!r} has split tag {tag!r}, "
+            "expected one of ['test', 'train']"
+        ) in err
+
+    def test_session_splits_not_an_object_exits_2(self, cli_root, tmp_path, capsys):
+        rc, err, path = self._evaluate_with_split(
+            cli_root, tmp_path, capsys, lambda stored: list(stored)
+        )
+        assert rc == 2
+        assert f"{path}: session_splits must be an object, got list" in err
+
+
 class TestPredictorBundles:
     def test_markov_round_trip(self, tmp_path, tiny_dataset):
         pid = tiny_dataset.playlist_ids()[0]
