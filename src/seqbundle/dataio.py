@@ -436,9 +436,26 @@ def write_playlists_jsonl(path: str | Path, playlists: Mapping[str, Playlist]) -
 
 
 def write_sessions_jsonl(path: str | Path, sessions: Iterable[Session]) -> None:
+    """One ``json.dumps(session_to_json(s), sort_keys=True)`` line per session.
+
+    Each distinct (events tuple, playlist_id) is encoded once. The sorted keys
+    put the session_id pair last, so a session that shares an earlier
+    session's tuple and playlist writes that line's text up to its _ID_PAIR
+    and then its own id: the inverse of the loader's reuse.
+    """
+    # (id(events), playlist_id) -> (events, line text through _ID_PAIR);
+    # holding the tuple keeps its id from being reused within the write
+    heads: dict[tuple[int, str], tuple[tuple[Event, ...], str]] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for session in sessions:
-            fh.write(json.dumps(session_to_json(session), sort_keys=True))
+            key = (id(session.events), session.playlist_id)
+            entry = heads.get(key)
+            if entry is None:
+                line = json.dumps(session_to_json(session), sort_keys=True)
+                heads[key] = (session.events, line[: line.rfind(_ID_PAIR) + len(_ID_PAIR)])
+            else:
+                line = entry[1] + json.dumps(session.session_id) + "}"
+            fh.write(line)
             fh.write("\n")
 
 
@@ -483,34 +500,53 @@ def split(dataset: Dataset, train_fraction: float = 0.9, seed: int = 0) -> Datas
 
 
 def apply_session_end(dataset: Dataset, mode: SessionEndMode) -> Dataset:
-    """Normalize session tails under the chosen end-of-session reading."""
-    new_sessions = tuple(
-        _apply_mode(s, len(dataset.playlists[s.playlist_id]), mode)
-        for s in dataset.sessions
-    )
-    return replace(dataset, sessions=new_sessions)
+    """Normalize session tails under the chosen end-of-session reading.
+
+    Each distinct (events tuple, playlist) is normalized once, so sessions
+    that shared a tuple share the result's tuple too; a session whose events
+    stay as they are is kept as it is.
+    """
+    # (id(events), playlist_id) -> (events, its result); holding the input
+    # tuple keeps its id from being reused within the call
+    done: dict[tuple[int, str], tuple[tuple[Event, ...], tuple[Event, ...]]] = {}
+    new_sessions = []
+    for session in dataset.sessions:
+        key = (id(session.events), session.playlist_id)
+        entry = done.get(key)
+        if entry is None:
+            n_tracks = len(dataset.playlists[session.playlist_id])
+            entry = done[key] = (
+                session.events,
+                _end_events(session.events, n_tracks, mode),
+            )
+        events = entry[1]
+        new_sessions.append(
+            session if events is session.events else replace(session, events=events)
+        )
+    return replace(dataset, sessions=tuple(new_sessions))
 
 
-def _apply_mode(session: Session, n_tracks: int, mode: SessionEndMode) -> Session:
+def _end_events(
+    events: tuple[Event, ...], n_tracks: int, mode: SessionEndMode
+) -> tuple[Event, ...]:
+    """``events`` with its tail normalized under ``mode``; the same tuple when
+    nothing changes."""
     if mode is SessionEndMode.FULL:
-        last = session.last_position
+        last = events[-1].track_position
         if last >= n_tracks:
-            return session
-        pad = tuple(
+            return events
+        return events + tuple(
             Event(track_position=p, outcome=Outcome.SKIP)
             for p in range(last + 1, n_tracks + 1)
         )
-        return replace(session, events=session.events + pad)
     # TRUNCATE: drop everything after the last played/replayed event. A
     # session with no plays keeps its first event (sessions cannot be empty).
     last_play = 0
-    for idx, event in enumerate(session.events, start=1):
+    for idx, event in enumerate(events, start=1):
         if event.outcome in (Outcome.PLAY, Outcome.REPLAY):
             last_play = idx
     keep = max(last_play, 1)
-    if keep == len(session.events):
-        return session
-    return replace(session, events=session.events[:keep])
+    return events if keep == len(events) else events[:keep]
 
 
 # ---------------------------------------------------------------------------

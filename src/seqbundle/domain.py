@@ -41,6 +41,7 @@ OUTCOME_ORDER: tuple[Outcome, Outcome, Outcome] = (
 OUTCOME_INDEX: Mapping[Outcome, int] = {o: i for i, o in enumerate(OUTCOME_ORDER)}
 N_OUTCOMES = len(OUTCOME_ORDER)
 _SKIP = OUTCOME_INDEX[Outcome.SKIP]
+_PLAY = OUTCOME_INDEX[Outcome.PLAY]
 _REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
 # Tolerance for a probability row (spec row, transition row, predictor row,
@@ -86,18 +87,24 @@ def max_probability(probs: Sequence[float]) -> Outcome:
     return OUTCOME_ORDER[first_max_index(arr)]
 
 
-def draw_outcome(row: Sequence[float], u: float) -> Outcome:
-    """Outcome whose cumulative-probability interval of ``row`` contains ``u``.
+def draw_outcomes(rows, u) -> np.ndarray:
+    """Outcome index (OUTCOME_ORDER) drawn from each row of ``rows`` by its
+    uniform ``u`` on [0, 1): the one draw rule.
 
-    ``u`` is a uniform draw on [0, 1); mass left over by rounding goes to the
-    last outcome.
+    SKIP when ``u < row[0]``, PLAY when ``u < row[0] + row[1]``, else the last
+    outcome with nonzero mass, which also takes any mass that rounding leaves
+    short of 1; so a row never yields an outcome it gives no mass. An all-zero
+    row has nothing to draw and yields SKIP.
     """
-    edge = 0.0
-    for idx in range(N_OUTCOMES - 1):
-        edge += row[idx]
-        if u < edge:
-            return OUTCOME_ORDER[idx]
-    return OUTCOME_ORDER[N_OUTCOMES - 1]
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, N_OUTCOMES)
+    skip, play, replay = rows.T
+    rest = np.where(replay > 0.0, _REPLAY, np.where(play > 0.0, _PLAY, _SKIP))
+    return np.where(u < skip, _SKIP, np.where(u < skip + play, _PLAY, rest))
+
+
+def draw_outcome(row: Sequence[float], u: float) -> Outcome:
+    """The outcome draw_outcomes draws from one row."""
+    return OUTCOME_ORDER[int(draw_outcomes(row, np.array([u]))[0])]
 
 
 _OUTCOME_BY_VALUE: Mapping[str, Outcome] = {o.value: o for o in Outcome}
@@ -330,52 +337,85 @@ def feasible_rows(rows: Sequence[Sequence[float]], replay_ok: Sequence[bool]) ->
     return out
 
 
+def _children(
+    prefixes: np.ndarray,
+    states: list[tuple[int, int]],
+    keys: np.ndarray,
+    n_tracks: int,
+    cap: int,
+) -> tuple[list[tuple[Event, ...]], list[tuple[int, int]], np.ndarray]:
+    """Prefix, (track, count) and feasible_outcomes of each child
+    ``keys[i] = parent * N_OUTCOMES + outcome index`` of ``prefixes``."""
+    children: list[tuple[Event, ...]] = []
+    walked: list[tuple[int, int]] = []
+    feasible: list[tuple[bool, bool, bool]] = []
+    for key in keys.tolist():
+        parent, k = divmod(key, N_OUTCOMES)
+        outcome = OUTCOME_ORDER[k]
+        track, count = advance_walk(*states[parent], outcome)
+        children.append(prefixes[parent] + (Event(track_position=track, outcome=outcome),))
+        walked.append((track, count))
+        feasible.append(feasible_outcomes(track, count, n_tracks, cap))
+    return children, walked, np.array(feasible, dtype=bool).reshape(-1, N_OUTCOMES)
+
+
 def sample_walks(
     next_rows: Callable[[list[tuple[Event, ...]]], Sequence[Sequence[float]]],
-    first: Sequence[Outcome],
+    first: Sequence[int],
     uniforms: np.ndarray,
     n_tracks: int,
     cap: int,
 ) -> list[tuple[Event, ...]]:
     """Sample walks in lockstep from conditional rows, the one outcome sampler.
 
-    Walk r opens with ``first[r]`` and draws its k-th outcome from
-    ``uniforms[r, k]``, so it depends on its own row alone, never on which
-    walks run beside it; the longest walk reads column n_tracks * cap - 1.
-    Every step makes one ``next_rows(prefixes)`` call for the prefixes of all
-    live walks, which share one length, and draws from feasible_rows. A walk
-    ends when no outcome is feasible, when its row has no mass left, or when
-    it draws SKIP or PLAY with no track ahead.
+    Walk r opens with outcome index ``first[r]`` (OUTCOME_ORDER) and draws
+    its k-th outcome from ``uniforms[r, k]`` by draw_outcomes, so it depends
+    on its own row alone, never on which walks run beside it; the longest walk
+    reads column n_tracks * cap - 1. The walks advance as a frontier of
+    distinct prefixes, one length at a time: walks with the same prefix share
+    one tuple, every step makes one ``next_rows(prefixes)`` call for the
+    distinct prefixes of the live walks, in the order of the first walk on
+    each, and passes each row through feasible_rows once. A walk ends when no
+    outcome is feasible, when its row has no mass left, or when it draws SKIP
+    or PLAY with no track ahead; it returns the tuple of its last prefix, the
+    one object every walk that ended on that prefix returns.
     """
-    events: list[list[Event]] = []
-    states: list[WalkStep] = []
-    for outcome in first:
-        track, count = advance_walk(0, 0, outcome)
-        events.append([Event(track_position=track, outcome=outcome)])
-        states.append((track, count, feasible_outcomes(track, count, n_tracks, cap)))
-    live = [r for r, state in enumerate(states) if any(state[2])]
-    step = 1
-    while live:
-        rows = feasible_rows(
-            next_rows([tuple(events[r]) for r in live]),
-            [states[r][2][_REPLAY] for r in live],
+    ended = np.empty(len(first), dtype=object)
+    walks = np.arange(len(first))
+    nodes = np.fromiter([()], dtype=object, count=1)  # the distinct live prefixes
+    states = [(0, 0)]  # (track, count) of each node
+    at = np.zeros(len(first), dtype=np.intp)  # the node of each live walk
+    outcome = np.asarray(first, dtype=np.intp)
+    step = 0
+    while len(walks):
+        # each distinct (node, outcome) of the walks makes one child, in the
+        # order of its first walk
+        keys, first_walk, at = np.unique(
+            at * N_OUTCOMES + outcome, return_index=True, return_inverse=True
         )
-        still = []
-        for r, row in zip(live, rows.tolist()):
-            if not any(row):
-                continue
-            track, count, feasible = states[r]
-            outcome = draw_outcome(row, uniforms[r, step])
-            if outcome is not Outcome.REPLAY and not feasible[_SKIP]:
-                continue
-            track, count = advance_walk(track, count, outcome)
-            events[r].append(Event(track_position=track, outcome=outcome))
-            states[r] = (track, count, feasible_outcomes(track, count, n_tracks, cap))
-            if any(states[r][2]):
-                still.append(r)
-        live = still
+        order = np.argsort(first_walk)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        children, states, feasible = _children(nodes, states, keys[order], n_tracks, cap)
+        nodes = np.fromiter(children, dtype=object, count=len(children))
+        at = rank[at]
+        open_ = feasible.any(axis=1)
+        live = open_[at]
+        ended[walks[~live]] = nodes[at[~live]]
+        walks = walks[live]
+        if not len(walks):
+            break
+        keep = np.flatnonzero(open_)
+        at = (np.cumsum(open_) - 1)[at[live]]
+        nodes, feasible = nodes[keep], feasible[keep]
+        states = [states[i] for i in keep]
         step += 1
-    return [tuple(e) for e in events]
+        rows = feasible_rows(next_rows(nodes.tolist()), feasible[:, _REPLAY])[at]
+        outcome = draw_outcomes(rows, uniforms[walks, step])
+        go = rows.any(axis=1) & ((outcome == _REPLAY) | feasible[at, _SKIP])
+        ended[walks[~go]] = nodes[at[~go]]
+        walks, at, outcome = walks[go], at[go], outcome[go]
+    return ended.tolist()
 
 
 def advance_state(

@@ -11,7 +11,9 @@ before; one rollout call owns one and drops it when it returns.
 
 Rows depend on their prefix alone, so evaluation scores, checks and walks
 each distinct event sequence once; every float sum still runs over the
-sessions in order.
+sessions in order. Rollouts come from domain.sample_walks, which asks for
+each distinct live prefix once per step and gives rollouts with the same
+events one shared tuple, so their demand tally groups by identity.
 
 Every row a predictor returns must pass domain.check_prob_rows, at
 domain.ROW_SUM_TOL; a scored event's prediction is its row's modal outcome,
@@ -37,7 +39,7 @@ from .domain import (
     Playlist,
     Session,
     check_prob_rows,
-    draw_outcome,
+    draw_outcomes,
     first_max_index,
     sample_walks,
     tally_sessions,
@@ -231,9 +233,10 @@ def rollout_sessions(
 
     Rollout r draws its first outcome from ``first_row`` with
     ``uniforms[r, 0]`` and the rest through domain.sample_walks, one call per
-    step to the predictor's decoder() (else ``next_probs_batch``), whose rows
-    pass check_prob_rows before any is drawn from; ``uniforms`` needs
-    n_tracks * cap + 1 columns.
+    step to the predictor's decoder() (else ``next_probs_batch``) for the
+    distinct prefixes of the live rollouts, whose rows pass check_prob_rows
+    before any is drawn from; ``uniforms`` needs n_tracks * cap + 1 columns.
+    Rollouts with the same events share one tuple.
     """
     n = len(playlist)
     max_events = n * cap + 1
@@ -249,7 +252,7 @@ def rollout_sessions(
     def next_rows(prefixes: list[tuple[Event, ...]]) -> np.ndarray:
         return check_prob_rows(next_probs(prefixes), where)
 
-    first = [draw_outcome(first_row, u) for u in uniforms[:, 0]]
+    first = draw_outcomes(first_row, uniforms[:, 0])
     walks = sample_walks(next_rows, first, uniforms, n, cap)
     return [
         Session(session_id="rollout", playlist_id=playlist.playlist_id, events=events)

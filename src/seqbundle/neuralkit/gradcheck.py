@@ -14,6 +14,12 @@ import numpy as np
 from ..errors import NumericError
 from .autodiff import Tensor
 
+# The denominator floor of an entry's relative error, as a share of the
+# gradient's L2 norm. At h = 1e-5 the round-off of a difference of O(1)
+# losses is about 1e-11, which reads as 1e-3 on an entry near 1e-8 but stays
+# below 1e-5 against this floor for gradient norms above 1e-2.
+FLOOR_SCALE = 1e-4
+
 
 def grad_check(
     loss_fn: Callable[[], Tensor],
@@ -27,8 +33,12 @@ def grad_check(
 
     loss_fn must rebuild the forward graph from ``params`` on every call.
     Up to ``max_entries_per_param`` entries per array are probed (all of them
-    when the array is small), chosen by a seeded RNG. With ``tolerance`` set,
-    a NumericError is raised when the max relative error exceeds it.
+    when the array is small), chosen by a seeded RNG. An entry's error is
+    relative to the larger of its two values and FLOOR_SCALE times the L2
+    norm of the whole analytic gradient: central-difference round-off is
+    absolute, so an entry far below the gradient's scale is held to that
+    scale. With ``tolerance`` set, a NumericError is raised when the max
+    relative error exceeds it.
     """
     rng = np.random.default_rng(seed)
     for p in params.values():
@@ -42,6 +52,8 @@ def grad_check(
         for name, p in params.items()
     }
 
+    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in analytic.values())))
+    floor = max(FLOOR_SCALE * norm, 1e-8)
     worst = 0.0
     for name in sorted(params):
         tensor = params[name]
@@ -60,7 +72,7 @@ def grad_check(
             flat[idx] = original
             numeric = (up - down) / (2.0 * h)
             a = float(analytic[name].reshape(-1)[idx])
-            denom = max(abs(a), abs(numeric), 1e-8)
+            denom = max(abs(a), abs(numeric), floor)
             err = abs(a - numeric) / denom
             if err > worst:
                 worst = err

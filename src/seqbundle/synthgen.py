@@ -6,10 +6,12 @@ Three generator kinds:
   order2      next outcome depends on the previous two outcomes
 
 All sessions are drawn in one domain.sample_walks call, the sampler that
-expected-mode rollouts use too. Session k reads its uniforms from its own bit
-stream, np.random.default_rng([seed, k]), so any one session can be
-regenerated without replaying the stream and inserting sessions never
-disturbs earlier ones.
+expected-mode rollouts use too: it asks the spec for one row per distinct
+live prefix and step, and sessions with the same events share one tuple, so
+the writer and the tallies handle each distinct sequence once. Session k
+reads its uniforms from its own bit stream, np.random.default_rng([seed, k]),
+so any one session can be regenerated without replaying the stream and
+inserting sessions never disturbs earlier ones.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .domain import (
 from .errors import ConstraintViolation, SchemaError
 
 _SKIP = OUTCOME_INDEX[Outcome.SKIP]
+_PLAY = OUTCOME_INDEX[Outcome.PLAY]
 _REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
 _BASE_DURATIONS = (214.0, 187.5, 243.2, 198.7, 256.4, 171.9, 222.4, 204.3)
@@ -223,10 +226,7 @@ def _sample_sessions(spec: GeneratorSpec) -> list[tuple[Event, ...]]:
     uniforms = np.empty((spec.n_sessions, width), dtype=np.float64)
     for k in range(spec.n_sessions):
         uniforms[k] = np.random.default_rng([spec.seed, k]).random(width)
-    first = [
-        Outcome.PLAY if u < spec.initial_play_prob else Outcome.SKIP
-        for u in uniforms[:, 0]
-    ]
+    first = np.where(uniforms[:, 0] < spec.initial_play_prob, _PLAY, _SKIP)
     return sample_walks(
         lambda prefixes: _spec_rows(spec, prefixes), first, uniforms, spec.n_tracks, spec.cap
     )
@@ -257,15 +257,7 @@ def bayes_rate(spec: GeneratorSpec, n_sessions: int = 2000, seed: int = 90210) -
     than scoring 0/1 hits.
     """
     probe = replace(spec, n_sessions=n_sessions, seed=seed, playlist_id="probe")
-    total = 0.0
-    scored = 0
-    for events in _sample_sessions(probe):
-        total_j, count_j = _session_modal_mass(probe, events, predicted=None)
-        total += total_j
-        scored += count_j
-    if scored == 0:
-        raise ConstraintViolation("no scored events; sessions were all length 1")
-    return total / scored
+    return _modal_mass_rate(probe, predicted=None)
 
 
 def first_order_rate(
@@ -285,13 +277,22 @@ def first_order_rate(
         int(first_max_index(row if row.any() else model.marginal))
         for row in model.matrix.probs
     )
-    score_spec = replace(fit_spec, seed=seed + 2)
+    return _modal_mass_rate(replace(fit_spec, seed=seed + 2), predicted)
+
+
+def _modal_mass_rate(spec: GeneratorSpec, predicted: tuple[int, int, int] | None) -> float:
+    """Mean true probability of the predicted outcome over the scored events
+    of ``spec``'s sessions (see _session_modal_mass), summed in session order;
+    sessions that share an events tuple share its one computation."""
+    masses: dict[int, tuple[float, int]] = {}
     total = 0.0
     scored = 0
-    for events in _sample_sessions(score_spec):
-        total_j, count_j = _session_modal_mass(score_spec, events, predicted=predicted)
-        total += total_j
-        scored += count_j
+    for events in _sample_sessions(spec):
+        mass = masses.get(id(events))
+        if mass is None:
+            mass = masses[id(events)] = _session_modal_mass(spec, events, predicted)
+        total += mass[0]
+        scored += mass[1]
     if scored == 0:
         raise ConstraintViolation("no scored events; sessions were all length 1")
     return total / scored

@@ -621,6 +621,86 @@ class TestSessionEnd:
             assert once.sessions == twice.sessions
 
 
+    def test_shared_tuples_stay_shared(self, tmp_path):
+        dataset = generated_files(tmp_path, "second_order", n_sessions=400)
+        distinct = len({s.events for s in dataset.sessions})
+        assert len({id(s.events) for s in dataset.sessions}) == distinct
+        for mode in SessionEndMode:
+            ended = apply_session_end(dataset, mode)
+            want = [
+                apply_session_end(dataset_from_sessions(dataset.playlists, [s]), mode).sessions[0]
+                for s in dataset.sessions
+            ]
+            assert ended.sessions == tuple(want)
+            assert len({id(s.events) for s in ended.sessions}) == len(
+                {s.events for s in ended.sessions}
+            ) <= distinct
+
+    def test_one_tuple_on_two_playlists_ends_per_playlist(self):
+        events = make_session(["play"]).events
+        dataset = dataset_from_sessions(
+            {"a": make_playlist(2, pid="a"), "b": make_playlist(3, pid="b")},
+            [Session("x", "a", events), Session("y", "b", events), Session("z", "a", events)],
+        )
+        full = apply_session_end(dataset, SessionEndMode.FULL)
+        assert [len(s.events) for s in full.sessions] == [2, 3, 2]
+        assert full.sessions[0].events is full.sessions[2].events
+
+
+class TestSessionWriter:
+    """The writer encodes each distinct (events tuple, playlist_id) once; its
+    output is the per-session json.dumps loop's."""
+
+    @staticmethod
+    def sessions():
+        shared = make_session(["play", "replay", "skip"]).events
+        ids = ['a"1', "b\\2", "caf\u00e9", "\u65e5\u672c", "e\u2028f", "g", "h"]
+        pids = ["pl", 'p, "session_id": "q', "pl"]
+        out = []
+        for k, sid in enumerate(ids):
+            pid = pids[k % len(pids)]
+            out.append(Session(sid, pid, shared))
+            out.append(Session(sid + "-own", pid, make_session(["skip", "play"]).events))
+        return out
+
+    @staticmethod
+    def per_session(sessions):
+        return "".join(
+            json.dumps(session_to_json(s), sort_keys=True) + "\n" for s in sessions
+        )
+
+    def test_output_equals_the_per_session_dumps(self, tmp_path):
+        sessions = self.sessions()
+        write_sessions_jsonl(tmp_path / "s.jsonl", sessions)
+        assert (tmp_path / "s.jsonl").read_text(encoding="utf-8") == self.per_session(
+            sessions
+        )
+
+    def test_a_freed_tuple_id_is_never_reused(self, tmp_path):
+        # every session arrives with a fresh tuple that only the writer holds,
+        # so a tuple freed after its line could hand its id to the next one
+        sessions = [
+            Session(f"s{k}", "pl", make_session(outcomes).events)
+            for k, outcomes in enumerate(
+                [["play"], ["skip"], ["play", "play"], ["skip", "play"]] * 20
+            )
+        ]
+        write_sessions_jsonl(
+            tmp_path / "s.jsonl",
+            (Session(s.session_id, s.playlist_id, tuple(list(s.events))) for s in sessions),
+        )
+        assert (tmp_path / "s.jsonl").read_text(encoding="utf-8") == self.per_session(
+            sessions
+        )
+
+    def test_generated_sessions_round_trip(self, tmp_path):
+        dataset = generated_files(tmp_path, "second_order", n_sessions=400)
+        text = (tmp_path / "sessions.jsonl").read_text(encoding="utf-8")
+        assert text == self.per_session(dataset.sessions)
+        loaded = load_dataset(tmp_path / "sessions.jsonl", tmp_path / "playlists.jsonl")
+        assert loaded.sessions == dataset.sessions
+
+
 class TestRemainingTime:
     def test_listening_time(self, playlist3):
         assert event_listening_time(

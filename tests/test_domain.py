@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_playlist, make_session, valid_outcome_walks
 from seqbundle.domain import (
+    OUTCOME_INDEX,
     OUTCOME_ORDER,
     Event,
     Outcome,
@@ -13,20 +15,26 @@ from seqbundle.domain import (
     Track,
     ROW_SUM_TOL,
     advance_state,
+    advance_walk,
     check_prob_rows,
     count_states,
+    draw_outcome,
+    draw_outcomes,
     events_from_outcomes,
+    feasible_outcomes,
     feasible_rows,
     first_max_index,
     initial_state,
     is_terminal,
     parse_outcome,
+    sample_walks,
     session_to_states,
     tally_sessions,
     validate_session,
     walk,
 )
 from seqbundle.errors import ConstraintViolation
+from seqbundle.evalkit import rollout_sessions
 from seqbundle.synthgen import GeneratorSpec, generate, second_order_spec
 
 
@@ -209,6 +217,147 @@ class TestFeasibleRows:
         assert rows[0].tolist() == [0.2, 0.6, 0.2]  # sums to exactly 1: unchanged
         assert rows[1].tolist() == pytest.approx([0.25, 0.75, 0.0], abs=1e-15)
         assert rows[2].tolist() == [0.0, 0.0, 0.0]  # nothing left: the walk ends
+
+
+# A REPLAY-closed row that feasible_rows leaves short of 1: SKIP + PLAY is
+# 0.9999999999999999, and Generator.random can return the largest u below 1.
+SHORT_ROW = (0.01, 0.04, 0.5)
+TOP_U = float(np.nextafter(1.0, 0.0))
+
+
+class TestDraw:
+    def test_rounding_never_draws_a_closed_outcome(self):
+        row = feasible_rows([SHORT_ROW], [False])[0]
+        assert row[0] + row[1] < 1.0 and row[2] == 0.0
+        assert draw_outcome(row, TOP_U) is Outcome.PLAY
+        assert draw_outcomes(row, np.array([TOP_U])).tolist() == [1]
+
+    def test_leftover_mass_goes_to_the_last_outcome_with_mass(self):
+        rows = np.array([[0.3, 0.2, 0.5], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert draw_outcomes(rows, np.array([0.9, 0.7, 0.5])).tolist() == [2, 0, 0]
+
+    def test_draws_compare_with_the_cumulative_edges(self):
+        rows = np.tile([0.25, 0.5, 0.25], (4, 1))
+        u = np.array([0.0, 0.25, 0.7499999, 0.75])
+        assert draw_outcomes(rows, u).tolist() == [0, 1, 1, 2]
+        assert [draw_outcome(rows[0], x) for x in u] == [
+            Outcome.SKIP, Outcome.PLAY, Outcome.PLAY, Outcome.REPLAY
+        ]
+
+    def test_a_short_row_never_leaves_a_walk_infeasible(self):
+        # at cap 1 REPLAY is always closed, so a draw at u = TOP_U lands on PLAY
+        walks = sample_walks(
+            lambda prefixes: [SHORT_ROW] * len(prefixes),
+            [0], np.full((1, 4), TOP_U), 3, 1,
+        )
+        assert [e.outcome for e in walks[0]] == [Outcome.SKIP, Outcome.PLAY, Outcome.PLAY]
+        validate_session(Session("s", "pl", walks[0]), 3, 1)
+
+    def test_a_short_first_row_draws_a_first_event(self):
+        first_row = feasible_rows([SHORT_ROW], [False])[0]
+        rolled = rollout_sessions(
+            FixedRows(SHORT_ROW), make_playlist(2), first_row, np.full((1, 5), TOP_U)
+        )
+        assert rolled[0].events[0] == Event(1, Outcome.PLAY)
+
+
+class FixedRows:
+    def __init__(self, row):
+        self.row = row
+
+    def next_probs_batch(self, prefixes):
+        return feasible_rows([self.row] * len(prefixes), [True] * len(prefixes))
+
+
+def scalar_draw(row, u):
+    """The draw rule, one row at a time."""
+    edge = 0.0
+    for idx in range(2):
+        edge += row[idx]
+        if u < edge:
+            return OUTCOME_ORDER[idx]
+    return OUTCOME_ORDER[max(i for i in range(3) if row[i] > 0.0)]
+
+
+def per_walk_reference(next_rows, first, uniforms, n_tracks, cap):
+    """The sampler one walk at a time, one next_rows call per prefix."""
+    out = []
+    for r, first_idx in enumerate(first):
+        outcome = OUTCOME_ORDER[first_idx]
+        track, count = advance_walk(0, 0, outcome)
+        events = [Event(track_position=track, outcome=outcome)]
+        feasible = feasible_outcomes(track, count, n_tracks, cap)
+        step = 1
+        while any(feasible):
+            row = feasible_rows(next_rows([tuple(events)]), [feasible[2]])[0].tolist()
+            if not any(row):
+                break
+            outcome = scalar_draw(row, uniforms[r, step])
+            if outcome is not Outcome.REPLAY and not feasible[0]:
+                break
+            track, count = advance_walk(track, count, outcome)
+            events.append(Event(track_position=track, outcome=outcome))
+            feasible = feasible_outcomes(track, count, n_tracks, cap)
+            step += 1
+        out.append(tuple(events))
+    return out
+
+
+ROWS = st.one_of(
+    st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), SHORT_ROW, (1.0, 0.0, 0.0)]),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+)
+
+
+class TestSampleWalks:
+    @settings(deadline=None)
+    @given(
+        n_tracks=st.integers(1, 6),
+        cap=st.integers(1, 4),
+        table=st.lists(ROWS, min_size=1, max_size=8),
+        n_walks=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        top_share=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_sampler_equals_the_per_walk_reference(
+        self, n_tracks, cap, table, n_walks, seed, top_share
+    ):
+        rng = np.random.default_rng(seed)
+        uniforms = rng.random((n_walks, n_tracks * cap + 1))
+        uniforms[rng.random(uniforms.shape) < top_share] = TOP_U
+        first = rng.integers(0, 2, size=n_walks)
+
+        def row_of(prefix):
+            last = prefix[-1]
+            key = 7 * len(prefix) + 3 * last.track_position + OUTCOME_INDEX[last.outcome]
+            return table[key % len(table)]
+
+        calls = []
+
+        def next_rows(prefixes):
+            calls.append(prefixes)
+            return [row_of(p) for p in prefixes]
+
+        walks = sample_walks(next_rows, first, uniforms, n_tracks, cap)
+        sampled = list(calls)
+        assert walks == per_walk_reference(next_rows, first, uniforms, n_tracks, cap)
+        for events in walks:
+            validate_session(Session("s", "pl", events), n_tracks, cap)
+        # walks with the same events share one tuple
+        assert len({id(events) for events in walks}) == len(set(walks))
+        # one call per step for the distinct prefixes of the live walks, the
+        # first for their distinct first events, each extending the call before
+        assert len(sampled) < n_tracks * cap
+        opened = [
+            events[:1] for events in walks
+            if any(feasible_outcomes(*advance_walk(0, 0, events[0].outcome), n_tracks, cap))
+        ]
+        assert sampled[:1] == ([list(dict.fromkeys(opened))] if opened else [])
+        for step, prefixes in enumerate(sampled, start=1):
+            assert len(set(prefixes)) == len(prefixes)
+            assert {len(events) for events in prefixes} == {step}
+        for before, after in zip(sampled, sampled[1:]):
+            assert {events[:-1] for events in after} <= set(before)
 
 
 class TestCheckProbRows:

@@ -15,7 +15,13 @@ from seqbundle.baselines import (
     fit_zero_order,
 )
 from seqbundle.dataio import Dataset, Split, dataset_from_sessions
-from seqbundle.domain import Outcome, check_prob_rows, first_max_index, validate_session
+from seqbundle.domain import (
+    Event,
+    Outcome,
+    check_prob_rows,
+    first_max_index,
+    validate_session,
+)
 from seqbundle.errors import ConstraintViolation, MetricUndefinedError
 from seqbundle.evalkit import (
     EvaluationReport,
@@ -64,19 +70,19 @@ class FixedRowPredictor:
 
 
 class RecordingPredictor(FixedRowPredictor):
-    """Records the prefix lengths of every batched call."""
+    """Records the prefixes of every batched call."""
 
     def __init__(self, row=(0.2, 0.7, 0.1)):
         super().__init__(row)
         self.session_calls = 0
-        self.batch_lengths = []
+        self.batches = []
 
     def predict_sessions(self, sessions):
         self.session_calls += 1
         return super().predict_sessions(sessions)
 
     def next_probs_batch(self, prefixes):
-        self.batch_lengths.append([len(events) for events in prefixes])
+        self.batches.append(list(prefixes))
         return super().next_probs_batch(prefixes)
 
 
@@ -414,10 +420,13 @@ class TestRollouts:
         rolled = rollout_sessions(predictor, playlist, first_row, uniforms)
         assert rolled == reference
         assert len(decoders) == 1 and decoders[0]() is None  # the trie went with the call
-        # one row per live distinct prefix and step, after the root's row
-        distinct = [len(set(prefixes)) for prefixes in full_forward.queries]
-        assert decoded == [1, *distinct]
-        assert sum(distinct) < sum(map(len, full_forward.queries))
+        # every call asks for distinct prefixes, the first call for the
+        # distinct first events in the order of their first rollout, and the
+        # decoder spends one row on each, after the root's row
+        queries = full_forward.queries
+        assert all(len(set(prefixes)) == len(prefixes) for prefixes in queries)
+        assert queries[0] == list(dict.fromkeys(s.events[:1] for s in reference))
+        assert decoded == [1, *map(len, queries)]
 
     def test_rollout_session_is_the_one_rollout_case(self):
         playlist = make_playlist(4)
@@ -440,12 +449,16 @@ class TestRollouts:
             predictor, sessions, playlist, demand_mode="expected", n_rollouts=30, seed=4
         )
         assert predictor.session_calls == 1
-        calls = predictor.batch_lengths
+        calls = predictor.batches
         assert 1 < len(calls) <= 3 * 2
-        assert calls[0] == [1] * 30
-        for step, lengths in enumerate(calls, start=1):
-            assert lengths == [step] * len(lengths)
-        assert all(len(b) <= len(a) for a, b in zip(calls, calls[1:]))
+        # one call per step, each for the distinct prefixes of the live
+        # rollouts; the first holds the distinct first events
+        assert set(calls[0]) == {(Event(1, Outcome.SKIP),), (Event(1, Outcome.PLAY),)}
+        for step, prefixes in enumerate(calls, start=1):
+            assert len(set(prefixes)) == len(prefixes)
+            assert {len(events) for events in prefixes} == {step}
+        for before, after in zip(calls, calls[1:]):
+            assert {events[:-1] for events in after} <= set(before)
 
     def test_expected_mode_is_seed_deterministic(self):
         playlist = make_playlist(3)

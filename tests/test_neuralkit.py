@@ -520,6 +520,40 @@ class TestGradCheckHarness:
         with pytest.raises(NumericError, match="grad_check failed"):
             grad_check(loss, {"x": x}, tolerance=1e-4)
 
+    @staticmethod
+    def tiny_entry_loss(factor):
+        # y enters scaled by 1e-8, so its gradient entries sit near 1e-8,
+        # where central-difference round-off alone is about 1e-3 of them;
+        # ``factor`` scales y's backward, 1.0 being the true one
+        x = parameter(rng(25).normal(size=(2, 3)))
+        y = parameter(rng(26).normal(size=(2, 3)))
+
+        def tiny(t):
+            def backward(g):
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                t.grad += 1e-8 * factor * g
+
+            return Tensor(t.data * 1e-8, parents=(t,), backward_fn=backward)
+
+        def loss():
+            return cross_entropy_mean(
+                softmax_rows(add(x, tiny(y))), np.array([0, 2]), np.ones(2, bool)
+            )
+
+        return loss, {"x": x, "y": y}
+
+    def test_round_off_on_tiny_entries_is_held_to_the_gradient_scale(self):
+        loss, params = self.tiny_entry_loss(1.0)
+        loss().backward()
+        assert np.abs(params["y"].grad).max() < 1e-8
+        assert grad_check(loss, params, tolerance=1e-6) < 1e-6
+
+    def test_a_wrong_backward_on_tiny_entries_still_fails(self):
+        loss, params = self.tiny_entry_loss(1.5)
+        with pytest.raises(NumericError, match="grad_check failed"):
+            grad_check(loss, params, tolerance=1e-6)
+
     def test_passes_correct_graph_with_tolerance(self):
         x = parameter(rng(24).normal(size=(2, 3)))
         err = grad_check(

@@ -311,8 +311,8 @@ class TestBatchedForward:
             return cross_entropy_mean(probs, labels, mask)
 
         # the second LSTM layer has gradient entries near 1e-8, where the
-        # round-off of a 1e-5 central difference alone reads as 1e-4 relative
-        err = grad_check(loss, model.params, h=1e-4, max_entries_per_param=4, seed=11)
+        # round-off of a 1e-5 central difference is held to grad_check's floor
+        err = grad_check(loss, model.params, max_entries_per_param=4, seed=11)
         assert err < 1e-4, f"{kind.value}: max relative error {err:.3e}"
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
