@@ -126,8 +126,7 @@ def save_predictor(bundle_dir: Path | str, predictor) -> Path:
     elif isinstance(predictor, ZeroOrderPredictor):
         payload = {"family": "baseline", "payload": zero_order_to_json(predictor.table)}
     elif isinstance(predictor, NeuralPredictor):
-        arrays = predictor.model.param_arrays()
-        save_checkpoint(bundle_dir / WEIGHTS_STEM, arrays)
+        save_checkpoint(bundle_dir / WEIGHTS_STEM, predictor.model.flat, predictor.model.layout)
         payload = {
             "family": "neural",
             "model": config_to_json(predictor.model.kind, predictor.model.config),
@@ -154,7 +153,7 @@ def load_predictor(bundle_dir: Path | str, playlist: Playlist):
     if family == "neural":
         kind, config = config_from_json(obj["model"])
         model = make_model(kind, config, seed=None)  # no draws: weights load next
-        model.set_param_arrays(load_checkpoint(bundle_dir / WEIGHTS_STEM))
+        load_checkpoint(bundle_dir / WEIGHTS_STEM, model.flat, model.layout)
         pipeline = FeaturePipeline.from_jsonable(obj["pipeline"], playlist)
         return NeuralPredictor(
             model=model,

@@ -24,6 +24,7 @@ from .autodiff import (
     mul,
     no_grad,
     parameter,
+    parameter_view,
     relu,
     scale,
     sigmoid,
@@ -35,7 +36,7 @@ from .autodiff import (
     tanh,
     transpose,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, name_at, save_checkpoint
 from .gradcheck import grad_check
 from .kernels import positional_encoding, positional_encoding_matrix
 from .optim import AdamConfig, AdamState, NonFiniteGradient, adam_step
@@ -61,8 +62,10 @@ __all__ = [
     "matmul",
     "merge_heads",
     "mul",
+    "name_at",
     "no_grad",
     "parameter",
+    "parameter_view",
     "positional_encoding",
     "positional_encoding_matrix",
     "relu",

@@ -1,10 +1,10 @@
 """Reverse-mode autodiff over a fixed set of float64 numpy kernels.
 
 Every value is a Tensor wrapping a float64 ndarray; ops build a graph of
-parent links plus a backward closure. 2-D products run through BLAS in
-fixed MATMUL_TILE-row, zero-padded tiles, so every call has one shape; the
-3-D attention contractions go through non-optimized np.einsum; the causal
-softmax uses cumulative sums/maxima. So each output row is computed
+parent links plus a backward closure. 2-D products run through BLAS on a
+multiple of MATMUL_PAD rows, the tail zero-padded; the 3-D attention
+contractions go through non-optimized np.einsum; the causal softmax uses
+cumulative sums/maxima. So each output row is computed
 independently of how many later rows sit in the input and of how many other
 sessions are stacked beside it. That is what makes causal forward passes
 bit-identical under input truncation, and a session's rows in a batched
@@ -29,11 +29,10 @@ Non-finite values are caught at the boundaries, not on every op result.
 Tensors that callers build (Tensor(data), parameter()) and the loss reject
 NaN/Inf with a NumericError, so training divergence stops at the batch that
 caused it; adam_step rejects non-finite gradients; each predictor row passes
-domain.check_prob_rows, rollout rows included; and load_checkpoint and
-SequenceModel.set_param_arrays refuse non-finite weights. Op results are
-built from checked inputs by _result(), which skips the check; every op
-passes NaN on (relu too), so a NaN in a weight reaches the loss or the row
-check.
+domain.check_prob_rows, rollout rows included; and load_checkpoint refuses
+non-finite weights in a model's flat vector, whose parameter_view()s skip the
+check, as do op results (built by _result()). Every op passes NaN on (relu
+too), so a NaN in a weight reaches the loss or the row check.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from ..errors import ConstraintViolation, NumericError
 
 PROB_FLOOR = 1e-12
 LAYER_NORM_EPS = 1e-12
-# Rows per BLAS call in matmul's forward.
-MATMUL_TILE = 64
+# matmul's forward makes each BLAS call on a multiple of this many rows.
+MATMUL_PAD = 8
 
 _grad_enabled = True
 
@@ -166,6 +165,13 @@ def parameter(data: np.ndarray, name: str = "") -> Tensor:
     return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True, name=name)
 
 
+def parameter_view(data: np.ndarray, name: str) -> Tensor:
+    """A parameter on ``data`` itself, unscanned: a view of a model's flat vector."""
+    out = _result(data, (), None)
+    out.requires_grad, out.name = True, name
+    return out
+
+
 def constant(data) -> Tensor:
     return Tensor(data)
 
@@ -240,35 +246,28 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     return _result(np.einsum(spec, a.data, b.data), (a, b), backward)
 
 
-def _tiled_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w, one BLAS call per MATMUL_TILE-row tile of x.
+def _padded_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w in one BLAS call on the leading rows - rows % MATMUL_PAD rows,
+    written in place, and one on the tail zero-padded to MATMUL_PAD rows.
 
-    Every call has the shape (MATMUL_TILE, k) @ (k, n), so BLAS takes the
-    same kernel path for each; a row's bits then depend neither on how many
-    rows are beside it nor on where it sits in the stack. A last partial
-    tile is zero-padded to full height.
+    Every call's row count is a multiple of the GEMM micro-kernel's height, so
+    BLAS runs each row through the same full-height kernel (never gemv or an
+    edge kernel): a row's bits depend neither on how many rows are beside it
+    nor on where it sits in the stack.
     """
-    # full tiles are read in place, so they must share the padded tile's layout
-    x = np.ascontiguousarray(x)
     rows = x.shape[0]
-    full = rows - rows % MATMUL_TILE
+    full = rows - rows % MATMUL_PAD
     out = np.empty((rows, w.shape[1]))
-    for start in range(0, full, MATMUL_TILE):
-        tile = slice(start, start + MATMUL_TILE)
-        np.matmul(x[tile], w, out=out[tile])
+    np.matmul(x[:full], w, out=out[:full])
     if full < rows:
-        last = np.zeros((MATMUL_TILE, x.shape[1]))
-        last[: rows - full] = x[full:]
-        out[full:] = (last @ w)[: rows - full]
+        tail = np.zeros((MATMUL_PAD, x.shape[1]))
+        tail[: rows - full] = x[full:]
+        out[full:] = (tail @ w)[: rows - full]
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product: row-stable tiles forward, plain BLAS backward.
-
-    The gradients need only be deterministic for a given shape, never
-    row-stable, so they take one BLAS call each.
-    """
+    """2-D matrix product: row-stable padded calls forward, plain BLAS backward."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ConstraintViolation(
             f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}"
@@ -278,7 +277,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    return _result(_tiled_product(a.data, b.data), (a, b), backward)
+    return _result(_padded_product(a.data, b.data), (a, b), backward)
 
 
 def transpose(x: Tensor) -> Tensor:

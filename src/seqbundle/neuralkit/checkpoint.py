@@ -1,51 +1,51 @@
-"""Flat binary checkpoints: one .bin of little-endian float64 data plus a
-JSON manifest mapping array names to shapes and byte offsets."""
+"""Flat binary checkpoints: a flat parameter vector as one .bin of little-endian
+float64 data, plus a JSON manifest of its layout: the (name, start, shape) of
+each array, in sorted-name order and without gaps, as name, shape, byte offset
+and size."""
 
 from __future__ import annotations
 
 import json
+import sys
+from itertools import zip_longest
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import SchemaError
 
 FORMAT_TAG = "flat-float64-v1"
-ENTRY_KEYS = frozenset({"name", "shape", "offset", "size"})
+ENTRY_KEYS = ("name", "shape", "offset", "size")
+Layout = Sequence[tuple[str, int, tuple[int, ...]]]
 
 
 def _paths(stem: str | Path) -> tuple[Path, Path]:
-    stem = Path(stem)
-    return stem.with_suffix(".bin"), stem.with_suffix(".json")
+    return Path(stem).with_suffix(".bin"), Path(stem).with_suffix(".json")
 
 
-def save_checkpoint(stem: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write <stem>.bin and <stem>.json. Array order is sorted by name."""
+def _entries(layout: Layout) -> list[dict]:
+    return [{"name": name, "shape": list(shape), "offset": 8 * start, "size": int(np.prod(shape))}
+            for name, start, shape in layout]
+
+
+def name_at(layout: Layout, offset: int) -> str:
+    """The array that holds entry ``offset`` of a vector laid out as ``layout``."""
+    return [name for name, start, _ in layout if start <= offset][-1]
+
+
+def save_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
+    """Write <stem>.bin, ``flat`` in one write, and its manifest <stem>.json."""
     bin_path, manifest_path = _paths(stem)
-    entries = []
-    offset = 0
-    with open(bin_path, "wb") as fh:
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype="<f8")
-            # ascontiguousarray promotes 0-d to 1-d, so shape comes from arr
-            raw = np.ascontiguousarray(arr).tobytes()
-            fh.write(raw)
-            entries.append(
-                {
-                    "name": name,
-                    "shape": list(arr.shape),
-                    "offset": offset,
-                    "size": int(arr.size),
-                }
-            )
-            offset += len(raw)
-    manifest = {"format": FORMAT_TAG, "byte_order": "little", "arrays": entries}
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    bin_path.write_bytes(np.ascontiguousarray(flat, dtype="<f8").data)
+    manifest = {"format": FORMAT_TAG, "byte_order": "little", "arrays": _entries(layout)}
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8")
 
 
-def load_checkpoint(stem: str | Path) -> dict[str, np.ndarray]:
+def load_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
+    """Read <stem>.bin into ``flat`` in one read. <stem>.json must describe
+    exactly ``layout`` and <stem>.bin be exactly ``flat.nbytes`` long, or a
+    SchemaError names the file; after one, ``flat`` may hold part of the file."""
     bin_path, manifest_path = _paths(stem)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -56,25 +56,24 @@ def load_checkpoint(stem: str | Path) -> dict[str, np.ndarray]:
     if tag != FORMAT_TAG:
         raise SchemaError(f"{manifest_path}: unknown checkpoint format {tag!r}")
     entries = manifest.get("arrays")
-    well_formed = isinstance(entries, list) and all(
-        isinstance(entry, dict) and ENTRY_KEYS <= entry.keys() for entry in entries
-    )
-    if not well_formed:
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and set(ENTRY_KEYS) <= entry.keys() for entry in entries
+    ):
         raise SchemaError(f"{manifest_path}: 'arrays' entries need name, shape, offset and size")
-    raw = Path(bin_path).read_bytes()
-    out: dict[str, np.ndarray] = {}
-    for entry in entries:
-        name = entry["name"]
-        size = int(entry["size"])
-        offset = int(entry["offset"])
-        end = offset + size * 8
-        if end > len(raw):
-            raise SchemaError(
-                f"{bin_path}: array {name!r} runs past end of file "
-                f"({end} > {len(raw)} bytes)"
-            )
-        arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(entry["shape"])
-        if not np.all(np.isfinite(arr)):
+    for i, (got, want) in enumerate(zip_longest(entries, _entries(layout))):
+        if got is None or {key: got[key] for key in ENTRY_KEYS} != want:
+            raise SchemaError(f"{manifest_path}: array entry {i} is {got}, the model needs {want}")
+    size = bin_path.stat().st_size
+    if size < flat.nbytes:  # the array holding entry size // 8 is cut short
+        name = name_at(layout, size // 8)
+        raise SchemaError(f"{bin_path}: array {name!r} runs past end of file at byte {size}")
+    with open(bin_path, "rb") as fh:
+        if size > flat.nbytes or fh.readinto(flat) != size:
+            raise SchemaError(f"{bin_path}: {size} bytes, but the arrays end at byte {flat.nbytes}")
+    if sys.byteorder == "big":
+        flat.byteswap(inplace=True)
+    # the sum is not finite whenever an entry is not; only then find the entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(flat.sum()) and not (finite := np.isfinite(flat)).all():
+            name = name_at(layout, int(finite.argmin()))
             raise SchemaError(f"{bin_path}: array {name!r} holds non-finite values")
-        out[name] = arr.astype(np.float64, copy=True)
-    return out

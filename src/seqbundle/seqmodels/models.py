@@ -18,10 +18,11 @@ decoded row has the bits of the same row in a teacher-forced forward.
 All parameters are float64 and initialized uniformly in
 (-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
 norm gains at one, so construction is fully deterministic; a model built to
-be loaded (``seed=None``) draws nothing and starts its weights at zero. A
-model keeps its parameters in one contiguous vector, ``flat``, in
-sorted-name order; each ``params[name].data`` is a reshaped view into it,
-which training updates in place.
+be loaded (``seed=None``) draws nothing and leaves its weights unwritten for
+``nk.load_checkpoint``. A model keeps its parameters in one contiguous
+vector, ``flat``, in sorted-name order (its ``layout``, the checkpoint's);
+each ``params[name].data`` is a reshaped view into it, which training
+updates in place.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]
 
 def _uniform(rng: np.random.Generator | None, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
     """Initial weights; without a generator (a model whose weights are loaded
-    next) a read-only zero view, which draws and allocates nothing."""
+    next) a read-only zero view that only gives the shape."""
     if rng is None:
         return np.broadcast_to(0.0, shape)
     limit = 1.0 / np.sqrt(fan_in)
@@ -75,39 +76,36 @@ class SequenceModel:
     def __init__(self) -> None:
         self.params: dict[str, nk.Tensor] = {}
         self.flat = np.empty(0)
-        self._layout: list[tuple[str, int, tuple[int, ...]]] = []
+        self.layout: list[tuple[str, int, tuple[int, ...]]] = []
         self._initial: dict[str, np.ndarray] = {}
 
     def _add_param(self, name: str, data: np.ndarray) -> None:
         self._initial[name] = data
 
-    def _pack_params(self) -> None:
-        """Copy the added parameters' initial values into ``flat``, one
-        contiguous vector in sorted-name order (the order of the checkpoint),
-        and make each ``params[name]`` a parameter tensor on its reshaped view.
+    def _pack_params(self, rng: np.random.Generator | None) -> None:
+        """Lay the added parameters out in ``flat``, one contiguous vector in
+        sorted-name order, and make each ``params[name]`` a parameter tensor on
+        its reshaped view. Initial values are copied in only for a drawn model
+        (``rng`` given): a loaded one's are read straight into ``flat``.
         Constructors call this once all parameters are added."""
         initial, self._initial = self._initial, {}
         offset = 0
         for name in sorted(initial):
-            self._layout.append((name, offset, initial[name].shape))
+            self.layout.append((name, offset, initial[name].shape))
             offset += initial[name].size
         self.flat = np.empty(offset)
-        views = self.views(self.flat)
-        for name, data in initial.items():
-            views[name][...] = data
-            self.params[name] = nk.Tensor(views[name], requires_grad=True, name=name)
+        for name, view in self.views(self.flat).items():
+            if rng is not None:
+                view[...] = initial[name]
+            self.params[name] = nk.parameter_view(view, name)
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """``vector``, laid out as ``flat``, as per-parameter views shaped as
         the parameters."""
         return {
             name: vector[start : start + math.prod(shape)].reshape(shape)
-            for name, start, shape in self._layout
+            for name, start, shape in self.layout
         }
-
-    def name_at(self, offset: int) -> str:
-        """The parameter that holds entry ``offset`` of ``flat``."""
-        return [name for name, start, _ in self._layout if start <= offset][-1]
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, Captured]:
         raise NotImplementedError
@@ -124,29 +122,6 @@ class SequenceModel:
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def set_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = sorted(set(self.params) - set(arrays))
-        extra = sorted(set(arrays) - set(self.params))
-        if missing or extra:
-            raise ConstraintViolation(
-                f"parameter name mismatch: missing {missing}, unexpected {extra}"
-            )
-        checked = {}
-        for name, tensor in self.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != tensor.data.shape:
-                raise ConstraintViolation(
-                    f"parameter {name!r}: shape {arr.shape} != {tensor.data.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ConstraintViolation(f"parameter {name!r} holds non-finite values")
-            checked[name] = arr
-        for name, arr in checked.items():  # all or nothing
-            self.params[name].data[...] = arr
 
     def _dense(self, x: nk.Tensor, prefix: str, suffix: str = "") -> nk.Tensor:
         """x @ <prefix>/w<suffix> + <prefix>/b<suffix>."""
@@ -198,7 +173,7 @@ class MLPModel(SequenceModel):
             "head/w", _uniform(rng, config.hidden_dim, (config.hidden_dim, config.n_classes))
         )
         self._add_param("head/b", np.zeros(config.n_classes))
-        self._pack_params()
+        self._pack_params(rng)
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
         x = nk.Tensor(self._check_rows(rows, self.config.input_dim, lengths)[0])
@@ -234,13 +209,13 @@ class LSTMModel(SequenceModel):
         self._add_param("head/b1", np.zeros(h))
         self._add_param("head/w2", _uniform(rng, h, (h, config.n_classes)))
         self._add_param("head/b2", np.zeros(config.n_classes))
-        self._pack_params()
+        self._pack_params(rng)
 
     def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
         """Runs layer by layer over the sessions sorted longest first; step t
         runs the sessions still live, which are the first ones (as PyTorch's
         pack_padded_sequence does). Rows travel step-major, so each layer's
-        input projection is one matmul over all of them, whose tiles give
+        input projection is one matmul over all of them, whose padded calls give
         every row the bits of a per-step product."""
         arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
         order, positions, _ = _segments(lens)
@@ -330,7 +305,7 @@ class TransformerModel(SequenceModel):
         self._add_param("final_ln/bias", np.zeros(d))
         self._add_param("head/w", _uniform(rng, d, (d, config.n_classes)))
         self._add_param("head/b", np.zeros(config.n_classes))
-        self._pack_params()
+        self._pack_params(rng)
         self._fixed_table = np.empty((0, d))  # fixed encodings, grown on demand
 
     def _norm(self, x: nk.Tensor, prefix: str) -> nk.Tensor:
@@ -455,8 +430,8 @@ class TransformerModel(SequenceModel):
 
 
 def make_model(kind: ModelKind, config, seed: int | None = 0) -> SequenceModel:
-    """A model of ``kind`` initialized from ``seed``; with ``seed=None`` every
-    weight matrix starts at zero, for a model whose weights are loaded next."""
+    """A model of ``kind`` initialized from ``seed``; with ``seed=None`` its
+    ``flat`` is left unwritten, for a model whose weights are loaded next."""
     if kind is ModelKind.MLP:
         return MLPModel(config, seed=seed)
     if kind is ModelKind.LSTM:

@@ -156,7 +156,7 @@ def train_model(
                 nk.adam_step(model.flat, grads, adam)
             except NumericError as exc:
                 cause = (
-                    f"non-finite gradient for {model.name_at(exc.offset)!r}"
+                    f"non-finite gradient for {nk.name_at(model.layout, exc.offset)!r}"
                     if isinstance(exc, nk.NonFiniteGradient)
                     else exc
                 )

@@ -46,7 +46,6 @@ from seqbundle.neuralkit import (
     tanh,
     transpose,
 )
-from seqbundle.neuralkit.autodiff import MATMUL_TILE
 
 
 class TestKernels:
@@ -355,9 +354,38 @@ class TestCausalSoftmax:
                 assert batched[i].tobytes() == op(constant(stack[i])).data.tobytes()
 
 
+# Every (k, n) that a CLI-default (wide) or small model multiplies by.
+PRODUCTION_SHAPES = [
+    (5, 256), (256, 768), (256, 256), (256, 2048), (2048, 256), (256, 3),
+    (5, 32), (32, 96), (32, 32), (32, 3), (5, 128), (32, 128),
+]
+
+
+def _tile_product(x, w, tile=64):
+    """x @ w with one BLAS call per 64-row tile, the last one zero-padded:
+    every call has one shape, so each row's bits are those of its own tile."""
+    out = np.empty((len(x), w.shape[1]))
+    for start in range(0, len(x), tile):
+        block = np.zeros((tile, x.shape[1]))
+        block[: len(x) - start] = x[start : start + tile]
+        out[start : start + tile] = (block @ w)[: len(x) - start]
+    return out
+
+
 class TestMatmulTiles:
-    """matmul's forward runs BLAS on fixed MATMUL_TILE-row tiles: a row's bits
-    must not depend on the rows beside it or on its place in the stack."""
+    """matmul's forward gives every row the bits of a 64-row-tile product, so a
+    row's bits depend neither on the rows beside it nor on its place."""
+
+    @pytest.mark.parametrize("k,n", PRODUCTION_SHAPES)
+    def test_every_row_count_matches_the_tile_product(self, k, n):
+        x = rng(k).normal(size=(1100, k))
+        w = rng(n).normal(size=(k, n))
+        # a GEMM row reads no other row, so the first m rows of the tile
+        # product are the tile product of x[:m]
+        reference = _tile_product(x, w)
+        for m in range(1, 1101):
+            got = matmul(constant(x[:m]), constant(w)).data
+            assert got.tobytes() == reference[:m].tobytes(), m
 
     @pytest.mark.parametrize("width", [3, 256])
     def test_prefix_rows_are_bit_identical(self, width):
@@ -369,9 +397,8 @@ class TestMatmulTiles:
 
     @pytest.mark.parametrize("width", [3, 256])
     def test_stacked_sessions_match_each_alone(self, width):
-        # 16 sessions of 13 rows: sessions 4, 9 and 14 straddle tile boundaries
+        # 16 sessions of 13 rows: most straddle the 8-row multiples of a call
         length = 13
-        assert MATMUL_TILE % length != 0
         x = rng(42).normal(size=(16 * length, 32))
         w = rng(43).normal(size=(32, width))
         stacked = matmul(constant(x), constant(w)).data
@@ -387,10 +414,10 @@ class TestMatmulTiles:
         assert one.tobytes() == matmul(constant(x), constant(w)).data[5:6].tobytes()
 
     def test_backward_products_match_finite_differences(self):
-        # more rows than one tile, so the forward spans two BLAS calls
-        a = parameter(rng(46).normal(size=(MATMUL_TILE + 6, 5)))
+        # 70 rows: the forward spans two BLAS calls, 64 rows and a padded tail
+        a = parameter(rng(46).normal(size=(70, 5)))
         b = parameter(rng(47).normal(size=(5, 3)))
-        labels = np.arange(MATMUL_TILE + 6) % 3
+        labels = np.arange(70) % 3
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(matmul(a, b)), labels, np.ones(labels.size, bool)
@@ -400,13 +427,13 @@ class TestMatmulTiles:
 
     @pytest.mark.parametrize("width", [3, 2048])
     def test_agrees_with_einsum(self, width):
-        # the tiles re-baseline every neural output by rounding only: each
-        # entry stays within 1e-12 of the einsum route, relative to |x| @ |w|
+        # the padded calls differ from the einsum route by rounding only: each
+        # entry stays within 1e-12 of it, relative to |x| @ |w|
         x = rng(48).normal(size=(208, 256))
         w = rng(49).normal(size=(256, width))
-        tiled = matmul(constant(x), constant(w)).data
+        padded = matmul(constant(x), constant(w)).data
         reference = np.einsum("ij,jk->ik", x, w)
-        assert np.all(np.abs(tiled - reference) <= 1e-12 * (np.abs(x) @ np.abs(w)))
+        assert np.all(np.abs(padded - reference) <= 1e-12 * (np.abs(x) @ np.abs(w)))
 
 
 class TestTakeRowsScatter:
@@ -638,62 +665,124 @@ class TestAdam:
             AdamConfig(learning_rate=0.0)
 
 
+def _packed(arrays):
+    """``arrays`` as one flat vector and its layout, in sorted-name order."""
+    layout, start = [], 0
+    for name in sorted(arrays):
+        layout.append((name, start, np.shape(arrays[name])))
+        start += np.size(arrays[name])
+    return np.concatenate([np.ravel(arrays[name]) for name in sorted(arrays)]), layout
+
+
 class TestCheckpoint:
+    def save(self, tmp_path, arrays):
+        flat, layout = _packed(arrays)
+        save_checkpoint(tmp_path / "ck", flat, layout)
+        return flat, layout
+
+    def load(self, tmp_path, layout):
+        flat = np.empty(sum(math.prod(shape) for _, _, shape in layout))
+        load_checkpoint(tmp_path / "ck", flat, layout)
+        return flat
+
     def test_round_trip_is_bitwise(self, tmp_path):
         arrays = {
             "b": rng(30).normal(size=(3, 4)),
             "a": rng(31).normal(size=(7,)),
             "scalar": np.array(2.5),
         }
-        save_checkpoint(tmp_path / "ck", arrays)
-        loaded = load_checkpoint(tmp_path / "ck")
-        assert sorted(loaded) == ["a", "b", "scalar"]
-        for name, arr in arrays.items():
-            assert loaded[name].shape == arr.shape
-            assert loaded[name].tobytes() == np.ascontiguousarray(arr).tobytes()
+        flat, layout = self.save(tmp_path, arrays)
+        assert [name for name, _, _ in layout] == ["a", "b", "scalar"]
+        assert self.load(tmp_path, layout).tobytes() == flat.tobytes()
+
+    def test_files_are_the_vector_and_its_layout(self, tmp_path):
+        flat, layout = self.save(tmp_path, {"w": rng(33).normal(size=(2, 3)), "b": np.ones(2)})
+        assert (tmp_path / "ck.bin").read_bytes() == flat.astype("<f8").tobytes()
+        assert json.loads((tmp_path / "ck.json").read_text()) == {
+            "format": "flat-float64-v1",
+            "byte_order": "little",
+            "arrays": [
+                {"name": "b", "shape": [2], "offset": 0, "size": 2},
+                {"name": "w", "shape": [2, 3], "offset": 16, "size": 6},
+            ],
+        }
 
     def test_unknown_format_tag_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "ck", {"w": np.zeros(2)})
+        _, layout = self.save(tmp_path, {"w": np.zeros(2)})
         manifest = (tmp_path / "ck.json").read_text()
         (tmp_path / "ck.json").write_text(
             manifest.replace("flat-float64-v1", "mystery-v9")
         )
         with pytest.raises(SchemaError, match="format"):
-            load_checkpoint(tmp_path / "ck")
+            self.load(tmp_path, layout)
 
     @pytest.mark.parametrize("manifest", ['{"x": ', "[]", '{"format": "flat-float64-v1"}'])
     def test_malformed_manifest_rejected(self, tmp_path, manifest):
-        save_checkpoint(tmp_path / "ck", {"w": np.zeros(2)})
+        _, layout = self.save(tmp_path, {"w": np.zeros(2)})
         (tmp_path / "ck.json").write_text(manifest)
         with pytest.raises(SchemaError, match=re.escape(str(tmp_path / "ck.json"))):
-            load_checkpoint(tmp_path / "ck")
+            self.load(tmp_path, layout)
 
     @pytest.mark.parametrize("key", sorted(ENTRY_KEYS))
     def test_array_entry_missing_a_key_rejected(self, tmp_path, key):
-        save_checkpoint(tmp_path / "ck", {"w": np.zeros(2)})
+        _, layout = self.save(tmp_path, {"w": np.zeros(2)})
         manifest = json.loads((tmp_path / "ck.json").read_text())
         del manifest["arrays"][0][key]
         (tmp_path / "ck.json").write_text(json.dumps(manifest))
         with pytest.raises(SchemaError, match="name, shape, offset and size"):
-            load_checkpoint(tmp_path / "ck")
+            self.load(tmp_path, layout)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "ck", {"w": np.arange(4.0)})
+        _, layout = self.save(tmp_path, {"v": np.zeros(2), "w": np.arange(4.0)})
         raw = (tmp_path / "ck.bin").read_bytes()
         (tmp_path / "ck.bin").write_bytes(raw[:-8])
-        with pytest.raises(SchemaError, match="past end"):
-            load_checkpoint(tmp_path / "ck")
+        with pytest.raises(SchemaError, match="array 'w' runs past end"):
+            self.load(tmp_path, layout)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        _, layout = self.save(tmp_path, {"w": np.arange(4.0)})
+        with open(tmp_path / "ck.bin", "ab") as fh:
+            fh.write(b"\0")
+        message = f"{tmp_path / 'ck.bin'}: 33 bytes, but the arrays end at byte 32"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            self.load(tmp_path, layout)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arrays: arrays.reverse(),  # permuted offsets
+            lambda arrays: arrays[1].update(offset=8),  # overlapping
+            lambda arrays: arrays[1].update(offset=24),  # a gap
+            lambda arrays: arrays[0].update(name="z"),
+            lambda arrays: arrays[0].update(shape=[1, 2]),
+            lambda arrays: arrays[1].update(size=2),
+            lambda arrays: arrays.pop(),
+            lambda arrays: arrays.append(dict(arrays[0], name="x", offset=40)),
+        ],
+        ids=["permuted", "overlapping", "gap", "name", "shape", "size", "missing", "extra"],
+    )
+    def test_manifest_must_describe_the_layout(self, tmp_path, edit):
+        _, layout = self.save(tmp_path, {"a": np.zeros(2), "w": np.arange(3.0)})
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        edit(manifest["arrays"])
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / 'ck.json'}: array entry")):
+            self.load(tmp_path, layout)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_rejected(self, tmp_path, bad):
-        save_checkpoint(tmp_path / "ck", {"a": np.zeros(2), "w": np.array([1.0, bad])})
+        _, layout = self.save(tmp_path, {"a": np.zeros(2), "w": np.array([1.0, bad])})
         message = f"{tmp_path / 'ck.bin'}: array 'w' holds non-finite values"
         with pytest.raises(SchemaError, match=re.escape(message)):
-            load_checkpoint(tmp_path / "ck")
+            self.load(tmp_path, layout)
+
+    def test_finite_entries_whose_sum_overflows_load(self, tmp_path):
+        flat, layout = self.save(tmp_path, {"w": np.array([1e308, 1e308, -1e308])})
+        assert self.load(tmp_path, layout).tobytes() == flat.tobytes()
 
     def test_byte_identical_files_across_runs(self, tmp_path):
-        arrays = {"w": rng(32).normal(size=(5, 5))}
-        save_checkpoint(tmp_path / "one", arrays)
-        save_checkpoint(tmp_path / "two", arrays)
+        flat, layout = _packed({"w": rng(32).normal(size=(5, 5))})
+        save_checkpoint(tmp_path / "one", flat, layout)
+        save_checkpoint(tmp_path / "two", flat, layout)
         assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "two.bin").read_bytes()
         assert (tmp_path / "one.json").read_text() == (tmp_path / "two.json").read_text()

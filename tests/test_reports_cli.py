@@ -840,6 +840,48 @@ class TestMalformedJson:
         assert f"{weights}: array 'head/b1' holds non-finite values" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _edit_manifest(change):
+        def edit(bundle):
+            path = bundle / "weights.json"
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            change(manifest["arrays"])
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+            return path
+        return edit
+
+    @staticmethod
+    def _edit_weights(change):
+        def edit(bundle):
+            path = bundle / "weights.bin"
+            path.write_bytes(change(path.read_bytes()))
+            return path
+        return edit
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _edit_manifest(lambda arrays: arrays.reverse()),
+            _edit_manifest(lambda arrays: arrays[1].update(offset=arrays[0]["offset"])),
+            _edit_manifest(lambda arrays: arrays[-1].update(offset=arrays[-1]["offset"] + 8)),
+            _edit_manifest(lambda arrays: arrays[0].update(name="block0/zz")),
+            _edit_manifest(lambda arrays: arrays[0].update(shape=arrays[0]["shape"] + [1])),
+            _edit_weights(lambda raw: raw + b"\0"),
+            _edit_weights(lambda raw: raw[:-8]),
+        ],
+        ids=["permuted", "overlapping", "gap", "name", "shape", "trailing-byte", "short"],
+    )
+    def test_weights_off_the_model_layout(self, cli_root, tmp_path, capsys, tamper):
+        run = tmp_path / "run_tf"
+        shutil.copytree(cli_root / "run_tf", run)
+        (bundle,) = (run / "models").iterdir()
+        path = tamper(bundle)
+        capsys.readouterr()
+        assert cli_main(self._evaluate(cli_root / "data", run, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err
+        assert "Traceback" not in err
+
     def test_a_list_is_not_a_run(self, cli_root, tmp_path, capsys):
         data, run = self._copies(cli_root, tmp_path)
         (run / "run.json").write_text("[]", encoding="utf-8")

@@ -11,7 +11,7 @@ from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
 from seqbundle.domain import DEFAULT_CAP, Event, Outcome, walk
 from seqbundle import neuralkit as nk
-from seqbundle.errors import ConstraintViolation, NumericError
+from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
 from seqbundle.neuralkit import grad_check, load_checkpoint, save_checkpoint
 from seqbundle.neuralkit.autodiff import cross_entropy_mean
 from seqbundle.seqmodels import models, predictors, training
@@ -146,35 +146,36 @@ class TestForward:
         for name in a.params:
             assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
 
-    def test_set_param_arrays_round_trip(self):
-        model = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=1))
+    def test_checkpoint_round_trip_into_a_model_built_for_loading(self, tmp_path):
+        config = LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=1)
+        model = make_model(ModelKind.LSTM, config)
         rows = rng(4).normal(size=(3, INPUT_DIM))
-        before = model.forward(rows)[0].data
-        arrays = model.param_arrays()
-        model.set_param_arrays(arrays)
-        after = model.forward(rows)[0].data
-        assert before.tobytes() == after.tobytes()
-        with pytest.raises(ConstraintViolation, match="mismatch"):
-            model.set_param_arrays({k: v for k, v in list(arrays.items())[1:]})
+        save_checkpoint(tmp_path / "w", model.flat, model.layout)
+        fresh = make_model(ModelKind.LSTM, config, seed=None)
+        load_checkpoint(tmp_path / "w", fresh.flat, fresh.layout)
+        assert fresh.forward(rows)[0].data.tobytes() == model.forward(rows)[0].data.tobytes()
+        other = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=5, n_layers=1))
+        with pytest.raises(SchemaError, match=r"w\.json: array entry 0 is .*'head/b1'"):
+            load_checkpoint(tmp_path / "w", other.flat, other.layout)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_set_param_arrays_refuses_non_finite(self, bad):
-        model = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=1))
-        arrays = model.param_arrays()
-        arrays["head/b1"][2] = bad
-        before = model.param_arrays()
-        with pytest.raises(ConstraintViolation, match="parameter 'head/b1' holds non-finite"):
-            model.set_param_arrays({name: arr + 1.0 for name, arr in arrays.items()})
-        for name, arr in model.param_arrays().items():  # nothing was assigned
-            assert arr.tobytes() == before[name].tobytes()
+    def test_checkpoint_load_refuses_non_finite(self, bad, tmp_path):
+        config = LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=1)
+        model = make_model(ModelKind.LSTM, config)
+        model.params["head/b1"].data[2] = bad
+        save_checkpoint(tmp_path / "w", model.flat, model.layout)
+        fresh = make_model(ModelKind.LSTM, config, seed=None)
+        message = f"{tmp_path / 'w.bin'}: array 'head/b1' holds non-finite values"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_checkpoint(tmp_path / "w", fresh.flat, fresh.layout)
 
     def test_checkpoint_reload_preserves_outputs(self, tmp_path):
         model = make_model(ModelKind.TRANSFORMER, tiny_transformer_config(), seed=5)
         rows = rng(6).normal(size=(4, INPUT_DIM))
         before = model.forward(rows)[0].data
-        save_checkpoint(tmp_path / "w", model.param_arrays())
+        save_checkpoint(tmp_path / "w", model.flat, model.layout)
         fresh = make_model(ModelKind.TRANSFORMER, tiny_transformer_config(), seed=77)
-        fresh.set_param_arrays(load_checkpoint(tmp_path / "w"))
+        load_checkpoint(tmp_path / "w", fresh.flat, fresh.layout)
         after = fresh.forward(rows)[0].data
         assert before.tobytes() == after.tobytes()
 
@@ -539,7 +540,7 @@ class TestTraining:
                 labels,
                 TrainConfig(epochs=3, batch_size=4, learning_rate=0.01, seed=7),
             )
-            runs.append((result, model.param_arrays()))
+            runs.append((result, _param_arrays(model)))
         (res_a, params_a), (res_b, params_b) = runs
         assert res_a.train_losses == res_b.train_losses
         assert res_a.val_losses == res_b.val_losses
@@ -574,8 +575,8 @@ class TestTraining:
             min_delta=1e-3,
         )
         train_model(model_b, matrices_b, labels_b, config_b)
-        for name, arr in model_a.param_arrays().items():
-            assert arr.tobytes() == model_b.param_arrays()[name].tobytes()
+        for name, arr in _param_arrays(model_a).items():
+            assert arr.tobytes() == _param_arrays(model_b)[name].tobytes()
 
     def test_each_epoch_logs_one_progress_line(self, caplog):
         model, matrices, labels = self.make_setup()  # 12 sessions, all 3 events long
@@ -667,7 +668,7 @@ def _per_name_adam_step(params, grads, state):
 def _per_name_train(model, matrices, labels, config):
     """train_model's loop with a gradient dict (zeros for parameters without a
     gradient), the per-name Adam, new arrays assigned to each parameter, and a
-    param_arrays snapshot of the best epoch. Needs validation and no early stop."""
+    parameter snapshot of the best epoch. Needs validation and no early stop."""
     gen = np.random.default_rng(config.seed)
     order = gen.permutation(len(matrices))
     n_val = min(len(matrices) - 1, max(1, round(config.validation_fraction * len(matrices))))
@@ -701,9 +702,15 @@ def _per_name_train(model, matrices, labels, config):
             config.batch_size,
         ))
         if val_losses[-1] < best_val - config.min_delta:
-            best_val, best_arrays = val_losses[-1], model.param_arrays()
-    model.set_param_arrays(best_arrays)
+            best_val, best_arrays = val_losses[-1], _param_arrays(model)
+    for name, tensor in model.params.items():
+        tensor.data = best_arrays[name]
     return tuple(train_losses), tuple(val_losses)
+
+
+def _param_arrays(model):
+    """A copy of each of ``model``'s parameters, by name."""
+    return {name: p.data.copy() for name, p in model.params.items()}
 
 
 def _assert_views_of_flat(model):
@@ -740,30 +747,38 @@ class TestFlatParameters:
         train_losses, val_losses = _per_name_train(reference, matrices, labels, train_config)
         assert result.train_losses == train_losses
         assert result.val_losses == val_losses
-        for name, arr in reference.param_arrays().items():
+        for name, arr in _param_arrays(reference).items():
             assert flat_model.params[name].data.tobytes() == arr.tobytes(), name
         _assert_views_of_flat(flat_model)
 
     @pytest.mark.parametrize("kind,config", TRAIN_FAMILIES, ids=TRAIN_IDS)
-    def test_parameters_stay_views_after_set_param_arrays(self, kind, config):
+    def test_parameters_stay_views_after_load_checkpoint(self, kind, config, tmp_path):
         model = make_model(kind, config, seed=4)
         flat = model.flat
         _assert_views_of_flat(model)
-        arrays = make_model(kind, config, seed=5).param_arrays()
-        model.set_param_arrays(arrays)
+        source = make_model(kind, config, seed=5)
+        save_checkpoint(tmp_path / "w", source.flat, source.layout)
+        load_checkpoint(tmp_path / "w", model.flat, model.layout)
         assert model.flat is flat
         _assert_views_of_flat(model)
-        expected = np.concatenate([arrays[name].ravel() for name in sorted(arrays)])
-        assert model.flat.tobytes() == expected.tobytes()
-        copies = model.param_arrays()
-        copies[sorted(copies)[0]][...] = 7.0  # copies, not views
-        assert model.flat.tobytes() == expected.tobytes()
+        assert model.flat.tobytes() == source.flat.tobytes()
 
     @pytest.mark.parametrize("kind,config", TRAIN_FAMILIES, ids=TRAIN_IDS)
-    def test_a_model_built_for_loading_draws_nothing(self, kind, config, monkeypatch):
+    def test_a_model_built_for_loading_draws_writes_and_scans_nothing(
+        self, kind, config, monkeypatch
+    ):
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):  # np.empty's memory may hold anything
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
         monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail
-        model = make_model(kind, config, seed=None)
-        assert set(np.unique(model.flat).tolist()) <= {0.0, 1.0}  # weights, biases, gains
+        monkeypatch.setattr(np, "empty", nan_empty)
+        model = make_model(kind, config, seed=None)  # a finiteness scan would raise
+        assert np.isnan(model.flat).all()  # nothing was written
         _assert_views_of_flat(model)
 
     def test_a_loaded_predictor_keeps_views_and_trains(self, tmp_path):
