@@ -259,7 +259,7 @@ class MarkovPredictor(_RowTable):
         return self.model.playlist_id
 
     def _prefix_states(self, events: Sequence[Event]) -> list[int]:
-        prev = [_NO_PREV] + [OUTCOME_INDEX[e.outcome] for e in events]
+        prev = [_NO_PREV] + [e.index for e in events]
         return [min(p, self._last) * (N_OUTCOMES + 1) + o for p, o in enumerate(prev, 1)]
 
     def predict_session(self, session: Session) -> np.ndarray:

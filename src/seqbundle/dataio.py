@@ -41,7 +41,6 @@ import numpy as np
 from .domain import (
     DEFAULT_CAP,
     N_OUTCOMES,
-    OUTCOME_INDEX,
     Event,
     Outcome,
     Playlist,
@@ -129,40 +128,42 @@ def dataset_from_sessions(
 # loading and writing
 
 
-def _track_from_json(obj: dict, where: str) -> Track:
-    try:
-        features = obj.get("features") or {}
-        extra = tuple(sorted((str(k), float(v)) for k, v in features.items()))
-        return Track(
-            track_id=str(obj["track_id"]),
-            duration=float(obj["duration"]),
-            extra_features=extra,
-        )
-    except KeyError as exc:
-        raise SchemaError(f"{where}: track missing field {exc}") from None
+def _track_from_json(obj: dict) -> Track:
+    features = obj.get("features") or {}
+    return Track(
+        track_id=str(obj["track_id"]),
+        duration=float(obj["duration"]),
+        extra_features=tuple(sorted((str(k), float(v)) for k, v in features.items())),
+    )
 
 
 def load_playlists(path: str | Path) -> dict[str, Playlist]:
-    """Read playlists.jsonl. Duplicate playlist ids are an error."""
+    """Read playlists.jsonl. A malformed line or a duplicate playlist id is a
+    SchemaError naming the file and line."""
     playlists: dict[str, Playlist] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path} line {lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON ({exc.msg})") from None
-            try:
                 pid = str(obj["playlist_id"])
-                tracks = tuple(_track_from_json(t, where) for t in obj["tracks"])
+                tracks = tuple(_track_from_json(t) for t in obj["tracks"])
+                playlist = Playlist(playlist_id=pid, tracks=tracks)
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON ({exc.msg})"
             except KeyError as exc:
-                raise SchemaError(f"{where}: playlist missing field {exc}") from None
-            if pid in playlists:
-                raise SchemaError(f"{where}: duplicate playlist_id {pid!r}")
-            playlists[pid] = Playlist(playlist_id=pid, tracks=tracks)
+                problem = f"missing field {exc}"
+            except (AttributeError, TypeError, ValueError) as exc:
+                problem = f"malformed playlist ({exc})"
+            except ConstraintViolation as exc:
+                problem = str(exc)
+            else:
+                problem = f"duplicate playlist_id {pid!r}" if pid in playlists else None
+            if problem is not None:
+                raise SchemaError(f"{path} line {lineno}: {problem}")
+            playlists[pid] = playlist
     if not playlists:
         raise SchemaError(f"{path}: no playlists found")
     return playlists
@@ -171,7 +172,7 @@ def load_playlists(path: str | Path) -> dict[str, Playlist]:
 class _SessionBuilder:
     """Builds the sessions of one load, sharing what repeats across them.
 
-    Each distinct (pos, action) pair becomes one Event, and each distinct
+    Each distinct (pos, action) pair is parsed once, and each distinct
     (playlist, event sequence) is validated once; later sessions with the same
     sequence share its immutable events tuple. Only sequences that validate
     are kept, so every invalid session is checked and reported on its own.
@@ -183,15 +184,13 @@ class _SessionBuilder:
     def __init__(self, playlists: Mapping[str, Playlist], cap: int) -> None:
         self.playlists = playlists
         self.cap = cap
-        # (pos, action) -> (pos * N_OUTCOMES + outcome index, Event)
-        self._events: dict[tuple[int, str], tuple[int, Event]] = {}
-        # (playlist_id, event codes) -> validated events
-        self._sequences: dict[tuple[str, tuple[int, ...]], tuple[Event, ...]] = {}
+        self._events: dict[tuple[int, str], Event] = {}
+        # (playlist_id, events) -> the validated events tuple
+        self._sequences: dict[tuple[str, tuple[Event, ...]], tuple[Event, ...]] = {}
 
-    def _intern(self, pair: tuple[int, str]) -> tuple[int, Event]:
+    def _intern(self, pair: tuple[int, str]) -> Event:
         pos, action = pair
-        event = Event(track_position=pos, outcome=parse_outcome(action))
-        self._events[pair] = (pos * N_OUTCOMES + OUTCOME_INDEX[event.outcome], event)
+        self._events[pair] = Event(track_position=pos, outcome=parse_outcome(action))
         return self._events[pair]
 
     def session(
@@ -202,16 +201,11 @@ class _SessionBuilder:
                 f"session {session_id!r} references unknown playlist {playlist_id!r}"
             )
         known = self._events
-        entries = [known.get(pair) or self._intern(pair) for pair in events]
-        key = (playlist_id, tuple([code for code, _ in entries]))
+        key = (playlist_id, tuple([known.get(pair) or self._intern(pair) for pair in events]))
         shared = self._sequences.get(key)
         if shared is not None:
             return Session(session_id=session_id, playlist_id=playlist_id, events=shared)
-        session = Session(
-            session_id=session_id,
-            playlist_id=playlist_id,
-            events=tuple([event for _, event in entries]),
-        )
+        session = Session(session_id=session_id, playlist_id=playlist_id, events=key[1])
         validate_session(session, n_tracks=len(self.playlists[playlist_id]), cap=self.cap)
         self._sequences[key] = session.events
         return session
@@ -438,23 +432,22 @@ def write_playlists_jsonl(path: str | Path, playlists: Mapping[str, Playlist]) -
 def write_sessions_jsonl(path: str | Path, sessions: Iterable[Session]) -> None:
     """One ``json.dumps(session_to_json(s), sort_keys=True)`` line per session.
 
-    Each distinct (events tuple, playlist_id) is encoded once. The sorted keys
-    put the session_id pair last, so a session that shares an earlier
-    session's tuple and playlist writes that line's text up to its _ID_PAIR
-    and then its own id: the inverse of the loader's reuse.
+    Each distinct (events, playlist_id) is encoded once. The sorted keys put
+    the session_id pair last, so a session with an earlier session's events
+    and playlist writes that line's text up to its _ID_PAIR and then its own
+    id: the inverse of the loader's reuse.
     """
-    # (id(events), playlist_id) -> (events, line text through _ID_PAIR);
-    # holding the tuple keeps its id from being reused within the write
-    heads: dict[tuple[int, str], tuple[tuple[Event, ...], str]] = {}
+    # (events, playlist_id) -> line text through _ID_PAIR
+    heads: dict[tuple[tuple[Event, ...], str], str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for session in sessions:
-            key = (id(session.events), session.playlist_id)
-            entry = heads.get(key)
-            if entry is None:
+            key = (session.events, session.playlist_id)
+            head = heads.get(key)
+            if head is None:
                 line = json.dumps(session_to_json(session), sort_keys=True)
-                heads[key] = (session.events, line[: line.rfind(_ID_PAIR) + len(_ID_PAIR)])
+                heads[key] = line[: line.rfind(_ID_PAIR) + len(_ID_PAIR)]
             else:
-                line = entry[1] + json.dumps(session.session_id) + "}"
+                line = head + json.dumps(session.session_id) + "}"
             fh.write(line)
             fh.write("\n")
 
@@ -502,24 +495,18 @@ def split(dataset: Dataset, train_fraction: float = 0.9, seed: int = 0) -> Datas
 def apply_session_end(dataset: Dataset, mode: SessionEndMode) -> Dataset:
     """Normalize session tails under the chosen end-of-session reading.
 
-    Each distinct (events tuple, playlist) is normalized once, so sessions
-    that shared a tuple share the result's tuple too; a session whose events
-    stay as they are is kept as it is.
+    Each distinct (events, playlist) is normalized once, so sessions with
+    equal events share the result's tuple; a session whose events tuple is
+    that result is kept as it is.
     """
-    # (id(events), playlist_id) -> (events, its result); holding the input
-    # tuple keeps its id from being reused within the call
-    done: dict[tuple[int, str], tuple[tuple[Event, ...], tuple[Event, ...]]] = {}
+    done: dict[tuple[tuple[Event, ...], str], tuple[Event, ...]] = {}
     new_sessions = []
     for session in dataset.sessions:
-        key = (id(session.events), session.playlist_id)
-        entry = done.get(key)
-        if entry is None:
+        key = (session.events, session.playlist_id)
+        events = done.get(key)
+        if events is None:
             n_tracks = len(dataset.playlists[session.playlist_id])
-            entry = done[key] = (
-                session.events,
-                _end_events(session.events, n_tracks, mode),
-            )
-        events = entry[1]
+            events = done[key] = _end_events(session.events, n_tracks, mode)
         new_sessions.append(
             session if events is session.events else replace(session, events=events)
         )
@@ -656,7 +643,7 @@ class FeaturePipeline:
         events[:j-1] alone: the one row rule."""
         head = events[: n_rows - 1]
         out = np.zeros((n_rows, self.config.input_dim), dtype=np.float64)
-        prev = [N_OUTCOMES] + [OUTCOME_INDEX[e.outcome] for e in head]
+        prev = [N_OUTCOMES] + [e.index for e in head]
         out[np.arange(n_rows), prev] = 1.0
         known = min(n_rows, len(self.remaining_time_table))
         out[:known, 4] = self.remaining_time_table[:known]
@@ -691,9 +678,7 @@ class FeaturePipeline:
 
     def labels(self, session: Session) -> np.ndarray:
         """(n_events,) int64 outcome indices."""
-        return np.asarray(
-            [OUTCOME_INDEX[e.outcome] for e in session.events], dtype=np.int64
-        )
+        return np.asarray([e.index for e in session.events], dtype=np.int64)
 
     def to_jsonable(self) -> dict:
         return {
@@ -802,14 +787,14 @@ def export_prompts(
     Each session's lines are formatted once; the prompt at position j is the
     first j-1 lines plus line j with its action blank, as in format_prompt.
     dedupe=True keeps the first occurrence of each distinct prompt string, and
-    skips a session whose playlist and events tuple (by identity, as a load
-    shares it) were exported already, since all its prompts were seen.
+    skips a session whose events and playlist were exported already, since
+    all its prompts were seen.
     """
     seen: set[str] = set()
-    exported: set[tuple[str, int]] = set()
+    exported: set[tuple[tuple[Event, ...], str]] = set()
     for session in dataset.sessions_for(split=split_tag):
         if dedupe:
-            key = (session.playlist_id, id(session.events))
+            key = (session.events, session.playlist_id)
             if key in exported:
                 continue
             exported.add(key)

@@ -9,8 +9,10 @@ last track is resolved.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -127,9 +129,10 @@ class Track:
     extra_features: tuple[tuple[str, float], ...] = ()  # sorted (name, value) pairs
 
     def __post_init__(self) -> None:
-        if not self.duration > 0:
+        if not 0 < self.duration < math.inf:
             raise ConstraintViolation(
-                f"track {self.track_id!r}: duration must be > 0, got {self.duration}"
+                f"track {self.track_id!r}: duration must be finite and > 0, "
+                f"got {self.duration}"
             )
 
 
@@ -156,18 +159,39 @@ class Playlist:
         return self.tracks[position - 1]
 
 
-@dataclass(frozen=True, slots=True)
+_EVENTS: dict[tuple[int, Outcome], Event] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Event:
-    """One decision: which track position it resolved and how."""
+    """One decision: which track position it resolved and how.
+
+    Events are canonical: ``Event(p, o)`` returns the one instance for
+    (p, o), so equality is identity and an events tuple hashes in C. ``index``
+    is the outcome's index in OUTCOME_ORDER.
+    """
 
     track_position: int  # 1-based
     outcome: Outcome
+    index: int = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.track_position < 1:
-            raise ConstraintViolation(
-                f"event track_position must be >= 1, got {self.track_position}"
-            )
+    def __new__(cls, track_position: int, outcome: Outcome) -> Event:
+        event = _EVENTS.get((track_position, outcome))
+        if event is None or type(track_position) is not int:  # 1.0 is no position
+            position, outcome = operator.index(track_position), parse_outcome(outcome)
+            if position < 1:
+                raise ConstraintViolation(f"event track_position must be >= 1, got {position}")
+            event = _EVENTS.get((position, outcome))
+            if event is None:  # stored only once it is whole
+                event = object.__new__(cls)
+                object.__setattr__(event, "track_position", position)
+                object.__setattr__(event, "outcome", outcome)
+                object.__setattr__(event, "index", OUTCOME_INDEX[outcome])
+                _EVENTS[position, outcome] = event
+        return event
+
+    def __reduce__(self):
+        return Event, (self.track_position, self.outcome)
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,7 +338,7 @@ def walk(
                 f"event {idx}: track_position {event.track_position} does not "
                 f"follow from position {track} under outcome {outcome}"
             )
-        if not feasible[OUTCOME_INDEX[outcome]]:
+        if not feasible[event.index]:
             raise ConstraintViolation(
                 f"event {idx}: "
                 + _infeasible_reason(outcome, track, count, n_tracks, cap)
@@ -513,9 +537,9 @@ def _sequence_counts(
     counts, zero for unreached tracks."""
     counts = [0] * n_tracks
     for event in events:
-        if event.outcome is not Outcome.SKIP:
+        if event.index != _SKIP:
             counts[event.track_position - 1] += 1
-    return [OUTCOME_INDEX[event.outcome] for event in events], counts
+    return [event.index for event in events], counts
 
 
 def tally_sessions(
@@ -524,7 +548,7 @@ def tally_sessions(
     """Outcome, transition and final play-count tallies of ``sessions``.
 
     Sessions are grouped by their events tuple; each distinct sequence is
-    counted once, weighted by the sessions that share it. A track enters
+    counted once, weighted by the sessions that have it. A track enters
     ``plays`` only for sessions that reached it. Raises ConstraintViolation
     for the first session, in input order, that consumes more than ``cap``
     units of a track. This is the one count loop of the count models, the
@@ -532,12 +556,7 @@ def tally_sessions(
     """
     if cap < 1:
         raise ConstraintViolation(f"cap must be >= 1, got {cap}")
-    # Group by tuple identity first, since a load shares one tuple per
-    # sequence, then merge equal tuples: an Event hash runs in Python.
-    shared = {id(session.events): session.events for session in sessions}
-    weights: Counter[tuple[Event, ...]] = Counter()
-    for key, n in Counter([id(session.events) for session in sessions]).items():
-        weights[shared[key]] += n
+    weights = Counter(session.events for session in sessions)
     # Python lists: an indexed numpy add costs more than a sequence's walk.
     max_len = max(map(len, weights), default=0)
     outcomes = [0] * N_OUTCOMES

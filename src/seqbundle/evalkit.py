@@ -10,10 +10,10 @@ next_probs_batch's contract whose calls extend the prefixes of the call
 before; one rollout call owns one and drops it when it returns.
 
 Rows depend on their prefix alone, so evaluation scores, checks and walks
-each distinct event sequence once; every float sum still runs over the
+each distinct event sequence once, keyed on the events tuple (events are
+canonical, so the tuple hashes in C); every float sum still runs over the
 sessions in order. Rollouts come from domain.sample_walks, which asks for
-each distinct live prefix once per step and gives rollouts with the same
-events one shared tuple, so their demand tally groups by identity.
+each distinct live prefix once per step.
 
 Every row a predictor returns must pass domain.check_prob_rows, at
 domain.ROW_SUM_TOL; a scored event's prediction is its row's modal outcome,
@@ -336,9 +336,10 @@ def evaluate_playlist(
     prob_rows = [checked[session.events] for session in sessions]
     for session in sessions:
         predicted = modal[session.events]
-        actual = session.outcomes()[1:]
-        for position, (outcome, pred_idx) in enumerate(zip(actual, predicted), start=2):
-            actual_idx = OUTCOME_INDEX[outcome]
+        for position, (event, pred_idx) in enumerate(
+            zip(session.events[1:], predicted), start=2
+        ):
+            actual_idx = event.index
             confusion[actual_idx, pred_idx] += 1
             scored += 1
             hit = int(pred_idx == actual_idx)

@@ -7,11 +7,10 @@ Three generator kinds:
 
 All sessions are drawn in one domain.sample_walks call, the sampler that
 expected-mode rollouts use too: it asks the spec for one row per distinct
-live prefix and step, and sessions with the same events share one tuple, so
-the writer and the tallies handle each distinct sequence once. Session k
-reads its uniforms from its own bit stream, np.random.default_rng([seed, k]),
-so any one session can be regenerated without replaying the stream and
-inserting sessions never disturbs earlier ones.
+live prefix and step. Session k reads its uniforms from its own bit stream,
+np.random.default_rng([seed, k]), so any one session can be regenerated
+without replaying the stream and inserting sessions never disturbs earlier
+ones.
 """
 
 from __future__ import annotations
@@ -283,14 +282,14 @@ def first_order_rate(
 def _modal_mass_rate(spec: GeneratorSpec, predicted: tuple[int, int, int] | None) -> float:
     """Mean true probability of the predicted outcome over the scored events
     of ``spec``'s sessions (see _session_modal_mass), summed in session order;
-    sessions that share an events tuple share its one computation."""
-    masses: dict[int, tuple[float, int]] = {}
+    sessions with equal events share one computation."""
+    masses: dict[tuple[Event, ...], tuple[float, int]] = {}
     total = 0.0
     scored = 0
     for events in _sample_sessions(spec):
-        mass = masses.get(id(events))
+        mass = masses.get(events)
         if mass is None:
-            mass = masses[id(events)] = _session_modal_mass(spec, events, predicted)
+            mass = masses[events] = _session_modal_mass(spec, events, predicted)
         total += mass[0]
         scored += mass[1]
     if scored == 0:
@@ -322,7 +321,7 @@ def _session_modal_mass(
         if predicted is None:
             total += max(row)
         else:
-            total += row[predicted[OUTCOME_INDEX[events[j - 1].outcome]]]
+            total += row[predicted[events[j - 1].index]]
     return total, len(events) - 1
 
 

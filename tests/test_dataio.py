@@ -636,6 +636,22 @@ class TestSessionEnd:
                 {s.events for s in ended.sessions}
             ) <= distinct
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_loaded_and_ended_events_are_canonical(self, tmp_path, fmt):
+        generated_files(tmp_path, "second_order", n_sessions=200)
+        loaded = load_dataset(
+            tmp_path / f"sessions.{fmt}", tmp_path / "playlists.jsonl", fmt=fmt
+        )
+        cut = apply_session_end(loaded, SessionEndMode.TRUNCATE)
+        assert cut.sessions != loaded.sessions  # so FULL has skips to append
+        ended = apply_session_end(cut, SessionEndMode.FULL)
+        for dataset in (loaded, ended):
+            assert all(
+                e is Event(e.track_position, e.outcome)
+                for s in dataset.sessions
+                for e in s.events
+            )
+
     def test_one_tuple_on_two_playlists_ends_per_playlist(self):
         events = make_session(["play"]).events
         dataset = dataset_from_sessions(
@@ -929,7 +945,7 @@ class TestPrompts:
         for dataset, out in ((loaded, "shared.jsonl"), (copied, "copied.jsonl")):
             write_prompts_jsonl(tmp_path / out, dataset, dedupe=True)
         distinct = {(s.playlist_id, s.events) for s in loaded.sessions}
-        assert len(formatted) == len(distinct) + len(loaded.sessions)
+        assert len(formatted) == 2 * len(distinct)
         shared = (tmp_path / "shared.jsonl").read_bytes()
         assert shared == (tmp_path / "copied.jsonl").read_bytes()
         assert shared.count(b"\n") == len(list(export_prompts(loaded, dedupe=True)))

@@ -1,5 +1,9 @@
 """State machine rules, state counting, session validation and the probability-row rules."""
 
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -499,6 +503,50 @@ class TestSessionTally:
             tally_sessions([make_session(["skip"])], 1, cap=0)
 
 
+def is_canonical(events):
+    return all(e is Event(e.track_position, e.outcome) for e in events)
+
+
+class TestCanonicalEvents:
+    """Event(p, o) is the one instance for (p, o), so equality is identity."""
+
+    @pytest.mark.parametrize("outcome", OUTCOME_ORDER)
+    def test_equal_arguments_give_the_same_object(self, outcome):
+        event = Event(3, outcome)
+        assert Event(track_position=3, outcome=outcome) is event
+        assert Event(np.int64(3), outcome) is event
+        assert type(Event(np.int64(301), outcome).track_position) is int
+        assert event.index == OUTCOME_INDEX[outcome]
+        assert Event(4, outcome) is not event
+        with pytest.raises(AttributeError):
+            event.track_position = 4
+
+    def test_copy_and_pickle_return_the_same_object(self):
+        event = Event(2, Outcome.REPLAY)
+        assert copy.copy(event) is event
+        assert copy.deepcopy(event) is event
+        assert pickle.loads(pickle.dumps(event)) is event
+        events = make_session(["play", "replay", "skip"]).events
+        assert is_canonical(pickle.loads(pickle.dumps(events)))
+
+    def test_an_invalid_event_is_refused_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ConstraintViolation, match="track_position must be >= 1"):
+                Event(0, Outcome.PLAY)
+            with pytest.raises(ConstraintViolation, match="unknown outcome"):
+                Event(5, "pause")
+            with pytest.raises(TypeError):
+                Event(1.0, Outcome.PLAY)
+        event = Event(1009, "play")
+        assert (event.track_position, event.outcome, event.index) == (1009, Outcome.PLAY, 1)
+        assert Event(1009, Outcome.PLAY) is event
+
+    def test_generated_and_derived_events_are_canonical(self):
+        sessions = generate(second_order_spec(n_sessions=200, seed=4)).sessions
+        assert all(is_canonical(s.events) for s in sessions)
+        assert is_canonical(events_from_outcomes([Outcome.PLAY, Outcome.REPLAY, Outcome.SKIP]))
+
+
 class TestSessionHelpers:
     def test_session_counts_padded(self):
         # track 1 ends at 2 units; tracks 3 and 4 were never reached
@@ -522,9 +570,10 @@ class TestSessionHelpers:
         with pytest.raises(ConstraintViolation):
             parse_outcome("pause")
 
-    def test_track_requires_positive_duration(self):
-        with pytest.raises(ConstraintViolation):
-            Track(track_id="t", duration=0.0)
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+    def test_track_requires_finite_positive_duration(self, duration):
+        with pytest.raises(ConstraintViolation, match="duration must be finite and > 0"):
+            Track(track_id="t", duration=duration)
 
     def test_session_requires_events(self):
         with pytest.raises(ConstraintViolation):

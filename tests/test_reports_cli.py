@@ -882,6 +882,30 @@ class TestMalformedJson:
         assert f"{path}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"playlist_id": "bad", "tracks": [{"track_id": "t", "duration": "abc"}]}',
+            "[1, 2]",
+            '{"playlist_id": "bad", "tracks": 5}',
+            '{"playlist_id": "bad", "tracks": [{"track_id": "t", "duration": 1.0, '
+            '"features": [1]}]}',
+            '{"playlist_id": "bad", "tracks": [{"track_id": "t", "duration": Infinity}]}',
+        ],
+        ids=["duration-text", "list", "tracks-int", "features-list", "duration-inf"],
+    )
+    def test_malformed_playlist_line(self, cli_root, tmp_path, capsys, line):
+        data, _ = self._copies(cli_root, tmp_path)
+        path = data / "playlists.jsonl"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        argv = ["summarize", "--data", str(data), "--out", str(tmp_path / "summary")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path} line 2: " in err
+        assert "Traceback" not in err
+
     def test_a_list_is_not_a_run(self, cli_root, tmp_path, capsys):
         data, run = self._copies(cli_root, tmp_path)
         (run / "run.json").write_text("[]", encoding="utf-8")

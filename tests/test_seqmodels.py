@@ -906,11 +906,13 @@ class ScriptedPredictor(NeuralPredictor):
 
     def set_script(self, outcomes):
         self._script = list(outcomes)
+        self.asked = []
 
     def decoder(self):
         return self.next_probs_batch
 
     def next_probs_batch(self, prefixes):
+        self.asked.extend(prefixes)
         rows = np.full((len(prefixes), 3), 0.05)
         for row in rows:
             outcome = self._script.pop(0)
@@ -936,6 +938,12 @@ class TestQueueNext:
         assert decision.outcome is Outcome.PLAY
         assert decision.track_offset == 3
         assert decision.predicted == (Outcome.SKIP, Outcome.SKIP, Outcome.PLAY)
+
+    def test_appended_skips_are_canonical_events(self):
+        predictor = self.build([Outcome.SKIP, Outcome.SKIP, Outcome.PLAY])
+        predictor.queue_next(make_session(["play"]).events[:1])
+        assert [len(p) for p in predictor.asked] == [1, 2, 3]
+        assert all(e is Event(e.track_position, e.outcome) for e in predictor.asked[-1])
 
     def test_immediate_replay_keeps_queue(self):
         predictor = self.build([Outcome.REPLAY])
