@@ -7,6 +7,9 @@ compared per session against the position-only uniform baseline; the script
 reports the correlation distribution and the closed-form check on the
 logarithmic approximation of the uniform baseline's first key weight.
 
+The transformer is fitted by `cli.fit_predictor`, the fit `seqbundle train`
+runs, with small-network options in place of the CLI defaults.
+
 Example:
     python3 scripts/attention_profile_demo.py --n-sessions 800 --epochs 10
 """
@@ -28,17 +31,9 @@ from seqbundle.attention import (
     pearson,
     session_attention_profile,
 )
-from seqbundle.dataio import FeatureConfig, FeaturePipeline, Split, split
+from seqbundle.cli import TRAIN_DEFAULTS, fit_predictor
+from seqbundle.dataio import Split, split
 from seqbundle.errors import MetricUndefinedError
-from seqbundle.seqmodels import (
-    ModelKind,
-    NeuralPredictor,
-    TrainConfig,
-    TransformerConfig,
-    build_training_arrays,
-    make_model,
-    train_model,
-)
 from seqbundle.synthgen import frequent_pattern_spec, generate
 
 
@@ -54,36 +49,23 @@ def main() -> int:
     dataset = split(generate(spec), train_fraction=0.9, seed=args.seed)
     pid = spec.playlist_id
     playlist = dataset.playlists[pid]
-    train = list(dataset.train_sessions(pid))
+    train = dataset.train_sessions(pid)
 
-    config = FeatureConfig()
-    pipeline = FeaturePipeline(playlist=playlist, config=config)
-    pipeline.fit(train)
-    model = make_model(
-        ModelKind.TRANSFORMER,
-        TransformerConfig(
-            input_dim=config.input_dim,
-            embed_dim=args.embed_dim,
-            n_blocks=1,
-            n_heads=2,
-            head_dim=args.embed_dim // 2,
-            ff_dim=args.embed_dim,
-            causal=True,
-            positional="fixed",
-            max_positions=64,
-        ),
-        seed=args.seed,
-    )
-    matrices, labels = build_training_arrays(pipeline, train)
+    options = {
+        **TRAIN_DEFAULTS,
+        "seed": args.seed,
+        "epochs": args.epochs,
+        "learning_rate": 0.01,
+        "feasibility_mask": True,
+        "embed_dim": args.embed_dim,
+        "n_blocks": 1,
+        "n_heads": 2,
+        "head_dim": args.embed_dim // 2,
+        "ff_dim": args.embed_dim,
+        "max_positions": 64,
+    }
     print(f"training on {len(train)} sessions ...")
-    train_model(
-        model,
-        matrices,
-        labels,
-        TrainConfig(epochs=args.epochs, batch_size=16, learning_rate=0.01,
-                    seed=args.seed, validation_fraction=0.1, patience=5),
-    )
-    predictor = NeuralPredictor(model=model, pipeline=pipeline, feasibility_mask=True)
+    predictor, _ = fit_predictor("transformer", train, playlist, options, dataset.cap)
 
     correlations = []
     skipped = 0

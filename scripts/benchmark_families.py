@@ -2,6 +2,9 @@
 """Train every model family on one synthetic generator and compare holdout
 hit rates against the generator's simulation ceiling.
 
+Each family is fitted by `cli.fit_predictor`, the fit `seqbundle train`
+runs, with the small-network options below in place of the CLI defaults.
+
 Example:
     python3 scripts/benchmark_families.py --name second_order --quick
     python3 scripts/benchmark_families.py --name frequent_pattern \\
@@ -15,26 +18,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from seqbundle.baselines import (
-    MarkovPredictor,
-    ZeroOrderPredictor,
-    fit_markov,
-    fit_zero_order,
-)
-from seqbundle.dataio import FeatureConfig, FeaturePipeline, Split, split
+from seqbundle.cli import FAMILIES, TRAIN_DEFAULTS, fit_predictor
+from seqbundle.dataio import Split, split
 from seqbundle.evalkit import evaluate_dataset
 from seqbundle.reports import write_csv
-from seqbundle.seqmodels import (
-    LSTMConfig,
-    MLPConfig,
-    ModelKind,
-    NeuralPredictor,
-    TrainConfig,
-    TransformerConfig,
-    build_training_arrays,
-    make_model,
-    train_model,
-)
 from seqbundle.synthgen import (
     CANONICAL_SPEC_NAMES,
     bayes_rate,
@@ -44,22 +31,24 @@ from seqbundle.synthgen import (
 )
 
 
-def neural_config(family: str, input_dim: int, args):
-    if family in ("transformer", "encoder"):
-        return TransformerConfig(
-            input_dim=input_dim,
-            embed_dim=args.embed_dim,
-            n_blocks=args.n_blocks,
-            n_heads=2,
-            head_dim=args.embed_dim // 2,
-            ff_dim=args.embed_dim,
-            causal=family == "transformer",
-            positional="fixed" if family == "transformer" else "learned",
-            max_positions=64,
-        )
-    if family == "lstm":
-        return LSTMConfig(input_dim=input_dim, hidden_dim=args.embed_dim, n_layers=1)
-    return MLPConfig(input_dim=input_dim, hidden_dim=args.embed_dim, n_layers=2)
+def family_options(args) -> dict[str, dict]:
+    """The fit options of each family: small networks, a smoothed pMC."""
+    base = {
+        **TRAIN_DEFAULTS,
+        "seed": args.seed,
+        "epochs": args.epochs,
+        "learning_rate": args.learning_rate,
+        "feasibility_mask": True,
+        "embed_dim": args.embed_dim,
+        "n_blocks": args.n_blocks,
+        "n_heads": 2,
+        "head_dim": args.embed_dim // 2,
+        "ff_dim": args.embed_dim,
+        "hidden_dim": args.embed_dim,
+        "max_positions": 64,
+    }
+    overrides = {"pmc": {"smoothing": 1.0}, "mlp": {"n_layers": 2}, "lstm": {"n_layers": 1}}
+    return {family: {**base, **overrides.get(family, {})} for family in FAMILIES}
 
 
 def main() -> int:
@@ -86,51 +75,17 @@ def main() -> int:
     dataset = split(generate(spec), train_fraction=0.9, seed=args.seed)
     pid = spec.playlist_id
     playlist = dataset.playlists[pid]
-    train = list(dataset.train_sessions(pid))
+    train = dataset.train_sessions(pid)
 
     rows = []
-
-    def record(family, predictor, n_params, seconds):
-        report = evaluate_dataset({pid: predictor}, dataset, split=Split.TEST)
-        rows.append((family, report.hit_rate, n_params, seconds))
-        print(f"{family:12s} hit rate {report.hit_rate:.4f}  "
-              f"params {n_params:6d}  fit {seconds:5.1f}s")
-
-    t0 = time.time()
-    zero = ZeroOrderPredictor(fit_zero_order(train, playlist))
-    record("zero-order", zero, int(zero.table.probs.size), time.time() - t0)
-
-    t0 = time.time()
-    mc = MarkovPredictor(fit_markov(train, playlist))
-    record("markov", mc, mc.model.n_parameters, time.time() - t0)
-
-    t0 = time.time()
-    pmc = MarkovPredictor(fit_markov(train, playlist, position_dependent=True, smoothing=1.0))
-    record("markov-pos", pmc, pmc.model.n_parameters, time.time() - t0)
-
-    config = FeatureConfig()
-    pipeline = FeaturePipeline(playlist=playlist, config=config)
-    pipeline.fit(train)
-    matrices, labels = build_training_arrays(pipeline, train)
-    train_config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=16,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        validation_fraction=0.1,
-        patience=5,
-    )
-    for family, kind in (
-        ("mlp", ModelKind.MLP),
-        ("lstm", ModelKind.LSTM),
-        ("transformer", ModelKind.TRANSFORMER),
-        ("encoder", ModelKind.ENCODER),
-    ):
+    for family, options in family_options(args).items():
         t0 = time.time()
-        model = make_model(kind, neural_config(family, config.input_dim, args), seed=args.seed)
-        result = train_model(model, matrices, labels, train_config)
-        predictor = NeuralPredictor(model=model, pipeline=pipeline, feasibility_mask=True)
-        record(family, predictor, result.n_parameters, time.time() - t0)
+        predictor, info = fit_predictor(family, train, playlist, options, dataset.cap)
+        seconds = time.time() - t0
+        report = evaluate_dataset({pid: predictor}, dataset, split=Split.TEST)
+        rows.append((family, report.hit_rate, info["n_parameters"], round(seconds, 2)))
+        print(f"{family:12s} hit rate {report.hit_rate:.4f}  "
+              f"params {info['n_parameters']:6d}  fit {seconds:5.1f}s")
 
     best = max(rows, key=lambda r: r[1])
     print(f"\nbest family: {best[0]} at {best[1]:.4f} "
@@ -141,7 +96,7 @@ def main() -> int:
         path = write_csv(
             args.out / f"benchmark_{args.name}.csv",
             ["family", "hit_rate", "n_parameters", "fit_seconds"],
-            [[f, repr(h), p, repr(round(s, 2))] for f, h, p, s in rows],
+            rows,
         )
         print(f"table written to {path}")
     return 0

@@ -26,7 +26,7 @@ from .baselines import (
 )
 from .dataio import Dataset, FeaturePipeline, Split
 from .domain import DEFAULT_CAP, Playlist
-from .errors import SchemaError
+from .errors import ConstraintViolation, SchemaError
 from .neuralkit import load_checkpoint, save_checkpoint
 from .reports import write_json
 from .seqmodels import (
@@ -58,6 +58,27 @@ def read_json(path: Path | str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def read_field(path: Path | str, obj: dict, name: str, convert=None):
+    """``convert`` of the dotted field ``name`` ("options.session_end") of the
+    JSON object read from ``path``, or the field itself. A missing or
+    malformed field is a SchemaError naming the file and the field."""
+    value = obj
+    for key in name.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise SchemaError(f"{path}: missing field {name!r}")
+        value = value[key]
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except KeyError as exc:
+        problem = f"missing key {exc}"
+    except (AttributeError, IndexError, TypeError, ValueError, ConstraintViolation,
+            SchemaError) as exc:
+        problem = str(exc)
+    raise SchemaError(f"{path}: field {name!r}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +161,36 @@ def save_predictor(bundle_dir: Path | str, predictor) -> Path:
     return bundle_dir
 
 
+def _baseline_predictor(payload: dict) -> MarkovPredictor | ZeroOrderPredictor:
+    model = baseline_from_json(payload)
+    if isinstance(model, ZeroOrderTable):
+        return ZeroOrderPredictor(table=model)
+    return MarkovPredictor(model=model)
+
+
 def load_predictor(bundle_dir: Path | str, playlist: Playlist):
     """Load a predictor bundle written by save_predictor."""
     bundle_dir = Path(bundle_dir)
-    obj = read_json(bundle_dir / BUNDLE_FILE)
+    path = bundle_dir / BUNDLE_FILE
+    obj = read_json(path)
     family = obj.get("family")
     if family == "baseline":
-        model = baseline_from_json(obj["payload"])
-        if isinstance(model, ZeroOrderTable):
-            return ZeroOrderPredictor(table=model)
-        return MarkovPredictor(model=model)
+        return read_field(path, obj, "payload", _baseline_predictor)
     if family == "neural":
-        kind, config = config_from_json(obj["model"])
+        kind, config = read_field(path, obj, "model", config_from_json)
+        pipeline = read_field(
+            path, obj, "pipeline", lambda state: FeaturePipeline.from_jsonable(state, playlist)
+        )
+        cap = read_field(path, obj, "cap", int) if "cap" in obj else DEFAULT_CAP
         model = make_model(kind, config, seed=None)  # no draws: weights load next
         load_checkpoint(bundle_dir / WEIGHTS_STEM, model.flat, model.layout)
-        pipeline = FeaturePipeline.from_jsonable(obj["pipeline"], playlist)
         return NeuralPredictor(
             model=model,
             pipeline=pipeline,
             feasibility_mask=bool(obj.get("feasibility_mask", False)),
-            cap=int(obj.get("cap", DEFAULT_CAP)),
+            cap=cap,
         )
-    raise SchemaError(f"{bundle_dir / BUNDLE_FILE}: unknown bundle family {family!r}")
+    raise SchemaError(f"{path}: unknown bundle family {family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ log = logging.getLogger(__name__)
 
 BASELINE_KINDS = ("mc", "pmc", "zero")
 NEURAL_KINDS = ("mlp", "lstm", "transformer", "encoder")
+FAMILIES = BASELINE_KINDS + NEURAL_KINDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--model",
         required=True,
-        choices=BASELINE_KINDS + NEURAL_KINDS,
+        choices=FAMILIES,
         help="model family to fit",
     )
     p.add_argument("--out", type=Path, required=True, help="run directory")
@@ -303,7 +304,7 @@ def cmd_generate(args) -> int:
 # train
 
 
-_TRAIN_DEFAULTS = {
+TRAIN_DEFAULTS = {
     "train_fraction": 0.9,
     "seed": 0,
     "smoothing": 0.0,
@@ -321,7 +322,7 @@ _TRAIN_DEFAULTS = {
     "n_heads": 8,
     "head_dim": 32,
     "ff_dim": 2048,
-    "hidden_dim": None,  # family-specific default applied later
+    "hidden_dim": None,  # None: the LSTM's or MLP's own default
     "n_layers": None,
     "max_positions": 512,
 }
@@ -329,7 +330,7 @@ _TRAIN_DEFAULTS = {
 
 def _resolve_options(args) -> dict:
     """Option precedence: explicit flag > --config file > built-in default."""
-    resolved = dict(_TRAIN_DEFAULTS)
+    resolved = dict(TRAIN_DEFAULTS)
     if args.config is not None:
         file_options = artifacts.read_json(args.config)
         unknown = set(file_options) - set(resolved)
@@ -358,17 +359,74 @@ def _model_config(model: str, opts: dict, input_dim: int):
             positional="fixed" if model == "transformer" else "learned",
             max_positions=opts["max_positions"],
         )
-    if model == "lstm":
-        return LSTMConfig(
-            input_dim=input_dim,
-            hidden_dim=opts["hidden_dim"] or 128,
-            n_layers=opts["n_layers"] or 2,
+    sizes = {k: opts[k] for k in ("hidden_dim", "n_layers") if opts[k] is not None}
+    config_type = LSTMConfig if model == "lstm" else MLPConfig
+    return config_type(input_dim=input_dim, **sizes)
+
+
+def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
+    """Fit one model family on one playlist's training sessions.
+
+    ``options`` holds every TRAIN_DEFAULTS key. Returns the predictor and
+    the fit's record for run.json: its parameter count and, for a neural
+    family, its training curve.
+    """
+    if family == "zero":
+        predictor = ZeroOrderPredictor(table=fit_zero_order(sessions, playlist, cap=cap))
+        return predictor, {"n_parameters": int(predictor.table.probs.size)}
+    if family in ("mc", "pmc"):
+        predictor = MarkovPredictor(
+            model=fit_markov(
+                sessions,
+                playlist,
+                position_dependent=family == "pmc",
+                smoothing=options["smoothing"],
+                cap=cap,
+            )
         )
-    return MLPConfig(
-        input_dim=input_dim,
-        hidden_dim=opts["hidden_dim"] or 256,
-        n_layers=opts["n_layers"] or 3,
+        return predictor, {"n_parameters": predictor.model.n_parameters}
+    if family not in NEURAL_KINDS:
+        raise ConstraintViolation(
+            f"unknown model family {family!r}, expected one of {list(FAMILIES)}"
+        )
+    feature_config = FeatureConfig(
+        leak=bool(options["leak"]),
+        include_duration=bool(options["include_duration"]),
     )
+    pipeline = FeaturePipeline(playlist=playlist, config=feature_config)
+    pipeline.fit(sessions)
+    model = make_model(
+        ModelKind(family),
+        _model_config(family, options, feature_config.input_dim),
+        seed=options["seed"],
+    )
+    matrices, labels = build_training_arrays(pipeline, sessions)
+    result = train_model(
+        model,
+        matrices,
+        labels,
+        TrainConfig(
+            epochs=options["epochs"],
+            batch_size=options["batch_size"],
+            learning_rate=options["learning_rate"],
+            seed=options["seed"],
+            validation_fraction=options["validation_fraction"],
+            patience=options["patience"],
+        ),
+    )
+    predictor = NeuralPredictor(
+        model=model,
+        pipeline=pipeline,
+        feasibility_mask=bool(options["feasibility_mask"]),
+        cap=cap,
+    )
+    return predictor, {
+        "n_parameters": result.n_parameters,
+        "best_epoch": result.best_epoch,
+        "stopped_early": result.stopped_early,
+        "train_losses": list(result.train_losses),
+        "val_losses": list(result.val_losses),
+    }
 
 
 def cmd_train(args) -> int:
@@ -388,64 +446,9 @@ def cmd_train(args) -> int:
         if not train_sessions:
             log.warning("playlist %r has no training sessions; skipping", pid)
             continue
-        playlist = dataset.playlists[pid]
-        if args.model in BASELINE_KINDS:
-            if args.model == "zero":
-                predictor = ZeroOrderPredictor(
-                    table=fit_zero_order(train_sessions, playlist, cap=dataset.cap)
-                )
-                info = {"n_parameters": int(predictor.table.probs.size)}
-            else:
-                predictor = MarkovPredictor(
-                    model=fit_markov(
-                        train_sessions,
-                        playlist,
-                        position_dependent=args.model == "pmc",
-                        smoothing=opts["smoothing"],
-                        cap=dataset.cap,
-                    )
-                )
-                info = {"n_parameters": predictor.model.n_parameters}
-        else:
-            feature_config = FeatureConfig(
-                leak=bool(opts["leak"]),
-                include_duration=bool(opts["include_duration"]),
-            )
-            pipeline = FeaturePipeline(playlist=playlist, config=feature_config)
-            pipeline.fit(train_sessions)
-            kind = ModelKind(args.model)
-            model = make_model(
-                kind,
-                _model_config(args.model, opts, feature_config.input_dim),
-                seed=opts["seed"],
-            )
-            matrices, labels = build_training_arrays(pipeline, train_sessions)
-            result = train_model(
-                model,
-                matrices,
-                labels,
-                TrainConfig(
-                    epochs=opts["epochs"],
-                    batch_size=opts["batch_size"],
-                    learning_rate=opts["learning_rate"],
-                    seed=opts["seed"],
-                    validation_fraction=opts["validation_fraction"],
-                    patience=opts["patience"],
-                ),
-            )
-            predictor = NeuralPredictor(
-                model=model,
-                pipeline=pipeline,
-                feasibility_mask=bool(opts["feasibility_mask"]),
-                cap=dataset.cap,
-            )
-            info = {
-                "n_parameters": result.n_parameters,
-                "best_epoch": result.best_epoch,
-                "stopped_early": result.stopped_early,
-                "train_losses": list(result.train_losses),
-                "val_losses": list(result.val_losses),
-            }
+        predictor, info = fit_predictor(
+            args.model, train_sessions, dataset.playlists[pid], opts, dataset.cap
+        )
         bundle = artifacts.save_predictor(run_dir / "models" / pid, predictor)
         bundle_paths[pid] = bundle / artifacts.BUNDLE_FILE
         per_playlist[pid] = info
@@ -486,10 +489,18 @@ def cmd_train(args) -> int:
 # evaluate and analyze
 
 
-def _load_run(args) -> tuple[dict, Dataset]:
+def _load_run(args) -> tuple[str, list[str], Dataset]:
+    """The run's model family, the playlists it trained, and --data under
+    the run's session-end mode and stored split."""
     run_path = args.run / "run.json"
     run_obj = artifacts.read_json(run_path)
-    dataset = _load_data(args, session_end=run_obj["options"]["session_end"])
+    model = artifacts.read_field(run_path, run_obj, "model")
+    if model not in FAMILIES:
+        raise SchemaError(f"{run_path}: field 'model': unknown model family {model!r}")
+    session_end = artifacts.read_field(
+        run_path, run_obj, "options.session_end", SessionEndMode
+    )
+    dataset = _load_data(args, session_end=session_end.value)
     playlists_path, sessions_path = _data_paths(args)
     digests = run_obj.get("data_digests", {})
     current = {
@@ -501,22 +512,28 @@ def _load_run(args) -> tuple[dict, Dataset]:
             f"{run_path}: --data does not match the data this run was trained "
             f"on (content digests differ)"
         )
+
+    def known(pids) -> list[str]:
+        unknown = sorted(set(pids) - set(dataset.playlists))
+        if unknown:
+            raise ValueError(f"no playlist {unknown[0]!r} in {playlists_path}")
+        return list(pids)
+
+    pids = artifacts.read_field(run_path, run_obj, "playlists", known)
     dataset = artifacts.load_split(args.run / "split.json", dataset)
-    return run_obj, dataset
+    return model, pids, dataset
 
 
-def _load_predictors(args, run_obj: dict, dataset: Dataset) -> dict:
-    predictors = {}
-    for pid in run_obj["playlists"]:
-        predictors[pid] = artifacts.load_predictor(
-            args.run / "models" / pid, dataset.playlists[pid]
-        )
-    return predictors
+def _load_predictors(args, pids: list[str], dataset: Dataset) -> dict:
+    return {
+        pid: artifacts.load_predictor(args.run / "models" / pid, dataset.playlists[pid])
+        for pid in pids
+    }
 
 
 def cmd_evaluate(args) -> int:
-    run_obj, dataset = _load_run(args)
-    predictors = _load_predictors(args, run_obj, dataset)
+    model, pids, dataset = _load_run(args)
+    predictors = _load_predictors(args, pids, dataset)
     report = evaluate_dataset(
         predictors,
         dataset,
@@ -528,7 +545,7 @@ def cmd_evaluate(args) -> int:
     out_dir: Path = args.out if args.out is not None else args.run / "eval"
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_jsonable()
-    payload["model"] = run_obj["model"]
+    payload["model"] = model
     payload["split"] = args.split
     files = {
         "report": reports.write_json(out_dir / "report.json", payload),
@@ -538,9 +555,7 @@ def cmd_evaluate(args) -> int:
         "cdf": reports.write_cdf_csv(out_dir / "cdf.csv", report),
         "cdf_chart": reports.write_svg(
             out_dir / "cdf.svg",
-            reports.svg_cdf_chart(
-                {run_obj["model"]: list(report.position_rate_values())}
-            ),
+            reports.svg_cdf_chart({model: list(report.position_rate_values())}),
         ),
         "demand_chart": reports.write_svg(
             out_dir / "demand.svg", reports.svg_demand_chart(report, dataset.cap)
@@ -550,7 +565,7 @@ def cmd_evaluate(args) -> int:
         out_dir / "manifest.json",
         command="evaluate",
         parameters={
-            "model": run_obj["model"],
+            "model": model,
             "split": args.split,
             "demand_mode": args.demand_mode,
             "n_rollouts": args.n_rollouts,
@@ -570,12 +585,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_analyze_attention(args) -> int:
-    run_obj, dataset = _load_run(args)
-    if run_obj["model"] != "transformer":
+    model, pids, dataset = _load_run(args)
+    if model != "transformer":
         raise ConstraintViolation(
-            f"attention analysis needs a transformer run, got {run_obj['model']!r}"
+            f"attention analysis needs a transformer run, got {model!r}"
         )
-    predictors = _load_predictors(args, run_obj, dataset)
+    predictors = _load_predictors(args, pids, dataset)
     out_dir: Path = args.out if args.out is not None else args.run / "attention"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -594,13 +609,11 @@ def cmd_analyze_attention(args) -> int:
             "no session was long enough for an attention profile (need >= 3 events)"
         )
 
-    rows = []
-    for p in profiles:
-        corr = "" if p.correlation is None else repr(p.correlation)
-        for j, (emp, base) in enumerate(zip(p.empirical, p.baseline), start=1):
-            rows.append(
-                [p.playlist_id, p.session_id, j, repr(emp), repr(base), corr]
-            )
+    rows = [
+        [p.playlist_id, p.session_id, j, emp, base, p.correlation]
+        for p in profiles
+        for j, (emp, base) in enumerate(zip(p.empirical, p.baseline), start=1)
+    ]
     csv_path = reports.write_csv(
         out_dir / "attention_profiles.csv",
         ["playlist_id", "session_id", "position", "empirical", "baseline", "correlation"],
@@ -644,7 +657,7 @@ def cmd_export_prompts(args) -> int:
             raise ConstraintViolation(
                 "--split train/test needs --run to reuse that run's stored split"
             )
-        _, dataset = _load_run(args)
+        _, _, dataset = _load_run(args)
         split_tag = Split(args.split)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     count = write_prompts_jsonl(

@@ -14,7 +14,6 @@ from .autodiff import (
     causal_softmax_last,
     concat_cols,
     concat_rows,
-    constant,
     cross_entropy_mean,
     einsum,
     layer_norm,
@@ -52,7 +51,6 @@ __all__ = [
     "causal_softmax_last",
     "concat_cols",
     "concat_rows",
-    "constant",
     "cross_entropy_mean",
     "einsum",
     "grad_check",

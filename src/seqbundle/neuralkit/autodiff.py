@@ -172,10 +172,6 @@ def parameter_view(data: np.ndarray, name: str) -> Tensor:
     return out
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.needs_grad:
         return

@@ -1,15 +1,19 @@
 """File emission for evaluation runs: JSON, CSV, and dependency-free SVG charts.
 
 Every writer is byte-deterministic for a given input: keys are sorted, floats
-go through repr, CSV rows use "\n" endings, and nothing embeds a timestamp.
+go through repr (a CSV cell as ``repr(float(v))``, numpy scalars included), CSV
+rows use "\n" endings, and nothing embeds a timestamp.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .domain import OUTCOME_ORDER
 from .errors import ConstraintViolation
@@ -31,14 +35,20 @@ def write_json(path: Path | str, payload: dict) -> Path:
     return path
 
 
+def _cell(value):
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
 def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Every float-like cell is written as ``repr(float(v))``; ints, strings
+    and the rest as the csv module writes them (None as an empty cell)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(row)
+            writer.writerow([_cell(value) for value in row])
     return path
 
 
@@ -47,19 +57,11 @@ def write_hit_rates_csv(path: Path | str, report: EvaluationReport) -> Path:
     rows: list[list] = []
     for result in report.results:
         for pos, hits, total in result.position_hits:
-            rows.append(
-                [result.playlist_id, pos, total, hits, repr(hits / total)]
-            )
+            rows.append([result.playlist_id, pos, total, hits, hits / total])
         rows.append(
-            [
-                result.playlist_id,
-                "all",
-                result.n_scored,
-                result.hits,
-                repr(result.hit_rate),
-            ]
+            [result.playlist_id, "all", result.n_scored, result.hits, result.hit_rate]
         )
-    rows.append(["all", "all", report.n_scored, report.hits, repr(report.hit_rate)])
+    rows.append(["all", "all", report.n_scored, report.hits, report.hit_rate])
     return write_csv(
         path, ["playlist_id", "position", "observations", "hits", "hit_rate"], rows
     )
@@ -69,12 +71,10 @@ def write_confusion_csv(path: Path | str, report: EvaluationReport) -> Path:
     """Pooled confusion, one row per actual outcome, columns predicted."""
     counts = report.confusion_counts()
     rates = confusion_normalized(counts)
-    rows = []
-    for i, outcome in enumerate(OUTCOME_ORDER):
-        rows.append(
-            [outcome.value, int(counts[i].sum())]
-            + [repr(float(v)) for v in rates[i]]
-        )
+    rows = [
+        [outcome.value, int(counts[i].sum()), *rates[i]]
+        for i, outcome in enumerate(OUTCOME_ORDER)
+    ]
     header = ["actual", "observations"] + [
         f"predicted_{o.value}" for o in OUTCOME_ORDER
     ]
@@ -86,15 +86,7 @@ def write_demand_csv(path: Path | str, report: EvaluationReport) -> Path:
     for result in report.results:
         d = result.demand
         for i, pos in enumerate(d.track_positions):
-            rows.append(
-                [
-                    result.playlist_id,
-                    pos,
-                    d.coverage[i],
-                    repr(d.actual[i]),
-                    repr(d.predicted[i]),
-                ]
-            )
+            rows.append([result.playlist_id, pos, d.coverage[i], d.actual[i], d.predicted[i]])
     return write_csv(
         path,
         ["playlist_id", "track_position", "coverage", "actual_rate", "predicted_rate"],
@@ -104,40 +96,13 @@ def write_demand_csv(path: Path | str, report: EvaluationReport) -> Path:
 
 def write_cdf_csv(path: Path | str, report: EvaluationReport) -> Path:
     xs, fractions = hit_rate_cdf(report.position_rate_values())
-    rows = [[repr(float(x)), repr(float(f))] for x, f in zip(xs, fractions)]
-    return write_csv(path, ["hit_rate", "cumulative_fraction"], rows)
+    return write_csv(path, ["hit_rate", "cumulative_fraction"], zip(xs, fractions))
 
 
 def write_summary_csv(path: Path | str, summaries: Iterable[PlaylistSummary]) -> Path:
-    rows = [
-        [
-            s.playlist_id,
-            s.n_tracks,
-            s.n_sessions,
-            repr(s.mean_events),
-            repr(s.mean_listening_seconds),
-            repr(s.mean_tracks_played),
-            repr(s.share_skip),
-            repr(s.share_play),
-            repr(s.share_replay),
-        ]
-        for s in summaries
-    ]
-    return write_csv(
-        path,
-        [
-            "playlist_id",
-            "n_tracks",
-            "n_sessions",
-            "mean_events",
-            "mean_listening_seconds",
-            "mean_tracks_played",
-            "share_skip",
-            "share_play",
-            "share_replay",
-        ],
-        rows,
-    )
+    """One row per playlist, one column per PlaylistSummary field."""
+    header = [f.name for f in fields(PlaylistSummary)]
+    return write_csv(path, header, [[getattr(s, name) for name in header] for s in summaries])
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 16
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     validation_fraction: float = 0.1
     patience: int = 5

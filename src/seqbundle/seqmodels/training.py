@@ -120,14 +120,7 @@ def train_model(
         n_val = min(len(matrices) - 1, max(1, round(config.validation_fraction * len(matrices))))
     val_idx = order[:n_val]
     train_idx = order[n_val:]
-    adam = nk.AdamState(
-        nk.AdamConfig(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-        )
-    )
+    adam = nk.AdamState(nk.AdamConfig(learning_rate=config.learning_rate))
     grads = np.empty_like(model.flat)
     grad_views = model.views(grads)
     train_losses: list[float] = []

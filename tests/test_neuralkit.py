@@ -21,7 +21,6 @@ from seqbundle.neuralkit import (
     causal_softmax,
     concat_cols,
     concat_rows,
-    constant,
     cross_entropy_mean,
     einsum,
     grad_check,
@@ -81,7 +80,7 @@ class TestTensor:
             Tensor(np.array([np.nan]))
 
     def test_op_results_skip_the_check_and_the_loss_keeps_it(self):
-        big = constant(np.array([[1e308, 1.0]]))
+        big = Tensor(np.array([[1e308, 1.0]]))
         with np.errstate(over="ignore"):
             assert np.isinf(scale(big, 10.0).data[0, 0])  # an op result is not checked
         poisoned = parameter(np.full((1, 3), 1 / 3))
@@ -116,7 +115,7 @@ class TestTensor:
 
     def test_backward_tears_down_the_graph(self):
         w = parameter(rng(30).normal(size=(3, 2)))
-        x = constant(rng(31).normal(size=(4, 3)))
+        x = Tensor(rng(31).normal(size=(4, 3)))
         hidden = tanh(matmul(x, w))
         probs = softmax_rows(concat_cols([hidden, hidden]))
         loss = cross_entropy_mean(probs, np.array([0, 1, 2, 3]), np.ones(4, bool))
@@ -315,43 +314,43 @@ class TestOperatorGradients:
 
 class TestLayerNormValues:
     def test_rows_have_zero_mean_unit_variance(self):
-        x = constant(rng(20).normal(size=(6, 8)) * 3.0 + 1.0)
+        x = Tensor(rng(20).normal(size=(6, 8)) * 3.0 + 1.0)
         y = layer_norm(x).data
         assert np.allclose(y.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(y.var(axis=1), 1.0, atol=1e-9)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ConstraintViolation):
-            layer_norm(constant(np.zeros(4)))
+            layer_norm(Tensor(np.zeros(4)))
 
 
 class TestCausalSoftmax:
     def test_upper_triangle_is_exactly_zero(self):
-        alpha = causal_softmax(constant(rng(21).normal(size=(6, 6)))).data
+        alpha = causal_softmax(Tensor(rng(21).normal(size=(6, 6)))).data
         assert np.all(alpha[np.triu_indices(6, k=1)] == 0.0)
         assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
     def test_prefix_rows_are_bit_identical(self):
         scores = rng(22).normal(size=(8, 8)) * 4.0
-        full = causal_softmax(constant(scores)).data
+        full = causal_softmax(Tensor(scores)).data
         for k in range(1, 8):
-            sub = causal_softmax(constant(scores[:k, :k])).data
+            sub = causal_softmax(Tensor(scores[:k, :k])).data
             assert full[:k, :k].tobytes() == sub.tobytes()
 
     def test_rejects_non_square(self):
         with pytest.raises(ConstraintViolation):
-            causal_softmax(constant(np.zeros((2, 3))))
+            causal_softmax(Tensor(np.zeros((2, 3))))
 
     def test_first_row_is_deterministic_one(self):
-        alpha = causal_softmax(constant(rng(23).normal(size=(3, 3)))).data
+        alpha = causal_softmax(Tensor(rng(23).normal(size=(3, 3)))).data
         assert alpha[0, 0] == 1.0
 
     def test_stack_matches_each_matrix(self):
         stack = rng(25).normal(size=(5, 6, 6)) * 3.0
         for op in (causal_softmax, softmax_rows):
-            batched = op(constant(stack)).data
+            batched = op(Tensor(stack)).data
             for i in range(5):
-                assert batched[i].tobytes() == op(constant(stack[i])).data.tobytes()
+                assert batched[i].tobytes() == op(Tensor(stack[i])).data.tobytes()
 
 
 # Every (k, n) that a CLI-default (wide) or small model multiplies by.
@@ -384,16 +383,16 @@ class TestMatmulTiles:
         # product are the tile product of x[:m]
         reference = _tile_product(x, w)
         for m in range(1, 1101):
-            got = matmul(constant(x[:m]), constant(w)).data
+            got = matmul(Tensor(x[:m]), Tensor(w)).data
             assert got.tobytes() == reference[:m].tobytes(), m
 
     @pytest.mark.parametrize("width", [3, 256])
     def test_prefix_rows_are_bit_identical(self, width):
         x = rng(40).normal(size=(200, 32))
         w = rng(41).normal(size=(32, width))
-        full = matmul(constant(x), constant(w)).data
+        full = matmul(Tensor(x), Tensor(w)).data
         for k in range(1, 201):
-            assert matmul(constant(x[:k]), constant(w)).data.tobytes() == full[:k].tobytes()
+            assert matmul(Tensor(x[:k]), Tensor(w)).data.tobytes() == full[:k].tobytes()
 
     @pytest.mark.parametrize("width", [3, 256])
     def test_stacked_sessions_match_each_alone(self, width):
@@ -401,17 +400,17 @@ class TestMatmulTiles:
         length = 13
         x = rng(42).normal(size=(16 * length, 32))
         w = rng(43).normal(size=(32, width))
-        stacked = matmul(constant(x), constant(w)).data
+        stacked = matmul(Tensor(x), Tensor(w)).data
         for b in range(16):
             rows = slice(b * length, (b + 1) * length)
-            assert matmul(constant(x[rows]), constant(w)).data.tobytes() == stacked[rows].tobytes()
+            assert matmul(Tensor(x[rows]), Tensor(w)).data.tobytes() == stacked[rows].tobytes()
 
     def test_single_row(self):
         x = rng(44).normal(size=(70, 16))
         w = rng(45).normal(size=(16, 5))
-        one = matmul(constant(x[5:6]), constant(w)).data
+        one = matmul(Tensor(x[5:6]), Tensor(w)).data
         assert one.shape == (1, 5)
-        assert one.tobytes() == matmul(constant(x), constant(w)).data[5:6].tobytes()
+        assert one.tobytes() == matmul(Tensor(x), Tensor(w)).data[5:6].tobytes()
 
     def test_backward_products_match_finite_differences(self):
         # 70 rows: the forward spans two BLAS calls, 64 rows and a padded tail
@@ -431,7 +430,7 @@ class TestMatmulTiles:
         # entry stays within 1e-12 of it, relative to |x| @ |w|
         x = rng(48).normal(size=(208, 256))
         w = rng(49).normal(size=(256, width))
-        padded = matmul(constant(x), constant(w)).data
+        padded = matmul(Tensor(x), Tensor(w)).data
         reference = np.einsum("ij,jk->ik", x, w)
         assert np.all(np.abs(padded - reference) <= 1e-12 * (np.abs(x) @ np.abs(w)))
 
@@ -467,7 +466,7 @@ class TestSigmoidValues:
             1.0 / (1.0 + np.exp(-np.abs(x))),
             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
         )
-        assert sigmoid(constant(x)).data.tobytes() == old.tobytes()
+        assert sigmoid(Tensor(x)).data.tobytes() == old.tobytes()
 
 
 class TestReluValues:
@@ -480,8 +479,8 @@ class TestReluValues:
 class TestLSTMCellValues:
     def test_matches_the_composed_ops_bit_for_bit(self):
         width = 5
-        gates = constant(rng(38).normal(size=(7, 4 * width)) * 4.0)
-        c_prev = constant(rng(39).normal(size=(7, width)))
+        gates = Tensor(rng(38).normal(size=(7, 4 * width)) * 4.0)
+        c_prev = Tensor(rng(39).normal(size=(7, width)))
         gi, gf, gc, go = (slice_cols(gates, j * width, (j + 1) * width) for j in range(4))
         c_ref = add(mul(sigmoid(gf), c_prev), mul(sigmoid(gi), tanh(gc)))
         h_ref = mul(sigmoid(go), tanh(c_ref))
@@ -491,18 +490,18 @@ class TestLSTMCellValues:
 
     def test_rejects_mismatched_state(self):
         with pytest.raises(ConstraintViolation, match="lstm_cell"):
-            lstm_cell(constant(np.zeros((2, 8))), constant(np.zeros((2, 3))))
+            lstm_cell(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 3))))
 
 
 class TestCrossEntropyMean:
     def test_frozen_value(self):
-        probs = constant(np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
+        probs = Tensor(np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
         loss = cross_entropy_mean(probs, np.array([0, 1]), np.ones(2, bool))
         expected = (-math.log(0.5) - math.log(0.6)) / 2
         assert loss.item() == pytest.approx(expected, abs=1e-15)
 
     def test_mask_drops_rows(self):
-        probs = constant(np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
+        probs = Tensor(np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
         loss = cross_entropy_mean(
             probs, np.array([0, 1]), np.array([False, True])
         )
@@ -519,7 +518,7 @@ class TestCrossEntropyMean:
         assert np.allclose(probs.grad, expected, atol=1e-12)
 
     def test_empty_mask_rejected(self):
-        probs = constant(np.full((2, 3), 1 / 3))
+        probs = Tensor(np.full((2, 3), 1 / 3))
         with pytest.raises(ConstraintViolation):
             cross_entropy_mean(probs, np.array([0, 1]), np.zeros(2, bool))
 

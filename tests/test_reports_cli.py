@@ -23,6 +23,7 @@ from seqbundle.baselines import (
     fit_markov,
     fit_zero_order,
 )
+from seqbundle import cli
 from seqbundle.cli import main as cli_main
 from seqbundle.dataio import FeatureConfig, FeaturePipeline, Split, split
 from seqbundle.domain import Outcome
@@ -34,13 +35,14 @@ from seqbundle.reports import (
     write_json,
     write_summary_csv,
 )
-from seqbundle.seqmodels import MLPConfig, ModelKind, NeuralPredictor, make_model
+from seqbundle.seqmodels import LSTMConfig, MLPConfig, ModelKind, NeuralPredictor, make_model
 from seqbundle.seqmodels.models import TransformerModel
 from seqbundle.synthgen import (
     GeneratorSpec,
     frequent_pattern_spec,
     generate,
     second_order_spec,
+    spec_from_json,
     spec_to_json,
     stopping_spec,
 )
@@ -62,11 +64,12 @@ def cli_root(tmp_path_factory):
          "--seed", "7", "--out", str(data)]
     )
     assert rc == 0
-    rc = cli_main(
-        ["train", "--data", str(data), "--model", "mc",
-         "--out", str(root / "run_mc"), "--seed", "3"]
-    )
-    assert rc == 0
+    for model in ("mc", "pmc"):
+        rc = cli_main(
+            ["train", "--data", str(data), "--model", model,
+             "--out", str(root / f"run_{model}"), "--seed", "3"]
+        )
+        assert rc == 0
     rc = cli_main(
         ["train", "--data", str(data), "--model", "transformer",
          "--out", str(root / "run_tf"), "--seed", "3",
@@ -93,11 +96,15 @@ class TestWriters:
         from seqbundle.evalkit import summarize_dataset
 
         path = write_summary_csv(tmp_path / "s.csv", summarize_dataset(tiny_dataset))
-        header = path.read_text().splitlines()[0]
+        header, *rows = path.read_text().splitlines()
         assert header == (
             "playlist_id,n_tracks,n_sessions,mean_events,mean_listening_seconds,"
             "mean_tracks_played,share_skip,share_play,share_replay"
         )
+        assert rows
+        for row in rows:
+            for cell in row.split(",")[1:]:
+                float(cell)  # a plain number, not a numpy repr such as np.float64(0.5)
 
     def test_cdf_chart_fixed_canvas(self):
         svg = svg_cdf_chart({"mc": [0.2, 0.5, 0.5, 1.0]})
@@ -261,6 +268,63 @@ class TestPredictorBundles:
         pid = tiny_dataset.playlist_ids()[0]
         with pytest.raises(SchemaError, match="unknown bundle family"):
             load_predictor(bundle, tiny_dataset.playlists[pid])
+
+
+TINY_OPTIONS = {
+    **cli.TRAIN_DEFAULTS,
+    "epochs": 1,
+    "embed_dim": 8,
+    "n_blocks": 1,
+    "n_heads": 2,
+    "head_dim": 4,
+    "ff_dim": 8,
+    "hidden_dim": 4,
+    "n_layers": 1,
+    "max_positions": 32,
+}
+
+
+@pytest.fixture(scope="module")
+def cap3_dataset():
+    return split(generate(spec_from_json(_cap3_spec_json())), seed=0)
+
+
+class TestFitPredictor:
+    """cli.fit_predictor, the one fit of every family, through a bundle."""
+
+    @pytest.mark.parametrize("family", cli.FAMILIES)
+    def test_fit_save_load(self, tmp_path, cap3_dataset, family):
+        pid = cap3_dataset.playlist_ids()[0]
+        playlist = cap3_dataset.playlists[pid]
+        predictor, info = cli.fit_predictor(
+            family, cap3_dataset.train_sessions(pid), playlist, TINY_OPTIONS, cap3_dataset.cap
+        )
+        neural_keys = {"best_epoch", "stopped_early", "train_losses", "val_losses"}
+        assert set(info) == {"n_parameters"} | (
+            neural_keys if family in cli.NEURAL_KINDS else set()
+        )
+        bundle = save_predictor(tmp_path / family, predictor)
+        obj = json.loads((bundle / BUNDLE_FILE).read_text())
+        assert (obj["cap"] if family in cli.NEURAL_KINDS else obj["payload"]["cap"]) == 3
+        reloaded = load_predictor(bundle, playlist)
+        sessions = cap3_dataset.test_sessions(pid)
+        for got, want in zip(
+            reloaded.predict_sessions(sessions), predictor.predict_sessions(sessions)
+        ):
+            assert got.tobytes() == want.tobytes()
+
+    def test_unknown_family_names_it(self, tiny_dataset):
+        pid = tiny_dataset.playlist_ids()[0]
+        with pytest.raises(ConstraintViolation, match="'gru'"):
+            cli.fit_predictor("gru", tiny_dataset.train_sessions(pid),
+                              tiny_dataset.playlists[pid], TINY_OPTIONS, 2)
+
+    def test_unset_sizes_take_the_config_defaults(self):
+        assert cli._model_config("lstm", cli.TRAIN_DEFAULTS, 5) == LSTMConfig(input_dim=5)
+        assert cli._model_config("mlp", cli.TRAIN_DEFAULTS, 5) == MLPConfig(input_dim=5)
+        sized = {**cli.TRAIN_DEFAULTS, "hidden_dim": 7, "n_layers": 1}
+        assert cli._model_config("mlp", sized, 5) == MLPConfig(input_dim=5, hidden_dim=7,
+                                                               n_layers=1)
 
 
 class TestManifest:
@@ -911,6 +975,54 @@ class TestMalformedJson:
         (run / "run.json").write_text("[]", encoding="utf-8")
         assert cli_main(self._evaluate(data, run, tmp_path)) == 2
         assert "expected a JSON object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "run_name,document,edit,field",
+        [
+            ("run_mc", "run.json", lambda o: o.pop("options"), "options.session_end"),
+            ("run_mc", "run.json", lambda o: o["options"].pop("session_end"),
+             "options.session_end"),
+            ("run_mc", "run.json", lambda o: o.pop("playlists"), "playlists"),
+            ("run_mc", "run.json", lambda o: o.pop("model"), "model"),
+            ("run_mc", "run.json", lambda o: o["playlists"].update(nowhere={}), "playlists"),
+            ("run_mc", "run.json", lambda o: o["options"].update(session_end="bogus"),
+             "options.session_end"),
+            ("run_tf", BUNDLE_FILE, lambda o: o.pop("pipeline"), "pipeline"),
+            ("run_tf", BUNDLE_FILE, lambda o: o["pipeline"].pop("time_mean"), "pipeline"),
+            ("run_tf", BUNDLE_FILE, lambda o: o.pop("model"), "model"),
+            ("run_tf", BUNDLE_FILE, lambda o: o.update(model=3), "model"),
+            ("run_mc", BUNDLE_FILE, lambda o: o.pop("payload"), "payload"),
+            ("run_pmc", BUNDLE_FILE, lambda o: o["payload"].pop("marginal"), "payload"),
+            ("run_pmc", BUNDLE_FILE,
+             lambda o: o["payload"]["matrices"].update(x=o["payload"]["matrices"]["2"]),
+             "payload"),
+            ("run_pmc", BUNDLE_FILE, lambda o: o["payload"]["counts"].pop("3"), "payload"),
+            ("run_pmc", BUNDLE_FILE, lambda o: o["payload"].update(cap="two"), "payload"),
+        ],
+        ids=[
+            "run-no-options", "run-no-session-end", "run-no-playlists", "run-no-model",
+            "run-unknown-playlist", "run-bogus-session-end", "bundle-no-pipeline",
+            "bundle-no-time-mean", "bundle-no-model", "bundle-model-int", "bundle-no-payload",
+            "pmc-no-marginal", "pmc-position-x", "pmc-no-counts-position", "pmc-cap-text",
+        ],
+    )
+    def test_malformed_field(self, cli_root, tmp_path, capsys, run_name, document, edit, field):
+        run = tmp_path / run_name
+        shutil.copytree(cli_root / run_name, run)
+        if document == BUNDLE_FILE:
+            (bundle,) = (run / "models").iterdir()
+            path = bundle / BUNDLE_FILE
+        else:
+            path = run / document
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(self._evaluate(cli_root / "data", run, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err
+        assert repr(field) in err
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:

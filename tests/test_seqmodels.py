@@ -673,7 +673,7 @@ def _per_name_train(model, matrices, labels, config):
     order = gen.permutation(len(matrices))
     n_val = min(len(matrices) - 1, max(1, round(config.validation_fraction * len(matrices))))
     val_idx, train_idx = order[:n_val], order[n_val:]
-    adam = nk.AdamConfig(config.learning_rate, config.beta1, config.beta2, config.eps)
+    adam = nk.AdamConfig(learning_rate=config.learning_rate)
     state = types.SimpleNamespace(config=adam, step_count=0, m={}, v={})
     train_losses, val_losses = [], []
     best_val, best_arrays = np.inf, None
