@@ -328,6 +328,21 @@ TRAIN_DEFAULTS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON type a --config file value must have, by the type of its
+# TRAIN_DEFAULTS entry: a description and a test. Values are not converted.
+_CONFIG_TYPES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    type(None): ("an integer or null", lambda v: v is None or _is_int(v)),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _resolve_options(args) -> dict:
     """Option precedence: explicit flag > --config file > built-in default."""
     resolved = dict(TRAIN_DEFAULTS)
@@ -338,6 +353,12 @@ def _resolve_options(args) -> dict:
             raise SchemaError(
                 f"{args.config}: unknown config keys {sorted(unknown)}"
             )
+        for key, value in file_options.items():
+            expected, accepts = _CONFIG_TYPES[type(TRAIN_DEFAULTS[key])]
+            if not accepts(value):
+                raise SchemaError(
+                    f"{args.config}: config key {key!r} must be {expected}, got {value!r}"
+                )
         resolved.update(file_options)
     for key in resolved:
         value = getattr(args, key, None)

@@ -104,11 +104,6 @@ def draw_outcomes(rows, u) -> np.ndarray:
     return np.where(u < skip, _SKIP, np.where(u < skip + play, _PLAY, rest))
 
 
-def draw_outcome(row: Sequence[float], u: float) -> Outcome:
-    """The outcome draw_outcomes draws from one row."""
-    return OUTCOME_ORDER[int(draw_outcomes(row, np.array([u]))[0])]
-
-
 _OUTCOME_BY_VALUE: Mapping[str, Outcome] = {o.value: o for o in Outcome}
 
 

@@ -10,16 +10,14 @@ stay independent.
 from .autodiff import (
     Tensor,
     add,
+    attention,
     causal_softmax,
-    causal_softmax_last,
     concat_cols,
     concat_rows,
     cross_entropy_mean,
-    einsum,
     layer_norm,
     lstm_cell,
     matmul,
-    merge_heads,
     mul,
     no_grad,
     parameter,
@@ -30,7 +28,6 @@ from .autodiff import (
     slice_cols,
     slice_rows,
     softmax_rows,
-    split_heads,
     take_rows,
     tanh,
     transpose,
@@ -47,18 +44,16 @@ __all__ = [
     "Tensor",
     "adam_step",
     "add",
+    "attention",
     "causal_softmax",
-    "causal_softmax_last",
     "concat_cols",
     "concat_rows",
     "cross_entropy_mean",
-    "einsum",
     "grad_check",
     "layer_norm",
     "load_checkpoint",
     "lstm_cell",
     "matmul",
-    "merge_heads",
     "mul",
     "name_at",
     "no_grad",
@@ -73,7 +68,6 @@ __all__ = [
     "slice_cols",
     "slice_rows",
     "softmax_rows",
-    "split_heads",
     "take_rows",
     "tanh",
     "transpose",

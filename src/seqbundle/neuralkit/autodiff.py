@@ -2,8 +2,8 @@
 
 Every value is a Tensor wrapping a float64 ndarray; ops build a graph of
 parent links plus a backward closure. 2-D products run through BLAS on a
-multiple of MATMUL_PAD rows, the tail zero-padded; the 3-D attention
-contractions go through non-optimized np.einsum; the causal softmax uses
+multiple of MATMUL_PAD rows, the tail zero-padded; attention's 3-D per-head
+products go through non-optimized np.einsum; the causal softmax uses
 cumulative sums/maxima. So each output row is computed
 independently of how many later rows sit in the input and of how many other
 sessions are stacked beside it. That is what makes causal forward passes
@@ -12,8 +12,9 @@ forward bit-identical to its own forward. Gradients need only be
 deterministic for a given shape, so matmul's backward is plain BLAS.
 
 Packed sessions of any lengths travel as (R, d) rows through the row-wise
-ops; attention splits each block of B equal-length sessions into (B·H, L, hd)
-per-head stacks, and the softmaxes work on the last axis of 2-D or 3-D input.
+ops. attention is one node, as lstm_cell is: it splits the query/key/value
+rows of B equal-length sessions into (B·H, L, hd) per-head stacks and merges
+the heads' outputs back into rows. The softmaxes work on the last axis.
 
 backward() frees the graph as it goes: once a node's backward has run, its
 grad, closure and parent links are dropped, so only leaf parameters keep
@@ -223,25 +224,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _result(a.data * factor, (a,), backward)
 
 
-def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand non-optimized np.einsum, for the 3-D attention contractions.
-
-    Each output element is its own loop over the summed index, so a session's
-    stack gives the same bits alone or beside others. ``spec`` is explicit
-    ("bid,bjd->bij"); every input index must appear in the other operand or
-    the output, so each gradient is again one einsum. 2-D products go through
-    matmul instead.
-    """
-    inputs, out = spec.split("->")
-    sa, sb = inputs.split(",")
-
-    def backward(g: np.ndarray) -> None:
-        _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
-        _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
-
-    return _result(np.einsum(spec, a.data, b.data), (a, b), backward)
-
-
 def _padded_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w in one BLAS call on the leading rows - rows % MATMUL_PAD rows,
     written in place, and one on the tail zero-padded to MATMUL_PAD rows.
@@ -378,62 +360,118 @@ def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
     return _result(y, (x,), backward)
 
 
-def causal_softmax(scores: Tensor) -> Tensor:
-    """Row-wise softmax over columns j <= i; exact zeros above the diagonal.
-
-    Takes one square (L, L) matrix or a (N, L, L) stack of them. Running
-    maxima and cumulative sums make row i's result independent of any column
-    beyond i, bit for bit.
-    """
-    x = scores.data
-    if x.ndim not in (2, 3) or x.shape[-2] != x.shape[-1]:
-        raise ConstraintViolation(
-            f"causal_softmax expects square matrices, got {x.shape}"
-        )
+def _causal_probs(x: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Softmax of row i of each matrix in x over its columns j <= offset + i;
+    exact zeros beyond. Running maxima and cumulative sums make row i's result
+    independent of any later column, bit for bit."""
     run_max = np.maximum.accumulate(x, axis=-1)
-    m = np.diagonal(run_max, axis1=-2, axis2=-1)
-    e = np.tril(np.exp(np.tril(x - m[..., None])))
-    denom = np.diagonal(np.cumsum(e, axis=-1), axis1=-2, axis2=-1)
-    return _softmax_result(e / denom[..., None], scores)
+    m = np.diagonal(run_max, offset, axis1=-2, axis2=-1)
+    e = np.tril(np.exp(np.tril(x - m[..., None], offset)), offset)
+    denom = np.diagonal(np.cumsum(e, axis=-1), offset, axis1=-2, axis2=-1)
+    return e / denom[..., None]
 
 
-def causal_softmax_last(scores: Tensor) -> Tensor:
-    """Row L-1 of causal_softmax for (N, 1, L) scores: one new query over the
-    L keys of its prefix, as a decode step asks.
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Plain softmax over the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
-    The maximum and the denominator are the last elements of causal_softmax's
-    running maximum and cumulative sum, so the row has the bits of the last
-    row of the square softmax over the same scores.
-    """
-    x = scores.data
-    if x.ndim != 3 or x.shape[1] != 1:
-        raise ConstraintViolation(
-            f"causal_softmax_last expects (N, 1, L) scores, got {x.shape}"
-        )
-    e = np.exp(x - np.maximum.accumulate(x, axis=-1)[..., -1:])
-    return _softmax_result(e / np.cumsum(e, axis=-1)[..., -1:], scores)
+
+def _softmax_backward(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a softmax's input from the output ``y`` and its gradient ``g``."""
+    return y * (g - (y * g).sum(axis=-1, keepdims=True))
 
 
 def _softmax_result(y: np.ndarray, x: Tensor) -> Tensor:
     """Softmax output ``y`` over the last axis of ``x``, with its backward."""
 
     def backward(g: np.ndarray) -> None:
-        dot = (y * g).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - dot))
+        _accum(x, _softmax_backward(y, g))
 
     return _result(y, (x,), backward)
 
 
+def causal_softmax(scores: Tensor) -> Tensor:
+    """Row-wise softmax over columns j <= i of one square (L, L) matrix or a
+    (N, L, L) stack of them; exact zeros above the diagonal."""
+    x = scores.data
+    if x.ndim not in (2, 3) or x.shape[-2] != x.shape[-1]:
+        raise ConstraintViolation(
+            f"causal_softmax expects square matrices, got {x.shape}"
+        )
+    return _softmax_result(_causal_probs(x), scores)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
-    """Plain softmax over the last axis of 2-D or 3-D input (used by the
-    bidirectional variant and output heads)."""
+    """Plain softmax over the last axis of 2-D or 3-D input (the output heads)."""
     if x.data.ndim not in (2, 3):
         raise ConstraintViolation(
             f"softmax_rows expects 2-D or 3-D input, got {x.data.shape}"
         )
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return _softmax_result(e / e.sum(axis=-1, keepdims=True), x)
+    return _softmax_result(_softmax(x.data), x)
+
+
+def attention(
+    qkv: Tensor, n_batch: int, n_heads: int, causal: bool, past: np.ndarray | None = None
+) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``qkv`` holds B sessions' Q rows each, session after session, as
+    (B·Q, 3·H·hd) query, key and value columns. A session's keys and values
+    are its ``past`` rows, if any, then its own: ``past`` is a decode step's
+    cached (B, n, 2·H·hd) key/value prefix, and causal query i sees keys
+    j <= n + i. Returns the merged (B·Q, H·hd) head outputs and the
+    (B·H, Q, n + Q) weights.
+
+    The values are the unfused graph's, bit for bit: C-contiguous (B·H, L, hd)
+    per-head stacks (einsum's summation order follows its operands' strides)
+    into non-optimized np.einsum, scores times 1/sqrt(hd), then the causal or
+    plain softmax. The backward runs that graph's einsums in its order.
+    """
+    rows, cols = qkv.data.shape
+    width, n_past = cols // 3, 0 if past is None else past.shape[1]
+    if cols % (3 * n_heads) or rows % n_batch or (
+        past is not None and past.shape != (n_batch, n_past, 2 * width)
+    ):
+        raise ConstraintViolation(
+            f"attention expects (B·Q, 3·H·hd) rows and a (B, n, 2·H·hd) past for B={n_batch}, "
+            f"H={n_heads}, got {qkv.data.shape} and {None if past is None else past.shape}"
+        )
+    hd, q_len = width // n_heads, rows // n_batch
+    keys_values = qkv.data[:, width:]
+    if past is not None:
+        own = keys_values.reshape(n_batch, q_len, 2 * width)
+        keys_values = np.concatenate([past, own], axis=1).reshape(-1, 2 * width)
+
+    def stacks(x: np.ndarray) -> np.ndarray:
+        """(B·L, H·hd) rows -> C-contiguous (B·H, L, hd) per-head stacks."""
+        length = x.shape[0] // n_batch
+        heads = x.reshape(n_batch, length, n_heads, hd).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(heads.reshape(-1, length, hd))
+
+    def merged(x: np.ndarray) -> np.ndarray:
+        """(B·H, L, hd) per-head stacks -> (B·L, H·hd) rows."""
+        length = x.shape[1]
+        return x.reshape(n_batch, n_heads, length, hd).transpose(0, 2, 1, 3).reshape(-1, width)
+
+    q = stacks(qkv.data[:, :width])
+    k, v = stacks(keys_values[:, :width]), stacks(keys_values[:, width:])
+    factor = 1.0 / np.sqrt(hd)
+    scores = np.einsum("bid,bjd->bij", q, k) * factor
+    alpha = _causal_probs(scores, n_past) if causal else _softmax(scores)
+
+    def backward(g: np.ndarray) -> None:
+        g_out = stacks(g)
+        d_alpha = np.einsum("bid,bjd->bij", g_out, v)
+        d_v = np.einsum("bij,bid->bjd", alpha, g_out)
+        d_scores = _softmax_backward(alpha, d_alpha) * factor
+        d_q = np.einsum("bij,bjd->bid", d_scores, k)
+        d_k = np.einsum("bid,bij->bjd", q, d_scores)
+        for part, grad in enumerate((d_q, d_k[:, n_past:], d_v[:, n_past:])):
+            _accum_at(qkv, (slice(None), slice(part * width, (part + 1) * width)), merged(grad))
+
+    out = np.ascontiguousarray(merged(np.einsum("bij,bjd->bid", alpha, v)))
+    return _result(out, (qkv,), backward), alpha
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -476,37 +514,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         _accum_at(x, slice(start, stop), g)
 
     return _result(x.data[start:stop], (x,), backward)
-
-
-def split_heads(x: Tensor, n_batch: int, n_heads: int) -> Tensor:
-    """(B·L, H·hd) session-major rows -> (B·H, L, hd) per-head stacks.
-
-    Outputs of split_heads and merge_heads are made C-contiguous: einsum's
-    summation order follows its operands' strides, and B=1 would otherwise
-    leave strided views that round differently from a stack's copies.
-    """
-    rows, width = x.data.shape
-    shape = (n_batch, rows // n_batch, n_heads, width // n_heads)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g.reshape(n_batch, n_heads, shape[1], shape[3])
-               .transpose(0, 2, 1, 3).reshape(rows, width))
-
-    heads = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(-1, shape[1], shape[3])
-    return _result(np.ascontiguousarray(heads), (x,), backward)
-
-
-def merge_heads(x: Tensor, n_batch: int) -> Tensor:
-    """(B·H, L, hd) per-head stacks -> (B·L, H·hd) rows; inverse of split_heads."""
-    stacks, length, hd = x.data.shape
-    shape = (n_batch, stacks // n_batch, length, hd)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g.reshape(n_batch, length, shape[1], hd)
-               .transpose(0, 2, 1, 3).reshape(stacks, length, hd))
-
-    rows = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(n_batch * length, -1)
-    return _result(np.ascontiguousarray(rows), (x,), backward)
 
 
 def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:

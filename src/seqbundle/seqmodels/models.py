@@ -5,14 +5,16 @@ sessions one after another, with ``lengths`` giving each session's row count
 (default: one session of R rows). It returns (R, 3) probabilities in the same
 order, and the transformer can also return each session's attention weights.
 A session's rows and weights do not depend on the other sessions in the call,
-bit for bit: row-wise layers run once over all R rows, and only attention and
-the LSTM's recurrence see the segments.
+bit for bit: row-wise layers run once over all R rows, and only attention (one
+``nk.attention`` node per block of equal-length sessions) and the LSTM's
+recurrence see the segments.
 
 The causal models also decode: ``decode(rows, states)`` extends B prefixes by
 one row each from their cached states (the transformer's key/value rows per
 block, the LSTM's (h, c) per layer; ``initial_state()`` is the empty prefix)
 and returns the new rows' probabilities and the extended states. Forward and
-decode share one block function (transformer) or one cell step (LSTM), so a
+decode share one block function (transformer, whose decode step attends with
+the cached rows as ``nk.attention``'s past) or one cell step (LSTM), so a
 decoded row has the bits of the same row in a teacher-forced forward.
 
 All parameters are float64 and initialized uniformly in
@@ -344,28 +346,6 @@ class TransformerModel(SequenceModel):
         hidden = nk.relu(self._dense(self._norm(x, f"block{i}/ln2"), f"block{i}/ff", "1"))
         return nk.add(x, self._dense(hidden, f"block{i}/ff", "2"))
 
-    def _heads(self, rows: nk.Tensor, part: int, n_batch: int) -> nk.Tensor:
-        """Column part ``part`` (each H·hd wide) of session-major rows as
-        (B·H, L, hd) per-head stacks."""
-        width = self.config.n_heads * self.config.head_dim
-        part_rows = nk.slice_cols(rows, part * width, (part + 1) * width)
-        return nk.split_heads(part_rows, n_batch, self.config.n_heads)
-
-    def _attend(
-        self, q: nk.Tensor, k: nk.Tensor, v: nk.Tensor, n_batch: int
-    ) -> tuple[nk.Tensor, nk.Tensor]:
-        """Merged (B·Q, H·hd) head outputs of Q queries per session over its
-        keys, and the attention weights. Q equal to the key count is a
-        teacher-forced block; Q = 1 with a causal model is a decode step."""
-        scores = nk.scale(nk.einsum("bid,bjd->bij", q, k), 1.0 / np.sqrt(self.config.head_dim))
-        if not self.config.causal:
-            alpha = nk.softmax_rows(scores)
-        elif q.shape[1] == k.shape[1]:
-            alpha = nk.causal_softmax(scores)
-        else:
-            alpha = nk.causal_softmax_last(scores)
-        return nk.merge_heads(nk.einsum("bij,bjd->bid", alpha, v), n_batch), alpha
-
     def _head(self, x: nk.Tensor) -> nk.Tensor:
         return nk.softmax_rows(self._dense(self._norm(x, "final_ln"), "head"))
 
@@ -384,10 +364,9 @@ class TransformerModel(SequenceModel):
             merged = []
             for block_rows, batch in blocks:
                 block = qkv if len(blocks) == 1 else nk.take_rows(qkv, block_rows)
-                q, k, v = (self._heads(block, part, batch.size) for part in range(3))
-                heads, alpha = self._attend(q, k, v, batch.size)
+                heads, alpha = nk.attention(block, batch.size, stack[1], self.config.causal)
                 if captured is not None:
-                    per_session = alpha.data.reshape(batch.size, stack[1], *alpha.shape[1:])
+                    per_session = alpha.reshape(batch.size, stack[1], *alpha.shape[1:])
                     for index, weights in zip(batch.tolist(), per_session):
                         captured[index][i] = weights
                 merged.append(heads)
@@ -416,12 +395,9 @@ class TransformerModel(SequenceModel):
         extended: list[np.ndarray] = []
 
         def attend(i: int, qkv: nk.Tensor) -> nk.Tensor:
-            cached = np.stack([state[i] for state in states])
-            kv = np.concatenate([cached, qkv.data[:, None, width:]], axis=1)
-            extended.append(kv)
-            kv_rows = nk.Tensor(kv.reshape(-1, 2 * width))
-            k, v = (self._heads(kv_rows, part, n_batch) for part in range(2))
-            return self._attend(self._heads(qkv, 0, n_batch), k, v, n_batch)[0]
+            past = np.stack([state[i] for state in states])
+            extended.append(np.concatenate([past, qkv.data[:, None, width:]], axis=1))
+            return nk.attention(qkv, n_batch, self.config.n_heads, True, past)[0]
 
         x = self._embed(arr, np.full(n_batch, len(states[0][0])))
         for i in range(self.config.n_blocks):

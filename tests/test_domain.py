@@ -22,7 +22,6 @@ from seqbundle.domain import (
     advance_walk,
     check_prob_rows,
     count_states,
-    draw_outcome,
     draw_outcomes,
     events_from_outcomes,
     feasible_outcomes,
@@ -233,8 +232,8 @@ class TestDraw:
     def test_rounding_never_draws_a_closed_outcome(self):
         row = feasible_rows([SHORT_ROW], [False])[0]
         assert row[0] + row[1] < 1.0 and row[2] == 0.0
-        assert draw_outcome(row, TOP_U) is Outcome.PLAY
-        assert draw_outcomes(row, np.array([TOP_U])).tolist() == [1]
+        drawn = draw_outcomes(row, np.array([TOP_U]))
+        assert drawn.tolist() == [1] and OUTCOME_ORDER[drawn[0]] is Outcome.PLAY
 
     def test_leftover_mass_goes_to_the_last_outcome_with_mass(self):
         rows = np.array([[0.3, 0.2, 0.5], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -244,7 +243,7 @@ class TestDraw:
         rows = np.tile([0.25, 0.5, 0.25], (4, 1))
         u = np.array([0.0, 0.25, 0.7499999, 0.75])
         assert draw_outcomes(rows, u).tolist() == [0, 1, 1, 2]
-        assert [draw_outcome(rows[0], x) for x in u] == [
+        assert [OUTCOME_ORDER[i] for i in draw_outcomes(rows[0], u)] == [
             Outcome.SKIP, Outcome.PLAY, Outcome.PLAY, Outcome.REPLAY
         ]
 

@@ -22,13 +22,11 @@ from seqbundle.neuralkit import (
     concat_cols,
     concat_rows,
     cross_entropy_mean,
-    einsum,
     grad_check,
     layer_norm,
     load_checkpoint,
     lstm_cell,
     matmul,
-    merge_heads,
     mul,
     parameter,
     positional_encoding,
@@ -40,7 +38,6 @@ from seqbundle.neuralkit import (
     slice_cols,
     slice_rows,
     softmax_rows,
-    split_heads,
     take_rows,
     tanh,
     transpose,
@@ -257,37 +254,6 @@ class TestOperatorGradients:
         loss().backward()
         assert min(np.abs(p.grad).min() for p in params.values()) > 1e-4
         assert grad_check(loss, params, tolerance=1e-6) < 1e-6
-
-    def test_einsum_batched_contractions(self):
-        q = parameter(rng(32).normal(size=(2, 3, 4)))
-        k = parameter(rng(33).normal(size=(2, 3, 4)))
-        labels = np.array([0, 1, 2, 0, 1, 2])
-
-        def loss():
-            alpha = causal_softmax(einsum("bid,bjd->bij", q, k))
-            out = merge_heads(einsum("bij,bjd->bid", alpha, k), 2)  # (6, 4)
-            return cross_entropy_mean(
-                softmax_rows(slice_cols(out, 0, 3)), labels, np.ones(6, bool)
-            )
-
-        _assert_grads_ok(loss, {"q": q, "k": k})
-
-    def test_split_and_merge_heads(self):
-        x = parameter(rng(34).normal(size=(6, 4)))  # B=2 sessions of 3 rows, 2 heads of 2
-        heads = split_heads(x, 2, 2)
-        assert heads.shape == (4, 3, 2)
-        # head h of session b holds columns 2h..2h+1 of that session's rows
-        assert np.array_equal(heads.data[1], x.data[0:3, 2:4])
-        assert np.array_equal(heads.data[2], x.data[3:6, 0:2])
-        assert np.array_equal(merge_heads(heads, 2).data, x.data)
-        _assert_grads_ok(
-            lambda: cross_entropy_mean(
-                softmax_rows(slice_cols(merge_heads(softmax_rows(split_heads(x, 2, 2)), 2), 0, 3)),
-                np.array([0, 1, 2, 0, 1, 2]),
-                np.ones(6, bool),
-            ),
-            {"x": x},
-        )
 
     def test_take_rows_scatter_add(self):
         table = parameter(rng(16).normal(size=(5, 3)))

@@ -465,6 +465,23 @@ class TestTrainCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("model,options", [
+        ("mlp", '{"epochs": "2"}'),
+        ("pmc", '{"smoothing": "1"}'),
+        ("mc", '{"leak": "yes"}'),
+    ], ids=["epochs", "smoothing", "leak"])
+    def test_wrongly_typed_config_value_rejected(self, cli_root, tmp_path, capsys, model, options):
+        config = tmp_path / "config.json"
+        config.write_text(options)
+        capsys.readouterr()
+        rc = cli_main(
+            ["train", "--data", str(cli_root / "data"), "--model", model,
+             "--out", str(tmp_path / "r"), "--config", str(config)]
+        )
+        assert rc == 2
+        key = next(iter(json.loads(options)))
+        assert f"{config}: config key {key!r} must be" in capsys.readouterr().err
+
     def test_missing_data_dir_is_data_error(self, tmp_path):
         rc = cli_main(
             ["train", "--data", str(tmp_path / "nope"), "--model", "mc",

@@ -1,5 +1,6 @@
 """Model construction, gradients, causality, training, and queue decisions."""
 
+import functools
 import logging
 import re
 import types
@@ -412,6 +413,161 @@ class TestFusedLSTM:
         # input product, 4 steps of (slice, state product, 2 adds, c, h),
         # concat, the head (2 dense layers, relu, softmax) and the reorder
         assert len(built) == 1 + 4 * 6 + 1 + 6 + 1
+
+
+def _split_heads(x, n_batch, n_heads):
+    """(B·L, H·hd) rows -> C-contiguous (B·H, L, hd) per-head stacks, one node."""
+    rows, width = x.data.shape
+    shape = (n_batch, rows // n_batch, n_heads, width // n_heads)
+
+    def backward(g):
+        nk.autodiff._accum(x, g.reshape(n_batch, n_heads, shape[1], shape[3])
+                           .transpose(0, 2, 1, 3).reshape(rows, width))
+
+    heads = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(-1, shape[1], shape[3])
+    return nk.autodiff._result(np.ascontiguousarray(heads), (x,), backward)
+
+
+def _merge_heads(x, n_batch):
+    """(B·H, L, hd) per-head stacks -> (B·L, H·hd) rows, one node."""
+    stacks, length, hd = x.data.shape
+    shape = (n_batch, stacks // n_batch, length, hd)
+
+    def backward(g):
+        nk.autodiff._accum(x, g.reshape(n_batch, length, shape[1], hd)
+                           .transpose(0, 2, 1, 3).reshape(stacks, length, hd))
+
+    rows = x.data.reshape(shape).transpose(0, 2, 1, 3).reshape(n_batch * length, -1)
+    return nk.autodiff._result(np.ascontiguousarray(rows), (x,), backward)
+
+
+def _einsum(spec, a, b):
+    """Two-operand non-optimized np.einsum as one node; each gradient is again one einsum."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+
+    def backward(g):
+        nk.autodiff._accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        nk.autodiff._accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
+
+    return nk.autodiff._result(np.einsum(spec, a.data, b.data), (a, b), backward)
+
+
+def _unfused_attention(qkv, n_batch, n_heads, causal):
+    """Attention as eleven graph nodes: three column slices, three head splits,
+    the scores einsum, its scale, the softmax, the weighted-sum einsum and the
+    head merge. Returns the merged rows and the weights."""
+    width = qkv.shape[1] // 3
+    q, k, v = (
+        _split_heads(nk.slice_cols(qkv, j * width, (j + 1) * width), n_batch, n_heads)
+        for j in range(3)
+    )
+    scores = nk.scale(_einsum("bid,bjd->bij", q, k), 1.0 / np.sqrt(width // n_heads))
+    alpha = (nk.causal_softmax if causal else nk.softmax_rows)(scores)
+    return _merge_heads(_einsum("bij,bjd->bid", alpha, v), n_batch), alpha.data
+
+
+ATTENTION_SHAPES = [
+    (causal, n_batch, n_heads)
+    for causal in (True, False)
+    for n_batch in (1, 3)
+    for n_heads in (1, 2)
+]
+ATTENTION_IDS = [
+    f"{'causal' if c else 'bidirectional'}-b{b}-h{h}" for c, b, h in ATTENTION_SHAPES
+]
+
+
+def _attention_loss(attend, qkv, n_batch, n_heads, causal):
+    """Cross-entropy of a fixed 3-way read-out of every attention output column."""
+    out = attend(qkv, n_batch, n_heads, causal)[0]
+    gen = rng(53)
+    logits = nk.matmul(out, nk.Tensor(gen.normal(size=(out.shape[1], 3))))
+    labels = gen.integers(0, 3, size=len(out.data))
+    return cross_entropy_mean(nk.softmax_rows(logits), labels, np.ones(len(labels), bool))
+
+
+class TestFusedAttention:
+    """nk.attention against the unfused eleven-node graph."""
+
+    @pytest.mark.parametrize("causal,n_batch,n_heads", ATTENTION_SHAPES, ids=ATTENTION_IDS)
+    def test_forward_matches_the_unfused_graph(self, causal, n_batch, n_heads):
+        gen = rng(50)
+        for length in (1, 7, 12):
+            qkv = nk.Tensor(gen.normal(size=(n_batch * length, 3 * n_heads * 4)) * 2.0)
+            out, alpha = nk.attention(qkv, n_batch, n_heads, causal)
+            ref_out, ref_alpha = _unfused_attention(qkv, n_batch, n_heads, causal)
+            assert alpha.shape == (n_batch * n_heads, length, length)
+            assert out.data.tobytes() == ref_out.data.tobytes()
+            assert alpha.tobytes() == ref_alpha.tobytes()
+
+    @pytest.mark.parametrize("n_batch,n_heads", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("n_new", [1, 2])
+    def test_decode_step_matches_the_full_rows(self, n_batch, n_heads, n_new):
+        width, length = n_heads * 4, 9
+        full = rng(51).normal(size=(n_batch, length, 3 * width)) * 2.0
+        ref_out, ref_alpha = _unfused_attention(
+            nk.Tensor(full.reshape(-1, 3 * width)), n_batch, n_heads, True
+        )
+        n_past = length - n_new
+        past = full[:, :n_past, width:]
+        new_rows = nk.Tensor(full[:, n_past:].reshape(-1, 3 * width))
+        out, alpha = nk.attention(new_rows, n_batch, n_heads, True, past)
+        expected = ref_out.data.reshape(n_batch, length, width)[:, n_past:]
+        assert out.data.tobytes() == expected.reshape(-1, width).tobytes()
+        assert alpha.tobytes() == ref_alpha[:, n_past:].tobytes()
+
+    @pytest.mark.parametrize("causal,n_batch,n_heads", ATTENTION_SHAPES, ids=ATTENTION_IDS)
+    def test_gradients_match_the_unfused_graph(self, causal, n_batch, n_heads):
+        qkv = nk.parameter(rng(52).normal(size=(n_batch * 6, 3 * n_heads * 4)))
+        grads = []
+        for attend in (nk.attention, _unfused_attention):
+            qkv.zero_grad()
+            _attention_loss(attend, qkv, n_batch, n_heads, causal).backward()
+            grads.append(qkv.grad.copy())
+        assert np.abs(grads[1]).max() > 0.0
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    @pytest.mark.parametrize("causal,n_past", [(True, 0), (False, 0), (True, 3)])
+    def test_gradients_match_finite_differences(self, causal, n_past):
+        full = rng(54).normal(size=(2, 5 + n_past, 3 * 2 * 3))
+        qkv = nk.parameter(full[:, n_past:].reshape(-1, 18))
+        attend = functools.partial(nk.attention, past=full[:, :n_past, 6:] if n_past else None)
+        err = grad_check(lambda: _attention_loss(attend, qkv, 2, 2, causal), {"qkv": qkv},
+                         max_entries_per_param=60)
+        assert err < 1e-6, f"max relative gradient error {err:.3e}"
+
+    @pytest.mark.parametrize(
+        "causal,nodes", [(True, 54), (False, 55)], ids=["transformer", "encoder"]
+    )
+    def test_a_forward_builds_one_node_per_attention_block(self, monkeypatch, causal, nodes):
+        kind = ModelKind.TRANSFORMER if causal else ModelKind.ENCODER
+        positional = "fixed" if causal else "learned"
+        config = tiny_transformer_config(
+            n_blocks=2, causal=causal, positional=positional, max_positions=16
+        )
+        model = make_model(kind, config, seed=3)
+        built = []
+        result = nk.autodiff._result
+
+        def counting_result(*args):
+            built.append(1)
+            return result(*args)
+
+        monkeypatch.setattr(nk.autodiff, "_result", counting_result)
+        model.forward(rng(56).normal(size=(40, INPUT_DIM)), (13, 13, 14))
+        # the embedding (3, and the encoder's position lookup); per block, 2
+        # norms (6), the qkv weights and product (2), a row gather and one
+        # attention node for each of the 2 length blocks and their concat (5),
+        # 3 dense layers (6), relu and 2 residual adds; the head (6) and the
+        # reorder
+        assert len(built) == nodes
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ConstraintViolation, match="attention"):
+            nk.attention(nk.Tensor(np.zeros((4, 10))), 1, 2, True)
+        with pytest.raises(ConstraintViolation, match=r"got \(2, 12\) and \(2, 3, 4\)"):
+            nk.attention(nk.Tensor(np.zeros((2, 12))), 2, 2, True, np.zeros((2, 3, 4)))
 
 
 # Decoding configurations: positions, blocks and heads of the transformer,
