@@ -268,7 +268,7 @@ def cmd_generate(args) -> int:
     if args.name:
         spec = synthgen.named_spec(args.name, args.n_sessions, args.seed)
     else:
-        spec = synthgen.spec_from_json(artifacts.read_json(args.spec))
+        spec = synthgen.spec_from_json(artifacts.read_json(args.spec), str(args.spec))
         if args.n_sessions is not None:
             spec = replace(spec, n_sessions=args.n_sessions)
         if args.seed is not None:

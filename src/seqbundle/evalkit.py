@@ -7,7 +7,8 @@ event has no history and is never scored. Expected-mode demand also needs
 next_probs_batch(prefixes) -> (B, 3) rows for event prefixes of any lengths.
 A predictor that keeps per-prefix state offers decoder() -> a callable with
 next_probs_batch's contract whose calls extend the prefixes of the call
-before; one rollout call owns one and drops it when it returns.
+before, a neural model's by one forward from the cached prefix states; one
+rollout call owns one and drops it when it returns.
 
 Rows depend on their prefix alone, so evaluation scores, checks and walks
 each distinct event sequence once, keyed on the events tuple (events are

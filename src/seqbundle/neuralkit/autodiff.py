@@ -418,7 +418,7 @@ def attention(
 
     ``qkv`` holds B sessions' Q rows each, session after session, as
     (B·Q, 3·H·hd) query, key and value columns. A session's keys and values
-    are its ``past`` rows, if any, then its own: ``past`` is a decode step's
+    are its ``past`` rows, if any, then its own: ``past`` is the sessions'
     cached (B, n, 2·H·hd) key/value prefix, and causal query i sees keys
     j <= n + i. Returns the merged (B·Q, H·hd) head outputs and the
     (B·H, Q, n + Q) weights.

@@ -9,13 +9,11 @@ bit for bit: row-wise layers run once over all R rows, and only attention (one
 ``nk.attention`` node per block of equal-length sessions) and the LSTM's
 recurrence see the segments.
 
-The causal models also decode: ``decode(rows, states)`` extends B prefixes by
-one row each from their cached states (the transformer's key/value rows per
-block, the LSTM's (h, c) per layer; ``initial_state()`` is the empty prefix)
-and returns the new rows' probabilities and the extended states. Forward and
-decode share one block function (transformer, whose decode step attends with
-the cached rows as ``nk.attention``'s past) or one cell step (LSTM), so a
-decoded row has the bits of the same row in a teacher-forced forward.
+With ``states``, one per session (``initial_state()`` is the empty prefix),
+a causal model's forward runs each session on from its cached prefix state
+and returns the extended states second: the transformer's key/value rows per
+block, the LSTM's (h, c) per layer. A KV-cached decode step is this forward
+on one row per session, with the bits of the same teacher-forced rows.
 
 All parameters are float64 and initialized uniformly in
 (-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
@@ -40,25 +38,29 @@ from .config import LSTMConfig, MLPConfig, ModelKind, TransformerConfig
 
 Lengths = Sequence[int] | np.ndarray | None
 Captured = list[np.ndarray] | None  # per session (n_blocks, n_heads, L, L) attention
-State = tuple  # one prefix's decode state; its layout is the model's own
+State = tuple  # one prefix's state; its layout is the model's own
+States = Sequence[State] | None
 
 
-def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Layout of packed sessions sorted longest first, ties in input order.
+def _segments(lengths: np.ndarray, past=None) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """Layout of packed sessions sorted longest first, then by longer ``past``
+    (cached rows before each session; default none), ties in input order.
 
     Returns ``order`` (sorted row i is input row order[i]), each sorted row's
-    0-based position in its session, and the blocks of equal-length sessions
-    as (their sorted rows, their sessions' input indices). Sorting permutes
-    the constant input, so it adds no graph node.
+    position in its session after its past, and the blocks of sessions of
+    equal length and past as (their sorted rows, their sessions' input
+    indices). Sorting permutes the constant input, so it adds no graph node.
     """
-    by_length = np.argsort(-lengths, kind="stable")
-    sorted_lengths = lengths[by_length]
+    past = np.zeros_like(lengths) if past is None else past
+    by_length = np.lexsort((-past, -lengths))
+    sorted_lengths, sorted_past = lengths[by_length], past[by_length]
     sorted_starts = np.cumsum(sorted_lengths) - sorted_lengths
     positions = np.arange(lengths.sum()) - np.repeat(sorted_starts, sorted_lengths)
     order = np.repeat((np.cumsum(lengths) - lengths)[by_length], sorted_lengths) + positions
-    negated, counts = np.unique(-sorted_lengths, return_counts=True)  # longest first
-    block_rows = np.split(np.arange(order.size), np.cumsum(-negated * counts)[:-1])
-    return order, positions, list(zip(block_rows, np.split(by_length, np.cumsum(counts)[:-1])))
+    cuts = np.flatnonzero(np.diff(sorted_lengths) | np.diff(sorted_past)) + 1
+    block_rows = np.split(np.arange(order.size), sorted_starts[cuts])
+    positions += np.repeat(sorted_past, sorted_lengths)
+    return order, positions, list(zip(block_rows, np.split(by_length, cuts)))
 
 
 def _uniform(rng: np.random.Generator | None, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -109,16 +111,15 @@ class SequenceModel:
             for name, start, shape in self.layout
         }
 
-    def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, Captured]:
+    def forward(
+        self, rows: np.ndarray, lengths: Lengths = None, states: States = None
+    ) -> tuple[nk.Tensor, Captured | list[State]]:
+        """(R, 3) probabilities of the packed rows and, with ``states``, each
+        session's extended state (else the captured weights or None)."""
         raise NotImplementedError
 
     def initial_state(self) -> State:
-        """Decode state of the empty prefix, before any row."""
-        raise NotImplementedError
-
-    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
-        """(B, 3) probabilities of B new rows, row b extending the prefix whose
-        state is ``states[b]`` (all of one length), and the extended states."""
+        """State of the empty prefix, before any row."""
         raise NotImplementedError
 
     def zero_grads(self) -> None:
@@ -134,13 +135,14 @@ class SequenceModel:
     def n_parameters(self) -> int:
         return self.flat.size
 
-    def _check_rows(self, rows, input_dim: int, lengths: Lengths) -> tuple[np.ndarray, np.ndarray]:
+    def _check_rows(self, rows, lengths: Lengths, states: States) -> tuple[np.ndarray, np.ndarray]:
         """``rows`` as an (R, input_dim) array and the session lengths, which
-        must be positive and sum to R; the default is one session."""
+        must be positive and sum to R (the default is one session), with one
+        state per session if ``states`` are given."""
         arr = np.asarray(rows, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != input_dim:
+        if arr.ndim != 2 or arr.shape[1] != self.config.input_dim:
             raise ConstraintViolation(
-                f"expected (n_rows, {input_dim}) feature rows, got {np.shape(rows)}"
+                f"expected (n_rows, {self.config.input_dim}) feature rows, got {np.shape(rows)}"
             )
         lens = np.asarray([len(arr)] if lengths is None else lengths, dtype=np.int64)
         if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != len(arr):
@@ -148,14 +150,9 @@ class SequenceModel:
                 f"session lengths {lens.tolist()} must be positive and sum to the "
                 f"{len(arr)} feature rows"
             )
+        if states is not None and len(states) != lens.size:
+            raise ConstraintViolation(f"{len(states)} prefix states for {lens.size} sessions")
         return arr, lens
-
-    def _check_step(self, rows, input_dim: int, states: Sequence[State]) -> np.ndarray:
-        """``rows`` as a (B, input_dim) array with one row per decode state."""
-        arr = self._check_rows(rows, input_dim, None)[0]
-        if len(arr) != len(states):
-            raise ConstraintViolation(f"{len(arr)} decode rows for {len(states)} prefix states")
-        return arr
 
 
 class MLPModel(SequenceModel):
@@ -177,19 +174,17 @@ class MLPModel(SequenceModel):
         self._add_param("head/b", np.zeros(config.n_classes))
         self._pack_params(rng)
 
-    def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
-        x = nk.Tensor(self._check_rows(rows, self.config.input_dim, lengths)[0])
+    def forward(
+        self, rows: np.ndarray, lengths: Lengths = None, states: States = None
+    ) -> tuple[nk.Tensor, list[State] | None]:
+        """Rows carry all of the MLP's context, so its states stay empty."""
+        x = nk.Tensor(self._check_rows(rows, lengths, states)[0])
         for i in range(self.config.n_layers):
             x = nk.relu(self._dense(x, f"layer{i}"))
-        probs = nk.softmax_rows(self._dense(x, "head"))
-        return probs, None
+        return nk.softmax_rows(self._dense(x, "head")), None if states is None else list(states)
 
     def initial_state(self) -> State:
         return ()
-
-    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
-        """Rows carry all of the MLP's context, so the states stay empty."""
-        return self.forward(self._check_step(rows, self.config.input_dim, states))[0], list(states)
 
 
 class LSTMModel(SequenceModel):
@@ -213,38 +208,48 @@ class LSTMModel(SequenceModel):
         self._add_param("head/b2", np.zeros(config.n_classes))
         self._pack_params(rng)
 
-    def forward(self, rows: np.ndarray, lengths: Lengths = None) -> tuple[nk.Tensor, None]:
+    def forward(
+        self, rows: np.ndarray, lengths: Lengths = None, states: States = None
+    ) -> tuple[nk.Tensor, list[State] | None]:
         """Runs layer by layer over the sessions sorted longest first; step t
         runs the sessions still live, which are the first ones (as PyTorch's
         pack_padded_sequence does). Rows travel step-major, so each layer's
         input projection is one matmul over all of them, whose padded calls give
-        every row the bits of a per-step product."""
-        arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
-        order, positions, _ = _segments(lens)
+        every row the bits of a per-step product. Each layer starts from zero
+        (h, c) or from the sessions' ``states``; a session's final (h, c) are
+        the rows dropped at the step where it ends, or the last live rows."""
+        arr, lens = self._check_rows(rows, lengths, states)
+        order, positions, blocks = _segments(lens)
+        ids = np.concatenate([batch for _, batch in blocks]).tolist()  # sessions, sorted
         step_major = order[np.argsort(positions, kind="stable")]
         live = np.bincount(positions).tolist()  # sessions live at each step
         starts = (np.cumsum(live) - live).tolist()
         zeros = nk.Tensor(np.zeros((lens.size, self.config.hidden_dim)))
+        finals: list[list[np.ndarray]] = []  # per layer, the sorted sessions' final (h, c)
         x = nk.Tensor(arr[step_major])
         for layer in range(self.config.n_layers):
-            projected = nk.matmul(x, self.params[f"l{layer}/wx"])
+            wx, wh, bias = (self.params[f"l{layer}/{name}"] for name in ("wx", "wh", "b"))
+            projected = nk.matmul(x, wx)
             h = c = zeros
+            if states is not None:
+                h, c = (nk.Tensor(np.stack([states[b][layer][k] for b in ids])) for k in (0, 1))
             outputs: list[nk.Tensor] = []
+            ended: list[tuple[np.ndarray, np.ndarray]] = []  # shortest sessions first
             for start, n in zip(starts, live):
                 if n < h.shape[0]:  # the shortest live sessions ended
+                    ended.append((h.data[n:], c.data[n:]))
                     h, c = nk.slice_rows(h, 0, n), nk.slice_rows(c, 0, n)
-                h, c = self._step(layer, nk.slice_rows(projected, start, start + n), h, c)
+                xw = nk.slice_rows(projected, start, start + n)
+                h, c = nk.lstm_cell(nk.add(nk.add(xw, nk.matmul(h, wh)), bias), c)
                 outputs.append(h)
+            if states is not None:  # the longest sessions end at the last step
+                ends = zip(*ended, (h.data, c.data))
+                finals.append([np.concatenate(part[::-1]) for part in ends])
             x = nk.concat_rows(outputs)
-        return nk.take_rows(self._head(x), np.argsort(step_major)), None
-
-    def _step(
-        self, layer: int, xw: nk.Tensor, h: nk.Tensor, c: nk.Tensor
-    ) -> tuple[nk.Tensor, nk.Tensor]:
-        """(h, c) after one step of ``layer`` from its input product xw = x @ wx:
-        the one cell step of forward and decode."""
-        wh, b = self.params[f"l{layer}/wh"], self.params[f"l{layer}/b"]
-        return nk.lstm_cell(nk.add(nk.add(xw, nk.matmul(h, wh)), b), c)
+        probs = nk.take_rows(self._head(x), np.argsort(step_major))
+        return probs, None if states is None else [
+            tuple((h[k], c[k]) for h, c in finals) for k in np.argsort(ids)
+        ]
 
     def _head(self, x: nk.Tensor) -> nk.Tensor:
         hidden = nk.relu(self._dense(x, "head", "1"))
@@ -254,18 +259,6 @@ class LSTMModel(SequenceModel):
         """Per layer, the zero (h, c) that every session starts from."""
         zeros = np.zeros(self.config.hidden_dim)
         return tuple((zeros, zeros) for _ in range(self.config.n_layers))
-
-    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
-        """One step of every layer for each prefix; a state is (h, c) per layer."""
-        x = nk.Tensor(self._check_step(rows, self.config.input_dim, states))
-        carried = []
-        for layer in range(self.config.n_layers):
-            h, c = (nk.Tensor(np.stack([state[layer][k] for state in states])) for k in (0, 1))
-            x, c = self._step(layer, nk.matmul(x, self.params[f"l{layer}/wx"]), h, c)
-            carried.append((x.data, c.data))
-        return self._head(x), [
-            tuple((h[b], c[b]) for h, c in carried) for b in range(len(states))
-        ]
 
 
 class TransformerModel(SequenceModel):
@@ -331,78 +324,66 @@ class TransformerModel(SequenceModel):
     def _embed(self, rows: np.ndarray, positions: np.ndarray) -> nk.Tensor:
         return nk.add(self._dense(nk.Tensor(rows), "embed"), self._positions(positions))
 
-    def _block(self, i: int, x: nk.Tensor, attend) -> nk.Tensor:
-        """Block i over the rows x, the one block function of forward and
-        decode: pre-norm attention, whose mixing across rows is
-        ``attend(i, qkv)`` on the (R, 3·H·hd) query/key/value rows, then the
-        pre-norm feed-forward."""
-        w_qkv = nk.concat_cols([
-            self.params[f"block{i}/head{head}/{proj}"]
-            for proj in ("wq", "wk", "wv")
-            for head in range(self.config.n_heads)
-        ])
-        qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), w_qkv)
-        x = nk.add(x, self._dense(attend(i, qkv), f"block{i}/attn_out"))
-        hidden = nk.relu(self._dense(self._norm(x, f"block{i}/ln2"), f"block{i}/ff", "1"))
-        return nk.add(x, self._dense(hidden, f"block{i}/ff", "2"))
-
     def _head(self, x: nk.Tensor) -> nk.Tensor:
         return nk.softmax_rows(self._dense(self._norm(x, "final_ln"), "head"))
 
     def forward(
-        self, rows: np.ndarray, lengths: Lengths = None, capture_attention: bool = False
-    ) -> tuple[nk.Tensor, Captured]:
+        self, rows: np.ndarray, lengths: Lengths = None, states: States = None,
+        capture_attention: bool = False,
+    ) -> tuple[nk.Tensor, Captured | list[State]]:
         """Row-wise layers run once over the rows sorted by session length;
-        attention runs once per block of equal-length sessions, whose weights
-        ``capture_attention`` returns per session, in input order."""
-        arr, lens = self._check_rows(rows, self.config.input_dim, lengths)
-        order, positions, blocks = _segments(lens)
-        stack = (self.config.n_blocks, self.config.n_heads)
+        attention runs once per block of sessions of equal length and equal
+        past, whose weights ``capture_attention`` returns per session, in
+        input order. Each block is pre-norm attention, then the pre-norm
+        feed-forward. A state holds, per block, the (n, 2·H·hd) key/value
+        rows of its prefix's n rows: the session's rows sit at positions n
+        onwards and attend to them as ``nk.attention``'s past."""
+        if states is not None and (capture_attention or not self.config.causal):
+            raise ConstraintViolation(
+                "prefix states run the causal transformer, without attention capture"
+            )
+        arr, lens = self._check_rows(rows, lengths, states)
+        past = None if states is None else np.array([len(state[0]) for state in states])
+        order, positions, blocks = _segments(lens, past)
+        n_heads = self.config.n_heads
+        stack = (self.config.n_blocks, n_heads)
         captured = [np.empty((*stack, n, n)) for n in lens.tolist()] if capture_attention else None
-
-        def attend(i: int, qkv: nk.Tensor) -> nk.Tensor:
+        extended: list[list[np.ndarray]] = [[] for _ in states or ()]  # per session
+        width = 2 * n_heads * self.config.head_dim  # of a key/value row
+        x = self._embed(arr[order], positions)
+        for i in range(stack[0]):
+            w_qkv = nk.concat_cols([
+                self.params[f"block{i}/head{head}/{proj}"]
+                for proj in ("wq", "wk", "wv")
+                for head in range(n_heads)
+            ])
+            qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), w_qkv)
             merged = []
             for block_rows, batch in blocks:
                 block = qkv if len(blocks) == 1 else nk.take_rows(qkv, block_rows)
-                heads, alpha = nk.attention(block, batch.size, stack[1], self.config.causal)
+                cached = None
+                if states is not None:
+                    cached = np.stack([states[b][i] for b in batch])
+                    own = block.data[:, -width:].reshape(batch.size, -1, width)
+                    for b, kv in zip(batch.tolist(), np.concatenate([cached, own], axis=1)):
+                        extended[b].append(kv)
+                heads, alpha = nk.attention(block, batch.size, n_heads, self.config.causal, cached)
                 if captured is not None:
-                    per_session = alpha.reshape(batch.size, stack[1], *alpha.shape[1:])
+                    per_session = alpha.reshape(batch.size, n_heads, *alpha.shape[1:])
                     for index, weights in zip(batch.tolist(), per_session):
                         captured[index][i] = weights
                 merged.append(heads)
-            return merged[0] if len(merged) == 1 else nk.concat_rows(merged)
-
-        x = self._embed(arr[order], positions)
-        for i in range(self.config.n_blocks):
-            x = self._block(i, x, attend)
-        return nk.take_rows(self._head(x), np.argsort(order)), captured
+            mixed = merged[0] if len(merged) == 1 else nk.concat_rows(merged)
+            x = nk.add(x, self._dense(mixed, f"block{i}/attn_out"))
+            hidden = nk.relu(self._dense(self._norm(x, f"block{i}/ln2"), f"block{i}/ff", "1"))
+            x = nk.add(x, self._dense(hidden, f"block{i}/ff", "2"))
+        probs = nk.take_rows(self._head(x), np.argsort(order))
+        return probs, captured if states is None else [tuple(kv) for kv in extended]
 
     def initial_state(self) -> State:
         """Per block, the empty (0, 2·H·hd) key/value rows."""
         width = 2 * self.config.n_heads * self.config.head_dim
         return tuple(np.empty((0, width)) for _ in range(self.config.n_blocks))
-
-    def decode(self, rows: np.ndarray, states: Sequence[State]) -> tuple[nk.Tensor, list[State]]:
-        """The new row of each prefix attends to its cached key/value rows and
-        its own; a state holds, per block, the (n, 2·H·hd) key/value rows of
-        the prefix's n rows, so the new row sits at position n."""
-        if not self.config.causal:
-            raise ConstraintViolation("the bidirectional encoder cannot decode: it has no prefix state")
-        arr = self._check_step(rows, self.config.input_dim, states)
-        if len({len(state[0]) for state in states}) > 1:
-            raise ConstraintViolation("decode steps prefixes of one length at a time")
-        n_batch, width = len(arr), self.config.n_heads * self.config.head_dim
-        extended: list[np.ndarray] = []
-
-        def attend(i: int, qkv: nk.Tensor) -> nk.Tensor:
-            past = np.stack([state[i] for state in states])
-            extended.append(np.concatenate([past, qkv.data[:, None, width:]], axis=1))
-            return nk.attention(qkv, n_batch, self.config.n_heads, True, past)[0]
-
-        x = self._embed(arr, np.full(n_batch, len(states[0][0])))
-        for i in range(self.config.n_blocks):
-            x = self._block(i, x, attend)
-        return self._head(x), [tuple(kv[b] for kv in extended) for b in range(n_batch)]
 
 
 def make_model(kind: ModelKind, config, seed: int | None = 0) -> SequenceModel:

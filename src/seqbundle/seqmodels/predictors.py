@@ -1,5 +1,7 @@
-"""Session-level prediction, prefix decoding and attention capture on a
-trained model and feature pipeline."""
+"""Session-level prediction, next-event queries and attention capture on a
+trained model and feature pipeline. A next-event query runs its prefix's row
+on from the parent prefix's cached state through the model's one forward
+(PrefixDecoder); ``feasibility_mask`` masks every returned row by one rule."""
 
 from __future__ import annotations
 
@@ -82,9 +84,9 @@ class NeuralPredictor:
         else:
             probs = self._last_rows([m[:j] for m in matrices for j in range(1, len(m) + 1)])
         out = np.split(probs, np.cumsum([len(m) for m in matrices])[:-1])
-        if self.feasibility_mask:
+        if self.feasibility_mask:  # row 0 is never scored
             for session, rows in zip(sessions, out):
-                self._apply_feasibility(session, rows)
+                self._mask(rows[1:], self._walk(session.events)[1:-1])
         return out
 
     def _forward(self, matrices: Sequence[np.ndarray], **options) -> tuple[np.ndarray, list]:
@@ -113,13 +115,15 @@ class NeuralPredictor:
         last = self._forward(inputs)[0][np.cumsum([len(m) for m in inputs]) - 1]
         return last[[slot[key] for key in keys]]
 
-    def _apply_feasibility(self, session: Session, probs: np.ndarray) -> None:
-        """Put the scored rows where a replay is impossible through
-        domain.feasible_rows, in place. Rows that keep REPLAY are left as they
-        are, so their bits do not change; row 0 is never scored."""
-        steps = walk(session.events, len(self.pipeline.playlist), self.cap)
-        closed = [j for j in range(1, len(session.events)) if not steps[j][2][_REPLAY]]
-        probs[closed] = feasible_rows(probs[closed], [False] * len(closed))
+    def _walk(self, events: Sequence[Event]) -> list:
+        return walk(events, len(self.pipeline.playlist), self.cap)
+
+    def _mask(self, rows: np.ndarray, steps: Sequence) -> None:
+        """The feasibility mask, in place: rows[i], the row for the event after
+        walk step steps[i], goes through domain.feasible_rows where that step
+        closes REPLAY. Rows that keep REPLAY keep their bits."""
+        closed = [i for i, step in enumerate(steps) if not step[2][_REPLAY]]
+        rows[closed] = feasible_rows(rows[closed], [False] * len(closed))
 
     def attention_for_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
         """Each session's (n_blocks, n_heads, L, L) attention weights from packed causal passes."""
@@ -190,17 +194,17 @@ class NeuralPredictor:
 
 
 class PrefixDecoder:
-    """Next-event rows of event prefixes, each decoded as one row that extends
-    its parent prefix's model state.
+    """Next-event rows of event prefixes, each one row run on from its parent
+    prefix's cached model state.
 
     The states sit on a trie keyed by prefix: node P holds the state after the
-    rows of FeaturePipeline.prefix_matrix(P) and P's query row, the last of
-    them. A call decodes each distinct prefix asked for from its parent's
-    node, first decoding the parents it lacks the same way, and then keeps
-    only the nodes it was asked for: the live frontier of lockstep rollouts or
-    of an iterated query, whose next call extends them by one event. So
-    rollout step k costs one row per live distinct prefix, and a fresh decoder
-    (next_probs_batch) decodes every prefix from the root. The bidirectional
+    rows of FeaturePipeline.prefix_matrix(P), whose last is P's query row. A
+    call runs the distinct prefixes asked for in one forward from their
+    parents' nodes, first running the parents it lacks the same way, and keeps
+    only the nodes asked for: the live frontier of lockstep rollouts or of an
+    iterated query, which the next call extends by one event. So rollout step
+    k costs one row per live distinct prefix, and a fresh decoder
+    (next_probs_batch) runs every prefix from the root. The bidirectional
     encoder has no prefix state: it runs prediction mode over the distinct
     prefixes on every call.
     """
@@ -215,15 +219,19 @@ class PrefixDecoder:
         slots: dict[tuple[Event, ...], int] = {}
         index = [slots.setdefault(tuple(events), len(slots)) for events in prefixes]
         predictor = self._predictor
-        if not predictor.is_causal:
-            return predictor._last_rows([predictor.pipeline.prefix_matrix(k) for k in slots])[index]
-        with nk.no_grad():
-            nodes = self._decode(list(slots))
-        self._nodes = dict(zip(slots, nodes))
-        return np.stack([row for _, row in nodes])[index]
+        if predictor.is_causal:
+            with nk.no_grad():
+                nodes = self._decode(list(slots))
+            self._nodes = dict(zip(slots, nodes))
+            rows = np.stack([row for _, row in nodes])
+        else:
+            rows = predictor._last_rows([predictor.pipeline.prefix_matrix(k) for k in slots])
+        if predictor.feasibility_mask:
+            predictor._mask(rows, [predictor._walk(k)[-1] for k in slots])
+        return rows[index]
 
     def _decode(self, keys: list[tuple[Event, ...]]) -> list[tuple[State, np.ndarray]]:
-        """The nodes of distinct prefixes, one decoded row each."""
+        """The nodes of distinct prefixes, one row each from one forward."""
         model = self._predictor.model
         parents = [self._nodes.get(k[:-1]) if k else (model.initial_state(),) for k in keys]
         lacking = list(dict.fromkeys(k[:-1] for k, node in zip(keys, parents) if node is None))
@@ -231,10 +239,5 @@ class PrefixDecoder:
             found = dict(zip(lacking, self._decode(lacking)))
             parents = [node or found[k[:-1]] for k, node in zip(keys, parents)]
         rows = np.stack([self._predictor.pipeline.prefix_matrix(k)[-1] for k in keys])
-        nodes: list = [None] * len(keys)
-        for length in sorted(set(map(len, keys))):  # decode steps one length at a time
-            group = [i for i, k in enumerate(keys) if len(k) == length]
-            probs, states = model.decode(rows[group], [parents[i][0] for i in group])
-            for i, state, row in zip(group, states, probs.data):
-                nodes[i] = (state, row)
-        return nodes
+        probs, states = model.forward(rows, [1] * len(keys), [node[0] for node in parents])
+        return list(zip(states, probs.data))

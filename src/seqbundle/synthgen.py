@@ -16,10 +16,11 @@ ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import read_field
 from .baselines import fit_markov
 from .dataio import Dataset, dataset_from_sessions
 from .domain import (
@@ -479,45 +480,56 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     }
 
 
-def _int_field(obj: dict, key: str, default: int | None = None) -> int:
-    value = obj[key] if default is None else obj.get(key, default)
+def _integer(value) -> int:
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
-    raise SchemaError(f"bad generator spec: {key} must be an integer, got {value!r}")
+    raise TypeError(f"must be an integer, got {value!r}")
 
 
-def spec_from_json(obj: dict) -> GeneratorSpec:
+def _items(value) -> Iterable:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value.items()
+
+
+def _markov1(raw) -> dict:
+    return {Outcome(prev): tuple(map(float, row)) for prev, row in _items(raw)}
+
+
+def _order2_key(key: str) -> tuple[Outcome | None, Outcome]:
+    a, b = key.split(",")
+    return None if a == "none" else Outcome(a), Outcome(b)
+
+
+_TRANSITIONS = {
+    "markov1": _markov1,
+    "markov_pos": lambda raw: {int(pos): _markov1(rows) for pos, rows in _items(raw)},
+    "order2": lambda raw: {_order2_key(k): tuple(map(float, row)) for k, row in _items(raw)},
+}
+
+
+def spec_from_json(obj: dict, path: str = "generator spec") -> GeneratorSpec:
+    """The spec a JSON object read from ``path`` describes. A missing or wrongly
+    typed field is a SchemaError naming ``path`` and the field; a value the
+    spec refuses is a ConstraintViolation naming ``path``."""
+
+    def read(name: str, convert, *default):
+        return default[0] if default and name not in obj else read_field(path, obj, name, convert)
+
+    kind = read("kind", str)
+    if kind not in _TRANSITIONS:
+        raise SchemaError(f"{path}: field 'kind': unknown generator kind {kind!r}")
     try:
-        kind = obj["kind"]
-        raw = obj["transitions"]
-        if kind == "markov1":
-            transitions: dict = {
-                Outcome(prev): tuple(row) for prev, row in raw.items()
-            }
-        elif kind == "markov_pos":
-            transitions = {
-                int(pos): {Outcome(prev): tuple(row) for prev, row in rows.items()}
-                for pos, rows in raw.items()
-            }
-        elif kind == "order2":
-            transitions = {}
-            for key, row in raw.items():
-                a, b = key.split(",")
-                prev2 = None if a == "none" else Outcome(a)
-                transitions[(prev2, Outcome(b))] = tuple(row)
-        else:
-            raise SchemaError(f"unknown generator kind {kind!r}")
-        durations = obj.get("durations")
         return GeneratorSpec(
             kind=kind,
-            n_sessions=_int_field(obj, "n_sessions"),
-            seed=_int_field(obj, "seed"),
-            transitions=transitions,
-            playlist_id=str(obj.get("playlist_id", "synthetic")),
-            n_tracks=_int_field(obj, "n_tracks", 13),
-            durations=tuple(float(d) for d in durations) if durations else None,
-            cap=_int_field(obj, "cap", DEFAULT_CAP),
-            initial_play_prob=float(obj.get("initial_play_prob", 0.65)),
+            n_sessions=read("n_sessions", _integer),
+            seed=read("seed", _integer),
+            transitions=read("transitions", _TRANSITIONS[kind]),
+            playlist_id=read("playlist_id", str, "synthetic"),
+            n_tracks=read("n_tracks", _integer, 13),
+            durations=read("durations", lambda d: tuple(map(float, d)) if d else None, None),
+            cap=read("cap", _integer, DEFAULT_CAP),
+            initial_play_prob=read("initial_play_prob", float, 0.65),
         )
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"bad generator spec: {exc}") from None
+    except ConstraintViolation as exc:
+        raise ConstraintViolation(f"{path}: {exc}") from None

@@ -401,13 +401,13 @@ class TestRollouts:
         full_forward = FullForwardQueries(predictor)
         reference = rollout_sessions(full_forward, playlist, first_row, uniforms)
         decoded = []
-        decode = predictor.model.decode
+        forward = predictor.model.forward
 
-        def counting_decode(rows, states):
+        def counting_forward(rows, lengths=None, states=None):
             decoded.append(len(rows))
-            return decode(rows, states)
+            return forward(rows, lengths, states)
 
-        monkeypatch.setattr(predictor.model, "decode", counting_decode)
+        monkeypatch.setattr(predictor.model, "forward", counting_forward)
         decoders = []
         make_decoder = predictor.decoder
 
@@ -684,7 +684,7 @@ PREFIX_OUTCOMES = [
 ]
 
 
-def _prefix_rule_predictor(family, include_duration):
+def _prefix_rule_predictor(family, include_duration, feasibility_mask=False):
     playlist = make_playlist(5)
     sessions = [make_session(o, sid=f"q{i}") for i, o in enumerate(PREFIX_OUTCOMES)]
     if family in ("mc", "pmc"):
@@ -703,22 +703,28 @@ def _prefix_rule_predictor(family, include_duration):
             **transformer, causal=False, positional="learned", max_positions=16)),
     }[family]
     pipeline = FeaturePipeline(playlist=playlist, config=config).fit(sessions)
-    predictor = NeuralPredictor(model=make_model(kind, model_config, seed=2), pipeline=pipeline)
+    predictor = NeuralPredictor(
+        model=make_model(kind, model_config, seed=2), pipeline=pipeline,
+        feasibility_mask=feasibility_mask,
+    )
     return predictor, sessions
 
 
 class TestPrefixRule:
     """Row j of every family is a function of events[:j] alone: the scored row
-    and the next-event query for the same prefix are the same bytes."""
+    and the next-event query for the same prefix are the same bytes, with the
+    feasibility mask too."""
 
     @pytest.mark.parametrize(
-        "family,include_duration",
-        [(f, False) for f in ("mc", "pmc", "zero")]
-        + [(f, d) for f in ("mlp", "lstm", "transformer", "encoder") for d in (False, True)],
-        ids=lambda v: {False: "plain", True: "duration"}.get(v, v),
+        "family,variant",
+        [(f, "plain") for f in ("mc", "pmc", "zero")]
+        + [(f, v) for f in ("mlp", "lstm", "transformer", "encoder")
+           for v in ("plain", "duration", "masked")],
     )
-    def test_scored_row_is_the_query_row_of_its_prefix(self, family, include_duration):
-        predictor, sessions = _prefix_rule_predictor(family, include_duration)
+    def test_scored_row_is_the_query_row_of_its_prefix(self, family, variant):
+        predictor, sessions = _prefix_rule_predictor(
+            family, variant == "duration", feasibility_mask=variant == "masked"
+        )
         for session, rows in zip(sessions, predictor.predict_sessions(sessions)):
             for j in range(1, len(session.events)):
                 query = predictor.next_probs_batch([session.events[:j]])[0]

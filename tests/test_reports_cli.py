@@ -41,6 +41,7 @@ from seqbundle.synthgen import (
     GeneratorSpec,
     frequent_pattern_spec,
     generate,
+    named_spec,
     second_order_spec,
     spec_from_json,
     spec_to_json,
@@ -388,6 +389,22 @@ class TestGenerateCommand:
         assert rc == 0
         lines = (tmp_path / "d" / "sessions.jsonl").read_text().splitlines()
         assert len(lines) == 12
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("frequent_pattern", "initial_play_prob", None),
+        ("frequent_pattern", "transitions", [1, 2]),
+        ("position_shift", "transitions", {"2": [0.5, 0.5, 0.0]}),
+        ("frequent_pattern", "transitions", {"skip": ["a", 0.5, 0.0]}),
+    ], ids=["null-probability", "list-rows", "list-position", "string-probability"])
+    def test_wrongly_typed_spec_field_names_the_file_and_field(
+        self, tmp_path, capsys, name, key, value
+    ):
+        spec = spec_to_json(named_spec(name, n_sessions=12))
+        spec[key] = value
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        rc = cli_main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert f"error: {spec_path}: field {key!r}: " in capsys.readouterr().err
 
     def test_session_count_override(self, tmp_path):
         rc = cli_main(

@@ -589,12 +589,19 @@ DECODE_IDS = [
 ] + ["lstm-l1", "lstm-l2"]
 
 
+def _state_bytes(state) -> bytes:
+    """A prefix state's arrays as bytes, in order."""
+    if isinstance(state, np.ndarray):
+        return state.tobytes()
+    return b"|".join(map(_state_bytes, state))
+
+
 class TestDecode:
-    """A decoded row extends its prefix's state by one row and has the bits of
-    the same row of the teacher-forced forward."""
+    """A forward from cached prefix states extends each session's state by its
+    rows, which have the bits of the same rows of a teacher-forced forward."""
 
     @pytest.mark.parametrize("kind,config", DECODE_FAMILIES, ids=DECODE_IDS)
-    def test_decode_matches_the_teacher_forced_forward(self, kind, config):
+    def test_one_row_steps_match_the_teacher_forced_forward(self, kind, config):
         model = make_model(kind, config, seed=11)
         gen = rng(47)
         lengths = list(range(1, 17))
@@ -604,32 +611,61 @@ class TestDecode:
             states = [model.initial_state()] * len(sessions)
             for t in range(max(lengths)):
                 live = [b for b, n in enumerate(lengths) if n > t]  # lockstep, longest last
-                probs, extended = model.decode(
-                    np.stack([sessions[b][t] for b in live]), [states[b] for b in live]
+                probs, extended = model.forward(
+                    np.stack([sessions[b][t] for b in live]), [1] * len(live),
+                    [states[b] for b in live],
                 )
                 for b, row, state in zip(live, probs.data, extended):
                     assert row.tobytes() == forwards[b][t].tobytes(), (lengths[b], t)
                     states[b] = state
 
-    def test_mlp_decodes_each_row_alone(self):
+    @pytest.mark.parametrize("kind,config", DECODE_FAMILIES, ids=DECODE_IDS)
+    def test_chunks_from_mixed_pasts_match_the_teacher_forced_forward(self, kind, config):
+        model = make_model(kind, config, seed=12)
+        gen = rng(49)
+        lengths = [16, 1, 5, 9, 2, 16, 7, 3, 12, 9]
+        sessions = [gen.normal(size=(n, INPUT_DIM)) for n in lengths]
+        with nk.no_grad():
+            forwards = [model.forward(rows)[0].data for rows in sessions]
+            whole = model.forward(np.concatenate(sessions), lengths,
+                                  [model.initial_state()] * len(sessions))[1]
+            states = [model.initial_state()] * len(sessions)
+            done = [0] * len(sessions)
+            while live := [b for b, n in enumerate(lengths) if done[b] < n]:
+                # each live session runs on by 1-3 rows from its own past, in one call
+                chunks = [min(lengths[b] - done[b], int(gen.integers(1, 4))) for b in live]
+                spans = [slice(done[b], done[b] + n) for b, n in zip(live, chunks)]
+                rows = np.concatenate([sessions[b][span] for b, span in zip(live, spans)])
+                probs, extended = model.forward(rows, chunks, [states[b] for b in live])
+                parts = np.split(probs.data, np.cumsum(chunks)[:-1])
+                for b, span, part, state in zip(live, spans, parts, extended):
+                    assert part.tobytes() == forwards[b][span].tobytes(), (b, span)
+                    states[b], done[b] = state, span.stop
+        assert list(map(_state_bytes, states)) == list(map(_state_bytes, whole))
+
+    def test_mlp_states_stay_empty(self):
         model = make_model(*FAMILIES[0], seed=11)
         rows = rng(48).normal(size=(4, INPUT_DIM))
-        probs, states = model.decode(rows, [model.initial_state()] * 4)
+        probs, states = model.forward(rows, [1] * 4, [model.initial_state()] * 4)
         assert probs.data.tobytes() == model.forward(rows)[0].data.tobytes()
         assert states == [()] * 4
 
-    def test_encoder_cannot_decode(self):
+    def test_encoder_has_no_prefix_state(self):
         model = make_model(*FAMILIES[3], seed=11)
-        with pytest.raises(ConstraintViolation, match="cannot decode"):
-            model.decode(np.zeros((1, INPUT_DIM)), [model.initial_state()])
+        with pytest.raises(ConstraintViolation, match="prefix states run the causal transformer"):
+            model.forward(np.zeros((1, INPUT_DIM)), None, [model.initial_state()])
 
-    def test_one_row_per_state_of_one_length(self):
+    def test_capture_runs_without_states(self):
         model = make_model(*FAMILIES[2], seed=11)
-        with pytest.raises(ConstraintViolation, match="2 decode rows for 1 prefix states"):
-            model.decode(np.zeros((2, INPUT_DIM)), [model.initial_state()])
-        _, (longer,) = model.decode(np.zeros((1, INPUT_DIM)), [model.initial_state()])
-        with pytest.raises(ConstraintViolation, match="one length"):
-            model.decode(np.zeros((2, INPUT_DIM)), [model.initial_state(), longer])
+        with pytest.raises(ConstraintViolation, match="without attention capture"):
+            model.forward(np.zeros((1, INPUT_DIM)), None, [model.initial_state()],
+                          capture_attention=True)
+
+    @pytest.mark.parametrize("kind,config", FAMILIES[:3], ids=FAMILY_IDS[:3])
+    def test_one_state_per_session(self, kind, config):
+        model = make_model(kind, config, seed=11)
+        with pytest.raises(ConstraintViolation, match="1 prefix states for 2 sessions"):
+            model.forward(np.zeros((2, INPUT_DIM)), [1, 1], [model.initial_state()])
 
 
 class TestCausality:
@@ -1323,13 +1359,13 @@ class TestPrefixSharing:
     def test_a_decoder_extends_its_frontier_by_one_row(self, kind, config, monkeypatch):
         predictor, sessions = self.build(kind, config)
         decoded = []
-        decode = predictor.model.decode
+        forward = predictor.model.forward
 
-        def counting_decode(rows, states):
+        def counting_forward(rows, lengths=None, states=None):
             decoded.append(len(rows))
-            return decode(rows, states)
+            return forward(rows, lengths, states)
 
-        monkeypatch.setattr(predictor.model, "decode", counting_decode)
+        monkeypatch.setattr(predictor.model, "forward", counting_forward)
         decoder = predictor.decoder()
         events = sessions[7].events  # seven events
         first = decoder([events[:2], events[:2], sessions[4].events[:2]])
@@ -1344,20 +1380,40 @@ class TestPrefixSharing:
         decoder([sessions[4].events[:2]])  # a dropped branch decodes from the root
         assert decoded == [1, 1, 1]
 
+    @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
+    def test_prefixes_of_two_lengths_share_one_forward(self, kind, config, monkeypatch):
+        predictor, sessions = self.build(kind, config)
+        events = sessions[7].events
+        decoder = predictor.decoder()
+        decoder([events[:1], events[:2]])  # keeps both nodes
+        calls = []
+        forward = predictor.model.forward
+
+        def recording_forward(rows, lengths=None, states=None):
+            calls.append(len(rows))
+            return forward(rows, lengths, states)
+
+        monkeypatch.setattr(predictor.model, "forward", recording_forward)
+        rows = decoder([events[:2], events[:3]])
+        monkeypatch.undo()
+        assert calls == [2]  # one row on each kept node, in one forward
+        for row, n in zip(rows, (2, 3)):
+            assert row.tobytes() == predictor.next_probs(events[:n]).tobytes()
+
     @pytest.mark.parametrize("kind,config", FAMILIES[:3], ids=FAMILY_IDS[:3])
     def test_queue_next_decodes_one_row_per_skip(self, kind, config, monkeypatch):
         predictor, _ = self.build(kind, config)
         events = make_session(["play", "replay"]).events
         decoded = []
-        decode = predictor.model.decode
+        forward = predictor.model.forward
 
-        def skipping_decode(rows, states):
-            probs, extended = decode(rows, states)
+        def skipping_forward(rows, lengths=None, states=None):
+            probs, extended = forward(rows, lengths, states)
             probs.data[:] = (0.8, 0.1, 0.1)  # every query predicts SKIP
             decoded.append(len(rows))
             return probs, extended
 
-        monkeypatch.setattr(predictor.model, "decode", skipping_decode)
+        monkeypatch.setattr(predictor.model, "forward", skipping_forward)
         decision = predictor.queue_next(events)
         assert decision.track_offset is None  # skipped tracks 2..5, then ran out
         assert decision.predicted == (Outcome.SKIP,) * 5

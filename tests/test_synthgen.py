@@ -375,7 +375,8 @@ class TestNamedSpecs:
     def test_integer_fields_are_refused_not_truncated(self, field, value):
         obj = spec_to_json(named_spec("second_order", n_sessions=25))
         obj[field] = value
-        with pytest.raises(SchemaError, match=f"{field} must be an integer, got {value!r}"):
+        match = f"field '{field}': must be an integer, got {value!r}"
+        with pytest.raises(SchemaError, match=match):
             spec_from_json(obj)
 
     def test_integral_floats_are_read_as_integers(self):
