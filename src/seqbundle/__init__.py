@@ -5,7 +5,7 @@ The package is organized bottom-up:
   domain     outcomes, sessions, and the play-count state machine
   dataio     file formats, splits, feature pipelines, prompt export
   baselines  first-order Markov and zero-order count models
-  neuralkit  float64 reverse-mode autodiff, Adam, gradient checking
+  neuralkit  float32 reverse-mode autodiff, Adam, gradient checking
   seqmodels  MLP / LSTM / transformer sequence models and training
   attention  attention-weight algebra and content-free baselines
   evalkit    hit rates, confusion, demand rates, summaries

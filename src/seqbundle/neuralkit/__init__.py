@@ -1,13 +1,16 @@
 """Minimal numeric stack for the sequence models.
 
-Reverse-mode differentiation over a fixed set of float64 numpy kernels, an
-in-place Adam optimizer over flat vectors, a finite-difference gradient
-checker, and a flat binary checkpoint format. The finite-difference path
-never touches the autodiff backward machinery, so the two gradient routes
-stay independent.
+Reverse-mode differentiation over a fixed set of numpy kernels, an in-place
+Adam optimizer over flat vectors, a finite-difference gradient checker, and a
+flat binary checkpoint format. Model compute has one precision, FLOAT
+(float32): parameters, activations, gradients, Adam's moments and the
+checkpoint's data. Only the finite-difference check runs in float64, on
+float64 copies of the parameters. Its numeric route never touches the
+autodiff backward machinery, so the two gradient routes stay independent.
 """
 
 from .autodiff import (
+    FLOAT,
     Tensor,
     add,
     attention,
@@ -40,6 +43,7 @@ from .optim import AdamConfig, AdamState, NonFiniteGradient, adam_step
 __all__ = [
     "AdamConfig",
     "AdamState",
+    "FLOAT",
     "NonFiniteGradient",
     "Tensor",
     "adam_step",

@@ -1,7 +1,11 @@
-"""Reverse-mode autodiff over a fixed set of float64 numpy kernels.
+"""Reverse-mode autodiff over a fixed set of numpy kernels.
 
-Every value is a Tensor wrapping a float64 ndarray; ops build a graph of
-parent links plus a backward closure. 2-D products run through BLAS on a
+Every value is a Tensor wrapping a floating-point ndarray; ops build a graph
+of parent links plus a backward closure. Tensor(data) keeps a floating dtype
+(anything else becomes float64), and ops take their dtype from their operands
+and never introduce a wider one: a model's graph runs in FLOAT, the dtype of
+its parameters, while grad_check's graphs run in float64 because their
+parameters are float64 copies. 2-D products run through BLAS on a
 multiple of MATMUL_PAD rows, the tail zero-padded; attention's 3-D per-head
 products go through non-optimized np.einsum; the causal softmax uses
 cumulative sums/maxima. So each output row is computed
@@ -38,6 +42,7 @@ too), so a NaN in a weight reaches the loss or the row check.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -49,6 +54,9 @@ PROB_FLOOR = 1e-12
 LAYER_NORM_EPS = 1e-12
 # matmul's forward makes each BLAS call on a multiple of this many rows.
 MATMUL_PAD = 8
+# The one precision of model parameters, activations, gradients, Adam state
+# and checkpoints.
+FLOAT = np.dtype(np.float32)
 
 _grad_enabled = True
 
@@ -76,7 +84,9 @@ class Tensor:
         backward_fn: Callable[[np.ndarray], None] | None = None,
         name: str = "",
     ) -> None:
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype.kind != "f":
+            arr = arr.astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError(
                 f"non-finite values in tensor {name or '<unnamed>'} "
@@ -163,7 +173,7 @@ def _result(
 
 
 def parameter(data: np.ndarray, name: str = "") -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True, name=name)
+    return Tensor(np.array(data, copy=True), requires_grad=True, name=name)
 
 
 def parameter_view(data: np.ndarray, name: str) -> Tensor:
@@ -235,10 +245,10 @@ def _padded_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     rows = x.shape[0]
     full = rows - rows % MATMUL_PAD
-    out = np.empty((rows, w.shape[1]))
+    out = np.empty((rows, w.shape[1]), dtype=np.result_type(x, w))
     np.matmul(x[:full], w, out=out[:full])
     if full < rows:
-        tail = np.zeros((MATMUL_PAD, x.shape[1]))
+        tail = np.zeros((MATMUL_PAD, x.shape[1]), dtype=x.dtype)
         tail[: rows - full] = x[full:]
         out[full:] = (tail @ w)[: rows - full]
     return out
@@ -342,8 +352,8 @@ def lstm_cell(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
 def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalize each row to mean 0, variance 1 (affine rescale is separate).
 
-    eps sits inside the square root; 1e-12 keeps the output variance within
-    1e-9 of 1 for any non-degenerate row.
+    eps sits inside the square root; 1e-12 keeps a float64 row's output
+    variance within 1e-9 of 1 for any non-degenerate row.
     """
     if x.data.ndim != 2:
         raise ConstraintViolation(f"layer_norm expects 2-D input, got {x.data.shape}")
@@ -456,7 +466,7 @@ def attention(
 
     q = stacks(qkv.data[:, :width])
     k, v = stacks(keys_values[:, :width]), stacks(keys_values[:, width:])
-    factor = 1.0 / np.sqrt(hd)
+    factor = 1.0 / math.sqrt(hd)  # a Python float: it keeps the operands' dtype
     scores = np.einsum("bid,bjd->bij", q, k) * factor
     alpha = _causal_probs(scores, n_past) if causal else _softmax(scores)
 
@@ -550,7 +560,8 @@ def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 def cross_entropy_mean(
     probs: Tensor, labels: np.ndarray, mask: np.ndarray
 ) -> Tensor:
-    """Mean of -log p(label) over masked rows, probabilities clamped at 1e-12."""
+    """Mean of -log p(label) over masked rows, probabilities clamped at 1e-12,
+    as a scalar of the probabilities' dtype."""
     lab = np.asarray(labels, dtype=np.int64)
     msk = np.asarray(mask, dtype=bool)
     n_rows = probs.data.shape[0]
@@ -564,7 +575,7 @@ def cross_entropy_mean(
     rows = np.arange(n_rows)
     picked = probs.data[rows, lab]
     clamped = np.maximum(picked, PROB_FLOOR)
-    loss = float(-(np.log(clamped) * msk).sum() / n_scored)
+    loss = -(np.log(clamped) * msk).sum() / n_scored
 
     def backward(g: np.ndarray) -> None:
         grad = np.zeros_like(probs.data)

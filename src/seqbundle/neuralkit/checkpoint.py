@@ -1,7 +1,8 @@
-"""Flat binary checkpoints: a flat parameter vector as one .bin of little-endian
-float64 data, plus a JSON manifest of its layout: the (name, start, shape) of
-each array, in sorted-name order and without gaps, as name, shape, byte offset
-and size."""
+"""Flat binary checkpoints: a flat parameter vector of dtype FLOAT as one .bin
+of little-endian float32 data, plus a JSON manifest of its layout: the (name,
+start, shape) of each array, in sorted-name order and without gaps, as name,
+shape, byte offset and size. The manifest's format tag names the dtype; a
+bundle of any other format, float64 ones included, is refused."""
 
 from __future__ import annotations
 
@@ -14,8 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SchemaError
+from .autodiff import FLOAT
 
-FORMAT_TAG = "flat-float64-v1"
+FORMAT_TAG = "flat-float32-v1"
+FILE_DTYPE = FLOAT.newbyteorder("<")
 ENTRY_KEYS = ("name", "shape", "offset", "size")
 Layout = Sequence[tuple[str, int, tuple[int, ...]]]
 
@@ -25,8 +28,8 @@ def _paths(stem: str | Path) -> tuple[Path, Path]:
 
 
 def _entries(layout: Layout) -> list[dict]:
-    return [{"name": name, "shape": list(shape), "offset": 8 * start, "size": int(np.prod(shape))}
-            for name, start, shape in layout]
+    return [{"name": name, "shape": list(shape), "offset": FILE_DTYPE.itemsize * start,
+             "size": int(np.prod(shape))} for name, start, shape in layout]
 
 
 def name_at(layout: Layout, offset: int) -> str:
@@ -37,15 +40,16 @@ def name_at(layout: Layout, offset: int) -> str:
 def save_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
     """Write <stem>.bin, ``flat`` in one write, and its manifest <stem>.json."""
     bin_path, manifest_path = _paths(stem)
-    bin_path.write_bytes(np.ascontiguousarray(flat, dtype="<f8").data)
+    bin_path.write_bytes(np.ascontiguousarray(flat, dtype=FILE_DTYPE).data)
     manifest = {"format": FORMAT_TAG, "byte_order": "little", "arrays": _entries(layout)}
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8")
 
 
 def load_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
-    """Read <stem>.bin into ``flat`` in one read. <stem>.json must describe
-    exactly ``layout`` and <stem>.bin be exactly ``flat.nbytes`` long, or a
-    SchemaError names the file; after one, ``flat`` may hold part of the file."""
+    """Read <stem>.bin into ``flat``, a FLOAT vector, in one read. <stem>.json
+    must carry FORMAT_TAG and describe exactly ``layout``, and <stem>.bin be
+    exactly ``flat.nbytes`` long, or a SchemaError names the file; after one,
+    ``flat`` may hold part of the file."""
     bin_path, manifest_path = _paths(stem)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -54,7 +58,9 @@ def load_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
         raise SchemaError(f"{manifest_path}: not valid JSON ({exc})") from None
     tag = manifest.get("format") if isinstance(manifest, dict) else None
     if tag != FORMAT_TAG:
-        raise SchemaError(f"{manifest_path}: unknown checkpoint format {tag!r}")
+        raise SchemaError(
+            f"{manifest_path}: checkpoint format {tag!r}; this version reads {FORMAT_TAG!r} only"
+        )
     entries = manifest.get("arrays")
     if not isinstance(entries, list) or not all(
         isinstance(entry, dict) and set(ENTRY_KEYS) <= entry.keys() for entry in entries
@@ -64,8 +70,8 @@ def load_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
         if got is None or {key: got[key] for key in ENTRY_KEYS} != want:
             raise SchemaError(f"{manifest_path}: array entry {i} is {got}, the model needs {want}")
     size = bin_path.stat().st_size
-    if size < flat.nbytes:  # the array holding entry size // 8 is cut short
-        name = name_at(layout, size // 8)
+    if size < flat.nbytes:  # the array holding the entry at byte ``size`` is cut short
+        name = name_at(layout, size // FILE_DTYPE.itemsize)
         raise SchemaError(f"{bin_path}: array {name!r} runs past end of file at byte {size}")
     with open(bin_path, "rb") as fh:
         if size > flat.nbytes or fh.readinto(flat) != size:

@@ -5,12 +5,12 @@ Update rule per parameter entry, at step t (1-based):
     v <- b2*v + (1-b2)*g^2        vhat = v / (1 - b2^t)
     p <- p - lr * mhat / (sqrt(vhat) + eps)
 
-Parameters, gradients and both moments are each one contiguous float64
-vector (a model keeps every parameter in one, see SequenceModel.flat). The
-update runs over ADAM_CHUNK-element chunks through two reused work buffers,
-so a step allocates no float temporary of the parameters' size. Each entry
-sees the operations of the rule above in the same order, so the bits are
-those of the whole-array expressions.
+Parameters, gradients and both moments are each one contiguous vector of the
+parameters' dtype, FLOAT for a model (which keeps every parameter in one, see
+SequenceModel.flat). The update runs over ADAM_CHUNK-element chunks through
+two reused work buffers of that dtype, so a step allocates no float temporary
+of the parameters' size. Each entry sees the operations of the rule above in
+the same order, so the bits are those of the whole-array expressions.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     t = state.step_count
     bias1 = 1.0 - cfg.beta1**t
     bias2 = 1.0 - cfg.beta2**t
-    work = np.empty(min(ADAM_CHUNK, params.size))
+    work = np.empty(min(ADAM_CHUNK, params.size), dtype=params.dtype)
     update = np.empty_like(work)
     for start in range(0, params.size, ADAM_CHUNK):
         part = slice(start, start + ADAM_CHUNK)

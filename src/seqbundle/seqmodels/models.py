@@ -15,14 +15,17 @@ and returns the extended states second: the transformer's key/value rows per
 block, the LSTM's (h, c) per layer. A KV-cached decode step is this forward
 on one row per session, with the bits of the same teacher-forced rows.
 
-All parameters are float64 and initialized uniformly in
-(-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, biases at zero,
-norm gains at one, so construction is fully deterministic; a model built to
-be loaded (``seed=None``) draws nothing and leaves its weights unwritten for
-``nk.load_checkpoint``. A model keeps its parameters in one contiguous
-vector, ``flat``, in sorted-name order (its ``layout``, the checkpoint's);
-each ``params[name].data`` is a reshaped view into it, which training
-updates in place.
+A model keeps its parameters in one contiguous vector, ``flat``, of dtype
+``nk.FLOAT`` (float32), in sorted-name order (its ``layout``, the
+checkpoint's); each ``params[name].data`` is a reshaped view into it, which
+training updates in place. Weights are drawn in float64, uniformly in
+(-1/sqrt(fan_in), +1/sqrt(fan_in)) from a seeded generator, and rounded on
+their copy into ``flat``; biases start at zero and norm gains at one, so
+construction is fully deterministic. A model built to be loaded
+(``seed=None``) draws nothing and leaves its weights unwritten for
+``nk.load_checkpoint``. The model's dtype is ``flat``'s: the forward casts
+its feature rows to it and builds its zero states, position table and
+``initial_state()`` in it, so the whole graph runs in one precision.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class SequenceModel:
 
     def __init__(self) -> None:
         self.params: dict[str, nk.Tensor] = {}
-        self.flat = np.empty(0)
+        self.flat = np.empty(0, dtype=nk.FLOAT)
         self.layout: list[tuple[str, int, tuple[int, ...]]] = []
         self._initial: dict[str, np.ndarray] = {}
 
@@ -97,7 +100,7 @@ class SequenceModel:
         for name in sorted(initial):
             self.layout.append((name, offset, initial[name].shape))
             offset += initial[name].size
-        self.flat = np.empty(offset)
+        self.flat = np.empty(offset, dtype=nk.FLOAT)
         for name, view in self.views(self.flat).items():
             if rng is not None:
                 view[...] = initial[name]
@@ -139,7 +142,7 @@ class SequenceModel:
         """``rows`` as an (R, input_dim) array and the session lengths, which
         must be positive and sum to R (the default is one session), with one
         state per session if ``states`` are given."""
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = np.asarray(rows, dtype=self.flat.dtype)
         if arr.ndim != 2 or arr.shape[1] != self.config.input_dim:
             raise ConstraintViolation(
                 f"expected (n_rows, {self.config.input_dim}) feature rows, got {np.shape(rows)}"
@@ -224,7 +227,7 @@ class LSTMModel(SequenceModel):
         step_major = order[np.argsort(positions, kind="stable")]
         live = np.bincount(positions).tolist()  # sessions live at each step
         starts = (np.cumsum(live) - live).tolist()
-        zeros = nk.Tensor(np.zeros((lens.size, self.config.hidden_dim)))
+        zeros = nk.Tensor(np.zeros((lens.size, self.config.hidden_dim), self.flat.dtype))
         finals: list[list[np.ndarray]] = []  # per layer, the sorted sessions' final (h, c)
         x = nk.Tensor(arr[step_major])
         for layer in range(self.config.n_layers):
@@ -257,7 +260,7 @@ class LSTMModel(SequenceModel):
 
     def initial_state(self) -> State:
         """Per layer, the zero (h, c) that every session starts from."""
-        zeros = np.zeros(self.config.hidden_dim)
+        zeros = np.zeros(self.config.hidden_dim, self.flat.dtype)
         return tuple((zeros, zeros) for _ in range(self.config.n_layers))
 
 
@@ -301,7 +304,7 @@ class TransformerModel(SequenceModel):
         self._add_param("head/w", _uniform(rng, d, (d, config.n_classes)))
         self._add_param("head/b", np.zeros(config.n_classes))
         self._pack_params(rng)
-        self._fixed_table = np.empty((0, d))  # fixed encodings, grown on demand
+        self._fixed_table = np.empty((0, d), self.flat.dtype)  # fixed encodings, grown on demand
 
     def _norm(self, x: nk.Tensor, prefix: str) -> nk.Tensor:
         gain, bias = self.params[f"{prefix}/gain"], self.params[f"{prefix}/bias"]
@@ -312,7 +315,8 @@ class TransformerModel(SequenceModel):
         n = int(positions.max()) + 1
         if self.config.positional == "fixed":
             if n > len(self._fixed_table):  # each row is computed on its own
-                self._fixed_table = nk.positional_encoding_matrix(n, self.config.embed_dim)
+                table = nk.positional_encoding_matrix(n, self.config.embed_dim)
+                self._fixed_table = table.astype(self.flat.dtype)
             return nk.Tensor(self._fixed_table[positions])
         if n > self.config.max_positions:
             raise ConstraintViolation(
@@ -347,7 +351,10 @@ class TransformerModel(SequenceModel):
         order, positions, blocks = _segments(lens, past)
         n_heads = self.config.n_heads
         stack = (self.config.n_blocks, n_heads)
-        captured = [np.empty((*stack, n, n)) for n in lens.tolist()] if capture_attention else None
+        captured = (
+            [np.empty((*stack, n, n), self.flat.dtype) for n in lens.tolist()]
+            if capture_attention else None
+        )
         extended: list[list[np.ndarray]] = [[] for _ in states or ()]  # per session
         width = 2 * n_heads * self.config.head_dim  # of a key/value row
         x = self._embed(arr[order], positions)
@@ -383,7 +390,7 @@ class TransformerModel(SequenceModel):
     def initial_state(self) -> State:
         """Per block, the empty (0, 2·H·hd) key/value rows."""
         width = 2 * self.config.n_heads * self.config.head_dim
-        return tuple(np.empty((0, width)) for _ in range(self.config.n_blocks))
+        return tuple(np.empty((0, width), self.flat.dtype) for _ in range(self.config.n_blocks))
 
 
 def make_model(kind: ModelKind, config, seed: int | None = 0) -> SequenceModel:

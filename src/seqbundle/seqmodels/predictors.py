@@ -1,7 +1,11 @@
 """Session-level prediction, next-event queries and attention capture on a
 trained model and feature pipeline. A next-event query runs its prefix's row
 on from the parent prefix's cached state through the model's one forward
-(PrefixDecoder); ``feasibility_mask`` masks every returned row by one rule."""
+(PrefixDecoder); ``feasibility_mask`` masks every returned row by one rule.
+
+Models compute in float32; every row returned here, probabilities and
+attention weights alike, is float64, renormalized by ``_float64_rows`` so it
+sums to 1 within domain.ROW_SUM_TOL."""
 
 from __future__ import annotations
 
@@ -31,6 +35,15 @@ _REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 # encoder's prediction mode packs every distinct prefix, up to about L/2 times
 # a session's rows.
 PACKED_ROWS = 1024
+
+
+def _float64_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` (any shape, rows along the last axis) in float64, each divided
+    by its float64 sum. The sum runs left to right (a cumulative sum), so
+    trailing exact zeros, as a causal weight row has beyond its query, leave
+    it unchanged: each row depends on its own entries alone, bit for bit."""
+    wide = rows.astype(np.float64)
+    return wide / np.cumsum(wide, axis=-1)[..., -1:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +115,10 @@ class NeuralPredictor:
                 self.model.forward(np.concatenate(matrices[a:b]), lengths[a:b], **options)
                 for a, b in zip(ends, ends[1:])
             ]
-        probs = np.concatenate([p.data for p, _ in results])
-        return probs, [weights for _, captured in results if captured for weights in captured]
+        probs = _float64_rows(np.concatenate([p.data for p, _ in results]))
+        return probs, [
+            _float64_rows(weights) for _, captured in results if captured for weights in captured
+        ]
 
     def _last_rows(self, matrices: Sequence[np.ndarray]) -> np.ndarray:
         """(B, 3): the last probability row of each matrix, from one packed
@@ -199,12 +214,12 @@ class PrefixDecoder:
 
     The states sit on a trie keyed by prefix: node P holds the state after the
     rows of FeaturePipeline.prefix_matrix(P), whose last is P's query row. A
-    call runs the distinct prefixes asked for in one forward from their
-    parents' nodes, first running the parents it lacks the same way, and keeps
-    only the nodes asked for: the live frontier of lockstep rollouts or of an
-    iterated query, which the next call extends by one event. So rollout step
-    k costs one row per live distinct prefix, and a fresh decoder
-    (next_probs_batch) runs every prefix from the root. The bidirectional
+    call runs each distinct prefix it asks for from its parent's node, first
+    running each missing ancestor once the same way, and keeps only the nodes
+    asked for: the live frontier of lockstep rollouts or of an iterated query,
+    which the next call extends by one event. So rollout step k costs one row
+    per live distinct prefix, and a fresh decoder (next_probs_batch) runs each
+    distinct prefix of its queries once, from the root. The bidirectional
     encoder has no prefix state: it runs prediction mode over the distinct
     prefixes on every call.
     """
@@ -231,13 +246,28 @@ class PrefixDecoder:
         return rows[index]
 
     def _decode(self, keys: list[tuple[Event, ...]]) -> list[tuple[State, np.ndarray]]:
-        """The nodes of distinct prefixes, one row each from one forward."""
-        model = self._predictor.model
-        parents = [self._nodes.get(k[:-1]) if k else (model.initial_state(),) for k in keys]
-        lacking = list(dict.fromkeys(k[:-1] for k, node in zip(keys, parents) if node is None))
-        if lacking:
-            found = dict(zip(lacking, self._decode(lacking)))
-            parents = [node or found[k[:-1]] for k, node in zip(keys, parents)]
-        rows = np.stack([self._predictor.pipeline.prefix_matrix(k)[-1] for k in keys])
-        probs, states = model.forward(rows, [1] * len(keys), [node[0] for node in parents])
-        return list(zip(states, probs.data))
+        """The nodes of distinct prefixes, each run once from its parent's
+        node: a kept node, the root's initial state, or a missing ancestor
+        that runs first. Prefixes run in waves, one forward each: wave 0 runs
+        from kept nodes and the root, wave w + 1 from wave w."""
+        model, pipeline, kept = self._predictor.model, self._predictor.pipeline, self._nodes
+        waves: dict[tuple[Event, ...], int] = {}
+        for key in keys:
+            chain = [key]  # key, then its ancestors up to one that runs from a node
+            while chain[-1] and chain[-1][:-1] not in kept and chain[-1][:-1] not in waves:
+                chain.append(chain[-1][:-1])
+            top = chain[-1]
+            base = waves[top[:-1]] + 1 if top and top[:-1] not in kept else 0
+            for depth, prefix in enumerate(reversed(chain)):
+                waves.setdefault(prefix, base + depth)
+        nodes: dict[tuple[Event, ...], tuple[State, np.ndarray]] = {}
+        for wave in range(max(waves.values()) + 1):
+            level = [prefix for prefix, w in waves.items() if w == wave]
+            states = [
+                (kept.get(p[:-1]) or nodes[p[:-1]])[0] if p else model.initial_state()
+                for p in level
+            ]
+            rows = np.stack([pipeline.prefix_matrix(p)[-1] for p in level])
+            probs, extended = model.forward(rows, [1] * len(level), states)
+            nodes.update(zip(level, zip(extended, _float64_rows(probs.data))))
+        return [nodes[key] for key in keys]

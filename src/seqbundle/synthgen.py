@@ -486,6 +486,19 @@ def _integer(value) -> int:
     raise TypeError(f"must be an integer, got {value!r}")
 
 
+def _string(value) -> str:
+    if type(value) is str:
+        return value
+    raise TypeError(f"must be a string, got {value!r}")
+
+
+def _durations(value) -> tuple[float, ...] | None:
+    """A list of durations; null, or an empty list, leaves the defaults."""
+    if value is None or type(value) is list:
+        return tuple(map(float, value or ())) or None
+    raise TypeError(f"must be a list of durations or null, got {value!r}")
+
+
 def _items(value) -> Iterable:
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {type(value).__name__}")
@@ -525,9 +538,9 @@ def spec_from_json(obj: dict, path: str = "generator spec") -> GeneratorSpec:
             n_sessions=read("n_sessions", _integer),
             seed=read("seed", _integer),
             transitions=read("transitions", _TRANSITIONS[kind]),
-            playlist_id=read("playlist_id", str, "synthetic"),
+            playlist_id=read("playlist_id", _string, "synthetic"),
             n_tracks=read("n_tracks", _integer, 13),
-            durations=read("durations", lambda d: tuple(map(float, d)) if d else None, None),
+            durations=read("durations", _durations, None),
             cap=read("cap", _integer, DEFAULT_CAP),
             initial_play_prob=read("initial_play_prob", float, 0.65),
         )

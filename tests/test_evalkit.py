@@ -38,6 +38,7 @@ from seqbundle.evalkit import (
     summary_to_jsonable,
 )
 from seqbundle import neuralkit as nk
+from seqbundle.seqmodels import predictors
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
 from seqbundle.seqmodels import (
     LSTMConfig,
@@ -124,9 +125,9 @@ class FullForwardQueries:
         self.queries.append(list(prefixes))
         model, pipeline = self.predictor.model, self.predictor.pipeline
         with nk.no_grad():
-            return np.stack(
+            return predictors._float64_rows(np.stack(
                 [model.forward(pipeline.prefix_matrix(events))[0].data[-1] for events in prefixes]
-            )
+            ))
 
 
 class TestScalarMetrics:

@@ -12,6 +12,7 @@ from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
 from seqbundle.neuralkit import optim
 from seqbundle.neuralkit.checkpoint import ENTRY_KEYS
 from seqbundle.neuralkit import (
+    FLOAT,
     AdamConfig,
     AdamState,
     NonFiniteGradient,
@@ -328,23 +329,30 @@ PRODUCTION_SHAPES = [
 
 def _tile_product(x, w, tile=64):
     """x @ w with one BLAS call per 64-row tile, the last one zero-padded:
-    every call has one shape, so each row's bits are those of its own tile."""
-    out = np.empty((len(x), w.shape[1]))
+    every call has one shape, so each row's bits are those of its own tile.
+    Computed in the operands' dtype."""
+    out = np.empty((len(x), w.shape[1]), x.dtype)
     for start in range(0, len(x), tile):
-        block = np.zeros((tile, x.shape[1]))
+        block = np.zeros((tile, x.shape[1]), x.dtype)
         block[: len(x) - start] = x[start : start + tile]
         out[start : start + tile] = (block @ w)[: len(x) - start]
     return out
 
 
+def _normal(seed, size):
+    """Standard normal draws in the models' dtype."""
+    return rng(seed).normal(size=size).astype(FLOAT)
+
+
 class TestMatmulTiles:
     """matmul's forward gives every row the bits of a 64-row-tile product, so a
-    row's bits depend neither on the rows beside it nor on its place."""
+    row's bits depend neither on the rows beside it nor on its place. The
+    row-stability checks run in the models' dtype, FLOAT."""
 
     @pytest.mark.parametrize("k,n", PRODUCTION_SHAPES)
     def test_every_row_count_matches_the_tile_product(self, k, n):
-        x = rng(k).normal(size=(1100, k))
-        w = rng(n).normal(size=(k, n))
+        x = _normal(k, (1100, k))
+        w = _normal(n, (k, n))
         # a GEMM row reads no other row, so the first m rows of the tile
         # product are the tile product of x[:m]
         reference = _tile_product(x, w)
@@ -354,8 +362,8 @@ class TestMatmulTiles:
 
     @pytest.mark.parametrize("width", [3, 256])
     def test_prefix_rows_are_bit_identical(self, width):
-        x = rng(40).normal(size=(200, 32))
-        w = rng(41).normal(size=(32, width))
+        x = _normal(40, (200, 32))
+        w = _normal(41, (32, width))
         full = matmul(Tensor(x), Tensor(w)).data
         for k in range(1, 201):
             assert matmul(Tensor(x[:k]), Tensor(w)).data.tobytes() == full[:k].tobytes()
@@ -364,18 +372,18 @@ class TestMatmulTiles:
     def test_stacked_sessions_match_each_alone(self, width):
         # 16 sessions of 13 rows: most straddle the 8-row multiples of a call
         length = 13
-        x = rng(42).normal(size=(16 * length, 32))
-        w = rng(43).normal(size=(32, width))
+        x = _normal(42, (16 * length, 32))
+        w = _normal(43, (32, width))
         stacked = matmul(Tensor(x), Tensor(w)).data
         for b in range(16):
             rows = slice(b * length, (b + 1) * length)
             assert matmul(Tensor(x[rows]), Tensor(w)).data.tobytes() == stacked[rows].tobytes()
 
     def test_single_row(self):
-        x = rng(44).normal(size=(70, 16))
-        w = rng(45).normal(size=(16, 5))
+        x = _normal(44, (70, 16))
+        w = _normal(45, (16, 5))
         one = matmul(Tensor(x[5:6]), Tensor(w)).data
-        assert one.shape == (1, 5)
+        assert one.shape == (1, 5) and one.dtype == FLOAT
         assert one.tobytes() == matmul(Tensor(x), Tensor(w)).data[5:6].tobytes()
 
     def test_backward_products_match_finite_differences(self):
@@ -393,7 +401,8 @@ class TestMatmulTiles:
     @pytest.mark.parametrize("width", [3, 2048])
     def test_agrees_with_einsum(self, width):
         # the padded calls differ from the einsum route by rounding only: each
-        # entry stays within 1e-12 of it, relative to |x| @ |w|
+        # entry stays within 1e-12 of it, relative to |x| @ |w|, in float64
+        # (matmul takes its operands' dtype)
         x = rng(48).normal(size=(208, 256))
         w = rng(49).normal(size=(256, width))
         padded = matmul(Tensor(x), Tensor(w)).data
@@ -631,12 +640,13 @@ class TestAdam:
 
 
 def _packed(arrays):
-    """``arrays`` as one flat vector and its layout, in sorted-name order."""
+    """``arrays`` as one flat FLOAT vector and its layout, in sorted-name order."""
     layout, start = [], 0
     for name in sorted(arrays):
         layout.append((name, start, np.shape(arrays[name])))
         start += np.size(arrays[name])
-    return np.concatenate([np.ravel(arrays[name]) for name in sorted(arrays)]), layout
+    flat = np.concatenate([np.ravel(arrays[name]) for name in sorted(arrays)])
+    return flat.astype(FLOAT), layout
 
 
 class TestCheckpoint:
@@ -646,7 +656,7 @@ class TestCheckpoint:
         return flat, layout
 
     def load(self, tmp_path, layout):
-        flat = np.empty(sum(math.prod(shape) for _, _, shape in layout))
+        flat = np.empty(sum(math.prod(shape) for _, _, shape in layout), FLOAT)
         load_checkpoint(tmp_path / "ck", flat, layout)
         return flat
 
@@ -662,26 +672,37 @@ class TestCheckpoint:
 
     def test_files_are_the_vector_and_its_layout(self, tmp_path):
         flat, layout = self.save(tmp_path, {"w": rng(33).normal(size=(2, 3)), "b": np.ones(2)})
-        assert (tmp_path / "ck.bin").read_bytes() == flat.astype("<f8").tobytes()
+        assert (tmp_path / "ck.bin").read_bytes() == flat.astype("<f4").tobytes()
         assert json.loads((tmp_path / "ck.json").read_text()) == {
-            "format": "flat-float64-v1",
+            "format": "flat-float32-v1",
             "byte_order": "little",
             "arrays": [
                 {"name": "b", "shape": [2], "offset": 0, "size": 2},
-                {"name": "w", "shape": [2, 3], "offset": 16, "size": 6},
+                {"name": "w", "shape": [2, 3], "offset": 8, "size": 6},
             ],
         }
+
+    def test_a_float64_checkpoint_is_refused(self, tmp_path):
+        # the layout of the format before float32: 8-byte entries
+        flat, layout = self.save(tmp_path, {"w": rng(34).normal(size=(2, 3))})
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        manifest["format"] = "flat-float64-v1"
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        (tmp_path / "ck.bin").write_bytes(flat.astype("<f8").tobytes())
+        message = f"{tmp_path / 'ck.json'}: checkpoint format 'flat-float64-v1'"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            self.load(tmp_path, layout)
 
     def test_unknown_format_tag_rejected(self, tmp_path):
         _, layout = self.save(tmp_path, {"w": np.zeros(2)})
         manifest = (tmp_path / "ck.json").read_text()
         (tmp_path / "ck.json").write_text(
-            manifest.replace("flat-float64-v1", "mystery-v9")
+            manifest.replace("flat-float32-v1", "mystery-v9")
         )
         with pytest.raises(SchemaError, match="format"):
             self.load(tmp_path, layout)
 
-    @pytest.mark.parametrize("manifest", ['{"x": ', "[]", '{"format": "flat-float64-v1"}'])
+    @pytest.mark.parametrize("manifest", ['{"x": ', "[]", '{"format": "flat-float32-v1"}'])
     def test_malformed_manifest_rejected(self, tmp_path, manifest):
         _, layout = self.save(tmp_path, {"w": np.zeros(2)})
         (tmp_path / "ck.json").write_text(manifest)
@@ -700,7 +721,7 @@ class TestCheckpoint:
     def test_truncated_payload_rejected(self, tmp_path):
         _, layout = self.save(tmp_path, {"v": np.zeros(2), "w": np.arange(4.0)})
         raw = (tmp_path / "ck.bin").read_bytes()
-        (tmp_path / "ck.bin").write_bytes(raw[:-8])
+        (tmp_path / "ck.bin").write_bytes(raw[:-4])
         with pytest.raises(SchemaError, match="array 'w' runs past end"):
             self.load(tmp_path, layout)
 
@@ -708,7 +729,7 @@ class TestCheckpoint:
         _, layout = self.save(tmp_path, {"w": np.arange(4.0)})
         with open(tmp_path / "ck.bin", "ab") as fh:
             fh.write(b"\0")
-        message = f"{tmp_path / 'ck.bin'}: 33 bytes, but the arrays end at byte 32"
+        message = f"{tmp_path / 'ck.bin'}: 17 bytes, but the arrays end at byte 16"
         with pytest.raises(SchemaError, match=re.escape(message)):
             self.load(tmp_path, layout)
 
@@ -716,13 +737,13 @@ class TestCheckpoint:
         "edit",
         [
             lambda arrays: arrays.reverse(),  # permuted offsets
-            lambda arrays: arrays[1].update(offset=8),  # overlapping
-            lambda arrays: arrays[1].update(offset=24),  # a gap
+            lambda arrays: arrays[1].update(offset=4),  # overlapping
+            lambda arrays: arrays[1].update(offset=12),  # a gap
             lambda arrays: arrays[0].update(name="z"),
             lambda arrays: arrays[0].update(shape=[1, 2]),
             lambda arrays: arrays[1].update(size=2),
             lambda arrays: arrays.pop(),
-            lambda arrays: arrays.append(dict(arrays[0], name="x", offset=40)),
+            lambda arrays: arrays.append(dict(arrays[0], name="x", offset=20)),
         ],
         ids=["permuted", "overlapping", "gap", "name", "shape", "size", "missing", "extra"],
     )
@@ -742,7 +763,7 @@ class TestCheckpoint:
             self.load(tmp_path, layout)
 
     def test_finite_entries_whose_sum_overflows_load(self, tmp_path):
-        flat, layout = self.save(tmp_path, {"w": np.array([1e308, 1e308, -1e308])})
+        flat, layout = self.save(tmp_path, {"w": np.array([3e38, 3e38, -3e38])})
         assert self.load(tmp_path, layout).tobytes() == flat.tobytes()
 
     def test_byte_identical_files_across_runs(self, tmp_path):

@@ -395,7 +395,10 @@ class TestGenerateCommand:
         ("frequent_pattern", "transitions", [1, 2]),
         ("position_shift", "transitions", {"2": [0.5, 0.5, 0.0]}),
         ("frequent_pattern", "transitions", {"skip": ["a", 0.5, 0.0]}),
-    ], ids=["null-probability", "list-rows", "list-position", "string-probability"])
+        ("frequent_pattern", "playlist_id", None),
+        ("frequent_pattern", "durations", 0),
+    ], ids=["null-probability", "list-rows", "list-position", "string-probability",
+            "null-playlist-id", "zero-durations"])
     def test_wrongly_typed_spec_field_names_the_file_and_field(
         self, tmp_path, capsys, name, key, value
     ):
@@ -930,7 +933,7 @@ class TestMalformedJson:
         (offset,) = (entry["offset"] for entry in entries if entry["name"] == "head/b1")
         weights = bundle / "weights.bin"
         raw = bytearray(weights.read_bytes())
-        raw[offset : offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        raw[offset : offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
         weights.write_bytes(bytes(raw))
         capsys.readouterr()
         assert cli_main(self._evaluate(data, run, tmp_path)) == 2
@@ -955,6 +958,25 @@ class TestMalformedJson:
             path.write_bytes(change(path.read_bytes()))
             return path
         return edit
+
+    def test_a_float64_bundle_is_refused(self, cli_root, tmp_path, capsys):
+        # the weights as written before float32: 8-byte entries under the float64 tag
+        run = tmp_path / "run_tf"
+        shutil.copytree(cli_root / "run_tf", run)
+        (bundle,) = (run / "models").iterdir()
+        path = bundle / "weights.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["format"] = "flat-float64-v1"
+        for entry in manifest["arrays"]:
+            entry["offset"] *= 2
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        weights = bundle / "weights.bin"
+        weights.write_bytes(np.frombuffer(weights.read_bytes(), "<f4").astype("<f8").tobytes())
+        capsys.readouterr()
+        assert cli_main(self._evaluate(cli_root / "data", run, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: checkpoint format 'flat-float64-v1'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "tamper",

@@ -10,11 +10,13 @@ import pytest
 
 from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
-from seqbundle.domain import DEFAULT_CAP, Event, Outcome, walk
+from seqbundle.domain import DEFAULT_CAP, Event, Outcome, check_prob_rows, walk
+from seqbundle.evalkit import rollout_sessions
 from seqbundle import neuralkit as nk
 from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
 from seqbundle.neuralkit import grad_check, load_checkpoint, save_checkpoint
 from seqbundle.neuralkit.autodiff import cross_entropy_mean
+from seqbundle.neuralkit.gradcheck import float64_data
 from seqbundle.seqmodels import models, predictors, training
 from seqbundle.seqmodels import (
     LSTMConfig,
@@ -211,6 +213,40 @@ class TestGradients:
         assert err < 1e-4, f"{kind.value}: max relative error {err:.3e}"
 
 
+# The four families of acceptance criterion 4, at its sizes.
+CRITERION_4_FAMILIES = [
+    (ModelKind.MLP, MLPConfig(INPUT_DIM, hidden_dim=6, n_layers=2)),
+    (ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=2)),
+    (ModelKind.TRANSFORMER, tiny_transformer_config(max_positions=64)),
+    (
+        ModelKind.ENCODER,
+        tiny_transformer_config(causal=False, positional="learned", max_positions=64),
+    ),
+]
+
+
+class TestGradCheckPrecision:
+    @pytest.mark.parametrize(
+        "kind,config", CRITERION_4_FAMILIES, ids=["mlp", "lstm", "transformer", "encoder"]
+    )
+    def test_runs_in_float64_and_gives_the_float32_parameters_back(self, kind, config):
+        model = make_model(kind, config, seed=3)
+        before = model.flat.copy()
+        rows = rng(7).normal(size=(4, INPUT_DIM))
+        losses = []
+
+        def loss():
+            probs, _ = model.forward(rows)
+            losses.append(cross_entropy_mean(probs, np.array([1, 0, 2, 1]), np.arange(4) > 0))
+            return losses[-1]
+
+        assert grad_check(loss, model.params, max_entries_per_param=4, seed=11) < 1e-4
+        assert {loss.data.dtype for loss in losses} == {np.dtype(np.float64)}
+        assert model.flat.dtype == nk.FLOAT and model.flat.tobytes() == before.tobytes()
+        _assert_views_of_flat(model)
+        assert all(p.grad is None for p in model.params.values())
+
+
 FAMILIES = [
     (ModelKind.MLP, MLPConfig(INPUT_DIM, hidden_dim=6, n_layers=2)),
     (ModelKind.LSTM, LSTMConfig(INPUT_DIM, hidden_dim=4, n_layers=2)),
@@ -225,11 +261,11 @@ FAMILY_IDS = ["mlp", "lstm", "transformer", "encoder"]
 
 def _reference_forward(model, rows):
     """The per-session MLP/LSTM forward as a single-session graph: one row at
-    a time through the LSTM, heads on the (L, d) result."""
+    a time through the LSTM, heads on the (L, d) result, in the model's dtype."""
     p = model.params
     if model.kind is ModelKind.LSTM:
         return _unfused_lstm_forward(model, rows, [len(rows)]).data
-    x = nk.Tensor(rows)
+    x = nk.Tensor(rows.astype(model.flat.dtype))
     for i in range(model.config.n_layers):
         x = nk.relu(nk.add(nk.matmul(x, p[f"layer{i}/w"]), p[f"layer{i}/b"]))
     return nk.softmax_rows(nk.add(nk.matmul(x, p["head/w"]), p["head/b"])).data
@@ -238,13 +274,13 @@ def _reference_forward(model, rows):
 def _unfused_lstm_forward(model, rows, lengths):
     """The packed LSTM forward as one graph node per elementwise op: per step,
     the live rows' input product, gate slices through sigmoid and tanh, and
-    state rows kept by take_rows."""
+    state rows kept by take_rows. Inputs and states are in the model's dtype."""
     p = model.params
     h_dim = model.config.hidden_dim
     lens = np.asarray(lengths)
     order, positions, _ = models._segments(lens)
-    sorted_rows = rows[order]
-    zeros = nk.Tensor(np.zeros((lens.size, h_dim)))
+    sorted_rows = rows[order].astype(model.flat.dtype)
+    zeros = nk.Tensor(np.zeros((lens.size, h_dim), model.flat.dtype))
     h_state = [zeros] * model.config.n_layers
     c_state = [zeros] * model.config.n_layers
     outputs = []
@@ -319,6 +355,8 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
     def test_minibatch_gradient_is_the_share_weighted_session_sum(self, kind, config):
+        # on grad_check's float64 copies of the parameters, where the two
+        # summation orders agree to 1e-12
         model = make_model(kind, config, seed=5)
         gen = rng(44)
         lengths = (4, 6, 1, 4, 2, 6, 4)
@@ -326,22 +364,24 @@ class TestBatchedForward:
         labels = [gen.integers(0, 3, size=n) for n in lengths]
         total = sum(n - 1 for n in lengths)
 
-        model.zero_grads()
-        loss, n_scored = training._batch_loss(model, matrices, labels, range(len(lengths)))
-        assert n_scored == total
-        loss.backward()
-        packed = {name: p.grad.copy() for name, p in model.params.items()}
+        with float64_data(model.params):
+            loss, n_scored = training._batch_loss(model, matrices, labels, range(len(lengths)))
+            assert n_scored == total
+            loss.backward()
+            packed = {name: p.grad.copy() for name, p in model.params.items()}
 
-        model.zero_grads()
-        for rows, labs in zip(matrices, labels):
-            if len(labs) < 2:
-                continue
-            probs, _ = model.forward(rows)
-            mask = np.arange(len(labs)) != 0
-            cross_entropy_mean(probs, labs, mask).backward(seed=(len(labs) - 1) / total)
-        for name, p in model.params.items():
-            scale = max(np.abs(p.grad).max(), 1e-300)
-            assert np.abs(packed[name] - p.grad).max() / scale < 1e-12, name
+            model.zero_grads()
+            for rows, labs in zip(matrices, labels):
+                if len(labs) < 2:
+                    continue
+                probs, _ = model.forward(rows)
+                mask = np.arange(len(labs)) != 0
+                cross_entropy_mean(probs, labs, mask).backward(seed=(len(labs) - 1) / total)
+            grads = {name: p.grad for name, p in model.params.items()}
+        assert all(g.dtype == np.float64 for g in grads.values())
+        for name, grad in grads.items():
+            scale = max(np.abs(grad).max(), 1e-300)
+            assert np.abs(packed[name] - grad).max() / scale < 1e-12, name
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
     @pytest.mark.parametrize("lengths", [(2, 2), (2, 3), (4, 0, 2), ()], ids=str)
@@ -379,6 +419,8 @@ class TestFusedLSTM:
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_gradients_match_the_unfused_graph(self, n_layers):
+        # on grad_check's float64 copies of the parameters, where the two
+        # graphs' summation orders agree to 1e-12
         model = make_model(ModelKind.LSTM, LSTMConfig(INPUT_DIM, 6, n_layers), seed=10)
         gen = rng(48)
         rows = gen.normal(size=(sum(PACKED_LENGTHS), INPUT_DIM))
@@ -386,14 +428,16 @@ class TestFusedLSTM:
         mask = np.ones(len(rows), dtype=bool)
         mask[np.cumsum(PACKED_LENGTHS) - PACKED_LENGTHS] = False
         grads = []
-        for forward in (
-            lambda: model.forward(rows, PACKED_LENGTHS)[0],
-            lambda: _unfused_lstm_forward(model, rows, PACKED_LENGTHS),
-        ):
-            model.zero_grads()
-            cross_entropy_mean(forward(), labels, mask).backward()
-            grads.append({name: p.grad.copy() for name, p in model.params.items()})
+        with float64_data(model.params):
+            for forward in (
+                lambda: model.forward(rows, PACKED_LENGTHS)[0],
+                lambda: _unfused_lstm_forward(model, rows, PACKED_LENGTHS),
+            ):
+                model.zero_grads()
+                cross_entropy_mean(forward(), labels, mask).backward()
+                grads.append({name: p.grad.copy() for name, p in model.params.items()})
         fused, unfused = grads
+        assert fused["head/w1"].dtype == np.float64
         for name in unfused:
             scale = np.abs(unfused[name]).max()
             assert scale > 0.0, name
@@ -1081,7 +1125,7 @@ class TestNeuralPredictor:
         ) / pipeline.duration_std
         prefix = make_session(outcomes)
         full = np.concatenate([pipeline.matrix(prefix), query], axis=0)
-        expected = predictor.model.forward(full)[0].data[-1]
+        expected = predictors._float64_rows(predictor.model.forward(full)[0].data)[-1]
         _, row = predictor.predict_next(events)
         assert np.array_equal(row, expected)
 
@@ -1233,7 +1277,7 @@ class TestBatchedInference:
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
     def test_rows_match_a_graph_forward_per_session(self, kind, config):
         # causal models read one forward of the session; the encoder reads row
-        # j of a forward over rows 1..j alone
+        # j of a forward over rows 1..j alone; the rows leave in float64
         predictor, sessions = self.build(kind, config)
         for session, rows in zip(sessions, predictor.predict_sessions(sessions)):
             matrix = predictor.pipeline.matrix(session)
@@ -1244,7 +1288,7 @@ class TestBatchedInference:
                     predictor.model.forward(matrix[: j + 1])[0].data[-1]
                     for j in range(len(matrix))
                 ])
-            assert rows.tobytes() == expected.tobytes()
+            assert rows.tobytes() == predictors._float64_rows(expected).tobytes()
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
     def test_predict_sessions_calls_forward_once(self, kind, config, monkeypatch):
@@ -1337,7 +1381,9 @@ class TestPrefixSharing:
         predictor, sessions = self.build(*FAMILIES[3])
         model = predictor.model
         expected = [
-            np.array([model.forward(m[: j + 1])[0].data[-1] for j in range(len(m))])
+            predictors._float64_rows(
+                np.array([model.forward(m[: j + 1])[0].data[-1] for j in range(len(m))])
+            )
             for m in map(predictor.pipeline.matrix, sessions)
         ]
         packed = []
@@ -1381,6 +1427,28 @@ class TestPrefixSharing:
         assert decoded == [1, 1, 1]
 
     @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
+    def test_a_fresh_query_runs_each_distinct_prefix_once(self, kind, config, monkeypatch):
+        predictor, sessions = self.build(kind, config)
+        prefixes = [sessions[7].events[:n] for n in range(1, 6)]  # of one five-event session
+        model, pipeline = predictor.model, predictor.pipeline
+        expected = [
+            predictors._float64_rows(model.forward(pipeline.prefix_matrix(p))[0].data)[-1]
+            for p in prefixes
+        ]
+        decoded = []
+        forward = model.forward
+
+        def counting_forward(rows, lengths=None, states=None):
+            decoded.append(len(rows))
+            return forward(rows, lengths, states)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        rows = predictor.next_probs_batch(prefixes)
+        assert sum(decoded) == 6  # the root and the five prefixes, each once
+        for row, want in zip(rows, expected, strict=True):
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
     def test_prefixes_of_two_lengths_share_one_forward(self, kind, config, monkeypatch):
         predictor, sessions = self.build(kind, config)
         events = sessions[7].events
@@ -1418,6 +1486,87 @@ class TestPrefixSharing:
         assert decision.track_offset is None  # skipped tracks 2..5, then ran out
         assert decision.predicted == (Outcome.SKIP,) * 5
         assert decoded == [1] * (len(events) + 1 + 4)  # the prefix's rows, then one per SKIP
+
+
+def _graph(root):
+    """Every node of the graph under ``root``."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestOnePrecision:
+    """Models compute in nk.FLOAT (float32) throughout; rows leave predictors
+    as float64 probability rows."""
+
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_a_training_step_builds_only_float32_values(self, kind, config, monkeypatch):
+        model = make_model(kind, config, seed=3)
+        gen = rng(60)
+        matrices = [gen.normal(size=(n, INPUT_DIM)) for n in (4, 6, 2)]
+        labels = [gen.integers(0, 3, size=n) for n in (4, 6, 2)]
+        values, gradients, steps = set(), set(), []
+        batch_loss, adam_step = training._batch_loss, nk.adam_step
+
+        def recording(backward):
+            def run(g):
+                gradients.add(g.dtype)
+                backward(g)
+            return run
+
+        def recording_loss(*args):
+            loss, n_scored = batch_loss(*args)
+            for node in _graph(loss):
+                values.add(node.data.dtype)
+                if node._backward_fn is not None:
+                    node._backward_fn = recording(node._backward_fn)
+            return loss, n_scored
+
+        def recording_step(params, grads, state):
+            adam_step(params, grads, state)
+            steps.append((params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
+
+        monkeypatch.setattr(training, "_batch_loss", recording_loss)
+        monkeypatch.setattr(nk, "adam_step", recording_step)
+        config = TrainConfig(epochs=1, batch_size=8, validation_fraction=0.0)
+        train_model(model, matrices, labels, config)
+        assert values == gradients == {nk.FLOAT}
+        assert steps == [(nk.FLOAT,) * 4]
+
+    @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
+    def test_every_returned_row_is_a_float64_probability_row(self, kind, config, monkeypatch):
+        playlist = make_playlist(5)
+        sessions = [make_session(o, sid=f"m{i}") for i, o in enumerate(MIXED_OUTCOMES)]
+        predictor = NeuralPredictor(
+            model=make_model(kind, config, seed=4), pipeline=fitted_pipeline(playlist, sessions)
+        )
+        returned = {"scored": predictor.predict_sessions(sessions)}
+        returned["query"] = [predictor.next_probs_batch([s.events for s in sessions])]
+        returned["rollout"] = []
+        make_decoder = predictor.decoder
+
+        def recording_decoder():
+            decode = make_decoder()
+
+            def recording(prefixes):
+                returned["rollout"].append(decode(prefixes))
+                return returned["rollout"][-1]
+            return recording
+
+        monkeypatch.setattr(predictor, "decoder", recording_decoder)
+        uniforms = rng(61).random((20, 5 * DEFAULT_CAP + 1))
+        rollout_sessions(predictor, playlist, np.array([0.4, 0.6, 0.0]), uniforms)
+        if kind is ModelKind.TRANSFORMER:
+            returned["attention"] = predictor.attention_for_sessions(sessions)
+        for what, rows in returned.items():
+            assert rows, what
+            for array in rows:
+                assert array.dtype == np.float64, what
+                check_prob_rows(array, what)
 
 
 class TestNoGrad:
