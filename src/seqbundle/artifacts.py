@@ -84,17 +84,31 @@ def read_field(path: Path | str, obj: dict, name: str, convert=None):
 # ---------------------------------------------------------------------------
 # split persistence
 
+_SPLIT_TAGS = {split.value: split for split in Split}
+# a dict lookup is cheaper than the Enum.value property
+_TAG_VALUES = {split: value for value, split in _SPLIT_TAGS.items()}
+
 
 def save_split(path: Path | str, dataset: Dataset) -> Path:
     """Record each session's split tag so later runs score the same holdout."""
     assignment = {
-        session.session_id: tag.value
+        session.session_id: _TAG_VALUES[tag]
         for session, tag in zip(dataset.sessions, dataset.split_tags)
     }
-    return write_json(Path(path), {"session_splits": assignment})
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_split_text(assignment) + "\n", encoding="utf-8")
+    return path
 
 
-_SPLIT_TAGS = {split.value: split for split in Split}
+def _split_text(assignment: Mapping[str, str]) -> str:
+    """``json.dumps({"session_splits": assignment}, indent=2, sort_keys=True)``,
+    built by the C encoder: indent makes json fall back to its Python one, so
+    the entries' newlines and indent go into the item separator instead."""
+    if not assignment:
+        return '{\n  "session_splits": {}\n}'
+    entries = json.dumps(assignment, sort_keys=True, separators=(",\n    ", ": "))
+    return '{\n  "session_splits": {\n    ' + entries[1:-1] + "\n  }\n}"
 
 
 def load_split(path: Path | str, dataset: Dataset) -> Dataset:

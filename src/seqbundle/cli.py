@@ -260,11 +260,18 @@ def _load_data(args, session_end: str | None = None) -> Dataset:
     return dataset
 
 
+def _check_seed(seed, where: str) -> None:
+    """Every seed is an integer >= 0, the range numpy's generators accept."""
+    if seed is not None and seed < 0:
+        raise ConstraintViolation(f"{where} must be an integer >= 0, got {seed}")
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 
 def cmd_generate(args) -> int:
+    _check_seed(args.seed, "--seed")
     if args.name:
         spec = synthgen.named_spec(args.name, args.n_sessions, args.seed)
     else:
@@ -359,7 +366,9 @@ def _resolve_options(args) -> dict:
                 raise SchemaError(
                     f"{args.config}: config key {key!r} must be {expected}, got {value!r}"
                 )
+        _check_seed(file_options.get("seed"), f"{args.config}: config key 'seed'")
         resolved.update(file_options)
+    _check_seed(args.seed, "--seed")
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
@@ -553,6 +562,7 @@ def _load_predictors(args, pids: list[str], dataset: Dataset) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    _check_seed(args.seed, "--seed")
     model, pids, dataset = _load_run(args)
     predictors = _load_predictors(args, pids, dataset)
     report = evaluate_dataset(

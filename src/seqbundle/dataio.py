@@ -33,6 +33,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -250,6 +251,8 @@ def load_sessions(
 
 # The writer sorts keys, so a written line ends with this pair.
 _ID_PAIR = ', "session_id": '
+# lines the writer joins into one write
+_WRITE_CHUNK_LINES = 1024
 _scan_json = json.JSONDecoder().scan_once
 
 
@@ -439,6 +442,7 @@ def write_sessions_jsonl(path: str | Path, sessions: Iterable[Session]) -> None:
     """
     # (events, playlist_id) -> line text through _ID_PAIR
     heads: dict[tuple[tuple[Event, ...], str], str] = {}
+    lines: list[str] = []
     with open(path, "w", encoding="utf-8") as fh:
         for session in sessions:
             key = (session.events, session.playlist_id)
@@ -446,10 +450,14 @@ def write_sessions_jsonl(path: str | Path, sessions: Iterable[Session]) -> None:
             if head is None:
                 line = json.dumps(session_to_json(session), sort_keys=True)
                 heads[key] = line[: line.rfind(_ID_PAIR) + len(_ID_PAIR)]
+                lines.append(line + "\n")
             else:
-                line = head + json.dumps(session.session_id) + "}"
-            fh.write(line)
-            fh.write("\n")
+                # what json.dumps calls for a str
+                lines.append(head + encode_basestring_ascii(session.session_id) + "}\n")
+            if len(lines) == _WRITE_CHUNK_LINES:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ expected-mode rollouts use too: it asks the spec for one row per distinct
 live prefix and step. Session k reads its uniforms from its own bit stream,
 np.random.default_rng([seed, k]), so any one session can be regenerated
 without replaying the stream and inserting sessions never disturbs earlier
-ones.
+ones. The streams are not built one by one: _uniform_block computes every
+session's row of uniforms as one block, bit-identical to those generators.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ class GeneratorSpec:
             raise ConstraintViolation(f"unknown generator kind {self.kind!r}")
         if self.n_sessions < 1:
             raise ConstraintViolation(f"n_sessions must be >= 1, got {self.n_sessions}")
+        if self.seed < 0:
+            raise ConstraintViolation(f"seed must be an integer >= 0, got {self.seed}")
         if not 0.0 <= self.initial_play_prob <= 1.0:
             raise ConstraintViolation("initial_play_prob must be in [0, 1]")
         if self.cap < 1:
@@ -217,15 +220,108 @@ def _spec_rows(spec: GeneratorSpec, prefixes: Sequence[Sequence[Event]]) -> list
     ]
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+# the low multiplier word's 32-bit halves, for the high word of lo * _PCG_MULT_LO
+_PCG_MULT_LO_HI, _PCG_MULT_LO_LO = _PCG_MULT_LO >> 32, _PCG_MULT_LO & _MASK32
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: each call xors in the running hash constant,
+    steps it, and multiplies by the stepped one (uint32 arrays)."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ (result >> 16)
+
+
+def _mul_add_128(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) * PCG64's multiplier + (inc_hi, inc_lo), mod 2**128."""
+    lo_hi, lo_lo = lo >> 32, lo & _MASK32
+    cross_a, cross_b = lo_lo * _PCG_MULT_LO_HI, lo_hi * _PCG_MULT_LO_LO
+    mid = (lo_lo * _PCG_MULT_LO_LO >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    carry_hi = lo_hi * _PCG_MULT_LO_HI + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
+    hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry_hi + inc_hi
+    lo = lo * _PCG_MULT_LO
+    new_lo = lo + inc_lo
+    return hi + (new_lo < lo), new_lo
+
+
+def _uniform_block(seed: int, n: int, width: int) -> np.ndarray:
+    """Row k is np.random.default_rng([seed, k]).random(width), for every
+    k < n at once.
+
+    SeedSequence([seed, k]) hashes the entropy words of seed (32 bits each,
+    least significant first) and then k into a 4-word pool, which
+    generate_state(4, uint64) expands into PCG64's 128-bit state and stream;
+    PCG64 then takes ``width`` XSL-RR steps, and each double is the step's
+    top 53 bits. The hash constants follow a fixed schedule, so every step
+    is one operation on a column of n sessions. Needs seed >= 0 (as
+    GeneratorSpec checks) and n <= 2**32, so that each k is one entropy word.
+    """
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # generate_state(4, uint64): little-endian pairs of uint32 words
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        state[i] | state[i + 1] << 32 for i in range(0, 8, 2)
+    )
+    # pcg64 srandom: inc = seq << 1 | 1; state = (inc + seed) * mult + inc
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    hi, lo = _mul_add_128(hi, lo, inc_hi, inc_lo)
+
+    out = np.empty((n, width), dtype=np.float64)
+    for j in range(width):
+        hi, lo = _mul_add_128(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: (hi ^ lo) rotated right by the state's top 6 bits
+        xored, rot = hi ^ lo, hi >> 58
+        bits = xored >> rot | xored << (64 - rot & 63)
+        out[:, j] = bits >> 11
+    out *= 2.0**-53
+    return out
+
+
 def _sample_sessions(spec: GeneratorSpec) -> list[tuple[Event, ...]]:
     """Events of every session of ``spec``, drawn in one sample_walks call.
 
-    Session k reads its uniforms from np.random.default_rng([seed, k]).
+    Session k's row of uniforms is np.random.default_rng([spec.seed, k])
+    .random(width), computed for all sessions as one block (_uniform_block).
     """
     width = spec.n_tracks * spec.cap + 1
-    uniforms = np.empty((spec.n_sessions, width), dtype=np.float64)
-    for k in range(spec.n_sessions):
-        uniforms[k] = np.random.default_rng([spec.seed, k]).random(width)
+    uniforms = _uniform_block(spec.seed, spec.n_sessions, width)
     first = np.where(uniforms[:, 0] < spec.initial_play_prob, _PLAY, _SKIP)
     return sample_walks(
         lambda prefixes: _spec_rows(spec, prefixes), first, uniforms, spec.n_tracks, spec.cap

@@ -709,6 +709,13 @@ class TestSessionWriter:
             sessions
         )
 
+    def test_output_spanning_several_write_chunks(self, tmp_path):
+        sessions = list(generate(named_spec("second_order", n_sessions=2500)).sessions)
+        write_sessions_jsonl(tmp_path / "s.jsonl", sessions)
+        assert (tmp_path / "s.jsonl").read_text(encoding="utf-8") == self.per_session(
+            sessions
+        )
+
     def test_generated_sessions_round_trip(self, tmp_path):
         dataset = generated_files(tmp_path, "second_order", n_sessions=400)
         text = (tmp_path / "sessions.jsonl").read_text(encoding="utf-8")

@@ -7,6 +7,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqbundle.artifacts import (
     BUNDLE_FILE,
@@ -25,8 +27,8 @@ from seqbundle.baselines import (
 )
 from seqbundle import cli
 from seqbundle.cli import main as cli_main
-from seqbundle.dataio import FeatureConfig, FeaturePipeline, Split, split
-from seqbundle.domain import Outcome
+from seqbundle.dataio import Dataset, FeatureConfig, FeaturePipeline, Split, split
+from seqbundle.domain import Outcome, Session
 from seqbundle.errors import SchemaError
 from seqbundle.reports import (
     svg_cdf_chart,
@@ -158,6 +160,29 @@ class TestSplitStore:
         path.write_text(json.dumps(obj))
         with pytest.raises(SchemaError, match="unknown sessions"):
             load_split(path, tiny_dataset)
+
+    @settings(deadline=None)
+    @given(
+        tags=st.dictionaries(
+            st.one_of(st.text(), st.sampled_from(['a"1', "b\\2", "caf\u00e9", "e\u2028f"])),
+            st.sampled_from(Split),
+            max_size=20,
+        )
+    )
+    def test_bytes_equal_the_indented_dumps(self, tmp_path_factory, tiny_dataset, tags):
+        events = tiny_dataset.sessions[0].events
+        dataset = Dataset(
+            playlists=tiny_dataset.playlists,
+            sessions=tuple(Session(sid, "synthetic", events) for sid in tags),
+            split_tags=tuple(tags.values()),
+        )
+        path = save_split(tmp_path_factory.mktemp("split") / "split.json", dataset)
+        expected = json.dumps(
+            {"session_splits": {sid: tag.value for sid, tag in tags.items()}},
+            indent=2,
+            sort_keys=True,
+        )
+        assert path.read_bytes() == (expected + "\n").encode("utf-8")
 
     def test_non_split_file_rejected(self, tmp_path, tiny_dataset):
         path = tmp_path / "other.json"
@@ -1079,6 +1104,47 @@ class TestMalformedJson:
         assert f"{path}: " in err
         assert repr(field) in err
         assert "Traceback" not in err
+
+
+class TestNegativeSeeds:
+    """A seed is an integer >= 0; a negative one exits 2 naming where it came from."""
+
+    def run(self, capsys, argv) -> str:
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        return capsys.readouterr().err
+
+    def test_generate_option(self, tmp_path, capsys):
+        err = self.run(capsys, ["generate", "--name", "stopping", "--seed", "-1",
+                                "--out", str(tmp_path / "d")])
+        assert "error: --seed must be an integer >= 0, got -1" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_generate_spec_file(self, tmp_path, capsys):
+        spec = spec_to_json(named_spec("stopping", n_sessions=12))
+        spec["seed"] = -1
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        err = self.run(capsys, ["generate", "--spec", str(spec_path),
+                                "--out", str(tmp_path / "d")])
+        assert f"error: {spec_path}: seed must be an integer >= 0, got -1" in err
+
+    @pytest.mark.parametrize("model", ["mc", "mlp"])
+    def test_train_option(self, cli_root, tmp_path, capsys, model):
+        err = self.run(capsys, ["train", "--data", str(cli_root / "data"), "--model", model,
+                                "--seed", "-1", "--out", str(tmp_path / "r")])
+        assert "error: --seed must be an integer >= 0, got -1" in err
+
+    def test_train_config_key(self, cli_root, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", {"seed": -1})
+        err = self.run(capsys, ["train", "--data", str(cli_root / "data"), "--model", "mlp",
+                                "--config", str(config), "--out", str(tmp_path / "r")])
+        assert f"error: {config}: config key 'seed' must be an integer >= 0, got -1" in err
+
+    def test_evaluate_option(self, cli_root, tmp_path, capsys):
+        err = self.run(capsys, ["evaluate", "--data", str(cli_root / "data"),
+                                "--run", str(cli_root / "run_mc"), "--demand-mode", "expected",
+                                "--seed", "-1", "--out", str(tmp_path / "e")])
+        assert "error: --seed must be an integer >= 0, got -1" in err
 
 
 class TestUsageErrors:

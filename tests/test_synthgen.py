@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqbundle import domain, synthgen
 from seqbundle.baselines import fit_markov
@@ -160,6 +162,10 @@ class TestSpecValidation:
                 n_tracks=5,
             )
 
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ConstraintViolation, match="seed must be an integer >= 0, got -1"):
+            simple_markov_spec(seed=-1)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConstraintViolation, match="unknown generator"):
             GeneratorSpec(kind="markov9", n_sessions=10, seed=1)
@@ -314,6 +320,47 @@ class TestPinnedOutput:
         dataset = generate(second_order_spec(n_sessions=200))
         assert sum(len(s.events) for s in dataset.sessions) > 1000
         assert len(calls) <= 200
+
+
+def per_session_uniforms(seed, n, width):
+    """The generator's uniforms as one default_rng([seed, k]) per session."""
+    out = np.empty((n, width))
+    for k in range(n):
+        out[k] = np.random.default_rng([seed, k]).random(width)
+    return out
+
+
+class TestUniformBlock:
+    """synthgen._uniform_block is the per-session default_rng draw, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7]
+        + [named_spec(name).seed for name in CANONICAL_SPEC_NAMES],
+    )
+    def test_block_equals_the_per_session_reference(self, seed):
+        for n in (1, 2, 1000):
+            for width in (1, 25, 53):
+                block = synthgen._uniform_block(seed, n, width)
+                assert block.dtype == np.float64 and block.shape == (n, width)
+                assert block.tobytes() == per_session_uniforms(seed, n, width).tobytes()
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**128 - 1),
+        n=st.integers(min_value=1, max_value=64),
+        width=st.integers(min_value=1, max_value=64),
+    )
+    def test_any_seed_matches_the_per_session_reference(self, seed, n, width):
+        block = synthgen._uniform_block(seed, n, width)
+        assert block.tobytes() == per_session_uniforms(seed, n, width).tobytes()
+
+    def test_generation_builds_no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-session generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert len(generate(second_order_spec(n_sessions=50)).sessions) == 50
 
 
 class TestReferenceRates:
