@@ -5,11 +5,13 @@
 With each checkout's own code, runs the stage sequences of the small-nets,
 wide-transformer and count-baselines workloads (perfbench/workloads.py, full
 size, at one workload seed), then generate -> train -> evaluate in realized
-and expected demand mode for mc, pmc and zero on a cap-3 spec. Every file
-written is digested with sha256. Prints the files whose digests differ or
-that exist on one side only, and exits 1 if there are any. HEAD_CHECKOUT
-defaults to the checkout holding this script. Both checkouts need
-perfbench/workloads.py.
+and expected demand mode for mc, pmc and zero on a cap-3 spec. On that spec
+it also trains, and evaluates in realized mode, a tiny transformer that sets
+every train flag, a --leak mlp, a pmc with --smoothing and an lstm whose
+options come from a --config file. Every file written is digested with
+sha256. Prints the files whose digests differ or that exist on one side
+only, and exits 1 if there are any. HEAD_CHECKOUT defaults to the checkout
+holding this script. Both checkouts need perfbench/workloads.py.
 """
 
 from __future__ import annotations
@@ -55,6 +57,30 @@ def _cap3_argvs(work: Path, seed: int) -> list[list[str]]:
             argvs.append(["evaluate", *data, "--run", str(run), "--demand-mode", mode,
                           "--n-rollouts", "200", "--seed", str(seed),
                           "--out", str(run / f"eval-{mode}")])
+    # Every train option, by flag and by --config, so that a drifted flag
+    # type, action or default changes a written file.
+    config_path = write_json(work / "config.json", {
+        "epochs": 2, "hidden_dim": 8, "n_layers": 1, "learning_rate": 0.005,
+        "include_duration": True, "session_end": "truncate", "train_fraction": 0.75,
+    })
+    trains = {
+        "every-flag": ["--model", "transformer", "--train-fraction", "0.8", "--seed", "2",
+                       "--smoothing", "0.5", "--leak", "--include-duration",
+                       "--feasibility-mask", "--session-end", "truncate", "--epochs", "2",
+                       "--batch-size", "8", "--learning-rate", "0.01",
+                       "--validation-fraction", "0.2", "--patience", "1", "--embed-dim", "8",
+                       "--n-blocks", "1", "--n-heads", "2", "--head-dim", "4",
+                       "--ff-dim", "16", "--hidden-dim", "4", "--n-layers", "1",
+                       "--max-positions", "64"],
+        "leak-mlp": ["--model", "mlp", "--leak", "--epochs", "2", "--hidden-dim", "8"],
+        "pmc-smoothing": ["--model", "pmc", "--smoothing", "0.5"],
+        "config-lstm": ["--model", "lstm", "--config", str(config_path)],
+    }
+    for name, options in trains.items():
+        run = work / name
+        argvs.append(["train", *data, *options, "--out", str(run)])
+        argvs.append(["evaluate", *data, "--run", str(run), "--seed", str(seed),
+                      "--out", str(run / "eval-realized")])
     return argvs
 
 

@@ -120,8 +120,8 @@ def fit_markov(
     """
     if not sessions:
         raise ConstraintViolation("cannot fit a Markov model on zero sessions")
-    if smoothing < 0:
-        raise ConstraintViolation(f"smoothing must be >= 0, got {smoothing}")
+    if not 0 <= smoothing < np.inf:
+        raise ConstraintViolation(f"smoothing must be finite and >= 0, got {smoothing}")
     tally = tally_sessions(sessions, len(playlist), cap)
     transitions = tally.transitions.astype(np.float64)
     matrix, matrices = None, {}

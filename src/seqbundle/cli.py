@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import artifacts, reports, synthgen
 from .attention import harmonic_approx_check, playlist_correlations, session_attention_profile
@@ -60,6 +61,8 @@ log = logging.getLogger(__name__)
 BASELINE_KINDS = ("mc", "pmc", "zero")
 NEURAL_KINDS = ("mlp", "lstm", "transformer", "encoder")
 FAMILIES = BASELINE_KINDS + NEURAL_KINDS
+
+_SESSION_END_MODES = [m.value for m in SessionEndMode]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,27 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=Path, required=True, help="run directory")
     p.add_argument("--config", type=Path, help="JSON file of option defaults")
-    p.add_argument("--train-fraction", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--smoothing", type=float, default=None, help="markov pseudo-count")
-    p.add_argument("--leak", action="store_true", default=None,
-                   help="use observed remaining time (ablation; leaks the future)")
-    p.add_argument("--include-duration", action="store_true", default=None)
-    p.add_argument("--feasibility-mask", action="store_true", default=None,
-                   help="zero structurally impossible replay probabilities")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--validation-fraction", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--embed-dim", type=int, default=None)
-    p.add_argument("--n-blocks", type=int, default=None)
-    p.add_argument("--n-heads", type=int, default=None)
-    p.add_argument("--head-dim", type=int, default=None)
-    p.add_argument("--ff-dim", type=int, default=None)
-    p.add_argument("--hidden-dim", type=int, default=None)
-    p.add_argument("--n-layers", type=int, default=None)
-    p.add_argument("--max-positions", type=int, default=None)
+    for key, default in TRAIN_DEFAULTS.items():
+        if key != "session_end":  # a data option, from _add_data_args
+            p.add_argument(_flag(key), default=None, help=_TRAIN_HELP.get(key),
+                           **_OPTION_TYPES[type(default)].flag)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained run on its holdout")
@@ -216,7 +202,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="sessions file format")
     p.add_argument(
         "--session-end",
-        choices=[m.value for m in SessionEndMode],
+        choices=_SESSION_END_MODES,
         default=None,
         help="tail handling: full (pad skips) or truncate (drop after last play)",
     )
@@ -311,43 +297,78 @@ def cmd_generate(args) -> int:
 # train
 
 
+# The train options a config dataclass holds, by dataclass: their defaults
+# are its field defaults, and fit_predictor passes them on by name.
+_FEATURE_KEYS = ("leak", "include_duration")
+_TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "seed", "validation_fraction", "patience")
+_TRANSFORMER_KEYS = ("embed_dim", "n_blocks", "n_heads", "head_dim", "ff_dim", "max_positions")
+
+
+def _field_defaults(config_type, keys: tuple[str, ...]) -> dict:
+    defaults = {f.name: f.default for f in fields(config_type)}
+    return {key: defaults[key] for key in keys}
+
+
+# Every train option and its default, the one table of them: each key has one
+# train flag and one --config key, both of the type _OPTION_TYPES gives its
+# default, and run.json's "options" records it. session_end's flag is the
+# data option from _add_data_args.
 TRAIN_DEFAULTS = {
     "train_fraction": 0.9,
-    "seed": 0,
     "smoothing": 0.0,
-    "leak": False,
-    "include_duration": False,
     "feasibility_mask": False,
     "session_end": SessionEndMode.FULL.value,
-    "epochs": 30,
-    "batch_size": 16,
-    "learning_rate": 1e-3,
-    "validation_fraction": 0.1,
-    "patience": 5,
-    "embed_dim": 256,
-    "n_blocks": 3,
-    "n_heads": 8,
-    "head_dim": 32,
-    "ff_dim": 2048,
+    **_field_defaults(FeatureConfig, _FEATURE_KEYS),
+    **_field_defaults(TrainConfig, _TRAIN_KEYS),
+    **_field_defaults(TransformerConfig, _TRANSFORMER_KEYS),
     "hidden_dim": None,  # None: the LSTM's or MLP's own default
     "n_layers": None,
-    "max_positions": 512,
 }
+
+_TRAIN_HELP = {
+    "smoothing": "markov pseudo-count",
+    "leak": "use observed remaining time (ablation; leaks the future)",
+    "feasibility_mask": "zero structurally impossible replay probabilities",
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The JSON type a --config file value must have, by the type of its
-# TRAIN_DEFAULTS entry: a description and a test. Values are not converted.
-_CONFIG_TYPES = {
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
-    int: ("an integer", _is_int),
-    type(None): ("an integer or null", lambda v: v is None or _is_int(v)),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    str: ("a string", lambda v: isinstance(v, str)),
+class _OptionType(NamedTuple):
+    expected: str  # what a value must be, for the error message
+    accepts: Callable[[object], bool]  # tests a value; nothing is converted
+    flag: dict  # the argparse keywords of the option's flag
+
+
+# By the type of an option's TRAIN_DEFAULTS value. The one str option is
+# session_end, whose flag _add_data_args adds.
+_OPTION_TYPES = {
+    bool: _OptionType("a boolean", lambda v: isinstance(v, bool), {"action": "store_true"}),
+    int: _OptionType("an integer", _is_int, {"type": int}),
+    type(None): _OptionType(
+        "an integer or null", lambda v: v is None or _is_int(v), {"type": int}
+    ),
+    float: _OptionType(
+        "a finite number",
+        lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+        {"type": float},
+    ),
+    str: _OptionType(f"one of {_SESSION_END_MODES}", lambda v: v in _SESSION_END_MODES, {}),
 }
+
+
+def _check_option(key: str, value, where: str) -> None:
+    option_type = _OPTION_TYPES[type(TRAIN_DEFAULTS[key])]
+    if not option_type.accepts(value):
+        raise SchemaError(f"{where} must be {option_type.expected}, got {value!r}")
+    if key == "seed":
+        _check_seed(value, where)
 
 
 def _resolve_options(args) -> dict:
@@ -361,17 +382,12 @@ def _resolve_options(args) -> dict:
                 f"{args.config}: unknown config keys {sorted(unknown)}"
             )
         for key, value in file_options.items():
-            expected, accepts = _CONFIG_TYPES[type(TRAIN_DEFAULTS[key])]
-            if not accepts(value):
-                raise SchemaError(
-                    f"{args.config}: config key {key!r} must be {expected}, got {value!r}"
-                )
-        _check_seed(file_options.get("seed"), f"{args.config}: config key 'seed'")
+            _check_option(key, value, f"{args.config}: config key {key!r}")
         resolved.update(file_options)
-    _check_seed(args.seed, "--seed")
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
+            _check_option(key, value, _flag(key))
             resolved[key] = value
     return resolved
 
@@ -380,14 +396,9 @@ def _model_config(model: str, opts: dict, input_dim: int):
     if model in ("transformer", "encoder"):
         return TransformerConfig(
             input_dim=input_dim,
-            embed_dim=opts["embed_dim"],
-            n_blocks=opts["n_blocks"],
-            n_heads=opts["n_heads"],
-            head_dim=opts["head_dim"],
-            ff_dim=opts["ff_dim"],
             causal=model == "transformer",
             positional="fixed" if model == "transformer" else "learned",
-            max_positions=opts["max_positions"],
+            **{key: opts[key] for key in _TRANSFORMER_KEYS},
         )
     sizes = {k: opts[k] for k in ("hidden_dim", "n_layers") if opts[k] is not None}
     config_type = LSTMConfig if model == "lstm" else MLPConfig
@@ -419,10 +430,7 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
         raise ConstraintViolation(
             f"unknown model family {family!r}, expected one of {list(FAMILIES)}"
         )
-    feature_config = FeatureConfig(
-        leak=bool(options["leak"]),
-        include_duration=bool(options["include_duration"]),
-    )
+    feature_config = FeatureConfig(**{key: bool(options[key]) for key in _FEATURE_KEYS})
     pipeline = FeaturePipeline(playlist=playlist, config=feature_config)
     pipeline.fit(sessions)
     model = make_model(
@@ -435,14 +443,7 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
         model,
         matrices,
         labels,
-        TrainConfig(
-            epochs=options["epochs"],
-            batch_size=options["batch_size"],
-            learning_rate=options["learning_rate"],
-            seed=options["seed"],
-            validation_fraction=options["validation_fraction"],
-            patience=options["patience"],
-        ),
+        TrainConfig(**{key: options[key] for key in _TRAIN_KEYS}),
     )
     predictor = NeuralPredictor(
         model=model,

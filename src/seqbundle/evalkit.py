@@ -24,7 +24,7 @@ domain.first_max_index, so exact ties go to the earliest outcome.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -437,12 +437,7 @@ class EvaluationReport:
                         {"position": pos, "hits": h, "observations": t, "rate": h / t}
                         for pos, h, t in r.position_hits
                     ],
-                    "demand": {
-                        "track_positions": list(r.demand.track_positions),
-                        "actual": list(r.demand.actual),
-                        "predicted": list(r.demand.predicted),
-                        "coverage": list(r.demand.coverage),
-                    },
+                    "demand": asdict(r.demand),
                 }
             )
         xs, fractions = hit_rate_cdf(self.position_rate_values())
@@ -560,17 +555,4 @@ def summarize_dataset(dataset: Dataset) -> tuple[PlaylistSummary, ...]:
 
 
 def summary_to_jsonable(summaries: Iterable[PlaylistSummary]) -> list[dict]:
-    return [
-        {
-            "playlist_id": s.playlist_id,
-            "n_tracks": s.n_tracks,
-            "n_sessions": s.n_sessions,
-            "mean_events": s.mean_events,
-            "mean_listening_seconds": s.mean_listening_seconds,
-            "mean_tracks_played": s.mean_tracks_played,
-            "share_skip": s.share_skip,
-            "share_play": s.share_play,
-            "share_replay": s.share_replay,
-        }
-        for s in summaries
-    ]
+    return [asdict(s) for s in summaries]

@@ -35,8 +35,8 @@ class AdamConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConstraintViolation("Adam betas must be in [0, 1)")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ConstraintViolation("Adam learning_rate and eps must be > 0")
+        if not 0 < self.learning_rate < np.inf or not 0 < self.eps < np.inf:
+            raise ConstraintViolation("Adam learning_rate and eps must be finite and > 0")
 
 
 class AdamState:

@@ -45,7 +45,8 @@ class TransformerConfig:
             )
         if self.positional == "fixed" and self.embed_dim % 2 != 0:
             raise ConstraintViolation("fixed positional encoding needs an even embed_dim")
-        if min(self.input_dim, self.n_blocks, self.max_positions) < 1:
+        if min(self.input_dim, self.embed_dim, self.n_heads, self.n_blocks,
+               self.max_positions) < 1:
             raise ConstraintViolation("transformer dimensions must be >= 1")
 
 

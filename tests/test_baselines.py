@@ -118,6 +118,11 @@ class TestFitMarkov:
         with pytest.raises(ConstraintViolation):
             fit_markov(three_sessions, playlist3, smoothing=-0.5)
 
+    @pytest.mark.parametrize("smoothing", [np.nan, np.inf])
+    def test_rejects_non_finite_smoothing(self, playlist3, three_sessions, smoothing):
+        with pytest.raises(ConstraintViolation, match="finite"):
+            fit_markov(three_sessions, playlist3, smoothing=smoothing)
+
 
 class TestPredictMarkov:
     def test_empty_row_falls_back_to_marginal(self, playlist3, caplog):

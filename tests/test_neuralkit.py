@@ -638,6 +638,12 @@ class TestAdam:
         with pytest.raises(ConstraintViolation):
             AdamConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ConstraintViolation, match="finite"):
+            AdamConfig(**{field: value})
+
 
 def _packed(arrays):
     """``arrays`` as one flat FLOAT vector and its layout, in sorted-name order."""

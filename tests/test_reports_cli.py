@@ -1,5 +1,6 @@
 """Report writers, artifact bundles, and the end-to-end command line flows."""
 
+import argparse
 import hashlib
 import json
 import logging
@@ -37,7 +38,15 @@ from seqbundle.reports import (
     write_json,
     write_summary_csv,
 )
-from seqbundle.seqmodels import LSTMConfig, MLPConfig, ModelKind, NeuralPredictor, make_model
+from seqbundle.seqmodels import (
+    LSTMConfig,
+    MLPConfig,
+    ModelKind,
+    NeuralPredictor,
+    TrainConfig,
+    TransformerConfig,
+    make_model,
+)
 from seqbundle.seqmodels.models import TransformerModel
 from seqbundle.synthgen import (
     GeneratorSpec,
@@ -345,12 +354,38 @@ class TestFitPredictor:
             cli.fit_predictor("gru", tiny_dataset.train_sessions(pid),
                               tiny_dataset.playlists[pid], TINY_OPTIONS, 2)
 
-    def test_unset_sizes_take_the_config_defaults(self):
+    def test_unset_sizes_take_the_config_defaults(self, tiny_dataset, monkeypatch):
         assert cli._model_config("lstm", cli.TRAIN_DEFAULTS, 5) == LSTMConfig(input_dim=5)
         assert cli._model_config("mlp", cli.TRAIN_DEFAULTS, 5) == MLPConfig(input_dim=5)
         sized = {**cli.TRAIN_DEFAULTS, "hidden_dim": 7, "n_layers": 1}
         assert cli._model_config("mlp", sized, 5) == MLPConfig(input_dim=5, hidden_dim=7,
                                                                n_layers=1)
+        assert cli._model_config("transformer", cli.TRAIN_DEFAULTS, 5) == TransformerConfig(
+            input_dim=5
+        )
+        assert cli._model_config("encoder", cli.TRAIN_DEFAULTS, 5) == TransformerConfig(
+            input_dim=5, causal=False, positional="learned"
+        )
+        features = FeatureConfig()
+        assert (cli.TRAIN_DEFAULTS["leak"], cli.TRAIN_DEFAULTS["include_duration"]) == (
+            features.leak, features.include_duration
+        )
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def record(model, matrices, labels, config):
+            seen.append(config)
+            raise Stop
+
+        monkeypatch.setattr(cli, "train_model", record)
+        pid = tiny_dataset.playlist_ids()[0]
+        with pytest.raises(Stop):
+            cli.fit_predictor("mlp", tiny_dataset.train_sessions(pid),
+                              tiny_dataset.playlists[pid], cli.TRAIN_DEFAULTS, 2)
+        assert seen == [TrainConfig()]
 
 
 class TestManifest:
@@ -514,7 +549,12 @@ class TestTrainCommand:
         ("mlp", '{"epochs": "2"}'),
         ("pmc", '{"smoothing": "1"}'),
         ("mc", '{"leak": "yes"}'),
-    ], ids=["epochs", "smoothing", "leak"])
+        ("mlp", '{"learning_rate": NaN}'),
+        ("pmc", '{"smoothing": Infinity}'),
+        ("zero", '{"train_fraction": -Infinity}'),
+        ("mc", '{"session_end": "tail"}'),
+    ], ids=["epochs", "smoothing", "leak", "nan-learning-rate", "inf-smoothing",
+            "inf-train-fraction", "session-end"])
     def test_wrongly_typed_config_value_rejected(self, cli_root, tmp_path, capsys, model, options):
         config = tmp_path / "config.json"
         config.write_text(options)
@@ -1145,6 +1185,72 @@ class TestNegativeSeeds:
                                 "--run", str(cli_root / "run_mc"), "--demand-mode", "expected",
                                 "--seed", "-1", "--out", str(tmp_path / "e")])
         assert "error: --seed must be an integer >= 0, got -1" in err
+
+
+class TestNonFiniteOptions:
+    """A float option is a finite number; NaN or an infinity exits 2 naming
+    the flag, or the config file and key, before any data is read."""
+
+    @pytest.mark.parametrize("model,flag,value", [
+        ("mlp", "--learning-rate", "nan"),
+        ("mlp", "--learning-rate", "inf"),
+        ("pmc", "--smoothing", "nan"),
+        ("pmc", "--smoothing", "inf"),
+        ("mc", "--train-fraction", "-inf"),
+        ("transformer", "--validation-fraction", "nan"),
+    ])
+    def test_flag(self, cli_root, tmp_path, capsys, model, flag, value):
+        capsys.readouterr()
+        rc = cli_main(["train", "--data", str(cli_root / "data"), "--model", model,
+                       f"{flag}={value}", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        shown = repr(float(value))
+        assert f"error: {flag} must be a finite number, got {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("model", cli.FAMILIES)
+    def test_config_key_for_every_family(self, cli_root, tmp_path, capsys, model):
+        config = tmp_path / "config.json"
+        config.write_text('{"learning_rate": NaN}')
+        capsys.readouterr()
+        rc = cli_main(["train", "--data", str(cli_root / "data"), "--model", model,
+                       "--config", str(config), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert (
+            f"error: {config}: config key 'learning_rate' must be a finite number, got nan"
+            in capsys.readouterr().err
+        )
+
+
+def _train_parser():
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices["train"]
+
+
+class TestTrainOptionTable:
+    """Each train option is defined once, in cli.TRAIN_DEFAULTS: its flag and
+    its --config key take the same values to the same resolved option."""
+
+    @pytest.mark.parametrize("key", [k for k in cli.TRAIN_DEFAULTS if k != "session_end"])
+    def test_one_flag_resolves_like_the_config_key(self, tmp_path, key):
+        flag = "--" + key.replace("_", "-")
+        actions = [a for a in _train_parser()._actions if a.dest == key]
+        assert [a.option_strings for a in actions] == [[flag]]
+
+        default = cli.TRAIN_DEFAULTS[key]
+        value = True if isinstance(default, bool) else 0.25 if isinstance(default, float) else 7
+        argv = ["train", "--data", "d", "--model", "mc", "--out", "o"]
+        by_flag = cli._resolve_options(cli.build_parser().parse_args(
+            argv + ([flag] if value is True else [flag, str(value)])
+        ))
+        config = write_json(tmp_path / "config.json", {key: value})
+        by_config = cli._resolve_options(
+            cli.build_parser().parse_args(argv + ["--config", str(config)])
+        )
+        assert by_flag == by_config == {**cli.TRAIN_DEFAULTS, key: value}
+        assert type(by_flag[key]) is type(value) and value != default
 
 
 class TestUsageErrors:

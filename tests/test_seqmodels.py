@@ -100,6 +100,15 @@ class TestConstruction:
         with pytest.raises(ConstraintViolation):
             MLPConfig(input_dim=0)
 
+    @pytest.mark.parametrize("sizes", [
+        {"embed_dim": 0, "n_heads": 1, "head_dim": 0, "ff_dim": 0},
+        {"embed_dim": 0, "n_heads": 0, "head_dim": 4, "ff_dim": 4},
+        {"embed_dim": -4, "n_heads": -1, "head_dim": 4, "ff_dim": -4},
+    ], ids=["zero-head-dim", "zero-heads", "negative"])
+    def test_empty_attention_sizes_rejected(self, sizes):
+        with pytest.raises(ConstraintViolation, match="dimensions must be >= 1"):
+            TransformerConfig(input_dim=5, **sizes)
+
     def test_config_json_round_trip(self):
         for kind, config in [
             (ModelKind.MLP, MLPConfig(INPUT_DIM, hidden_dim=16)),
