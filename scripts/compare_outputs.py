@@ -1,6 +1,7 @@
 """Compare every file the benchmark's CLI stages write, between two checkouts.
 
     python3 scripts/compare_outputs.py BASE_CHECKOUT [HEAD_CHECKOUT] [--seed 1]
+        [--rebaselined GLOB ...]
 
 With each checkout's own code, runs the stage sequences of the small-nets,
 wide-transformer and count-baselines workloads (perfbench/workloads.py, full
@@ -12,12 +13,18 @@ options come from a --config file. Every file written is digested with
 sha256. Prints the files whose digests differ or that exist on one side
 only, and exits 1 if there are any. HEAD_CHECKOUT defaults to the checkout
 holding this script. Both checkouts need perfbench/workloads.py.
+
+--rebaselined names the files a change re-baselines on purpose, as fnmatch
+globs on the printed paths (``*`` also matches ``/``): their differences are
+allowed. It exits 1 on a difference outside the globs, and on a glob that
+matches no difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import hashlib
 import io
 import json
@@ -121,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", type=Path, nargs="?")
     parser.add_argument("head", type=Path, nargs="?", default=HERE)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rebaselined", nargs="*", default=[], metavar="GLOB",
+                        help="files whose differences this change intends")
     parser.add_argument("--worker", type=Path, nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -135,11 +144,17 @@ def main(argv: list[str] | None = None) -> int:
         work.rename(Path(tmp) / "base")
         head = digests(args.head.resolve(), work, args.seed)
     differ = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+    matched = {glob: fnmatch.filter(differ, glob) for glob in args.rebaselined}
+    intended = {name for names in matched.values() for name in names}
     for name in differ:
         side = "head only" if name not in base else "base only" if name not in head else "differs"
-        print(f"{side:9}  {name}")
-    print(f"{len(base.keys() | head.keys()) - len(differ)} identical, {len(differ)} different")
-    return 1 if differ else 0
+        print(f"{side:9}  {name}" + ("  (re-baselined)" if name in intended else ""))
+    unmatched = [glob for glob, names in matched.items() if not names]
+    for glob in unmatched:
+        print(f"no difference matches re-baselined glob {glob!r}")
+    print(f"{len(base.keys() | head.keys()) - len(differ)} identical, {len(differ)} different, "
+          f"{len(intended)} of them re-baselined")
+    return 1 if len(intended) < len(differ) or unmatched else 0
 
 
 if __name__ == "__main__":

@@ -217,8 +217,9 @@ class _RowTable:
         return self.rows[states]
 
     def predict_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
-        """Each session's (n_events, 3) rows, teacher-forced, from one gather."""
-        states = [self._prefix_states(session.events)[:-1] for session in sessions]
+        """Each session's (n_events + 1, 3) rows, teacher-forced, the last for
+        the decision after its last event, from one gather."""
+        states = [self._prefix_states(session.events) for session in sessions]
         rows = self._gather([k for ks in states for k in ks])
         return np.split(rows, np.cumsum([len(ks) for ks in states]))[:-1]
 
@@ -263,7 +264,7 @@ class MarkovPredictor(_RowTable):
         return [min(p, self._last) * (N_OUTCOMES + 1) + o for p, o in enumerate(prev, 1)]
 
     def predict_session(self, session: Session) -> np.ndarray:
-        return self.predict_sessions([session])[0]
+        return self._gather(self._prefix_states(session.events)[:-1])
 
     def next_probs(self, events: Sequence[Event]) -> np.ndarray:
         return self.next_probs_batch([events])[0]
@@ -306,7 +307,7 @@ class ZeroOrderPredictor(_RowTable):
         return [track * (self.table.cap + 1) + count for track, count, _ in steps]
 
     def predict_session(self, session: Session) -> np.ndarray:
-        return self.predict_sessions([session])[0]
+        return self._gather(self._prefix_states(session.events)[:-1])
 
     def next_probs(self, events: Sequence[Event]) -> np.ndarray:
         return self.next_probs_batch([events])[0]

@@ -371,9 +371,12 @@ def _check_option(key: str, value, where: str) -> None:
         _check_seed(value, where)
 
 
-def _resolve_options(args) -> dict:
-    """Option precedence: explicit flag > --config file > built-in default."""
+def _resolve_options(args, sources: dict[str, str] | None = None) -> dict:
+    """Option precedence: explicit flag > --config file > built-in default.
+    ``sources``, if given, receives where each option not left at its
+    default was set: the flag, or the file and config key."""
     resolved = dict(TRAIN_DEFAULTS)
+    sources = {} if sources is None else sources
     if args.config is not None:
         file_options = artifacts.read_json(args.config)
         unknown = set(file_options) - set(resolved)
@@ -382,12 +385,14 @@ def _resolve_options(args) -> dict:
                 f"{args.config}: unknown config keys {sorted(unknown)}"
             )
         for key, value in file_options.items():
-            _check_option(key, value, f"{args.config}: config key {key!r}")
+            sources[key] = f"{args.config}: config key {key!r}"
+            _check_option(key, value, sources[key])
         resolved.update(file_options)
     for key in resolved:
         value = getattr(args, key, None)
         if value is not None:
-            _check_option(key, value, _flag(key))
+            sources[key] = _flag(key)
+            _check_option(key, value, sources[key])
             resolved[key] = value
     return resolved
 
@@ -461,7 +466,8 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
 
 
 def cmd_train(args) -> int:
-    opts = _resolve_options(args)
+    sources: dict[str, str] = {}
+    opts = _resolve_options(args, sources)
     dataset = _load_data(args, session_end=opts["session_end"])
     dataset = split_dataset(
         dataset, train_fraction=opts["train_fraction"], seed=opts["seed"]
@@ -477,9 +483,14 @@ def cmd_train(args) -> int:
         if not train_sessions:
             log.warning("playlist %r has no training sessions; skipping", pid)
             continue
-        predictor, info = fit_predictor(
-            args.model, train_sessions, dataset.playlists[pid], opts, dataset.cap
-        )
+        try:
+            predictor, info = fit_predictor(
+                args.model, train_sessions, dataset.playlists[pid], opts, dataset.cap
+            )
+        except ConstraintViolation as exc:  # name where the options it reads were set
+            if where := [sources[key] for key in exc.keys if key in sources]:
+                raise ConstraintViolation(f"{', '.join(where)}: {exc}") from None
+            raise
         bundle = artifacts.save_predictor(run_dir / "models" / pid, predictor)
         bundle_paths[pid] = bundle / artifacts.BUNDLE_FILE
         per_playlist[pid] = info

@@ -555,7 +555,7 @@ def event_listening_time(event: Event, playlist: Playlist) -> float:
     return playlist.track_at(event.track_position).duration
 
 
-def observed_remaining_time(session: Session, playlist: Playlist) -> tuple[float, ...]:
+def observed_remaining_time(events: Sequence[Event], playlist: Playlist) -> tuple[float, ...]:
     """Per event position: listening time of this event and every later one.
 
     Accumulated as a suffix sum from the last event, so every value is >= 0
@@ -563,7 +563,7 @@ def observed_remaining_time(session: Session, playlist: Playlist) -> tuple[float
     """
     out = []
     tail = 0.0
-    for event in reversed(session.events):
+    for event in reversed(events):
         tail += event_listening_time(event, playlist)
         out.append(tail)
     return tuple(reversed(out))
@@ -585,7 +585,7 @@ def predicted_remaining_time(
     max_len = max(len(s) for s in train_sessions)
     sums = np.zeros(max_len, dtype=np.float64)
     for session in train_sessions:
-        tail = observed_remaining_time(session, playlist)
+        tail = observed_remaining_time(session.events, playlist)
         sums[: len(tail)] += np.asarray(tail)
     return tuple(float(v) for v in sums / len(train_sessions))
 
@@ -635,7 +635,7 @@ class FeaturePipeline:
         self.remaining_time_table = predicted_remaining_time(
             train_sessions, self.playlist
         )
-        raw = [self._session_rows(s) for s in train_sessions]
+        raw = [self._rows(s.events)[:-1] for s in train_sessions]
         times = np.concatenate([rows[:, 4] for rows in raw])
         self.time_mean = float(np.mean(times))
         self.time_std = _std_floor(np.std(times))
@@ -646,26 +646,24 @@ class FeaturePipeline:
         self.fitted = True
         return self
 
-    def _rows(self, events: Sequence[Event], n_rows: int) -> np.ndarray:
-        """Unscaled rows 1..n_rows (at most len(events) + 1), row j built from
-        events[:j-1] alone: the one row rule."""
-        head = events[: n_rows - 1]
+    def _rows(self, events: Sequence[Event]) -> np.ndarray:
+        """Unscaled rows 1..len(events) + 1, row j built from events[:j-1]
+        alone: the one row rule. Under leak, column 4 is the remaining time
+        observed from ``events``, 0 after the last."""
+        n_rows = len(events) + 1
         out = np.zeros((n_rows, self.config.input_dim), dtype=np.float64)
-        prev = [N_OUTCOMES] + [e.index for e in head]
+        prev = [N_OUTCOMES] + [e.index for e in events]
         out[np.arange(n_rows), prev] = 1.0
-        known = min(n_rows, len(self.remaining_time_table))
-        out[:known, 4] = self.remaining_time_table[:known]
+        if self.config.leak:
+            out[:, 4] = (*observed_remaining_time(events, self.playlist), 0.0)
+        else:
+            known = min(n_rows, len(self.remaining_time_table))
+            out[:known, 4] = self.remaining_time_table[:known]
         if self.config.include_duration:
             last = len(self.playlist)
-            offered = [1] + [min(e.track_position + 1, last) for e in head]
+            offered = [1] + [min(e.track_position + 1, last) for e in events]
             out[:, 5] = [self.playlist.track_at(k).duration for k in offered]
         return out
-
-    def _session_rows(self, session: Session) -> np.ndarray:
-        rows = self._rows(session.events, len(session.events))
-        if self.config.leak:
-            rows[:, 4] = observed_remaining_time(session, self.playlist)
-        return rows
 
     def _scaled(self, rows: np.ndarray) -> np.ndarray:
         if not self.fitted:
@@ -677,12 +675,12 @@ class FeaturePipeline:
 
     def matrix(self, session: Session) -> np.ndarray:
         """(n_events, input_dim) float64 model input."""
-        return self._scaled(self._session_rows(session))
+        return self.prefix_matrix(session.events)[:-1]
 
     def prefix_matrix(self, events: Sequence[Event]) -> np.ndarray:
         """(len(events) + 1, input_dim) model input of a prefix, ending with
         the row of the event that would follow it."""
-        return self._scaled(self._rows(events, len(events) + 1))
+        return self._scaled(self._rows(events))
 
     def labels(self, session: Session) -> np.ndarray:
         """(n_events,) int64 outcome indices."""

@@ -10,7 +10,12 @@ class SeqBundleError(Exception):
 
 
 class ConstraintViolation(SeqBundleError):
-    """A domain rule was violated (invalid session, state, or config)."""
+    """A domain rule was violated (invalid session, state, or config);
+    ``keys`` names the config fields that break it, if any."""
+
+    def __init__(self, *args, keys: tuple[str, ...] = ()) -> None:
+        super().__init__(*args)
+        self.keys = keys
 
 
 class SchemaError(SeqBundleError):

@@ -1,9 +1,10 @@
 """Holdout evaluation: hit rates, confusion, demand rates, and dataset summaries.
 
-All predictors expose predict_sessions(sessions) -> one (n_events, 3) array
-of probability rows per session, ordered (SKIP, PLAY, REPLAY); the row at
-index j is the prediction for event j given everything before it. The first
-event has no history and is never scored. Expected-mode demand also needs
+All predictors expose predict_sessions(sessions) -> one (n_events + 1, 3)
+array of probability rows per session, ordered (SKIP, PLAY, REPLAY); the row
+at index j is the prediction for event j given everything before it, and the
+last is for the decision after the last event, which no event records. Only
+rows 1..n_events - 1 are scored. Expected-mode demand also needs
 next_probs_batch(prefixes) -> (B, 3) rows for event prefixes of any lengths.
 A predictor that keeps per-prefix state offers decoder() -> a callable with
 next_probs_batch's contract whose calls extend the prefixes of the call
@@ -12,9 +13,10 @@ rollout call owns one and drops it when it returns.
 
 Rows depend on their prefix alone, so evaluation scores, checks and walks
 each distinct event sequence once, keyed on the events tuple (events are
-canonical, so the tuple hashes in C); every float sum still runs over the
-sessions in order. Rollouts come from domain.sample_walks, which asks for
-each distinct live prefix once per step.
+canonical, so the tuple hashes in C), and weights it by its session count;
+sums run over the distinct sequences in the order of their first session.
+Rollouts come from domain.sample_walks, which asks for each distinct live
+prefix once per step.
 
 Every row a predictor returns must pass domain.check_prob_rows, at
 domain.ROW_SUM_TOL; a scored event's prediction is its row's modal outcome,
@@ -24,6 +26,7 @@ domain.first_max_index, so exact ties go to the earliest outcome.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -41,6 +44,7 @@ from .domain import (
     Session,
     check_prob_rows,
     draw_outcomes,
+    feasible_rows,
     first_max_index,
     sample_walks,
     tally_sessions,
@@ -49,6 +53,9 @@ from .domain import (
 from .errors import ConstraintViolation, MetricUndefinedError
 
 log = logging.getLogger(__name__)
+
+_PLAY = OUTCOME_INDEX[Outcome.PLAY]
+_REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
 
 
 def _check_prob_rows(probs: np.ndarray, n_events: int, where: str) -> np.ndarray:
@@ -134,8 +141,13 @@ class DemandRates:
     """Per-track plays per listener, actual vs predicted, tracks 2..n.
 
     The first track is excluded: the model never predicts the first event.
-    Rates are means over the sessions that reached the track; ``coverage``
-    records those denominators.
+    Actual demand is the mean final play count over the holdout sessions that
+    reached the track; ``coverage`` records those denominators. Predicted
+    demand, in both modes: at every decision after the first event, the one
+    after the last included, the row as drawn (domain.feasible_rows) credits
+    P(PLAY) to the track ahead and P(REPLAY) to the current track. A track is
+    credited by, and divided by, the sessions that reached it: the holdout's
+    in realized mode, the rollouts' in expected mode.
     """
 
     track_positions: tuple[int, ...]
@@ -168,6 +180,33 @@ def _play_tally(plays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plays @ np.arange(plays.shape[1], dtype=np.float64), plays.sum(axis=1)
 
 
+def _credit_plays(
+    sequences: Iterable[tuple[tuple[Event, ...], int, np.ndarray]], n_tracks: int, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted plays summed per track, and how many sessions reached it:
+    the one demand estimator (see DemandRates).
+
+    ``sequences`` holds each distinct event sequence, its session count and
+    its rows, row j for the decision after events[:j + 1]. A session credits
+    only the tracks it reached, so a track's sum estimates the expected final
+    play count of the sessions its count covers.
+    """
+    cover = np.zeros(n_tracks + 1, dtype=np.int64)
+    steps, weights, blocks = [], [], []
+    for events, weight, rows in sequences:
+        reached = events[-1].track_position
+        cover[1 : reached + 1] += weight
+        steps += [(track, feasible[_REPLAY], track < reached)
+                  for track, _, feasible in walk(events, n_tracks, cap)[1:]]
+        weights += [weight] * len(events)
+        blocks.append(rows)
+    tracks, replay_ok, ahead = map(np.array, zip(*steps))
+    drawn = feasible_rows(np.concatenate(blocks), replay_ok) * np.array(weights)[:, None]
+    credit = np.bincount(tracks, drawn[:, _REPLAY], n_tracks + 1)
+    credit += np.bincount(tracks[ahead] + 1, drawn[ahead, _PLAY], n_tracks + 1)
+    return credit[1:], cover[1:]
+
+
 def _demand_rates(
     actual: tuple[np.ndarray, np.ndarray], predicted: tuple[np.ndarray, np.ndarray]
 ) -> DemandRates:
@@ -189,46 +228,13 @@ def _demand_rates(
     )
 
 
-def _demand_realized(
-    sessions: Sequence[Session],
-    prob_rows: Sequence[np.ndarray],
-    playlist: Playlist,
-    cap: int,
-) -> DemandRates:
-    """Expected plays per track along the realized event paths.
-
-    A track's predicted demand collects P(PLAY) at its arrival event plus
-    P(REPLAY) at every later decision where that track is the feasible replay
-    target (count in [1, cap)). The actual demand is the session's final play
-    count. Denominators count the sessions that reached the track.
-    """
-    n = len(playlist)
-    replay = OUTCOME_INDEX[Outcome.REPLAY]
-    play = OUTCOME_INDEX[Outcome.PLAY]
-    predicted_sum = np.zeros(n, dtype=np.float64)
-    walks: dict[tuple[Event, ...], list] = {}
-    for session, probs in zip(sessions, prob_rows):
-        steps = walks.get(session.events)
-        if steps is None:
-            steps = walks[session.events] = walk(session.events, n, cap)
-        for j in range(1, len(session.events)):
-            track, _, feasible = steps[j]
-            if feasible[replay]:
-                predicted_sum[track - 1] += probs[j, replay]
-            event = session.events[j]
-            if event.outcome is not Outcome.REPLAY:
-                # the arrival event of event.track_position, exactly once
-                predicted_sum[event.track_position - 1] += probs[j, play]
-    actual = _play_tally(tally_sessions(sessions, n, cap).plays)
-    return _demand_rates(actual, (predicted_sum, actual[1]))
-
-
 def rollout_sessions(
     predictor,
     playlist: Playlist,
     first_row: np.ndarray,
     uniforms: np.ndarray,
     cap: int = DEFAULT_CAP,
+    rows: dict[tuple[Event, ...], np.ndarray] | None = None,
 ) -> list[Session]:
     """Sample sessions from a predictor's own conditionals, all in lockstep.
 
@@ -237,7 +243,8 @@ def rollout_sessions(
     step to the predictor's decoder() (else ``next_probs_batch``) for the
     distinct prefixes of the live rollouts, whose rows pass check_prob_rows
     before any is drawn from; ``uniforms`` needs n_tracks * cap + 1 columns.
-    Rollouts with the same events share one tuple.
+    Rollouts with the same events share one tuple. ``rows``, if given,
+    receives each checked row keyed by its prefix.
     """
     n = len(playlist)
     max_events = n * cap + 1
@@ -251,7 +258,10 @@ def rollout_sessions(
     next_probs = predictor.next_probs_batch if decoder is None else decoder()
 
     def next_rows(prefixes: list[tuple[Event, ...]]) -> np.ndarray:
-        return check_prob_rows(next_probs(prefixes), where)
+        checked = check_prob_rows(next_probs(prefixes), where)
+        if rows is not None:
+            rows.update(zip(prefixes, checked))
+        return checked
 
     first = draw_outcomes(first_row, uniforms[:, 0])
     walks = sample_walks(next_rows, first, uniforms, n, cap)
@@ -273,31 +283,36 @@ def rollout_session(
     return rollout_sessions(predictor, playlist, first_row, uniforms, cap)[0]
 
 
-def _demand_expected(
+def _rolled_plays(
     predictor,
-    sessions: Sequence[Session],
+    plays: np.ndarray,
     playlist: Playlist,
     cap: int,
     n_rollouts: int,
     seed: int,
-) -> DemandRates:
-    """Monte Carlo demand: roll sessions from the model's own conditionals.
-
-    First events are drawn from the holdout's empirical first-outcome
-    frequencies; the actual side is still computed from the holdout sessions.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """_credit_plays over rollouts from the model, with the rows they drew
+    from; first events come from the holdout's (``plays``) frequencies. A
+    rollout's last prefix has no row when no outcome is feasible there, and
+    needs none."""
     if n_rollouts < 1:
         raise ConstraintViolation(f"n_rollouts must be >= 1, got {n_rollouts}")
     n = len(playlist)
-    plays = tally_sessions(sessions, n, cap).plays
     # the first event resolves track 1: a SKIP leaves it at 0 units, a PLAY above 0
     first_counts = np.array((plays[0, 0], plays[0, 1:].sum(), 0), dtype=np.float64)
     first_row = first_counts / first_counts.sum()
     rng = np.random.default_rng([seed, 0x5EED])
     uniforms = rng.random((n_rollouts, n * cap + 1))
-    rolled = rollout_sessions(predictor, playlist, first_row, uniforms, cap)
-    return _demand_rates(
-        _play_tally(plays), _play_tally(tally_sessions(rolled, n, cap).plays)
+    rows: dict[tuple[Event, ...], np.ndarray] = {}
+    rolled = rollout_sessions(predictor, playlist, first_row, uniforms, cap, rows)
+    closed = np.zeros(N_OUTCOMES)
+
+    def drawn_from(events: tuple[Event, ...]) -> np.ndarray:
+        return np.array([rows.get(events[:j], closed) for j in range(1, len(events) + 1)])
+
+    weights = Counter(session.events for session in rolled)
+    return _credit_plays(
+        ((events, weight, drawn_from(events)) for events, weight in weights.items()), n, cap
     )
 
 
@@ -322,46 +337,41 @@ def evaluate_playlist(
         raise ConstraintViolation(f"unknown demand mode {demand_mode!r}")
     confusion = np.zeros((N_OUTCOMES, N_OUTCOMES), dtype=np.int64)
     position_hits: dict[int, list[int]] = {}
-    hits = 0
-    scored = 0
+    weights = Counter(session.events for session in sessions)
     distinct: dict[tuple[Event, ...], Session] = {}
     for session in sessions:
         distinct.setdefault(session.events, session)
     checked = {
-        events: _check_prob_rows(probs, len(events), f"session {session.session_id!r}")
+        events: _check_prob_rows(probs, len(events) + 1, f"session {session.session_id!r}")
         for (events, session), probs in zip(
             distinct.items(), predictor.predict_sessions(list(distinct.values()))
         )
     }
-    modal = {events: first_max_index(probs[1:]).tolist() for events, probs in checked.items()}
-    prob_rows = [checked[session.events] for session in sessions]
-    for session in sessions:
-        predicted = modal[session.events]
-        for position, (event, pred_idx) in enumerate(
-            zip(session.events[1:], predicted), start=2
-        ):
-            actual_idx = event.index
-            confusion[actual_idx, pred_idx] += 1
-            scored += 1
-            hit = int(pred_idx == actual_idx)
-            hits += hit
+    for events, weight in weights.items():
+        predicted = first_max_index(checked[events][1:-1]).tolist()
+        for position, (event, pred_idx) in enumerate(zip(events[1:], predicted), start=2):
+            confusion[event.index, pred_idx] += weight
             bucket = position_hits.setdefault(position, [0, 0])
-            bucket[0] += hit
-            bucket[1] += 1
+            bucket[0] += weight * (pred_idx == event.index)
+            bucket[1] += weight
+    n = len(playlist)
+    plays = tally_sessions(sessions, n, cap).plays
     if demand_mode == "realized":
-        demand = _demand_realized(sessions, prob_rows, playlist, cap)
+        predicted_plays = _credit_plays(
+            ((events, weight, checked[events][1:]) for events, weight in weights.items()), n, cap
+        )
     else:
-        demand = _demand_expected(predictor, sessions, playlist, cap, n_rollouts, seed)
+        predicted_plays = _rolled_plays(predictor, plays, playlist, cap, n_rollouts, seed)
     return EvaluationResult(
         playlist_id=playlist.playlist_id,
         n_sessions=len(sessions),
-        n_scored=scored,
-        hits=hits,
+        n_scored=int(confusion.sum()),
+        hits=int(np.trace(confusion)),
         confusion_counts=confusion,
         position_hits=tuple(
             (pos, h, t) for pos, (h, t) in sorted(position_hits.items())
         ),
-        demand=demand,
+        demand=_demand_rates(_play_tally(plays), predicted_plays),
     )
 
 

@@ -9,6 +9,11 @@ from ..domain import N_OUTCOMES
 from ..errors import ConstraintViolation, SchemaError
 
 
+def _at_least_one(config, what: str, names: tuple[str, ...]) -> None:
+    if small := tuple(name for name in names if getattr(config, name) < 1):
+        raise ConstraintViolation(f"{what} must be >= 1", keys=small)
+
+
 class ModelKind(str, Enum):
     MLP = "mlp"
     LSTM = "lstm"
@@ -33,21 +38,24 @@ class TransformerConfig:
         if self.n_heads * self.head_dim != self.embed_dim:
             raise ConstraintViolation(
                 f"n_heads * head_dim must equal embed_dim "
-                f"({self.n_heads} * {self.head_dim} != {self.embed_dim})"
+                f"({self.n_heads} * {self.head_dim} != {self.embed_dim})",
+                keys=("n_heads", "head_dim", "embed_dim"),
             )
         if self.ff_dim < self.embed_dim:
             raise ConstraintViolation(
-                f"ff_dim ({self.ff_dim}) must be >= embed_dim ({self.embed_dim})"
+                f"ff_dim ({self.ff_dim}) must be >= embed_dim ({self.embed_dim})",
+                keys=("ff_dim", "embed_dim"),
             )
         if self.positional not in ("fixed", "learned"):
             raise ConstraintViolation(
                 f"positional must be 'fixed' or 'learned', got {self.positional!r}"
             )
         if self.positional == "fixed" and self.embed_dim % 2 != 0:
-            raise ConstraintViolation("fixed positional encoding needs an even embed_dim")
-        if min(self.input_dim, self.embed_dim, self.n_heads, self.n_blocks,
-               self.max_positions) < 1:
-            raise ConstraintViolation("transformer dimensions must be >= 1")
+            raise ConstraintViolation(
+                "fixed positional encoding needs an even embed_dim", keys=("embed_dim",)
+            )
+        _at_least_one(self, "transformer dimensions", ("input_dim", "embed_dim", "n_heads",
+                                                        "n_blocks", "max_positions"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,8 +66,7 @@ class LSTMConfig:
     n_classes: int = N_OUTCOMES
 
     def __post_init__(self) -> None:
-        if min(self.input_dim, self.hidden_dim, self.n_layers) < 1:
-            raise ConstraintViolation("LSTM dimensions must be >= 1")
+        _at_least_one(self, "LSTM dimensions", ("input_dim", "hidden_dim", "n_layers"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +77,7 @@ class MLPConfig:
     n_classes: int = N_OUTCOMES
 
     def __post_init__(self) -> None:
-        if min(self.input_dim, self.hidden_dim, self.n_layers) < 1:
-            raise ConstraintViolation("MLP dimensions must be >= 1")
+        _at_least_one(self, "MLP dimensions", ("input_dim", "hidden_dim", "n_layers"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,12 +93,12 @@ class TrainConfig:
     min_delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConstraintViolation("epochs and batch_size must be >= 1")
+        _at_least_one(self, "epochs and batch_size", ("epochs", "batch_size"))
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConstraintViolation("validation_fraction must be in [0, 1)")
-        if self.patience < 1:
-            raise ConstraintViolation("patience must be >= 1")
+            raise ConstraintViolation(
+                "validation_fraction must be in [0, 1)", keys=("validation_fraction",)
+            )
+        _at_least_one(self, "patience", ("patience",))
 
 
 _CONFIG_TYPES = {

@@ -321,7 +321,8 @@ class TransformerModel(SequenceModel):
         if n > self.config.max_positions:
             raise ConstraintViolation(
                 f"session has {n} events but the learned position table holds "
-                f"{self.config.max_positions}"
+                f"{self.config.max_positions}",
+                keys=("max_positions",),
             )
         return nk.take_rows(self.params["pos_table"], positions)
 

@@ -78,20 +78,21 @@ class NeuralPredictor:
 
     def predict_session(self, session: Session) -> np.ndarray:
         """(n_events, 3) outcome probabilities, teacher-forced."""
-        return self.predict_sessions([session])[0]
+        return self.predict_sessions([session])[0][:-1]
 
     def predict_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
-        """Each session's (n_events, 3) outcome probabilities, teacher-forced.
+        """Each session's (n_events + 1, 3) outcome probabilities,
+        teacher-forced; the last row is for the decision after its last event.
 
-        Causal models pack all sessions into one forward (up to PACKED_ROWS
-        rows). The bidirectional encoder is evaluated in prediction mode: the
-        row for event j comes from a pass over rows 1..j alone, so the
-        forward packs every distinct prefix of the sessions once and reads
+        Causal models pack every session's prefix_matrix into one forward (up
+        to PACKED_ROWS rows). The bidirectional encoder is evaluated in
+        prediction mode: row j comes from a pass over rows 1..j alone, so the
+        forward packs every distinct prefix of the matrices once and reads
         each prefix's last row. Packing changes no session's values.
         """
         if not sessions:
             return []
-        matrices = [self.pipeline.matrix(session) for session in sessions]
+        matrices = [self.pipeline.prefix_matrix(session.events) for session in sessions]
         if self.is_causal:
             probs, _ = self._forward(matrices)
         else:
@@ -99,7 +100,7 @@ class NeuralPredictor:
         out = np.split(probs, np.cumsum([len(m) for m in matrices])[:-1])
         if self.feasibility_mask:  # row 0 is never scored
             for session, rows in zip(sessions, out):
-                self._mask(rows[1:], self._walk(session.events)[1:-1])
+                self._mask(rows[1:], self._walk(session.events)[1:])
         return out
 
     def _forward(self, matrices: Sequence[np.ndarray], **options) -> tuple[np.ndarray, list]:

@@ -175,9 +175,10 @@ class TestPredictMarkov:
         with caplog.at_level(logging.WARNING):
             predictor.predict_sessions([replayed, replayed, replayed])
             predictor.next_probs_batch([replayed.events[:2], replayed.events[:2]])
-        # each session reads the empty REPLAY row once, at event 3
+        # each session reads the empty REPLAY row twice: at event 3, and at
+        # the decision after its last event, a replay
         assert [r.getMessage().split(" read ")[1] for r in caplog.records] == [
-            "3 fallback row(s): the playlist marginal",
+            "6 fallback row(s): the playlist marginal",
             "2 fallback row(s): the playlist marginal",
         ]
 

@@ -736,7 +736,7 @@ class TestRemainingTime:
     def test_observed_remaining_time_is_suffix_sum(self, playlist3):
         session = make_session(["play", "replay", "skip"])
         # listening times are (100, 100, 0); the suffix sums include the event itself
-        assert observed_remaining_time(session, playlist3) == (200.0, 100.0, 0.0)
+        assert observed_remaining_time(session.events, playlist3) == (200.0, 100.0, 0.0)
 
     def test_predicted_remaining_time_frozen_example(self):
         playlist = make_playlist(3, durations=(100.0, 200.0, 300.0))
@@ -762,7 +762,7 @@ class TestRemainingTime:
         n, outcomes = walk
         playlist = make_playlist(n, durations=tuple(durations[:n]))
         session = make_session([o.value for o in outcomes])
-        observed = observed_remaining_time(session, playlist)
+        observed = observed_remaining_time(session.events, playlist)
         assert all(t >= 0.0 for t in observed)
         listened = [k for k, o in enumerate(outcomes) if o is not Outcome.SKIP]
         after_last = listened[-1] + 1 if listened else 0
@@ -788,6 +788,10 @@ class TestFeatures:
         times = leaky.matrix(session)[:, 4] * leaky.time_std + leaky.time_mean
         # the session's own remaining time (100, 0), not the training table
         assert times.tolist() == pytest.approx([100.0, 0.0], abs=1e-9)
+        # the row after the last event has nothing left to hear
+        query = leaky.prefix_matrix(session.events)
+        assert query[:-1].tobytes() == leaky.matrix(session).tobytes()
+        assert query[-1, 4] * leaky.time_std + leaky.time_mean == pytest.approx(0.0, abs=1e-9)
 
     def test_matrix_is_z_scored(self, playlist3):
         sessions = [

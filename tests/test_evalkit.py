@@ -3,6 +3,7 @@
 import logging
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from seqbundle.domain import (
     Outcome,
     check_prob_rows,
     first_max_index,
+    tally_sessions,
     validate_session,
 )
 from seqbundle.errors import ConstraintViolation, MetricUndefinedError
@@ -48,7 +50,7 @@ from seqbundle.seqmodels import (
     TransformerConfig,
     make_model,
 )
-from seqbundle.synthgen import generate, second_order_spec
+from seqbundle.synthgen import GeneratorSpec, generate, second_order_spec
 
 
 class FixedRowPredictor:
@@ -61,7 +63,11 @@ class FixedRowPredictor:
         return np.tile(self.row, (len(session.events), 1))
 
     def predict_sessions(self, sessions):
-        return [self.predict_session(session) for session in sessions]
+        # each session's rows and the row after its last event
+        return [
+            np.vstack([self.predict_session(session), self.next_probs(session.events)])
+            for session in sessions
+        ]
 
     def next_probs(self, events):
         return self.row.copy()
@@ -259,17 +265,21 @@ class TestDemandRealized:
         assert demand.coverage == (2,)
         # both sessions played track 2 exactly once
         assert demand.actual == pytest.approx((1.0,))
-        # each session's arrival event at track 2 carries P(PLAY) = 0.7, and
-        # no scored event has track 2 as a feasible replay target
-        assert demand.predicted == pytest.approx((0.7,))
+        # s1 credits track 2 with P(PLAY) = 0.7 after its play, 7/9 after its
+        # replay (REPLAY closed at the cap: the row as drawn is (0.2, 0.7) /
+        # 0.9) and P(REPLAY) = 0.1 after its last event; s2 with 7/9 after its
+        # skip and 0.1 after its last event
+        assert demand.predicted == pytest.approx(((0.7 + 7 / 9 + 0.1 + 7 / 9 + 0.1) / 2,))
 
     def test_replay_credit_goes_to_previous_track(self):
         playlist = make_playlist(2)
         sessions = [make_session(["play", "replay", "play"], sid="s1")]
         result = evaluate_playlist(FixedRowPredictor(), sessions, playlist)
-        # track 2's prediction collects only its arrival event: the replay at
-        # event 2 targets track 1, which is outside the reported range
-        assert result.demand.predicted == pytest.approx((0.7,))
+        # track 2 collects P(PLAY) at both decisions on track 1, the first as
+        # offered and the second with REPLAY closed, and P(REPLAY) after the
+        # last event; the replay credit at event 2 goes to track 1, outside
+        # the reported range
+        assert result.demand.predicted == pytest.approx((0.7 + 7 / 9 + 0.1,))
 
     def test_coverage_counts_only_reaching_sessions(self):
         playlist = make_playlist(3)
@@ -358,9 +368,10 @@ class TestRollouts:
 
     @pytest.mark.parametrize(
         "position_dependent,tolerance",
-        # pmc's rows after the last track carry replay mass the data does not
-        # (sessions that end there leave no event), hence its wider margin
-        [(False, 0.15), (True, 0.25)],
+        # both modes credit the same rows, so they differ by Monte Carlo noise
+        # alone: over rollout seeds 0-9 the largest gap was 0.009 for mc and
+        # 0.014 for pmc
+        [(False, 0.03), (True, 0.04)],
         ids=["mc", "pmc"],
     )
     def test_expected_mode_last_track_agrees_with_realized(self, position_dependent, tolerance):
@@ -483,6 +494,52 @@ class TestRollouts:
         assert runs[0] == runs[1]
 
 
+def _own_rows_case(name):
+    if name == "constant":
+        return FixedRowPredictor((0.3, 0.4, 0.3)), make_playlist(4), 2
+    spec = GeneratorSpec(
+        kind="markov1", n_sessions=400, seed=3, n_tracks=5, cap=3,
+        transitions={
+            Outcome.SKIP: (0.6, 0.4, 0.0),
+            Outcome.PLAY: (0.2, 0.5, 0.3),
+            Outcome.REPLAY: (0.3, 0.3, 0.4),
+        },
+    )
+    dataset = generate(spec)
+    playlist = dataset.playlists[dataset.playlist_ids()[0]]
+    return MarkovPredictor(fit_markov(dataset.sessions, playlist, cap=3)), playlist, 3
+
+
+class TestOwnRows:
+    """Sessions drawn from a predictor's own rows and scored by that predictor:
+    its predicted demand is unbiased for the actual demand in both modes."""
+
+    @pytest.mark.parametrize("mode", ["realized", "expected"])
+    @pytest.mark.parametrize("name", ["constant", "mc-cap3"])
+    def test_every_track_is_within_three_standard_errors(self, name, mode):
+        predictor, playlist, cap = _own_rows_case(name)
+        n_sessions = 2000
+        uniforms = np.random.default_rng(0).random((n_sessions, len(playlist) * cap + 1))
+        first_row = np.array([0.35, 0.65, 0.0])
+        sessions = rollout_sessions(predictor, playlist, first_row, uniforms, cap)
+        demand = evaluate_playlist(
+            predictor, sessions, playlist, cap=cap, demand_mode=mode,
+            n_rollouts=n_sessions, seed=0,
+        ).demand
+        # the standard error of the actual mean play count, per track; expected
+        # mode adds the rollouts' own, which is at most as large
+        plays = tally_sessions(sessions, len(playlist), cap).plays[1:].astype(np.float64)
+        units = np.arange(cap + 1)
+        cover = plays.sum(axis=1)
+        mean = plays @ units / cover
+        se = np.sqrt((plays @ units**2 / cover - mean**2) / cover)
+        if mode == "expected":
+            se *= np.sqrt(2.0)
+        assert demand.coverage == tuple(cover)
+        gap = np.abs(np.array(demand.predicted) - demand.actual)
+        assert np.all(gap < 3 * se), (gap / se).round(2)
+
+
 class TestDistinctSequences:
     def test_each_distinct_sequence_is_scored_and_walked_once(self, monkeypatch):
         from seqbundle import evalkit
@@ -492,10 +549,16 @@ class TestDistinctSequences:
         outcomes = [["play", "replay", "skip"], ["skip", "play"], ["play", "play", "replay"]]
         sessions = [make_session(outcomes[i % 3], sid=f"s{i}") for i in range(12)]
         predictor = _family_predictor("transformer", True, sessions, playlist)
-        # the realized demand summed over per-session rows, in session order
-        expected = evalkit._demand_realized(
-            sessions, [predictor.predict_session(s) for s in sessions], playlist, 2
+        # the realized demand credited from each distinct sequence's rows,
+        # asked for one session at a time, weighted by its session count
+        first = {s.events: s for s in reversed(sessions)}
+        predicted = evalkit._credit_plays(
+            [(events, weight, predictor.predict_sessions([first[events]])[0][1:])
+             for events, weight in Counter(s.events for s in sessions).items()],
+            4, 2,
         )
+        actual = evalkit._play_tally(tally_sessions(sessions, 4, 2).plays)
+        expected = evalkit._demand_rates(actual, predicted)
         walks = []
         asked = []
         for module in (evalkit, predictors):
@@ -712,9 +775,9 @@ def _prefix_rule_predictor(family, include_duration, feasibility_mask=False):
 
 
 class TestPrefixRule:
-    """Row j of every family is a function of events[:j] alone: the scored row
-    and the next-event query for the same prefix are the same bytes, with the
-    feasibility mask too."""
+    """Row j of every family is a function of events[:j] alone: the scored row,
+    or the row after the last event, and the next-event query for the same
+    prefix are the same bytes, with the feasibility mask too."""
 
     @pytest.mark.parametrize(
         "family,variant",
@@ -727,6 +790,6 @@ class TestPrefixRule:
             family, variant == "duration", feasibility_mask=variant == "masked"
         )
         for session, rows in zip(sessions, predictor.predict_sessions(sessions)):
-            for j in range(1, len(session.events)):
+            for j in range(1, len(session.events) + 1):
                 query = predictor.next_probs_batch([session.events[:j]])[0]
                 assert rows[j].tobytes() == query.tobytes(), (session.session_id, j)

@@ -1222,6 +1222,45 @@ class TestNonFiniteOptions:
         )
 
 
+# A config dataclass's size or range error, with the options that set it.
+_SMALL_ENCODER = {"embed_dim": 8, "n_heads": 2, "head_dim": 4, "ff_dim": 8, "epochs": 1}
+CONFIG_ERRORS = {
+    "batch-size": ("mlp", {"batch_size": 0}, "batch_size",
+                   "epochs and batch_size must be >= 1"),
+    "n-heads": ("transformer", {"n_heads": 0}, "n_heads",
+                "n_heads * head_dim must equal embed_dim (0 * 32 != 256)"),
+    "max-positions": ("encoder", {**_SMALL_ENCODER, "max_positions": 1}, "max_positions",
+                      "but the learned position table holds 1"),
+}
+
+
+class TestConfigErrorsNameTheirSource:
+    """A rule a config dataclass or a model enforces on an option exits 2
+    naming the flag, or the config file and key, that set the option."""
+
+    @pytest.mark.parametrize("case", CONFIG_ERRORS)
+    def test_flag(self, cli_root, tmp_path, capsys, case):
+        model, options, key, rule = CONFIG_ERRORS[case]
+        flags = [arg for k, v in options.items() for arg in ("--" + k.replace("_", "-"), str(v))]
+        capsys.readouterr()
+        rc = cli_main(["train", "--data", str(cli_root / "data"), "--model", model, *flags,
+                       "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{key.replace('_', '-')}: ") and rule in err
+
+    @pytest.mark.parametrize("case", CONFIG_ERRORS)
+    def test_config_key(self, cli_root, tmp_path, capsys, case):
+        model, options, key, rule = CONFIG_ERRORS[case]
+        config = write_json(tmp_path / "config.json", options)
+        capsys.readouterr()
+        rc = cli_main(["train", "--data", str(cli_root / "data"), "--model", model,
+                       "--config", str(config), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: config key {key!r}: ") and rule in err
+
+
 def _train_parser():
     (subparsers,) = [
         a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -1341,12 +1380,12 @@ class TestPinnedCountOutputs:
     @pytest.mark.parametrize(
         "spec,model,digest",
         [
-            ("cap2", "mc", "345b421944a36fe4f98204e08d685dfbd701abb52b91d368749bb61876ac77b5"),
-            ("cap2", "pmc", "955bbd2485f064837d9f7ca3cab368aad0da69ae964515fd190e63721c62cc98"),
-            ("cap2", "zero", "9a1eb3436da166037ab6a7467ca2f9e58a7ef2c8b7a5730e30454c56cc287c56"),
-            ("cap3", "mc", "e1aa04debdc8f9df5c968e6e941c54011447c7f723f51c1cbc7b457117e40b5b"),
-            ("cap3", "pmc", "73e67e7bb4de218e4e8a381ef3087cb57a9cb73fea8264982f1a3c4ad4092e2d"),
-            ("cap3", "zero", "646f2e95074e6cdf61ce47d783c5058e12e8415166977f19085c8120bb8f5518"),
+            ("cap2", "mc", "31e72969f1dbb65d06f7f58f9becbf0b2edc916a3f1d5deb3a4fc2c63ceabf98"),
+            ("cap2", "pmc", "c188510fc6afda119675599348b0b53e3f7a5e428d9b1b74ee04bb6416fe7d6d"),
+            ("cap2", "zero", "7bf6d6e8534b19d40932f58865a3303ab248bf5122967504f5f9d8e210c26ecb"),
+            ("cap3", "mc", "3159c600e53bef92eeb5b6c9336c899fa39b72ff2ecf809c48d43ded3e44836f"),
+            ("cap3", "pmc", "a7140095f9eb9ce0ea218b8f89afc3da3c1ff703f9359608c41c8a8418441ad3"),
+            ("cap3", "zero", "499385b0becdf228f22484f0f4d5493e9b23503d75ca29b0cdeeb8d3a99de064"),
         ],
     )
     def test_outputs(self, count_runs, spec, model, digest):

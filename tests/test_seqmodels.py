@@ -1262,8 +1262,10 @@ class TestBatchedInference:
         batched = predictor.predict_sessions(sessions)
         assert len(batched) == len(sessions)
         for session, rows in zip(sessions, batched):
-            assert rows.shape == (len(session.events), 3)
-            assert rows.tobytes() == predictor.predict_session(session).tobytes()
+            # the last row is the query row of the decision after the last event
+            assert rows.shape == (len(session.events) + 1, 3)
+            assert rows[:-1].tobytes() == predictor.predict_session(session).tobytes()
+            assert rows[-1].tobytes() == predictor.next_probs(session.events).tobytes()
 
     @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
     def test_mask_gives_the_zero_and_divide_bytes(self, kind, config):
@@ -1275,7 +1277,7 @@ class TestBatchedInference:
             sessions, masked.predict_sessions(sessions), plain.predict_sessions(sessions)
         ):
             steps = walk(session.events, 5, DEFAULT_CAP)
-            for j in range(1, len(session.events)):
+            for j in range(1, len(session.events) + 1):
                 if not steps[j][2][2]:
                     expected[j, 2] = 0.0
                     total = expected[j].sum()
@@ -1285,11 +1287,12 @@ class TestBatchedInference:
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
     def test_rows_match_a_graph_forward_per_session(self, kind, config):
-        # causal models read one forward of the session; the encoder reads row
-        # j of a forward over rows 1..j alone; the rows leave in float64
+        # causal models read one forward of the session's prefix matrix; the
+        # encoder reads row j of a forward over rows 1..j alone; the rows
+        # leave in float64
         predictor, sessions = self.build(kind, config)
         for session, rows in zip(sessions, predictor.predict_sessions(sessions)):
-            matrix = predictor.pipeline.matrix(session)
+            matrix = predictor.pipeline.prefix_matrix(session.events)
             if predictor.is_causal:
                 expected = predictor.model.forward(matrix)[0].data
             else:
@@ -1311,11 +1314,11 @@ class TestBatchedInference:
 
         monkeypatch.setattr(predictor.model, "forward", counting_forward)
         predictor.predict_sessions(sessions)
-        lengths = [len(s.events) for s in sessions]
+        lengths = [len(s.events) + 1 for s in sessions]
         if predictor.is_causal:
             assert calls == [lengths]
         else:  # every distinct prefix once: rows 1..j hold events[:j-1] alone
-            seen = dict.fromkeys(s.events[:j] for s in sessions for j in range(len(s)))
+            seen = dict.fromkeys(s.events[:j] for s in sessions for j in range(len(s) + 1))
             assert calls == [[len(events) + 1 for events in seen]]
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
@@ -1393,7 +1396,7 @@ class TestPrefixSharing:
             predictors._float64_rows(
                 np.array([model.forward(m[: j + 1])[0].data[-1] for j in range(len(m))])
             )
-            for m in map(predictor.pipeline.matrix, sessions)
+            for m in (predictor.pipeline.prefix_matrix(s.events) for s in sessions)
         ]
         packed = []
         forward = model.forward
@@ -1406,9 +1409,9 @@ class TestPrefixSharing:
         rows = predictor.predict_sessions(sessions)
         for got, want in zip(rows, expected, strict=True):
             assert got.tobytes() == want.tobytes()
-        distinct = {s.events[:j] for s in sessions for j in range(len(s))}
+        distinct = {s.events[:j] for s in sessions for j in range(len(s) + 1)}
         assert len({m.tobytes() for m in packed}) == len(packed) == len(distinct)
-        assert sum(map(len, packed)) < sum(len(s) * (len(s) + 1) // 2 for s in sessions)
+        assert sum(map(len, packed)) < sum((len(s) + 1) * (len(s) + 2) // 2 for s in sessions)
 
     @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
     def test_a_decoder_extends_its_frontier_by_one_row(self, kind, config, monkeypatch):
