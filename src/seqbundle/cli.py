@@ -465,6 +465,18 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
     }
 
 
+def _check_position_table(sessions, pid: str, max_positions: int) -> None:
+    """Scoring a session packs its rows and the decision after its last
+    event, one position more than it has events."""
+    longest = max(map(len, sessions))
+    if longest >= max_positions:
+        raise ConstraintViolation(
+            f"playlist {pid!r} has a {longest}-event session, whose scoring needs "
+            f"{longest + 1} positions, but the learned position table holds {max_positions}",
+            keys=("max_positions",),
+        )
+
+
 def cmd_train(args) -> int:
     sources: dict[str, str] = {}
     opts = _resolve_options(args, sources)
@@ -484,6 +496,8 @@ def cmd_train(args) -> int:
             log.warning("playlist %r has no training sessions; skipping", pid)
             continue
         try:
+            if args.model == "encoder":  # learned positions: evaluate scores both splits
+                _check_position_table(dataset.sessions_for(pid), pid, opts["max_positions"])
             predictor, info = fit_predictor(
                 args.model, train_sessions, dataset.playlists[pid], opts, dataset.cap
             )

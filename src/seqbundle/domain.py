@@ -189,7 +189,7 @@ class Event:
         return Event, (self.track_position, self.outcome)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Session:
     """One listener's walk through one playlist.
 
@@ -202,9 +202,15 @@ class Session:
     playlist_id: str
     events: tuple[Event, ...]
 
-    def __post_init__(self) -> None:
-        if not self.events:
-            raise ConstraintViolation(f"session {self.session_id!r} has no events")
+    def __init__(self, session_id: str, playlist_id: str, events: tuple[Event, ...]) -> None:
+        # a load builds one per line: set the slots through their descriptors,
+        # past the frozen __setattr__
+        if not events:
+            raise ConstraintViolation(f"session {session_id!r} has no events")
+        set_id, set_playlist, set_events = _SESSION_SLOTS
+        set_id(self, session_id)
+        set_playlist(self, playlist_id)
+        set_events(self, events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -215,6 +221,9 @@ class Session:
 
     def outcomes(self) -> tuple[Outcome, ...]:
         return tuple(e.outcome for e in self.events)
+
+
+_SESSION_SLOTS = tuple(Session.__dict__[name].__set__ for name in Session.__slots__)
 
 
 @dataclass(frozen=True, slots=True)

@@ -538,11 +538,13 @@ def summarize_dataset(dataset: Dataset) -> tuple[PlaylistSummary, ...]:
             log.warning("playlist %r has no sessions; skipping summary", pid)
             continue
         tally = tally_sessions(sessions, len(playlist), dataset.cap)
+        seconds = {  # per distinct sequence, added per session in order below
+            events: sum(event_listening_time(e, playlist) for e in events)
+            for events in {session.events for session in sessions}
+        }
         total_seconds = 0.0
         for session in sessions:
-            total_seconds += sum(
-                event_listening_time(e, playlist) for e in session.events
-            )
+            total_seconds += seconds[session.events]
         n_sessions = len(sessions)
         n_actions = int(tally.outcomes.sum())
         shares = tally.outcomes / n_actions

@@ -1,20 +1,27 @@
 """Adam with bias correction, in place on flat vectors.
 
-Update rule per parameter entry, at step t (1-based):
-    m <- b1*m + (1-b1)*g          mhat = m / (1 - b1^t)
-    v <- b2*v + (1-b2)*g^2        vhat = v / (1 - b2^t)
-    p <- p - lr * mhat / (sqrt(vhat) + eps)
+Update rule per parameter entry, at step t (1-based), in the order of
+Kingma & Ba (2015, "Adam: A Method for Stochastic Optimization", end of §2),
+which folds both bias corrections into the step size and epsilon:
+    m <- b1*m + (1-b1)*g
+    v <- b2*v + (1-b2)*g^2
+    lr_t = lr * sqrt(1 - b2^t) / (1 - b1^t)      eps_t = eps * sqrt(1 - b2^t)
+    p <- p - lr_t * (m / (sqrt(v) + eps_t))
+This is the textbook p - lr * mhat / (sqrt(vhat) + eps), with mhat = m / (1 -
+b1^t) and vhat = v / (1 - b2^t), up to rounding, at one divide per entry
+instead of three.
 
 Parameters, gradients and both moments are each one contiguous vector of the
 parameters' dtype, FLOAT for a model (which keeps every parameter in one, see
 SequenceModel.flat). The update runs over ADAM_CHUNK-element chunks through
-two reused work buffers of that dtype, so a step allocates no float temporary
+one reused work buffer of that dtype, so a step allocates no float temporary
 of the parameters' size. Each entry sees the operations of the rule above in
 the same order, so the bits are those of the whole-array expressions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,23 +74,24 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         raise ConstraintViolation(
             f"adam_step: gradient shape {grads.shape} != parameter shape {params.shape}"
         )
-    finite = np.isfinite(grads)
-    if not finite.all():
-        raise NonFiniteGradient(int(np.argmin(finite)))
+    # the sum is not finite whenever an entry is not; only then find the entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(grads.sum()) and not (finite := np.isfinite(grads)).all():
+            raise NonFiniteGradient(int(finite.argmin()))
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     cfg = state.config
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
+    root_bias2 = math.sqrt(1.0 - cfg.beta2**t)
+    lr_t = cfg.learning_rate * root_bias2 / (1.0 - cfg.beta1**t)
+    eps_t = cfg.eps * root_bias2
     work = np.empty(min(ADAM_CHUNK, params.size), dtype=params.dtype)
-    update = np.empty_like(work)
     for start in range(0, params.size, ADAM_CHUNK):
         part = slice(start, start + ADAM_CHUNK)
         p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
-        x, y = work[: p.size], update[: p.size]
+        x = work[: p.size]
         np.multiply(g, 1.0 - cfg.beta1, out=x)
         m *= cfg.beta1
         m += x
@@ -91,10 +99,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         x *= g
         v *= cfg.beta2
         v += x
-        np.divide(v, bias2, out=x)
-        np.sqrt(x, out=x)
-        x += cfg.eps
-        np.divide(m, bias1, out=y)
-        y *= cfg.learning_rate
-        y /= x
-        p -= y
+        np.sqrt(v, out=x)
+        x += eps_t
+        np.divide(m, x, out=x)
+        x *= lr_t
+        p -= x

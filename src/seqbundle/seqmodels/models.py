@@ -285,12 +285,9 @@ class TransformerModel(SequenceModel):
         for i in range(config.n_blocks):
             self._add_param(f"block{i}/ln1/gain", np.ones(d))
             self._add_param(f"block{i}/ln1/bias", np.zeros(d))
-            for head in range(config.n_heads):
-                for proj in ("wq", "wk", "wv"):
-                    self._add_param(
-                        f"block{i}/head{head}/{proj}",
-                        _uniform(rng, d, (d, config.head_dim)),
-                    )
+            # drawn head by head as (Q, K, V); laid out as all Q heads, then K, then V
+            qkv = _uniform(rng, d, (config.n_heads, 3, d, config.head_dim))
+            self._add_param(f"block{i}/w_qkv", qkv.transpose(2, 1, 0, 3).reshape(d, -1))
             self._add_param(f"block{i}/attn_out/w", _uniform(rng, d, (d, d)))
             self._add_param(f"block{i}/attn_out/b", np.zeros(d))
             self._add_param(f"block{i}/ln2/gain", np.ones(d))
@@ -360,12 +357,7 @@ class TransformerModel(SequenceModel):
         width = 2 * n_heads * self.config.head_dim  # of a key/value row
         x = self._embed(arr[order], positions)
         for i in range(stack[0]):
-            w_qkv = nk.concat_cols([
-                self.params[f"block{i}/head{head}/{proj}"]
-                for proj in ("wq", "wk", "wv")
-                for head in range(n_heads)
-            ])
-            qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), w_qkv)
+            qkv = nk.matmul(self._norm(x, f"block{i}/ln1"), self.params[f"block{i}/w_qkv"])
             merged = []
             for block_rows, batch in blocks:
                 block = qkv if len(blocks) == 1 else nk.take_rows(qkv, block_rows)

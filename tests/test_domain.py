@@ -1,6 +1,7 @@
 """State machine rules, state counting, session validation and the probability-row rules."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -575,8 +576,23 @@ class TestSessionHelpers:
             Track(track_id="t", duration=duration)
 
     def test_session_requires_events(self):
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConstraintViolation, match="session 's' has no events"):
             Session(session_id="s", playlist_id="pl", events=())
+        with pytest.raises(ConstraintViolation, match="session 's' has no events"):
+            Session("s", "pl", ())
+
+    def test_session_is_a_frozen_value(self):
+        events = make_session(["play", "replay", "skip"]).events
+        session = Session("s", "pl", events)
+        twin = Session(session_id="s", playlist_id="pl", events=tuple(events))
+        assert session == twin and hash(session) == hash(twin)
+        assert session != Session("s", "pl2", events)
+        assert {session: 1}[twin] == 1
+        for name in ("session_id", "playlist_id", "events"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(session, name, getattr(session, name))
+        assert dataclasses.replace(session, events=events[:1]) == Session("s", "pl", events[:1])
+        assert pickle.loads(pickle.dumps(session)) == session
 
 
 @given(valid_outcome_walks())

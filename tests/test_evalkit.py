@@ -39,7 +39,7 @@ from seqbundle.evalkit import (
     summarize_dataset,
     summary_to_jsonable,
 )
-from seqbundle import neuralkit as nk
+from seqbundle import evalkit, neuralkit as nk
 from seqbundle.seqmodels import predictors
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
 from seqbundle.seqmodels import (
@@ -677,6 +677,25 @@ class TestSummaries:
         assert summary.share_skip == pytest.approx(4 / 7)
         assert summary.share_play == pytest.approx(2 / 7)
         assert summary.share_replay == pytest.approx(1 / 7)
+
+    def test_listening_seconds_walk_each_sequence_once(self, monkeypatch):
+        # durations whose float sums depend on the order of the additions
+        playlist = make_playlist(3, durations=(0.1, 0.7, 1e16 / 3))
+        walks = [["play", "replay", "play"], ["play", "play", "play"], ["skip", "play"]]
+        sessions = [
+            make_session(walks[k], sid=f"s{i}") for i, k in enumerate((0, 1, 0, 2, 1, 0, 0))
+        ]
+        expected = 0.0
+        for session in sessions:  # today's order: each session's events, then sessions
+            expected += sum(evalkit.event_listening_time(e, playlist) for e in session.events)
+        calls = []
+        listen = evalkit.event_listening_time
+        monkeypatch.setattr(
+            evalkit, "event_listening_time", lambda e, pl: calls.append(e) or listen(e, pl)
+        )
+        (summary,) = summarize_dataset(dataset_from_sessions({"pl": playlist}, sessions))
+        assert summary.mean_listening_seconds == expected / len(sessions)
+        assert len(calls) == sum(map(len, walks))
 
     def test_jsonable_round_trip_fields(self):
         playlist = make_playlist(2)

@@ -590,8 +590,11 @@ class TestAdam:
         assert params[0] == pytest.approx(-2.0 * step, rel=1e-12)
         assert state.step_count == 2
 
-    def test_chunks_match_the_whole_array_rule(self):
-        # three chunks, the last one partial, against the rule on whole arrays
+    @staticmethod
+    def chunk_steps(rule):
+        """Three steps over three chunks, the last one partial: yields the
+        stepped params, state, and the moments and params of ``rule`` (which
+        takes params, m, v, t and the config) on whole arrays."""
         cfg = AdamConfig(learning_rate=0.01)
         gen = rng(31)
         n = 2 * optim.ADAM_CHUNK + 5
@@ -605,10 +608,29 @@ class TestAdam:
             adam_step(params, g, state)
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            mhat, vhat = m / (1.0 - cfg.beta1**t), v / (1.0 - cfg.beta2**t)
-            expected = expected - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+            expected = rule(expected, m, v, t, cfg)
+            yield params, state, m, v, expected
+
+    def test_chunks_match_the_whole_array_rule(self):
+        def folded(p, m, v, t, cfg):
+            root_bias2 = math.sqrt(1.0 - cfg.beta2**t)
+            lr_t = cfg.learning_rate * root_bias2 / (1.0 - cfg.beta1**t)
+            return p - lr_t * (m / (np.sqrt(v) + cfg.eps * root_bias2))
+
+        for params, state, m, v, expected in self.chunk_steps(folded):
             assert params.tobytes() == expected.tobytes()
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+    def test_chunks_stay_near_the_textbook_rule(self):
+        # mhat and vhat in full: the folded order differs only by rounding.
+        # Measured: at most 4.4e-16 apart over these three float64 steps of
+        # about 1e-2, one unit in the last place of a parameter in [2, 4)
+        def textbook(p, m, v, t, cfg):
+            mhat, vhat = m / (1.0 - cfg.beta1**t), v / (1.0 - cfg.beta2**t)
+            return p - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+
+        for params, _, _, _, expected in self.chunk_steps(textbook):
+            assert np.abs(params - expected).max() <= 1e-15
 
     def test_rejects_shape_mismatch(self):
         state = AdamState()

@@ -1043,6 +1043,39 @@ class TestMalformedJson:
         assert f"{path}: checkpoint format 'flat-float64-v1'" in err
         assert "Traceback" not in err
 
+    def test_a_per_head_attention_bundle_is_refused(self, cli_root, tmp_path, capsys):
+        # the layout written before one w_qkv per block: a (d, head_dim) array
+        # per head and projection, under the same format tag and file size
+        run = tmp_path / "run_tf"
+        shutil.copytree(cli_root / "run_tf", run)
+        (bundle,) = (run / "models").iterdir()
+        path = bundle / "weights.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        shapes = {}
+        for entry in manifest["arrays"]:
+            if entry["name"].endswith("/w_qkv"):
+                block = entry["name"].rsplit("/", 1)[0]
+                d, width = entry["shape"]
+                for head in range(2):
+                    for proj in ("wq", "wk", "wv"):
+                        shapes[f"{block}/head{head}/{proj}"] = [d, width // 6]
+            else:
+                shapes[entry["name"]] = entry["shape"]
+        manifest["arrays"], offset = [], 0
+        for name in sorted(shapes):
+            size = int(np.prod(shapes[name]))
+            manifest["arrays"].append(
+                {"name": name, "shape": shapes[name], "offset": offset, "size": size}
+            )
+            offset += 4 * size
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert offset == (bundle / "weights.bin").stat().st_size
+        capsys.readouterr()
+        assert cli_main(self._evaluate(cli_root / "data", run, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: array entry " in err and "block0/head0/wk" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "tamper",
         [
@@ -1259,6 +1292,31 @@ class TestConfigErrorsNameTheirSource:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: config key {key!r}: ") and rule in err
+
+
+class TestEncoderPositionTable:
+    """Scoring packs n_events + 1 rows, so train refuses a learned position
+    table that any session of the data fills, rather than evaluate."""
+
+    def test_one_spare_position_is_required(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--name", "stopping", "--n-sessions", "20",
+                         "--seed", "1", "--out", str(data)]) == 0
+        lines = (data / "sessions.jsonl").read_text(encoding="utf-8").splitlines()
+        longest = max(len(json.loads(line)["events"]) for line in lines)
+        encoder = ["--model", "encoder", "--embed-dim", "8", "--n-heads", "2",
+                   "--head-dim", "4", "--ff-dim", "8", "--epochs", "1"]
+        capsys.readouterr()
+        rc = cli_main(["train", "--data", str(data), *encoder, "--max-positions",
+                       str(longest), "--out", str(tmp_path / "short")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --max-positions: ")
+        assert f"needs {longest + 1} positions, but the learned position table holds {longest}" in err
+        run = tmp_path / "run"
+        assert cli_main(["train", "--data", str(data), *encoder, "--max-positions",
+                         str(longest + 1), "--out", str(run)]) == 0
+        assert cli_main(["evaluate", "--data", str(data), "--run", str(run)]) == 0
 
 
 def _train_parser():

@@ -2,6 +2,7 @@
 
 import functools
 import logging
+import math
 import re
 import types
 
@@ -85,6 +86,35 @@ class TestConstruction:
             tiny_transformer_config(causal=False, positional="learned", max_positions=16),
         )
         assert encoder.n_parameters == causal.n_parameters + 16 * 8
+
+    @pytest.mark.parametrize("kind,config", [
+        (ModelKind.TRANSFORMER, tiny_transformer_config(n_blocks=2, n_heads=4, head_dim=2)),
+        (ModelKind.ENCODER, tiny_transformer_config(
+            n_blocks=2, causal=False, positional="learned", max_positions=6
+        )),
+    ], ids=["transformer", "encoder"])
+    def test_w_qkv_holds_each_heads_draw(self, kind, config):
+        # replay the draws of one (d, head_dim) matrix per head and projection,
+        # head by head as (Q, K, V), between the other weights of each block
+        model = make_model(kind, config, seed=11)
+        gen = np.random.default_rng(11)
+        d, hd, n_heads = config.embed_dim, config.head_dim, config.n_heads
+        models._uniform(gen, config.input_dim, (config.input_dim, d))
+        if config.positional == "learned":
+            models._uniform(gen, d, (config.max_positions, d))
+        for i in range(config.n_blocks):
+            w_qkv = model.params[f"block{i}/w_qkv"].data
+            assert w_qkv.shape == (d, 3 * n_heads * hd)
+            for head in range(n_heads):
+                for proj in range(3):  # Q, K, V
+                    column = (proj * n_heads + head) * hd
+                    drawn = models._uniform(gen, d, (d, hd)).astype(nk.FLOAT)
+                    assert w_qkv[:, column : column + hd].tobytes() == drawn.tobytes()
+            models._uniform(gen, d, (d, d))
+            models._uniform(gen, d, (d, config.ff_dim))
+            models._uniform(gen, config.ff_dim, (config.ff_dim, d))
+        head_w = models._uniform(gen, d, (d, config.n_classes)).astype(nk.FLOAT)
+        assert model.params["head/w"].data.tobytes() == head_w.tobytes()
 
     def test_kind_and_causality_must_agree(self):
         with pytest.raises(ConstraintViolation):
@@ -591,7 +621,7 @@ class TestFusedAttention:
         assert err < 1e-6, f"max relative gradient error {err:.3e}"
 
     @pytest.mark.parametrize(
-        "causal,nodes", [(True, 54), (False, 55)], ids=["transformer", "encoder"]
+        "causal,nodes", [(True, 52), (False, 53)], ids=["transformer", "encoder"]
     )
     def test_a_forward_builds_one_node_per_attention_block(self, monkeypatch, causal, nodes):
         kind = ModelKind.TRANSFORMER if causal else ModelKind.ENCODER
@@ -610,7 +640,7 @@ class TestFusedAttention:
         monkeypatch.setattr(nk.autodiff, "_result", counting_result)
         model.forward(rng(56).normal(size=(40, INPUT_DIM)), (13, 13, 14))
         # the embedding (3, and the encoder's position lookup); per block, 2
-        # norms (6), the qkv weights and product (2), a row gather and one
+        # norms (6), the qkv product (1), a row gather and one
         # attention node for each of the 2 length blocks and their concat (5),
         # 3 dense layers (6), relu and 2 residual adds; the head (6) and the
         # reorder
@@ -894,19 +924,20 @@ TRAIN_IDS = ["mlp", "lstm", "transformer-fixed", "transformer-learned", "encoder
 
 def _per_name_adam_step(params, grads, state):
     """One Adam update per named array into new arrays, as the optimizer ran
-    before parameters moved into one flat vector."""
+    before parameters moved into one flat vector, in ``nk.adam_step``'s order."""
     cfg = state.config
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
+    root_bias2 = math.sqrt(1.0 - cfg.beta2**t)
+    lr_t = cfg.learning_rate * root_bias2 / (1.0 - cfg.beta1**t)
+    eps_t = cfg.eps * root_bias2
     out = {}
     for name in sorted(params):
         p, g = params[name], grads[name]
         m = cfg.beta1 * state.m.get(name, np.zeros_like(p)) + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * state.v.get(name, np.zeros_like(p)) + (1.0 - cfg.beta2) * g * g
         state.m[name], state.v[name] = m, v
-        out[name] = p - cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+        out[name] = p - lr_t * (m / (np.sqrt(v) + eps_t))
     return out
 
 
