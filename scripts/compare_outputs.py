@@ -9,7 +9,9 @@ size, at one workload seed), then generate -> train -> evaluate in realized
 and expected demand mode for mc, pmc and zero on a cap-3 spec. On that spec
 it also trains, and evaluates in realized mode, a tiny transformer that sets
 every train flag, a --leak mlp, a pmc with --smoothing and an lstm whose
-options come from a --config file. Every file written is digested with
+options come from a --config file, and evaluates in expected mode a tiny
+encoder whose learned position table just holds the longest walk (6 tracks
+x cap 3 events) and the decision after it. Every file written is digested with
 sha256. Prints the files whose digests differ or that exist on one side
 only, and exits 1 if there are any. HEAD_CHECKOUT defaults to the checkout
 holding this script. Both checkouts need perfbench/workloads.py.
@@ -88,6 +90,12 @@ def _cap3_argvs(work: Path, seed: int) -> list[list[str]]:
         argvs.append(["train", *data, *options, "--out", str(run)])
         argvs.append(["evaluate", *data, "--run", str(run), "--seed", str(seed),
                       "--out", str(run / "eval-realized")])
+    run = work / "encoder-walk"
+    argvs.append(["train", *data, "--model", "encoder", "--epochs", "1", "--embed-dim", "8",
+                  "--n-heads", "2", "--head-dim", "4", "--ff-dim", "8",
+                  "--max-positions", "19", "--out", str(run)])
+    argvs.append(["evaluate", *data, "--run", str(run), "--demand-mode", "expected",
+                  "--n-rollouts", "200", "--seed", str(seed), "--out", str(run / "eval-expected")])
     return argvs
 
 

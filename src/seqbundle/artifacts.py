@@ -25,7 +25,7 @@ from .baselines import (
     zero_order_to_json,
 )
 from .dataio import Dataset, FeaturePipeline, Split
-from .domain import DEFAULT_CAP, Playlist
+from .domain import DEFAULT_CAP, Playlist, boolean, integer
 from .errors import ConstraintViolation, SchemaError
 from .neuralkit import load_checkpoint, save_checkpoint
 from .reports import write_json
@@ -195,13 +195,14 @@ def load_predictor(bundle_dir: Path | str, playlist: Playlist):
         pipeline = read_field(
             path, obj, "pipeline", lambda state: FeaturePipeline.from_jsonable(state, playlist)
         )
-        cap = read_field(path, obj, "cap", int) if "cap" in obj else DEFAULT_CAP
+        cap = read_field(path, obj, "cap", integer) if "cap" in obj else DEFAULT_CAP
+        mask = "feasibility_mask" in obj and read_field(path, obj, "feasibility_mask", boolean)
         model = make_model(kind, config, seed=None)  # no draws: weights load next
         load_checkpoint(bundle_dir / WEIGHTS_STEM, model.flat, model.layout)
         return NeuralPredictor(
             model=model,
             pipeline=pipeline,
-            feasibility_mask=bool(obj.get("feasibility_mask", False)),
+            feasibility_mask=mask,
             cap=cap,
         )
     raise SchemaError(f"{path}: unknown bundle family {family!r}")

@@ -7,7 +7,7 @@ All probability rows are ordered (SKIP, PLAY, REPLAY); the rules about them
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +22,11 @@ from .domain import (
     Playlist,
     Session,
     check_prob_rows,
+    checked,
     feasible_cells,
     feasible_outcomes,
     feasible_rows,
+    integer,
     tally_sessions,
     walk,
 )
@@ -70,16 +72,16 @@ class TransitionMatrix:
 class MarkovModel:
     """First-order chain over outcomes, optionally position-dependent.
 
-    kind "mc" holds one pooled matrix; kind "pmc" holds one matrix per target
-    event position (the transition INTO position j, j >= 2). ``marginal`` is
-    the playlist's pooled outcome distribution, used as the fallback row.
+    ``matrices`` maps a slot to its transition matrix. kind "mc" holds its one
+    pooled matrix at slot 0; kind "pmc" holds one per target event position
+    (the transition INTO position j, j >= 2). ``marginal`` is the playlist's
+    pooled outcome distribution, used as the fallback row.
     """
 
     kind: str
     playlist_id: str
     marginal: np.ndarray
-    matrix: TransitionMatrix | None = None
-    matrices: dict[int, TransitionMatrix] = field(default_factory=dict)
+    matrices: dict[int, TransitionMatrix]
     cap: int = DEFAULT_CAP
     smoothing: float = 0.0
 
@@ -87,16 +89,25 @@ class MarkovModel:
         if self.kind not in ("mc", "pmc"):
             raise ConstraintViolation(f"unknown Markov kind {self.kind!r}")
         positions = sorted(self.matrices)
-        if positions != list(range(2, len(positions) + 2)):
+        if self.kind == "mc" and positions != [0]:
+            raise ConstraintViolation(f"MC holds one matrix, at slot 0; got slots {positions}")
+        if self.kind == "pmc" and positions != list(range(2, len(positions) + 2)):
             raise ConstraintViolation(
                 f"pMC positions must run from 2 without gaps, got {positions}"
             )
         self.marginal = check_prob_rows(self.marginal, "marginal distribution")
 
     @property
+    def matrix(self) -> TransitionMatrix:
+        """MC's pooled matrix, slot 0."""
+        try:
+            return self.matrices[0]
+        except KeyError:
+            raise AttributeError("only an MC has a pooled matrix") from None
+
+    @property
     def n_parameters(self) -> int:
-        mats = [self.matrix] if self.kind == "mc" else list(self.matrices.values())
-        return sum(int(feasible_cells(m.cap).sum()) for m in mats if m is not None)
+        return sum(int(feasible_cells(m.cap).sum()) for m in self.matrices.values())
 
 
 def _fit_matrix(counts: np.ndarray, smoothing: float, cap: int) -> TransitionMatrix:
@@ -124,18 +135,14 @@ def fit_markov(
         raise ConstraintViolation(f"smoothing must be finite and >= 0, got {smoothing}")
     tally = tally_sessions(sessions, len(playlist), cap)
     transitions = tally.transitions.astype(np.float64)
-    matrix, matrices = None, {}
-    if position_dependent:
-        for position, counts in enumerate(transitions[2:], start=2):
-            matrices[position] = _fit_matrix(counts, smoothing, cap)
-    else:
-        matrix = _fit_matrix(transitions.sum(axis=0), smoothing, cap)
+    slots = enumerate(transitions[2:], start=2) if position_dependent else [
+        (0, transitions.sum(axis=0))
+    ]
     return MarkovModel(
         kind="pmc" if position_dependent else "mc",
         playlist_id=playlist.playlist_id,
         marginal=tally.outcomes / tally.outcomes.sum(),
-        matrix=matrix,
-        matrices=matrices,
+        matrices={slot: _fit_matrix(counts, smoothing, cap) for slot, counts in slots},
         cap=cap,
         smoothing=smoothing,
     )
@@ -243,12 +250,11 @@ class MarkovPredictor(_RowTable):
 
     def __post_init__(self) -> None:
         model = self.model
-        matrices = {0: model.matrix} if model.kind == "mc" else model.matrices
-        self._last = 0 if model.kind == "mc" else max(matrices, default=0) + 1
+        self._last = max(model.matrices, default=0) + 1 if model.kind == "pmc" else 0
         rows = np.tile(model.marginal, (self._last + 1, N_OUTCOMES + 1, 1))
         fallback = np.ones((self._last + 1, N_OUTCOMES + 1), dtype=bool)
         fallback[:, _NO_PREV] = False
-        for position, matrix in matrices.items():
+        for position, matrix in model.matrices.items():
             for o, outcome in enumerate(OUTCOME_ORDER):
                 if not matrix.is_row_empty(outcome):
                     rows[position, o] = matrix.probs[o]
@@ -318,25 +324,18 @@ class ZeroOrderPredictor(_RowTable):
 
 
 def markov_to_json(model: MarkovModel) -> dict:
-    obj: dict = {
+    probs = {str(pos): m.probs.tolist() for pos, m in sorted(model.matrices.items())}
+    counts = {str(pos): m.counts.tolist() for pos, m in sorted(model.matrices.items())}
+    return {
         "type": model.kind,
         "playlist_id": model.playlist_id,
         "cap": model.cap,
         "smoothing": model.smoothing,
         "marginal": model.marginal.tolist(),
+        # MC's one matrix sits at the top level; pMC maps target positions
+        **({"matrix": probs["0"], "counts": counts["0"]} if model.kind == "mc"
+           else {"matrices": probs, "counts": counts}),
     }
-    if model.kind == "mc":
-        assert model.matrix is not None
-        obj["matrix"] = model.matrix.probs.tolist()
-        obj["counts"] = model.matrix.counts.tolist()
-    else:
-        obj["matrices"] = {
-            str(pos): m.probs.tolist() for pos, m in sorted(model.matrices.items())
-        }
-        obj["counts"] = {
-            str(pos): m.counts.tolist() for pos, m in sorted(model.matrices.items())
-        }
-    return obj
 
 
 def zero_order_to_json(table: ZeroOrderTable) -> dict:
@@ -351,42 +350,32 @@ def zero_order_to_json(table: ZeroOrderTable) -> dict:
 
 def baseline_from_json(obj: dict) -> MarkovModel | ZeroOrderTable:
     kind = obj.get("type")
+    if kind not in ("mc", "pmc", "zero"):
+        raise SchemaError(f"unknown baseline model type {kind!r}")
+    cap = checked(obj, "cap", integer)
     if kind == "zero":
         return ZeroOrderTable(
             playlist_id=obj["playlist_id"],
             probs=np.asarray(obj["probs"], dtype=np.float64),
             counts=np.asarray(obj["counts"], dtype=np.float64),
-            cap=int(obj["cap"]),
+            cap=cap,
         )
     if kind == "mc":
-        return MarkovModel(
-            kind="mc",
-            playlist_id=obj["playlist_id"],
-            marginal=np.asarray(obj["marginal"], dtype=np.float64),
-            matrix=TransitionMatrix(
-                probs=np.asarray(obj["matrix"], dtype=np.float64),
-                counts=np.asarray(obj["counts"], dtype=np.float64),
-                cap=int(obj["cap"]),
-            ),
-            cap=int(obj["cap"]),
-            smoothing=float(obj.get("smoothing", 0.0)),
-        )
-    if kind == "pmc":
-        cap = int(obj["cap"])
-        matrices = {
+        probs, counts = {"0": obj["matrix"]}, {"0": obj["counts"]}
+    else:
+        probs, counts = obj["matrices"], obj["counts"]
+    return MarkovModel(
+        kind=kind,
+        playlist_id=obj["playlist_id"],
+        marginal=np.asarray(obj["marginal"], dtype=np.float64),
+        matrices={
             int(pos): TransitionMatrix(
-                probs=np.asarray(probs, dtype=np.float64),
-                counts=np.asarray(obj["counts"][pos], dtype=np.float64),
+                probs=np.asarray(p, dtype=np.float64),
+                counts=np.asarray(counts[pos], dtype=np.float64),
                 cap=cap,
             )
-            for pos, probs in obj["matrices"].items()
-        }
-        return MarkovModel(
-            kind="pmc",
-            playlist_id=obj["playlist_id"],
-            marginal=np.asarray(obj["marginal"], dtype=np.float64),
-            matrices=matrices,
-            cap=cap,
-            smoothing=float(obj.get("smoothing", 0.0)),
-        )
-    raise SchemaError(f"unknown baseline model type {kind!r}")
+            for pos, p in probs.items()
+        },
+        cap=cap,
+        smoothing=float(obj.get("smoothing", 0.0)),
+    )

@@ -246,10 +246,11 @@ def _load_data(args, session_end: str | None = None) -> Dataset:
     return dataset
 
 
-def _check_seed(seed, where: str) -> None:
-    """Every seed is an integer >= 0, the range numpy's generators accept."""
-    if seed is not None and seed < 0:
-        raise ConstraintViolation(f"{where} must be an integer >= 0, got {seed}")
+def _check_at_least(value, where: str, least: int = 0) -> None:
+    """An integer option's lower bound: 0 for a seed, the range numpy's
+    generators accept, and 1 for a count of sessions or rollouts."""
+    if value is not None and value < least:
+        raise ConstraintViolation(f"{where} must be an integer >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,8 @@ def _check_seed(seed, where: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    _check_seed(args.seed, "--seed")
+    _check_at_least(args.seed, "--seed")
+    _check_at_least(args.n_sessions, "--n-sessions", 1)
     if args.name:
         spec = synthgen.named_spec(args.name, args.n_sessions, args.seed)
     else:
@@ -368,7 +370,7 @@ def _check_option(key: str, value, where: str) -> None:
     if not option_type.accepts(value):
         raise SchemaError(f"{where} must be {option_type.expected}, got {value!r}")
     if key == "seed":
-        _check_seed(value, where)
+        _check_at_least(value, where)
 
 
 def _resolve_options(args, sources: dict[str, str] | None = None) -> dict:
@@ -435,6 +437,14 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
         raise ConstraintViolation(
             f"unknown model family {family!r}, expected one of {list(FAMILIES)}"
         )
+    walk = len(playlist) * cap  # the most events a rollout draws; scoring packs one row more
+    if family == "encoder" and walk >= options["max_positions"]:
+        raise ConstraintViolation(
+            f"playlist {playlist.playlist_id!r} has {len(playlist)} tracks at cap {cap}, so a "
+            f"session can have {walk} events, whose scoring needs {walk + 1} positions, but "
+            f"the learned position table holds {options['max_positions']}",
+            keys=("max_positions",),
+        )
     feature_config = FeatureConfig(**{key: bool(options[key]) for key in _FEATURE_KEYS})
     pipeline = FeaturePipeline(playlist=playlist, config=feature_config)
     pipeline.fit(sessions)
@@ -465,18 +475,6 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
     }
 
 
-def _check_position_table(sessions, pid: str, max_positions: int) -> None:
-    """Scoring a session packs its rows and the decision after its last
-    event, one position more than it has events."""
-    longest = max(map(len, sessions))
-    if longest >= max_positions:
-        raise ConstraintViolation(
-            f"playlist {pid!r} has a {longest}-event session, whose scoring needs "
-            f"{longest + 1} positions, but the learned position table holds {max_positions}",
-            keys=("max_positions",),
-        )
-
-
 def cmd_train(args) -> int:
     sources: dict[str, str] = {}
     opts = _resolve_options(args, sources)
@@ -484,40 +482,35 @@ def cmd_train(args) -> int:
     dataset = split_dataset(
         dataset, train_fraction=opts["train_fraction"], seed=opts["seed"]
     )
-    run_dir: Path = args.out
-    run_dir.mkdir(parents=True, exist_ok=True)
-    split_path = artifacts.save_split(run_dir / "split.json", dataset)
-
-    per_playlist: dict[str, dict] = {}
-    bundle_paths: dict[str, Path] = {}
+    fitted: dict[str, tuple] = {}
     for pid in dataset.playlist_ids():
         train_sessions = dataset.train_sessions(pid)
         if not train_sessions:
             log.warning("playlist %r has no training sessions; skipping", pid)
             continue
         try:
-            if args.model == "encoder":  # learned positions: evaluate scores both splits
-                _check_position_table(dataset.sessions_for(pid), pid, opts["max_positions"])
-            predictor, info = fit_predictor(
+            fitted[pid] = fit_predictor(
                 args.model, train_sessions, dataset.playlists[pid], opts, dataset.cap
             )
         except ConstraintViolation as exc:  # name where the options it reads were set
             if where := [sources[key] for key in exc.keys if key in sources]:
                 raise ConstraintViolation(f"{', '.join(where)}: {exc}") from None
             raise
-        bundle = artifacts.save_predictor(run_dir / "models" / pid, predictor)
-        bundle_paths[pid] = bundle / artifacts.BUNDLE_FILE
-        per_playlist[pid] = info
-
-    if not per_playlist:
+    if not fitted:
         raise ConstraintViolation("no playlist had training sessions")
 
+    run_dir: Path = args.out  # written only now, so a refused fit leaves no file in it
+    split_path = artifacts.save_split(run_dir / "split.json", dataset)
+    bundle_paths = {
+        pid: artifacts.save_predictor(run_dir / "models" / pid, predictor) / artifacts.BUNDLE_FILE
+        for pid, (predictor, _) in fitted.items()
+    }
     playlists_path, sessions_path = _data_paths(args)
     run_obj = {
         "model": args.model,
         "cap": dataset.cap,
         "options": {k: opts[k] for k in sorted(opts)},
-        "playlists": per_playlist,
+        "playlists": {pid: info for pid, (_, info) in fitted.items()},
         "data_digests": {
             "playlists": artifacts.sha256_file(playlists_path),
             "sessions": artifacts.sha256_file(sessions_path),
@@ -535,7 +528,7 @@ def cmd_train(args) -> int:
             **{f"model:{pid}": p for pid, p in sorted(bundle_paths.items())},
         },
     )
-    for pid in sorted(per_playlist):
+    for pid in sorted(fitted):
         print(f"trained {args.model} for playlist {pid}")
     print(f"run artifacts in {run_dir}")
     return EXIT_OK
@@ -549,6 +542,8 @@ def _load_run(args) -> tuple[str, list[str], Dataset]:
     """The run's model family, the playlists it trained, and --data under
     the run's session-end mode and stored split."""
     run_path = args.run / "run.json"
+    if not run_path.is_file():
+        raise SchemaError(f"{args.run}: not a trained run (no run.json)")
     run_obj = artifacts.read_json(run_path)
     model = artifacts.read_field(run_path, run_obj, "model")
     if model not in FAMILIES:
@@ -588,7 +583,8 @@ def _load_predictors(args, pids: list[str], dataset: Dataset) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    _check_seed(args.seed, "--seed")
+    _check_at_least(args.seed, "--seed")
+    _check_at_least(args.n_rollouts, "--n-rollouts", 1)
     model, pids, dataset = _load_run(args)
     predictors = _load_predictors(args, pids, dataset)
     report = evaluate_dataset(

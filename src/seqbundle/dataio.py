@@ -47,6 +47,8 @@ from .domain import (
     Playlist,
     Session,
     Track,
+    boolean,
+    checked,
     parse_outcome,
     validate_session,
 )
@@ -258,19 +260,16 @@ _scan_json = json.JSONDecoder().scan_once
 
 def _tail_session_id(line: str, k: int) -> str | None:
     """str(V) when ``line[k:]`` is ``, "session_id": V}``, the last pair closing
-    the top-level object (up to whitespace and repeats of the key); else None.
+    the top-level object with nothing between V and the brace; else None.
 
     When it is not None, the text before ``k`` alone decides every other
     field json.loads would read from the line.
     """
-    tail = "{" + line[k + 2 :]
     try:
-        obj, end = _scan_json(tail, 0)
+        value, end = _scan_json(line, k + len(_ID_PAIR))
     except (StopIteration, ValueError, RecursionError):
         return None
-    if end != len(tail) or len(obj) != 1:
-        return None
-    return str(obj["session_id"])
+    return str(value) if end == len(line) - 1 and line[end] == "}" else None
 
 
 def _load_sessions_jsonl(
@@ -290,10 +289,10 @@ def _load_sessions_jsonl(
             if not line:
                 continue
             k = line.rfind(_ID_PAIR)
-            head = line[:k] if k > 0 else None
+            session_id = _tail_session_id(line, k) if k > 0 else None
+            head = line[:k] if session_id is not None else None
             known = accepted.get(head)
-            session_id = _tail_session_id(line, k) if known is not None else None
-            if session_id is not None:
+            if known is not None:
                 session = Session(session_id, *known)
             else:
                 try:
@@ -317,11 +316,7 @@ def _load_sessions_jsonl(
                 if problem is not None:
                     _skip_or_raise(SchemaError(f"{path} line {lineno}: {problem}"), strict)
                     continue
-                if (
-                    head is not None
-                    and known is None
-                    and _tail_session_id(line, k) is not None
-                ):
+                if head is not None:
                     accepted[head] = (session.playlist_id, session.events)
             first = first_line.setdefault(session.session_id, lineno)
             if first != lineno:
@@ -710,8 +705,8 @@ class FeaturePipeline:
         pipeline = cls(
             playlist=playlist,
             config=FeatureConfig(
-                leak=bool(obj["config"]["leak"]),
-                include_duration=bool(obj["config"]["include_duration"]),
+                leak=checked(obj["config"], "leak", boolean),
+                include_duration=checked(obj["config"], "include_duration", boolean),
             ),
             remaining_time_table=tuple(obj["remaining_time_table"]),
             time_mean=float(obj["time_mean"]),

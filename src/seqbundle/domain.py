@@ -115,6 +115,29 @@ def parse_outcome(raw: str) -> Outcome:
         raise ConstraintViolation(f"unknown outcome string {raw!r}") from None
 
 
+def integer(value) -> int:
+    """A JSON integer: an int, or a float with no fraction (2.0 reads as 2).
+    2.7, true or "2" is a TypeError, never a truncation."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise TypeError(f"must be an integer, got {value!r}")
+
+
+def boolean(value) -> bool:
+    """A JSON boolean: true or false, never a truthy cast."""
+    if type(value) is bool:
+        return value
+    raise TypeError(f"must be true or false, got {value!r}")
+
+
+def checked(obj: Mapping, key: str, rule):
+    """``rule(obj[key])``, with ``key`` leading the message of its TypeError."""
+    try:
+        return rule(obj[key])
+    except TypeError as exc:
+        raise TypeError(f"{key} {exc}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Track:
     """One item of an ordered bundle."""

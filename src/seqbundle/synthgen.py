@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import read_field
-from .baselines import fit_markov
+from .baselines import MarkovPredictor, fit_markov
 from .dataio import Dataset, dataset_from_sessions
 from .domain import (
     DEFAULT_CAP,
@@ -38,6 +38,7 @@ from .domain import (
     feasible_cells,
     feasible_rows,
     first_max_index,
+    integer,
     sample_walks,
     walk,
 )
@@ -362,17 +363,14 @@ def first_order_rate(
     """Hit rate of the best first-order rule against the true conditionals.
 
     Pass one fits an unsmoothed first-order chain (baselines.fit_markov) on
-    simulated sessions and predicts each row's modal outcome, the marginal's
-    for a row no transition reached; pass two scores that rule on fresh
-    sessions using true event probabilities.
+    simulated sessions and predicts the modal outcome of its predictor's row
+    after each outcome; pass two scores that rule on fresh sessions using
+    true event probabilities.
     """
     fit_spec = replace(spec, n_sessions=n_sessions, seed=seed + 1, playlist_id="probe")
     fitted = generate(fit_spec)
     model = fit_markov(fitted.sessions, fitted.playlists["probe"], cap=spec.cap)
-    predicted = tuple(
-        int(first_max_index(row if row.any() else model.marginal))
-        for row in model.matrix.probs
-    )
+    predicted = tuple(first_max_index(MarkovPredictor(model).rows[:N_OUTCOMES]).tolist())
     return _modal_mass_rate(replace(fit_spec, seed=seed + 2), predicted)
 
 
@@ -576,12 +574,6 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     }
 
 
-def _integer(value) -> int:
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise TypeError(f"must be an integer, got {value!r}")
-
-
 def _string(value) -> str:
     if type(value) is str:
         return value
@@ -631,13 +623,13 @@ def spec_from_json(obj: dict, path: str = "generator spec") -> GeneratorSpec:
     try:
         return GeneratorSpec(
             kind=kind,
-            n_sessions=read("n_sessions", _integer),
-            seed=read("seed", _integer),
+            n_sessions=read("n_sessions", integer),
+            seed=read("seed", integer),
             transitions=read("transitions", _TRANSITIONS[kind]),
             playlist_id=read("playlist_id", _string, "synthetic"),
-            n_tracks=read("n_tracks", _integer, 13),
+            n_tracks=read("n_tracks", integer, 13),
             durations=read("durations", _durations, None),
-            cap=read("cap", _integer, DEFAULT_CAP),
+            cap=read("cap", integer, DEFAULT_CAP),
             initial_play_prob=read("initial_play_prob", float, 0.65),
         )
     except ConstraintViolation as exc:

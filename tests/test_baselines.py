@@ -161,6 +161,24 @@ class TestPredictMarkov:
         with pytest.raises(ConstraintViolation, match="without gaps"):
             replace(model, matrices={2: model.matrices[2], 4: model.matrices[4]})
 
+    def test_each_kind_holds_its_own_slots(self, playlist3, three_sessions):
+        mc = fit_markov(three_sessions, playlist3)
+        pmc = fit_markov(three_sessions, playlist3, position_dependent=True)
+        pooled = mc.matrices[0]
+        for slots in ({}, {2: pooled}, {0: pooled, 2: pooled}):
+            with pytest.raises(ConstraintViolation, match="at slot 0"):
+                replace(mc, matrices=slots)
+        with pytest.raises(ConstraintViolation, match="without gaps"):
+            replace(pmc, matrices={0: pooled, **pmc.matrices})
+
+    def test_matrix_is_mc_slot_zero_and_read_only(self, playlist3, three_sessions):
+        mc = fit_markov(three_sessions, playlist3)
+        assert mc.matrix is mc.matrices[0]
+        with pytest.raises(AttributeError):
+            mc.matrix = mc.matrices[0]
+        with pytest.raises(AttributeError, match="only an MC has a pooled matrix"):
+            fit_markov(three_sessions, playlist3, position_dependent=True).matrix
+
     def test_returned_row_is_a_copy(self, playlist3, three_sessions):
         predictor = MarkovPredictor(fit_markov(three_sessions, playlist3))
         row = predictor.next_probs(make_session(["play"]).events)
@@ -325,6 +343,17 @@ class TestSerialization:
         assert np.array_equal(restored.matrix.probs, model.matrix.probs)
         assert np.array_equal(restored.marginal, model.marginal)
         assert restored.smoothing == 0.5
+
+    @pytest.mark.parametrize("kind", ["mc", "pmc", "zero"])
+    def test_cap_is_read_as_an_integer_not_cast(self, playlist3, three_sessions, kind):
+        if kind == "zero":
+            obj = zero_order_to_json(fit_zero_order(three_sessions, playlist3))
+        else:
+            obj = markov_to_json(fit_markov(three_sessions, playlist3, kind == "pmc"))
+        assert baseline_from_json({**obj, "cap": 2.0}).cap == 2
+        for cap in (2.7, True, "2"):
+            with pytest.raises(TypeError, match=f"cap must be an integer, got {cap!r}"):
+                baseline_from_json({**obj, "cap": cap})
 
     def test_pmc_round_trip(self, playlist3, three_sessions):
         model = fit_markov(three_sessions, playlist3, position_dependent=True)

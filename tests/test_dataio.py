@@ -515,6 +515,28 @@ class TestRepeatedLines:
             (Outcome.PLAY,),
         ]
 
+    def test_whitespace_before_the_closing_brace_takes_the_full_parse(
+        self, tmp_path, playlist3, monkeypatch
+    ):
+        good = json.dumps(session_to_json(make_session(["play", "skip"], sid="a")), sort_keys=True)
+        head = good[: good.rindex(', "session_id": ')]
+        lines = [good, head + ', "session_id": "b" }', head + ', "session_id": "c"}']
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        parsed = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(dataio.json, "loads", counting_loads)
+        loaded = load_sessions(path, {"pl": playlist3})
+        monkeypatch.undo()
+        assert parsed == lines[:2]
+        assert [s.session_id for s in loaded.sessions] == ["a", "b", "c"]
+        assert len({id(s.events) for s in loaded.sessions}) == 1
+
     @pytest.mark.parametrize("strict", [True, False])
     def test_bad_tails_after_an_accepted_head_are_reported_per_line(
         self, tmp_path, playlist3, strict

@@ -1179,6 +1179,35 @@ class TestMalformedJson:
         assert "Traceback" not in err
 
 
+class TestBundleFieldsAreChecked:
+    """A bundle's integer and boolean fields are read by type, never cast: a
+    wrong value exits 2 naming model.json and the field."""
+
+    @pytest.mark.parametrize("run_name,edit,message", [
+        ("run_mc", lambda o: o["payload"].update(cap=2.7), "cap must be an integer, got 2.7"),
+        ("run_tf", lambda o: o.update(cap=2.7), "field 'cap': must be an integer, got 2.7"),
+        ("run_tf", lambda o: o.update(feasibility_mask="false"),
+         "field 'feasibility_mask': must be true or false, got 'false'"),
+        ("run_tf", lambda o: o["pipeline"]["config"].update(leak="false"),
+         "leak must be true or false, got 'false'"),
+        ("run_tf", lambda o: o["pipeline"]["config"].update(include_duration=1),
+         "include_duration must be true or false, got 1"),
+    ], ids=["baseline-cap", "neural-cap", "feasibility-mask", "leak", "include-duration"])
+    def test_wrong_value_is_refused(self, cli_root, tmp_path, capsys, run_name, edit, message):
+        run = tmp_path / run_name
+        shutil.copytree(cli_root / run_name, run)
+        (bundle,) = (run / "models").iterdir()
+        path = bundle / BUNDLE_FILE
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--data", str(cli_root / "data"), "--run", str(run),
+                         "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
+
 class TestNegativeSeeds:
     """A seed is an integer >= 0; a negative one exits 2 naming where it came from."""
 
@@ -1295,28 +1324,104 @@ class TestConfigErrorsNameTheirSource:
 
 
 class TestEncoderPositionTable:
-    """Scoring packs n_events + 1 rows, so train refuses a learned position
-    table that any session of the data fills, rather than evaluate."""
+    """A rollout walks up to n_tracks * cap events, and scoring packs one
+    position more, so train refuses a learned position table shorter than
+    that, rather than evaluate in either demand mode."""
 
-    def test_one_spare_position_is_required(self, tmp_path, capsys):
-        data = tmp_path / "data"
+    ENCODER = ["--model", "encoder", "--embed-dim", "8", "--n-heads", "2",
+               "--head-dim", "4", "--ff-dim", "8", "--epochs", "1"]
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("positions") / "data"
         assert cli_main(["generate", "--name", "stopping", "--n-sessions", "20",
                          "--seed", "1", "--out", str(data)]) == 0
+        return data
+
+    def walk(self, data) -> int:
+        spec = json.loads((data / "generator.json").read_text(encoding="utf-8"))
+        assert (spec["n_tracks"], spec["cap"]) == (6, 2)
+        return spec["n_tracks"] * spec["cap"]
+
+    def test_one_spare_position_is_required(self, data, tmp_path, capsys):
+        walk = self.walk(data)
         lines = (data / "sessions.jsonl").read_text(encoding="utf-8").splitlines()
-        longest = max(len(json.loads(line)["events"]) for line in lines)
-        encoder = ["--model", "encoder", "--embed-dim", "8", "--n-heads", "2",
-                   "--head-dim", "4", "--ff-dim", "8", "--epochs", "1"]
+        assert max(len(json.loads(line)["events"]) for line in lines) < walk
+        short = tmp_path / "short"
         capsys.readouterr()
-        rc = cli_main(["train", "--data", str(data), *encoder, "--max-positions",
-                       str(longest), "--out", str(tmp_path / "short")])
-        assert rc == 2
+        assert cli_main(["train", "--data", str(data), *self.ENCODER, "--max-positions",
+                         str(walk), "--out", str(short)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --max-positions: ")
-        assert f"needs {longest + 1} positions, but the learned position table holds {longest}" in err
+        assert f"needs {walk + 1} positions, but the learned position table holds {walk}" in err
+        assert not short.exists()
         run = tmp_path / "run"
-        assert cli_main(["train", "--data", str(data), *encoder, "--max-positions",
-                         str(longest + 1), "--out", str(run)]) == 0
-        assert cli_main(["evaluate", "--data", str(data), "--run", str(run)]) == 0
+        assert cli_main(["train", "--data", str(data), *self.ENCODER, "--max-positions",
+                         str(walk + 1), "--out", str(run)]) == 0
+        for mode in ("realized", "expected"):
+            assert cli_main(["evaluate", "--data", str(data), "--run", str(run),
+                             "--demand-mode", mode, "--out", str(run / mode)]) == 0
+
+    def test_a_config_key_is_named(self, data, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", {"max_positions": self.walk(data)})
+        capsys.readouterr()
+        assert cli_main(["train", "--data", str(data), *self.ENCODER, "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {config}: config key 'max_positions': playlist 'synthetic' has 6 tracks"
+        )
+
+
+class TestRefusedTrainWritesNothing:
+    """train fits every playlist before it writes a file, and evaluate
+    refuses a directory that holds no run.json."""
+
+    def test_a_refused_fit_leaves_no_run_directory(self, cli_root, tmp_path, capsys):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli_main(["train", "--data", str(cli_root / "data"), "--model", "encoder",
+                         "--embed-dim", "8", "--n-heads", "3", "--head-dim", "4",
+                         "--ff-dim", "8", "--epochs", "1", "--out", str(out)]) == 2
+        assert "error: --n-heads, --head-dim, --embed-dim: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze-attention"])
+    def test_a_directory_without_run_json_is_refused(self, cli_root, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(cli_root / "run_mc" / "split.json", run / "split.json")
+        capsys.readouterr()
+        assert cli_main([command, "--data", str(cli_root / "data"), "--run", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {run}: not a trained run (no run.json)" in err
+
+
+class TestCountOptions:
+    """--n-sessions and --n-rollouts are integers >= 1; a smaller one exits 2
+    naming the flag before anything is written."""
+
+    def run(self, capsys, argv) -> str:
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["--name", "--spec"])
+    def test_generate_sessions(self, tmp_path, capsys, source):
+        spec = write_json(tmp_path / "spec.json", spec_to_json(named_spec("stopping")))
+        origin = ["--name", "stopping"] if source == "--name" else ["--spec", str(spec)]
+        err = self.run(capsys, ["generate", *origin, "--n-sessions", "0",
+                                "--out", str(tmp_path / "d")])
+        assert "error: --n-sessions must be an integer >= 1, got 0" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("mode", ["realized", "expected"])
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_evaluate_rollouts(self, cli_root, tmp_path, capsys, mode, n):
+        err = self.run(capsys, ["evaluate", "--data", str(cli_root / "data"),
+                                "--run", str(cli_root / "run_mc"), "--demand-mode", mode,
+                                "--n-rollouts", n, "--out", str(tmp_path / "e")])
+        assert f"error: --n-rollouts must be an integer >= 1, got {n}" in err
+        assert not (tmp_path / "e").exists()
 
 
 def _train_parser():
