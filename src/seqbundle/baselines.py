@@ -265,6 +265,10 @@ class MarkovPredictor(_RowTable):
     def playlist_id(self) -> str:
         return self.model.playlist_id
 
+    @property
+    def cap(self) -> int:
+        return self.model.cap
+
     def _prefix_states(self, events: Sequence[Event]) -> list[int]:
         prev = [_NO_PREV] + [e.index for e in events]
         return [min(p, self._last) * (N_OUTCOMES + 1) + o for p, o in enumerate(prev, 1)]
@@ -307,6 +311,10 @@ class ZeroOrderPredictor(_RowTable):
     @property
     def playlist_id(self) -> str:
         return self.table.playlist_id
+
+    @property
+    def cap(self) -> int:
+        return self.table.cap
 
     def _prefix_states(self, events: Sequence[Event]) -> list[int]:
         steps = walk(events, self.table.n_tracks, self.table.cap)

@@ -41,7 +41,7 @@ from .dataio import (
     write_prompts_jsonl,
     write_sessions_jsonl,
 )
-from .domain import DEFAULT_CAP
+from .domain import DEFAULT_CAP, integer
 from .errors import ConstraintViolation, NumericError, SchemaError, SeqBundleError
 from .evalkit import evaluate_dataset, summarize_dataset, summary_to_jsonable
 from .seqmodels import (
@@ -225,10 +225,13 @@ def _data_cap(data_dir: Path) -> int:
     path = data_dir / "generator.json"
     if not path.is_file():
         return DEFAULT_CAP
-    cap = artifacts.read_json(path).get("cap", DEFAULT_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise SchemaError(f"{path}: cap must be an integer >= 1, got {cap!r}")
-    return cap
+    raw = artifacts.read_json(path).get("cap", DEFAULT_CAP)
+    try:
+        if (cap := integer(raw)) >= 1:
+            return cap
+    except TypeError:
+        pass
+    raise SchemaError(f"{path}: cap must be an integer >= 1, got {raw!r}")
 
 
 def _load_data(args, session_end: str | None = None) -> Dataset:
@@ -576,10 +579,17 @@ def _load_run(args) -> tuple[str, list[str], Dataset]:
 
 
 def _load_predictors(args, pids: list[str], dataset: Dataset) -> dict:
-    return {
-        pid: artifacts.load_predictor(args.run / "models" / pid, dataset.playlists[pid])
-        for pid in pids
-    }
+    """The run's bundles for ``pids``; each must hold the data's cap."""
+    predictors = {}
+    for pid in pids:
+        bundle = args.run / "models" / pid
+        predictors[pid] = artifacts.load_predictor(bundle, dataset.playlists[pid])
+        if predictors[pid].cap != dataset.cap:
+            raise SchemaError(
+                f"{bundle / artifacts.BUNDLE_FILE}: field 'cap': the bundle's cap "
+                f"{predictors[pid].cap} is not the data's cap {dataset.cap}"
+            )
+    return predictors
 
 
 def cmd_evaluate(args) -> int:

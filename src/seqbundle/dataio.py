@@ -49,6 +49,7 @@ from .domain import (
     Track,
     boolean,
     checked,
+    integer,
     parse_outcome,
     validate_session,
 )
@@ -131,11 +132,18 @@ def dataset_from_sessions(
 # loading and writing
 
 
+def _number(value) -> float:
+    """A JSON number as a float: true or "2" is a TypeError, never a cast."""
+    if type(value) is int or type(value) is float:
+        return float(value)
+    raise TypeError(f"must be a number, got {value!r}")
+
+
 def _track_from_json(obj: dict) -> Track:
     features = obj.get("features") or {}
     return Track(
         track_id=str(obj["track_id"]),
-        duration=float(obj["duration"]),
+        duration=checked(obj, "duration", _number),
         extra_features=tuple(sorted((str(k), float(v)) for k, v in features.items())),
     )
 
@@ -298,7 +306,7 @@ def _load_sessions_jsonl(
                 try:
                     obj = json.loads(line)
                     raw_events = [
-                        (int(e["pos"]), str(e["action"])) for e in obj["events"]
+                        (checked(e, "pos", integer), str(e["action"])) for e in obj["events"]
                     ]
                     session = builder.session(
                         str(obj["session_id"]), str(obj["playlist_id"]), raw_events

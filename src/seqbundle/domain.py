@@ -410,34 +410,53 @@ def _children(
     return children, walked, np.array(feasible, dtype=bool).reshape(-1, N_OUTCOMES)
 
 
+class Walks(NamedTuple):
+    """sample_walks' draw: each walk's events and, per step k, the rows of the
+    distinct prefixes of length k + 1 as drawn (feasible_rows; zeros where no
+    outcome is open) with the node of each walk longer than k, in walk order."""
+
+    events: list[tuple[Event, ...]]
+    steps: list[tuple[np.ndarray, np.ndarray]]
+
+    def drawn(self, which: Sequence[int]) -> np.ndarray:
+        """The rows walks ``which`` drew from, walk after walk: a walk's row j
+        for its decision after its first j + 1 events."""
+        lengths = np.array([len(events) for events in self.events])
+        out = np.zeros((len(which), len(self.steps), N_OUTCOMES))
+        for k, (rows, at) in enumerate(self.steps):
+            # a walk past its last event reads another's row, which the mask drops
+            out[:, k] = rows[at[(np.cumsum(lengths > k) - 1)[which]]]
+        return out[np.arange(len(self.steps)) < lengths[which, None]]
+
+
 def sample_walks(
     next_rows: Callable[[list[tuple[Event, ...]]], Sequence[Sequence[float]]],
     first: Sequence[int],
     uniforms: np.ndarray,
     n_tracks: int,
     cap: int,
-) -> list[tuple[Event, ...]]:
+) -> Walks:
     """Sample walks in lockstep from conditional rows, the one outcome sampler.
 
     Walk r opens with outcome index ``first[r]`` (OUTCOME_ORDER) and draws
     its k-th outcome from ``uniforms[r, k]`` by draw_outcomes, so it depends
-    on its own row alone, never on which walks run beside it; the longest walk
-    reads column n_tracks * cap - 1. The walks advance as a frontier of
+    on its own row alone, never on which walks run beside it; ``uniforms``
+    needs n_tracks * cap + 1 columns. The walks advance as a frontier of
     distinct prefixes, one length at a time: walks with the same prefix share
     one tuple, every step makes one ``next_rows(prefixes)`` call for the
-    distinct prefixes of the live walks, in the order of the first walk on
+    distinct prefixes with an open outcome, in the order of the first walk on
     each, and passes each row through feasible_rows once. A walk ends when no
     outcome is feasible, when its row has no mass left, or when it draws SKIP
-    or PLAY with no track ahead; it returns the tuple of its last prefix, the
-    one object every walk that ended on that prefix returns.
+    or PLAY with no track ahead; its events are the tuple of its last prefix,
+    the one object every walk that ended on that prefix returns.
     """
     ended = np.empty(len(first), dtype=object)
     walks = np.arange(len(first))
-    nodes = np.fromiter([()], dtype=object, count=1)  # the distinct live prefixes
+    nodes = np.fromiter([()], dtype=object, count=1)  # the distinct prefixes
     states = [(0, 0)]  # (track, count) of each node
     at = np.zeros(len(first), dtype=np.intp)  # the node of each live walk
     outcome = np.asarray(first, dtype=np.intp)
-    step = 0
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
     while len(walks):
         # each distinct (node, outcome) of the walks makes one child, in the
         # order of its first walk
@@ -445,28 +464,20 @@ def sample_walks(
             at * N_OUTCOMES + outcome, return_index=True, return_inverse=True
         )
         order = np.argsort(first_walk)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
         children, states, feasible = _children(nodes, states, keys[order], n_tracks, cap)
         nodes = np.fromiter(children, dtype=object, count=len(children))
-        at = rank[at]
-        open_ = feasible.any(axis=1)
-        live = open_[at]
-        ended[walks[~live]] = nodes[at[~live]]
-        walks = walks[live]
-        if not len(walks):
-            break
-        keep = np.flatnonzero(open_)
-        at = (np.cumsum(open_) - 1)[at[live]]
-        nodes, feasible = nodes[keep], feasible[keep]
-        states = [states[i] for i in keep]
-        step += 1
-        rows = feasible_rows(next_rows(nodes.tolist()), feasible[:, _REPLAY])[at]
-        outcome = draw_outcomes(rows, uniforms[walks, step])
-        go = rows.any(axis=1) & ((outcome == _REPLAY) | feasible[at, _SKIP])
+        at = np.argsort(order)[at]  # the inverse permutation ranks each child
+        rows = np.zeros((len(nodes), N_OUTCOMES))
+        open_ = np.flatnonzero(feasible.any(axis=1))
+        if len(open_):
+            rows[open_] = feasible_rows(next_rows(nodes[open_].tolist()), feasible[open_, _REPLAY])
+        steps.append((rows, at))
+        drawn = rows[at]
+        outcome = draw_outcomes(drawn, uniforms[walks, len(steps)])
+        go = drawn.any(axis=1) & ((outcome == _REPLAY) | feasible[at, _SKIP])
         ended[walks[~go]] = nodes[at[~go]]
         walks, at, outcome = walks[go], at[go], outcome[go]
-    return ended.tolist()
+    return Walks(ended.tolist(), steps)
 
 
 def advance_state(

@@ -15,8 +15,9 @@ Rows depend on their prefix alone, so evaluation scores, checks and walks
 each distinct event sequence once, keyed on the events tuple (events are
 canonical, so the tuple hashes in C), and weights it by its session count;
 sums run over the distinct sequences in the order of their first session.
-Rollouts come from domain.sample_walks, which asks for each distinct live
-prefix once per step.
+Rollouts come from domain.sample_walks, which asks for each distinct open
+prefix once per step and returns the rows each walk drew from; expected-mode
+demand credits those rows, with no second walk of the rollouts.
 
 Every row a predictor returns must pass domain.check_prob_rows, at
 domain.ROW_SUM_TOL; a scored event's prediction is its row's modal outcome,
@@ -42,6 +43,7 @@ from .domain import (
     Outcome,
     Playlist,
     Session,
+    Walks,
     check_prob_rows,
     draw_outcomes,
     feasible_rows,
@@ -181,27 +183,26 @@ def _play_tally(plays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _credit_plays(
-    sequences: Iterable[tuple[tuple[Event, ...], int, np.ndarray]], n_tracks: int, cap: int
+    sequences: Iterable[tuple[tuple[Event, ...], int]], drawn: np.ndarray, n_tracks: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predicted plays summed per track, and how many sessions reached it:
     the one demand estimator (see DemandRates).
 
-    ``sequences`` holds each distinct event sequence, its session count and
-    its rows, row j for the decision after events[:j + 1]. A session credits
-    only the tracks it reached, so a track's sum estimates the expected final
-    play count of the sessions its count covers.
+    ``sequences`` holds each distinct event sequence and its session count;
+    ``drawn`` holds their rows as drawn (domain.feasible_rows), sequence
+    after sequence, a sequence's row j for the decision after events[:j + 1].
+    A session credits only the tracks it reached, so a track's sum estimates
+    the expected final play count of the sessions its count covers.
     """
     cover = np.zeros(n_tracks + 1, dtype=np.int64)
-    steps, weights, blocks = [], [], []
-    for events, weight, rows in sequences:
-        reached = events[-1].track_position
-        cover[1 : reached + 1] += weight
-        steps += [(track, feasible[_REPLAY], track < reached)
-                  for track, _, feasible in walk(events, n_tracks, cap)[1:]]
+    tracks, reached, weights = [], [], []
+    for events, weight in sequences:
+        cover[1 : events[-1].track_position + 1] += weight
+        tracks += [event.track_position for event in events]
+        reached += [events[-1].track_position] * len(events)
         weights += [weight] * len(events)
-        blocks.append(rows)
-    tracks, replay_ok, ahead = map(np.array, zip(*steps))
-    drawn = feasible_rows(np.concatenate(blocks), replay_ok) * np.array(weights)[:, None]
+    tracks, drawn = np.array(tracks), drawn * np.array(weights)[:, None]
+    ahead = tracks < np.array(reached)
     credit = np.bincount(tracks, drawn[:, _REPLAY], n_tracks + 1)
     credit += np.bincount(tracks[ahead] + 1, drawn[ahead, _PLAY], n_tracks + 1)
     return credit[1:], cover[1:]
@@ -228,24 +229,18 @@ def _demand_rates(
     )
 
 
-def rollout_sessions(
+def rollout_walks(
     predictor,
     playlist: Playlist,
     first_row: np.ndarray,
     uniforms: np.ndarray,
     cap: int = DEFAULT_CAP,
-    rows: dict[tuple[Event, ...], np.ndarray] | None = None,
-) -> list[Session]:
-    """Sample sessions from a predictor's own conditionals, all in lockstep.
-
-    Rollout r draws its first outcome from ``first_row`` with
-    ``uniforms[r, 0]`` and the rest through domain.sample_walks, one call per
-    step to the predictor's decoder() (else ``next_probs_batch``) for the
-    distinct prefixes of the live rollouts, whose rows pass check_prob_rows
-    before any is drawn from; ``uniforms`` needs n_tracks * cap + 1 columns.
-    Rollouts with the same events share one tuple. ``rows``, if given,
-    receives each checked row keyed by its prefix.
-    """
+) -> Walks:
+    """Sample walks from a predictor's own conditionals, all in lockstep:
+    walk r draws its first outcome from ``first_row`` with ``uniforms[r, 0]``
+    (n_tracks * cap + 1 columns) and the rest through domain.sample_walks, from
+    one call per step to the predictor's decoder() (else ``next_probs_batch``),
+    whose rows pass check_prob_rows before any is drawn from."""
     n = len(playlist)
     max_events = n * cap + 1
     if uniforms.ndim != 2 or uniforms.shape[1] < max_events:
@@ -256,18 +251,23 @@ def rollout_sessions(
     where = f"playlist {playlist.playlist_id!r}: rollout rows"
     decoder = getattr(predictor, "decoder", None)
     next_probs = predictor.next_probs_batch if decoder is None else decoder()
-
-    def next_rows(prefixes: list[tuple[Event, ...]]) -> np.ndarray:
-        checked = check_prob_rows(next_probs(prefixes), where)
-        if rows is not None:
-            rows.update(zip(prefixes, checked))
-        return checked
-
     first = draw_outcomes(first_row, uniforms[:, 0])
-    walks = sample_walks(next_rows, first, uniforms, n, cap)
+    return sample_walks(
+        lambda prefixes: check_prob_rows(next_probs(prefixes), where), first, uniforms, n, cap
+    )
+
+
+def rollout_sessions(
+    predictor,
+    playlist: Playlist,
+    first_row: np.ndarray,
+    uniforms: np.ndarray,
+    cap: int = DEFAULT_CAP,
+) -> list[Session]:
+    """The sessions of rollout_walks; rollouts with the same events share one tuple."""
     return [
         Session(session_id="rollout", playlist_id=playlist.playlist_id, events=events)
-        for events in walks
+        for events in rollout_walks(predictor, playlist, first_row, uniforms, cap).events
     ]
 
 
@@ -278,7 +278,7 @@ def rollout_session(
     rng: np.random.Generator,
     cap: int = DEFAULT_CAP,
 ) -> Session:
-    """Sample one session from a predictor's own conditionals (see rollout_sessions)."""
+    """Sample one session from a predictor's own conditionals (see rollout_walks)."""
     uniforms = rng.random((1, len(playlist) * cap + 1))
     return rollout_sessions(predictor, playlist, first_row, uniforms, cap)[0]
 
@@ -291,10 +291,9 @@ def _rolled_plays(
     n_rollouts: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_credit_plays over rollouts from the model, with the rows they drew
-    from; first events come from the holdout's (``plays``) frequencies. A
-    rollout's last prefix has no row when no outcome is feasible there, and
-    needs none."""
+    """_credit_plays over rollouts from the model, each distinct one with the
+    rows it drew from, in the order of its first rollout; first events come
+    from the holdout's (``plays``) frequencies."""
     if n_rollouts < 1:
         raise ConstraintViolation(f"n_rollouts must be >= 1, got {n_rollouts}")
     n = len(playlist)
@@ -303,17 +302,9 @@ def _rolled_plays(
     first_row = first_counts / first_counts.sum()
     rng = np.random.default_rng([seed, 0x5EED])
     uniforms = rng.random((n_rollouts, n * cap + 1))
-    rows: dict[tuple[Event, ...], np.ndarray] = {}
-    rolled = rollout_sessions(predictor, playlist, first_row, uniforms, cap, rows)
-    closed = np.zeros(N_OUTCOMES)
-
-    def drawn_from(events: tuple[Event, ...]) -> np.ndarray:
-        return np.array([rows.get(events[:j], closed) for j in range(1, len(events) + 1)])
-
-    weights = Counter(session.events for session in rolled)
-    return _credit_plays(
-        ((events, weight, drawn_from(events)) for events, weight in weights.items()), n, cap
-    )
+    rolled = rollout_walks(predictor, playlist, first_row, uniforms, cap)
+    first = {events: r for r, events in reversed(list(enumerate(rolled.events)))}  # least r wins
+    return _credit_plays(Counter(rolled.events).items(), rolled.drawn(sorted(first.values())), n)
 
 
 def evaluate_playlist(
@@ -338,14 +329,10 @@ def evaluate_playlist(
     confusion = np.zeros((N_OUTCOMES, N_OUTCOMES), dtype=np.int64)
     position_hits: dict[int, list[int]] = {}
     weights = Counter(session.events for session in sessions)
-    distinct: dict[tuple[Event, ...], Session] = {}
-    for session in sessions:
-        distinct.setdefault(session.events, session)
+    first = {session.events: session for session in reversed(sessions)}
     checked = {
-        events: _check_prob_rows(probs, len(events) + 1, f"session {session.session_id!r}")
-        for (events, session), probs in zip(
-            distinct.items(), predictor.predict_sessions(list(distinct.values()))
-        )
+        events: _check_prob_rows(probs, len(events) + 1, f"session {first[events].session_id!r}")
+        for events, probs in zip(weights, predictor.predict_sessions([first[e] for e in weights]))
     }
     for events, weight in weights.items():
         predicted = first_max_index(checked[events][1:-1]).tolist()
@@ -357,9 +344,9 @@ def evaluate_playlist(
     n = len(playlist)
     plays = tally_sessions(sessions, n, cap).plays
     if demand_mode == "realized":
-        predicted_plays = _credit_plays(
-            ((events, weight, checked[events][1:]) for events, weight in weights.items()), n, cap
-        )
+        replay_ok = [f[_REPLAY] for events in weights for _, _, f in walk(events, n, cap)[1:]]
+        rows = np.concatenate([checked[events][1:] for events in weights])
+        predicted_plays = _credit_plays(weights.items(), feasible_rows(rows, replay_ok), n)
     else:
         predicted_plays = _rolled_plays(predictor, plays, playlist, cap, n_rollouts, seed)
     return EvaluationResult(

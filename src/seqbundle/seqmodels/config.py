@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
-from ..domain import N_OUTCOMES
+from ..domain import N_OUTCOMES, boolean, checked, integer
 from ..errors import ConstraintViolation, SchemaError
+
+POSITIONAL = ("fixed", "learned")  # sinusoidal or a learned table
 
 
 def _at_least_one(config, what: str, names: tuple[str, ...]) -> None:
@@ -46,7 +48,7 @@ class TransformerConfig:
                 f"ff_dim ({self.ff_dim}) must be >= embed_dim ({self.embed_dim})",
                 keys=("ff_dim", "embed_dim"),
             )
-        if self.positional not in ("fixed", "learned"):
+        if self.positional not in POSITIONAL:
             raise ConstraintViolation(
                 f"positional must be 'fixed' or 'learned', got {self.positional!r}"
             )
@@ -113,14 +115,28 @@ def config_to_json(kind: ModelKind, config) -> dict:
     return {"kind": kind.value, **asdict(config)}
 
 
+def _positional(value) -> str:
+    if type(value) is str and value in POSITIONAL:
+        return value
+    raise TypeError(f"must be 'fixed' or 'learned', got {value!r}")
+
+
+# each config field's rule, by its annotation; positional is the one str field
+_FIELD_RULES = {"int": integer, "bool": boolean, "str": _positional}
+
+
 def config_from_json(obj: dict) -> tuple[ModelKind, object]:
+    """The (kind, config) of a config_to_json object, every field read by
+    its type: never a cast, so 1.5 or "false" is a SchemaError naming it."""
     try:
         kind = ModelKind(obj["kind"])
     except (KeyError, ValueError):
         raise SchemaError(f"unknown model kind in config: {obj.get('kind')!r}") from None
-    cls = _CONFIG_TYPES[kind]
-    fields = {k: v for k, v in obj.items() if k != "kind"}
+    rules = {field.name: _FIELD_RULES[field.type] for field in fields(_CONFIG_TYPES[kind])}
     try:
-        return kind, cls(**fields)
+        if unknown := sorted(set(obj) - {"kind", *rules}):
+            raise TypeError(f"unexpected field {unknown[0]!r}")
+        values = {key: checked(obj, key, rule) for key, rule in rules.items() if key in obj}
+        return kind, _CONFIG_TYPES[kind](**values)
     except TypeError as exc:
         raise SchemaError(f"bad model config for kind {kind.value!r}: {exc}") from None

@@ -326,7 +326,7 @@ def _sample_sessions(spec: GeneratorSpec) -> list[tuple[Event, ...]]:
     first = np.where(uniforms[:, 0] < spec.initial_play_prob, _PLAY, _SKIP)
     return sample_walks(
         lambda prefixes: _spec_rows(spec, prefixes), first, uniforms, spec.n_tracks, spec.cap
-    )
+    ).events
 
 
 def generate(spec: GeneratorSpec) -> Dataset:

@@ -168,6 +168,10 @@ class TestRoundTrips:
             '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": "one", "action": "play"}]}',
             '{"session_id": "x", "playlist_id": "pl", "events": 3}',
             '[1, 2]',
+            # positions are JSON integers, never cast: each would load as track 1
+            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": 1.9, "action": "play"}]}',
+            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": "1", "action": "play"}]}',
+            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": true, "action": "play"}]}',
         ],
     )
     def test_malformed_session_names_its_line(self, tmp_path, playlist3, line, caplog):
@@ -352,7 +356,8 @@ def per_line_load(path, playlists, strict, cap=domain.DEFAULT_CAP):
             where = f"{path} line {lineno}"
             try:
                 obj = json.loads(line)
-                raw = [(int(e["pos"]), str(e["action"])) for e in obj["events"]]
+                raw = [(domain.checked(e, "pos", domain.integer), str(e["action"]))
+                       for e in obj["events"]]
                 session = builder.session(
                     str(obj["session_id"]), str(obj["playlist_id"]), raw
                 )

@@ -253,7 +253,7 @@ class TestDraw:
         walks = sample_walks(
             lambda prefixes: [SHORT_ROW] * len(prefixes),
             [0], np.full((1, 4), TOP_U), 3, 1,
-        )
+        ).events
         assert [e.outcome for e in walks[0]] == [Outcome.SKIP, Outcome.PLAY, Outcome.PLAY]
         validate_session(Session("s", "pl", walks[0]), 3, 1)
 
@@ -284,16 +284,22 @@ def scalar_draw(row, u):
 
 
 def per_walk_reference(next_rows, first, uniforms, n_tracks, cap):
-    """The sampler one walk at a time, one next_rows call per prefix."""
+    """The sampler one walk at a time, one next_rows call per prefix: each
+    walk's events and the rows it drew from, zeros once no outcome is open."""
     out = []
     for r, first_idx in enumerate(first):
         outcome = OUTCOME_ORDER[first_idx]
         track, count = advance_walk(0, 0, outcome)
         events = [Event(track_position=track, outcome=outcome)]
         feasible = feasible_outcomes(track, count, n_tracks, cap)
+        drawn = []
         step = 1
-        while any(feasible):
+        while True:
+            if not any(feasible):
+                drawn.append([0.0, 0.0, 0.0])
+                break
             row = feasible_rows(next_rows([tuple(events)]), [feasible[2]])[0].tolist()
+            drawn.append(row)
             if not any(row):
                 break
             outcome = scalar_draw(row, uniforms[r, step])
@@ -303,7 +309,7 @@ def per_walk_reference(next_rows, first, uniforms, n_tracks, cap):
             events.append(Event(track_position=track, outcome=outcome))
             feasible = feasible_outcomes(track, count, n_tracks, cap)
             step += 1
-        out.append(tuple(events))
+        out.append((tuple(events), drawn))
     return out
 
 
@@ -342,9 +348,20 @@ class TestSampleWalks:
             calls.append(prefixes)
             return [row_of(p) for p in prefixes]
 
-        walks = sample_walks(next_rows, first, uniforms, n_tracks, cap)
+        sampled_walks = sample_walks(next_rows, first, uniforms, n_tracks, cap)
+        walks = sampled_walks.events
         sampled = list(calls)
-        assert walks == per_walk_reference(next_rows, first, uniforms, n_tracks, cap)
+        reference = per_walk_reference(next_rows, first, uniforms, n_tracks, cap)
+        assert walks == [events for events, _ in reference]
+        # each walk drew its k-th row after its first k events, one row per event
+        drawn = sampled_walks.drawn(range(n_walks))
+        assert drawn.tolist() == [row for _, rows in reference for row in rows]
+        for events, (_, rows) in zip(walks, reference):
+            assert len(rows) == len(events)
+        order = np.random.default_rng(seed + 1).permutation(n_walks)
+        assert sampled_walks.drawn(order).tolist() == [
+            row for r in order for row in reference[r][1]
+        ]
         for events in walks:
             validate_session(Session("s", "pl", events), n_tracks, cap)
         # walks with the same events share one tuple

@@ -4,9 +4,12 @@ import logging
 import re
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_playlist, make_session
 from seqbundle.baselines import (
@@ -17,12 +20,15 @@ from seqbundle.baselines import (
 )
 from seqbundle.dataio import Dataset, Split, dataset_from_sessions
 from seqbundle.domain import (
+    OUTCOME_INDEX,
     Event,
     Outcome,
     check_prob_rows,
+    feasible_rows,
     first_max_index,
     tally_sessions,
     validate_session,
+    walk,
 )
 from seqbundle.errors import ConstraintViolation, MetricUndefinedError
 from seqbundle.evalkit import (
@@ -549,14 +555,18 @@ class TestDistinctSequences:
         outcomes = [["play", "replay", "skip"], ["skip", "play"], ["play", "play", "replay"]]
         sessions = [make_session(outcomes[i % 3], sid=f"s{i}") for i in range(12)]
         predictor = _family_predictor("transformer", True, sessions, playlist)
-        # the realized demand credited from each distinct sequence's rows,
-        # asked for one session at a time, weighted by its session count
+        # the realized demand credited from each distinct sequence's rows as
+        # drawn, asked for one session at a time, weighted by its session count
         first = {s.events: s for s in reversed(sessions)}
-        predicted = evalkit._credit_plays(
-            [(events, weight, predictor.predict_sessions([first[events]])[0][1:])
-             for events, weight in Counter(s.events for s in sessions).items()],
-            4, 2,
-        )
+        weights = Counter(s.events for s in sessions)
+        drawn = np.concatenate([
+            feasible_rows(
+                predictor.predict_sessions([first[events]])[0][1:],
+                [feasible[2] for _, _, feasible in walk(events, 4, 2)[1:]],
+            )
+            for events in weights
+        ])
+        predicted = evalkit._credit_plays(weights.items(), drawn, 4)
         actual = evalkit._play_tally(tally_sessions(sessions, 4, 2).plays)
         expected = evalkit._demand_rates(actual, predicted)
         walks = []
@@ -579,6 +589,93 @@ class TestDistinctSequences:
         assert sorted(walks) == ["seqbundle.evalkit"] * 3 + ["seqbundle.seqmodels.predictors"] * 3
         assert result.n_scored == sum(len(s) - 1 for s in sessions)
         assert result.demand == expected
+
+
+def old_credit_plays(sequences, n_tracks, cap):
+    """The estimator as it was before the sampler handed over its drawn rows:
+    it re-walks every sequence for its tracks and REPLAY mask and passes the
+    raw rows through feasible_rows itself."""
+    replay, play = OUTCOME_INDEX[Outcome.REPLAY], OUTCOME_INDEX[Outcome.PLAY]
+    cover = np.zeros(n_tracks + 1, dtype=np.int64)
+    steps, weights, blocks = [], [], []
+    for events, weight, rows in sequences:
+        reached = events[-1].track_position
+        cover[1 : reached + 1] += weight
+        steps += [(track, feasible[replay], track < reached)
+                  for track, _, feasible in walk(events, n_tracks, cap)[1:]]
+        weights += [weight] * len(events)
+        blocks.append(rows)
+    tracks, replay_ok, ahead = map(np.array, zip(*steps))
+    drawn = feasible_rows(np.concatenate(blocks), replay_ok) * np.array(weights)[:, None]
+    credit = np.bincount(tracks, drawn[:, replay], n_tracks + 1)
+    credit += np.bincount(tracks[ahead] + 1, drawn[ahead, play], n_tracks + 1)
+    return credit[1:], cover[1:]
+
+
+TABLE_ROWS = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.01, 0.04, 0.95)]),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda row: sum(row) > 0.0),
+)
+
+
+class TableRows:
+    """Rows from a table, keyed on a prefix's length and last event; records
+    each row it returns by its prefix."""
+
+    def __init__(self, table):
+        self.table = [np.array(row) / sum(row) for row in table]
+        self.rows = {}
+
+    def next_probs_batch(self, prefixes):
+        out = []
+        for prefix in prefixes:
+            last = prefix[-1]
+            key = 7 * len(prefix) + 3 * last.track_position + last.index
+            self.rows[prefix] = self.table[key % len(self.table)]
+            out.append(self.rows[prefix])
+        return np.array(out)
+
+
+class TestDrawnRows:
+    @settings(deadline=None)
+    @given(
+        n_tracks=st.integers(1, 6),
+        cap=st.integers(1, 4),
+        table=st.lists(TABLE_ROWS, min_size=1, max_size=8),
+        n_rollouts=st.integers(1, 40),
+        first_counts=st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_credit_from_drawn_rows_equals_the_rewalk_reference(
+        self, n_tracks, cap, table, n_rollouts, first_counts, seed
+    ):
+        playlist = make_playlist(n_tracks)
+        plays = np.zeros((n_tracks, cap + 1), dtype=np.int64)
+        plays[0, :2] = first_counts
+        predictor = TableRows(table)
+        rolled = []
+
+        def recording_rollout_walks(*args):
+            rolled.append(rollout_walks(*args))
+            return rolled[-1]
+
+        rollout_walks = evalkit.rollout_walks
+        with mock.patch.object(evalkit, "rollout_walks", recording_rollout_walks):
+            credit, cover = evalkit._rolled_plays(
+                predictor, plays, playlist, cap, n_rollouts, seed
+            )
+        # the reference: each distinct rollout's rows looked up by its
+        # prefixes, zeros where no outcome was open, and walked again
+        closed = np.zeros(3)
+        weights = Counter(rolled[0].events)
+        ref_credit, ref_cover = old_credit_plays(
+            [(events, weight, np.array([predictor.rows.get(events[:j], closed)
+                                        for j in range(1, len(events) + 1)]))
+             for events, weight in weights.items()],
+            n_tracks, cap,
+        )
+        assert credit.tobytes() == ref_credit.tobytes()
+        assert cover.tobytes() == ref_cover.tobytes()
 
 
 class TestEvaluateDataset:

@@ -920,6 +920,18 @@ class TestRoundTripRegressions:
             err = capsys.readouterr().err
             assert "generator.json: cap must be an integer >= 1" in err
 
+    def test_integral_float_cap_in_generator_json_reads_as_an_integer(
+        self, cli_root, tmp_path
+    ):
+        # the one JSON integer rule (domain.integer), as in a bundle's cap
+        data = tmp_path / "data"
+        shutil.copytree(cli_root / "data", data)
+        spec = json.loads((data / "generator.json").read_text())
+        write_json(data / "generator.json", {**spec, "cap": 2.0})
+        argv = ["evaluate", "--data", str(data), "--run", str(cli_root / "run_mc"),
+                "--out", str(tmp_path / "eval")]
+        assert cli_main(argv) == 0
+
 
 class TestMalformedJson:
     """Every JSON file the CLI reads back, and the weights.bin beside its
@@ -1109,8 +1121,12 @@ class TestMalformedJson:
             '{"playlist_id": "bad", "tracks": [{"track_id": "t", "duration": 1.0, '
             '"features": [1]}]}',
             '{"playlist_id": "bad", "tracks": [{"track_id": "t", "duration": Infinity}]}',
+            # a duration is a JSON number, never a cast
+            '{"playlist_id": "bad", "tracks": [{"track_id": "t", "duration": true}]}',
+            '{"playlist_id": "bad", "tracks": [{"track_id": "t", "duration": "2"}]}',
         ],
-        ids=["duration-text", "list", "tracks-int", "features-list", "duration-inf"],
+        ids=["duration-text", "list", "tracks-int", "features-list", "duration-inf",
+             "duration-bool", "duration-number-text"],
     )
     def test_malformed_playlist_line(self, cli_root, tmp_path, capsys, line):
         data, _ = self._copies(cli_root, tmp_path)
@@ -1192,7 +1208,22 @@ class TestBundleFieldsAreChecked:
          "leak must be true or false, got 'false'"),
         ("run_tf", lambda o: o["pipeline"]["config"].update(include_duration=1),
          "include_duration must be true or false, got 1"),
-    ], ids=["baseline-cap", "neural-cap", "feasibility-mask", "leak", "include-duration"])
+        ("run_tf", lambda o: o["model"].update(n_blocks=1.5),
+         "field 'model': bad model config for kind 'transformer': n_blocks must be an "
+         "integer, got 1.5"),
+        ("run_tf", lambda o: o["model"].update(causal="false"),
+         "causal must be true or false, got 'false'"),
+        ("run_tf", lambda o: o["model"].update(positional=1),
+         "positional must be 'fixed' or 'learned', got 1"),
+        # the data is cap 2: a bundle fit at another cap never scores it
+        ("run_mc", lambda o: o["payload"].update(cap=1),
+         "field 'cap': the bundle's cap 1 is not the data's cap 2"),
+        ("run_mc", lambda o: o["payload"].update(cap=3),
+         "field 'cap': the bundle's cap 3 is not the data's cap 2"),
+        ("run_tf", lambda o: o.update(cap=5),
+         "field 'cap': the bundle's cap 5 is not the data's cap 2"),
+    ], ids=["baseline-cap", "neural-cap", "feasibility-mask", "leak", "include-duration",
+            "n-blocks", "causal", "positional", "mc-cap-1", "mc-cap-3", "neural-cap-5"])
     def test_wrong_value_is_refused(self, cli_root, tmp_path, capsys, run_name, edit, message):
         run = tmp_path / run_name
         shutil.copytree(cli_root / run_name, run)
@@ -1206,6 +1237,20 @@ class TestBundleFieldsAreChecked:
                          "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_attention_needs_the_data_cap(self, cli_root, tmp_path, capsys):
+        run = tmp_path / "run_tf"
+        shutil.copytree(cli_root / "run_tf", run)
+        (bundle,) = (run / "models").iterdir()
+        path = bundle / BUNDLE_FILE
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**obj, "cap": 3}), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["analyze-attention", "--data", str(cli_root / "data"),
+                         "--run", str(run), "--out", str(tmp_path / "attention")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: field 'cap': the bundle's cap 3 is not the "
+                       f"data's cap 2\n")
 
 
 class TestNegativeSeeds:
