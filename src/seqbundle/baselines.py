@@ -27,6 +27,9 @@ from .domain import (
     feasible_outcomes,
     feasible_rows,
     integer,
+    number,
+    numbers,
+    string,
     tally_sessions,
     walk,
 )
@@ -361,29 +364,32 @@ def baseline_from_json(obj: dict) -> MarkovModel | ZeroOrderTable:
     if kind not in ("mc", "pmc", "zero"):
         raise SchemaError(f"unknown baseline model type {kind!r}")
     cap = checked(obj, "cap", integer)
+    playlist_id = checked(obj, "playlist_id", string)
     if kind == "zero":
         return ZeroOrderTable(
-            playlist_id=obj["playlist_id"],
-            probs=np.asarray(obj["probs"], dtype=np.float64),
-            counts=np.asarray(obj["counts"], dtype=np.float64),
+            playlist_id=playlist_id,
+            probs=checked(obj, "probs", numbers),
+            counts=checked(obj, "counts", numbers),
             cap=cap,
         )
     if kind == "mc":
-        probs, counts = {"0": obj["matrix"]}, {"0": obj["counts"]}
+        probs = {"0": checked(obj, "matrix", numbers)}
+        counts = {"0": checked(obj, "counts", numbers)}
     else:
-        probs, counts = obj["matrices"], obj["counts"]
+        probs, counts = checked(obj, "matrices", _by_slot), checked(obj, "counts", _by_slot)
     return MarkovModel(
         kind=kind,
-        playlist_id=obj["playlist_id"],
-        marginal=np.asarray(obj["marginal"], dtype=np.float64),
+        playlist_id=playlist_id,
+        marginal=checked(obj, "marginal", numbers),
         matrices={
-            int(pos): TransitionMatrix(
-                probs=np.asarray(p, dtype=np.float64),
-                counts=np.asarray(counts[pos], dtype=np.float64),
-                cap=cap,
-            )
+            int(pos): TransitionMatrix(probs=p, counts=counts[pos], cap=cap)
             for pos, p in probs.items()
         },
         cap=cap,
-        smoothing=float(obj.get("smoothing", 0.0)),
+        smoothing=checked(obj, "smoothing", number) if "smoothing" in obj else 0.0,
     )
+
+
+def _by_slot(value) -> dict:
+    """pMC's per-position arrays: a JSON object of number arrays."""
+    return {pos: numbers(rows) for pos, rows in value.items()}

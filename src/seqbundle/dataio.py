@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import random
 import re
 from dataclasses import dataclass, replace
@@ -50,7 +51,10 @@ from .domain import (
     boolean,
     checked,
     integer,
+    number,
+    numbers,
     parse_outcome,
+    string,
     validate_session,
 )
 from .errors import ConstraintViolation, SchemaError
@@ -132,19 +136,19 @@ def dataset_from_sessions(
 # loading and writing
 
 
-def _number(value) -> float:
-    """A JSON number as a float: true or "2" is a TypeError, never a cast."""
-    if type(value) is int or type(value) is float:
-        return float(value)
-    raise TypeError(f"must be a number, got {value!r}")
+def _features(value) -> tuple[tuple[str, float], ...]:
+    """A track's extra features, sorted by name: a JSON object of numbers,
+    or null for none."""
+    if value is None or type(value) is dict:
+        return tuple(sorted((name, checked(value, name, number)) for name in value or ()))
+    raise TypeError(f"must be an object of numbers or null, got {value!r}")
 
 
 def _track_from_json(obj: dict) -> Track:
-    features = obj.get("features") or {}
     return Track(
-        track_id=str(obj["track_id"]),
-        duration=checked(obj, "duration", _number),
-        extra_features=tuple(sorted((str(k), float(v)) for k, v in features.items())),
+        track_id=checked(obj, "track_id", string),
+        duration=checked(obj, "duration", number),
+        extra_features=checked(obj, "features", _features) if "features" in obj else (),
     )
 
 
@@ -159,7 +163,7 @@ def load_playlists(path: str | Path) -> dict[str, Playlist]:
                 continue
             try:
                 obj = json.loads(line)
-                pid = str(obj["playlist_id"])
+                pid = checked(obj, "playlist_id", string)
                 tracks = tuple(_track_from_json(t) for t in obj["tracks"])
                 playlist = Playlist(playlist_id=pid, tracks=tracks)
             except json.JSONDecodeError as exc:
@@ -716,14 +720,23 @@ class FeaturePipeline:
                 leak=checked(obj["config"], "leak", boolean),
                 include_duration=checked(obj["config"], "include_duration", boolean),
             ),
-            remaining_time_table=tuple(obj["remaining_time_table"]),
-            time_mean=float(obj["time_mean"]),
-            time_std=float(obj["time_std"]),
-            duration_mean=float(obj["duration_mean"]),
-            duration_std=float(obj["duration_std"]),
+            remaining_time_table=tuple(checked(obj, "remaining_time_table", numbers).tolist()),
+            time_mean=checked(obj, "time_mean", number),
+            time_std=checked(obj, "time_std", _std),
+            duration_mean=checked(obj, "duration_mean", number),
+            duration_std=checked(obj, "duration_std", _std),
         )
         pipeline.fitted = True
         return pipeline
+
+
+def _std(value) -> float:
+    """A stored standard deviation: a finite number > 0, as every fitted one
+    is after _std_floor."""
+    std = number(value)
+    if 0.0 < std < math.inf:
+        return std
+    raise TypeError(f"must be a finite number > 0, got {value!r}")
 
 
 def _std_floor(value: float) -> float:

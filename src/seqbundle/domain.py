@@ -123,6 +123,30 @@ def integer(value) -> int:
     raise TypeError(f"must be an integer, got {value!r}")
 
 
+def number(value) -> float:
+    """A JSON number as a float: true or "2" is a TypeError, never a cast."""
+    if type(value) is int or type(value) is float:
+        return float(value)
+    raise TypeError(f"must be a number, got {value!r}")
+
+
+def numbers(value) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as float64: a string,
+    boolean or null entry is a TypeError, never a cast."""
+
+    def read(item):
+        return [read(x) for x in item] if type(item) is list else number(item)
+
+    return np.array(read(value), dtype=np.float64)
+
+
+def string(value) -> str:
+    """A JSON string: 7 or null is a TypeError, never a str() cast."""
+    if type(value) is str:
+        return value
+    raise TypeError(f"must be a string, got {value!r}")
+
+
 def boolean(value) -> bool:
     """A JSON boolean: true or false, never a truthy cast."""
     if type(value) is bool:

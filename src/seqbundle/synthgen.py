@@ -12,6 +12,10 @@ np.random.default_rng([seed, k]), so any one session can be regenerated
 without replaying the stream and inserting sessions never disturbs earlier
 ones. The streams are not built one by one: _uniform_block computes every
 session's row of uniforms as one block, bit-identical to those generators.
+
+The reference rates (bayes_rate, first_order_rate) score the rows the
+sampler drew, once per distinct walk: no session is walked or asked of the
+spec a second time.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from .domain import (
     Playlist,
     Session,
     Track,
+    Walks,
     check_prob_rows,
     feasible_cells,
-    feasible_rows,
     first_max_index,
     integer,
+    number,
     sample_walks,
-    walk,
+    string,
 )
 from .errors import ConstraintViolation, SchemaError
 
@@ -128,17 +133,20 @@ class GeneratorSpec:
             raise ConstraintViolation(f"cap must be >= 1, got {self.cap}")
         object.__setattr__(self, "transitions", self._canonical_transitions())
 
+    def _outcome_rows(self, rows: Mapping, owner: str, where: str) -> dict[Outcome, Row]:
+        """One checked row per previous outcome; ``owner`` and ``where``
+        open the messages for a missing and a refused row."""
+        out = {}
+        for prev in OUTCOME_ORDER:
+            if prev not in rows:
+                raise ConstraintViolation(f"{owner} needs a row for {prev.value!r}")
+            out[prev] = _validate_row(rows[prev], prev, self.cap, f"{where}row {prev.value!r}")
+        return out
+
     def _canonical_transitions(self) -> Mapping:
         t = self.transitions
         if self.kind == "markov1":
-            rows = {}
-            for prev in OUTCOME_ORDER:
-                if prev not in t:
-                    raise ConstraintViolation(f"markov1 needs a row for {prev.value!r}")
-                rows[prev] = _validate_row(
-                    t[prev], prev, self.cap, f"row {prev.value!r}"
-                )
-            return rows
+            return self._outcome_rows(t, "markov1", "")
         if self.kind == "markov_pos":
             if not t:
                 raise ConstraintViolation("markov_pos needs at least one position")
@@ -149,19 +157,10 @@ class GeneratorSpec:
                 raise ConstraintViolation(
                     f"markov_pos positions must be contiguous from 2, got {positions}"
                 )
-            out: dict[int, dict[Outcome, Row]] = {}
-            for pos in positions:
-                rows = {}
-                for prev in OUTCOME_ORDER:
-                    if prev not in t[pos]:
-                        raise ConstraintViolation(
-                            f"position {pos} needs a row for {prev.value!r}"
-                        )
-                    rows[prev] = _validate_row(
-                        t[pos][prev], prev, self.cap, f"position {pos} row {prev.value!r}"
-                    )
-                out[pos] = rows
-            return out
+            return {
+                pos: self._outcome_rows(t[pos], f"position {pos}", f"position {pos} ")
+                for pos in positions
+            }
         # order2
         rows2: dict[tuple[Outcome | None, Outcome], Row] = {}
         for key, row in t.items():
@@ -204,13 +203,8 @@ class GeneratorSpec:
         if self.kind == "markov_pos":
             top = max(self.transitions)
             return self.transitions[min(target_position, top)][prev1]
-        try:
-            return self.transitions[(prev2, prev1)]
-        except KeyError:
-            raise ConstraintViolation(
-                f"order2 has no row for context "
-                f"({prev2.value if prev2 else 'none'}, {prev1.value})"
-            ) from None
+        # validation required a row for every context a walk can reach
+        return self.transitions[(prev2, prev1)]
 
 
 def _spec_rows(spec: GeneratorSpec, prefixes: Sequence[Sequence[Event]]) -> list[Row]:
@@ -315,8 +309,9 @@ def _uniform_block(seed: int, n: int, width: int) -> np.ndarray:
     return out
 
 
-def _sample_sessions(spec: GeneratorSpec) -> list[tuple[Event, ...]]:
-    """Events of every session of ``spec``, drawn in one sample_walks call.
+def _sample_sessions(spec: GeneratorSpec) -> Walks:
+    """Every session of ``spec`` as one sample_walks draw: the walks' events
+    and the rows they drew.
 
     Session k's row of uniforms is np.random.default_rng([spec.seed, k])
     .random(width), computed for all sessions as one block (_uniform_block).
@@ -326,7 +321,7 @@ def _sample_sessions(spec: GeneratorSpec) -> list[tuple[Event, ...]]:
     first = np.where(uniforms[:, 0] < spec.initial_play_prob, _PLAY, _SKIP)
     return sample_walks(
         lambda prefixes: _spec_rows(spec, prefixes), first, uniforms, spec.n_tracks, spec.cap
-    ).events
+    )
 
 
 def generate(spec: GeneratorSpec) -> Dataset:
@@ -334,7 +329,7 @@ def generate(spec: GeneratorSpec) -> Dataset:
     playlist = spec.build_playlist()
     sessions = [
         Session(session_id=f"s{k:05d}", playlist_id=spec.playlist_id, events=events)
-        for k, events in enumerate(_sample_sessions(spec))
+        for k, events in enumerate(_sample_sessions(spec).events)
     ]
     return dataset_from_sessions(
         {playlist.playlist_id: playlist}, sessions, cap=spec.cap
@@ -376,48 +371,35 @@ def first_order_rate(
 
 def _modal_mass_rate(spec: GeneratorSpec, predicted: tuple[int, int, int] | None) -> float:
     """Mean true probability of the predicted outcome over the scored events
-    of ``spec``'s sessions (see _session_modal_mass), summed in session order;
-    sessions with equal events share one computation."""
-    masses: dict[tuple[Event, ...], tuple[float, int]] = {}
+    (every event but the first) of ``spec``'s sessions.
+
+    An event's row is the one its walk drew at the decision before it, or
+    (0, 0, 1) when the event before it sits on the last track: there only a
+    replay keeps the session alive, so given that an event occurs it is a
+    replay. ``predicted`` maps the previous outcome's index to the predicted
+    one; None means the Bayes rule, the row's modal mass. Each distinct walk
+    is summed once in event order, then the sums are added in session order.
+    """
+    walks = _sample_sessions(spec)
+    first: dict[tuple[Event, ...], int] = {}
+    for r, events in enumerate(walks.events):
+        first.setdefault(events, r)
+    rows = iter(walks.drawn(list(first.values())).tolist())
+    for events in first:
+        mass = 0.0
+        for prev, row in zip(events[:-1], rows):
+            if prev.track_position == spec.n_tracks:
+                row = (0.0, 0.0, 1.0)
+            mass += max(row) if predicted is None else row[predicted[prev.index]]
+        next(rows)  # the decision after the last event scores nothing
+        first[events] = mass
     total = 0.0
-    scored = 0
-    for events in _sample_sessions(spec):
-        mass = masses.get(events)
-        if mass is None:
-            mass = masses[events] = _session_modal_mass(spec, events, predicted)
-        total += mass[0]
-        scored += mass[1]
+    for events in walks.events:
+        total += first[events]
+    scored = sum(map(len, walks.events)) - len(walks.events)
     if scored == 0:
         raise ConstraintViolation("no scored events; sessions were all length 1")
     return total / scored
-
-
-def _session_modal_mass(
-    spec: GeneratorSpec,
-    events: Sequence[Event],
-    predicted: tuple[int, int, int] | None,
-) -> tuple[float, int]:
-    """Sum of true probabilities of the predicted outcome at scored events.
-
-    ``predicted`` maps prev-outcome index to predicted index; None means the
-    Bayes rule (modal outcome of the true conditional itself).
-    """
-    steps = walk(events, spec.n_tracks, spec.cap)[1 : len(events)]
-    rows = feasible_rows(
-        _spec_rows(spec, [events[:j] for j in range(1, len(events))]),
-        [feasible[_REPLAY] for _, _, feasible in steps],
-    ).tolist()
-    total = 0.0
-    for j, ((_, _, feasible), row) in enumerate(zip(steps, rows), start=1):
-        if not feasible[_SKIP]:
-            # past the last track only a replay keeps the session alive, so
-            # given that an event occurs it is a replay
-            row = (0.0, 0.0, 1.0)
-        if predicted is None:
-            total += max(row)
-        else:
-            total += row[predicted[events[j - 1].index]]
-    return total, len(events) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +556,10 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     }
 
 
-def _string(value) -> str:
-    if type(value) is str:
-        return value
-    raise TypeError(f"must be a string, got {value!r}")
-
-
 def _durations(value) -> tuple[float, ...] | None:
     """A list of durations; null, or an empty list, leaves the defaults."""
     if value is None or type(value) is list:
-        return tuple(map(float, value or ())) or None
+        return tuple(map(number, value or ())) or None
     raise TypeError(f"must be a list of durations or null, got {value!r}")
 
 
@@ -594,7 +570,7 @@ def _items(value) -> Iterable:
 
 
 def _markov1(raw) -> dict:
-    return {Outcome(prev): tuple(map(float, row)) for prev, row in _items(raw)}
+    return {Outcome(prev): tuple(map(number, row)) for prev, row in _items(raw)}
 
 
 def _order2_key(key: str) -> tuple[Outcome | None, Outcome]:
@@ -605,7 +581,7 @@ def _order2_key(key: str) -> tuple[Outcome | None, Outcome]:
 _TRANSITIONS = {
     "markov1": _markov1,
     "markov_pos": lambda raw: {int(pos): _markov1(rows) for pos, rows in _items(raw)},
-    "order2": lambda raw: {_order2_key(k): tuple(map(float, row)) for k, row in _items(raw)},
+    "order2": lambda raw: {_order2_key(k): tuple(map(number, row)) for k, row in _items(raw)},
 }
 
 
@@ -626,11 +602,11 @@ def spec_from_json(obj: dict, path: str = "generator spec") -> GeneratorSpec:
             n_sessions=read("n_sessions", integer),
             seed=read("seed", integer),
             transitions=read("transitions", _TRANSITIONS[kind]),
-            playlist_id=read("playlist_id", _string, "synthetic"),
+            playlist_id=read("playlist_id", string, "synthetic"),
             n_tracks=read("n_tracks", integer, 13),
             durations=read("durations", _durations, None),
             cap=read("cap", integer, DEFAULT_CAP),
-            initial_play_prob=read("initial_play_prob", float, 0.65),
+            initial_play_prob=read("initial_play_prob", number, 0.65),
         )
     except ConstraintViolation as exc:
         raise ConstraintViolation(f"{path}: {exc}") from None

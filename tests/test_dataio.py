@@ -125,6 +125,22 @@ class TestRoundTrips:
         with pytest.raises(SchemaError, match="duplicate"):
             load_playlists(tmp_path / "p.jsonl")
 
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda o: o["tracks"][0].update(features={"x": True, "y": "2.5"}),
+         "features x must be a number, got True"),
+        (lambda o: o["tracks"][1].update(track_id=None), "track_id must be a string, got None"),
+        (lambda o: o.update(playlist_id=7), "playlist_id must be a string, got 7"),
+    ], ids=["feature-values", "null-track-id", "integer-playlist-id"])
+    def test_wrongly_typed_playlist_field_names_its_line(self, tmp_path, playlist3, edit,
+                                                         problem):
+        write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
+        obj = json.loads((tmp_path / "p.jsonl").read_text())
+        edit(obj)
+        (tmp_path / "p.jsonl").write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_playlists(tmp_path / "p.jsonl")
+        assert str(info.value) == f"{tmp_path / 'p.jsonl'} line 1: malformed playlist ({problem})"
+
     def test_strict_mode_reports_line_number(self, tmp_path, playlist3):
         write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
         bad = {

@@ -457,8 +457,19 @@ class TestGenerateCommand:
         ("frequent_pattern", "transitions", {"skip": ["a", 0.5, 0.0]}),
         ("frequent_pattern", "playlist_id", None),
         ("frequent_pattern", "durations", 0),
+        # numbers are read by type, never cast: each of these would generate
+        ("frequent_pattern", "transitions",
+         {"skip": ["1.0", 0, 0], "play": [0.3, 0.7, 0], "replay": [0.4, 0.6, 0]}),
+        ("frequent_pattern", "transitions",
+         {"skip": [True, False, False], "play": [0.3, 0.7, 0], "replay": [0.4, 0.6, 0]}),
+        ("frequent_pattern", "initial_play_prob", "0.85"),
+        ("frequent_pattern", "initial_play_prob", True),
+        ("frequent_pattern", "durations", ["200"] * 13),
+        ("frequent_pattern", "durations", [True] * 13),
     ], ids=["null-probability", "list-rows", "list-position", "string-probability",
-            "null-playlist-id", "zero-durations"])
+            "null-playlist-id", "zero-durations", "string-row-entry", "boolean-row",
+            "string-probability-field", "boolean-probability-field", "string-durations",
+            "boolean-durations"])
     def test_wrongly_typed_spec_field_names_the_file_and_field(
         self, tmp_path, capsys, name, key, value
     ):
@@ -1196,8 +1207,8 @@ class TestMalformedJson:
 
 
 class TestBundleFieldsAreChecked:
-    """A bundle's integer and boolean fields are read by type, never cast: a
-    wrong value exits 2 naming model.json and the field."""
+    """A bundle's integer, boolean, number and string fields are read by type,
+    never cast: a wrong value exits 2 naming model.json and the field."""
 
     @pytest.mark.parametrize("run_name,edit,message", [
         ("run_mc", lambda o: o["payload"].update(cap=2.7), "cap must be an integer, got 2.7"),
@@ -1222,8 +1233,27 @@ class TestBundleFieldsAreChecked:
          "field 'cap': the bundle's cap 3 is not the data's cap 2"),
         ("run_tf", lambda o: o.update(cap=5),
          "field 'cap': the bundle's cap 5 is not the data's cap 2"),
+        # numbers and ids are read by type, never cast
+        ("run_mc", lambda o: o["payload"].update(smoothing="0.5"),
+         "field 'payload': smoothing must be a number, got '0.5'"),
+        ("run_mc", lambda o: o["payload"].update(marginal=["0.25", "0.75", "0"]),
+         "field 'payload': marginal must be a number, got '0.25'"),
+        ("run_mc", lambda o: o["payload"]["matrix"][1].__setitem__(0, "0.5"),
+         "field 'payload': matrix must be a number, got '0.5'"),
+        ("run_pmc", lambda o: o["payload"]["matrices"]["2"][1].__setitem__(0, "0.5"),
+         "field 'payload': matrices must be a number, got '0.5'"),
+        ("run_mc", lambda o: o["payload"].update(playlist_id=7),
+         "field 'payload': playlist_id must be a string, got 7"),
+        ("run_tf", lambda o: o["pipeline"].update(time_std="2"),
+         "field 'pipeline': time_std must be a number, got '2'"),
+        ("run_tf", lambda o: o["pipeline"]["remaining_time_table"].__setitem__(0, "1.5"),
+         "field 'pipeline': remaining_time_table must be a number, got '1.5'"),
+        ("run_tf", lambda o: o["pipeline"].update(time_std=0.0),
+         "field 'pipeline': time_std must be a finite number > 0, got 0.0"),
     ], ids=["baseline-cap", "neural-cap", "feasibility-mask", "leak", "include-duration",
-            "n-blocks", "causal", "positional", "mc-cap-1", "mc-cap-3", "neural-cap-5"])
+            "n-blocks", "causal", "positional", "mc-cap-1", "mc-cap-3", "neural-cap-5",
+            "smoothing", "marginal", "matrix", "pmc-matrices", "playlist-id", "time-std",
+            "remaining-time-table", "zero-time-std"])
     def test_wrong_value_is_refused(self, cli_root, tmp_path, capsys, run_name, edit, message):
         run = tmp_path / run_name
         shutil.copytree(cli_root / run_name, run)

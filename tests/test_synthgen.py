@@ -316,10 +316,14 @@ class TestPinnedOutput:
             return real_walk(*args, **kwargs)
 
         monkeypatch.setattr(domain, "walk", counting_walk)
-        monkeypatch.setattr(synthgen, "walk", counting_walk)
-        dataset = generate(second_order_spec(n_sessions=200))
+        # raising=False: synthgen holds no walk of its own, and must not regain one
+        monkeypatch.setattr(synthgen, "walk", counting_walk, raising=False)
+        spec = second_order_spec(n_sessions=200)
+        dataset = generate(spec)
         assert sum(len(s.events) for s in dataset.sessions) > 1000
-        assert len(calls) <= 200
+        bayes_rate(spec, n_sessions=200, seed=8)
+        first_order_rate(spec, n_sessions=200, seed=8)
+        assert calls == []
 
 
 def per_session_uniforms(seed, n, width):
@@ -387,6 +391,91 @@ class TestReferenceRates:
         spec = frequent_pattern_spec()
         rate = bayes_rate(spec, n_sessions=300, seed=8)
         assert 1 / 3 < rate < 1.0
+
+
+def weighted_row(weights, replay_ok):
+    """A probability row from integer weights, with no mass on a closed replay."""
+    skip, play, replay = weights[0], weights[1], weights[2] if replay_ok else 0
+    if skip + play + replay == 0:
+        play = 1
+    total = skip + play + replay
+    return (skip / total, play / total, replay / total)
+
+
+@st.composite
+def generator_specs(draw):
+    """Specs of every kind, at caps 1-4 and 1-6 tracks, with random rows."""
+    kind = draw(st.sampled_from(synthgen.GENERATOR_KINDS))
+    cap = draw(st.integers(1, 4))
+    cells = domain.feasible_cells(cap)
+    weights = st.tuples(*[st.integers(0, 4)] * 3)
+
+    def rows_after(prev):
+        return weighted_row(draw(weights), cells[domain.OUTCOME_INDEX[prev], 2])
+
+    def outcome_rows():
+        return {prev: rows_after(prev) for prev in domain.OUTCOME_ORDER}
+
+    if kind == "markov1":
+        transitions = outcome_rows()
+    elif kind == "markov_pos":
+        transitions = {pos: outcome_rows() for pos in range(2, 2 + draw(st.integers(1, 4)))}
+    else:
+        contexts = [(None, Outcome.SKIP), (None, Outcome.PLAY)] + [
+            (a, b) for a in domain.OUTCOME_ORDER for b in domain.OUTCOME_ORDER
+            if cells[domain.OUTCOME_INDEX[a], domain.OUTCOME_INDEX[b]]
+        ]
+        transitions = {(a, b): rows_after(b) for a, b in contexts}
+    return GeneratorSpec(
+        kind=kind,
+        n_sessions=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        transitions=transitions,
+        n_tracks=draw(st.integers(1, 6)),
+        cap=cap,
+        initial_play_prob=draw(st.sampled_from([0.0, 0.3, 0.65, 1.0])),
+    )
+
+
+def rewalked_modal_mass(spec, events, predicted):
+    """A session's modal mass as the generator once computed it: walk the
+    session again and ask the spec for every prefix's row again."""
+    steps = domain.walk(events, spec.n_tracks, spec.cap)[1 : len(events)]
+    rows = domain.feasible_rows(
+        synthgen._spec_rows(spec, [events[:j] for j in range(1, len(events))]),
+        [replay_ok for _, _, (_, _, replay_ok) in steps],
+    ).tolist()
+    total = 0.0
+    for j, ((_, _, (skip_ok, _, _)), row) in enumerate(zip(steps, rows), start=1):
+        if not skip_ok:
+            row = (0.0, 0.0, 1.0)
+        if predicted is None:
+            total += max(row)
+        else:
+            total += row[predicted[events[j - 1].index]]
+    return total, len(events) - 1
+
+
+class TestModalMassRate:
+    """_modal_mass_rate scores the drawn rows exactly as a re-walk of every
+    session scored the spec's rows."""
+
+    @settings(deadline=None)
+    @given(
+        spec=generator_specs(),
+        predicted=st.none() | st.tuples(*[st.integers(0, 2)] * 3),
+    )
+    def test_rate_equals_the_per_session_rewalk_reference(self, spec, predicted):
+        total, scored = 0.0, 0
+        for session in generate(spec).sessions:
+            mass, n = rewalked_modal_mass(spec, session.events, predicted)
+            total += mass
+            scored += n
+        if scored == 0:
+            with pytest.raises(ConstraintViolation, match="no scored events"):
+                synthgen._modal_mass_rate(spec, predicted)
+        else:
+            assert synthgen._modal_mass_rate(spec, predicted) == total / scored
 
 
 class TestNamedSpecs:
