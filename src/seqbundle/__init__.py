@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-  domain     outcomes, sessions, and the play-count state machine
+  domain     outcomes, sessions, the play-count state machine, the field reader
   dataio     file formats, splits, feature pipelines, prompt export
   baselines  first-order Markov and zero-order count models
   neuralkit  float32 reverse-mode autodiff, Adam, gradient checking

@@ -25,8 +25,17 @@ from .baselines import (
     zero_order_to_json,
 )
 from .dataio import Dataset, FeaturePipeline, Split
-from .domain import DEFAULT_CAP, Playlist, boolean, integer
-from .errors import ConstraintViolation, SchemaError
+from .domain import (
+    DEFAULT_CAP,
+    Playlist,
+    boolean,
+    integer,
+    object_of,
+    one_of,
+    read_fields,
+    read_json,
+)
+from .errors import SchemaError
 from .neuralkit import load_checkpoint, save_checkpoint
 from .reports import write_json
 from .seqmodels import (
@@ -46,39 +55,6 @@ def sha256_file(path: Path | str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def read_json(path: Path | str) -> dict:
-    """The JSON object a file holds; anything else is a SchemaError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def read_field(path: Path | str, obj: dict, name: str, convert=None):
-    """``convert`` of the dotted field ``name`` ("options.session_end") of the
-    JSON object read from ``path``, or the field itself. A missing or
-    malformed field is a SchemaError naming the file and the field."""
-    value = obj
-    for key in name.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise SchemaError(f"{path}: missing field {name!r}")
-        value = value[key]
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except KeyError as exc:
-        problem = f"missing key {exc}"
-    except (AttributeError, IndexError, TypeError, ValueError, ConstraintViolation,
-            SchemaError) as exc:
-        problem = str(exc)
-    raise SchemaError(f"{path}: field {name!r}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +87,17 @@ def _split_text(assignment: Mapping[str, str]) -> str:
     return '{\n  "session_splits": {\n    ' + entries[1:-1] + "\n  }\n}"
 
 
-def load_split(path: Path | str, dataset: Dataset) -> Dataset:
-    """Re-tag a dataset from a stored split file.
+# a split file: each session's split tag
+_SPLIT_FIELDS = {"session_splits": object_of(one_of(*_SPLIT_TAGS))}
 
-    Every session must be covered with a known tag; a dataset that drifted
-    since the split was stored is an error, not a silent re-split.
+
+def load_split(path: Path | str, dataset: Dataset) -> Dataset:
+    """Re-tag a dataset from a stored split file, read by _SPLIT_FIELDS.
+
+    Every session must be covered; a dataset that drifted since the split
+    was stored is an error, not a silent re-split.
     """
-    obj = read_json(path)
-    try:
-        assignment = obj["session_splits"]
-    except KeyError:
-        raise SchemaError(f"{path}: not a split file (no session_splits)") from None
-    if not isinstance(assignment, dict):
-        raise SchemaError(
-            f"{path}: session_splits must be an object, got {type(assignment).__name__}"
-        )
+    assignment = read_fields(read_json(path), _SPLIT_FIELDS, path)["session_splits"]
     tags = []
     for session in dataset.sessions:
         tag = assignment.get(session.session_id)
@@ -133,13 +105,7 @@ def load_split(path: Path | str, dataset: Dataset) -> Dataset:
             raise SchemaError(
                 f"{path}: session {session.session_id!r} has no stored split tag"
             )
-        split = _SPLIT_TAGS.get(tag) if isinstance(tag, str) else None
-        if split is None:
-            raise SchemaError(
-                f"{path}: session {session.session_id!r} has split tag {tag!r}, "
-                f"expected one of {sorted(_SPLIT_TAGS)}"
-            )
-        tags.append(split)
+        tags.append(_SPLIT_TAGS[tag])
     extra = set(assignment) - {s.session_id for s in dataset.sessions}
     if extra:
         raise SchemaError(
@@ -182,30 +148,31 @@ def _baseline_predictor(payload: dict) -> MarkovPredictor | ZeroOrderPredictor:
     return MarkovPredictor(model=model)
 
 
+_FAMILY = {"family": one_of("baseline", "neural")}
+
+
+def _neural_fields(playlist: Playlist) -> dict:
+    """The fields of a neural bundle's model.json, its pipeline read for ``playlist``."""
+    return {
+        "model": config_from_json,
+        "pipeline": lambda state: FeaturePipeline.from_jsonable(state, playlist),
+        "cap": (integer, DEFAULT_CAP),
+        "feasibility_mask": (boolean, False),
+    }
+
+
 def load_predictor(bundle_dir: Path | str, playlist: Playlist):
-    """Load a predictor bundle written by save_predictor."""
+    """Load a predictor bundle written by save_predictor; its model.json is
+    read by _neural_fields or, for a baseline, as its payload."""
     bundle_dir = Path(bundle_dir)
     path = bundle_dir / BUNDLE_FILE
     obj = read_json(path)
-    family = obj.get("family")
-    if family == "baseline":
-        return read_field(path, obj, "payload", _baseline_predictor)
-    if family == "neural":
-        kind, config = read_field(path, obj, "model", config_from_json)
-        pipeline = read_field(
-            path, obj, "pipeline", lambda state: FeaturePipeline.from_jsonable(state, playlist)
-        )
-        cap = read_field(path, obj, "cap", integer) if "cap" in obj else DEFAULT_CAP
-        mask = "feasibility_mask" in obj and read_field(path, obj, "feasibility_mask", boolean)
-        model = make_model(kind, config, seed=None)  # no draws: weights load next
-        load_checkpoint(bundle_dir / WEIGHTS_STEM, model.flat, model.layout)
-        return NeuralPredictor(
-            model=model,
-            pipeline=pipeline,
-            feasibility_mask=mask,
-            cap=cap,
-        )
-    raise SchemaError(f"{path}: unknown bundle family {family!r}")
+    if read_fields(obj, _FAMILY, path)["family"] == "baseline":
+        return read_fields(obj, {"payload": _baseline_predictor}, path)["payload"]
+    fields = read_fields(obj, _neural_fields(playlist), path)
+    model = make_model(*fields.pop("model"), seed=None)  # no draws: weights load next
+    load_checkpoint(bundle_dir / WEIGHTS_STEM, model.flat, model.layout)
+    return NeuralPredictor(model=model, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,15 @@ from .domain import (
     Playlist,
     Session,
     check_prob_rows,
-    checked,
     feasible_cells,
     feasible_outcomes,
     feasible_rows,
     integer,
     number,
     numbers,
+    object_of,
+    one_of,
+    read_fields,
     string,
     tally_sessions,
     walk,
@@ -359,37 +361,31 @@ def zero_order_to_json(table: ZeroOrderTable) -> dict:
     }
 
 
+_MARKOV_FIELDS = {"playlist_id": string, "cap": integer, "smoothing": (number, 0.0),
+                  "marginal": numbers}
+# a baseline bundle's payload, by its "type": MC's one matrix sits at the top
+# level, and pMC maps target positions to their matrices
+_BASELINE_FIELDS = {
+    "zero": {"playlist_id": string, "cap": integer, "probs": numbers, "counts": numbers},
+    "mc": {**_MARKOV_FIELDS, "matrix": numbers, "counts": numbers},
+    "pmc": {**_MARKOV_FIELDS, "matrices": object_of(numbers), "counts": object_of(numbers)},
+}
+_TYPE = {"type": one_of(*_BASELINE_FIELDS)}
+
+
 def baseline_from_json(obj: dict) -> MarkovModel | ZeroOrderTable:
-    kind = obj.get("type")
-    if kind not in ("mc", "pmc", "zero"):
-        raise SchemaError(f"unknown baseline model type {kind!r}")
-    cap = checked(obj, "cap", integer)
-    playlist_id = checked(obj, "playlist_id", string)
+    """The model a markov_to_json or zero_order_to_json object describes,
+    read by _BASELINE_FIELDS for its type."""
+    kind = read_fields(obj, _TYPE)["type"]
+    fields = read_fields(obj, _BASELINE_FIELDS[kind])
     if kind == "zero":
-        return ZeroOrderTable(
-            playlist_id=playlist_id,
-            probs=checked(obj, "probs", numbers),
-            counts=checked(obj, "counts", numbers),
-            cap=cap,
-        )
+        return ZeroOrderTable(**fields)
     if kind == "mc":
-        probs = {"0": checked(obj, "matrix", numbers)}
-        counts = {"0": checked(obj, "counts", numbers)}
+        probs, counts = {"0": fields.pop("matrix")}, {"0": fields.pop("counts")}
     else:
-        probs, counts = checked(obj, "matrices", _by_slot), checked(obj, "counts", _by_slot)
-    return MarkovModel(
-        kind=kind,
-        playlist_id=playlist_id,
-        marginal=checked(obj, "marginal", numbers),
-        matrices={
-            int(pos): TransitionMatrix(probs=p, counts=counts[pos], cap=cap)
-            for pos, p in probs.items()
-        },
-        cap=cap,
-        smoothing=checked(obj, "smoothing", number) if "smoothing" in obj else 0.0,
-    )
-
-
-def _by_slot(value) -> dict:
-    """pMC's per-position arrays: a JSON object of number arrays."""
-    return {pos: numbers(rows) for pos, rows in value.items()}
+        probs, counts = fields.pop("matrices"), fields.pop("counts")
+        if counts.keys() != probs.keys():
+            raise SchemaError(f"counts cover positions {sorted(counts)}, matrices {sorted(probs)}")
+    matrices = {int(pos): TransitionMatrix(probs=p, counts=counts[pos], cap=fields["cap"])
+                for pos, p in probs.items()}
+    return MarkovModel(kind=kind, matrices=matrices, **fields)

@@ -41,7 +41,19 @@ from .dataio import (
     write_prompts_jsonl,
     write_sessions_jsonl,
 )
-from .domain import DEFAULT_CAP, integer
+from .domain import (
+    DEFAULT_CAP,
+    FieldError,
+    at_least,
+    boolean,
+    integer,
+    number,
+    object_of,
+    one_of,
+    read_fields,
+    read_json,
+    string,
+)
 from .errors import ConstraintViolation, NumericError, SchemaError, SeqBundleError
 from .evalkit import evaluate_dataset, summarize_dataset, summary_to_jsonable
 from .seqmodels import (
@@ -219,19 +231,17 @@ def _data_paths(args) -> tuple[Path, Path]:
     return playlists, sessions
 
 
+# the one field of a data directory's generator.json that loading reads
+_GENERATOR_CAP = {"cap": (at_least(1), DEFAULT_CAP)}
+
+
 def _data_cap(data_dir: Path) -> int:
     """Play-count cap of a data directory: the "cap" its generator.json
     records, or DEFAULT_CAP for data that has no generator.json."""
     path = data_dir / "generator.json"
     if not path.is_file():
         return DEFAULT_CAP
-    raw = artifacts.read_json(path).get("cap", DEFAULT_CAP)
-    try:
-        if (cap := integer(raw)) >= 1:
-            return cap
-    except TypeError:
-        pass
-    raise SchemaError(f"{path}: cap must be an integer >= 1, got {raw!r}")
+    return read_fields(read_json(path), _GENERATOR_CAP, path)["cap"]
 
 
 def _load_data(args, session_end: str | None = None) -> Dataset:
@@ -249,11 +259,18 @@ def _load_data(args, session_end: str | None = None) -> Dataset:
     return dataset
 
 
-def _check_at_least(value, where: str, least: int = 0) -> None:
-    """An integer option's lower bound: 0 for a seed, the range numpy's
-    generators accept, and 1 for a count of sessions or rollouts."""
-    if value is not None and value < least:
-        raise ConstraintViolation(f"{where} must be an integer >= {least}, got {value}")
+# numpy's generators take no negative seed; a count of sessions or rollouts is >= 1
+_SEED, _COUNT = at_least(0), at_least(1)
+
+
+def _read_flags(args, table: dict) -> dict:
+    """The flags of ``table`` that were given, each read by its rule; a
+    refused value names its flag."""
+    given = {key: value for key in table if (value := getattr(args, key, None)) is not None}
+    try:
+        return read_fields(given, {key: table[key] for key in given})
+    except FieldError as exc:
+        raise SchemaError(f"{_flag(exc.key)} {exc.problem}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +278,11 @@ def _check_at_least(value, where: str, least: int = 0) -> None:
 
 
 def cmd_generate(args) -> int:
-    _check_at_least(args.seed, "--seed")
-    _check_at_least(args.n_sessions, "--n-sessions", 1)
+    _read_flags(args, {"seed": _SEED, "n_sessions": _COUNT})
     if args.name:
         spec = synthgen.named_spec(args.name, args.n_sessions, args.seed)
     else:
-        spec = synthgen.spec_from_json(artifacts.read_json(args.spec), str(args.spec))
+        spec = synthgen.spec_from_json(read_json(args.spec), str(args.spec))
         if args.n_sessions is not None:
             spec = replace(spec, n_sessions=args.n_sessions)
         if args.seed is not None:
@@ -315,9 +331,9 @@ def _field_defaults(config_type, keys: tuple[str, ...]) -> dict:
 
 
 # Every train option and its default, the one table of them: each key has one
-# train flag and one --config key, both of the type _OPTION_TYPES gives its
-# default, and run.json's "options" records it. session_end's flag is the
-# data option from _add_data_args.
+# train flag and one --config key, both read by the rule _OPTION_TYPES gives
+# its default's type, and run.json's "options" records the value read.
+# session_end's flag is the data option from _add_data_args.
 TRAIN_DEFAULTS = {
     "train_fraction": 0.9,
     "smoothing": 0.0,
@@ -341,64 +357,50 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _finite(value):
+    """A finite JSON number, kept as given: an integer stays one in run.json."""
+    if math.isfinite(number(value)):
+        return value
+    raise ValueError(f"must be a finite number, got {value!r}")
+
+
+def _size(value) -> int | None:
+    """A model size: an integer, or null for the model's own default."""
+    return None if value is None else integer(value)
 
 
 class _OptionType(NamedTuple):
-    expected: str  # what a value must be, for the error message
-    accepts: Callable[[object], bool]  # tests a value; nothing is converted
+    rule: Callable[[object], object]  # reads a --config value or a flag's value
     flag: dict  # the argparse keywords of the option's flag
 
 
 # By the type of an option's TRAIN_DEFAULTS value. The one str option is
 # session_end, whose flag _add_data_args adds.
 _OPTION_TYPES = {
-    bool: _OptionType("a boolean", lambda v: isinstance(v, bool), {"action": "store_true"}),
-    int: _OptionType("an integer", _is_int, {"type": int}),
-    type(None): _OptionType(
-        "an integer or null", lambda v: v is None or _is_int(v), {"type": int}
-    ),
-    float: _OptionType(
-        "a finite number",
-        lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
-        {"type": float},
-    ),
-    str: _OptionType(f"one of {_SESSION_END_MODES}", lambda v: v in _SESSION_END_MODES, {}),
+    bool: _OptionType(boolean, {"action": "store_true"}),
+    int: _OptionType(integer, {"type": int}),
+    type(None): _OptionType(_size, {"type": int}),
+    float: _OptionType(_finite, {"type": float}),
+    str: _OptionType(one_of(*_SESSION_END_MODES), {}),
 }
-
-
-def _check_option(key: str, value, where: str) -> None:
-    option_type = _OPTION_TYPES[type(TRAIN_DEFAULTS[key])]
-    if not option_type.accepts(value):
-        raise SchemaError(f"{where} must be {option_type.expected}, got {value!r}")
-    if key == "seed":
-        _check_at_least(value, where)
+# each option's rule and default
+_OPTIONS = {key: (_SEED if key == "seed" else _OPTION_TYPES[type(default)].rule, default)
+            for key, default in TRAIN_DEFAULTS.items()}
 
 
 def _resolve_options(args, sources: dict[str, str] | None = None) -> dict:
-    """Option precedence: explicit flag > --config file > built-in default.
-    ``sources``, if given, receives where each option not left at its
-    default was set: the flag, or the file and config key."""
-    resolved = dict(TRAIN_DEFAULTS)
+    """Option precedence: explicit flag > --config file > built-in default,
+    each value read by _OPTIONS. ``sources``, if given, receives where each
+    option not left at its default was set: the flag, or the file and field."""
     sources = {} if sources is None else sources
-    if args.config is not None:
-        file_options = artifacts.read_json(args.config)
-        unknown = set(file_options) - set(resolved)
-        if unknown:
-            raise SchemaError(
-                f"{args.config}: unknown config keys {sorted(unknown)}"
-            )
-        for key, value in file_options.items():
-            sources[key] = f"{args.config}: config key {key!r}"
-            _check_option(key, value, sources[key])
-        resolved.update(file_options)
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            sources[key] = _flag(key)
-            _check_option(key, value, sources[key])
-            resolved[key] = value
+    file_options = {} if args.config is None else read_json(args.config)
+    resolved = read_fields(file_options, _OPTIONS, args.config)
+    if unknown := set(file_options) - set(TRAIN_DEFAULTS):
+        raise SchemaError(f"{args.config}: unknown config keys {sorted(unknown)}")
+    sources.update((key, f"{args.config}: field {key!r}") for key in file_options)
+    flags = _read_flags(args, _OPTIONS)
+    resolved.update(flags)
+    sources.update((key, _flag(key)) for key in flags)
     return resolved
 
 
@@ -541,41 +543,39 @@ def cmd_train(args) -> int:
 # evaluate and analyze
 
 
+# the fields of run.json that evaluation reads
+_RUN_FIELDS = {
+    "model": one_of(*FAMILIES),
+    "options": {"session_end": one_of(*_SESSION_END_MODES)},
+    "playlists": object_of({}),
+    "data_digests": ({"playlists": string, "sessions": string}, None),
+}
+
+
 def _load_run(args) -> tuple[str, list[str], Dataset]:
-    """The run's model family, the playlists it trained, and --data under
-    the run's session-end mode and stored split."""
+    """The run's model family, the playlists it trained, and --data under the
+    run's session-end mode and stored split, with run.json read by _RUN_FIELDS."""
     run_path = args.run / "run.json"
     if not run_path.is_file():
         raise SchemaError(f"{args.run}: not a trained run (no run.json)")
-    run_obj = artifacts.read_json(run_path)
-    model = artifacts.read_field(run_path, run_obj, "model")
-    if model not in FAMILIES:
-        raise SchemaError(f"{run_path}: field 'model': unknown model family {model!r}")
-    session_end = artifacts.read_field(
-        run_path, run_obj, "options.session_end", SessionEndMode
-    )
-    dataset = _load_data(args, session_end=session_end.value)
+    run = read_fields(read_json(run_path), _RUN_FIELDS, run_path)
+    dataset = _load_data(args, session_end=run["options"]["session_end"])
     playlists_path, sessions_path = _data_paths(args)
-    digests = run_obj.get("data_digests", {})
     current = {
         "playlists": artifacts.sha256_file(playlists_path),
         "sessions": artifacts.sha256_file(sessions_path),
     }
-    if digests and digests != current:
+    if run["data_digests"] not in (None, current):
         raise SchemaError(
             f"{run_path}: --data does not match the data this run was trained "
             f"on (content digests differ)"
         )
-
-    def known(pids) -> list[str]:
-        unknown = sorted(set(pids) - set(dataset.playlists))
-        if unknown:
-            raise ValueError(f"no playlist {unknown[0]!r} in {playlists_path}")
-        return list(pids)
-
-    pids = artifacts.read_field(run_path, run_obj, "playlists", known)
+    if unknown := sorted(set(run["playlists"]) - set(dataset.playlists)):
+        raise SchemaError(
+            f"{run_path}: field 'playlists': no playlist {unknown[0]!r} in {playlists_path}"
+        )
     dataset = artifacts.load_split(args.run / "split.json", dataset)
-    return model, pids, dataset
+    return run["model"], list(run["playlists"]), dataset
 
 
 def _load_predictors(args, pids: list[str], dataset: Dataset) -> dict:
@@ -593,8 +593,7 @@ def _load_predictors(args, pids: list[str], dataset: Dataset) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    _check_at_least(args.seed, "--seed")
-    _check_at_least(args.n_rollouts, "--n-rollouts", 1)
+    _read_flags(args, {"seed": _SEED, "n_rollouts": _COUNT})
     model, pids, dataset = _load_run(args)
     predictors = _load_predictors(args, pids, dataset)
     report = evaluate_dataset(

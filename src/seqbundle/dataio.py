@@ -12,15 +12,10 @@ after the last listened event.
 
 Wire formats
 ------------
-sessions.jsonl   one session per line, session ids unique within the file:
-                 {"session_id": str, "playlist_id": str,
-                  "events": [{"pos": int, "action": "skip|play|replay"}, ...]}
-sessions.csv     one event per row, header:
-                 session_id,playlist_id,pos,action
-playlists.jsonl  one playlist per line:
-                 {"playlist_id": str,
-                  "tracks": [{"track_id": str, "duration": float,
-                              "features": {name: float, ...}}, ...]}
+sessions.jsonl   one session per line, as _SESSION_FIELDS reads it; session
+                 ids are unique within the file
+sessions.csv     one event per row, header: session_id,playlist_id,pos,action
+playlists.jsonl  one playlist per line, as _PLAYLIST_FIELDS reads it
 prompts.jsonl    {"prompt": str, "completion": str}
 """
 
@@ -49,11 +44,12 @@ from .domain import (
     Session,
     Track,
     boolean,
-    checked,
     integer,
     number,
     numbers,
+    object_of,
     parse_outcome,
+    read_fields,
     string,
     validate_session,
 )
@@ -139,22 +135,19 @@ def dataset_from_sessions(
 def _features(value) -> tuple[tuple[str, float], ...]:
     """A track's extra features, sorted by name: a JSON object of numbers,
     or null for none."""
-    if value is None or type(value) is dict:
-        return tuple(sorted((name, checked(value, name, number)) for name in value or ()))
-    raise TypeError(f"must be an object of numbers or null, got {value!r}")
+    return () if value is None else tuple(sorted(object_of(number)(value).items()))
 
 
-def _track_from_json(obj: dict) -> Track:
-    return Track(
-        track_id=checked(obj, "track_id", string),
-        duration=checked(obj, "duration", number),
-        extra_features=checked(obj, "features", _features) if "features" in obj else (),
-    )
+# a playlists.jsonl line
+_PLAYLIST_FIELDS = {
+    "playlist_id": string,
+    "tracks": [{"track_id": string, "duration": number, "features": (_features, ())}],
+}
 
 
 def load_playlists(path: str | Path) -> dict[str, Playlist]:
-    """Read playlists.jsonl. A malformed line or a duplicate playlist id is a
-    SchemaError naming the file and line."""
+    """Read playlists.jsonl, each line by _PLAYLIST_FIELDS. A malformed line
+    or a duplicate playlist id is a SchemaError naming the file and line."""
     playlists: dict[str, Playlist] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -162,19 +155,19 @@ def load_playlists(path: str | Path) -> dict[str, Playlist]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                pid = checked(obj, "playlist_id", string)
-                tracks = tuple(_track_from_json(t) for t in obj["tracks"])
-                playlist = Playlist(playlist_id=pid, tracks=tracks)
+                fields = read_fields(json.loads(line), _PLAYLIST_FIELDS)
+                tracks = tuple(
+                    Track(track_id=t["track_id"], duration=t["duration"],
+                          extra_features=t["features"])
+                    for t in fields["tracks"]
+                )
+                playlist = Playlist(playlist_id=fields["playlist_id"], tracks=tracks)
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON ({exc.msg})"
-            except KeyError as exc:
-                problem = f"missing field {exc}"
-            except (AttributeError, TypeError, ValueError) as exc:
-                problem = f"malformed playlist ({exc})"
-            except ConstraintViolation as exc:
+            except (SchemaError, ConstraintViolation) as exc:
                 problem = str(exc)
             else:
+                pid = playlist.playlist_id
                 problem = f"duplicate playlist_id {pid!r}" if pid in playlists else None
             if problem is not None:
                 raise SchemaError(f"{path} line {lineno}: {problem}")
@@ -271,8 +264,8 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 def _tail_session_id(line: str, k: int) -> str | None:
-    """str(V) when ``line[k:]`` is ``, "session_id": V}``, the last pair closing
-    the top-level object with nothing between V and the brace; else None.
+    """V when ``line[k:]`` is ``, "session_id": V}`` for a JSON string V, the last
+    pair closing the top-level object with nothing between V and the brace; else None.
 
     When it is not None, the text before ``k`` alone decides every other
     field json.loads would read from the line.
@@ -281,16 +274,21 @@ def _tail_session_id(line: str, k: int) -> str | None:
         value, end = _scan_json(line, k + len(_ID_PAIR))
     except (StopIteration, ValueError, RecursionError):
         return None
-    return str(value) if end == len(line) - 1 and line[end] == "}" else None
+    return value if type(value) is str and end == len(line) - 1 and line[end] == "}" else None
+
+
+# a sessions.jsonl line
+_SESSION_FIELDS = {"session_id": string, "playlist_id": string,
+                   "events": [{"pos": integer, "action": string}]}
 
 
 def _load_sessions_jsonl(
     path: Path, builder: _SessionBuilder, strict: bool
 ) -> list[Session]:
-    """Parse, convert and validate each line, except a line whose text before
-    its last session_id pair an earlier line was accepted with: only its id is
-    parsed, and it shares that line's events. Any other line takes the full
-    path, so every valid line loads as json.loads would read it."""
+    """Read each line by _SESSION_FIELDS and validate it, except a line whose
+    text before its last session_id pair an earlier line was accepted with:
+    only its id is parsed, and it shares that line's events. Any other line
+    takes the full path, so every valid line loads as json.loads would read it."""
     sessions: list[Session] = []
     first_line: dict[str, int] = {}
     # line text before _ID_PAIR -> (playlist_id, events) accepted with it
@@ -308,19 +306,11 @@ def _load_sessions_jsonl(
                 session = Session(session_id, *known)
             else:
                 try:
-                    obj = json.loads(line)
-                    raw_events = [
-                        (checked(e, "pos", integer), str(e["action"])) for e in obj["events"]
-                    ]
-                    session = builder.session(
-                        str(obj["session_id"]), str(obj["playlist_id"]), raw_events
-                    )
+                    fields = read_fields(json.loads(line), _SESSION_FIELDS)
+                    events = [(event["pos"], event["action"]) for event in fields["events"]]
+                    session = builder.session(fields["session_id"], fields["playlist_id"], events)
                 except json.JSONDecodeError as exc:
                     problem = f"invalid JSON ({exc.msg})"
-                except KeyError as exc:
-                    problem = f"session missing field {exc}"
-                except (TypeError, ValueError) as exc:
-                    problem = f"malformed session ({exc})"
                 except (SchemaError, ConstraintViolation) as exc:
                     problem = str(exc)
                 else:
@@ -709,25 +699,16 @@ class FeaturePipeline:
 
     @classmethod
     def from_jsonable(cls, obj: dict, playlist: Playlist) -> "FeaturePipeline":
-        if obj["playlist_id"] != playlist.playlist_id:
+        """The fitted pipeline to_jsonable wrote, read by _PIPELINE_FIELDS,
+        once its playlist id is ``playlist``'s."""
+        state = read_fields(obj, _PIPELINE_FIELDS)
+        if (stored := state.pop("playlist_id")) != playlist.playlist_id:
             raise SchemaError(
-                f"pipeline state is for playlist {obj['playlist_id']!r}, "
-                f"got {playlist.playlist_id!r}"
+                f"pipeline state is for playlist {stored!r}, got {playlist.playlist_id!r}"
             )
-        pipeline = cls(
-            playlist=playlist,
-            config=FeatureConfig(
-                leak=checked(obj["config"], "leak", boolean),
-                include_duration=checked(obj["config"], "include_duration", boolean),
-            ),
-            remaining_time_table=tuple(checked(obj, "remaining_time_table", numbers).tolist()),
-            time_mean=checked(obj, "time_mean", number),
-            time_std=checked(obj, "time_std", _std),
-            duration_mean=checked(obj, "duration_mean", number),
-            duration_std=checked(obj, "duration_std", _std),
-        )
-        pipeline.fitted = True
-        return pipeline
+        state["config"] = FeatureConfig(**state["config"])
+        state["remaining_time_table"] = tuple(state["remaining_time_table"].tolist())
+        return cls(playlist=playlist, fitted=True, **state)
 
 
 def _std(value) -> float:
@@ -736,7 +717,15 @@ def _std(value) -> float:
     std = number(value)
     if 0.0 < std < math.inf:
         return std
-    raise TypeError(f"must be a finite number > 0, got {value!r}")
+    raise ValueError(f"must be a finite number > 0, got {value!r}")
+
+
+# a fitted pipeline's state, as FeaturePipeline.to_jsonable writes it
+_PIPELINE_FIELDS = {
+    "playlist_id": string, "config": {"leak": boolean, "include_duration": boolean},
+    "remaining_time_table": numbers, "time_mean": number, "time_std": _std,
+    "duration_mean": number, "duration_std": _std,
+}
 
 
 def _std_floor(value: float) -> float:

@@ -9,6 +9,7 @@ last track is resolved.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from collections import Counter
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, SchemaError
 
 DEFAULT_CAP = 2
 
@@ -131,12 +132,14 @@ def number(value) -> float:
 
 
 def numbers(value) -> np.ndarray:
-    """A JSON array of numbers, nested to any depth, as float64: a string,
-    boolean or null entry is a TypeError, never a cast."""
+    """A JSON array of numbers, nested to any depth, as float64: a bare
+    number, or a string, boolean or null entry, is a TypeError, never a cast."""
 
     def read(item):
         return [read(x) for x in item] if type(item) is list else number(item)
 
+    if type(value) is not list:
+        raise TypeError(f"must be a list of numbers, got {value!r}")
     return np.array(read(value), dtype=np.float64)
 
 
@@ -154,12 +157,100 @@ def boolean(value) -> bool:
     raise TypeError(f"must be true or false, got {value!r}")
 
 
-def checked(obj: Mapping, key: str, rule):
-    """``rule(obj[key])``, with ``key`` leading the message of its TypeError."""
+def one_of(*choices: str) -> Callable[[object], str]:
+    """The rule of a JSON string among ``choices``."""
+
+    def read(value) -> str:
+        if type(value) is str and value in choices:
+            return value
+        raise ValueError(f"must be one of {list(choices)}, got {value!r}")
+
+    return read
+
+
+def at_least(least: int) -> Callable[[object], int]:
+    """The rule of an integer, as integer reads it, that is >= ``least``."""
+
+    def read(value) -> int:
+        if (n := integer(value)) >= least:
+            return n
+        raise ValueError(f"must be an integer >= {least}, got {value!r}")
+
+    return read
+
+
+def object_of(rule) -> Callable[[object], dict]:
+    """The rule of a JSON object with any keys, each value read by ``rule``."""
+
+    def read(value) -> dict:
+        return read_fields(value, dict.fromkeys(value, rule) if type(value) is dict else {})
+
+    return read
+
+
+class FieldError(SchemaError):
+    """A field that is missing (``problem`` None) or that its rule refuses;
+    ``key`` is its dotted name, or None for the object itself."""
+
+    def __init__(self, where, key, problem: str | None) -> None:
+        self.key, self.problem = key, problem
+        text = (f"missing field {key!r}" if problem is None
+                else problem if key is None else f"field {key!r}: {problem}")
+        super().__init__(text if where is None else f"{where}: {text}")
+
+
+# what a rule raises for a value it refuses
+_REFUSALS = (TypeError, ValueError, ConstraintViolation, SchemaError)
+
+
+def read_json(path) -> object:
+    """The JSON value a file holds; a file that does not parse is a
+    SchemaError naming it. read_fields then reads an object's fields."""
     try:
-        return rule(obj[key])
-    except TypeError as exc:
-        raise TypeError(f"{key} {exc}") from None
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_fields(obj, table: Mapping, where=None) -> dict:
+    """``obj``'s fields as ``table`` reads them: the one field reader.
+
+    ``table`` maps each key to a rule, or to (rule, default) for a key that may
+    be missing. A rule is a function that converts a JSON value or raises one of
+    _REFUSALS, a table for a nested object, or [rule] for a JSON array whose
+    items it reads, keyed by index. Other keys are ignored. A missing or refused
+    field is a FieldError: "<where>: missing field '<dotted.key>'" or
+    "<where>: field '<dotted.key>': <the rule's reason>"."""
+    if type(obj) is not dict:
+        raise FieldError(where, None, f"expected a JSON object, got {type(obj).__name__}")
+    out = {}
+    for key, rule in table.items():
+        if key in obj:
+            out[key] = _field(obj[key], rule[0] if type(rule) is tuple else rule, key, where)
+        elif type(rule) is tuple:
+            out[key] = rule[1]
+        else:
+            raise FieldError(where, key, None)
+    return out
+
+
+def _field(value, rule, key, where=None):
+    """``value`` as ``rule`` reads it; a refusal is a FieldError naming ``key``,
+    or ``key`` and the dotted key of the nested field refused."""
+    try:
+        if type(rule) is dict:
+            return read_fields(value, rule)
+        if type(rule) is list:
+            if type(value) is not list:
+                raise TypeError(f"must be a list, got {value!r}")
+            return [_field(item, rule[0], i) for i, item in enumerate(value)]
+        return rule(value)
+    except FieldError as exc:
+        inner = key if exc.key is None else f"{key}.{exc.key}"
+        raise FieldError(where, inner, exc.problem) from None
+    except _REFUSALS as exc:
+        raise FieldError(where, key, str(exc)) from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,12 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
+from ..domain import integer, read_fields, read_json, string
 from ..errors import SchemaError
 from .autodiff import FLOAT
 
 FORMAT_TAG = "flat-float32-v1"
 FILE_DTYPE = FLOAT.newbyteorder("<")
-ENTRY_KEYS = ("name", "shape", "offset", "size")
+# a manifest as save_checkpoint writes it
+_MANIFEST_FIELDS = {
+    "format": string,
+    "arrays": [{"name": string, "shape": [integer], "offset": integer, "size": integer}],
+}
 Layout = Sequence[tuple[str, int, tuple[int, ...]]]
 
 
@@ -46,28 +51,18 @@ def save_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
 
 
 def load_checkpoint(stem: str | Path, flat: np.ndarray, layout: Layout) -> None:
-    """Read <stem>.bin into ``flat``, a FLOAT vector, in one read. <stem>.json
-    must carry FORMAT_TAG and describe exactly ``layout``, and <stem>.bin be
-    exactly ``flat.nbytes`` long, or a SchemaError names the file; after one,
-    ``flat`` may hold part of the file."""
+    """Read <stem>.bin into ``flat``, a FLOAT vector, in one read. <stem>.json,
+    read by _MANIFEST_FIELDS, must carry FORMAT_TAG and describe exactly
+    ``layout``, and <stem>.bin be exactly ``flat.nbytes`` long, or a
+    SchemaError names the file; after one, ``flat`` may hold part of the file."""
     bin_path, manifest_path = _paths(stem)
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:
-        raise SchemaError(f"{manifest_path}: not valid JSON ({exc})") from None
-    tag = manifest.get("format") if isinstance(manifest, dict) else None
-    if tag != FORMAT_TAG:
+    manifest = read_fields(read_json(manifest_path), _MANIFEST_FIELDS, manifest_path)
+    if (tag := manifest["format"]) != FORMAT_TAG:
         raise SchemaError(
             f"{manifest_path}: checkpoint format {tag!r}; this version reads {FORMAT_TAG!r} only"
         )
-    entries = manifest.get("arrays")
-    if not isinstance(entries, list) or not all(
-        isinstance(entry, dict) and set(ENTRY_KEYS) <= entry.keys() for entry in entries
-    ):
-        raise SchemaError(f"{manifest_path}: 'arrays' entries need name, shape, offset and size")
-    for i, (got, want) in enumerate(zip_longest(entries, _entries(layout))):
-        if got is None or {key: got[key] for key in ENTRY_KEYS} != want:
+    for i, (got, want) in enumerate(zip_longest(manifest["arrays"], _entries(layout))):
+        if got != want:
             raise SchemaError(f"{manifest_path}: array entry {i} is {got}, the model needs {want}")
     size = bin_path.stat().st_size
     if size < flat.nbytes:  # the array holding the entry at byte ``size`` is cut short

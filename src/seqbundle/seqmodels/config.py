@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 
-from ..domain import N_OUTCOMES, boolean, checked, integer
+from ..domain import N_OUTCOMES, boolean, integer, one_of, read_fields
 from ..errors import ConstraintViolation, SchemaError
 
 POSITIONAL = ("fixed", "learned")  # sinusoidal or a learned table
@@ -115,28 +115,26 @@ def config_to_json(kind: ModelKind, config) -> dict:
     return {"kind": kind.value, **asdict(config)}
 
 
-def _positional(value) -> str:
-    if type(value) is str and value in POSITIONAL:
-        return value
-    raise TypeError(f"must be 'fixed' or 'learned', got {value!r}")
-
-
 # each config field's rule, by its annotation; positional is the one str field
-_FIELD_RULES = {"int": integer, "bool": boolean, "str": _positional}
+_FIELD_RULES = {"int": integer, "bool": boolean, "str": one_of(*POSITIONAL)}
+_KIND = {"kind": one_of(*(kind.value for kind in ModelKind))}
+
+
+def config_fields(kind: ModelKind) -> dict:
+    """The fields of a config_to_json object of ``kind`` but "kind": each
+    field's rule, and its default where the config dataclass has one."""
+    return {
+        field.name: _FIELD_RULES[field.type] if field.default is MISSING
+        else (_FIELD_RULES[field.type], field.default)
+        for field in fields(_CONFIG_TYPES[kind])
+    }
 
 
 def config_from_json(obj: dict) -> tuple[ModelKind, object]:
-    """The (kind, config) of a config_to_json object, every field read by
-    its type: never a cast, so 1.5 or "false" is a SchemaError naming it."""
-    try:
-        kind = ModelKind(obj["kind"])
-    except (KeyError, ValueError):
-        raise SchemaError(f"unknown model kind in config: {obj.get('kind')!r}") from None
-    rules = {field.name: _FIELD_RULES[field.type] for field in fields(_CONFIG_TYPES[kind])}
-    try:
-        if unknown := sorted(set(obj) - {"kind", *rules}):
-            raise TypeError(f"unexpected field {unknown[0]!r}")
-        values = {key: checked(obj, key, rule) for key, rule in rules.items() if key in obj}
-        return kind, _CONFIG_TYPES[kind](**values)
-    except TypeError as exc:
-        raise SchemaError(f"bad model config for kind {kind.value!r}: {exc}") from None
+    """The (kind, config) of a config_to_json object, read by config_fields:
+    never a cast, so 1.5 or "false" is a SchemaError naming the field."""
+    kind = ModelKind(read_fields(obj, _KIND)["kind"])
+    table = config_fields(kind)
+    if unknown := sorted(set(obj) - {"kind", *table}):
+        raise SchemaError(f"unexpected field {unknown[0]!r} for kind {kind.value!r}")
+    return kind, _CONFIG_TYPES[kind](**read_fields(obj, table))

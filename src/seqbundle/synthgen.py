@@ -21,11 +21,10 @@ spec a second time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import read_field
 from .baselines import MarkovPredictor, fit_markov
 from .dataio import Dataset, dataset_from_sessions
 from .domain import (
@@ -44,10 +43,13 @@ from .domain import (
     first_max_index,
     integer,
     number,
+    object_of,
+    one_of,
+    read_fields,
     sample_walks,
     string,
 )
-from .errors import ConstraintViolation, SchemaError
+from .errors import ConstraintViolation
 
 _SKIP = OUTCOME_INDEX[Outcome.SKIP]
 _PLAY = OUTCOME_INDEX[Outcome.PLAY]
@@ -563,14 +565,10 @@ def _durations(value) -> tuple[float, ...] | None:
     raise TypeError(f"must be a list of durations or null, got {value!r}")
 
 
-def _items(value) -> Iterable:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    return value.items()
-
-
-def _markov1(raw) -> dict:
-    return {Outcome(prev): tuple(map(number, row)) for prev, row in _items(raw)}
+def _keyed(convert, rule):
+    """The rule of a JSON object, each value read by ``rule`` and each key by ``convert``."""
+    read = object_of(rule)
+    return lambda value: {convert(key): item for key, item in read(value).items()}
 
 
 def _order2_key(key: str) -> tuple[Outcome | None, Outcome]:
@@ -578,35 +576,30 @@ def _order2_key(key: str) -> tuple[Outcome | None, Outcome]:
     return None if a == "none" else Outcome(a), Outcome(b)
 
 
+_MARKOV1 = _keyed(Outcome, [number])
+# the rule of "transitions", by the spec's kind
 _TRANSITIONS = {
-    "markov1": _markov1,
-    "markov_pos": lambda raw: {int(pos): _markov1(rows) for pos, rows in _items(raw)},
-    "order2": lambda raw: {_order2_key(k): tuple(map(number, row)) for k, row in _items(raw)},
+    "markov1": _MARKOV1,
+    "markov_pos": _keyed(int, _MARKOV1),
+    "order2": _keyed(_order2_key, [number]),
+}
+# a generator spec's fields but "transitions"
+_SPEC_FIELDS = {
+    "kind": one_of(*_TRANSITIONS), "n_sessions": integer, "seed": integer,
+    "playlist_id": (string, "synthetic"), "n_tracks": (integer, 13),
+    "durations": (_durations, None), "cap": (integer, DEFAULT_CAP),
+    "initial_play_prob": (number, 0.65),
 }
 
 
 def spec_from_json(obj: dict, path: str = "generator spec") -> GeneratorSpec:
-    """The spec a JSON object read from ``path`` describes. A missing or wrongly
-    typed field is a SchemaError naming ``path`` and the field; a value the
-    spec refuses is a ConstraintViolation naming ``path``."""
-
-    def read(name: str, convert, *default):
-        return default[0] if default and name not in obj else read_field(path, obj, name, convert)
-
-    kind = read("kind", str)
-    if kind not in _TRANSITIONS:
-        raise SchemaError(f"{path}: field 'kind': unknown generator kind {kind!r}")
+    """The spec a JSON object read from ``path`` describes, read by _SPEC_FIELDS and
+    its kind's _TRANSITIONS rule. A missing or wrongly typed field is a SchemaError
+    naming ``path`` and the field; a value the spec refuses, a ConstraintViolation
+    naming ``path``."""
+    kind = read_fields(obj, {"kind": _SPEC_FIELDS["kind"]}, path)["kind"]
+    fields = read_fields(obj, {**_SPEC_FIELDS, "transitions": _TRANSITIONS[kind]}, path)
     try:
-        return GeneratorSpec(
-            kind=kind,
-            n_sessions=read("n_sessions", integer),
-            seed=read("seed", integer),
-            transitions=read("transitions", _TRANSITIONS[kind]),
-            playlist_id=read("playlist_id", string, "synthetic"),
-            n_tracks=read("n_tracks", integer, 13),
-            durations=read("durations", _durations, None),
-            cap=read("cap", integer, DEFAULT_CAP),
-            initial_play_prob=read("initial_play_prob", number, 0.65),
-        )
+        return GeneratorSpec(**fields)
     except ConstraintViolation as exc:
         raise ConstraintViolation(f"{path}: {exc}") from None

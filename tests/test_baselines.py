@@ -346,14 +346,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind", ["mc", "pmc", "zero"])
     def test_cap_is_read_as_an_integer_not_cast(self, playlist3, three_sessions, kind):
+        # 2.7, true or "2" are refused: test_reports_cli.py TestFieldTables
         if kind == "zero":
             obj = zero_order_to_json(fit_zero_order(three_sessions, playlist3))
         else:
             obj = markov_to_json(fit_markov(three_sessions, playlist3, kind == "pmc"))
         assert baseline_from_json({**obj, "cap": 2.0}).cap == 2
-        for cap in (2.7, True, "2"):
-            with pytest.raises(TypeError, match=f"cap must be an integer, got {cap!r}"):
-                baseline_from_json({**obj, "cap": cap})
 
     def test_pmc_round_trip(self, playlist3, three_sessions):
         model = fit_markov(three_sessions, playlist3, position_dependent=True)

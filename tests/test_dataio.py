@@ -125,22 +125,6 @@ class TestRoundTrips:
         with pytest.raises(SchemaError, match="duplicate"):
             load_playlists(tmp_path / "p.jsonl")
 
-    @pytest.mark.parametrize("edit,problem", [
-        (lambda o: o["tracks"][0].update(features={"x": True, "y": "2.5"}),
-         "features x must be a number, got True"),
-        (lambda o: o["tracks"][1].update(track_id=None), "track_id must be a string, got None"),
-        (lambda o: o.update(playlist_id=7), "playlist_id must be a string, got 7"),
-    ], ids=["feature-values", "null-track-id", "integer-playlist-id"])
-    def test_wrongly_typed_playlist_field_names_its_line(self, tmp_path, playlist3, edit,
-                                                         problem):
-        write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
-        obj = json.loads((tmp_path / "p.jsonl").read_text())
-        edit(obj)
-        (tmp_path / "p.jsonl").write_text(json.dumps(obj) + "\n")
-        with pytest.raises(SchemaError) as info:
-            load_playlists(tmp_path / "p.jsonl")
-        assert str(info.value) == f"{tmp_path / 'p.jsonl'} line 1: malformed playlist ({problem})"
-
     def test_strict_mode_reports_line_number(self, tmp_path, playlist3):
         write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
         bad = {
@@ -177,23 +161,12 @@ class TestRoundTrips:
         assert [s.session_id for s in dataset.sessions] == ["ok"]
         assert any("bad" in rec.message for rec in caplog.records)
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": [1], "action": "play"}]}',
-            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": "one", "action": "play"}]}',
-            '{"session_id": "x", "playlist_id": "pl", "events": 3}',
-            '[1, 2]',
-            # positions are JSON integers, never cast: each would load as track 1
-            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": 1.9, "action": "play"}]}',
-            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": "1", "action": "play"}]}',
-            '{"session_id": "x", "playlist_id": "pl", "events": [{"pos": true, "action": "play"}]}',
-        ],
-    )
+    # a wrongly typed field: test_reports_cli.py TestFieldTables
+    @pytest.mark.parametrize("line", ['[1, 2]', '{"session_id": "x", "playlist_id": "pl"}'])
     def test_malformed_session_names_its_line(self, tmp_path, playlist3, line, caplog):
         good = session_line("ok", "pl", ["play"])
         (tmp_path / "s.jsonl").write_text(good + "\n" + line + "\n")
-        with pytest.raises(SchemaError, match="line 2: malformed session"):
+        with pytest.raises(SchemaError, match="line 2: (missing field|expected a JSON object)"):
             load_sessions(tmp_path / "s.jsonl", {"pl": playlist3})
         with caplog.at_level(logging.WARNING):
             loaded = load_sessions(tmp_path / "s.jsonl", {"pl": playlist3}, strict=False)
@@ -354,8 +327,8 @@ class _Warnings(logging.Handler):
 
 
 def per_line_load(path, playlists, strict, cap=domain.DEFAULT_CAP):
-    """load_sessions for JSONL without reusing lines: json.loads, field
-    conversion and the builder on every line."""
+    """load_sessions for JSONL without reusing lines: json.loads, the
+    session table's read and the builder on every line."""
     builder = dataio._SessionBuilder(playlists, cap)
     sessions, first_line = [], {}
 
@@ -371,20 +344,11 @@ def per_line_load(path, playlists, strict, cap=domain.DEFAULT_CAP):
                 continue
             where = f"{path} line {lineno}"
             try:
-                obj = json.loads(line)
-                raw = [(domain.checked(e, "pos", domain.integer), str(e["action"]))
-                       for e in obj["events"]]
-                session = builder.session(
-                    str(obj["session_id"]), str(obj["playlist_id"]), raw
-                )
+                obj = domain.read_fields(json.loads(line), dataio._SESSION_FIELDS)
+                raw = [(e["pos"], e["action"]) for e in obj["events"]]
+                session = builder.session(obj["session_id"], obj["playlist_id"], raw)
             except json.JSONDecodeError as exc:
                 reject(f"{where}: invalid JSON ({exc.msg})")
-                continue
-            except KeyError as exc:
-                reject(f"{where}: session missing field {exc}")
-                continue
-            except (TypeError, ValueError) as exc:
-                reject(f"{where}: malformed session ({exc})")
                 continue
             except (SchemaError, ConstraintViolation) as exc:
                 reject(f"{where}: {exc}")
@@ -578,8 +542,8 @@ class TestRepeatedLines:
         if strict:
             assert got[1].startswith(f"{path} line 2: invalid JSON")
         else:
-            assert [s.session_id for s in got[0]] == ["a", "c", "5"]
-            assert len(got[2]) == 2
+            assert [s.session_id for s in got[0]] == ["a", "c"]
+            assert got[2][-1].startswith(f"{path} line 5: field 'session_id': must be a string")
 
 
 class TestSplit:

@@ -506,14 +506,15 @@ class TestNamedSpecs:
         assert restored == spec
         assert generate(restored).sessions == generate(spec).sessions
 
-    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])
-    @pytest.mark.parametrize("field", ["cap", "n_sessions", "seed", "n_tracks"])
-    def test_integer_fields_are_refused_not_truncated(self, field, value):
-        obj = spec_to_json(named_spec("second_order", n_sessions=25))
-        obj[field] = value
-        match = f"field '{field}': must be an integer, got {value!r}"
-        with pytest.raises(SchemaError, match=match):
-            spec_from_json(obj)
+    # every other spec field: test_reports_cli.py TestFieldTables, on a markov1 spec
+    @pytest.mark.parametrize("name,transitions,field", [
+        ("position_shift", {"2": [0.5, 0.5, 0.0]}, "transitions.2"),
+        ("second_order", {"none,skip": ["0.5", 0.5, 0.0]}, "transitions.none,skip.0"),
+    ])
+    def test_nested_rows_are_read_by_type(self, name, transitions, field):
+        obj = {**spec_to_json(named_spec(name, n_sessions=25)), "transitions": transitions}
+        with pytest.raises(SchemaError, match=f"^spec.json: field '{field}': "):
+            spec_from_json(obj, "spec.json")
 
     def test_integral_floats_are_read_as_integers(self):
         obj = spec_to_json(named_spec("second_order", n_sessions=25, seed=7))
