@@ -14,7 +14,7 @@ Wire formats
 ------------
 sessions.jsonl   one session per line, as _SESSION_FIELDS reads it; session
                  ids are unique within the file
-sessions.csv     one event per row, header: session_id,playlist_id,pos,action
+sessions.csv     one event per row, as _CSV_FIELDS reads it, in event order
 playlists.jsonl  one playlist per line, as _PLAYLIST_FIELDS reads it
 prompts.jsonl    {"prompt": str, "completion": str}
 """
@@ -43,12 +43,12 @@ from .domain import (
     Playlist,
     Session,
     Track,
+    at_least,
     boolean,
-    integer,
     number,
     numbers,
     object_of,
-    parse_outcome,
+    one_of,
     read_fields,
     string,
     validate_session,
@@ -145,6 +145,17 @@ _PLAYLIST_FIELDS = {
 }
 
 
+def _read_line(line: str, table: Mapping) -> dict:
+    """A JSONL line's fields as ``table`` reads them; a line that is not JSON,
+    or nests too deeply for json.loads, is a SchemaError as a refused field is."""
+    try:
+        return read_fields(json.loads(line), table)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON (nested too deeply)") from None
+
+
 def load_playlists(path: str | Path) -> dict[str, Playlist]:
     """Read playlists.jsonl, each line by _PLAYLIST_FIELDS. A malformed line
     or a duplicate playlist id is a SchemaError naming the file and line."""
@@ -155,68 +166,21 @@ def load_playlists(path: str | Path) -> dict[str, Playlist]:
             if not line:
                 continue
             try:
-                fields = read_fields(json.loads(line), _PLAYLIST_FIELDS)
+                fields = _read_line(line, _PLAYLIST_FIELDS)
                 tracks = tuple(
                     Track(track_id=t["track_id"], duration=t["duration"],
                           extra_features=t["features"])
                     for t in fields["tracks"]
                 )
                 playlist = Playlist(playlist_id=fields["playlist_id"], tracks=tracks)
-            except json.JSONDecodeError as exc:
-                problem = f"invalid JSON ({exc.msg})"
+                if playlist.playlist_id in playlists:
+                    raise SchemaError(f"duplicate playlist_id {playlist.playlist_id!r}")
             except (SchemaError, ConstraintViolation) as exc:
-                problem = str(exc)
-            else:
-                pid = playlist.playlist_id
-                problem = f"duplicate playlist_id {pid!r}" if pid in playlists else None
-            if problem is not None:
-                raise SchemaError(f"{path} line {lineno}: {problem}")
-            playlists[pid] = playlist
+                raise SchemaError(f"{path} line {lineno}: {exc}") from None
+            playlists[playlist.playlist_id] = playlist
     if not playlists:
         raise SchemaError(f"{path}: no playlists found")
     return playlists
-
-
-class _SessionBuilder:
-    """Builds the sessions of one load, sharing what repeats across them.
-
-    Each distinct (pos, action) pair is parsed once, and each distinct
-    (playlist, event sequence) is validated once; later sessions with the same
-    sequence share its immutable events tuple. Only sequences that validate
-    are kept, so every invalid session is checked and reported on its own.
-    Errors name the session and rule; the caller prefixes file and line. The
-    JSONL loader calls it only for a line whose events and playlist text it
-    has not accepted before.
-    """
-
-    def __init__(self, playlists: Mapping[str, Playlist], cap: int) -> None:
-        self.playlists = playlists
-        self.cap = cap
-        self._events: dict[tuple[int, str], Event] = {}
-        # (playlist_id, events) -> the validated events tuple
-        self._sequences: dict[tuple[str, tuple[Event, ...]], tuple[Event, ...]] = {}
-
-    def _intern(self, pair: tuple[int, str]) -> Event:
-        pos, action = pair
-        self._events[pair] = Event(track_position=pos, outcome=parse_outcome(action))
-        return self._events[pair]
-
-    def session(
-        self, session_id: str, playlist_id: str, events: Sequence[tuple[int, str]]
-    ) -> Session:
-        if playlist_id not in self.playlists:
-            raise SchemaError(
-                f"session {session_id!r} references unknown playlist {playlist_id!r}"
-            )
-        known = self._events
-        key = (playlist_id, tuple([known.get(pair) or self._intern(pair) for pair in events]))
-        shared = self._sequences.get(key)
-        if shared is not None:
-            return Session(session_id=session_id, playlist_id=playlist_id, events=shared)
-        session = Session(session_id=session_id, playlist_id=playlist_id, events=key[1])
-        validate_session(session, n_tracks=len(self.playlists[playlist_id]), cap=self.cap)
-        self._sequences[key] = session.events
-        return session
 
 
 def _skip_or_raise(err: SchemaError, strict: bool, skipped: str = "session skipped") -> None:
@@ -238,19 +202,32 @@ def load_sessions(
     strict=True raises on the first invalid row/session with its line number;
     strict=False logs a warning, drops the offending session, and continues.
     A session_id seen earlier in a JSONL file is invalid too (strict) or its
-    later copy is dropped (lenient). Each distinct event sequence is validated
-    once per call. A JSONL line that repeats an accepted line's text up to its
-    last "session_id" pair, as the writer's sorted keys make every line with
-    the same events and playlist_id do, has only its id parsed and shares
-    that line's events; any valid line loads the same either way.
+    later copy is dropped (lenient). One call builds each distinct (pos,
+    action) Event once and validates each distinct (playlist, events) once;
+    later sessions with that sequence share its events tuple. Only sequences
+    that validate are kept, so every invalid session is reported on its own.
     """
-    builder = _SessionBuilder(playlists, cap)
-    if fmt == "jsonl":
-        sessions = _load_sessions_jsonl(Path(path), builder, strict)
-    elif fmt == "csv":
-        sessions = _load_sessions_csv(Path(path), builder, strict)
-    else:
+    known: dict[tuple[int, str], Event] = {}
+    # (playlist_id, events) -> the validated events tuple
+    sequences: dict[tuple[str, tuple[Event, ...]], tuple[Event, ...]] = {}
+
+    def build(session_id: str, playlist_id: str, pairs: Iterable[tuple[int, str]]) -> Session:
+        """The session of read (pos, action) pairs; an error names the
+        session and rule, and the reader prefixes file and line."""
+        if playlist_id not in playlists:
+            raise SchemaError(f"session {session_id!r} references unknown playlist {playlist_id!r}")
+        events = tuple([known.get(p) or known.setdefault(p, Event(*p)) for p in pairs])
+        shared = sequences.get((playlist_id, events))
+        session = Session(session_id, playlist_id, shared or events)
+        if shared is None:
+            validate_session(session, n_tracks=len(playlists[playlist_id]), cap=cap)
+            sequences[playlist_id, events] = events
+        return session
+
+    readers = {"jsonl": _load_sessions_jsonl, "csv": _load_sessions_csv}
+    if fmt not in readers:
         raise SchemaError(f"unknown session format {fmt!r} (expected jsonl or csv)")
+    sessions = readers[fmt](Path(path), build, strict)
     if not sessions:
         raise SchemaError(f"{path}: no valid sessions loaded")
     return dataset_from_sessions(playlists, sessions, cap=cap)
@@ -277,15 +254,16 @@ def _tail_session_id(line: str, k: int) -> str | None:
     return value if type(value) is str and end == len(line) - 1 and line[end] == "}" else None
 
 
+# an event, as both session formats read it
+_POSITION = at_least(1)
+_ACTION = one_of(*(outcome.value for outcome in Outcome))
 # a sessions.jsonl line
 _SESSION_FIELDS = {"session_id": string, "playlist_id": string,
-                   "events": [{"pos": integer, "action": string}]}
+                   "events": [{"pos": _POSITION, "action": _ACTION}]}
 
 
-def _load_sessions_jsonl(
-    path: Path, builder: _SessionBuilder, strict: bool
-) -> list[Session]:
-    """Read each line by _SESSION_FIELDS and validate it, except a line whose
+def _load_sessions_jsonl(path: Path, build, strict: bool) -> list[Session]:
+    """Read each line by _SESSION_FIELDS and build it, except a line whose
     text before its last session_id pair an earlier line was accepted with:
     only its id is parsed, and it shares that line's events. Any other line
     takes the full path, so every valid line loads as json.loads would read it."""
@@ -306,17 +284,11 @@ def _load_sessions_jsonl(
                 session = Session(session_id, *known)
             else:
                 try:
-                    fields = read_fields(json.loads(line), _SESSION_FIELDS)
-                    events = [(event["pos"], event["action"]) for event in fields["events"]]
-                    session = builder.session(fields["session_id"], fields["playlist_id"], events)
-                except json.JSONDecodeError as exc:
-                    problem = f"invalid JSON ({exc.msg})"
+                    fields = _read_line(line, _SESSION_FIELDS)
+                    session = build(fields["session_id"], fields["playlist_id"],
+                                    [(e["pos"], e["action"]) for e in fields["events"]])
                 except (SchemaError, ConstraintViolation) as exc:
-                    problem = str(exc)
-                else:
-                    problem = None
-                if problem is not None:
-                    _skip_or_raise(SchemaError(f"{path} line {lineno}: {problem}"), strict)
+                    _skip_or_raise(SchemaError(f"{path} line {lineno}: {exc}"), strict)
                     continue
                 if head is not None:
                     accepted[head] = (session.playlist_id, session.events)
@@ -334,55 +306,58 @@ def _load_sessions_jsonl(
     return sessions
 
 
-_CSV_COLUMNS = ("session_id", "playlist_id", "pos", "action")
+def _csv_position(value) -> int:
+    """A sessions.csv pos cell: ASCII decimal digits, read as _POSITION reads them."""
+    if type(value) is str and value.isascii() and value.isdigit():
+        return _POSITION(int(value))
+    raise TypeError(f"must be ASCII decimal digits, got {value!r}")
 
 
-def _load_sessions_csv(
-    path: Path, builder: _SessionBuilder, strict: bool
-) -> list[Session]:
-    # Events of one session may be interleaved with others; file order defines
-    # event order within each session.
-    rows: dict[str, list[tuple[int, str]]] = {}
-    pids: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+# a sessions.csv row: one event; a cell the row lacks reads as None
+_CSV_FIELDS = {"session_id": string, "playlist_id": string,
+               "pos": _csv_position, "action": _ACTION}
+
+
+def _load_sessions_csv(path: Path, build, strict: bool) -> list[Session]:
+    """Read each row by _CSV_FIELDS, refusing one with more cells than the
+    header. Sessions' rows may interleave; file order is each one's event
+    order. A session is built once its rows are read, and an error there
+    names its first line; a refused row names its own and drops its session."""
+    # session_id -> (its first line number, playlist_id, (pos, action) pairs)
+    rows: dict[str, tuple[int, str, list[tuple[int, str]]]] = {}
     bad: set[str] = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        header = reader.fieldnames or ()
+        missing = [c for c in _CSV_FIELDS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing CSV columns {missing}")
-        for lineno, row in enumerate(reader, start=2):  # header is line 1
-            where = f"{path} line {lineno}"
+        for row in reader:
             sid = row["session_id"]
             try:
-                pos = int(row["pos"])
-            except (TypeError, ValueError):
-                err = SchemaError(f"{where}: pos {row['pos']!r} is not an integer")
+                if None in row:  # DictReader's key for the cells past the header
+                    n_cells = len(header) + len(row[None])
+                    raise SchemaError(f"{n_cells} cells, the header has {len(header)}")
+                fields = read_fields(row, _CSV_FIELDS)
+                pid = fields["playlist_id"]
+                _, first_pid, pairs = rows.setdefault(sid, (reader.line_num, pid, []))
+                if pid != first_pid:
+                    raise SchemaError(
+                        f"session {sid!r} references two playlists ({first_pid!r} and {pid!r})")
+            except SchemaError as exc:
+                err = SchemaError(f"{path} line {reader.line_num}: {exc}")
                 _skip_or_raise(err, strict, f"session {sid!r} skipped")
                 bad.add(sid)
                 continue
-            if sid in pids and pids[sid] != row["playlist_id"]:
-                _skip_or_raise(
-                    SchemaError(
-                        f"{where}: session {sid!r} references two playlists "
-                        f"({pids[sid]!r} and {row['playlist_id']!r})"
-                    ),
-                    strict,
-                )
-                bad.add(sid)
-                continue
-            pids.setdefault(sid, row["playlist_id"])
-            first_line.setdefault(sid, lineno)
-            rows.setdefault(sid, []).append((pos, row["action"]))
+            pairs.append((fields["pos"], fields["action"]))
     sessions = []
-    for sid, events in rows.items():
+    for sid, (lineno, pid, pairs) in rows.items():
         if sid in bad:
             continue
-        where = f"{path} line {first_line[sid]}"
         try:
-            sessions.append(builder.session(sid, pids[sid], events))
+            sessions.append(build(sid, pid, pairs))
         except (SchemaError, ConstraintViolation) as exc:
-            _skip_or_raise(SchemaError(f"{where}: {exc}"), strict)
+            _skip_or_raise(SchemaError(f"{path} line {lineno}: {exc}"), strict)
     return sessions
 
 

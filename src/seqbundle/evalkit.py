@@ -257,20 +257,6 @@ def rollout_walks(
     )
 
 
-def rollout_sessions(
-    predictor,
-    playlist: Playlist,
-    first_row: np.ndarray,
-    uniforms: np.ndarray,
-    cap: int = DEFAULT_CAP,
-) -> list[Session]:
-    """The sessions of rollout_walks; rollouts with the same events share one tuple."""
-    return [
-        Session(session_id="rollout", playlist_id=playlist.playlist_id, events=events)
-        for events in rollout_walks(predictor, playlist, first_row, uniforms, cap).events
-    ]
-
-
 def rollout_session(
     predictor,
     playlist: Playlist,
@@ -280,7 +266,8 @@ def rollout_session(
 ) -> Session:
     """Sample one session from a predictor's own conditionals (see rollout_walks)."""
     uniforms = rng.random((1, len(playlist) * cap + 1))
-    return rollout_sessions(predictor, playlist, first_row, uniforms, cap)[0]
+    events = rollout_walks(predictor, playlist, first_row, uniforms, cap).events[0]
+    return Session(session_id="rollout", playlist_id=playlist.playlist_id, events=events)
 
 
 def _rolled_plays(

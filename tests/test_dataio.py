@@ -1,8 +1,10 @@
 """Wire formats, splits, session-end handling, features, and prompt export."""
 
+import csv
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +175,20 @@ class TestRoundTrips:
         assert [s.session_id for s in loaded.sessions] == ["ok"]
         assert len(caplog.records) == 1
 
+    def test_a_deeply_nested_line_is_invalid_json(self, tmp_path, playlist3):
+        deep = "[" * 100_000 + "]" * 100_000
+        write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
+        (tmp_path / "s.jsonl").write_text(session_line("ok", "pl", ["play"]) + "\n" + deep + "\n")
+        message = "line 2: invalid JSON (nested too deeply)"
+        with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / 's.jsonl'} {message}")):
+            load_sessions(tmp_path / "s.jsonl", {"pl": playlist3})
+        loaded = load_sessions(tmp_path / "s.jsonl", {"pl": playlist3}, strict=False)
+        assert [s.session_id for s in loaded.sessions] == ["ok"]
+        with open(tmp_path / "p.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(deep + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / 'p.jsonl'} {message}")):
+            load_playlists(tmp_path / "p.jsonl")
+
     def test_orphan_playlist_rejected(self, tmp_path, playlist3):
         write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
         orphan = {
@@ -273,6 +289,43 @@ class TestSessionLoader:
         for k, (lineno, message) in enumerate(zip(lines, warnings)):
             assert f"line {lineno}: session 'bad{k}' event 2" in message
 
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        walks=st.lists(valid_outcome_walks(max_tracks=4), min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 7), max_size=8),
+        ids=st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=4),
+                     min_size=16, max_size=16, unique=True),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_jsonl_and_interleaved_csv_load_equal_datasets(
+        self, tmp_path_factory, walks, picks, ids, order
+    ):
+        # repeat some walks, so that sequences recur
+        walks = walks + [walks[k % len(walks)] for k in picks]
+        sessions = [make_session([o.value for o in outcomes], sid=sid, pid=f"p{n}")
+                    for sid, (n, outcomes) in zip(ids, walks)]
+        playlists = {f"p{n}": make_playlist(n, pid=f"p{n}") for n in range(1, 5)}
+        # rows of all sessions in a random interleaving, each session's in order
+        turns = [k for k, session in enumerate(sessions) for _ in session.events]
+        order.shuffle(turns)
+        events = [iter(session.events) for session in sessions]
+        rows = [[sessions[k].session_id, sessions[k].playlist_id, event.track_position,
+                 event.outcome.value] for k in turns for event in [next(events[k])]]
+        # the CSV loader orders sessions by their first rows
+        sessions = [sessions[k] for k in dict.fromkeys(turns)]
+        base = tmp_path_factory.getbasetemp()
+        write_sessions_jsonl(base / "interleaved.jsonl", sessions)
+        with open(base / "interleaved.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["session_id", "playlist_id", "pos", "action"], *rows])
+        want = dataset_from_sessions(playlists, sessions)
+        for fmt in ("jsonl", "csv"):
+            loaded = load_sessions(base / f"interleaved.{fmt}", playlists, fmt=fmt)
+            assert loaded == want
+            shared = {}
+            for session in loaded.sessions:
+                key = (session.playlist_id, session.events)
+                assert shared.setdefault(key, session.events) is session.events
+
     def test_duplicate_session_id_rejected(self, tmp_path, playlist3):
         path = tmp_path / "s.jsonl"
         path.write_text(
@@ -327,9 +380,9 @@ class _Warnings(logging.Handler):
 
 
 def per_line_load(path, playlists, strict, cap=domain.DEFAULT_CAP):
-    """load_sessions for JSONL without reusing lines: json.loads, the
-    session table's read and the builder on every line."""
-    builder = dataio._SessionBuilder(playlists, cap)
+    """load_sessions for JSONL with nothing shared between lines: json.loads,
+    the session table's read, Event(...), Session(...) and
+    domain.validate_session on every line."""
     sessions, first_line = [], {}
 
     def reject(message):
@@ -345,8 +398,12 @@ def per_line_load(path, playlists, strict, cap=domain.DEFAULT_CAP):
             where = f"{path} line {lineno}"
             try:
                 obj = domain.read_fields(json.loads(line), dataio._SESSION_FIELDS)
-                raw = [(e["pos"], e["action"]) for e in obj["events"]]
-                session = builder.session(obj["session_id"], obj["playlist_id"], raw)
+                sid, pid = obj["session_id"], obj["playlist_id"]
+                if pid not in playlists:
+                    raise SchemaError(f"session {sid!r} references unknown playlist {pid!r}")
+                events = tuple(Event(e["pos"], e["action"]) for e in obj["events"])
+                session = Session(sid, pid, events)
+                domain.validate_session(session, len(playlists[pid]), cap=cap)
             except json.JSONDecodeError as exc:
                 reject(f"{where}: invalid JSON ({exc.msg})")
                 continue

@@ -38,7 +38,7 @@ from seqbundle.domain import (
     walk,
 )
 from seqbundle.errors import ConstraintViolation
-from seqbundle.evalkit import rollout_sessions
+from seqbundle.evalkit import rollout_walks
 from seqbundle.synthgen import GeneratorSpec, generate, second_order_spec
 
 
@@ -259,10 +259,10 @@ class TestDraw:
 
     def test_a_short_first_row_draws_a_first_event(self):
         first_row = feasible_rows([SHORT_ROW], [False])[0]
-        rolled = rollout_sessions(
+        rolled = rollout_walks(
             FixedRows(SHORT_ROW), make_playlist(2), first_row, np.full((1, 5), TOP_U)
         )
-        assert rolled[0].events[0] == Event(1, Outcome.PLAY)
+        assert rolled.events[0][0] == Event(1, Outcome.PLAY)
 
 
 class FixedRows:

@@ -23,6 +23,7 @@ from seqbundle.domain import (
     OUTCOME_INDEX,
     Event,
     Outcome,
+    Session,
     check_prob_rows,
     feasible_rows,
     first_max_index,
@@ -41,7 +42,7 @@ from seqbundle.evalkit import (
     hit_rate_from_counts,
     pseudo_r2,
     rollout_session,
-    rollout_sessions,
+    rollout_walks,
     summarize_dataset,
     summary_to_jsonable,
 )
@@ -350,7 +351,7 @@ class TestRollouts:
         uniforms = np.random.default_rng(0).random((4, 3 * 2 + 1))
         message = f"playlist {playlist.playlist_id!r}: rollout rows: probabilities must be finite"
         with pytest.raises(ConstraintViolation, match=re.escape(message)):
-            rollout_sessions(NanRows(), playlist, np.array([0.4, 0.6, 0.0]), uniforms)
+            rollout_walks(NanRows(), playlist, np.array([0.4, 0.6, 0.0]), uniforms)
 
     def test_rollout_forced_skip_with_no_alternative(self):
         playlist = make_playlist(2)
@@ -402,12 +403,12 @@ class TestRollouts:
         predictor = rollout_predictor(family, playlist)
         first_row = np.array([0.4, 0.6, 0.0])
         uniforms = np.random.default_rng(9).random((50, 4 * 2 + 1))
-        stacked = rollout_sessions(predictor, playlist, first_row, uniforms)
+        stacked = rollout_walks(predictor, playlist, first_row, uniforms).events
         assert len(stacked) == 50
-        assert len({len(s.events) for s in stacked}) > 2  # rollouts end at different steps
+        assert len({len(events) for events in stacked}) > 2  # rollouts end at different steps
         for r, rolled in enumerate(stacked):
-            validate_session(rolled, len(playlist), cap=2)
-            alone = rollout_sessions(predictor, playlist, first_row, uniforms[r : r + 1])
+            walk(rolled, len(playlist), cap=2)
+            alone = rollout_walks(predictor, playlist, first_row, uniforms[r : r + 1]).events
             assert alone == [rolled], r
 
     @pytest.mark.parametrize("family", ["lstm", "transformer"])
@@ -417,7 +418,7 @@ class TestRollouts:
         first_row = np.array([0.4, 0.6, 0.0])
         uniforms = np.random.default_rng(10).random((40, 4 * 2 + 1))
         full_forward = FullForwardQueries(predictor)
-        reference = rollout_sessions(full_forward, playlist, first_row, uniforms)
+        reference = rollout_walks(full_forward, playlist, first_row, uniforms).events
         decoded = []
         forward = predictor.model.forward
 
@@ -435,7 +436,7 @@ class TestRollouts:
             return decoder
 
         monkeypatch.setattr(predictor, "decoder", tracked_decoder)
-        rolled = rollout_sessions(predictor, playlist, first_row, uniforms)
+        rolled = rollout_walks(predictor, playlist, first_row, uniforms).events
         assert rolled == reference
         assert len(decoders) == 1 and decoders[0]() is None  # the trie went with the call
         # every call asks for distinct prefixes, the first call for the
@@ -443,7 +444,7 @@ class TestRollouts:
         # decoder spends one row on each, after the root's row
         queries = full_forward.queries
         assert all(len(set(prefixes)) == len(prefixes) for prefixes in queries)
-        assert queries[0] == list(dict.fromkeys(s.events[:1] for s in reference))
+        assert queries[0] == list(dict.fromkeys(events[:1] for events in reference))
         assert decoded == [1, *map(len, queries)]
 
     def test_rollout_session_is_the_one_rollout_case(self):
@@ -454,7 +455,7 @@ class TestRollouts:
             uniforms = np.random.default_rng(seed).random((1, 4 * 2 + 1))
             assert rollout_session(
                 predictor, playlist, first_row, np.random.default_rng(seed)
-            ) == rollout_sessions(predictor, playlist, first_row, uniforms)[0]
+            ).events == rollout_walks(predictor, playlist, first_row, uniforms).events[0]
 
     def test_expected_mode_asks_once_per_step_over_live_rollouts(self):
         playlist = make_playlist(3)
@@ -527,7 +528,10 @@ class TestOwnRows:
         n_sessions = 2000
         uniforms = np.random.default_rng(0).random((n_sessions, len(playlist) * cap + 1))
         first_row = np.array([0.35, 0.65, 0.0])
-        sessions = rollout_sessions(predictor, playlist, first_row, uniforms, cap)
+        sessions = [
+            Session("rollout", playlist.playlist_id, events)
+            for events in rollout_walks(predictor, playlist, first_row, uniforms, cap).events
+        ]
         demand = evaluate_playlist(
             predictor, sessions, playlist, cap=cap, demand_mode=mode,
             n_rollouts=n_sessions, seed=0,

@@ -1171,6 +1171,60 @@ def _at(obj, path: str):
     return obj, last
 
 
+class TestSessionsCsvRows:
+    """A sessions.csv row is read by its table: a refused cell, or a row with
+    more cells than the header, exits 2 naming the row's own line, and
+    --lenient drops only that row's session."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("csv") / "data"
+        assert cli_main(["generate", "--name", "stopping", "--n-sessions", "20",
+                         "--seed", "1", "--out", str(data)]) == 0
+        return data
+
+    @staticmethod
+    def rows(data) -> list[list[str]]:
+        """The generated sessions as sessions.csv rows, header first; the
+        first session's events are lines 2 to 7."""
+        rows = [["session_id", "playlist_id", "pos", "action"]]
+        for line in (data / "sessions.jsonl").read_text(encoding="utf-8").splitlines():
+            s = json.loads(line)
+            rows += [[s["session_id"], s["playlist_id"], str(e["pos"]), e["action"]]
+                     for e in s["events"]]
+        return rows
+
+    @pytest.mark.parametrize("lineno,edit,expected", [
+        (2, lambda row: row[:2] + [" +1 "] + row[3:],
+         "field 'pos': must be ASCII decimal digits, got ' +1 '"),
+        (2, lambda row: row[:2] + ["0_1"] + row[3:],
+         "field 'pos': must be ASCII decimal digits, got '0_1'"),
+        (2, lambda row: row[:2] + ["1_0"] + row[3:],
+         "field 'pos': must be ASCII decimal digits, got '1_0'"),
+        (3, lambda row: row + ["x"], "5 cells, the header has 4"),
+        (3, lambda row: row[:3],
+         "field 'action': must be one of ['skip', 'play', 'replay'], got None"),
+    ], ids=["spaced sign", "leading underscore", "inner underscore", "fifth cell", "no action"])
+    def test_a_bad_row_exits_2_and_lenient_drops_its_session(
+        self, data, tmp_path, capsys, lineno, edit, expected
+    ):
+        root = tmp_path / "data"
+        shutil.copytree(data, root)
+        rows = self.rows(data)
+        assert rows[1][0] == rows[2][0] != rows[8][0]
+        rows[lineno - 1] = edit(rows[lineno - 1])
+        path = root / "sessions.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        argv = ["summarize", "--data", str(root), "--format", "csv",
+                "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path} line {lineno}: {expected}\n"
+        assert cli_main([*argv, "--lenient"]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert [p["n_sessions"] for p in summary["playlists"]] == [19]
+
+
 class TestFieldTables:
     """Every declared field of every file the CLI reads, and every train
     flag, refuses a value of another JSON type, an out-of-range value where
@@ -1263,7 +1317,8 @@ class TestFieldTables:
         ("spec", "seed", "3", "must be an integer, got '3'"),
         ("generator.json", "cap", 0, "must be an integer >= 1, got 0"),
         ("playlists.jsonl", "tracks", "abc", "must be a list, got 'abc'"),
-        ("sessions.jsonl", "events.0.action", None, "must be a string, got None"),
+        ("sessions.jsonl", "events.0.action", None,
+         "must be one of ['skip', 'play', 'replay'], got None"),
         ("run.json", "playlists", "synthetic", "expected a JSON object, got str"),
         ("split.json", "session_splits", [], "expected a JSON object, got list"),
         ("neural model.json", "pipeline.config", [], "expected a JSON object, got list"),

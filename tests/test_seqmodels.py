@@ -12,7 +12,7 @@ import pytest
 from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
 from seqbundle.domain import DEFAULT_CAP, Event, Outcome, check_prob_rows, walk
-from seqbundle.evalkit import rollout_sessions
+from seqbundle.evalkit import rollout_walks
 from seqbundle import neuralkit as nk
 from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
 from seqbundle.neuralkit import grad_check, load_checkpoint, save_checkpoint
@@ -1602,7 +1602,7 @@ class TestOnePrecision:
 
         monkeypatch.setattr(predictor, "decoder", recording_decoder)
         uniforms = rng(61).random((20, 5 * DEFAULT_CAP + 1))
-        rollout_sessions(predictor, playlist, np.array([0.4, 0.6, 0.0]), uniforms)
+        rollout_walks(predictor, playlist, np.array([0.4, 0.6, 0.0]), uniforms)
         if kind is ModelKind.TRANSFORMER:
             returned["attention"] = predictor.attention_for_sessions(sessions)
         for what, rows in returned.items():
