@@ -27,6 +27,7 @@ import logging
 import math
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -156,11 +157,26 @@ def _read_line(line: str, table: Mapping) -> dict:
         raise SchemaError("invalid JSON (nested too deeply)") from None
 
 
+@contextmanager
+def _refuse_non_utf8(path) -> Iterator[None]:
+    """A read in the block that meets a non-UTF-8 byte is a SchemaError naming its line."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = len(data[: exc.start + 1].splitlines())  # as a text-mode read counts
+            raise SchemaError(f"{path} line {lineno}: not UTF-8 ({exc.reason})") from None
+        raise
+
+
 def load_playlists(path: str | Path) -> dict[str, Playlist]:
     """Read playlists.jsonl, each line by _PLAYLIST_FIELDS. A malformed line
     or a duplicate playlist id is a SchemaError naming the file and line."""
     playlists: dict[str, Playlist] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _refuse_non_utf8(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -206,6 +222,7 @@ def load_sessions(
     action) Event once and validates each distinct (playlist, events) once;
     later sessions with that sequence share its events tuple. Only sequences
     that validate are kept, so every invalid session is reported on its own.
+    A byte that is not UTF-8 is refused in either mode, naming its line.
     """
     known: dict[tuple[int, str], Event] = {}
     # (playlist_id, events) -> the validated events tuple
@@ -271,7 +288,7 @@ def _load_sessions_jsonl(path: Path, build, strict: bool) -> list[Session]:
     first_line: dict[str, int] = {}
     # line text before _ID_PAIR -> (playlist_id, events) accepted with it
     accepted: dict[str, tuple[str, tuple[Event, ...]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _refuse_non_utf8(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -326,7 +343,7 @@ def _load_sessions_csv(path: Path, build, strict: bool) -> list[Session]:
     # session_id -> (its first line number, playlist_id, (pos, action) pairs)
     rows: dict[str, tuple[int, str, list[tuple[int, str]]]] = {}
     bad: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, _refuse_non_utf8(path):
         reader = csv.DictReader(fh)
         header = reader.fieldnames or ()
         missing = [c for c in _CSV_FIELDS if c not in header]

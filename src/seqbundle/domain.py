@@ -204,13 +204,15 @@ _REFUSALS = (TypeError, ValueError, ConstraintViolation, SchemaError)
 
 
 def read_json(path) -> object:
-    """The JSON value a file holds; a file that does not parse is a
-    SchemaError naming it. read_fields then reads an object's fields."""
+    """The JSON value a file holds; a file that does not decode or parse, even
+    for deep nesting, is a SchemaError naming it. read_fields reads its fields."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except ValueError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def read_fields(obj, table: Mapping, where=None) -> dict:

@@ -38,10 +38,9 @@ from .autodiff import (
 from .checkpoint import load_checkpoint, name_at, save_checkpoint
 from .gradcheck import grad_check
 from .kernels import positional_encoding, positional_encoding_matrix
-from .optim import AdamConfig, AdamState, NonFiniteGradient, adam_step
+from .optim import AdamState, NonFiniteGradient, adam_step
 
 __all__ = [
-    "AdamConfig",
     "AdamState",
     "FLOAT",
     "NonFiniteGradient",

@@ -349,17 +349,17 @@ def lstm_cell(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
     return _result(o * tanh_c, (gates, c), output_backward), c
 
 
-def layer_norm(x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor) -> Tensor:
     """Normalize each row to mean 0, variance 1 (affine rescale is separate).
 
-    eps sits inside the square root; 1e-12 keeps a float64 row's output
+    LAYER_NORM_EPS sits inside the square root; 1e-12 keeps a float64 row's output
     variance within 1e-9 of 1 for any non-degenerate row.
     """
     if x.data.ndim != 2:
         raise ConstraintViolation(f"layer_norm expects 2-D input, got {x.data.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (x.data - mu) * inv
 
     def backward(g: np.ndarray) -> None:

@@ -22,7 +22,6 @@ the same order, so the bits are those of the whole-array expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +30,19 @@ from ..errors import ConstraintViolation, NumericError
 # Entries per chunk of the in-place update; its work buffers stay in cache.
 ADAM_CHUNK = 32_768
 
-
-@dataclass(frozen=True, slots=True)
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConstraintViolation("Adam betas must be in [0, 1)")
-        if not 0 < self.learning_rate < np.inf or not 0 < self.eps < np.inf:
-            raise ConstraintViolation("Adam learning_rate and eps must be finite and > 0")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's; AdamState takes the learning rate
 
 
 class AdamState:
     """Flat first/second moment vectors, made at the first step."""
 
-    def __init__(self, config: AdamConfig | None = None) -> None:
-        self.config = config or AdamConfig()
+    def __init__(self, learning_rate: float) -> None:
+        if not 0 < learning_rate < np.inf:
+            raise ConstraintViolation(
+                f"Adam learning_rate must be finite and > 0, got {learning_rate}",
+                keys=("learning_rate",),
+            )
+        self.learning_rate = learning_rate
         self.step_count = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -81,23 +73,22 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
-    cfg = state.config
     state.step_count += 1
     t = state.step_count
-    root_bias2 = math.sqrt(1.0 - cfg.beta2**t)
-    lr_t = cfg.learning_rate * root_bias2 / (1.0 - cfg.beta1**t)
-    eps_t = cfg.eps * root_bias2
+    root_bias2 = math.sqrt(1.0 - BETA2**t)
+    lr_t = state.learning_rate * root_bias2 / (1.0 - BETA1**t)
+    eps_t = EPS * root_bias2
     work = np.empty(min(ADAM_CHUNK, params.size), dtype=params.dtype)
     for start in range(0, params.size, ADAM_CHUNK):
         part = slice(start, start + ADAM_CHUNK)
         p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
         x = work[: p.size]
-        np.multiply(g, 1.0 - cfg.beta1, out=x)
-        m *= cfg.beta1
+        np.multiply(g, 1.0 - BETA1, out=x)
+        m *= BETA1
         m += x
-        np.multiply(g, 1.0 - cfg.beta2, out=x)
+        np.multiply(g, 1.0 - BETA2, out=x)
         x *= g
-        v *= cfg.beta2
+        v *= BETA2
         v += x
         np.sqrt(v, out=x)
         x += eps_t

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 
-from ..domain import N_OUTCOMES, boolean, integer, one_of, read_fields
+from ..domain import boolean, integer, one_of, read_fields
 from ..errors import ConstraintViolation, SchemaError
 
 POSITIONAL = ("fixed", "learned")  # sinusoidal or a learned table
@@ -33,7 +33,6 @@ class TransformerConfig:
     ff_dim: int = 2048
     causal: bool = True
     positional: str = "fixed"  # "fixed" sinusoidal or "learned" table
-    n_classes: int = N_OUTCOMES
     max_positions: int = 512
 
     def __post_init__(self) -> None:
@@ -65,7 +64,6 @@ class LSTMConfig:
     input_dim: int
     hidden_dim: int = 128
     n_layers: int = 2
-    n_classes: int = N_OUTCOMES
 
     def __post_init__(self) -> None:
         _at_least_one(self, "LSTM dimensions", ("input_dim", "hidden_dim", "n_layers"))
@@ -76,7 +74,6 @@ class MLPConfig:
     input_dim: int
     hidden_dim: int = 256
     n_layers: int = 3
-    n_classes: int = N_OUTCOMES
 
     def __post_init__(self) -> None:
         _at_least_one(self, "MLP dimensions", ("input_dim", "hidden_dim", "n_layers"))
@@ -92,7 +89,6 @@ class TrainConfig:
     seed: int = 0
     validation_fraction: float = 0.1
     patience: int = 5
-    min_delta: float = 0.0
 
     def __post_init__(self) -> None:
         _at_least_one(self, "epochs and batch_size", ("epochs", "batch_size"))

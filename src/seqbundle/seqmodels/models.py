@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import neuralkit as nk
+from ..domain import N_OUTCOMES
 from ..errors import ConstraintViolation
 from .config import LSTMConfig, MLPConfig, ModelKind, TransformerConfig
 
@@ -171,10 +172,8 @@ class MLPModel(SequenceModel):
         for i in range(config.n_layers):
             self._add_param(f"layer{i}/w", _uniform(rng, dims[i], (dims[i], dims[i + 1])))
             self._add_param(f"layer{i}/b", np.zeros(dims[i + 1]))
-        self._add_param(
-            "head/w", _uniform(rng, config.hidden_dim, (config.hidden_dim, config.n_classes))
-        )
-        self._add_param("head/b", np.zeros(config.n_classes))
+        self._add_param("head/w", _uniform(rng, dims[-1], (dims[-1], N_OUTCOMES)))
+        self._add_param("head/b", np.zeros(N_OUTCOMES))
         self._pack_params(rng)
 
     def forward(
@@ -207,8 +206,8 @@ class LSTMModel(SequenceModel):
             self._add_param(f"l{layer}/b", np.zeros(4 * h))
         self._add_param("head/w1", _uniform(rng, h, (h, h)))
         self._add_param("head/b1", np.zeros(h))
-        self._add_param("head/w2", _uniform(rng, h, (h, config.n_classes)))
-        self._add_param("head/b2", np.zeros(config.n_classes))
+        self._add_param("head/w2", _uniform(rng, h, (h, N_OUTCOMES)))
+        self._add_param("head/b2", np.zeros(N_OUTCOMES))
         self._pack_params(rng)
 
     def forward(
@@ -298,8 +297,8 @@ class TransformerModel(SequenceModel):
             self._add_param(f"block{i}/ff/b2", np.zeros(d))
         self._add_param("final_ln/gain", np.ones(d))
         self._add_param("final_ln/bias", np.zeros(d))
-        self._add_param("head/w", _uniform(rng, d, (d, config.n_classes)))
-        self._add_param("head/b", np.zeros(config.n_classes))
+        self._add_param("head/w", _uniform(rng, d, (d, N_OUTCOMES)))
+        self._add_param("head/b", np.zeros(N_OUTCOMES))
         self._pack_params(rng)
         self._fixed_table = np.empty((0, d), self.flat.dtype)  # fixed encodings, grown on demand
 

@@ -121,7 +121,7 @@ def train_model(
         n_val = min(len(matrices) - 1, max(1, round(config.validation_fraction * len(matrices))))
     val_idx = order[:n_val]
     train_idx = order[n_val:]
-    adam = nk.AdamState(nk.AdamConfig(learning_rate=config.learning_rate))
+    adam = nk.AdamState(config.learning_rate)
     grads = np.empty_like(model.flat)
     grad_views = model.views(grads)
     train_losses: list[float] = []
@@ -179,7 +179,7 @@ def train_model(
             (len(train_idx) + n_val) / seconds,
         )
         if n_val:
-            if val_loss < best_val - config.min_delta:
+            if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
                 best_flat = model.flat.copy()

@@ -38,6 +38,7 @@ from .domain import (
     Session,
     Track,
     Walks,
+    at_least,
     check_prob_rows,
     feasible_cells,
     first_max_index,
@@ -133,6 +134,7 @@ class GeneratorSpec:
             raise ConstraintViolation("initial_play_prob must be in [0, 1]")
         if self.cap < 1:
             raise ConstraintViolation(f"cap must be >= 1, got {self.cap}")
+        self.build_playlist()  # refuses its n_tracks or durations now, not at generate
         object.__setattr__(self, "transitions", self._canonical_transitions())
 
     def _outcome_rows(self, rows: Mapping, owner: str, where: str) -> dict[Outcome, Row]:
@@ -586,7 +588,7 @@ _TRANSITIONS = {
 # a generator spec's fields but "transitions"
 _SPEC_FIELDS = {
     "kind": one_of(*_TRANSITIONS), "n_sessions": integer, "seed": integer,
-    "playlist_id": (string, "synthetic"), "n_tracks": (integer, 13),
+    "playlist_id": (string, "synthetic"), "n_tracks": (at_least(1), 13),
     "durations": (_durations, None), "cap": (integer, DEFAULT_CAP),
     "initial_play_prob": (number, 0.65),
 }

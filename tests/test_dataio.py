@@ -189,6 +189,23 @@ class TestRoundTrips:
         with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / 'p.jsonl'} {message}")):
             load_playlists(tmp_path / "p.jsonl")
 
+    @pytest.mark.parametrize("name,fmt", [("p.jsonl", "jsonl"), ("s.jsonl", "jsonl"),
+                                          ("s.csv", "csv")])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, playlist3, name, fmt,
+                                                    strict):
+        write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
+        sessions = [make_session(["play"], sid=sid) for sid in ("a", "b", "c")]
+        write_sessions_jsonl(tmp_path / "s.jsonl", sessions)
+        write_sessions_csv(tmp_path / "s.csv", sessions)
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.append(b'{"x": "\xe9t\xe9"}\n')  # Latin-1, as a wrongly saved file holds it
+        path.write_bytes(b"".join(lines))
+        message = f"{path} line {len(lines)}: not UTF-8 (invalid continuation byte)"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_dataset(tmp_path / f"s.{fmt}", tmp_path / "p.jsonl", fmt=fmt, strict=strict)
+
     def test_orphan_playlist_rejected(self, tmp_path, playlist3):
         write_playlists_jsonl(tmp_path / "p.jsonl", {"pl": playlist3})
         orphan = {
@@ -289,6 +306,7 @@ class TestSessionLoader:
         for k, (lineno, message) in enumerate(zip(lines, warnings)):
             assert f"line {lineno}: session 'bad{k}' event 2" in message
 
+    @pytest.mark.deep
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         walks=st.lists(valid_outcome_walks(max_tracks=4), min_size=1, max_size=8),
@@ -501,6 +519,7 @@ class TestRepeatedLines:
     """A line repeating an accepted line's text up to its last session_id
     pair reuses that line's events; every load equals the per-line load."""
 
+    @pytest.mark.deep
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         lines=st.lists(session_lines(), min_size=1, max_size=12),

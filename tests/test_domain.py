@@ -320,6 +320,7 @@ ROWS = st.one_of(
 
 
 class TestSampleWalks:
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         n_tracks=st.integers(1, 6),

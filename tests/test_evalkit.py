@@ -641,6 +641,7 @@ class TableRows:
 
 
 class TestDrawnRows:
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         n_tracks=st.integers(1, 6),

@@ -12,7 +12,6 @@ from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
 from seqbundle.neuralkit import optim
 from seqbundle.neuralkit import (
     FLOAT,
-    AdamConfig,
     AdamState,
     NonFiniteGradient,
     Tensor,
@@ -253,7 +252,7 @@ class TestOperatorGradients:
 
         loss().backward()
         assert min(np.abs(p.grad).min() for p in params.values()) > 1e-4
-        assert grad_check(loss, params, tolerance=1e-6) < 1e-6
+        assert grad_check(loss, params) < 1e-6
 
     def test_take_rows_scatter_add(self):
         table = parameter(rng(16).normal(size=(5, 3)))
@@ -515,10 +514,7 @@ class TestGradCheckHarness:
                 softmax_rows(y), np.array([0]), np.ones(1, bool)
             )
 
-        err = grad_check(loss, {"x": x})
-        assert err > 0.1
-        with pytest.raises(NumericError, match="grad_check failed"):
-            grad_check(loss, {"x": x}, tolerance=1e-4)
+        assert grad_check(loss, {"x": x}) > 0.1
 
     @staticmethod
     def tiny_entry_loss(factor):
@@ -547,45 +543,44 @@ class TestGradCheckHarness:
         loss, params = self.tiny_entry_loss(1.0)
         loss().backward()
         assert np.abs(params["y"].grad).max() < 1e-8
-        assert grad_check(loss, params, tolerance=1e-6) < 1e-6
+        assert grad_check(loss, params) < 1e-6
 
     def test_a_wrong_backward_on_tiny_entries_still_fails(self):
         loss, params = self.tiny_entry_loss(1.5)
-        with pytest.raises(NumericError, match="grad_check failed"):
-            grad_check(loss, params, tolerance=1e-6)
+        assert grad_check(loss, params) > 1e-6
 
-    def test_passes_correct_graph_with_tolerance(self):
+    def test_passes_correct_graph(self):
         x = parameter(rng(24).normal(size=(2, 3)))
         err = grad_check(
             lambda: cross_entropy_mean(
                 softmax_rows(x), np.array([0, 1]), np.ones(2, bool)
             ),
             {"x": x},
-            tolerance=1e-6,
         )
         assert err < 1e-6
 
 
 class TestAdam:
+    def test_constants_are_kingma_and_ba_defaults(self):
+        assert (optim.BETA1, optim.BETA2, optim.EPS) == (0.9, 0.999, 1e-8)
+
     def test_first_step_matches_closed_form(self):
-        cfg = AdamConfig()
-        state = AdamState(cfg)
+        state = AdamState(1e-3)
         params = np.zeros(2)
         grads = np.array([1.0, -0.5])
         adam_step(params, grads, state)
         # bias correction makes mhat = g and vhat = g^2 on step one, so the
         # update is lr * sign(g) up to eps
-        expected = -cfg.learning_rate * np.sign(grads) / (1.0 + cfg.eps)
+        expected = -1e-3 * np.sign(grads) / (1.0 + optim.EPS)
         assert np.allclose(params, expected, atol=1e-18)
 
     def test_two_constant_steps_move_twice(self):
-        cfg = AdamConfig()
-        state = AdamState(cfg)
+        state = AdamState(1e-3)
         params = np.array([0.0])
         g = np.array([2.0])
         adam_step(params, g, state)
         adam_step(params, g, state)
-        step = cfg.learning_rate * 2.0 / (2.0 + cfg.eps)
+        step = 1e-3 * 2.0 / (2.0 + optim.EPS)
         assert params[0] == pytest.approx(-2.0 * step, rel=1e-12)
         assert state.step_count == 2
 
@@ -593,28 +588,28 @@ class TestAdam:
     def chunk_steps(rule):
         """Three steps over three chunks, the last one partial: yields the
         stepped params, state, and the moments and params of ``rule`` (which
-        takes params, m, v, t and the config) on whole arrays."""
-        cfg = AdamConfig(learning_rate=0.01)
+        takes params, m, v, t and the learning rate) on whole arrays."""
+        lr, b1, b2 = 0.01, optim.BETA1, optim.BETA2
         gen = rng(31)
         n = 2 * optim.ADAM_CHUNK + 5
         params = gen.normal(size=n)
         expected = params.copy()
         m = v = np.zeros(n)
-        state = AdamState(cfg)
+        state = AdamState(lr)
         for t in (1, 2, 3):
             g = gen.normal(size=n)
             g[::7] = -0.0
             adam_step(params, g, state)
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            expected = rule(expected, m, v, t, cfg)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            expected = rule(expected, m, v, t, lr)
             yield params, state, m, v, expected
 
     def test_chunks_match_the_whole_array_rule(self):
-        def folded(p, m, v, t, cfg):
-            root_bias2 = math.sqrt(1.0 - cfg.beta2**t)
-            lr_t = cfg.learning_rate * root_bias2 / (1.0 - cfg.beta1**t)
-            return p - lr_t * (m / (np.sqrt(v) + cfg.eps * root_bias2))
+        def folded(p, m, v, t, lr):
+            root_bias2 = math.sqrt(1.0 - optim.BETA2**t)
+            lr_t = lr * root_bias2 / (1.0 - optim.BETA1**t)
+            return p - lr_t * (m / (np.sqrt(v) + optim.EPS * root_bias2))
 
         for params, state, m, v, expected in self.chunk_steps(folded):
             assert params.tobytes() == expected.tobytes()
@@ -624,27 +619,27 @@ class TestAdam:
         # mhat and vhat in full: the folded order differs only by rounding.
         # Measured: at most 4.4e-16 apart over these three float64 steps of
         # about 1e-2, one unit in the last place of a parameter in [2, 4)
-        def textbook(p, m, v, t, cfg):
-            mhat, vhat = m / (1.0 - cfg.beta1**t), v / (1.0 - cfg.beta2**t)
-            return p - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+        def textbook(p, m, v, t, lr):
+            mhat, vhat = m / (1.0 - optim.BETA1**t), v / (1.0 - optim.BETA2**t)
+            return p - lr * mhat / (np.sqrt(vhat) + optim.EPS)
 
         for params, _, _, _, expected in self.chunk_steps(textbook):
             assert np.abs(params - expected).max() <= 1e-15
 
     def test_rejects_shape_mismatch(self):
-        state = AdamState()
+        state = AdamState(1e-3)
         with pytest.raises(ConstraintViolation):
             adam_step(np.zeros(2), np.zeros((2, 1)), state)
 
     def test_rejects_length_mismatch(self):
-        state = AdamState()
+        state = AdamState(1e-3)
         params = np.zeros(2)
         with pytest.raises(ConstraintViolation, match="gradient shape"):
             adam_step(params, np.ones(3), state)
         assert state.step_count == 0 and params.tobytes() == np.zeros(2).tobytes()
 
     def test_rejects_non_finite_gradient_before_any_change(self):
-        state = AdamState()
+        state = AdamState(1e-3)
         params = np.zeros(3)
         with pytest.raises(NumericError) as caught:
             adam_step(params, np.array([1.0, np.nan, np.inf]), state)
@@ -653,17 +648,11 @@ class TestAdam:
         assert state.step_count == 0 and state.m is None
         assert params.tobytes() == np.zeros(3).tobytes()
 
-    def test_config_validation(self):
-        with pytest.raises(ConstraintViolation):
-            AdamConfig(beta1=1.0)
-        with pytest.raises(ConstraintViolation):
-            AdamConfig(learning_rate=0.0)
-
-    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_config_rejected(self, field, value):
-        with pytest.raises(ConstraintViolation, match="finite"):
-            AdamConfig(**{field: value})
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConstraintViolation, match="learning_rate must be finite") as caught:
+            AdamState(value)
+        assert caught.value.keys == ("learning_rate",)
 
 
 def _packed(arrays):

@@ -486,6 +486,23 @@ class TestTrainCommand:
 
 
 class TestEvaluateCommand:
+    def test_a_neural_bundle_with_n_classes_is_refused(self, cli_root, tmp_path, capsys):
+        # a neural model.json's output width is the number of outcomes, so its
+        # model config holds no n_classes; an older bundle that has one is refused
+        run = tmp_path / "run_tf"
+        shutil.copytree(cli_root / "run_tf", run)
+        path = run / "models" / "synthetic" / BUNDLE_FILE
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert "n_classes" not in obj["model"]
+        obj["model"]["n_classes"] = 3
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--data", str(cli_root / "data"), "--run", str(run),
+                         "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: field 'model': unexpected field 'n_classes' for kind 'transformer'\n"
+        )
+
     def test_produces_report_files(self, cli_root):
         rc = cli_main(
             ["evaluate", "--data", str(cli_root / "data"),
@@ -873,6 +890,13 @@ class TestMalformedJson:
         argv = ["generate", "--spec", str(spec), "--out", str(tmp_path / "data")]
         self._assert_refused(argv, spec, capsys)
 
+    def test_generate_spec_nested_too_deeply(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"a": ' * 100_000, encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["generate", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: not valid JSON (nested too deeply)\n"
+
     def test_generator_json_of_the_data(self, cli_root, tmp_path, capsys):
         data, _ = self._copies(cli_root, tmp_path)
         argv = ["summarize", "--data", str(data), "--out", str(tmp_path / "summary")]
@@ -1225,6 +1249,27 @@ class TestSessionsCsvRows:
         assert [p["n_sessions"] for p in summary["playlists"]] == [19]
 
 
+class TestUndecodableData:
+    """A data file that is not UTF-8 exits 2 naming the line of its first
+    undecodable byte, with --lenient too: no line of it can be trusted."""
+
+    @pytest.mark.parametrize("name", ["playlists.jsonl", "sessions.jsonl"])
+    def test_summarize_exits_2(self, cli_root, tmp_path, capsys, name):
+        root = tmp_path / "data"
+        shutil.copytree(cli_root / "data", root)
+        path = root / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(b'"synthetic"', b'"synth\xe9tic"')
+        path.write_bytes(b"".join(lines))
+        argv = ["summarize", "--data", str(root), "--out", str(tmp_path / "out")]
+        for extra in ([], ["--lenient"]):
+            capsys.readouterr()
+            assert cli_main([*argv, *extra]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path} line {len(lines)}: not UTF-8 (invalid continuation byte)\n"
+            )
+
+
 class TestFieldTables:
     """Every declared field of every file the CLI reads, and every train
     flag, refuses a value of another JSON type, an out-of-range value where
@@ -1383,6 +1428,28 @@ class TestNegativeSeeds:
         assert "error: --seed must be an integer >= 0, got -1" in err
 
 
+class TestSpecValues:
+    """A generator spec value the spec refuses exits 2 naming the spec file,
+    as a wrongly typed field does, not only once generate builds the playlist."""
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"n_tracks": 0}, "field 'n_tracks': must be an integer >= 1, got 0"),
+        ({"durations": [200.0, 300.0]}, "2 durations for 6 tracks"),
+        ({"durations": [200.0, 0.0, 200.0, 200.0, 200.0, 200.0]},
+         "track 't002': duration must be finite and > 0, got 0.0"),
+        ({"durations": [-1.0] * 6}, "track 't001': duration must be finite and > 0, got -1.0"),
+    ], ids=["no-tracks", "two-durations", "zero-duration", "negative-duration"])
+    def test_generate_names_the_spec(self, tmp_path, capsys, edit, message):
+        spec = spec_to_json(named_spec("stopping", n_sessions=12))
+        assert spec["n_tracks"] == 6
+        spec_path = write_json(tmp_path / "spec.json", {**spec, **edit})
+        capsys.readouterr()
+        assert cli_main(["generate", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
+        assert not (tmp_path / "d").exists()
+
+
 class TestNonFiniteOptions:
     """A float option is a finite number; NaN or an infinity exits 2 naming
     the flag before any data is read (a --config value: TestFieldTables)."""
@@ -1414,6 +1481,8 @@ CONFIG_ERRORS = {
                 "n_heads * head_dim must equal embed_dim (0 * 32 != 256)"),
     "max-positions": ("encoder", {**_SMALL_ENCODER, "max_positions": 1}, "max_positions",
                       "but the learned position table holds 1"),
+    "learning-rate": ("mlp", {"learning_rate": 0.0}, "learning_rate",
+                      "Adam learning_rate must be finite and > 0, got 0.0"),
 }
 
 

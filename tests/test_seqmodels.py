@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
-from seqbundle.domain import DEFAULT_CAP, Event, Outcome, check_prob_rows, walk
+from seqbundle.domain import DEFAULT_CAP, N_OUTCOMES, Event, Outcome, check_prob_rows, walk
 from seqbundle.evalkit import rollout_walks
 from seqbundle import neuralkit as nk
 from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
@@ -113,7 +113,7 @@ class TestConstruction:
             models._uniform(gen, d, (d, d))
             models._uniform(gen, d, (d, config.ff_dim))
             models._uniform(gen, config.ff_dim, (config.ff_dim, d))
-        head_w = models._uniform(gen, d, (d, config.n_classes)).astype(nk.FLOAT)
+        head_w = models._uniform(gen, d, (d, N_OUTCOMES)).astype(nk.FLOAT)
         assert model.params["head/w"].data.tobytes() == head_w.tobytes()
 
     def test_kind_and_causality_must_agree(self):
@@ -829,11 +829,10 @@ class TestTraining:
         config = TrainConfig(
             epochs=20,
             batch_size=4,
-            learning_rate=0.05,
+            learning_rate=0.2,  # too large a step to settle: val loss turns up
             seed=13,
             validation_fraction=0.25,
             patience=2,
-            min_delta=1e-3,  # improvements shrink below this once converged
         )
         result_a = train_model(model_a, matrices, labels, config)
         assert result_a.stopped_early
@@ -843,11 +842,10 @@ class TestTraining:
         config_b = TrainConfig(
             epochs=result_a.best_epoch,
             batch_size=4,
-            learning_rate=0.05,
+            learning_rate=0.2,
             seed=13,
             validation_fraction=0.25,
             patience=2,
-            min_delta=1e-3,
         )
         train_model(model_b, matrices_b, labels_b, config_b)
         for name, arr in _param_arrays(model_a).items():
@@ -922,20 +920,24 @@ TRAIN_FAMILIES = [
 TRAIN_IDS = ["mlp", "lstm", "transformer-fixed", "transformer-learned", "encoder"]
 
 
+# Kingma & Ba's (2015) Adam defaults, stated here so the reference below does
+# not read them from the optimizer it checks.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 def _per_name_adam_step(params, grads, state):
     """One Adam update per named array into new arrays, as the optimizer ran
     before parameters moved into one flat vector, in ``nk.adam_step``'s order."""
-    cfg = state.config
     state.step_count += 1
     t = state.step_count
-    root_bias2 = math.sqrt(1.0 - cfg.beta2**t)
-    lr_t = cfg.learning_rate * root_bias2 / (1.0 - cfg.beta1**t)
-    eps_t = cfg.eps * root_bias2
+    root_bias2 = math.sqrt(1.0 - BETA2**t)
+    lr_t = state.learning_rate * root_bias2 / (1.0 - BETA1**t)
+    eps_t = EPS * root_bias2
     out = {}
     for name in sorted(params):
         p, g = params[name], grads[name]
-        m = cfg.beta1 * state.m.get(name, np.zeros_like(p)) + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v.get(name, np.zeros_like(p)) + (1.0 - cfg.beta2) * g * g
+        m = BETA1 * state.m.get(name, np.zeros_like(p)) + (1.0 - BETA1) * g
+        v = BETA2 * state.v.get(name, np.zeros_like(p)) + (1.0 - BETA2) * g * g
         state.m[name], state.v[name] = m, v
         out[name] = p - lr_t * (m / (np.sqrt(v) + eps_t))
     return out
@@ -949,8 +951,7 @@ def _per_name_train(model, matrices, labels, config):
     order = gen.permutation(len(matrices))
     n_val = min(len(matrices) - 1, max(1, round(config.validation_fraction * len(matrices))))
     val_idx, train_idx = order[:n_val], order[n_val:]
-    adam = nk.AdamConfig(learning_rate=config.learning_rate)
-    state = types.SimpleNamespace(config=adam, step_count=0, m={}, v={})
+    state = types.SimpleNamespace(learning_rate=config.learning_rate, step_count=0, m={}, v={})
     train_losses, val_losses = [], []
     best_val, best_arrays = np.inf, None
     for _ in range(config.epochs):
@@ -977,7 +978,7 @@ def _per_name_train(model, matrices, labels, config):
             model, [matrices[i] for i in val_idx], [labels[i] for i in val_idx],
             config.batch_size,
         ))
-        if val_losses[-1] < best_val - config.min_delta:
+        if val_losses[-1] < best_val:
             best_val, best_arrays = val_losses[-1], _param_arrays(model)
     for name, tensor in model.params.items():
         tensor.data = best_arrays[name]

@@ -349,6 +349,7 @@ class TestUniformBlock:
                 assert block.dtype == np.float64 and block.shape == (n, width)
                 assert block.tobytes() == per_session_uniforms(seed, n, width).tobytes()
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**128 - 1),
@@ -460,6 +461,7 @@ class TestModalMassRate:
     """_modal_mass_rate scores the drawn rows exactly as a re-walk of every
     session scored the spec's rows."""
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(
         spec=generator_specs(),
