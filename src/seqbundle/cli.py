@@ -133,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model family on a dataset")
     _add_data_args(p)
+    _add_session_end(p)
     p.add_argument(
         "--model",
         required=True,
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="run directory")
     p.add_argument("--config", type=Path, help="JSON file of option defaults")
     for key, default in TRAIN_DEFAULTS.items():
-        if key != "session_end":  # a data option, from _add_data_args
+        if key != "session_end":  # from _add_session_end
             p.add_argument(_flag(key), default=None, help=_TRAIN_HELP.get(key),
                            **_OPTION_TYPES[type(default)].flag)
     p.set_defaults(func=cmd_train)
@@ -191,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which sessions to export (train/test need --run)",
     )
-    p.add_argument("--run", type=Path, help="run directory with the stored split")
+    mode = p.add_mutually_exclusive_group()  # a run brings its own session-end mode
+    _add_session_end(mode)
+    mode.add_argument("--run", type=Path,
+                      help="run directory: its session-end mode and stored split")
     p.add_argument(
         "--no-dedupe",
         action="store_true",
@@ -201,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="per-playlist descriptive statistics")
     _add_data_args(p)
+    _add_session_end(p)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_summarize)
 
@@ -213,15 +218,20 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl",
                    help="sessions file format")
     p.add_argument(
+        "--lenient",
+        action="store_true",
+        help="drop invalid sessions with a warning instead of failing",
+    )
+
+
+def _add_session_end(p) -> None:
+    """--session-end, for the commands that choose how to read session tails;
+    evaluate and analyze-attention read the data under the run's mode."""
+    p.add_argument(
         "--session-end",
         choices=_SESSION_END_MODES,
         default=None,
         help="tail handling: full (pad skips) or truncate (drop after last play)",
-    )
-    p.add_argument(
-        "--lenient",
-        action="store_true",
-        help="drop invalid sessions with a warning instead of failing",
     )
 
 
@@ -244,7 +254,7 @@ def _data_cap(data_dir: Path) -> int:
     return read_fields(read_json(path), _GENERATOR_CAP, path)["cap"]
 
 
-def _load_data(args, session_end: str | None = None) -> Dataset:
+def _load_data(args, session_end: str | None) -> Dataset:
     playlists_path, sessions_path = _data_paths(args)
     dataset = load_dataset(
         sessions_path,
@@ -253,9 +263,8 @@ def _load_data(args, session_end: str | None = None) -> Dataset:
         strict=not args.lenient,
         cap=_data_cap(args.data),
     )
-    mode = session_end if session_end is not None else args.session_end
-    if mode is not None:
-        dataset = apply_session_end(dataset, SessionEndMode(mode))
+    if session_end is not None:
+        dataset = apply_session_end(dataset, SessionEndMode(session_end))
     return dataset
 
 
@@ -333,7 +342,7 @@ def _field_defaults(config_type, keys: tuple[str, ...]) -> dict:
 # Every train option and its default, the one table of them: each key has one
 # train flag and one --config key, both read by the rule _OPTION_TYPES gives
 # its default's type, and run.json's "options" records the value read.
-# session_end's flag is the data option from _add_data_args.
+# session_end's flag comes from _add_session_end.
 TRAIN_DEFAULTS = {
     "train_fraction": 0.9,
     "smoothing": 0.0,
@@ -375,7 +384,7 @@ class _OptionType(NamedTuple):
 
 
 # By the type of an option's TRAIN_DEFAULTS value. The one str option is
-# session_end, whose flag _add_data_args adds.
+# session_end, whose flag _add_session_end adds.
 _OPTION_TYPES = {
     bool: _OptionType(boolean, {"action": "store_true"}),
     int: _OptionType(integer, {"type": int}),
@@ -483,7 +492,7 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
 def cmd_train(args) -> int:
     sources: dict[str, str] = {}
     opts = _resolve_options(args, sources)
-    dataset = _load_data(args, session_end=opts["session_end"])
+    dataset = _load_data(args, opts["session_end"])
     dataset = split_dataset(
         dataset, train_fraction=opts["train_fraction"], seed=opts["seed"]
     )
@@ -559,7 +568,7 @@ def _load_run(args) -> tuple[str, list[str], Dataset]:
     if not run_path.is_file():
         raise SchemaError(f"{args.run}: not a trained run (no run.json)")
     run = read_fields(read_json(run_path), _RUN_FIELDS, run_path)
-    dataset = _load_data(args, session_end=run["options"]["session_end"])
+    dataset = _load_data(args, run["options"]["session_end"])
     playlists_path, sessions_path = _data_paths(args)
     current = {
         "playlists": artifacts.sha256_file(playlists_path),
@@ -711,16 +720,15 @@ def cmd_analyze_attention(args) -> int:
 
 
 def cmd_export_prompts(args) -> int:
-    if args.split == "all":
-        dataset = _load_data(args)
-        split_tag = None
-    else:
-        if args.run is None:
-            raise ConstraintViolation(
-                "--split train/test needs --run to reuse that run's stored split"
-            )
+    if args.run is not None:  # the run's session-end mode and stored split
         _, _, dataset = _load_run(args)
-        split_tag = Split(args.split)
+    elif args.split != "all":
+        raise ConstraintViolation(
+            "--split train/test needs --run to reuse that run's stored split"
+        )
+    else:
+        dataset = _load_data(args, args.session_end)
+    split_tag = None if args.split == "all" else Split(args.split)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     count = write_prompts_jsonl(
         args.out, dataset, split_tag=split_tag, dedupe=not args.no_dedupe
@@ -730,7 +738,7 @@ def cmd_export_prompts(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    dataset = _load_data(args)
+    dataset = _load_data(args, args.session_end)
     summaries = summarize_dataset(dataset)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = reports.write_summary_csv(args.out / "summary.csv", summaries)

@@ -1,7 +1,8 @@
 """Session-level prediction, next-event queries and attention capture on a
-trained model and feature pipeline. A next-event query runs its prefix's row
-on from the parent prefix's cached state through the model's one forward
-(PrefixDecoder); ``feasibility_mask`` masks every returned row by one rule.
+trained model and feature pipeline. A next-event query runs its prefix's rows
+on from the cached state of its longest kept prefix, every asked prefix in one
+forward (PrefixDecoder); ``feasibility_mask`` masks every returned row by one
+rule.
 
 Models compute in float32; every row returned here, probabilities and
 attention weights alike, is float64, renormalized by ``_float64_rows`` so it
@@ -171,7 +172,7 @@ class NeuralPredictor:
 
     def decoder(self) -> "PrefixDecoder":
         """A fresh PrefixDecoder: next-event rows of prefixes, whose later
-        calls extend the prefixes of the call before by one row each."""
+        calls run on from the prefixes of the call before."""
         if self.pipeline.config.leak:
             raise ConstraintViolation(
                 "forward-looking prediction is undefined for leak features "
@@ -210,19 +211,20 @@ class NeuralPredictor:
 
 
 class PrefixDecoder:
-    """Next-event rows of event prefixes, each one row run on from its parent
-    prefix's cached model state.
+    """Next-event rows of event prefixes, each run on from the cached model
+    state of its longest kept prefix.
 
-    The states sit on a trie keyed by prefix: node P holds the state after the
-    rows of FeaturePipeline.prefix_matrix(P), whose last is P's query row. A
-    call runs each distinct prefix it asks for from its parent's node, first
-    running each missing ancestor once the same way, and keeps only the nodes
-    asked for: the live frontier of lockstep rollouts or of an iterated query,
-    which the next call extends by one event. So rollout step k costs one row
-    per live distinct prefix, and a fresh decoder (next_probs_batch) runs each
-    distinct prefix of its queries once, from the root. The bidirectional
-    encoder has no prefix state: it runs prediction mode over the distinct
-    prefixes on every call.
+    Node P holds the state after the rows of FeaturePipeline.prefix_matrix(P),
+    whose last is P's query row. A call runs each distinct prefix it asks for
+    from the node of its longest proper prefix that the previous call kept,
+    over the rows after that node's, or over all of its rows from
+    ``model.initial_state()`` when none is kept; every asked prefix goes
+    through one forward. The call keeps only the nodes it asked for: the live
+    frontier of lockstep rollouts or of an iterated query, which the next call
+    extends by one event. So a fresh query (next_probs_batch) is one forward
+    over its prefixes' rows, and rollout step k costs one row per live
+    distinct prefix. The bidirectional encoder has no prefix state: it runs
+    prediction mode over the distinct prefixes on every call.
     """
 
     def __init__(self, predictor: NeuralPredictor) -> None:
@@ -247,28 +249,15 @@ class PrefixDecoder:
         return rows[index]
 
     def _decode(self, keys: list[tuple[Event, ...]]) -> list[tuple[State, np.ndarray]]:
-        """The nodes of distinct prefixes, each run once from its parent's
-        node: a kept node, the root's initial state, or a missing ancestor
-        that runs first. Prefixes run in waves, one forward each: wave 0 runs
-        from kept nodes and the root, wave w + 1 from wave w."""
+        """The nodes of distinct prefixes from one forward: each runs the rows
+        after its longest kept proper prefix's from that node's state, or all
+        of its rows from the initial state."""
         model, pipeline, kept = self._predictor.model, self._predictor.pipeline, self._nodes
-        waves: dict[tuple[Event, ...], int] = {}
-        for key in keys:
-            chain = [key]  # key, then its ancestors up to one that runs from a node
-            while chain[-1] and chain[-1][:-1] not in kept and chain[-1][:-1] not in waves:
-                chain.append(chain[-1][:-1])
-            top = chain[-1]
-            base = waves[top[:-1]] + 1 if top and top[:-1] not in kept else 0
-            for depth, prefix in enumerate(reversed(chain)):
-                waves.setdefault(prefix, base + depth)
-        nodes: dict[tuple[Event, ...], tuple[State, np.ndarray]] = {}
-        for wave in range(max(waves.values()) + 1):
-            level = [prefix for prefix, w in waves.items() if w == wave]
-            states = [
-                (kept.get(p[:-1]) or nodes[p[:-1]])[0] if p else model.initial_state()
-                for p in level
-            ]
-            rows = np.stack([pipeline.prefix_matrix(p)[-1] for p in level])
-            probs, extended = model.forward(rows, [1] * len(level), states)
-            nodes.update(zip(level, zip(extended, _float64_rows(probs.data))))
-        return [nodes[key] for key in keys]
+        pasts = [next((key[:n] for n in range(len(key) - 1, 0, -1) if key[:n] in kept), None)
+                 for key in keys]
+        chunks = [pipeline.prefix_matrix(key)[0 if past is None else len(past) + 1 :]
+                  for key, past in zip(keys, pasts)]
+        states = [model.initial_state() if past is None else kept[past][0] for past in pasts]
+        lengths = [len(chunk) for chunk in chunks]
+        probs, extended = model.forward(np.concatenate(chunks), lengths, states)
+        return list(zip(extended, _float64_rows(probs.data[np.cumsum(lengths) - 1])))

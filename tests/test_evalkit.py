@@ -440,12 +440,13 @@ class TestRollouts:
         assert rolled == reference
         assert len(decoders) == 1 and decoders[0]() is None  # the trie went with the call
         # every call asks for distinct prefixes, the first call for the
-        # distinct first events in the order of their first rollout, and the
-        # decoder spends one row on each, after the root's row
+        # distinct first events in the order of their first rollout; the
+        # decoder runs the two rows of each first event, then one row on each
+        # later prefix, one forward per call
         queries = full_forward.queries
         assert all(len(set(prefixes)) == len(prefixes) for prefixes in queries)
         assert queries[0] == list(dict.fromkeys(events[:1] for events in reference))
-        assert decoded == [1, *map(len, queries)]
+        assert decoded == [2 * len(queries[0]), *map(len, queries[1:])]
 
     def test_rollout_session_is_the_one_rollout_case(self):
         playlist = make_playlist(4)

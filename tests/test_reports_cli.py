@@ -579,6 +579,16 @@ class TestEvaluateCommand:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "analyze-attention"])
+    def test_session_end_is_the_runs_not_a_flag(self, cli_root, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = cli_main([command, "--data", str(cli_root / "data"), "--run",
+                       str(cli_root / "run_tf"), "--session-end", "truncate", "--out", str(out)])
+        assert rc == 1
+        assert "unrecognized arguments: --session-end truncate" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAttentionCommand:
     def test_profiles_written(self, cli_root):
         rc = cli_main(
@@ -647,6 +657,39 @@ class TestPromptsAndSummary:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_export_all_with_run_reads_the_runs_data(self, cli_root, tmp_path, capsys):
+        data = ["--data", str(cli_root / "data")]
+        run = tmp_path / "run"
+        assert cli_main(["train", *data, "--model", "mc", "--session-end", "truncate",
+                         "--out", str(run)]) == 0
+        outs = {name: tmp_path / f"{name}.jsonl" for name in ("run", "truncate", "given")}
+        assert cli_main(["export-prompts", *data, "--run", str(run),
+                         "--out", str(outs["run"])]) == 0
+        assert cli_main(["export-prompts", *data, "--session-end", "truncate",
+                         "--out", str(outs["truncate"])]) == 0
+        assert cli_main(["export-prompts", *data, "--out", str(outs["given"])]) == 0
+        assert outs["run"].read_bytes() == outs["truncate"].read_bytes()
+        assert outs["run"].read_bytes() != outs["given"].read_bytes()
+        missing = tmp_path / "missing"
+        capsys.readouterr()
+        rc = cli_main(["export-prompts", *data, "--run", str(missing),
+                       "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        assert f"{missing}: not a trained run (no run.json)" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_export_with_run_refuses_session_end(self, cli_root, tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        capsys.readouterr()
+        rc = cli_main(["export-prompts", "--data", str(cli_root / "data"), "--out", str(out),
+                       "--split", "test", "--run", str(cli_root / "run_mc"),
+                       "--session-end", "truncate"])
+        assert rc == 1
+        assert "argument --session-end: not allowed with argument --run" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_split_export_rejects_edited_data(self, cli_root, tmp_path):
         data = tmp_path / "data"

@@ -11,7 +11,16 @@ import pytest
 
 from conftest import make_playlist, make_session, rng
 from seqbundle.dataio import FeatureConfig, FeaturePipeline
-from seqbundle.domain import DEFAULT_CAP, N_OUTCOMES, Event, Outcome, check_prob_rows, walk
+from seqbundle.domain import (
+    DEFAULT_CAP,
+    N_OUTCOMES,
+    OUTCOME_ORDER,
+    Event,
+    Outcome,
+    advance_walk,
+    check_prob_rows,
+    walk,
+)
 from seqbundle.evalkit import rollout_walks
 from seqbundle import neuralkit as nk
 from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
@@ -1408,9 +1417,9 @@ class TestBatchedInference:
 
 
 class TestPrefixSharing:
-    """Each distinct prefix is computed once: the encoder's prediction mode
-    packs the distinct prefixes, and causal next-event queries decode one row
-    per distinct prefix from its parent's state."""
+    """The encoder's prediction mode packs each distinct prefix once, and a
+    causal decoder call is one forward in which each asked prefix runs on from
+    its longest kept prefix's state."""
 
     def build(self, kind, config):
         playlist = make_playlist(5)
@@ -1459,7 +1468,7 @@ class TestPrefixSharing:
         decoder = predictor.decoder()
         events = sessions[7].events  # seven events
         first = decoder([events[:2], events[:2], sessions[4].events[:2]])
-        assert decoded == [1, 1, 2]  # the root, one first event, two distinct prefixes
+        assert decoded == [6]  # the three rows of each of two distinct prefixes
         for n in range(3, len(events) + 1):
             decoded.clear()
             row = decoder([events[:n]])[0]
@@ -1467,11 +1476,11 @@ class TestPrefixSharing:
             assert row.tobytes() == predictor.next_probs(events[:n]).tobytes()
         assert first[0].tobytes() == first[1].tobytes()
         decoded.clear()
-        decoder([sessions[4].events[:2]])  # a dropped branch decodes from the root
-        assert decoded == [1, 1, 1]
+        decoder([sessions[4].events[:2]])  # a dropped branch runs all of its rows
+        assert decoded == [3]
 
     @pytest.mark.parametrize("kind,config", FAMILIES[1:3], ids=FAMILY_IDS[1:3])
-    def test_a_fresh_query_runs_each_distinct_prefix_once(self, kind, config, monkeypatch):
+    def test_a_fresh_query_runs_every_row_in_one_forward(self, kind, config, monkeypatch):
         predictor, sessions = self.build(kind, config)
         prefixes = [sessions[7].events[:n] for n in range(1, 6)]  # of one five-event session
         model, pipeline = predictor.model, predictor.pipeline
@@ -1488,7 +1497,7 @@ class TestPrefixSharing:
 
         monkeypatch.setattr(model, "forward", counting_forward)
         rows = predictor.next_probs_batch(prefixes)
-        assert sum(decoded) == 6  # the root and the five prefixes, each once
+        assert decoded == [2 + 3 + 4 + 5 + 6]  # each prefix's rows, in one forward
         for row, want in zip(rows, expected, strict=True):
             assert row.tobytes() == want.tobytes()
 
@@ -1513,6 +1522,72 @@ class TestPrefixSharing:
             assert row.tobytes() == predictor.next_probs(events[:n]).tobytes()
 
     @pytest.mark.parametrize("kind,config", FAMILIES[:3], ids=FAMILY_IDS[:3])
+    def test_each_call_is_one_forward_from_the_longest_kept_prefixes(
+        self, kind, config, monkeypatch
+    ):
+        predictor, _ = self.build(kind, config)
+        model, pipeline = predictor.model, predictor.pipeline
+        n_tracks = len(pipeline.playlist)
+        gen = rng(53)
+
+        def extend(events, n):
+            """``events`` and up to ``n`` more feasible events, drawn by ``gen``."""
+            for _ in range(n):
+                track, count, feasible = walk(events, n_tracks)[-1]
+                if not any(feasible):
+                    break
+                outcome = OUTCOME_ORDER[gen.choice(np.flatnonzero(feasible))]
+                position = advance_walk(track, count, outcome)[0]
+                events += (Event(track_position=position, outcome=outcome),)
+            return events
+
+        calls = []
+        forward = model.forward
+
+        def recording_forward(rows, lengths=None, states=None):
+            calls.append(list(lengths))
+            return forward(rows, lengths, states)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        decoder, kept, asked = predictor.decoder(), [], []
+        multi_row_chunks = 0
+        for _ in range(40):
+            prefixes = []
+            for _ in range(int(gen.integers(1, 6))):
+                case = int(gen.integers(5))
+                if case == 0 and kept:  # 0-3 events past a kept node
+                    base = kept[gen.integers(len(kept))]
+                    prefixes.append(extend(base, int(gen.integers(4))))
+                elif case == 1 and kept:  # a kept node's own prefix, kept nodes nest
+                    base = kept[gen.integers(len(kept))]
+                    prefixes.append(base[: gen.integers(1, len(base) + 1)])
+                elif case == 2 and (dropped := [p for p in asked if p not in kept]):
+                    # on from a dropped branch
+                    prefixes.append(extend(dropped[gen.integers(len(dropped))],
+                                           int(gen.integers(3))))
+                elif case == 3 and prefixes:  # a duplicate within the call
+                    prefixes.append(prefixes[gen.integers(len(prefixes))])
+                else:  # a fresh prefix
+                    prefixes.append(extend((), int(gen.integers(1, 8))))
+            distinct = list(dict.fromkeys(prefixes))
+            past = [
+                max((len(k) + 1 for k in kept if len(k) < len(p) and p[: len(k)] == k),
+                    default=0)
+                for p in distinct
+            ]
+            calls.clear()
+            rows = decoder(prefixes)
+            assert calls == [[len(p) + 1 - c for p, c in zip(distinct, past)]]
+            multi_row_chunks += sum(0 < c < len(p) for p, c in zip(distinct, past))
+            for events, row in zip(prefixes, rows, strict=True):
+                want = predictors._float64_rows(forward(pipeline.prefix_matrix(events))[0].data)
+                assert row.tobytes() == want[-1].tobytes(), events
+                assert row.tobytes() == predictor.next_probs(events).tobytes(), events
+            kept = distinct
+            asked.extend(p for p in distinct if p not in asked)
+        assert multi_row_chunks > 0
+
+    @pytest.mark.parametrize("kind,config", FAMILIES[:3], ids=FAMILY_IDS[:3])
     def test_queue_next_decodes_one_row_per_skip(self, kind, config, monkeypatch):
         predictor, _ = self.build(kind, config)
         events = make_session(["play", "replay"]).events
@@ -1529,7 +1604,7 @@ class TestPrefixSharing:
         decision = predictor.queue_next(events)
         assert decision.track_offset is None  # skipped tracks 2..5, then ran out
         assert decision.predicted == (Outcome.SKIP,) * 5
-        assert decoded == [1] * (len(events) + 1 + 4)  # the prefix's rows, then one per SKIP
+        assert decoded == [len(events) + 1, 1, 1, 1, 1]  # the prefix's rows, then one per SKIP
 
 
 def _graph(root):
