@@ -11,10 +11,12 @@ it also trains, and evaluates in realized mode, a tiny transformer that sets
 every train flag, a --leak mlp, a pmc with --smoothing and an lstm whose
 options come from a --config file, and evaluates in expected mode a tiny
 encoder whose learned position table just holds the longest walk (6 tracks
-x cap 3 events) and the decision after it. Every file written is digested with
-sha256. Prints the files whose digests differ or that exist on one side
-only, and exits 1 if there are any. HEAD_CHECKOUT defaults to the checkout
-holding this script. Both checkouts need perfbench/workloads.py.
+x cap 3 events) and the decision after it. It also writes that spec's sessions
+as sessions.csv and trains and evaluates a pmc from them with --format csv.
+Every file written is digested with sha256. Prints the files whose digests
+differ or that exist on one side only, and exits 1 if there are any.
+HEAD_CHECKOUT defaults to the checkout holding this script. Both checkouts
+need perfbench/workloads.py.
 
 --rebaselined names the files a change re-baselines on purpose, as fnmatch
 globs on the printed paths (``*`` also matches ``/``): their differences are
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import fnmatch
 import hashlib
 import io
@@ -34,12 +37,26 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-nets", "wide-transformer", "count-baselines")
 
 
-def _cap3_argvs(work: Path, seed: int) -> list[list[str]]:
+def _write_sessions_csv(data: Path) -> None:
+    """data/sessions.jsonl's sessions as data/sessions.csv: one row per event."""
+    with open(data / "sessions.jsonl", encoding="utf-8") as src, \
+            open(data / "sessions.csv", "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow(["session_id", "playlist_id", "pos", "action"])
+        for line in src:
+            session = json.loads(line)
+            writer.writerows([session["session_id"], session["playlist_id"], event["pos"],
+                              event["action"]] for event in session["events"])
+
+
+def _cap3_steps(work: Path, seed: int) -> list[list[str] | Callable[[], None]]:
+    """The cap-3 sequence: CLI steps, and the step that writes sessions.csv."""
     from seqbundle.domain import Outcome
     from seqbundle.reports import write_json
     from seqbundle.synthgen import GeneratorSpec, spec_to_json
@@ -58,12 +75,12 @@ def _cap3_argvs(work: Path, seed: int) -> list[list[str]]:
     )
     spec_path = write_json(work / "spec.json", spec_to_json(spec))
     data = ["--data", str(work / "data")]
-    argvs = [["generate", "--spec", str(spec_path), "--out", str(work / "data")]]
+    steps = [["generate", "--spec", str(spec_path), "--out", str(work / "data")]]
     for model in ("mc", "pmc", "zero"):
         run = work / model
-        argvs.append(["train", *data, "--model", model, "--seed", "0", "--out", str(run)])
+        steps.append(["train", *data, "--model", model, "--seed", "0", "--out", str(run)])
         for mode in ("realized", "expected"):
-            argvs.append(["evaluate", *data, "--run", str(run), "--demand-mode", mode,
+            steps.append(["evaluate", *data, "--run", str(run), "--demand-mode", mode,
                           "--n-rollouts", "200", "--seed", str(seed),
                           "--out", str(run / f"eval-{mode}")])
     # Every train option, by flag and by --config, so that a drifted flag
@@ -87,16 +104,22 @@ def _cap3_argvs(work: Path, seed: int) -> list[list[str]]:
     }
     for name, options in trains.items():
         run = work / name
-        argvs.append(["train", *data, *options, "--out", str(run)])
-        argvs.append(["evaluate", *data, "--run", str(run), "--seed", str(seed),
+        steps.append(["train", *data, *options, "--out", str(run)])
+        steps.append(["evaluate", *data, "--run", str(run), "--seed", str(seed),
                       "--out", str(run / "eval-realized")])
     run = work / "encoder-walk"
-    argvs.append(["train", *data, "--model", "encoder", "--epochs", "1", "--embed-dim", "8",
+    steps.append(["train", *data, "--model", "encoder", "--epochs", "1", "--embed-dim", "8",
                   "--n-heads", "2", "--head-dim", "4", "--ff-dim", "8",
                   "--max-positions", "19", "--out", str(run)])
-    argvs.append(["evaluate", *data, "--run", str(run), "--demand-mode", "expected",
+    steps.append(["evaluate", *data, "--run", str(run), "--demand-mode", "expected",
                   "--n-rollouts", "200", "--seed", str(seed), "--out", str(run / "eval-expected")])
-    return argvs
+    steps.append(lambda: _write_sessions_csv(work / "data"))
+    run = work / "pmc-csv"
+    steps.append(["train", *data, "--format", "csv", "--model", "pmc", "--seed", "0",
+                  "--out", str(run)])
+    steps.append(["evaluate", *data, "--format", "csv", "--run", str(run), "--seed", str(seed),
+                  "--out", str(run / "eval-realized")])
+    return steps
 
 
 def worker(tree: Path, out: Path, seed: int) -> dict[str, str]:
@@ -107,13 +130,16 @@ def worker(tree: Path, out: Path, seed: int) -> dict[str, str]:
 
     runs = [(w, [s.argv for s in stages(w, out / w, seed, "full")]) for w in WORKLOADS]
     (out / "cap3").mkdir(parents=True)
-    runs.append(("cap3", _cap3_argvs(out / "cap3", seed)))
-    for name, argvs in runs:
-        for argv in argvs:
+    runs.append(("cap3", _cap3_steps(out / "cap3", seed)))
+    for name, steps in runs:
+        for step in steps:
+            if callable(step):
+                step()
+                continue
             with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(argv)
+                rc = cli.main(step)
             if rc != 0:
-                raise SystemExit(f"{tree}: {name}: {' '.join(argv[:1])} exited {rc}")
+                raise SystemExit(f"{tree}: {name}: {' '.join(step[:1])} exited {rc}")
     return {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))

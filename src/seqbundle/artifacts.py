@@ -95,23 +95,22 @@ def load_split(path: Path | str, dataset: Dataset) -> Dataset:
     """Re-tag a dataset from a stored split file, read by _SPLIT_FIELDS.
 
     Every session must be covered; a dataset that drifted since the split
-    was stored is an error, not a silent re-split.
+    was stored is an error, not a silent re-split. A loaded dataset's session
+    ids are unique, so the file covers no other session when it holds as
+    many tags as the dataset has sessions.
     """
     assignment = read_fields(read_json(path), _SPLIT_FIELDS, path)["session_splits"]
-    tags = []
-    for session in dataset.sessions:
-        tag = assignment.get(session.session_id)
-        if tag is None:
+    try:
+        tags = tuple([_SPLIT_TAGS[assignment[s.session_id]] for s in dataset.sessions])
+    except KeyError as exc:
+        raise SchemaError(f"{path}: session {exc.args[0]!r} has no stored split tag") from None
+    if len(assignment) != len(tags):
+        extra = set(assignment).difference([s.session_id for s in dataset.sessions])
+        if extra:
             raise SchemaError(
-                f"{path}: session {session.session_id!r} has no stored split tag"
+                f"{path}: split file covers unknown sessions, e.g. {sorted(extra)[0]!r}"
             )
-        tags.append(_SPLIT_TAGS[tag])
-    extra = set(assignment) - {s.session_id for s in dataset.sessions}
-    if extra:
-        raise SchemaError(
-            f"{path}: split file covers unknown sessions, e.g. {sorted(extra)[0]!r}"
-        )
-    return replace(dataset, split_tags=tuple(tags))
+    return replace(dataset, split_tags=tags)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +184,19 @@ def write_manifest(
     parameters: Mapping,
     input_files: Mapping[str, Path | str] | None = None,
     output_files: Mapping[str, Path | str] | None = None,
+    input_digests: Mapping[str, str] | None = None,
 ) -> Path:
     """Describe a run: the command, its parameters, and file digests.
 
     Paths are recorded relative to the manifest's directory when possible so
-    a moved artifact directory stays self-consistent.
+    a moved artifact directory stays self-consistent. ``input_digests`` holds
+    the sha256 of each input file, by name, when the caller has hashed them.
     """
     path = Path(path)
     base = path.parent
 
-    def describe(files: Mapping[str, Path | str] | None) -> dict:
+    def describe(files: Mapping[str, Path | str] | None,
+                 digests: Mapping[str, str] | None = None) -> dict:
         out = {}
         for name, p in (files or {}).items():
             p = Path(p)
@@ -202,13 +204,13 @@ def write_manifest(
                 shown = str(p.relative_to(base))
             except ValueError:
                 shown = str(p)
-            out[name] = {"path": shown, "sha256": sha256_file(p)}
+            out[name] = {"path": shown, "sha256": digests[name] if digests else sha256_file(p)}
         return out
 
     payload = {
         "command": command,
         "parameters": dict(parameters),
-        "inputs": describe(input_files),
+        "inputs": describe(input_files, input_digests),
         "outputs": describe(output_files),
     }
     return write_json(path, payload)

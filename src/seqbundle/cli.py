@@ -489,6 +489,14 @@ def fit_predictor(family: str, sessions, playlist, options: dict, cap: int):
     }
 
 
+def _data_digests(playlists_path: Path, sessions_path: Path) -> dict[str, str]:
+    """The sha256 of each data file, as run.json's "data_digests" records it."""
+    return {
+        "playlists": artifacts.sha256_file(playlists_path),
+        "sessions": artifacts.sha256_file(sessions_path),
+    }
+
+
 def cmd_train(args) -> int:
     sources: dict[str, str] = {}
     opts = _resolve_options(args, sources)
@@ -520,15 +528,13 @@ def cmd_train(args) -> int:
         for pid, (predictor, _) in fitted.items()
     }
     playlists_path, sessions_path = _data_paths(args)
+    digests = _data_digests(playlists_path, sessions_path)
     run_obj = {
         "model": args.model,
         "cap": dataset.cap,
         "options": {k: opts[k] for k in sorted(opts)},
         "playlists": {pid: info for pid, (_, info) in fitted.items()},
-        "data_digests": {
-            "playlists": artifacts.sha256_file(playlists_path),
-            "sessions": artifacts.sha256_file(sessions_path),
-        },
+        "data_digests": digests,
     }
     run_path = reports.write_json(run_dir / "run.json", run_obj)
     artifacts.write_manifest(
@@ -536,6 +542,7 @@ def cmd_train(args) -> int:
         command="train",
         parameters={"model": args.model, **{k: opts[k] for k in sorted(opts)}},
         input_files={"playlists": playlists_path, "sessions": sessions_path},
+        input_digests=digests,
         output_files={
             "run": run_path,
             "split": split_path,
@@ -570,11 +577,7 @@ def _load_run(args) -> tuple[str, list[str], Dataset]:
     run = read_fields(read_json(run_path), _RUN_FIELDS, run_path)
     dataset = _load_data(args, run["options"]["session_end"])
     playlists_path, sessions_path = _data_paths(args)
-    current = {
-        "playlists": artifacts.sha256_file(playlists_path),
-        "sessions": artifacts.sha256_file(sessions_path),
-    }
-    if run["data_digests"] not in (None, current):
+    if run["data_digests"] not in (None, _data_digests(playlists_path, sessions_path)):
         raise SchemaError(
             f"{run_path}: --data does not match the data this run was trained "
             f"on (content digests differ)"

@@ -1,14 +1,17 @@
 """Loading, splitting, transforming, and exporting session data.
 
 Loaded sessions are validated against the play-count walk under a cap that
-the Dataset keeps (``Dataset.cap``). One load builds each distinct event once
-and validates each distinct (playlist, event sequence) once; sessions with
-the same sequence share its immutable events tuple, and a JSONL line that
-repeats an accepted line's events and playlist text is not parsed again.
-FeaturePipeline._rows builds every model input row from the events before it
-alone, for training, scoring and next-event queries alike. Remaining listening time is a suffix
-sum over the session's events, so it is never negative and is exactly 0
-after the last listened event.
+the Dataset keeps (``Dataset.cap``). Each load compiles its file's field
+table once (domain.field_reader) and reads every line or row with it. One
+load builds each distinct event once and validates each distinct (playlist,
+event sequence) once; sessions with the same sequence share its immutable
+events tuple. A JSONL line that repeats an accepted line's text up to its
+session id, and whose id needs no JSON unescaping, is not parsed again: its
+id is cut from the line with string operations. FeaturePipeline._rows builds
+every model input row from the events before it alone, for training, scoring
+and next-event queries alike. Remaining listening time is a suffix sum over
+the session's events, so it is never negative and is exactly 0 after the
+last listened event.
 
 Wire formats
 ------------
@@ -46,6 +49,7 @@ from .domain import (
     Track,
     at_least,
     boolean,
+    field_reader,
     number,
     numbers,
     object_of,
@@ -133,10 +137,13 @@ def dataset_from_sessions(
 # loading and writing
 
 
+_NUMBERS_BY_NAME = object_of(number)
+
+
 def _features(value) -> tuple[tuple[str, float], ...]:
     """A track's extra features, sorted by name: a JSON object of numbers,
     or null for none."""
-    return () if value is None else tuple(sorted(object_of(number)(value).items()))
+    return () if value is None else tuple(sorted(_NUMBERS_BY_NAME(value).items()))
 
 
 # a playlists.jsonl line
@@ -146,11 +153,12 @@ _PLAYLIST_FIELDS = {
 }
 
 
-def _read_line(line: str, table: Mapping) -> dict:
-    """A JSONL line's fields as ``table`` reads them; a line that is not JSON,
-    or nests too deeply for json.loads, is a SchemaError as a refused field is."""
+def _read_line(line: str, read) -> dict:
+    """A JSONL line's fields as ``read``, a field_reader, reads them; a line that
+    is not JSON, or nests too deeply for json.loads, is a SchemaError as a
+    refused field is."""
     try:
-        return read_fields(json.loads(line), table)
+        return read(json.loads(line))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON ({exc.msg})") from None
     except RecursionError:
@@ -175,6 +183,7 @@ def _refuse_non_utf8(path) -> Iterator[None]:
 def load_playlists(path: str | Path) -> dict[str, Playlist]:
     """Read playlists.jsonl, each line by _PLAYLIST_FIELDS. A malformed line
     or a duplicate playlist id is a SchemaError naming the file and line."""
+    read = field_reader(_PLAYLIST_FIELDS)
     playlists: dict[str, Playlist] = {}
     with open(path, encoding="utf-8") as fh, _refuse_non_utf8(path):
         for lineno, line in enumerate(fh, start=1):
@@ -182,7 +191,7 @@ def load_playlists(path: str | Path) -> dict[str, Playlist]:
             if not line:
                 continue
             try:
-                fields = _read_line(line, _PLAYLIST_FIELDS)
+                fields = _read_line(line, read)
                 tracks = tuple(
                     Track(track_id=t["track_id"], duration=t["duration"],
                           extra_features=t["features"])
@@ -254,21 +263,20 @@ def load_sessions(
 _ID_PAIR = ', "session_id": '
 # lines the writer joins into one write
 _WRITE_CHUNK_LINES = 1024
-_scan_json = json.JSONDecoder().scan_once
 
 
-def _tail_session_id(line: str, k: int) -> str | None:
-    """V when ``line[k:]`` is ``, "session_id": V}`` for a JSON string V, the last
-    pair closing the top-level object with nothing between V and the brace; else None.
-
-    When it is not None, the text before ``k`` alone decides every other
-    field json.loads would read from the line.
+def _plain_id(tail: str) -> str | None:
+    """V when ``tail``, the text after a line's last _ID_PAIR, is ``"V"}``: a
+    JSON string that holds no quote, backslash or unprintable character and
+    closes the top-level object. Else None, for an id json.loads would have to
+    unescape too. When it is not None, the text before the pair alone decides
+    every other field json.loads would read from the line.
     """
-    try:
-        value, end = _scan_json(line, k + len(_ID_PAIR))
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    return value if type(value) is str and end == len(line) - 1 and line[end] == "}" else None
+    if len(tail) > 2 and tail[0] == '"' and tail.endswith('"}'):
+        value = tail[1:-2]
+        if '"' not in value and "\\" not in value and value.isprintable():
+            return value
+    return None
 
 
 # an event, as both session formats read it
@@ -281,9 +289,11 @@ _SESSION_FIELDS = {"session_id": string, "playlist_id": string,
 
 def _load_sessions_jsonl(path: Path, build, strict: bool) -> list[Session]:
     """Read each line by _SESSION_FIELDS and build it, except a line whose
-    text before its last session_id pair an earlier line was accepted with:
-    only its id is parsed, and it shares that line's events. Any other line
-    takes the full path, so every valid line loads as json.loads would read it."""
+    tail is a _plain_id and whose text before its last _ID_PAIR an earlier
+    such line was accepted with: only its id is read, and it shares that
+    line's events. Any other line takes the full path, so every valid line
+    loads as json.loads would read it."""
+    read = field_reader(_SESSION_FIELDS)
     sessions: list[Session] = []
     first_line: dict[str, int] = {}
     # line text before _ID_PAIR -> (playlist_id, events) accepted with it
@@ -293,21 +303,20 @@ def _load_sessions_jsonl(path: Path, build, strict: bool) -> list[Session]:
             line = line.strip()
             if not line:
                 continue
-            k = line.rfind(_ID_PAIR)
-            session_id = _tail_session_id(line, k) if k > 0 else None
-            head = line[:k] if session_id is not None else None
-            known = accepted.get(head)
+            head, pair, tail = line.rpartition(_ID_PAIR)
+            session_id = _plain_id(tail) if pair else None
+            known = None if session_id is None else accepted.get(head)
             if known is not None:
                 session = Session(session_id, *known)
             else:
                 try:
-                    fields = _read_line(line, _SESSION_FIELDS)
+                    fields = _read_line(line, read)
                     session = build(fields["session_id"], fields["playlist_id"],
                                     [(e["pos"], e["action"]) for e in fields["events"]])
                 except (SchemaError, ConstraintViolation) as exc:
                     _skip_or_raise(SchemaError(f"{path} line {lineno}: {exc}"), strict)
                     continue
-                if head is not None:
+                if session_id is not None:
                     accepted[head] = (session.playlist_id, session.events)
             first = first_line.setdefault(session.session_id, lineno)
             if first != lineno:
@@ -343,6 +352,7 @@ def _load_sessions_csv(path: Path, build, strict: bool) -> list[Session]:
     # session_id -> (its first line number, playlist_id, (pos, action) pairs)
     rows: dict[str, tuple[int, str, list[tuple[int, str]]]] = {}
     bad: set[str] = set()
+    read = field_reader(_CSV_FIELDS)
     with open(path, encoding="utf-8", newline="") as fh, _refuse_non_utf8(path):
         reader = csv.DictReader(fh)
         header = reader.fieldnames or ()
@@ -355,7 +365,7 @@ def _load_sessions_csv(path: Path, build, strict: bool) -> list[Session]:
                 if None in row:  # DictReader's key for the cells past the header
                     n_cells = len(header) + len(row[None])
                     raise SchemaError(f"{n_cells} cells, the header has {len(header)}")
-                fields = read_fields(row, _CSV_FIELDS)
+                fields = read(row)
                 pid = fields["playlist_id"]
                 _, first_pid, pairs = rows.setdefault(sid, (reader.line_num, pid, []))
                 if pid != first_pid:

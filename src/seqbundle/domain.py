@@ -181,9 +181,12 @@ def at_least(least: int) -> Callable[[object], int]:
 
 def object_of(rule) -> Callable[[object], dict]:
     """The rule of a JSON object with any keys, each value read by ``rule``."""
+    read_value = _compiled(rule)
 
     def read(value) -> dict:
-        return read_fields(value, dict.fromkeys(value, rule) if type(value) is dict else {})
+        if type(value) is not dict:
+            raise _not_an_object(value)
+        return dict(zip(value, _read_each(value.items(), read_value)))
 
     return read
 
@@ -216,43 +219,90 @@ def read_json(path) -> object:
 
 
 def read_fields(obj, table: Mapping, where=None) -> dict:
-    """``obj``'s fields as ``table`` reads them: the one field reader.
+    """``obj``'s fields as ``table`` reads them: field_reader(table)(obj, where)."""
+    return field_reader(table)(obj, where)
+
+
+# the default of a field that may not be missing
+_REQUIRED = object()
+
+
+def field_reader(table: Mapping) -> Callable[..., dict]:
+    """The one field reader: ``table`` compiled into ``read(obj, where=None)``,
+    ``obj``'s fields as ``table`` reads them.
 
     ``table`` maps each key to a rule, or to (rule, default) for a key that may
     be missing. A rule is a function that converts a JSON value or raises one of
     _REFUSALS, a table for a nested object, or [rule] for a JSON array whose
     items it reads, keyed by index. Other keys are ignored. A missing or refused
     field is a FieldError: "<where>: missing field '<dotted.key>'" or
-    "<where>: field '<dotted.key>': <the rule's reason>"."""
-    if type(obj) is not dict:
-        raise FieldError(where, None, f"expected a JSON object, got {type(obj).__name__}")
-    out = {}
-    for key, rule in table.items():
-        if key in obj:
-            out[key] = _field(obj[key], rule[0] if type(rule) is tuple else rule, key, where)
-        elif type(rule) is tuple:
-            out[key] = rule[1]
-        else:
-            raise FieldError(where, key, None)
+    "<where>: field '<dotted.key>': <the rule's reason>". Nested tables and
+    arrays are compiled here, once, so a reader built before a loop reads
+    each object with no walk of its table."""
+    fields = tuple(
+        (key, _compiled(entry[0]), entry[1]) if type(entry) is tuple
+        else (key, _compiled(entry), _REQUIRED)
+        for key, entry in table.items()
+    )
+
+    def read(obj, where=None) -> dict:
+        if type(obj) is not dict:
+            raise _not_an_object(obj, where)
+        out = {}
+        for key, read_value, default in fields:
+            if key in obj:
+                try:
+                    out[key] = read_value(obj[key])
+                except _REFUSALS as exc:
+                    raise _refused(where, key, exc) from None
+            elif default is _REQUIRED:
+                raise FieldError(where, key, None)
+            else:
+                out[key] = default
+        return out
+
+    return read
+
+
+def _compiled(rule) -> Callable:
+    """The function that reads a value by ``rule``: a rule function itself,
+    or the reader of a nested table or array."""
+    if type(rule) is dict:
+        return field_reader(rule)
+    if type(rule) is not list:
+        return rule
+    read_item = _compiled(rule[0])
+
+    def read(value) -> list:
+        if type(value) is not list:
+            raise TypeError(f"must be a list, got {value!r}")
+        return _read_each(enumerate(value), read_item)
+
+    return read
+
+
+def _read_each(items, read_value) -> list:
+    """``read_value`` of the value of each (key, value) of ``items``; a
+    refusal is a FieldError naming its key."""
+    out = []
+    for key, value in items:
+        try:
+            out.append(read_value(value))
+        except _REFUSALS as exc:
+            raise _refused(None, key, exc) from None
     return out
 
 
-def _field(value, rule, key, where=None):
-    """``value`` as ``rule`` reads it; a refusal is a FieldError naming ``key``,
-    or ``key`` and the dotted key of the nested field refused."""
-    try:
-        if type(rule) is dict:
-            return read_fields(value, rule)
-        if type(rule) is list:
-            if type(value) is not list:
-                raise TypeError(f"must be a list, got {value!r}")
-            return [_field(item, rule[0], i) for i, item in enumerate(value)]
-        return rule(value)
-    except FieldError as exc:
-        inner = key if exc.key is None else f"{key}.{exc.key}"
-        raise FieldError(where, inner, exc.problem) from None
-    except _REFUSALS as exc:
-        raise FieldError(where, key, str(exc)) from None
+def _refused(where, key, exc) -> FieldError:
+    """The FieldError of ``key`` whose value ``exc`` refused; a refused nested
+    field's dotted key goes after ``key``."""
+    if isinstance(exc, FieldError):
+        return FieldError(where, key if exc.key is None else f"{key}.{exc.key}", exc.problem)
+    return FieldError(where, key, str(exc))
+
+
+def _not_an_object(value, where=None) -> FieldError:
+    return FieldError(where, None, f"expected a JSON object, got {type(value).__name__}")
 
 
 @dataclass(frozen=True, slots=True)

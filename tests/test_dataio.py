@@ -470,7 +470,12 @@ EVENT_POOL = [
         ["play", "replay", "replay"],
     )
 ]
-ID_POOL = ["a", "b", "", 's, "x"', 7, -0.0, 2.5, None, True, ["a"], {"k": "a"}]
+# Ids json.dumps escapes ("\u00e9", "a\\b", "t\tn\n" and "\u007f" in the writer's
+# layout), and two that a hand-written line leaves raw: é, which needs no
+# escape, and DEL, which is not printable; so lines with each id are read on
+# both sides of the loader's plain-id check.
+ID_POOL = ["a", "b", "", 's, "x"', "é", "a\\b", "t\tn\n", "\x7f",
+           7, -0.0, 2.5, None, True, ["a"], {"k": "a"}]
 TRICKY_VALUES = [
     '], "session_id": ',
     '"}, "session_id": "a"}',
@@ -484,7 +489,8 @@ SEPARATORS = [(", ", ": "), (",", ":"), (" ,  ", " : ")]
 @st.composite
 def session_lines(draw):
     """A session line: the writer's layout, or its pairs reordered, spaced,
-    repeated or extended, then perhaps cut short or run on."""
+    repeated or extended and non-ASCII text left unescaped, then perhaps cut
+    short or run on."""
     pairs = [
         ("events", draw(st.sampled_from(EVENT_POOL))),
         ("playlist_id", draw(st.sampled_from(["pl", "p2", "zz"]))),
@@ -508,7 +514,7 @@ def session_lines(draw):
             pairs.insert(draw(st.integers(0, len(pairs))), (key, value))
         comma, colon = draw(st.sampled_from(SEPARATORS))
         line = "{" + comma.join(
-            json.dumps(k) + colon + json.dumps(v) for k, v in pairs
+            json.dumps(k) + colon + json.dumps(v, ensure_ascii=False) for k, v in pairs
         ) + "}"
     cut = draw(st.sampled_from([0, 0, 0, 1, 2, 5]))
     extra = draw(st.sampled_from(["", "", "", "}", ', "zz": 1}', " ]", "{}"]))
@@ -598,6 +604,30 @@ class TestRepeatedLines:
         assert [s.session_id for s in loaded.sessions] == ["a", "b", "c"]
         assert len({id(s.events) for s in loaded.sessions}) == 1
 
+    def test_an_id_json_must_unescape_takes_the_full_parse(
+        self, tmp_path, playlist3, monkeypatch
+    ):
+        good = json.dumps(session_to_json(make_session(["play", "skip"], sid="a")), sort_keys=True)
+        head = good[: good.rindex(', "session_id": ')]
+        # escaped é, an escaped backslash and a raw DEL, then a raw ê and a plain d
+        tails = ['"\\u00e9"}', '"b\\\\c"}', '"\x7f"}', '"ê"}', '"d"}']
+        lines = [good] + [head + ', "session_id": ' + tail for tail in tails]
+        path = tmp_path / "s.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parsed = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(dataio.json, "loads", counting_loads)
+        loaded = load_sessions(path, {"pl": playlist3})
+        monkeypatch.undo()
+        assert parsed == lines[:4]
+        assert [s.session_id for s in loaded.sessions] == ["a", "é", "b\\c", "\x7f", "ê", "d"]
+        assert len({id(s.events) for s in loaded.sessions}) == 1
+
     @pytest.mark.parametrize("strict", [True, False])
     def test_bad_tails_after_an_accepted_head_are_reported_per_line(
         self, tmp_path, playlist3, strict
@@ -620,6 +650,24 @@ class TestRepeatedLines:
         else:
             assert [s.session_id for s in got[0]] == ["a", "c"]
             assert got[2][-1].startswith(f"{path} line 5: field 'session_id': must be a string")
+
+
+class TestCompiledTables:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_a_load_compiles_each_table_once(self, tmp_path, monkeypatch, fmt):
+        dataset = generated_files(tmp_path, "second_order", n_sessions=200)
+        compiled = []
+        real = domain.field_reader
+
+        def counting(table):
+            compiled.append(table)
+            return real(table)
+
+        monkeypatch.setattr(dataio, "field_reader", counting)
+        loaded = load_dataset(tmp_path / f"sessions.{fmt}", tmp_path / "playlists.jsonl", fmt=fmt)
+        assert loaded.sessions == dataset.sessions
+        table = {"jsonl": dataio._SESSION_FIELDS, "csv": dataio._CSV_FIELDS}[fmt]
+        assert compiled == [dataio._PLAYLIST_FIELDS, table]
 
 
 class TestSplit:

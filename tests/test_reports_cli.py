@@ -7,6 +7,7 @@ import json
 import logging
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,15 @@ class TestSplitStore:
         del obj["session_splits"][first]
         path.write_text(json.dumps(obj))
         with pytest.raises(SchemaError, match="no stored split tag"):
+            load_split(path, tiny_dataset)
+
+    def test_a_renamed_session_has_no_stored_tag(self, tmp_path, tiny_dataset):
+        path = save_split(tmp_path / "split.json", tiny_dataset)
+        obj = json.loads(path.read_text())
+        last = list(obj["session_splits"])[-1]
+        obj["session_splits"]["ghost"] = obj["session_splits"].pop(last)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=f"session {last!r} has no stored split tag"):
             load_split(path, tiny_dataset)
 
     def test_unknown_session_rejected(self, tmp_path, tiny_dataset):
@@ -430,6 +440,25 @@ class TestTrainCommand:
         assert obj["model"] == "mc"
         assert obj["options"]["train_fraction"] == 0.9
         assert set(obj["data_digests"]) == {"playlists", "sessions"}
+
+    def test_each_data_file_is_hashed_once(self, cli_root, tmp_path, monkeypatch):
+        hashed = []
+        real = artifacts.sha256_file
+
+        def counting(path):
+            hashed.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(artifacts, "sha256_file", counting)
+        run = tmp_path / "run"
+        assert cli_main(["train", "--data", str(cli_root / "data"), "--model", "mc",
+                         "--out", str(run), "--seed", "3"]) == 0
+        assert hashed.count("playlists.jsonl") == hashed.count("sessions.jsonl") == 1
+        data_digests = json.loads((run / "run.json").read_text())["data_digests"]
+        inputs = json.loads((run / "manifest.json").read_text())["inputs"]
+        assert data_digests == {name: real(cli_root / "data" / f"{name}.jsonl")
+                                for name in ("playlists", "sessions")}
+        assert {name: entry["sha256"] for name, entry in inputs.items()} == data_digests
 
     def test_rerun_is_byte_identical(self, cli_root, tmp_path):
         rc = cli_main(
