@@ -29,7 +29,6 @@ import json
 import logging
 import math
 import random
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -767,27 +766,6 @@ def format_prompt(
     lines[-1] = heads[-1]
     completion = session.events[position - 1].outcome.value
     return "\n".join(lines), completion
-
-
-_PROMPT_LINE = re.compile(
-    r"^(\d+)\. \(duration=([0-9]+\.[0-9]{2})\) action=(skip|play|replay)?$"
-)
-
-
-def parse_prompt(prompt: str) -> tuple[tuple[float, Outcome | None], ...]:
-    """Inverse of format_prompt: (duration, action) per line, None when blank."""
-    out = []
-    for lineno, line in enumerate(prompt.split("\n"), start=1):
-        match = _PROMPT_LINE.match(line)
-        if not match:
-            raise SchemaError(f"prompt line {lineno} is malformed: {line!r}")
-        if int(match.group(1)) != lineno:
-            raise SchemaError(
-                f"prompt line {lineno} is numbered {match.group(1)}"
-            )
-        action = Outcome(match.group(3)) if match.group(3) else None
-        out.append((float(match.group(2)), action))
-    return tuple(out)
 
 
 def export_prompts(

@@ -82,14 +82,6 @@ def first_max_index(rows):
     return np.argmax(rows, axis=-1)
 
 
-def max_probability(probs: Sequence[float]) -> Outcome:
-    """Modal outcome of one probability row, by first_max_index."""
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.shape != (N_OUTCOMES,):
-        raise ConstraintViolation(f"expected 3 probabilities, got shape {arr.shape}")
-    return OUTCOME_ORDER[first_max_index(arr)]
-
-
 def draw_outcomes(rows, u) -> np.ndarray:
     """Outcome index (OUTCOME_ORDER) drawn from each row of ``rows`` by its
     uniform ``u`` on [0, 1): the one draw rule.
@@ -404,10 +396,6 @@ class Session:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    @property
-    def last_position(self) -> int:
-        return self.events[-1].track_position
 
     def outcomes(self) -> tuple[Outcome, ...]:
         return tuple(e.outcome for e in self.events)

@@ -58,7 +58,6 @@ log = logging.getLogger(__name__)
 
 _PLAY = OUTCOME_INDEX[Outcome.PLAY]
 _REPLAY = OUTCOME_INDEX[Outcome.REPLAY]
-CDF_TOL = 1e-12  # CDF values k/n of two samples that differ by rounding alone
 
 
 def _check_prob_rows(probs: np.ndarray, n_events: int, where: str) -> np.ndarray:
@@ -118,19 +117,6 @@ def hit_rate_cdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     xs = np.unique(arr)
     fractions = np.searchsorted(np.sort(arr), xs, side="right") / arr.size
     return xs, fractions
-
-
-def cdf_dominates(better: Sequence[float], worse: Sequence[float]) -> bool:
-    """True when the first sample's CDF lies at or below the second's everywhere
-    (higher hit rates stochastically dominate), up to CDF_TOL."""
-    a = np.asarray(better, dtype=np.float64)
-    b = np.asarray(worse, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise MetricUndefinedError("dominance undefined for an empty sample")
-    grid = np.unique(np.concatenate([a, b]))
-    fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
-    fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
-    return bool(np.all(fa <= fb + CDF_TOL))
 
 
 # ---------------------------------------------------------------------------

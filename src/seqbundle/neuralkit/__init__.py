@@ -23,7 +23,6 @@ from .autodiff import (
     matmul,
     mul,
     no_grad,
-    parameter,
     parameter_view,
     relu,
     scale,
@@ -60,7 +59,6 @@ __all__ = [
     "mul",
     "name_at",
     "no_grad",
-    "parameter",
     "parameter_view",
     "positional_encoding",
     "positional_encoding_matrix",

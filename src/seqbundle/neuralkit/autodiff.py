@@ -31,8 +31,8 @@ Inference runs under no_grad(), which links no graph at all: each activation
 is freed once the next op has read it, and values are the same bit for bit.
 
 Non-finite values are caught at the boundaries, not on every op result.
-Tensors that callers build (Tensor(data), parameter()) and the loss reject
-NaN/Inf with a NumericError, so training divergence stops at the batch that
+Tensors that callers build with Tensor(data) and the loss reject NaN/Inf
+with a NumericError, so training divergence stops at the batch that
 caused it; adam_step rejects non-finite gradients; each predictor row passes
 domain.check_prob_rows, rollout rows included; and load_checkpoint refuses
 non-finite weights in a model's flat vector, whose parameter_view()s skip the
@@ -170,10 +170,6 @@ def _result(
         out._parents, out._backward_fn = (), None
     out.name = ""
     return out
-
-
-def parameter(data: np.ndarray, name: str = "") -> Tensor:
-    return Tensor(np.array(data, copy=True), requires_grad=True, name=name)
 
 
 def parameter_view(data: np.ndarray, name: str) -> Tensor:

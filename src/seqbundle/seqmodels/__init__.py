@@ -19,7 +19,7 @@ from .config import (
     config_to_json,
 )
 from .models import LSTMModel, MLPModel, SequenceModel, TransformerModel, make_model
-from .predictors import NeuralPredictor, QueueDecision
+from .predictors import NeuralPredictor
 from .training import TrainResult, build_training_arrays, train_model
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "MLPModel",
     "ModelKind",
     "NeuralPredictor",
-    "QueueDecision",
     "SequenceModel",
     "TrainConfig",
     "TrainResult",

@@ -23,7 +23,6 @@ from ..domain import (
     Outcome,
     Session,
     feasible_rows,
-    max_probability,
     walk,
 )
 from ..errors import ConstraintViolation
@@ -45,21 +44,6 @@ def _float64_rows(rows: np.ndarray) -> np.ndarray:
     it unchanged: each row depends on its own entries alone, bit for bit."""
     wide = rows.astype(np.float64)
     return wide / np.cumsum(wide, axis=-1)[..., -1:]
-
-
-@dataclass(frozen=True, slots=True)
-class QueueDecision:
-    """Result of iterated next-track prediction.
-
-    track_offset counts tracks ahead of the last resolved position: +1 means
-    the immediate next track is played, 0 means the current track is replayed,
-    None means the playlist ran out while skipping.
-    """
-
-    outcome: Outcome
-    track_offset: int | None
-    predicted: tuple[Outcome, ...]
-    probs: tuple[float, ...]
 
 
 @dataclass
@@ -156,11 +140,6 @@ class NeuralPredictor:
 
     # -- forward-looking prediction ------------------------------------------
 
-    def predict_next(self, events: tuple[Event, ...]) -> tuple[Outcome, np.ndarray]:
-        """Most probable outcome following ``events``, and its probability row."""
-        row = self.next_probs_batch([events])[0]
-        return max_probability(row), row
-
     def next_probs(self, events: tuple[Event, ...]) -> np.ndarray:
         """Probability row for the event that would follow the given prefix."""
         return self.next_probs_batch([events])[0]
@@ -180,35 +159,6 @@ class NeuralPredictor:
             )
         return PrefixDecoder(self)
 
-    def queue_next(self, events: tuple[Event, ...]) -> QueueDecision:
-        """Iterate predictions to pick the next track to queue.
-
-        A predicted SKIP advances the candidate position and repeats; PLAY
-        stops with the candidate queued; REPLAY stops with the queue unchanged.
-        """
-        n = len(self.pipeline.playlist)
-        work = tuple(events)
-        offset = 0
-        taken: list[Outcome] = []
-        decode = self.decoder()  # each appended SKIP costs one decoded row
-        while True:
-            probs = decode([work])[0]
-            outcome = max_probability(probs)
-            taken.append(outcome)
-            candidate = work[-1].track_position + 1
-            if outcome is Outcome.SKIP and candidate <= n:
-                work = work + (Event(track_position=candidate, outcome=Outcome.SKIP),)
-                offset += 1
-                continue
-            # a SKIP here ran past the last track: nothing is left to queue
-            track_offset = {Outcome.PLAY: offset + 1, Outcome.REPLAY: offset}.get(outcome)
-            return QueueDecision(
-                outcome=outcome,
-                track_offset=track_offset,
-                predicted=tuple(taken),
-                probs=tuple(float(p) for p in probs),
-            )
-
 
 class PrefixDecoder:
     """Next-event rows of event prefixes, each run on from the cached model
@@ -220,8 +170,8 @@ class PrefixDecoder:
     over the rows after that node's, or over all of its rows from
     ``model.initial_state()`` when none is kept; every asked prefix goes
     through one forward. The call keeps only the nodes it asked for: the live
-    frontier of lockstep rollouts or of an iterated query, which the next call
-    extends by one event. So a fresh query (next_probs_batch) is one forward
+    frontier of lockstep rollouts, which the next call extends by one event.
+    So a fresh query (next_probs_batch) is one forward
     over its prefixes' rows, and rollout step k costs one row per live
     distinct prefix. The bidirectional encoder has no prefix state: it runs
     prediction mode over the distinct prefixes on every call.

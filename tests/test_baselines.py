@@ -21,7 +21,7 @@ from seqbundle.baselines import (
 )
 from seqbundle import domain
 from seqbundle.dataio import dataset_from_sessions
-from seqbundle.domain import Outcome, feasible_cells, max_probability, tally_sessions
+from seqbundle.domain import Outcome, feasible_cells, tally_sessions
 from seqbundle.errors import ConstraintViolation
 from seqbundle.evalkit import _play_tally, summarize_dataset, summary_to_jsonable
 from seqbundle.synthgen import generate, second_order_spec
@@ -34,21 +34,6 @@ def three_sessions():
         make_session(["play", "replay", "play", "skip"], sid="s2"),
         make_session(["skip", "skip", "play"], sid="s3"),
     ]
-
-
-class TestTieBreak:
-    def test_skip_wins_two_way_tie(self):
-        assert max_probability((0.4, 0.4, 0.2)) is Outcome.SKIP
-
-    def test_play_wins_over_replay(self):
-        assert max_probability((0.2, 0.4, 0.4)) is Outcome.PLAY
-
-    def test_plain_argmax(self):
-        assert max_probability((0.1, 0.2, 0.7)) is Outcome.REPLAY
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ConstraintViolation):
-            max_probability((0.5, 0.5))
 
 
 class TestFeasibleCells:

@@ -28,7 +28,6 @@ from seqbundle.dataio import (
     load_playlists,
     load_sessions,
     observed_remaining_time,
-    parse_prompt,
     predicted_remaining_time,
     session_to_json,
     split,
@@ -1012,16 +1011,19 @@ class TestPrompts:
         with pytest.raises(ConstraintViolation):
             format_prompt(session, playlist3, 3)
 
-    def test_parse_inverts_format(self, playlist3):
+    def test_prompt_is_literal_text(self, playlist3):
         session = make_session(["play", "replay", "skip"])
-        prompt, _ = format_prompt(session, playlist3, 3)
-        parsed = parse_prompt(prompt)
-        assert [d for d, _ in parsed] == [100.0, 100.0, 200.0]
-        assert [a for _, a in parsed] == [Outcome.PLAY, Outcome.REPLAY, None]
+        prompt, completion = format_prompt(session, playlist3, 3)
+        assert prompt == (
+            "1. (duration=100.00) action=play\n"
+            "2. (duration=100.00) action=replay\n"
+            "3. (duration=200.00) action="
+        )
+        assert completion == "skip"
 
     @given(valid_outcome_walks(max_tracks=4))
     @settings(max_examples=60)
-    def test_round_trip_property(self, walk):
+    def test_each_line_ends_in_its_action_and_the_last_is_blank(self, walk):
         n, outcomes = walk
         if len(outcomes) < 2:
             return
@@ -1029,13 +1031,13 @@ class TestPrompts:
         session = make_session([o.value for o in outcomes])
         for position in range(2, len(outcomes) + 1):
             prompt, completion = format_prompt(session, playlist, position)
-            parsed = parse_prompt(prompt)
-            assert len(parsed) == position
-            assert parsed[-1][1] is None
+            lines = prompt.split("\n")
+            assert len(lines) == position
+            for k, (line, event) in enumerate(zip(lines, session.events), start=1):
+                duration = playlist.track_at(event.track_position).duration
+                action = event.outcome.value if k < position else ""
+                assert line == f"{k}. (duration={duration:.2f}) action={action}"
             assert completion == outcomes[position - 1].value
-            assert [a.value for _, a in parsed[:-1]] == [
-                o.value for o in outcomes[: position - 1]
-            ]
 
     @pytest.mark.parametrize("name", CANONICAL_SPEC_NAMES)
     def test_export_matches_format_prompt_at_every_position(self, tmp_path, name):

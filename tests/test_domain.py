@@ -435,7 +435,7 @@ class TestSessionTally:
                     transitions[j, prev, k] += 1
                 if event.outcome is not Outcome.SKIP:
                     counts[event.track_position - 1] += 1
-            for track in range(session.last_position):
+            for track in range(session.events[-1].track_position):
                 plays[track, counts[track]] += 1
         return outcomes, transitions, plays
 
@@ -620,7 +620,7 @@ def test_every_feasible_walk_validates(walk):
     session = make_session([o.value for o in outcomes])
     validate_session(session, n)
     plays = tally_sessions([session], n).plays  # raises on a count above 2
-    assert plays.sum() == session.last_position
+    assert plays.sum() == session.events[-1].track_position
     folded = []
     state = initial_state()
     for outcome in outcomes:
@@ -635,6 +635,6 @@ def test_playlist_lookup_consistency(walk):
     n, outcomes = walk
     playlist = make_playlist(n)
     session = make_session([o.value for o in outcomes])
-    assert session.last_position <= len(playlist)
+    assert session.events[-1].track_position <= len(playlist)
     for event in session.events:
         assert playlist.track_at(event.track_position).duration > 0

@@ -34,7 +34,6 @@ from seqbundle.domain import (
 from seqbundle.errors import ConstraintViolation, MetricUndefinedError
 from seqbundle.evalkit import (
     EvaluationReport,
-    cdf_dominates,
     confusion_normalized,
     evaluate_dataset,
     evaluate_playlist,
@@ -183,21 +182,15 @@ class TestCdf:
         with pytest.raises(MetricUndefinedError):
             hit_rate_cdf(())
 
-    def test_dominance_direction(self):
-        better = (0.8, 0.9, 0.85)
-        worse = (0.1, 0.2, 0.15)
-        assert cdf_dominates(better, worse)
-        assert not cdf_dominates(worse, better)
-
-    def test_identical_samples_dominate_both_ways(self):
-        values = (0.3, 0.5, 0.5)
-        assert cdf_dominates(values, values)
-
-    def test_dominance_fails_on_crossing(self):
-        a = (0.1, 0.9)
-        b = (0.4, 0.5)
-        assert not cdf_dominates(a, b)
-        assert not cdf_dominates(b, a)
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 1.0]), min_size=1, max_size=12))
+    @settings(max_examples=60)
+    def test_cdf_counts_the_sample_at_or_below_each_value(self, values):
+        xs, fractions = hit_rate_cdf(values)
+        assert np.all(np.diff(xs) > 0)
+        assert set(xs.tolist()) == set(values)
+        assert fractions[-1] == 1.0
+        for x, fraction in zip(xs, fractions):
+            assert fraction == sum(v <= x for v in values) / len(values)
 
 
 class TestEvaluatePlaylist:

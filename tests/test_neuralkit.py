@@ -27,7 +27,6 @@ from seqbundle.neuralkit import (
     lstm_cell,
     matmul,
     mul,
-    parameter,
     positional_encoding,
     positional_encoding_matrix,
     relu,
@@ -79,38 +78,38 @@ class TestTensor:
         big = Tensor(np.array([[1e308, 1.0]]))
         with np.errstate(over="ignore"):
             assert np.isinf(scale(big, 10.0).data[0, 0])  # an op result is not checked
-        poisoned = parameter(np.full((1, 3), 1 / 3))
+        poisoned = Tensor(np.array(np.full((1, 3), 1 / 3)), requires_grad=True)
         poisoned.data[0, 1] = np.nan  # as a diverged update would leave it
         with pytest.raises(NumericError, match="non-finite"):
             cross_entropy_mean(relu(poisoned), np.array([1]), np.ones(1, bool))
 
     def test_backward_requires_scalar(self):
-        t = parameter(np.zeros(3))
+        t = Tensor(np.array(np.zeros(3)), requires_grad=True)
         with pytest.raises(NumericError):
             t.backward()
 
     def test_backward_seed_scales_gradients(self):
-        x = parameter(np.array([[2.0, 3.0]]))
+        x = Tensor(np.array([[2.0, 3.0]]), requires_grad=True)
         loss = matmul(x, transpose(x))  # sum of squares
         loss.backward(seed=0.5)
         assert np.allclose(x.grad, np.array([[2.0, 3.0]]), atol=1e-15)
 
     def test_gradients_accumulate_across_uses(self):
-        x = parameter(np.array([[1.5]]))
+        x = Tensor(np.array([[1.5]]), requires_grad=True)
         loss = add(x, x)
         loss.backward()
         assert x.grad.item() == 2.0
 
     def test_graph_reuse_shares_node_once(self):
         # a diamond graph: the shared node's backward must run exactly once
-        x = parameter(np.array([[2.0]]))
+        x = Tensor(np.array([[2.0]]), requires_grad=True)
         shared = mul(x, x)
         loss = add(shared, shared)  # 2 x^2, d/dx = 4x = 8
         loss.backward()
         assert x.grad.item() == pytest.approx(8.0)
 
     def test_backward_tears_down_the_graph(self):
-        w = parameter(rng(30).normal(size=(3, 2)))
+        w = Tensor(np.array(rng(30).normal(size=(3, 2))), requires_grad=True)
         x = Tensor(rng(31).normal(size=(4, 3)))
         hidden = tanh(matmul(x, w))
         probs = softmax_rows(concat_cols([hidden, hidden]))
@@ -131,8 +130,9 @@ def _assert_grads_ok(build, params, tol=1e-6):
 
 class TestOperatorGradients:
     def test_add_broadcast(self):
-        a = parameter(rng(1).normal(size=(4, 3)))
-        b = parameter(rng(2).normal(size=(1, 3)))  # row vector broadcast over rows
+        a = Tensor(np.array(rng(1).normal(size=(4, 3))), requires_grad=True)
+        # a row vector, broadcast over the rows
+        b = Tensor(np.array(rng(2).normal(size=(1, 3))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(add(a, b)), np.array([0, 1, 2, 0]), np.ones(4, bool)
@@ -141,8 +141,8 @@ class TestOperatorGradients:
         )
 
     def test_mul_and_scale(self):
-        a = parameter(rng(4).normal(size=(3, 3)))
-        b = parameter(rng(5).normal(size=(3, 3)))
+        a = Tensor(np.array(rng(4).normal(size=(3, 3))), requires_grad=True)
+        b = Tensor(np.array(rng(5).normal(size=(3, 3))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(scale(mul(a, b), 0.7)),
@@ -153,15 +153,15 @@ class TestOperatorGradients:
         )
 
     def test_matmul_and_transpose(self):
-        a = parameter(rng(6).normal(size=(3, 4)))
-        b = parameter(rng(7).normal(size=(4, 3)))
+        a = Tensor(np.array(rng(6).normal(size=(3, 4))), requires_grad=True)
+        b = Tensor(np.array(rng(7).normal(size=(4, 3))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(matmul(a, b)), np.array([1, 1, 0]), np.ones(3, bool)
             ),
             {"a": a, "b": b},
         )
-        c = parameter(rng(8).normal(size=(3, 4)))
+        c = Tensor(np.array(rng(8).normal(size=(3, 4))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(matmul(c, transpose(c))),
@@ -175,7 +175,7 @@ class TestOperatorGradients:
         # offset keeps relu inputs away from the kink, where the two routes differ
         base = rng(9).normal(size=(3, 4)) + np.sign(rng(9).normal(size=(3, 4))) * 0.5
         for op in (relu, tanh, sigmoid):
-            x = parameter(base)
+            x = Tensor(np.array(base), requires_grad=True)
             _assert_grads_ok(
                 lambda op=op, x=x: cross_entropy_mean(
                     softmax_rows(op(x)), np.array([0, 1, 2]), np.ones(3, bool)
@@ -184,7 +184,7 @@ class TestOperatorGradients:
             )
 
     def test_layer_norm(self):
-        x = parameter(rng(10).normal(size=(4, 6)))
+        x = Tensor(np.array(rng(10).normal(size=(4, 6))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(layer_norm(x)),
@@ -196,7 +196,7 @@ class TestOperatorGradients:
         )
 
     def test_causal_softmax_gradients(self):
-        x = parameter(rng(11).normal(size=(4, 4)))
+        x = Tensor(np.array(rng(11).normal(size=(4, 4))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 causal_softmax(x), np.array([0, 1, 2, 3]), np.ones(4, bool)
@@ -205,8 +205,8 @@ class TestOperatorGradients:
         )
 
     def test_concat_and_slice(self):
-        a = parameter(rng(12).normal(size=(3, 2)))
-        b = parameter(rng(13).normal(size=(3, 2)))
+        a = Tensor(np.array(rng(12).normal(size=(3, 2))), requires_grad=True)
+        b = Tensor(np.array(rng(13).normal(size=(3, 2))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(slice_cols(concat_cols([a, b]), 1, 4)),
@@ -215,8 +215,8 @@ class TestOperatorGradients:
             ),
             {"a": a, "b": b},
         )
-        c = parameter(rng(14).normal(size=(2, 3)))
-        d = parameter(rng(15).normal(size=(2, 3)))
+        c = Tensor(np.array(rng(14).normal(size=(2, 3))), requires_grad=True)
+        d = Tensor(np.array(rng(15).normal(size=(2, 3))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(concat_rows([c, d])),
@@ -227,7 +227,7 @@ class TestOperatorGradients:
         )
 
     def test_slice_rows(self):
-        x = parameter(rng(35).normal(size=(5, 3)))
+        x = Tensor(np.array(rng(35).normal(size=(5, 3))), requires_grad=True)
         _assert_grads_ok(
             lambda: cross_entropy_mean(
                 softmax_rows(concat_rows([slice_rows(x, 1, 4), slice_rows(x, 0, 2)])),
@@ -240,8 +240,8 @@ class TestOperatorGradients:
     def test_lstm_cell(self):
         # loss through both outputs, so c's gradient has two consumers; every
         # entry stays well above the 1e-8 floor of grad_check's relative error
-        gates = parameter(rng(36).normal(size=(3, 8)))
-        c_prev = parameter(rng(37).normal(size=(3, 2)))
+        gates = Tensor(np.array(rng(36).normal(size=(3, 8))), requires_grad=True)
+        c_prev = Tensor(np.array(rng(37).normal(size=(3, 2))), requires_grad=True)
         params = {"gates": gates, "c_prev": c_prev}
 
         def loss():
@@ -255,7 +255,7 @@ class TestOperatorGradients:
         assert grad_check(loss, params) < 1e-6
 
     def test_take_rows_scatter_add(self):
-        table = parameter(rng(16).normal(size=(5, 3)))
+        table = Tensor(np.array(rng(16).normal(size=(5, 3))), requires_grad=True)
         idx = np.array([0, 2, 2, 4])  # repeated index exercises accumulation
         _assert_grads_ok(
             lambda: cross_entropy_mean(
@@ -267,7 +267,7 @@ class TestOperatorGradients:
         )
 
     def test_cross_entropy_mean_masked(self):
-        x = parameter(rng(17).normal(size=(4, 3)))
+        x = Tensor(np.array(rng(17).normal(size=(4, 3))), requires_grad=True)
         mask = np.array([False, True, True, False])
         _assert_grads_ok(
             lambda: cross_entropy_mean(
@@ -386,8 +386,8 @@ class TestMatmulTiles:
 
     def test_backward_products_match_finite_differences(self):
         # 70 rows: the forward spans two BLAS calls, 64 rows and a padded tail
-        a = parameter(rng(46).normal(size=(70, 5)))
-        b = parameter(rng(47).normal(size=(5, 3)))
+        a = Tensor(np.array(rng(46).normal(size=(70, 5))), requires_grad=True)
+        b = Tensor(np.array(rng(47).normal(size=(5, 3))), requires_grad=True)
         labels = np.arange(70) % 3
         _assert_grads_ok(
             lambda: cross_entropy_mean(
@@ -416,7 +416,7 @@ class TestTakeRowsScatter:
     @pytest.mark.parametrize("running", [False, True], ids=["fresh", "running"])
     def test_scatter_matches_add_at(self, unique, running):
         gen = rng(50)
-        table = parameter(gen.normal(size=(1200, 32)))
+        table = Tensor(np.array(gen.normal(size=(1200, 32))), requires_grad=True)
         idx = gen.permutation(1200) if unique else gen.integers(0, 40, size=1200)
         g = gen.normal(size=(1200, 32))
         g[::5, ::3] = -0.0
@@ -444,7 +444,7 @@ class TestSigmoidValues:
 
 class TestReluValues:
     def test_keeps_nan(self):
-        x = parameter(np.array([[-1.0, 0.0, 2.0, 0.5]]))
+        x = Tensor(np.array([[-1.0, 0.0, 2.0, 0.5]]), requires_grad=True)
         x.data[0, 3] = np.nan
         assert relu(x).data.tobytes() == np.array([[0.0, 0.0, 2.0, np.nan]]).tobytes()
 
@@ -481,7 +481,7 @@ class TestCrossEntropyMean:
         assert loss.item() == pytest.approx(-math.log(0.6), abs=1e-15)
 
     def test_gradient_only_on_scored_labels(self):
-        probs = parameter(np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]))
+        probs = Tensor(np.array([[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]), requires_grad=True)
         loss = cross_entropy_mean(
             probs, np.array([0, 1]), np.array([False, True])
         )
@@ -498,7 +498,7 @@ class TestCrossEntropyMean:
 
 class TestGradCheckHarness:
     def test_detects_wrong_backward(self):
-        x = parameter(np.array([[1.0, 2.0]]))
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
 
         def bad_double(t):
             def backward(g):
@@ -521,8 +521,8 @@ class TestGradCheckHarness:
         # y enters scaled by 1e-8, so its gradient entries sit near 1e-8,
         # where central-difference round-off alone is about 1e-3 of them;
         # ``factor`` scales y's backward, 1.0 being the true one
-        x = parameter(rng(25).normal(size=(2, 3)))
-        y = parameter(rng(26).normal(size=(2, 3)))
+        x = Tensor(np.array(rng(25).normal(size=(2, 3))), requires_grad=True)
+        y = Tensor(np.array(rng(26).normal(size=(2, 3))), requires_grad=True)
 
         def tiny(t):
             def backward(g):
@@ -550,7 +550,7 @@ class TestGradCheckHarness:
         assert grad_check(loss, params) > 1e-6
 
     def test_passes_correct_graph(self):
-        x = parameter(rng(24).normal(size=(2, 3)))
+        x = Tensor(np.array(rng(24).normal(size=(2, 3))), requires_grad=True)
         err = grad_check(
             lambda: cross_entropy_mean(
                 softmax_rows(x), np.array([0, 1]), np.ones(2, bool)
