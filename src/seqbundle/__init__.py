@@ -14,46 +14,3 @@ The package is organized bottom-up:
   reports    deterministic JSON/CSV/SVG emission
   cli        the ``seqbundle`` command
 """
-
-from .domain import (
-    DEFAULT_CAP,
-    Event,
-    Outcome,
-    Playlist,
-    Session,
-    Track,
-    advance_state,
-    count_states,
-    initial_state,
-    is_terminal,
-    validate_session,
-)
-from .errors import (
-    ConstraintViolation,
-    MetricUndefinedError,
-    NumericError,
-    SchemaError,
-    SeqBundleError,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_CAP",
-    "ConstraintViolation",
-    "Event",
-    "MetricUndefinedError",
-    "NumericError",
-    "Outcome",
-    "Playlist",
-    "SchemaError",
-    "SeqBundleError",
-    "Session",
-    "Track",
-    "advance_state",
-    "count_states",
-    "initial_state",
-    "is_terminal",
-    "validate_session",
-    "__version__",
-]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -235,9 +235,10 @@ class _RowTable:
         rows = self._gather([k for ks in states for k in ks])
         return np.split(rows, np.cumsum([len(ks) for ks in states]))[:-1]
 
-    def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
-        """(B, 3) rows for the events that would follow the given prefixes."""
-        return self._gather([self._prefix_states(events)[-1] for events in prefixes])
+    def decoder(self) -> Callable[[Sequence[Sequence[Event]]], np.ndarray]:
+        """Next-event rows of event prefixes, (B, 3) per call. A count model
+        keeps no per-prefix state: every call is one gather."""
+        return lambda prefixes: self._gather([self._prefix_states(e)[-1] for e in prefixes])
 
 
 @dataclass
@@ -282,7 +283,7 @@ class MarkovPredictor(_RowTable):
         return self._gather(self._prefix_states(session.events)[:-1])
 
     def next_probs(self, events: Sequence[Event]) -> np.ndarray:
-        return self.next_probs_batch([events])[0]
+        return self.decoder()([events])[0]
 
 
 @dataclass
@@ -329,7 +330,7 @@ class ZeroOrderPredictor(_RowTable):
         return self._gather(self._prefix_states(session.events)[:-1])
 
     def next_probs(self, events: Sequence[Event]) -> np.ndarray:
-        return self.next_probs_batch([events])[0]
+        return self.decoder()([events])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Subcommands:
   generate           sample a synthetic dataset from a generator spec
   train              fit one model family on a dataset, storing the split
   evaluate           score a trained run on its stored holdout split
-  analyze-attention  attention profiles against the content-free baselines
+  analyze-attention  key-weight profiles against the uniform attention baseline
   export-prompts     dump prompt/completion pairs for text-completion probes
   summarize          per-playlist descriptive statistics
 
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
-        "analyze-attention", help="attention profiles vs content-free baselines"
+        "analyze-attention", help="key-weight profiles vs the uniform attention baseline"
     )
     _add_data_args(p)
     p.add_argument("--run", type=Path, required=True, help="trained transformer run")

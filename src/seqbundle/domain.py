@@ -397,9 +397,6 @@ class Session:
     def __len__(self) -> int:
         return len(self.events)
 
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return tuple(e.outcome for e in self.events)
-
 
 _SESSION_SLOTS = tuple(Session.__dict__[name].__set__ for name in Session.__slots__)
 

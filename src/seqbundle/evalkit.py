@@ -1,15 +1,15 @@
 """Holdout evaluation: hit rates, confusion, demand rates, and dataset summaries.
 
-All predictors expose predict_sessions(sessions) -> one (n_events + 1, 3)
-array of probability rows per session, ordered (SKIP, PLAY, REPLAY); the row
-at index j is the prediction for event j given everything before it, and the
-last is for the decision after the last event, which no event records. Only
-rows 1..n_events - 1 are scored. Expected-mode demand also needs
-next_probs_batch(prefixes) -> (B, 3) rows for event prefixes of any lengths.
-A predictor that keeps per-prefix state offers decoder() -> a callable with
-next_probs_batch's contract whose calls extend the prefixes of the call
-before, a neural model's by one forward from the cached prefix states; one
-rollout call owns one and drops it when it returns.
+Every predictor answers two calls. predict_sessions(sessions) returns one
+(n_events + 1, 3) array of probability rows per session, ordered (SKIP, PLAY,
+REPLAY); the row at index j is the prediction for event j given everything
+before it, and the last is for the decision after the last event, which no
+event records. Only rows 1..n_events - 1 are scored. decoder() returns a
+callable that maps event prefixes of any lengths to (B, 3) next-event rows;
+expected-mode demand asks it for the rollouts' rows. A neural model's decoder
+keeps per-prefix state, so each call runs one forward on from the prefixes of
+the call before; a count model's is one gather. One rollout call owns one
+decoder and drops it when it returns.
 
 Rows depend on their prefix alone, so evaluation scores, checks and walks
 each distinct event sequence once, keyed on the events tuple (events are
@@ -224,8 +224,8 @@ def rollout_walks(
     """Sample walks from a predictor's own conditionals, all in lockstep:
     walk r draws its first outcome from ``first_row`` with ``uniforms[r, 0]``
     (n_tracks * cap + 1 columns) and the rest through domain.sample_walks, from
-    one call per step to the predictor's decoder() (else ``next_probs_batch``),
-    whose rows pass check_prob_rows before any is drawn from."""
+    one call per step to the predictor's decoder(), whose rows pass
+    check_prob_rows before any is drawn from."""
     n = len(playlist)
     max_events = n * cap + 1
     if uniforms.ndim != 2 or uniforms.shape[1] < max_events:
@@ -234,8 +234,7 @@ def rollout_walks(
             f"got {uniforms.shape}"
         )
     where = f"playlist {playlist.playlist_id!r}: rollout rows"
-    decoder = getattr(predictor, "decoder", None)
-    next_probs = predictor.next_probs_batch if decoder is None else decoder()
+    next_probs = predictor.decoder()
     first = draw_outcomes(first_row, uniforms[:, 0])
     return sample_walks(
         lambda prefixes: check_prob_rows(next_probs(prefixes), where), first, uniforms, n, cap

@@ -36,7 +36,7 @@ from .autodiff import (
 )
 from .checkpoint import load_checkpoint, name_at, save_checkpoint
 from .gradcheck import grad_check
-from .kernels import positional_encoding, positional_encoding_matrix
+from .kernels import positional_encoding_matrix
 from .optim import AdamState, NonFiniteGradient, adam_step
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "name_at",
     "no_grad",
     "parameter_view",
-    "positional_encoding",
     "positional_encoding_matrix",
     "relu",
     "save_checkpoint",

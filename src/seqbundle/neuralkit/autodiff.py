@@ -115,7 +115,7 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, seed: float = 1.0) -> None:
+    def backward(self) -> None:
         """Accumulate gradients of this (scalar) tensor into the graph."""
         if self.data.size != 1:
             raise NumericError(
@@ -136,7 +136,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self.grad = np.full_like(self.data, float(seed))
+        self.grad = np.ones_like(self.data)
         while topo:
             # popping lets a finished node's activations go as soon as
             # nothing else holds it

@@ -18,22 +18,17 @@ from .config import (
     config_from_json,
     config_to_json,
 )
-from .models import LSTMModel, MLPModel, SequenceModel, TransformerModel, make_model
+from .models import make_model
 from .predictors import NeuralPredictor
-from .training import TrainResult, build_training_arrays, train_model
+from .training import build_training_arrays, train_model
 
 __all__ = [
     "LSTMConfig",
-    "LSTMModel",
     "MLPConfig",
-    "MLPModel",
     "ModelKind",
     "NeuralPredictor",
-    "SequenceModel",
     "TrainConfig",
-    "TrainResult",
     "TransformerConfig",
-    "TransformerModel",
     "build_training_arrays",
     "config_from_json",
     "config_to_json",

@@ -54,10 +54,6 @@ class NeuralPredictor:
     cap: int = DEFAULT_CAP
 
     @property
-    def playlist_id(self) -> str:
-        return self.pipeline.playlist.playlist_id
-
-    @property
     def is_causal(self) -> bool:
         return self.model.kind is not ModelKind.ENCODER
 
@@ -142,12 +138,7 @@ class NeuralPredictor:
 
     def next_probs(self, events: tuple[Event, ...]) -> np.ndarray:
         """Probability row for the event that would follow the given prefix."""
-        return self.next_probs_batch([events])[0]
-
-    def next_probs_batch(self, prefixes: Sequence[Sequence[Event]]) -> np.ndarray:
-        """(B, 3) rows for the events that would follow the given prefixes:
-        the cache-less case of decoder(), a fresh one per call."""
-        return self.decoder()(prefixes)
+        return self.decoder()([events])[0]
 
     def decoder(self) -> "PrefixDecoder":
         """A fresh PrefixDecoder: next-event rows of prefixes, whose later
@@ -171,10 +162,10 @@ class PrefixDecoder:
     ``model.initial_state()`` when none is kept; every asked prefix goes
     through one forward. The call keeps only the nodes it asked for: the live
     frontier of lockstep rollouts, which the next call extends by one event.
-    So a fresh query (next_probs_batch) is one forward
-    over its prefixes' rows, and rollout step k costs one row per live
-    distinct prefix. The bidirectional encoder has no prefix state: it runs
-    prediction mode over the distinct prefixes on every call.
+    So a fresh decoder's first call is one forward over its prefixes' rows,
+    and rollout step k costs one row per live distinct prefix. The
+    bidirectional encoder has no prefix state: it runs prediction mode over
+    the distinct prefixes on every call.
     """
 
     def __init__(self, predictor: NeuralPredictor) -> None:

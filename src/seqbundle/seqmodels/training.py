@@ -123,7 +123,8 @@ def train_model(
     train_idx = order[n_val:]
     adam = nk.AdamState(config.learning_rate)
     grads = np.empty_like(model.flat)
-    grad_views = model.views(grads)
+    for name, view in model.views(grads).items():
+        model.params[name].grad = view  # backward adds into these in place
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_val = np.inf
@@ -140,8 +141,6 @@ def train_model(
         for start in range(0, len(epoch_order), config.batch_size):
             batch = epoch_order[start : start + config.batch_size]
             grads.fill(0.0)
-            for name, tensor in model.params.items():
-                tensor.grad = grad_views[name]
             try:
                 loss, n_scored = _batch_loss(model, matrices, labels, batch)
                 loss.backward()

@@ -455,9 +455,7 @@ def second_order_spec(n_sessions: int = 3000, seed: int = 20240602) -> Generator
     )
 
 
-def stopping_spec(
-    n_sessions: int = 400, seed: int = 20240603, n_tracks: int = 6
-) -> GeneratorSpec:
+def stopping_spec(n_sessions: int = 400, seed: int = 20240603) -> GeneratorSpec:
     """Absorbing-skip generator: once a listener skips, they never play again.
 
     Under it, an outcome is SKIP exactly when the observed remaining listening
@@ -473,7 +471,7 @@ def stopping_spec(
             Outcome.PLAY: (0.15, 0.85, 0.0),
             Outcome.REPLAY: (0.38, 0.62, 0.0),
         },
-        n_tracks=n_tracks,
+        n_tracks=6,
         initial_play_prob=0.85,
     )
 

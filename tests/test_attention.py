@@ -1,7 +1,5 @@
 """Attention weight algebra, content-free baselines, harmonic approximation."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -59,7 +59,9 @@ class TestFeasibleCells:
 
     def test_cap_one_closes_every_replay(self, playlist3, three_sessions):
         assert feasible_cells(1)[:, 2].tolist() == [False, False, False]
-        no_replays = [s for s in three_sessions if Outcome.REPLAY not in s.outcomes()]
+        no_replays = [
+            s for s in three_sessions if all(e.outcome is not Outcome.REPLAY for e in s.events)
+        ]
         model = fit_markov(no_replays, playlist3, smoothing=1.0, cap=1)
         assert model.matrix.probs[:, 2].tolist() == [0.0, 0.0, 0.0]
         assert model.matrix.probs[1].tolist() == [0.5, 0.5, 0.0]
@@ -177,7 +179,7 @@ class TestPredictMarkov:
         replayed = make_session(["play", "replay", "play", "replay"])
         with caplog.at_level(logging.WARNING):
             predictor.predict_sessions([replayed, replayed, replayed])
-            predictor.next_probs_batch([replayed.events[:2], replayed.events[:2]])
+            predictor.decoder()([replayed.events[:2], replayed.events[:2]])
         # each session reads the empty REPLAY row twice: at event 3, and at
         # the decision after its last event, a replay
         assert [r.getMessage().split(" read ")[1] for r in caplog.records] == [

@@ -3,7 +3,6 @@
 import csv
 import json
 import logging
-import math
 import re
 from dataclasses import replace
 
@@ -377,7 +376,7 @@ class TestSessionLoader:
         with caplog.at_level(logging.WARNING):
             loaded = load_sessions(path, {"pl": playlist3}, strict=False)
         assert [s.session_id for s in loaded.sessions] == ["a", "b"]
-        assert loaded.sessions[0].outcomes() == (Outcome.PLAY, Outcome.SKIP)
+        assert tuple(e.outcome for e in loaded.sessions[0].events) == (Outcome.PLAY, Outcome.SKIP)
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 2
         assert "line 2: duplicate session_id 'a' (first on line 1)" in warnings[0]
@@ -576,7 +575,7 @@ class TestRepeatedLines:
             + head + ', "session_id": "b"}\n'
         )
         loaded = load_sessions(path, {"pl": playlist3})
-        assert [s.outcomes() for s in loaded.sessions] == [
+        assert [tuple(e.outcome for e in s.events) for s in loaded.sessions] == [
             (Outcome.SKIP,),
             (Outcome.PLAY,),
         ]
@@ -724,7 +723,7 @@ class TestSessionEnd:
             {"pl": playlist3}, [make_session(["play"], sid="s")]
         )
         full = apply_session_end(dataset, SessionEndMode.FULL)
-        outcomes = full.sessions[0].outcomes()
+        outcomes = tuple(e.outcome for e in full.sessions[0].events)
         assert outcomes == (Outcome.PLAY, Outcome.SKIP, Outcome.SKIP)
 
     def test_truncate_drops_after_last_play(self, playlist3):
@@ -732,14 +731,14 @@ class TestSessionEnd:
             {"pl": playlist3}, [make_session(["play", "replay", "skip"], sid="s")]
         )
         cut = apply_session_end(dataset, SessionEndMode.TRUNCATE)
-        assert cut.sessions[0].outcomes() == (Outcome.PLAY, Outcome.REPLAY)
+        assert tuple(e.outcome for e in cut.sessions[0].events) == (Outcome.PLAY, Outcome.REPLAY)
 
     def test_truncate_keeps_first_event_of_all_skip_session(self, playlist3):
         dataset = dataset_from_sessions(
             {"pl": playlist3}, [make_session(["skip", "skip", "skip"], sid="s")]
         )
         cut = apply_session_end(dataset, SessionEndMode.TRUNCATE)
-        assert cut.sessions[0].outcomes() == (Outcome.SKIP,)
+        assert tuple(e.outcome for e in cut.sessions[0].events) == (Outcome.SKIP,)
 
     def test_modes_are_idempotent(self, playlist3):
         dataset = dataset_from_sessions(

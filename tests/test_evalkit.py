@@ -78,7 +78,10 @@ class FixedRowPredictor:
     def next_probs(self, events):
         return self.row.copy()
 
-    def next_probs_batch(self, prefixes):
+    def decoder(self):
+        return self.next_rows
+
+    def next_rows(self, prefixes):
         return np.tile(self.row, (len(prefixes), 1))
 
 
@@ -94,9 +97,9 @@ class RecordingPredictor(FixedRowPredictor):
         self.session_calls += 1
         return super().predict_sessions(sessions)
 
-    def next_probs_batch(self, prefixes):
+    def next_rows(self, prefixes):
         self.batches.append(list(prefixes))
-        return super().next_probs_batch(prefixes)
+        return super().next_rows(prefixes)
 
 
 ROLLOUT_FIT_SESSIONS = [
@@ -133,7 +136,10 @@ class FullForwardQueries:
         self.predictor = predictor
         self.queries = []
 
-    def next_probs_batch(self, prefixes):
+    def decoder(self):
+        return self.next_rows
+
+    def next_rows(self, prefixes):
         self.queries.append(list(prefixes))
         model, pipeline = self.predictor.model, self.predictor.pipeline
         with nk.no_grad():
@@ -335,8 +341,8 @@ class TestRollouts:
 
     def test_rollout_rows_are_checked_before_drawing(self):
         class NanRows(FixedRowPredictor):
-            def next_probs_batch(self, prefixes):
-                rows = super().next_probs_batch(prefixes)
+            def next_rows(self, prefixes):
+                rows = super().next_rows(prefixes)
                 rows[-1] = (np.nan, 1.0, 0.0)
                 return rows
 
@@ -624,7 +630,10 @@ class TableRows:
         self.table = [np.array(row) / sum(row) for row in table]
         self.rows = {}
 
-    def next_probs_batch(self, prefixes):
+    def decoder(self):
+        return self.next_rows
+
+    def next_rows(self, prefixes):
         out = []
         for prefix in prefixes:
             last = prefix[-1]
@@ -906,5 +915,5 @@ class TestPrefixRule:
         )
         for session, rows in zip(sessions, predictor.predict_sessions(sessions)):
             for j in range(1, len(session.events) + 1):
-                query = predictor.next_probs_batch([session.events[:j]])[0]
+                query = predictor.decoder()([session.events[:j]])[0]
                 assert rows[j].tobytes() == query.tobytes(), (session.session_id, j)

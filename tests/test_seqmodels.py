@@ -423,7 +423,7 @@ class TestBatchedForward:
                     continue
                 probs, _ = model.forward(rows)
                 mask = np.arange(len(labs)) != 0
-                cross_entropy_mean(probs, labs, mask).backward(seed=(len(labs) - 1) / total)
+                nk.scale(cross_entropy_mean(probs, labs, mask), (len(labs) - 1) / total).backward()
             grads = {name: p.grad for name, p in model.params.items()}
         assert all(g.dtype == np.float64 for g in grads.values())
         for name, grad in grads.items():
@@ -1095,8 +1095,8 @@ class TestFlatParameters:
         matrices, labels = self.training_data()
         backward = nk.Tensor.backward
 
-        def poisoned_backward(tensor, seed=1.0):
-            backward(tensor, seed)
+        def poisoned_backward(tensor):
+            backward(tensor)
             model.params["l1/wh"].grad[2, 3] = np.nan  # a view of the trainer's vector
 
         monkeypatch.setattr(nk.Tensor, "backward", poisoned_backward)
@@ -1336,18 +1336,18 @@ class TestBatchedInference:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind,config", FAMILIES, ids=FAMILY_IDS)
-    def test_next_probs_batch_rows_equal_next_probs(self, kind, config):
+    def test_decoder_rows_equal_next_probs(self, kind, config):
         predictor, sessions = self.build(kind, config)
         prefixes = [s.events[:n] for s in sessions for n in (4, 1, 2) if len(s) >= n]
-        rows = predictor.next_probs_batch(prefixes)
+        rows = predictor.decoder()(prefixes)
         assert rows.shape == (len(prefixes), 3)
         for events, row in zip(prefixes, rows):
             assert row.tobytes() == predictor.next_probs(events).tobytes()
 
-    def test_next_probs_batch_needs_nonempty_prefixes(self):
+    def test_decoder_needs_nonempty_prefixes(self):
         predictor, sessions = self.build(*FAMILIES[0])
         with pytest.raises(ConstraintViolation, match="at least one event"):
-            predictor.next_probs_batch([sessions[0].events, ()])
+            predictor.decoder()([sessions[0].events, ()])
 
 
 class TestPrefixSharing:
@@ -1430,7 +1430,7 @@ class TestPrefixSharing:
             return forward(rows, lengths, states)
 
         monkeypatch.setattr(model, "forward", counting_forward)
-        rows = predictor.next_probs_batch(prefixes)
+        rows = predictor.decoder()(prefixes)
         assert decoded == [2 + 3 + 4 + 5 + 6]  # each prefix's rows, in one forward
         for row, want in zip(rows, expected, strict=True):
             assert row.tobytes() == want.tobytes()
@@ -1579,7 +1579,7 @@ class TestOnePrecision:
             model=make_model(kind, config, seed=4), pipeline=fitted_pipeline(playlist, sessions)
         )
         returned = {"scored": predictor.predict_sessions(sessions)}
-        returned["query"] = [predictor.next_probs_batch([s.events for s in sessions])]
+        returned["query"] = [predictor.decoder()([s.events for s in sessions])]
         returned["rollout"] = []
         make_decoder = predictor.decoder
 

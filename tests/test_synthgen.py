@@ -243,7 +243,7 @@ class TestGeneration:
         # skip rate following a skip, split by what came before that skip
         after = {"skip": [0, 0], "play": [0, 0]}
         for session in dataset.sessions:
-            outcomes = session.outcomes()
+            outcomes = tuple(e.outcome for e in session.events)
             for j in range(2, len(outcomes)):
                 if outcomes[j - 1] is not Outcome.SKIP:
                     continue
@@ -264,7 +264,7 @@ class TestGeneration:
     def test_stopping_sessions_never_resume(self):
         dataset = generate(stopping_spec(n_sessions=200, seed=4))
         for session in dataset.sessions:
-            outcomes = session.outcomes()
+            outcomes = tuple(e.outcome for e in session.events)
             if Outcome.SKIP in outcomes:
                 first_skip = outcomes.index(Outcome.SKIP)
                 assert all(o is Outcome.SKIP for o in outcomes[first_skip:])
