@@ -215,18 +215,12 @@ _NO_PREV = N_OUTCOMES  # the previous-outcome slot of the empty prefix
 class _RowTable:
     """A count model's rows, one per prefix state, built with the predictor.
 
-    A subclass sets ``rows``, the ``fallback`` mask of the states whose row
-    stands in for a fit the model lacks, and ``_prefix_states(events)``, the
-    states after events[:k] for k = 0..len(events). Every prediction is one
-    gather, with at most one warning per call.
+    A subclass sets ``rows`` and ``_prefix_states(events)``, the states after
+    events[:k] for k = 0..len(events). Every prediction is one gather.
     """
 
     def _gather(self, states: Sequence[int]) -> np.ndarray:
-        states = np.asarray(states, dtype=np.intp)
-        if n_fallback := int(np.count_nonzero(self.fallback[states])):
-            log.warning("%s for playlist %r read %d fallback row(s): the playlist marginal",
-                        type(self).__name__, self.playlist_id, n_fallback)
-        return self.rows[states]
+        return self.rows[np.asarray(states, dtype=np.intp)]
 
     def predict_sessions(self, sessions: Sequence[Session]) -> list[np.ndarray]:
         """Each session's (n_events + 1, 3) rows, teacher-forced, the last for
@@ -249,7 +243,8 @@ class MarkovPredictor(_RowTable):
     the empty prefix for o == _NO_PREV, whose row is the marginal. MC has the
     one position slot 0; pMC has slots up to K+1 for fitted positions 2..K,
     and later positions read slot K+1. Rows no matrix fills, and structurally
-    empty ones, fall back to the marginal.
+    empty ones, fall back to the marginal: the ``fallback`` mask marks them,
+    and a call that reads any logs one warning.
     """
 
     model: MarkovModel
@@ -267,9 +262,12 @@ class MarkovPredictor(_RowTable):
                     fallback[position, o] = False
         self.rows, self.fallback = rows.reshape(-1, N_OUTCOMES), fallback.reshape(-1)
 
-    @property
-    def playlist_id(self) -> str:
-        return self.model.playlist_id
+    def _gather(self, states: Sequence[int]) -> np.ndarray:
+        states = np.asarray(states, dtype=np.intp)
+        if n_fallback := int(np.count_nonzero(self.fallback[states])):
+            log.warning("MarkovPredictor for playlist %r read %d fallback row(s): "
+                        "the playlist marginal", self.model.playlist_id, n_fallback)
+        return super()._gather(states)
 
     @property
     def cap(self) -> int:
@@ -312,11 +310,6 @@ class ZeroOrderPredictor(_RowTable):
         skip = np.append(probs[:, 0], 1.0)[:, None]
         rows = np.stack(((1 - r) * skip, (1 - r) * (1 - skip), r), axis=-1)
         self.rows = rows.reshape(-1, N_OUTCOMES)
-        self.fallback = np.zeros(len(self.rows), dtype=bool)
-
-    @property
-    def playlist_id(self) -> str:
-        return self.table.playlist_id
 
     @property
     def cap(self) -> int:

@@ -287,15 +287,12 @@ def _read_flags(args, table: dict) -> dict:
 
 
 def cmd_generate(args) -> int:
-    _read_flags(args, {"seed": _SEED, "n_sessions": _COUNT})
+    overrides = _read_flags(args, {"seed": _SEED, "n_sessions": _COUNT})
     if args.name:
-        spec = synthgen.named_spec(args.name, args.n_sessions, args.seed)
+        spec = synthgen.named_spec(args.name)
     else:
         spec = synthgen.spec_from_json(read_json(args.spec), str(args.spec))
-        if args.n_sessions is not None:
-            spec = replace(spec, n_sessions=args.n_sessions)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+    spec = replace(spec, **overrides)
     dataset = synthgen.generate(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     playlists_path = args.out / "playlists.jsonl"
@@ -359,6 +356,8 @@ _TRAIN_HELP = {
     "smoothing": "markov pseudo-count",
     "leak": "use observed remaining time (ablation; leaks the future)",
     "feasibility_mask": "zero structurally impossible replay probabilities",
+    "max_positions": "rows of the encoder's learned position table; the causal "
+    "transformer's fixed table grows with the data",
 }
 
 

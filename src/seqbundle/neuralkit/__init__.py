@@ -38,37 +38,3 @@ from .checkpoint import load_checkpoint, name_at, save_checkpoint
 from .gradcheck import grad_check
 from .kernels import positional_encoding_matrix
 from .optim import AdamState, NonFiniteGradient, adam_step
-
-__all__ = [
-    "AdamState",
-    "FLOAT",
-    "NonFiniteGradient",
-    "Tensor",
-    "adam_step",
-    "add",
-    "attention",
-    "causal_softmax",
-    "concat_cols",
-    "concat_rows",
-    "cross_entropy_mean",
-    "grad_check",
-    "layer_norm",
-    "load_checkpoint",
-    "lstm_cell",
-    "matmul",
-    "mul",
-    "name_at",
-    "no_grad",
-    "parameter_view",
-    "positional_encoding_matrix",
-    "relu",
-    "save_checkpoint",
-    "scale",
-    "sigmoid",
-    "slice_cols",
-    "slice_rows",
-    "softmax_rows",
-    "take_rows",
-    "tanh",
-    "transpose",
-]

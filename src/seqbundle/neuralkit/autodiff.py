@@ -26,7 +26,8 @@ gradients and a batch's activations are released during the backward pass.
 A node's first gradient is a fresh 0 + g, with the bits of zeros plus g and
 no zero-fill; later ones add in place. Leaf gradients are views of the
 trainer's gradient vector: training binds each parameter's grad to its view
-before a minibatch, so backward accumulates there in place.
+once, before the epoch loop, and zero-fills the vector per minibatch, so
+backward accumulates there in place.
 Inference runs under no_grad(), which links no graph at all: each activation
 is freed once the next op has read it, and values are the same bit for bit.
 
@@ -274,23 +275,23 @@ def transpose(x: Tensor) -> Tensor:
     return _result(x.data.T.copy(), (x,), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); NaN stays NaN, so a non-finite input still reaches the loss."""
-    mask = x.data > 0
+def _mapped(x: Tensor, y: np.ndarray, slope: np.ndarray) -> Tensor:
+    """An elementwise function's output ``y`` of ``x``, with dy/dx = ``slope``."""
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g * mask)
+        _accum(x, g * slope)
 
-    return _result(np.maximum(x.data, 0.0), (x,), backward)
+    return _result(y, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0); NaN stays NaN, so a non-finite input still reaches the loss."""
+    return _mapped(x, np.maximum(x.data, 0.0), x.data > 0)
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g * (1.0 - y * y))
-
-    return _result(y, (x,), backward)
+    return _mapped(x, y, 1.0 - y * y)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -301,11 +302,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     y = _sigmoid(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g * y * (1.0 - y))
-
-    return _result(y, (x,), backward)
+    return _mapped(x, y, y * (1.0 - y))
 
 
 def lstm_cell(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
@@ -480,46 +477,40 @@ def attention(
     return _result(out, (qkv,), backward), alpha
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    widths = [p.data.shape[1] for p in parts]
+def _joined(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """The parts joined along ``axis``; each takes its own piece of the gradient."""
+    ends = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
 
     def backward(g: np.ndarray) -> None:
-        offset = 0
-        for part, width in zip(parts, widths):
-            _accum(part, g[:, offset : offset + width])
-            offset += width
+        for part, piece in zip(parts, np.split(g, ends, axis=axis)):
+            _accum(part, piece)
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
+    return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    heights = [p.data.shape[0] for p in parts]
+    return _joined(parts, 0)
+
+
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    return _joined(parts, 1)
+
+
+def _part(x: Tensor, where) -> Tensor:
+    """x.data[where]; the gradient goes back into that part of x's gradient, in place."""
 
     def backward(g: np.ndarray) -> None:
-        offset = 0
-        for part, height in zip(parts, heights):
-            _accum(part, g[offset : offset + height, :])
-            offset += height
+        _accum_at(x, where, g)
 
-    return _result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start..stop-1; the gradient goes back into x's columns in place."""
-
-    def backward(g: np.ndarray) -> None:
-        _accum_at(x, (slice(None), slice(start, stop)), g)
-
-    return _result(x.data[:, start:stop], (x,), backward)
+    return _result(x.data[where], (x,), backward)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start..stop-1; the gradient goes back into x's rows in place."""
+    return _part(x, slice(start, stop))
 
-    def backward(g: np.ndarray) -> None:
-        _accum_at(x, slice(start, stop), g)
 
-    return _result(x.data[start:stop], (x,), backward)
+def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    return _part(x, (slice(None), slice(start, stop)))
 
 
 def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:

@@ -21,17 +21,3 @@ from .config import (
 from .models import make_model
 from .predictors import NeuralPredictor
 from .training import build_training_arrays, train_model
-
-__all__ = [
-    "LSTMConfig",
-    "MLPConfig",
-    "ModelKind",
-    "NeuralPredictor",
-    "TrainConfig",
-    "TransformerConfig",
-    "build_training_arrays",
-    "config_from_json",
-    "config_to_json",
-    "make_model",
-    "train_model",
-]

@@ -1,10 +1,10 @@
 """Teacher-forced training loop with early stopping.
 
 Training owns one gradient vector laid out as the model's parameter vector
-``flat`` and of its dtype, nk.FLOAT, as Adam's moments are. Before each
-minibatch it is zeroed with one fill and each parameter's grad is bound to its
-view, so backward accumulates in place and Adam updates ``flat`` in place from
-it.
+``flat`` and of its dtype, nk.FLOAT, as Adam's moments are. Each parameter's
+grad is bound to its view once, before the epoch loop; before each minibatch
+the vector is zeroed with one fill, so backward accumulates in place and Adam
+updates ``flat`` in place from it.
 
 The loss is the mean cross-entropy over every scored position (event index
 >= 2) in the minibatch. The minibatch's sessions, whatever their lengths, are

@@ -512,18 +512,14 @@ _CANONICAL_SPECS = {
 CANONICAL_SPEC_NAMES = tuple(sorted(_CANONICAL_SPECS))
 
 
-def named_spec(name: str, n_sessions: int | None = None, seed: int | None = None) -> GeneratorSpec:
-    """One of the canonical generator specs, optionally resized or reseeded."""
+def named_spec(name: str, n_sessions: int | None = None) -> GeneratorSpec:
+    """One of the canonical generator specs, optionally resized."""
     if name not in _CANONICAL_SPECS:
         raise ConstraintViolation(
             f"unknown spec name {name!r}; choices: {sorted(_CANONICAL_SPECS)}"
         )
     spec = _CANONICAL_SPECS[name]()
-    if n_sessions is not None:
-        spec = replace(spec, n_sessions=n_sessions)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    return spec
+    return spec if n_sessions is None else replace(spec, n_sessions=n_sessions)
 
 
 def _row_to_json(row: Row) -> list[float]:

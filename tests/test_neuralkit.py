@@ -10,7 +10,6 @@ import pytest
 from conftest import rng
 from seqbundle.errors import ConstraintViolation, NumericError, SchemaError
 from seqbundle.neuralkit import optim
-from seqbundle.neuralkit.kernels import positional_encoding
 from seqbundle.neuralkit import (
     FLOAT,
     AdamState,
@@ -44,27 +43,28 @@ from seqbundle.neuralkit import (
 
 class TestKernels:
     def test_positional_encoding_zero_position(self):
-        enc = positional_encoding(0, 8)
+        enc = positional_encoding_matrix(1, 8)[0]
         assert np.array_equal(enc[0::2], np.zeros(4))
         assert np.array_equal(enc[1::2], np.ones(4))
         assert np.dot(enc, enc) == pytest.approx(4.0)  # dim / 2
 
     def test_positional_encoding_frozen_entries(self):
-        enc = positional_encoding(1, 4)
+        enc = positional_encoding_matrix(2, 4)[1]
         expected = np.array(
             [math.sin(1.0), math.cos(1.0), math.sin(0.01), math.cos(0.01)]
         )
         assert np.allclose(enc, expected, atol=1e-15)
 
     def test_positional_encoding_matrix_stacks(self):
-        mat = positional_encoding_matrix(5, 6)
-        assert mat.shape == (5, 6)
-        for p in range(5):
-            assert np.array_equal(mat[p], positional_encoding(p, 6))
+        """A row's bits do not depend on how many rows the table holds."""
+        mat = positional_encoding_matrix(40, 6)
+        assert mat.shape == (40, 6)
+        for n in (1, 2, 5, 8, 9, 17, 39):
+            assert np.array_equal(positional_encoding_matrix(n, 6), mat[:n])
 
     def test_positional_encoding_rejects_odd_dim(self):
         with pytest.raises(NumericError):
-            positional_encoding(0, 3)
+            positional_encoding_matrix(1, 3)
 
 
 class TestTensor:

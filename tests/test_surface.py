@@ -12,11 +12,14 @@ __init__ imports is reached from the same callers through that package: it is
 imported from the package, read as an attribute of a name bound to the
 package, or named by an identifier string. And no module under src/, tests/
 or scripts/, package __init__ files aside, imports a name it never reads.
+Last, perfbench's tracer, which wraps names it looks up by string, finds each
+of them and puts each original back.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -435,3 +438,24 @@ IMPORT_CASES = {
 def test_the_import_check_lists_exactly_the_unread_imports(tmp_path, files, expected):
     _write_tree(tmp_path, files)
     assert unread_imports(tmp_path) == expected
+
+
+def _looked_up(owner, attr: str):
+    """What the tracer patches: a class's own attribute, a module's attribute."""
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_the_benchmark_tracer_installs_and_removes_cleanly():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    instrumentation = tracing.Instrumentation(tracing.Tracer())
+    try:
+        instrumentation.install()  # a wrapped name that is gone fails here, by name
+        patched = list(instrumentation._saved)
+        assert all(_looked_up(owner, attr) is not original for owner, attr, original in patched)
+    finally:
+        instrumentation.remove()
+    assert len(patched) > len(tracing.OP_KINDS)
+    for owner, attr, original in patched:
+        assert _looked_up(owner, attr) is original, f"{owner.__name__}.{attr} not restored"

@@ -490,7 +490,7 @@ class TestNamedSpecs:
         )
 
     def test_named_spec_resize_and_reseed(self):
-        spec = named_spec("frequent_pattern", n_sessions=33, seed=99)
+        spec = replace(named_spec("frequent_pattern", n_sessions=33), seed=99)
         assert spec.n_sessions == 33
         assert spec.seed == 99
         assert spec.kind == "markov1"
@@ -519,6 +519,7 @@ class TestNamedSpecs:
             spec_from_json(obj, "spec.json")
 
     def test_integral_floats_are_read_as_integers(self):
-        obj = spec_to_json(named_spec("second_order", n_sessions=25, seed=7))
+        spec = replace(named_spec("second_order", n_sessions=25), seed=7)
+        obj = spec_to_json(spec)
         obj.update(n_sessions=25.0, seed=7.0, cap=2.0)
-        assert spec_from_json(obj) == named_spec("second_order", n_sessions=25, seed=7)
+        assert spec_from_json(obj) == spec
