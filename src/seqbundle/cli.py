@@ -574,13 +574,17 @@ def _load_run(args) -> tuple[str, list[str], Dataset]:
     if not run_path.is_file():
         raise SchemaError(f"{args.run}: not a trained run (no run.json)")
     run = read_fields(read_json(run_path), _RUN_FIELDS, run_path)
-    dataset = _load_data(args, run["options"]["session_end"])
     playlists_path, sessions_path = _data_paths(args)
-    if run["data_digests"] not in (None, _data_digests(playlists_path, sessions_path)):
+    # before the load, so foreign data is named as such even if it is invalid;
+    # a missing file is left to the load, which names it
+    if (run["data_digests"] is not None and playlists_path.is_file()
+            and sessions_path.is_file()
+            and run["data_digests"] != _data_digests(playlists_path, sessions_path)):
         raise SchemaError(
             f"{run_path}: --data does not match the data this run was trained "
             f"on (content digests differ)"
         )
+    dataset = _load_data(args, run["options"]["session_end"])
     if unknown := sorted(set(run["playlists"]) - set(dataset.playlists)):
         raise SchemaError(
             f"{run_path}: field 'playlists': no playlist {unknown[0]!r} in {playlists_path}"

@@ -7,7 +7,10 @@ load builds each distinct event once and validates each distinct (playlist,
 event sequence) once; sessions with the same sequence share its immutable
 events tuple. A JSONL line that repeats an accepted line's text up to its
 session id, and whose id needs no JSON unescaping, is not parsed again: its
-id is cut from the line with string operations. FeaturePipeline._rows builds
+id is cut from the line with string operations. A new line in exactly the
+writer's form is read by its text too: its events are looked up among the
+event texts the writer writes. A CSV row whose (playlist_id, pos, action)
+cells an earlier row had reuses that row's read. FeaturePipeline._rows builds
 every model input row from the events before it alone, for training, scoring
 and next-event queries alike. Remaining listening time is a suffix sum over
 the session's events, so it is never negative and is exactly 0 after the
@@ -249,16 +252,24 @@ def load_sessions(
             sequences[playlist_id, events] = events
         return session
 
-    readers = {"jsonl": _load_sessions_jsonl, "csv": _load_sessions_csv}
-    if fmt not in readers:
+    if fmt == "jsonl":
+        longest = max(map(len, playlists.values()), default=0)
+        sessions = _load_sessions_jsonl(Path(path), build, strict, longest)
+    elif fmt == "csv":
+        sessions = _load_sessions_csv(Path(path), build, strict)
+    else:
         raise SchemaError(f"unknown session format {fmt!r} (expected jsonl or csv)")
-    sessions = readers[fmt](Path(path), build, strict)
     if not sessions:
         raise SchemaError(f"{path}: no valid sessions loaded")
     return dataset_from_sessions(playlists, sessions, cap=cap)
 
 
-# The writer sorts keys, so a written line ends with this pair.
+# The writer sorts keys, so a written line is _EVENTS_OPEN, its event texts
+# joined by _EVENT_SEP, _PLAYLIST_PAIR and the playlist id, then _ID_PAIR and
+# the session id, and "}".
+_EVENTS_OPEN = '{"events": [{'
+_EVENT_SEP = "}, {"
+_PLAYLIST_PAIR = '}], "playlist_id": '
 _ID_PAIR = ', "session_id": '
 # lines the writer joins into one write
 _WRITE_CHUNK_LINES = 1024
@@ -286,13 +297,49 @@ _SESSION_FIELDS = {"session_id": string, "playlist_id": string,
                    "events": [{"pos": _POSITION, "action": _ACTION}]}
 
 
-def _load_sessions_jsonl(path: Path, build, strict: bool) -> list[Session]:
-    """Read each line by _SESSION_FIELDS and build it, except a line whose
-    tail is a _plain_id and whose text before its last _ID_PAIR an earlier
-    such line was accepted with: only its id is read, and it shares that
-    line's events. Any other line takes the full path, so every valid line
-    loads as json.loads would read it."""
+def _event_texts(longest: int) -> dict[str, tuple[int, str]]:
+    """The text the writer puts between an event's braces, for each position
+    1..``longest`` and outcome, to the (pos, action) the event reads as."""
+    return {
+        json.dumps(_event_json(pos, outcome.value), sort_keys=True)[1:-1]: (pos, outcome.value)
+        for pos in range(1, longest + 1)
+        for outcome in Outcome
+    }
+
+
+def _written_fields(head: str, event_texts) -> tuple[str, list[tuple[int, str]]] | None:
+    """(playlist_id, (pos, action) pairs) of ``head``, a line's text before its
+    last _ID_PAIR, when it is exactly the writer's: _EVENTS_OPEN, keys of
+    ``event_texts`` joined by _EVENT_SEP, _PLAYLIST_PAIR and a playlist id
+    that _plain_id would read, were it the line's last value. Else None. No
+    event text holds "}", so _PLAYLIST_PAIR's first match ends the events."""
+    if not head.startswith(_EVENTS_OPEN):
+        return None
+    events, pair, quoted = head.partition(_PLAYLIST_PAIR)
+    playlist_id = _plain_id(quoted + "}") if pair else None
+    if playlist_id is None:
+        return None
+    try:
+        return playlist_id, [event_texts[t] for t in events[len(_EVENTS_OPEN):].split(_EVENT_SEP)]
+    except KeyError:
+        return None
+
+
+def _load_sessions_jsonl(path: Path, build, strict: bool, longest: int) -> list[Session]:
+    """Read each line by one of three tiers, so every valid line loads as
+    json.loads would read it:
+
+    1. a line whose tail is a _plain_id and whose text before its last
+       _ID_PAIR an earlier line was accepted with: only its id is read, and it
+       shares that line's events;
+    2. a new line in exactly the writer's form (_written_fields), with
+       positions up to ``longest``: its events are looked up by their text;
+    3. any other line: read by _SESSION_FIELDS.
+
+    Tiers 2 and 3 build the session the same way, so a refused line reads the
+    same in either."""
     read = field_reader(_SESSION_FIELDS)
+    event_texts = _event_texts(longest)
     sessions: list[Session] = []
     first_line: dict[str, int] = {}
     # line text before _ID_PAIR -> (playlist_id, events) accepted with it
@@ -309,9 +356,13 @@ def _load_sessions_jsonl(path: Path, build, strict: bool) -> list[Session]:
                 session = Session(session_id, *known)
             else:
                 try:
-                    fields = _read_line(line, read)
-                    session = build(fields["session_id"], fields["playlist_id"],
-                                    [(e["pos"], e["action"]) for e in fields["events"]])
+                    written = None if session_id is None else _written_fields(head, event_texts)
+                    if written is not None:
+                        session = build(session_id, *written)
+                    else:
+                        fields = _read_line(line, read)
+                        session = build(fields["session_id"], fields["playlist_id"],
+                                        [(e["pos"], e["action"]) for e in fields["events"]])
                 except (SchemaError, ConstraintViolation) as exc:
                     _skip_or_raise(SchemaError(f"{path} line {lineno}: {exc}"), strict)
                     continue
@@ -344,28 +395,44 @@ _CSV_FIELDS = {"session_id": string, "playlist_id": string,
 
 
 def _load_sessions_csv(path: Path, build, strict: bool) -> list[Session]:
-    """Read each row by _CSV_FIELDS, refusing one with more cells than the
-    header. Sessions' rows may interleave; file order is each one's event
-    order. A session is built once its rows are read, and an error there
-    names its first line; a refused row names its own and drops its session."""
+    """Read each row by _CSV_FIELDS, its cells taken by the header's column
+    indices (a repeated column name's last), refusing a row with more cells
+    than the header. A row whose (playlist_id, pos, action) cells an earlier
+    row had reuses that row's read. Sessions' rows may interleave; file order
+    is each one's event order. A session is built once its rows are read, and
+    an error there names its first line; a refused row names its own and drops
+    its session."""
     # session_id -> (its first line number, playlist_id, (pos, action) pairs)
     rows: dict[str, tuple[int, str, list[tuple[int, str]]]] = {}
     bad: set[str] = set()
     read = field_reader(_CSV_FIELDS)
+    # (playlist_id, pos, action) cells -> (playlist_id, (pos, action)) read from them
+    cells_read: dict[tuple[str, str, str], tuple[str, tuple[int, str]]] = {}
     with open(path, encoding="utf-8", newline="") as fh, _refuse_non_utf8(path):
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or ()
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in _CSV_FIELDS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing CSV columns {missing}")
+        column = {name: i for i, name in enumerate(header)}
+        sid_at, pid_at, pos_at, action_at = (column[c] for c in _CSV_FIELDS)
+        width = len(header)
         for row in reader:
-            sid = row["session_id"]
+            if not row:  # a blank line
+                continue
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            sid = row[sid_at]
             try:
-                if None in row:  # DictReader's key for the cells past the header
-                    n_cells = len(header) + len(row[None])
-                    raise SchemaError(f"{n_cells} cells, the header has {len(header)}")
-                fields = read(row)
-                pid = fields["playlist_id"]
+                if len(row) > width:
+                    raise SchemaError(f"{len(row)} cells, the header has {width}")
+                cells = (row[pid_at], row[pos_at], row[action_at])
+                known = None if sid is None else cells_read.get(cells)
+                if known is None:
+                    fields = read(dict(zip(_CSV_FIELDS, (sid, *cells))))
+                    known = cells_read[cells] = (
+                        fields["playlist_id"], (fields["pos"], fields["action"]))
+                pid, event = known
                 _, first_pid, pairs = rows.setdefault(sid, (reader.line_num, pid, []))
                 if pid != first_pid:
                     raise SchemaError(
@@ -375,7 +442,7 @@ def _load_sessions_csv(path: Path, build, strict: bool) -> list[Session]:
                 _skip_or_raise(err, strict, f"session {sid!r} skipped")
                 bad.add(sid)
                 continue
-            pairs.append((fields["pos"], fields["action"]))
+            pairs.append(event)
     sessions = []
     for sid, (lineno, pid, pairs) in rows.items():
         if sid in bad:
@@ -412,14 +479,15 @@ def playlist_to_json(playlist: Playlist) -> dict:
     }
 
 
+def _event_json(pos: int, action: str) -> dict:
+    return {"pos": pos, "action": action}
+
+
 def session_to_json(session: Session) -> dict:
     return {
         "session_id": session.session_id,
         "playlist_id": session.playlist_id,
-        "events": [
-            {"pos": e.track_position, "action": e.outcome.value}
-            for e in session.events
-        ],
+        "events": [_event_json(e.track_position, e.outcome.value) for e in session.events],
     }
 
 

@@ -482,6 +482,25 @@ TRICKY_VALUES = [
     {"events": [], "session_id": "z"},
 ]
 SEPARATORS = [(", ", ": "), (",", ":"), (" ,  ", " : ")]
+# Event texts the writer never writes, each put in place of one event of a
+# line in the writer's layout: a float, boolean, leading-zero (invalid JSON),
+# zero or past-every-playlist position, an extra key, an escaped action, and
+# the keys in the other order. Line playlists hold up to 3 tracks.
+NEAR_MISS_EVENTS = [
+    '"action": "play", "pos": 1.0',
+    '"action": "play", "pos": true',
+    '"action": "play", "pos": 01',
+    '"action": "play", "pos": 0',
+    '"action": "skip", "pos": 4',
+    '"action": "play", "pos": 1, "x": 1',
+    '"action": "pl\\u0061y", "pos": 1',
+    '"pos": 1, "action": "play"',
+]
+
+
+def escape_first(text):
+    """``text``, a JSON string, with its first character written as a \\u escape."""
+    return f'"\\u{ord(text[1]):04x}{text[2:]}' if len(text) > 2 else text
 
 
 @st.composite
@@ -496,6 +515,15 @@ def session_lines(draw):
     ]
     if draw(st.booleans()):
         line = json.dumps(dict(pairs), sort_keys=True)
+        if draw(st.booleans()):  # a near miss of the writer's form
+            events, pid = pairs[0][1], pairs[1][1]
+            written = json.dumps(draw(st.sampled_from(events)), sort_keys=True)
+            near = "{" + draw(st.sampled_from(NEAR_MISS_EVENTS)) + "}"
+            pid_pair = '"playlist_id": ' + json.dumps(pid)
+            line = draw(st.sampled_from([
+                line.replace(written, near, 1),
+                line.replace(pid_pair, '"playlist_id": ' + escape_first(json.dumps(pid))),
+            ]))
     else:
         pairs = draw(st.permutations(pairs))
         for _ in range(draw(st.integers(0, 2))):
@@ -521,7 +549,8 @@ def session_lines(draw):
 
 class TestRepeatedLines:
     """A line repeating an accepted line's text up to its last session_id
-    pair reuses that line's events; every load equals the per-line load."""
+    pair reuses that line's events, and a new line in exactly the writer's
+    form is read by its text; every load equals the per-line load."""
 
     @pytest.mark.deep
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -543,11 +572,12 @@ class TestRepeatedLines:
                 for session in got[0]:
                     assert type(session.session_id) is str
 
-    def test_repeated_lines_share_one_events_tuple_and_one_parse(
+    def test_written_lines_share_one_events_tuple_and_no_parse(
         self, tmp_path, monkeypatch
     ):
         dataset = generated_files(tmp_path, "second_order", n_sessions=400)
         heads = {(s.playlist_id, s.events) for s in dataset.sessions}
+        assert len(heads) < len(dataset.sessions)
         calls = []
         real_loads = json.loads
 
@@ -559,7 +589,7 @@ class TestRepeatedLines:
         loaded = load_sessions(tmp_path / "sessions.jsonl", dataset.playlists)
         monkeypatch.undo()
         assert loaded.sessions == dataset.sessions
-        assert len(calls) == len(heads) < len(dataset.sessions)
+        assert calls == []
         tuples = {}
         for session in loaded.sessions:
             key = (session.playlist_id, session.events)
@@ -598,7 +628,7 @@ class TestRepeatedLines:
         monkeypatch.setattr(dataio.json, "loads", counting_loads)
         loaded = load_sessions(path, {"pl": playlist3})
         monkeypatch.undo()
-        assert parsed == lines[:2]
+        assert parsed == lines[1:2]  # the first line is in the writer's form
         assert [s.session_id for s in loaded.sessions] == ["a", "b", "c"]
         assert len({id(s.events) for s in loaded.sessions}) == 1
 
@@ -622,7 +652,7 @@ class TestRepeatedLines:
         monkeypatch.setattr(dataio.json, "loads", counting_loads)
         loaded = load_sessions(path, {"pl": playlist3})
         monkeypatch.undo()
-        assert parsed == lines[:4]
+        assert parsed == lines[1:4]  # the first line is in the writer's form
         assert [s.session_id for s in loaded.sessions] == ["a", "é", "b\\c", "\x7f", "ê", "d"]
         assert len({id(s.events) for s in loaded.sessions}) == 1
 
@@ -648,6 +678,156 @@ class TestRepeatedLines:
         else:
             assert [s.session_id for s in got[0]] == ["a", "c"]
             assert got[2][-1].startswith(f"{path} line 5: field 'session_id': must be a string")
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_refused_line_in_the_writers_form_reads_as_the_full_parse(
+        self, tmp_path, monkeypatch, strict
+    ):
+        # position 3 is in the load's event table (for "pl") but past "p2"
+        sessions = [make_session(["play", "skip"], sid="a"),
+                    make_session(["skip", "play", "play"], sid="b", pid="p2"),
+                    make_session(["play"], sid="c", pid="zz"),
+                    make_session(["play"], sid="d", pid="p2")]
+        path = tmp_path / "s.jsonl"
+        write_sessions_jsonl(path, sessions)
+        parsed = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(dataio.json, "loads", counting_loads)
+        got = load_outcome(jsonl_load, path, LINE_PLAYLISTS, strict)
+        monkeypatch.undo()
+        assert parsed == []
+        assert got == load_outcome(per_line_load, path, LINE_PLAYLISTS, strict)
+        past = (f"{path} line 2: session 'b' event 3: PLAY past the end: "
+                "all 2 items are already resolved")
+        unknown = f"{path} line 3: session 'c' references unknown playlist 'zz'"
+        if strict:
+            assert got[1] == past
+        else:
+            assert [s.session_id for s in got[0]] == ["a", "d"]
+            assert got[2] == [past + " (session skipped)", unknown + " (session skipped)"]
+
+
+def per_row_csv_load(path, playlists, strict, cap=domain.DEFAULT_CAP):
+    """load_sessions for CSV with nothing shared between rows: csv.DictReader,
+    the row table's read on every row, then Event(...), Session(...) and
+    domain.validate_session per session."""
+    rows, bad, sessions = {}, set(), []
+
+    def reject(message, skipped="session skipped"):
+        if strict:
+            raise SchemaError(message)
+        dataio.log.warning("%s (%s)", message, skipped)
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or ()
+        missing = [c for c in dataio._CSV_FIELDS if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing CSV columns {missing}")
+        for row in reader:
+            sid = row["session_id"]
+            try:
+                if None in row:
+                    raise SchemaError(f"{len(header) + len(row[None])} cells, "
+                                      f"the header has {len(header)}")
+                fields = domain.read_fields(row, dataio._CSV_FIELDS)
+                pid = fields["playlist_id"]
+                _, first_pid, pairs = rows.setdefault(sid, (reader.line_num, pid, []))
+                if pid != first_pid:
+                    raise SchemaError(
+                        f"session {sid!r} references two playlists ({first_pid!r} and {pid!r})")
+            except SchemaError as exc:
+                reject(f"{path} line {reader.line_num}: {exc}", f"session {sid!r} skipped")
+                bad.add(sid)
+                continue
+            pairs.append(Event(fields["pos"], fields["action"]))
+    for sid, (lineno, pid, events) in rows.items():
+        if sid in bad:
+            continue
+        try:
+            if pid not in playlists:
+                raise SchemaError(f"session {sid!r} references unknown playlist {pid!r}")
+            session = Session(sid, pid, tuple(events))
+            domain.validate_session(session, len(playlists[pid]), cap=cap)
+        except (SchemaError, ConstraintViolation) as exc:
+            reject(f"{path} line {lineno}: {exc}")
+            continue
+        sessions.append(session)
+    if not sessions:
+        raise SchemaError(f"{path}: no valid sessions loaded")
+    return tuple(sessions)
+
+
+def csv_load(path, playlists, strict):
+    return load_sessions(path, playlists, fmt="csv", strict=strict).sessions
+
+
+CSV_CELLS = {
+    "session_id": ["a", "b", "c", ""],
+    "playlist_id": ["pl", "p2", "zz"],
+    "pos": ["1", "2", "3", "4", "0", "01", " 1", "x"],
+    "action": ["play", "skip", "replay", "PLAY"],
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A sessions.csv: the four columns in any order, perhaps with an extra
+    or a repeated one, then rows from a few cells each, some cut short, run
+    on or blank."""
+    header = draw(st.permutations(list(CSV_CELLS)))
+    for _ in range(draw(st.integers(0, 2))):
+        header.insert(draw(st.integers(0, len(header))),
+                      draw(st.sampled_from(["x", *CSV_CELLS])))
+    rows = [header]
+    for _ in range(draw(st.integers(1, 16))):
+        row = [draw(st.sampled_from(CSV_CELLS.get(name, ["1", "y"]))) for name in header]
+        end = draw(st.sampled_from([len(row)] * 6 + [0, 1, len(row) - 1, len(row) + 1]))
+        rows.append(row[:end] + ["z"] * (end - len(row)))
+    return rows
+
+
+class TestCsvRows:
+    """A row reuses the read of cells an earlier row had; every load equals
+    the per-row csv.DictReader load."""
+
+    @pytest.mark.deep
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=csv_tables())
+    def test_load_equals_the_per_row_load(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        for strict in (True, False):
+            got = load_outcome(csv_load, path, LINE_PLAYLISTS, strict)
+            assert got == load_outcome(per_row_csv_load, path, LINE_PLAYLISTS, strict)
+
+    def test_a_short_row_reads_its_missing_cells_as_none_after_a_reused_read(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("playlist_id,pos,action,session_id\npl,1,play,a\npl,1,play\n")
+        with pytest.raises(SchemaError) as info:
+            load_sessions(path, LINE_PLAYLISTS, fmt="csv")
+        assert str(info.value) == f"{path} line 3: field 'session_id': must be a string, got None"
+
+    def test_a_row_reuses_the_read_of_its_cells(self, tmp_path, monkeypatch):
+        dataset = generated_files(tmp_path, "second_order", n_sessions=200)
+        cells = {(s.playlist_id, str(e.track_position), e.outcome.value)
+                 for s in dataset.sessions for e in s.events}
+        positions = []
+
+        def counting_position(value):
+            positions.append(value)
+            return dataio._csv_position(value)
+
+        monkeypatch.setitem(dataio._CSV_FIELDS, "pos", counting_position)
+        loaded = load_sessions(tmp_path / "sessions.csv", dataset.playlists, fmt="csv")
+        assert loaded.sessions == dataset.sessions
+        assert len(positions) == len(cells) < sum(map(len, dataset.sessions))
 
 
 class TestCompiledTables:

@@ -532,6 +532,34 @@ class TestEvaluateCommand:
             f"error: {path}: field 'model': unexpected field 'n_classes' for kind 'transformer'\n"
         )
 
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_foreign_data_is_refused_before_it_is_loaded(self, cli_root, tmp_path, capsys,
+                                                          valid):
+        data = tmp_path / "data"
+        shutil.copytree(cli_root / "data", data)
+        path = data / "sessions.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[1:] if valid else [*lines, "{\n"]), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--data", str(data), "--run", str(cli_root / "run_mc"),
+                         "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cli_root / 'run_mc' / 'run.json'}: --data does not match the data "
+            f"this run was trained on (content digests differ)\n"
+        )
+        assert not (tmp_path / "eval").exists()
+
+    def test_a_missing_data_file_is_named_by_the_load(self, cli_root, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(cli_root / "data", data)
+        (data / "sessions.jsonl").unlink()
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--data", str(data), "--run", str(cli_root / "run_mc"),
+                         "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{data / 'sessions.jsonl'}'\n"
+        )
+
     def test_produces_report_files(self, cli_root):
         rc = cli_main(
             ["evaluate", "--data", str(cli_root / "data"),
